@@ -5,10 +5,13 @@ person vertex in the collocation network and describes the local
 connectedness of each vertex's neighbors via the ratio of connected edge
 triangles and triples centered on the vertex."
 
-Computed sparsely: with binary symmetric adjacency *A*, the triangle count
-through vertex *i* is ``(A·A ∘ A) 1 / 2`` (elementwise product with *A*
-keeps only wedges that close).  Runs in sparse matmul time — no per-vertex
-Python loops — and is cross-validated against networkx in the tests.
+Computed per edge, never per wedge: with binary symmetric adjacency *A*,
+the masked product ``(A·A) ∘ A`` counts the triangles through every edge,
+and the triangles through vertex *i* are half the sum over its incident
+edges.  :func:`repro.core.kernels.graph.edge_triangles` computes that
+product over the strict upper triangle without materializing ``A·A`` —
+no per-vertex Python loops, no intermediate larger than the edge list —
+and is cross-validated against networkx in the tests.
 """
 
 from __future__ import annotations
@@ -17,46 +20,52 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError
+from ..core.kernels.graph import edge_triangles
 from ..core.network import CollocationNetwork
 
 __all__ = ["local_clustering", "clustering_histogram", "mean_clustering"]
 
 
-def _binary_symmetric(network: CollocationNetwork | sp.spmatrix) -> sp.csr_matrix:
-    sym = (
-        network.symmetric()
-        if isinstance(network, CollocationNetwork)
-        else sp.csr_matrix(network)
+def strict_upper(network: CollocationNetwork | sp.spmatrix) -> sp.csr_matrix:
+    """The graph's strict upper triangle, weights kept.  A raw matrix
+    must be a valid undirected adjacency; explicit zeros are no edges."""
+    if isinstance(network, CollocationNetwork):
+        return network.adjacency
+    m = sp.csr_matrix(network)
+    if m.shape[0] != m.shape[1] or m.diagonal().any() or (m != m.T).nnz:
+        raise AnalysisError(
+            "adjacency must be square, symmetric and zero on the diagonal"
+        )
+    upper = sp.triu(m, k=1, format="csr")
+    upper.eliminate_zeros()
+    return upper
+
+
+def incident_sum(edge_values: sp.csr_matrix) -> np.ndarray:
+    """Per vertex, the sum of an upper-triangular per-edge quantity over
+    the vertex's incident edges."""
+    by_row = np.asarray(edge_values.sum(axis=1)).ravel()
+    return by_row + np.asarray(edge_values.sum(axis=0)).ravel()
+
+
+def pattern_degrees(upper: sp.csr_matrix) -> np.ndarray:
+    """Vertex degrees from a canonical strict-upper pattern."""
+    return np.diff(upper.indptr) + np.bincount(
+        upper.indices, minlength=upper.shape[0]
     )
-    binary = sym.copy()
-    binary.data = np.ones_like(binary.data, dtype=np.int64)
-    return binary
 
 
-def local_clustering(
-    network: CollocationNetwork | sp.spmatrix,
-    batch_rows: int = 8192,
-) -> np.ndarray:
+def local_clustering(network: CollocationNetwork | sp.spmatrix) -> np.ndarray:
     """Per-vertex local clustering coefficient in [0, 1].
 
     Vertices with degree < 2 get coefficient 0 (consistent with igraph's
     ``transitivity_local`` NaN→excluded convention being mapped to 0 for
     histogramming).
-
-    ``batch_rows`` bounds the memory of the ``A·A`` intermediate: rows are
-    processed in blocks, so the full triangle matrix never materializes.
     """
-    a = _binary_symmetric(network)
-    n = a.shape[0]
-    degrees = np.diff(a.indptr).astype(np.int64)
-    triangles = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, batch_rows):
-        hi = min(n, lo + batch_rows)
-        block = a[lo:hi]  # (rows, n)
-        wedge = block @ a  # paths of length 2 from each row vertex
-        closed = wedge.multiply(block)  # keep only wedges closing an edge
-        triangles[lo:hi] = np.asarray(closed.sum(axis=1)).ravel() // 2
-    coeff = np.zeros(n, dtype=np.float64)
+    closed = edge_triangles(strict_upper(network))
+    degrees = pattern_degrees(closed)
+    triangles = incident_sum(closed) // 2
+    coeff = np.zeros(len(degrees), dtype=np.float64)
     can = degrees >= 2
     possible = degrees[can] * (degrees[can] - 1) / 2
     coeff[can] = triangles[can] / possible

@@ -6,7 +6,8 @@ vertices to V₁ to create set V₂.  The union V = V₁ ∪ V₂ contains all
 vertices within a graph radius of two from the original selected
 individual ... all edges between nodes in the set V are preserved."
 
-The BFS runs directly on CSR index arrays; the induced subgraph keeps edge
+The BFS advances a boolean-mask frontier over CSR rows; the induced
+subgraph (one gather pass, :mod:`repro.core.kernels.graph`) keeps edge
 weights so layouts can use collocation hours as spring strength.
 """
 
@@ -18,7 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError
+from ..core.kernels.graph import induced_subgraph
 from ..core.network import CollocationNetwork
+from ..obs import get_probe
 
 __all__ = ["EgoNetwork", "ego_network", "sample_ego_networks"]
 
@@ -93,25 +96,19 @@ def ego_network(
     if not 0 <= person < network.n_persons:
         raise AnalysisError(f"person {person} outside population")
     sym = network.symmetric()
+    seen = np.zeros(network.n_persons, dtype=bool)
+    seen[person] = True
     frontier = np.array([person], dtype=np.int64)
-    visited = {int(person)}
     for _ in range(radius):
-        next_frontier: list[np.ndarray] = []
-        for v in frontier:
-            neigh = sym.indices[sym.indptr[v] : sym.indptr[v + 1]]
-            next_frontier.append(neigh)
-        if not next_frontier:
+        near = np.zeros_like(seen)
+        near[sym[frontier].indices] = True
+        frontier = np.flatnonzero(near & ~seen)
+        if not len(frontier):
             break
-        cand = np.unique(np.concatenate(next_frontier)) if next_frontier else np.empty(0, dtype=np.int64)
-        new = np.array(
-            [int(v) for v in cand if int(v) not in visited], dtype=np.int64
-        )
-        visited.update(int(v) for v in new)
-        frontier = new
-        if len(frontier) == 0:
-            break
-    persons = np.array(sorted(visited), dtype=np.int64)
-    sub = sym[persons][:, persons].tocsr()
+        seen[frontier] = True
+    persons = np.flatnonzero(seen)
+    get_probe().count("analysis.ego_nodes", len(persons))
+    sub = induced_subgraph(sym, persons)
     return EgoNetwork(center=person, persons=persons, matrix=sub, radius=radius)
 
 

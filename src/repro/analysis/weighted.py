@@ -18,9 +18,12 @@ weighted (hours collocated), so the natural additions are:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from ..core.kernels.graph import edge_triangles
 from ..core.network import CollocationNetwork
 from ..errors import AnalysisError
+from .clustering import incident_sum, pattern_degrees, strict_upper
 from .degree import DegreeDistribution, degree_distribution
 
 __all__ = [
@@ -48,7 +51,7 @@ def edge_weight_distribution(
 
 
 def weighted_clustering(
-    network: CollocationNetwork, batch_rows: int = 4096
+    network: CollocationNetwork | sp.spmatrix,
 ) -> np.ndarray:
     """Barrat weighted local clustering coefficient per vertex.
 
@@ -56,30 +59,15 @@ def weighted_clustering(
     where ``s_i`` is strength and ``k_i`` degree.  Reduces to the binary
     coefficient when all weights are equal.
     """
-    sym = network.symmetric().astype(np.float64)
-    binary = sym.copy()
-    binary.data = np.ones_like(binary.data)
-    n = sym.shape[0]
-    degrees = np.diff(sym.indptr).astype(np.int64)
-    strength = np.asarray(sym.sum(axis=1)).ravel()
-
-    coeff = np.zeros(n, dtype=np.float64)
-    for lo in range(0, n, batch_rows):
-        hi = min(n, lo + batch_rows)
-        a_block = binary[lo:hi]
-        w_block = sym[lo:hi]
-        # triangle closure mask: which (i, j) participate in triangles,
-        # weighted by the number of common neighbors h with a_jh = 1
-        closure = (a_block @ binary).multiply(a_block)
-        # Σ_j w_ij · (#closed wedges through j) accounts for (w_ij)/2 twice
-        contrib = np.asarray(
-            closure.multiply(w_block).sum(axis=1)
-        ).ravel()
-        can = degrees[lo:hi] >= 2
-        denom = strength[lo:hi] * (degrees[lo:hi] - 1)
-        vals = np.zeros(hi - lo)
-        vals[can] = contrib[can] / denom[can]
-        coeff[lo:hi] = vals
+    upper = strict_upper(network)
+    closed = edge_triangles(upper)
+    degrees = pattern_degrees(closed)
+    strength = incident_sum(upper).astype(np.float64)
+    # Σ_j w_ij · (#triangles through edge ij) accounts for (w_ij)/2 twice
+    contrib = incident_sum(upper.multiply(closed)).astype(np.float64)
+    coeff = np.zeros(len(degrees), dtype=np.float64)
+    can = degrees >= 2
+    coeff[can] = contrib[can] / (strength[can] * (degrees[can] - 1))
     if coeff.size and (coeff.min() < -1e-9 or coeff.max() > 1.0 + 1e-9):
         raise AnalysisError("weighted clustering outside [0, 1]")
     return np.clip(coeff, 0.0, 1.0)

@@ -338,6 +338,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"  {label:>6}: members={d.n_vertices:>8,} "
                 f"mean_k={d.mean_degree:>6.1f} max_k={d.max_degree}"
             )
+    if args.metrics_out:
+        from .obs import default_registry, write_metrics_json
+
+        write_metrics_json(args.metrics_out, default_registry().snapshot())
+        print(f"\nwrote metrics {args.metrics_out} (render: repro metrics --file)")
     return 0
 
 
@@ -869,6 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="network statistics and figures")
     p.add_argument("--network", required=True)
     p.add_argument("--population", default=None)
+    p.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="write the telemetry registry snapshot (analysis kernel "
+        "seconds, triangle and ego-node counters) as JSON",
+    )
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("epidemic", help="run an SEIR outbreak")

@@ -25,6 +25,11 @@ backend is bit-identical, gated by the equivalence suite:
 ``REPRO_KERNEL_IMPL`` (``cext`` | ``numba`` | ``numpy``) pins the
 masked-backend implementation — CI uses it to gate each implementation
 explicitly; ``REPRO_NO_CC=1`` additionally forbids the C build.
+
+The Section V analysis kernels (:mod:`.graph`: per-edge triangle counts,
+induced subgraphs) sit beside the backends but take no ``backend=``:
+they run in the C extension when it loaded, else in their numpy/scipy
+twin, bit-identically.
 """
 
 from __future__ import annotations

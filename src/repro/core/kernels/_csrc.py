@@ -66,6 +66,18 @@ happen in numpy, on packed 64-bit keys, between the scans):
 
 Together the last three are the compiled twin of
 ``coo_matrix(...).tocsr()`` over the concatenated parts.
+
+Two graph kernels serve the Section V analysis (entry points in
+:mod:`.graph`):
+
+``rk_edge_triangles``
+    the masked product ``(A·A)∘A`` over a strict-upper CSR, one marked
+    row against its neighbours' rows: the triangle count of every edge,
+    with no wedge intermediate.
+``rk_induced_subgraph``
+    one gather pass over the listed rows of a CSR matrix through a
+    global→local column map — the compiled twin of
+    ``m[persons][:, persons]``.
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 5
+C_SOURCE_VERSION = 6
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -486,5 +498,82 @@ API int64_t rk_fill_values(
             vals_out[k] = acc[cols_out[k]];
     }
     return 0;
+}
+
+/* Triangle count of every edge of an undirected graph, given as its
+   strict upper triangle in CSR with ascending, duplicate-free rows:
+   tri[e] = |N(i) ∩ N(j)| for the e-th stored edge (i, j).
+
+   Row i's entries are marked by position in pos (int32[n] scratch, any
+   contents); for each of its edges (i, j), scanning row j then finds
+   every triangle i < j < k exactly once, at its lowest edge, and the
+   mark gives the position of (i, k) while the scan is at (j, k), so all
+   three counters are bumped on the spot.  Work is the sum over edges
+   (i, j) of row j's length; nothing the size of a wedge list exists.
+
+   The input contract is checked on the way (row pointers up front,
+   each row as it is reached): returns -1, with tri unspecified, on a
+   malformed indptr or a row that is not strictly ascending inside
+   (i, n); 0 otherwise. */
+API int64_t rk_edge_triangles(
+    int64_t n, int64_t nnz, const int32_t *indptr, const int32_t *indices,
+    int32_t *pos, int64_t *tri) {
+    if (indptr[0] != 0 || indptr[n] != nnz) return -1;
+    for (int64_t i = 0; i < n; i++)
+        if (indptr[i] > indptr[i + 1]) return -1;
+    memset(pos, 0xFF, (size_t)n * sizeof(int32_t));
+    memset(tri, 0, (size_t)nnz * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t row = indptr[i], row_end = indptr[i + 1];
+        int64_t prev = i;
+        for (int32_t e = row; e < row_end; e++) {
+            if (indices[e] <= prev || indices[e] >= n) return -1;
+            prev = indices[e];
+            pos[prev] = e;
+        }
+        for (int32_t e = row; e < row_end; e++) {
+            const int32_t j = indices[e];
+            int64_t found = 0;
+            for (int32_t q = indptr[j]; q < indptr[j + 1]; q++) {
+                const int32_t p = pos[indices[q]];
+                if (p >= 0) { tri[p]++; tri[q]++; found++; }
+            }
+            tri[e] += found;
+        }
+        for (int32_t e = row; e < row_end; e++) pos[indices[e]] = -1;
+    }
+    return 0;
+}
+
+/* Induced submatrix of an n-column CSR matrix (nnz stored entries) on
+   the rows and columns listed in persons (ascending, inside [0, n)):
+   local[c] is the position of global column c in persons, or -1.  One
+   gather pass into outputs of capacity cap (the summed lengths of the
+   listed rows always suffices).  Returns the nnz written, or -1 on a
+   row pointer or column index out of range or an overrun of cap. */
+API int64_t rk_induced_subgraph(
+    int64_t n_sub, const int64_t *persons,
+    int64_t n, int64_t nnz,
+    const int32_t *indptr, const int32_t *indices, const int64_t *data,
+    const int32_t *local, int64_t cap,
+    int32_t *out_indptr, int32_t *out_indices, int64_t *out_data) {
+    int64_t out = 0;
+    out_indptr[0] = 0;
+    for (int64_t r = 0; r < n_sub; r++) {
+        const int64_t g = persons[r];
+        if (indptr[g] < 0 || indptr[g + 1] > nnz) return -1;
+        for (int32_t p = indptr[g]; p < indptr[g + 1]; p++) {
+            if ((uint32_t)indices[p] >= (uint64_t)n) return -1;
+            if (out >= cap) return -1;
+            /* write unconditionally, keep only a mapped column: the
+               keep/drop branch is unpredictable, this one never taken */
+            const int32_t c = local[indices[p]];
+            out_indices[out] = c;
+            out_data[out] = data[p];
+            out += (c >= 0);
+        }
+        out_indptr[r + 1] = (int32_t)out;
+    }
+    return out;
 }
 """

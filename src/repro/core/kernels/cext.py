@@ -12,7 +12,8 @@ the scipy/numpy reference path.
 Environment knobs:
 
 ``REPRO_NO_CC=1``
-    never compile or load the C extension (CI's pure-fallback leg).
+    never compile or load the C extension (CI's pure-fallback legs);
+    unset, empty or ``0`` leaves it enabled.
 ``REPRO_KERNEL_CC``
     compiler executable to use (default: ``cc`` then ``gcc`` then
     ``clang``, first found on PATH).
@@ -92,6 +93,15 @@ class CompiledKernels:
         lib.rk_pack_triples.restype = ctypes.c_int64
         lib.rk_keys_to_csr.restype = ctypes.c_int64
         lib.rk_fill_values.restype = ctypes.c_int64
+        lib.rk_edge_triangles.restype = ctypes.c_int64
+        lib.rk_edge_triangles.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I32, _I64,
+        ]
+        lib.rk_induced_subgraph.restype = ctypes.c_int64
+        lib.rk_induced_subgraph.argtypes = [
+            ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_int64,
+            _I32, _I32, _I64, _I32, ctypes.c_int64, _I32, _I32, _I64,
+        ]
 
     def col_stats(
         self,
@@ -384,6 +394,60 @@ class CompiledKernels:
             _as_ptr(vals_out, _I64),
         )
 
+    def edge_triangles(
+        self,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        pos: np.ndarray,
+        tri: np.ndarray,
+    ) -> int:
+        """Per-edge triangle counts of a canonical strict-upper int32
+        CSR pattern into ``tri`` int64[nnz] (``pos``: int32[n] scratch);
+        -1 when the pattern breaks that contract."""
+        return int(
+            self._lib.rk_edge_triangles(
+                n,
+                len(indices),
+                _as_ptr(indptr, _I32),
+                _as_ptr(indices, _I32),
+                _as_ptr(pos, _I32),
+                _as_ptr(tri, _I64),
+            )
+        )
+
+    def induced_subgraph(
+        self,
+        persons: np.ndarray,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+        local: np.ndarray,
+        out_indptr: np.ndarray,
+        out_indices: np.ndarray,
+        out_data: np.ndarray,
+    ) -> int:
+        """Gather the rows ``persons`` of an ``n``-column int32/int64
+        CSR through the column map ``local``; returns the nnz written,
+        -1 on an index out of range or an output overrun."""
+        return int(
+            self._lib.rk_induced_subgraph(
+                len(persons),
+                _as_ptr(persons, _I64),
+                n,
+                len(indices),
+                _as_ptr(indptr, _I32),
+                _as_ptr(indices, _I32),
+                _as_ptr(data, _I64),
+                _as_ptr(local, _I32),
+                len(out_indices),
+                _as_ptr(out_indptr, _I32),
+                _as_ptr(out_indices, _I32),
+                _as_ptr(out_data, _I64),
+            )
+        )
+
 
 def _build(cc: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -405,8 +469,9 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     """One tiny end-to-end product checked against the closed form.
 
     Two persons sharing one 3-hour segment must yield the single triple
-    (0, 1, 3), through the transpose and the product.  Guards against a
-    mis-built or ABI-skewed object before anything trusts it.
+    (0, 1, 3), through the transpose and the product; a triangle with a
+    pendant must yield its edge counts and its induced pair.  Guards
+    against a mis-built or ABI-skewed object before anything trusts it.
     """
     indptr = np.array([0, 1, 2], dtype=np.int32)
     cols = np.array([0, 0], dtype=np.int32)
@@ -426,6 +491,35 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     )
     if n != 1 or out_r[0] != 0 or out_c[0] != 1 or out_v[0] != 3:
         raise RuntimeError("compiled kernel smoke test failed")
+    # graph kernels: a triangle 0-1-2 with a pendant 2-3 (weights 5..8)
+    g_indptr = np.array([0, 2, 3, 4, 4], dtype=np.int32)
+    g_indices = np.array([1, 2, 2, 3], dtype=np.int32)
+    tri = np.full(4, -1, dtype=np.int64)
+    ok = kernels.edge_triangles(
+        4, g_indptr, g_indices, np.empty(4, np.int32), tri
+    )
+    sub_indptr = np.empty(3, np.int32)
+    sub_indices = np.empty(3, np.int32)
+    sub_data = np.empty(3, np.int64)
+    nnz = kernels.induced_subgraph(
+        np.array([0, 2], dtype=np.int64),
+        4,
+        g_indptr,
+        g_indices,
+        np.array([5, 6, 7, 8], dtype=np.int64),
+        np.array([0, -1, 1, -1], dtype=np.int32),
+        sub_indptr,
+        sub_indices,
+        sub_data,
+    )
+    if (
+        ok != 0
+        or tri.tolist() != [1, 1, 1, 0]
+        or nnz != 1
+        or sub_indptr.tolist() != [0, 1, 1]
+        or (sub_indices[0], sub_data[0]) != (1, 6)
+    ):
+        raise RuntimeError("compiled graph kernel smoke test failed")
 
 
 def load_cext() -> CompiledKernels | None:
@@ -434,7 +528,7 @@ def load_cext() -> CompiledKernels | None:
     global _lib, _error
     if _lib is not None:
         return _lib or None
-    if os.environ.get("REPRO_NO_CC"):
+    if os.environ.get("REPRO_NO_CC", "0") not in ("", "0"):
         _lib, _error = False, "disabled by REPRO_NO_CC"
         return None
     cc = _find_cc()

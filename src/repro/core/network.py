@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from ..errors import AnalysisError, SynthesisError
 from .adjacency import triu_symmetrize
+from .kernels.graph import induced_subgraph
 
 __all__ = ["CollocationNetwork"]
 
@@ -124,11 +125,7 @@ class CollocationNetwork:
         restricted to (and re-indexed by) the given persons.
         """
         persons = np.unique(np.asarray(persons, dtype=np.int64))
-        if persons.size and (persons[0] < 0 or persons[-1] >= self.n_persons):
-            raise AnalysisError("subgraph persons outside population")
-        sym = self.symmetric()
-        sub = sym[persons][:, persons].tocsr()
-        return sub, persons
+        return induced_subgraph(self.symmetric(), persons), persons
 
     # -- interop ---------------------------------------------------------------------
 

@@ -1174,9 +1174,13 @@ class NetworkQueryService:
                 "'radius' must be a positive integer", code="bad-request"
             )
         net, t0, t1, release = await self._admitted_window(header, _FULL, dl)
+        # carried into the executor thread so the analysis kernel span
+        # nests in this request's trace
+        ctx = current_context()
         try:
             def _build() -> tuple[bytes, int, int]:
-                ego = ego_network(net, person, radius=radius)
+                with use_context(ctx):
+                    ego = ego_network(net, person, radius=radius)
                 blob = encode_csr(
                     ego.matrix,
                     persons=ego.persons.astype(np.int64),

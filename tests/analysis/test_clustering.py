@@ -13,6 +13,7 @@ from repro.analysis.clustering import (
     mean_clustering,
 )
 from repro.core import CollocationNetwork
+from repro.errors import AnalysisError
 
 
 def net_from_edges(edges, n):
@@ -60,10 +61,42 @@ class TestNetworkxCrossCheck:
         for v in range(0, small_net.n_persons, 13):
             assert mine[v] == pytest.approx(theirs[v], abs=1e-12)
 
-    def test_batched_rows_match_unbatched(self, small_net):
-        a = local_clustering(small_net, batch_rows=50)
-        b = local_clustering(small_net, batch_rows=10**6)
-        assert (a == b).all()
+
+class TestRawMatrixInput:
+    """A caller-supplied matrix is an adjacency only if it is one."""
+
+    def test_symmetric_matrix_matches_network(self, small_net):
+        assert np.array_equal(
+            local_clustering(small_net.symmetric()), local_clustering(small_net)
+        )
+
+    def test_explicit_zeros_are_not_edges(self):
+        # triangle 0-1-2 plus a stored zero at (2, 3)/(3, 2)
+        rows = [0, 1, 0, 2, 1, 2, 2, 3]
+        cols = [1, 0, 2, 0, 2, 1, 3, 2]
+        data = [1, 1, 1, 1, 1, 1, 0, 0]
+        m = sp.csr_matrix((data, (rows, cols)), shape=(4, 4))
+        assert m.nnz == 8
+        assert local_clustering(m).tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert m.nnz == 8  # the caller's matrix is left alone
+
+    def test_weights_of_raw_matrix_ignored(self):
+        m = sp.csr_matrix(np.array([[0, 5, 2], [5, 0, 9], [2, 9, 0]]))
+        assert local_clustering(m).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            [[0, 1, 1], [0, 0, 1], [0, 0, 0]],  # upper triangle only
+            [[0, 1, 0], [1, 0, 2], [0, 1, 0]],  # unequal weights
+            [[1, 1, 0], [1, 0, 1], [0, 1, 0]],  # self-loop
+            [[0, 1, 0], [1, 0, 1]],  # not square
+        ],
+        ids=["asymmetric", "asymmetric-weights", "diagonal", "non-square"],
+    )
+    def test_not_an_adjacency_is_rejected(self, dense):
+        with pytest.raises(AnalysisError):
+            local_clustering(sp.csr_matrix(np.array(dense)))
 
 
 class TestHistogram:

@@ -84,10 +84,13 @@ class TestWeightedClustering:
         cc = weighted_clustering(small_net)
         assert cc.min() >= 0.0 and cc.max() <= 1.0
 
-    def test_batching_invariant(self, small_net):
-        a = weighted_clustering(small_net, batch_rows=64)
-        b = weighted_clustering(small_net, batch_rows=10**6)
-        assert np.allclose(a, b)
+    def test_raw_matrix_goes_through_the_same_entry(self, small_net):
+        assert np.array_equal(
+            weighted_clustering(small_net.symmetric()),
+            weighted_clustering(small_net),
+        )
+        with pytest.raises(AnalysisError):
+            weighted_clustering(small_net.adjacency)  # upper half only
 
 
 class TestAssortativity:

@@ -90,6 +90,23 @@ class TestWirePropagation:
         assert root["name"] == "client.request"
         assert "request" in {s["name"] for s in mine}
 
+    def test_ego_query_tree_shows_the_analysis_kernel(
+        self, service_logs, small_pop
+    ):
+        async def scenario():
+            async with make_service(service_logs, small_pop) as svc:
+                async with ServiceClient(port=svc.port) as client:
+                    await client.query_ego(3, 0, 24)
+                    return client.last_trace_id
+
+        trace_id = asyncio.run(scenario())
+        mine, root = tree_for(get_collector().drain(), trace_id)
+        request = next(s for s in mine if s["name"] == "request")
+        kernel = next(s for s in mine if s["name"] == "analysis.induced_subgraph")
+        # the executor thread ran it inside this request, not as a root
+        assert kernel["parent_id"] == request["span_id"]
+        assert kernel["attrs"]["nodes"] >= 1
+
     def test_distinct_queries_get_distinct_traces(
         self, service_logs, small_pop
     ):

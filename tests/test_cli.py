@@ -84,6 +84,19 @@ class TestPipeline:
         assert "power_law" in out
         assert "0-14" in out
 
+    def test_analyze_metrics_out_feeds_repro_metrics(
+        self, workspace, tmp_path, capsys
+    ):
+        _, _, _, net = workspace
+        snap = tmp_path / "analysis.metrics.json"
+        assert main(["analyze", "--network", str(net),
+                     "--metrics-out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "--file", str(snap)]) == 0
+        out = capsys.readouterr().out
+        assert "analysis.triangles_total" in out
+        assert "stage.analysis.triangles.seconds" in out
+
     def test_epidemic_runs(self, workspace, capsys):
         _, world, _, _ = workspace
         assert main(["epidemic", "--population", str(world), "--weeks", "1",
