@@ -13,12 +13,19 @@ one-week windows.  Three phases:
   must coalesce into one composition;
 * **load** — the measured mixed workload: per-request latency is
   recorded client-side (wall time around each request), yielding
-  p50/p95/p99 latency and queries/sec.
+  p50/p95/p99 latency and queries/sec;
+* **warm compose** — the layer below the service: the same pool composed
+  by a warm bench-side :class:`~repro.core.tilecache.TileCache`, no
+  sockets, no encode.
 
 Emits ``BENCH_service.json``.  The ``--check`` gate compares *ratios*
-against the committed baseline — the service-vs-cold throughput gain,
-perfect success rate, burst coalescing, and response bit-identity —
-not absolute latency, so runner hardware doesn't matter.
+against the committed baseline — load p50 ÷ warm compose p50 (the
+service against the layer below it), the service-vs-cold throughput
+gain, perfect success rate, burst coalescing, and response
+bit-identity — not absolute latency, so runner hardware doesn't matter.
+``--update`` refuses to record a load q/s or p50 more than 20 % worse
+than the committed file unless ``--accept-regression "<note>"`` says
+why; the note is written into the file.
 
 Usage::
 
@@ -56,7 +63,9 @@ QUERIES_PER_CLIENT = 6
 #: request mix per client: mostly full-window CSR fetches, with degree
 #: summaries and ego subgraphs mixed in as an analysis workload would
 OP_WEIGHTS = {"window": 0.7, "degrees": 0.2, "ego": 0.1}
-REGRESSION_MARGIN = 0.20  # fail --check below 80% of baseline gain
+#: --check fails when a gated ratio, and --update refuses when load q/s
+#: or p50, is more than this share worse than the committed file
+REGRESSION_MARGIN = 0.20
 
 
 def window_pool() -> list[tuple[int, int]]:
@@ -238,6 +247,24 @@ async def drive_service(log_dir: Path, pop, windows, cold_refs) -> dict:
     }
 
 
+def warm_compose_p50_ms(log_dir: Path, n_persons: int, windows) -> float:
+    """The layer below the service: p50 of composing the pool's windows
+    from a fully warm cache, in-process."""
+    cache = repro.TileCache(log_dir, n_persons, tile_hours=TILE_HOURS)
+    try:
+        cache.warm(0, WEEKS * repro.HOURS_PER_WEEK)
+        walls = []
+        for repeat in range(4):
+            for t0, t1 in windows:
+                tic = time.perf_counter()
+                cache.query_window(t0, t1)
+                if repeat:  # the first pass fills the fringe partials
+                    walls.append(1000 * (time.perf_counter() - tic))
+    finally:
+        cache.close()
+    return float(np.percentile(walls, 50))
+
+
 def run_bench() -> dict:
     windows = window_pool()
     with tempfile.TemporaryDirectory(prefix="bench_service_") as tmp:
@@ -258,6 +285,7 @@ def run_bench() -> dict:
         measured = asyncio.run(
             drive_service(log_dir, pop, windows, cold_refs)
         )
+        compose_ms = warm_compose_p50_ms(log_dir, pop.n_persons, windows)
 
     cold_qps = len(windows) / cold_seconds
     gain = measured["load"]["queries_per_sec"] / cold_qps
@@ -280,6 +308,10 @@ def run_bench() -> dict:
             "queries_per_sec": round(cold_qps, 2),
         },
         **measured,
+        "warm_compose": {"p50_ms": round(compose_ms, 3)},
+        "load_p50_over_warm_compose": round(
+            measured["load"]["latency_ms"]["p50"] / compose_ms, 1
+        ),
         "throughput_gain_vs_cold": round(gain, 2),
     }
 
@@ -315,6 +347,14 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
         )
     if burst["coalesced"] == 0:
         failures.append("burst produced zero coalesced queries")
+    base_ratio = baseline["load_p50_over_warm_compose"]
+    ceiling = base_ratio * (1 + REGRESSION_MARGIN)
+    if measured["load_p50_over_warm_compose"] > ceiling:
+        failures.append(
+            f"load p50 is {measured['load_p50_over_warm_compose']:.1f}x the "
+            f"warm compose p50, above {ceiling:.1f}x "
+            f"(baseline {base_ratio:.1f}x + {REGRESSION_MARGIN:.0%})"
+        )
     base_gain = baseline["throughput_gain_vs_cold"]
     floor = base_gain * (1 - REGRESSION_MARGIN)
     if measured["throughput_gain_vs_cold"] < floor:
@@ -324,6 +364,21 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
             f"(baseline {base_gain:.2f}x - {REGRESSION_MARGIN:.0%})"
         )
     return failures
+
+
+def update_regressions(measured: dict, baseline: dict) -> list[str]:
+    """Absolute load numbers more than the margin worse than the
+    committed file — what ``--update`` will not record unremarked."""
+    old, new = baseline["load"], measured["load"]
+    pairs = [
+        ("load q/s", old["queries_per_sec"], new["queries_per_sec"], -1),
+        ("load p50 ms", old["latency_ms"]["p50"], new["latency_ms"]["p50"], 1),
+    ]
+    return [
+        f"{name}: {was} -> {now} ({(now - was) / was:+.0%})"
+        for name, was, now, worse in pairs
+        if worse * (now - was) > REGRESSION_MARGIN * was
+    ]
 
 
 def main(argv=None) -> int:
@@ -338,7 +393,14 @@ def main(argv=None) -> int:
         help="fail (exit 1) if the service regressed >20%% against the "
         "committed baseline",
     )
+    parser.add_argument(
+        "--accept-regression", metavar="NOTE",
+        help="with --update: record load numbers >20%% worse than the "
+        "committed baseline anyway, with this note explaining why",
+    )
     args = parser.parse_args(argv)
+    if args.accept_regression is not None and not args.update:
+        parser.error("--accept-regression only applies to --update")
 
     measured = run_bench()
     print(json.dumps(measured, indent=2))
@@ -351,6 +413,25 @@ def main(argv=None) -> int:
         if measured["load"]["success_rate"] < 1.0:
             print("\nrefusing baseline: queries failed", file=sys.stderr)
             return 1
+        worse = (
+            update_regressions(measured, json.loads(BASELINE_PATH.read_text()))
+            if BASELINE_PATH.exists()
+            else []
+        )
+        if worse:
+            print("\nworse than the committed baseline:", file=sys.stderr)
+            for line in worse:
+                print(f"  - {line}", file=sys.stderr)
+            if args.accept_regression is None:
+                print(
+                    'refusing baseline: re-run with --accept-regression '
+                    '"<note>" to record it anyway',
+                    file=sys.stderr,
+                )
+                return 1
+            measured["accepted_regression"] = {
+                "note": args.accept_regression, "diff": worse,
+            }
         BASELINE_PATH.write_text(json.dumps(measured, indent=2) + "\n")
         print(f"\nbaseline written to {BASELINE_PATH}")
         return 0

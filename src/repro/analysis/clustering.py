@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError
+from ..core.adjacency import pattern_degrees
 from ..core.kernels.graph import edge_triangles
 from ..core.network import CollocationNetwork
 
@@ -46,13 +47,6 @@ def incident_sum(edge_values: sp.csr_matrix) -> np.ndarray:
     the vertex's incident edges."""
     by_row = np.asarray(edge_values.sum(axis=1)).ravel()
     return by_row + np.asarray(edge_values.sum(axis=0)).ravel()
-
-
-def pattern_degrees(upper: sp.csr_matrix) -> np.ndarray:
-    """Vertex degrees from a canonical strict-upper pattern."""
-    return np.diff(upper.indptr) + np.bincount(
-        upper.indices, minlength=upper.shape[0]
-    )
 
 
 def local_clustering(network: CollocationNetwork | sp.spmatrix) -> np.ndarray:

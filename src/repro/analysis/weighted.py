@@ -20,10 +20,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..core.adjacency import pattern_degrees
 from ..core.kernels.graph import edge_triangles
 from ..core.network import CollocationNetwork
 from ..errors import AnalysisError
-from .clustering import incident_sum, pattern_degrees, strict_upper
+from .clustering import incident_sum, strict_upper
 from .degree import DegreeDistribution, degree_distribution
 
 __all__ = [

@@ -29,6 +29,7 @@ __all__ = [
     "accumulate_adjacency",
     "sum_adjacency_list",
     "triu_symmetrize",
+    "pattern_degrees",
     "empty_adjacency",
 ]
 
@@ -140,6 +141,14 @@ def triu_symmetrize(adj: sp.spmatrix) -> sp.csr_matrix:
     """Expand an upper-triangular adjacency to its full symmetric form."""
     adj = adj.tocsr()
     return (adj + adj.T).tocsr()
+
+
+def pattern_degrees(upper: sp.csr_matrix) -> np.ndarray:
+    """Vertex degrees (int64) from a canonical strict-upper pattern:
+    entries in a vertex's own row plus entries naming it as a column."""
+    return np.diff(upper.indptr).astype(np.int64) + np.bincount(
+        upper.indices, minlength=upper.shape[0]
+    )
 
 
 def sum_adjacency_list(

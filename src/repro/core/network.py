@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError, SynthesisError
-from .adjacency import triu_symmetrize
+from .adjacency import pattern_degrees, triu_symmetrize
 from .kernels.graph import induced_subgraph
 
 __all__ = ["CollocationNetwork"]
@@ -37,10 +37,17 @@ class CollocationNetwork:
         adj = adjacency.tocsr()
         if adj.shape[0] != adj.shape[1]:
             raise SynthesisError("adjacency must be square")
-        coo = adj.tocoo()
-        if np.any(coo.row >= coo.col):
+        rows = np.repeat(
+            np.arange(adj.shape[0], dtype=adj.indices.dtype), np.diff(adj.indptr)
+        )
+        if np.any(rows >= adj.indices[: len(rows)]):
             raise SynthesisError("adjacency must be strictly upper triangular")
-        adj.eliminate_zeros()
+        if not adj.data.all():
+            # tocsr() aliases a CSR input: never edit the caller's matrix
+            # (which may also sit on read-only buffers)
+            if adj is adjacency:
+                adj = adj.copy()
+            adj.eliminate_zeros()
         self.adjacency = adj
         self.t0 = t0
         self.t1 = t1
@@ -93,9 +100,9 @@ class CollocationNetwork:
     # -- queries -------------------------------------------------------------------
 
     def degrees(self) -> np.ndarray:
-        """Unweighted vertex degree per person (int64)."""
-        sym = self.symmetric()
-        return np.diff(sym.indptr).astype(np.int64)
+        """Unweighted vertex degree per person (int64), read off the
+        upper triangle — the symmetric matrix is not built for it."""
+        return pattern_degrees(self.adjacency)
 
     def weighted_degrees(self) -> np.ndarray:
         """Total collocated hours per person (vertex strength)."""

@@ -50,6 +50,7 @@ from .probe import (
     set_probe,
 )
 from .trace import (
+    NOOP_SPAN,
     Span,
     SpanCollector,
     TraceContext,
@@ -83,6 +84,7 @@ __all__ = [
     "SpanCollector",
     "TraceContext",
     "start_span",
+    "NOOP_SPAN",
     "current_context",
     "use_context",
     "capture_spans",

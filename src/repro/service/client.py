@@ -13,7 +13,9 @@ clients does not stampede back in lockstep.  A client-side ``deadline``
 budget is attached to every request header; deadline rejections come
 back as :class:`~repro.errors.DeadlineError` (``code="expired"`` when
 dead on arrival, ``code="deadline"`` when it ran out mid-flight) and are
-never retried here — the budget is already gone.
+never retried here — the budget is already gone.  A reply whose blob
+does not decode raises :class:`~repro.errors.FrameError`, exactly as a
+reply whose frame does not parse.
 
 :class:`SyncServiceClient` wraps any async client (this one or
 :class:`~repro.service.failover.FailoverClient`) in a private event loop
@@ -33,6 +35,7 @@ from ..core.network import CollocationNetwork
 from ..errors import (
     AdmissionError,
     DeadlineError,
+    FrameError,
     OverloadError,
     ServiceError,
 )
@@ -123,14 +126,17 @@ class QueryMethods:
             params["radius"] = radius
         resp, blob = await self.request("ego", **params)
         matrix, extra = decode_csr(blob)
-        return EgoResult(
-            center=int(extra["center"][0]),
-            persons=extra["persons"],
-            matrix=matrix,
-            radius=int(extra["radius"][0]),
-            t0=resp["t0"],
-            t1=resp["t1"],
-        )
+        try:
+            return EgoResult(
+                center=int(extra["center"][0]),
+                persons=extra["persons"],
+                matrix=matrix,
+                radius=int(extra["radius"][0]),
+                t0=resp["t0"],
+                t1=resp["t1"],
+            )
+        except (KeyError, IndexError) as exc:
+            raise FrameError(f"ego reply lacks {exc}") from exc
 
     async def degree_summary(
         self, t0: int, t1: int, kind: str | None = None

@@ -10,10 +10,12 @@ the length-prefixed frame protocol in :mod:`repro.service.protocol`.
 Architecture
 ------------
 * **One event loop, a small executor.**  Connections, framing, admission,
-  and coalescing run on the asyncio loop; compositions and blob encoding
-  run in a bounded thread pool.  The tile caches are thread-safe (one
-  lock over cache state, composition outside it), so executor threads
-  share them directly — no per-query cache, no copies.
+  coalescing, and the ``window``/``layer`` blob encode (one buffer join,
+  cheaper than an executor round-trip) run on the asyncio loop;
+  compositions, ego extraction and degree summaries run in a bounded
+  thread pool.  The tile caches are thread-safe (one lock over cache
+  state, composition outside it), so executor threads share them
+  directly — no per-query cache, no copies.
 * **Request coalescing.**  Identical in-flight compositions are shared:
   the first request for a ``(cache, t0, t1)`` key becomes the *leader*
   and runs the composition; followers await the leader's future and get
@@ -34,9 +36,10 @@ Architecture
   :class:`~repro.service.resilience.Deadline` on receipt.  Dead-on-
   arrival work is rejected with ``code="expired"`` before it touches the
   queue; a composition whose every registered waiter has expired is
-  abandoned at executor dequeue; waiting on a composition, encoding, and
-  the response write are all bounded by the remaining budget
-  (``code="deadline"`` when it runs out mid-flight).  Coalesced peers
+  abandoned at executor dequeue; waiting on a composition or an
+  executor-side derivation is bounded by the remaining budget, and the
+  budget is checked once more after the blob is encoded, before the
+  write (``code="deadline"`` when it runs out mid-flight).  Coalesced peers
   with later deadlines are unaffected — a follower that receives a
   leader's abandonment but still has budget simply recomposes.
 * **Load shedding.**  A :class:`~repro.service.resilience.LoadShedder`
@@ -65,18 +68,21 @@ Architecture
 * **Telemetry.**  Every non-control request runs inside a ``request``
   span parented to the client's ``header["trace"]`` context, with
   ``admission`` → ``coalesce`` → ``compose`` → ``kernel`` children (the
-  composition carries the leader's context into the executor thread),
-  and the trace id is echoed in every response.  Service counters are
-  mirrored into the process metrics registry (``service.*``) and the
-  ``metrics`` op returns a registry snapshot; ``trace_log`` streams
-  finished spans to JSONL for ``repro trace``.  See :mod:`repro.obs`.
+  composition carries the leader's context into the executor thread)
+  and a closing ``write`` child (attr ``bytes``) covering the socket
+  write and drain, and the trace id is echoed in every response.
+  Service counters are mirrored into the process metrics registry
+  (``service.*``), which also holds a per-op latency histogram
+  ``service.op_seconds.<op>`` (receipt to drained reply) and a
+  ``service.reply_bytes`` counter; the ``metrics`` op returns a registry
+  snapshot; ``trace_log`` streams finished spans to JSONL for
+  ``repro trace``.  See :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +96,7 @@ from ..analysis.ego import ego_network
 from ..core.layers import LAYER_KINDS, layer_caches
 from ..core.tilecache import TileCache
 from ..obs import (
+    NOOP_SPAN,
     JsonlSpanSink,
     TraceContext,
     current_context,
@@ -158,7 +165,7 @@ class ServiceConfig:
     retry_after: float = 0.05
     #: admission density prior until completed queries establish one
     assume_nnz_per_hour: float = 0.0
-    #: composition/encode thread pool size
+    #: composition/derivation thread pool size
     executor_threads: int = 2
     #: base tiles warmed ahead/behind each queried span; 0 disables prefetch
     prefetch_tiles: int = 1
@@ -898,23 +905,7 @@ class NetworkQueryService:
                 self._inflight += 1
                 self._idle.clear()
                 try:
-                    resp_header, resp_blob = await self._dispatch(header)
-                    try:
-                        write_frame(writer, resp_header, resp_blob)
-                        await asyncio.wait_for(
-                            writer.drain(), self.config.write_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        # stalled client socket: reset it rather than
-                        # park this handler (and the drain) forever
-                        self.stats.bump("slow_writes")
-                        try:
-                            writer.transport.abort()
-                        except (AttributeError, RuntimeError):
-                            pass
-                        break
-                    except (ConnectionError, OSError):
-                        self.stats.bump("disconnects")
+                    if not await self._serve(header, writer):
                         break
                 finally:
                     self._inflight -= 1
@@ -948,40 +939,68 @@ class NetworkQueryService:
             budget = min(budget, self.config.default_deadline)
         return Deadline.after(budget)
 
-    async def _dispatch(self, header: dict) -> tuple[dict, bytes]:
-        """Trace-aware dispatch shell around :meth:`_dispatch_guarded`.
+    async def _serve(
+        self, header: dict, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Answer one request on its connection; False means the
+        connection is finished (stalled or gone) and must be closed.
 
         A non-control request runs inside a ``request`` span parented to
         the client's ``header["trace"]`` context (when it sent one), so
         the whole server-side tree — admission, coalescing, the executor
-        composition, the cache's kernel work — hangs off the caller's
-        trace.  The trace id is echoed in every response (``trace_id``)
-        so clients can correlate without parsing span logs.
+        composition, the cache's kernel work, and the ``write`` of the
+        reply — hangs off the caller's trace.  The trace id is echoed in
+        every response (``trace_id``) so clients can correlate without
+        parsing span logs.
         """
         rid = header.get("id")
         op = header.get("op")
         ctx = TraceContext.from_wire(header.get("trace"))
-        span = None
-        if op in self._OPS and op not in self._CONTROL_OPS:
+        traced = op in self._OPS and op not in self._CONTROL_OPS
+        tic = time.perf_counter()
+        span = NOOP_SPAN
+        if traced:
             span = start_span(
                 "request",
                 parent=ctx,
                 attrs={"op": op, "tenant": header.get("tenant", "anon")},
             )
-            span.__enter__()
-        try:
+        with span:
             resp, blob = await self._dispatch_guarded(rid, op, header)
-            if span is not None and not resp.get("ok", False):
+            if not resp.get("ok", False):
                 span.set_status(f"error:{resp.get('code')}")
-        finally:
-            if span is not None:
-                span.__exit__(*sys.exc_info())
-        tid = span.trace_id if span is not None else None
-        if not tid and ctx is not None:
-            tid = ctx.trace_id
-        if tid:
-            resp.setdefault("trace_id", tid)
-        return resp, blob
+            tid = span.trace_id or (ctx.trace_id if ctx is not None else None)
+            if tid:
+                resp.setdefault("trace_id", tid)
+            with (start_span("write") if traced else NOOP_SPAN) as wspan:
+                n_bytes = write_frame(writer, resp, blob)
+                wspan.set_attr("bytes", n_bytes)
+                alive = await self._drain(writer)
+        if op in self._OPS:  # never a metric per made-up op name
+            probe = get_probe()
+            probe.count("service.reply_bytes", n_bytes)
+            probe.observe(
+                f"service.op_seconds.{op}", time.perf_counter() - tic
+            )
+        return alive
+
+    async def _drain(self, writer: asyncio.StreamWriter) -> bool:
+        """Flush the queued reply, bounded by ``write_timeout``."""
+        try:
+            await asyncio.wait_for(writer.drain(), self.config.write_timeout)
+        except asyncio.TimeoutError:
+            # stalled client socket: reset it rather than park this
+            # handler (and the drain) forever
+            self.stats.bump("slow_writes")
+            try:
+                writer.transport.abort()
+            except (AttributeError, RuntimeError):
+                pass
+            return False
+        except (ConnectionError, OSError):
+            self.stats.bump("disconnects")
+            return False
+        return True
 
     async def _dispatch_guarded(
         self, rid, op, header: dict
@@ -1076,7 +1095,7 @@ class NetworkQueryService:
                 lambda f: f.exception()  # abandoned: mark retrieved
             )
             raise DeadlineError(
-                "deadline exceeded encoding the response"
+                "deadline exceeded deriving the response"
             ) from None
 
     async def _admitted_window(self, header: dict, key: str, dl: Deadline):
@@ -1124,15 +1143,23 @@ class NetworkQueryService:
             b"",
         )
 
-    async def _op_window(self, rid, header, dl) -> tuple[dict, bytes]:
-        net, t0, t1, release = await self._admitted_window(header, _FULL, dl)
+    async def _network_reply(
+        self, rid, header, key: str, dl: Deadline, **fields
+    ) -> tuple[dict, bytes]:
+        """The ``window``/``layer`` answer: compose, encode, describe."""
+        net, t0, t1, release = await self._admitted_window(header, key, dl)
         try:
-            blob = await self._bounded_executor(dl, encode_network, net)
+            # on the loop: one buffer join costs less than an executor hop
+            blob = encode_network(net)
         finally:
             release()
+        if dl.expired:
+            self.stats.bump("deadline_timeouts")
+            raise DeadlineError("deadline exceeded encoding the response")
         return (
             ok_response(
                 rid,
+                **fields,
                 t0=t0,
                 t1=t1,
                 n_persons=net.n_persons,
@@ -1142,29 +1169,15 @@ class NetworkQueryService:
             blob,
         )
 
+    async def _op_window(self, rid, header, dl) -> tuple[dict, bytes]:
+        return await self._network_reply(rid, header, _FULL, dl)
+
     async def _op_layer(self, rid, header, dl) -> tuple[dict, bytes]:
         kind = header.get("kind")
         if not isinstance(kind, str):
             raise ServiceError("'kind' must be a string", code="bad-request")
-        net, t0, t1, release = await self._admitted_window(
-            header, kind.lower(), dl
-        )
-        try:
-            blob = await self._bounded_executor(dl, encode_network, net)
-        finally:
-            release()
-        return (
-            ok_response(
-                rid,
-                kind=kind.lower(),
-                t0=t0,
-                t1=t1,
-                n_persons=net.n_persons,
-                n_edges=net.n_edges,
-                total_weight=net.total_weight,
-            ),
-            blob,
-        )
+        kind = kind.lower()
+        return await self._network_reply(rid, header, kind, dl, kind=kind)
 
     async def _op_ego(self, rid, header, dl) -> tuple[dict, bytes]:
         person = _require_int(header, "person", minimum=0)

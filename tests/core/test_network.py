@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CollocationNetwork
 from repro.errors import AnalysisError, SynthesisError
@@ -64,6 +66,69 @@ class TestValidation:
         adj = sp.coo_matrix(([1], ([1], [1])), shape=(3, 3))
         with pytest.raises(SynthesisError):
             CollocationNetwork(adj)
+
+
+def with_explicit_zero() -> sp.csr_matrix:
+    """Two stored entries in row 0, one of them an explicit zero."""
+    return sp.csr_matrix(
+        (np.array([3, 0]), np.array([1, 2]), np.array([0, 2, 2, 2])),
+        shape=(3, 3),
+    )
+
+
+def freeze(mat: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+class TestInputIsNotMutated:
+    def test_explicit_zeros_are_dropped_from_a_copy(self):
+        mat = with_explicit_zero()
+        net = CollocationNetwork(mat)
+        assert net.n_edges == 1
+        assert net.adjacency.data.tolist() == [3]
+        # tocsr() aliases a CSR input; the caller's matrix stays as it was
+        assert mat.nnz == 2
+        assert mat.data.tolist() == [3, 0]
+
+    def test_canonical_input_is_wrapped_without_a_copy(self, tiny):
+        assert CollocationNetwork(tiny.adjacency).adjacency is tiny.adjacency
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_read_only_buffers_are_accepted(self, zeros, tiny):
+        mat = freeze(with_explicit_zero() if zeros else tiny.adjacency.copy())
+        net = CollocationNetwork(mat)
+        assert net.n_edges == (1 if zeros else 3)
+        assert net.degrees().sum() == 2 * net.n_edges
+
+
+@st.composite
+def upper_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = (
+        draw(st.lists(st.sampled_from(pairs), unique=True, max_size=50))
+        if pairs
+        else []
+    )
+    weights = draw(
+        st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges))
+    )
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    return sp.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
+
+
+class TestDegreesOffTheUpperTriangle:
+    @settings(max_examples=100, deadline=None)
+    @given(adj=upper_graphs())
+    def test_equals_symmetric_row_counts_without_building_them(self, adj):
+        net = CollocationNetwork(adj)
+        degrees = net.degrees()
+        assert net._symmetric is None  # degrees() never symmetrizes
+        assert degrees.dtype == np.int64
+        assert np.array_equal(degrees, np.diff(net.symmetric().indptr))
 
 
 class TestCombination:

@@ -34,6 +34,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service.protocol import decode_network
 
 from .conftest import assert_bit_identical
 
@@ -101,6 +102,37 @@ class TestCoalescing:
         for net in nets:
             assert (net.t0, net.t1) == (24, 192)
             assert_bit_identical(net.adjacency, ref.adjacency)
+
+    def test_64_way_burst_is_one_composition_and_64_identical_replies(
+        self, service_logs, small_pop, direct_ref
+    ):
+        """Encoding on the loop, once per waiter, must not cost the burst
+        its single composition or any reply its bytes."""
+        ref = direct_ref(48, 216)
+        n_clients = 64
+
+        async def scenario():
+            svc = make_service(service_logs, small_pop)
+            async with svc:
+                clients = await connect_clients(svc.port, n_clients)
+                try:
+                    replies = await asyncio.gather(
+                        *(c.request("window", t0=48, t1=216) for c in clients)
+                    )
+                finally:
+                    await close_clients(clients)
+                assert svc.stats.compositions == 1
+                assert svc.stats.coalesced == n_clients - 1
+                return replies
+
+        replies = asyncio.run(scenario())
+        assert len(replies) == n_clients
+        blobs = {blob for _header, blob in replies}
+        assert len(blobs) == 1  # byte-for-byte the same reply
+        net = decode_network(blobs.pop())
+        assert (net.t0, net.t1) == (48, 216)
+        assert_bit_identical(net.adjacency, ref.adjacency)
+        assert all(h["n_edges"] == ref.n_edges for h, _blob in replies)
 
     def test_distinct_windows_compose_once_each(
         self, service_logs, small_pop, direct_ref

@@ -26,12 +26,14 @@ import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import synthesize_from_logs
-from repro.errors import ServiceError
+from repro.errors import FrameError, ServiceError
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
-from repro.service.protocol import read_frame
+from repro.service.protocol import encode_csr, read_frame, write_frame
 
 from .conftest import assert_bit_identical
 
@@ -149,6 +151,39 @@ class TestMalformedFrames:
 
         net = asyncio.run(scenario())
         assert_bit_identical(net.adjacency, ref.adjacency)
+
+
+class TestDamagedReplies:
+    """The client's half of the boundary: a reply whose frame parses but
+    whose blob does not decode is a FrameError like any other."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"PK\x03\x04" + bytes(40),  # what a pre-raw-layout server sent
+            b"RCSR\x00\x00\x00\x02[]",  # well-formed, but no matrix in it
+            # a matrix, but neither a window nor ego extras beside it
+            encode_csr(sp.csr_matrix((2, 2), dtype=np.int64)),
+        ],
+    )
+    def test_undecodable_blob_raises_frame_error(self, blob):
+        async def answer(reader, writer):
+            header, _ = await read_frame(reader)
+            write_frame(writer, {"id": header["id"], "ok": True}, blob)
+            await writer.drain()
+            writer.close()
+
+        async def scenario(query):
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                async with ServiceClient(port=port) as client:
+                    with pytest.raises(FrameError) as caught:
+                        await query(client)
+            assert caught.value.code == "malformed"
+
+        asyncio.run(scenario(lambda c: c.query_window(0, 24)))
+        asyncio.run(scenario(lambda c: c.query_ego(1, 0, 24)))
 
 
 class TestDisconnects:

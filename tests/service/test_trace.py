@@ -13,7 +13,13 @@ import asyncio
 
 import pytest
 
-from repro.obs import default_registry, get_collector, read_spans_jsonl
+import repro.core.network
+from repro.obs import (
+    default_registry,
+    get_collector,
+    read_spans_jsonl,
+    render_metrics,
+)
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
 from repro.service.protocol import read_frame, write_frame
 
@@ -73,6 +79,51 @@ class TestWirePropagation:
         request = next(s for s in mine if s["name"] == "request")
         assert request["parent_id"] == root["span_id"]
         assert request["attrs"]["op"] == "window"
+
+    def test_write_span_closes_the_request_and_counts_the_frame(
+        self, service_logs, small_pop
+    ):
+        async def scenario():
+            async with make_service(service_logs, small_pop) as svc:
+                async with ServiceClient(port=svc.port) as client:
+                    _header, blob = await client.request(
+                        "window", t0=0, t1=24
+                    )
+                    return client.last_trace_id, len(blob)
+
+        trace_id, blob_len = asyncio.run(scenario())
+        mine, _root = tree_for(get_collector().drain(), trace_id)
+        request = next(s for s in mine if s["name"] == "request")
+        write = next(s for s in mine if s["name"] == "write")
+        # a slow socket shows up inside the request, not after it
+        assert write["parent_id"] == request["span_id"]
+        assert write["attrs"]["bytes"] > blob_len
+        assert request["duration"] >= write["duration"]
+
+    def test_degrees_op_never_builds_the_symmetric_matrix(
+        self, service_logs, small_pop, monkeypatch
+    ):
+        calls = []
+        real = repro.core.network.triu_symmetrize
+
+        def counting(adj):
+            calls.append(adj.shape)
+            return real(adj)
+
+        monkeypatch.setattr(repro.core.network, "triu_symmetrize", counting)
+
+        async def scenario():
+            async with make_service(service_logs, small_pop) as svc:
+                async with ServiceClient(port=svc.port) as client:
+                    summary = await client.degree_summary(0, 24)
+                    assert not calls
+                    # the seam is live: an ego query does symmetrize
+                    await client.query_ego(3, 0, 24)
+                    return summary
+
+        summary = asyncio.run(scenario())
+        assert summary["n_vertices"] == small_pop.n_persons
+        assert calls
 
     def test_warm_query_tree_connects_without_composition(
         self, service_logs, small_pop
@@ -231,6 +282,38 @@ class TestServerSideTelemetry:
             local["counters"]["service.queries"]
             >= snap["counters"]["service.queries"]
         )
+
+    def test_per_op_latency_and_reply_bytes_reach_the_registry(
+        self, service_logs, small_pop
+    ):
+        before = default_registry().snapshot()
+
+        async def scenario():
+            async with make_service(service_logs, small_pop) as svc:
+                async with ServiceClient(port=svc.port) as client:
+                    _header, blob = await client.request(
+                        "window", t0=0, t1=24
+                    )
+                    await client.degree_summary(0, 24)
+                    await client.ping()
+                    with pytest.raises(Exception):
+                        await client.request("no-such-op")
+                    return len(blob), await client.metrics()
+
+        blob_len, resp = asyncio.run(scenario())
+        delta = default_registry().delta(before, resp["metrics"])
+        hists = delta["histograms"]
+        assert hists["service.op_seconds.window"]["count"] == 1
+        assert hists["service.op_seconds.degrees"]["count"] == 1
+        assert hists["service.op_seconds.ping"]["count"] == 1
+        assert hists["service.op_seconds.window"]["sum"] > 0
+        # a made-up op name never mints a metric
+        assert "service.op_seconds.no-such-op" not in hists
+        assert delta["counters"]["service.reply_bytes"] > blob_len
+        # ...and `repro metrics` renders what the op serves
+        text = render_metrics(resp["metrics"])
+        assert "service.op_seconds.window" in text
+        assert "service.reply_bytes" in text
 
     def test_stats_snapshot_carries_uptime_and_inflight(
         self, service_logs, small_pop
