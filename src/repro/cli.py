@@ -69,6 +69,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_metrics(path: str) -> None:
+    """``--metrics-out``: the telemetry registry snapshot of this process."""
+    from .obs import default_registry, write_metrics_json
+
+    write_metrics_json(path, default_registry().snapshot())
+    print(f"wrote metrics {path} (render: repro metrics --file)")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     pop = load_population(args.population)
     config = SimulationConfig(
@@ -120,6 +128,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{result.restarts} restart(s)"
         )
     print(f"logs in {log_dir}")
+    if args.metrics_out:
+        _write_metrics(args.metrics_out)
     return 0
 
 
@@ -339,10 +349,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"mean_k={d.mean_degree:>6.1f} max_k={d.max_degree}"
             )
     if args.metrics_out:
-        from .obs import default_registry, write_metrics_json
-
-        write_metrics_json(args.metrics_out, default_registry().snapshot())
-        print(f"\nwrote metrics {args.metrics_out} (render: repro metrics --file)")
+        print()
+        _write_metrics(args.metrics_out)
     return 0
 
 
@@ -588,6 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-restarts", type=int, default=0,
         help="distributed only: supervised restarts from the last "
         "checkpoint after a detected rank failure",
+    )
+    p.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="write the telemetry registry snapshot (distributed runs: "
+        "distrib.rank_hours, changes, migrants_out, alltoall_bytes, "
+        "per-rank loop seconds) as JSON",
     )
     p.set_defaults(fn=_cmd_simulate)
 

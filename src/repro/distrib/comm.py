@@ -80,7 +80,7 @@ class TrafficStats:
 
 
 class _SharedBoard:
-    """Shared slots + a reusable two-phase barrier for one cluster.
+    """Shared slots + a reusable barrier for one cluster.
 
     ``heartbeat_timeout`` arms a liveness deadline on every barrier phase:
     a rank that stops arriving (killed, hung) breaks the barrier for its
@@ -95,7 +95,10 @@ class _SharedBoard:
         self.size = size
         self.heartbeat_timeout = heartbeat_timeout
         self.slots: list[Any] = [None] * size
-        self.matrix: list[list[Any]] = [[None] * size for _ in range(size)]
+        # two alltoall exchange matrices, used alternately by call parity
+        self.matrices: list[list[list[Any]]] = [
+            [[None] * size for _ in range(size)] for _ in range(2)
+        ]
         self.barrier = threading.Barrier(size)
         # arrivals per rank; each rank writes only its own slot
         self.sync_counts: list[int] = [0] * size
@@ -133,6 +136,7 @@ class Communicator:
         self.rank = rank
         self._board = board
         self.stats = TrafficStats()
+        self._alltoalls = 0  # calls made; its parity picks the matrix
         #: set by :meth:`die` — lets tests assert which rank was killed
         self.dead = False
 
@@ -164,20 +168,23 @@ class Communicator:
             raise CommError(
                 f"alltoall needs {self.size} payloads, got {len(payloads)}"
             )
-        row = self._board.matrix[self.rank]
+        # One barrier per call: consecutive calls alternate between two
+        # matrices, so a rank that runs ahead into call k+1 writes the matrix
+        # nobody is reading; it cannot reach call k+2 (same matrix as k)
+        # before barrier k+1, which every rank enters only after reading k.
+        matrix = self._board.matrices[self._alltoalls & 1]
+        self._alltoalls += 1
+        row = matrix[self.rank]
+        sent = n_msg = 0
         for j, payload in enumerate(payloads):
             row[j] = payload
-        sent = sum(
-            payload_nbytes(p) for j, p in enumerate(payloads) if j != self.rank
-        )
-        n_msg = sum(
-            1
-            for j, p in enumerate(payloads)
-            if j != self.rank and payload_nbytes(p) > 0
-        )
+            if j != self.rank:
+                nbytes = payload_nbytes(payload)
+                if nbytes > 0:
+                    sent += nbytes
+                    n_msg += 1
         self._board.sync(self.rank)
-        received = [self._board.matrix[src][self.rank] for src in range(self.size)]
-        self._board.sync(self.rank)  # nobody reuses the matrix until all have read
+        received = [matrix[src][self.rank] for src in range(self.size)]
         self.stats.record("alltoall", n_msg, sent)
         return received
 

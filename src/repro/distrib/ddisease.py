@@ -32,6 +32,7 @@ from ..sim.disease import DiseaseState, TransmissionRecord
 from ..synthpop.generator import SyntheticPopulation
 from .comm import Communicator, TrafficStats
 from .dmodel import _ScheduleCache
+from .migration import route_rows, unpack_migrants
 from .partition import PlacePartition
 from .simcluster import SimCluster
 
@@ -135,9 +136,8 @@ class DistributedEpidemicSimulation:
             )
             week = cache.week(0)
             place0 = week.place[:, 0]
-            mine = assignment[place0.astype(np.int64)] == rank
-            ids = np.flatnonzero(mine).astype(np.uint32)
-            cur_place = place0[ids].astype(np.uint32)
+            ids = np.flatnonzero(assignment[place0] == rank).astype(np.uint32)
+            cur_place = place0[ids]
             state = np.full(len(ids), int(DiseaseState.SUSCEPTIBLE), np.uint8)
             timer = np.zeros(len(ids), dtype=np.int32)
             infected_at = np.full(len(ids), -1, dtype=np.int64)
@@ -158,51 +158,32 @@ class DistributedEpidemicSimulation:
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == 1:
                         week = cache.week(week_index)
-                    new_place = week.place[:, hour_of_week][ids].astype(
-                        np.uint32
-                    )
-                    cur_place = new_place
-                    dest = assignment[cur_place.astype(np.int64)]
+                    cur_place = week.place[:, hour_of_week][ids]
+                    dest = assignment[cur_place]
                     leaving = dest != rank
                     payloads: list[np.ndarray | None] = [None] * comm.size
                     if leaving.any():
                         lv = np.flatnonzero(leaving)
-                        dest_lv = dest[lv]
-                        order = np.argsort(dest_lv, kind="stable")
-                        lv = lv[order]
-                        dest_lv = dest_lv[order]
-                        bounds = np.searchsorted(
-                            dest_lv, np.arange(comm.size + 1)
-                        )
-                        for r in range(comm.size):
-                            lo, hi = bounds[r], bounds[r + 1]
-                            if hi > lo:
-                                rowsel = lv[lo:hi]
-                                out = np.empty(
-                                    len(rowsel), dtype=EPI_MIGRANT_DTYPE
-                                )
-                                out["person"] = ids[rowsel]
-                                out["place"] = cur_place[rowsel]
-                                out["state"] = state[rowsel]
-                                out["timer"] = timer[rowsel]
-                                out["infected_at"] = infected_at[rowsel]
-                                payloads[r] = out
+                        order, spans = route_rows(dest[lv], comm.size)
+                        rows = lv[order]
+                        out = np.empty(len(rows), dtype=EPI_MIGRANT_DTYPE)
+                        out["person"] = ids[rows]
+                        out["place"] = cur_place[rows]
+                        out["state"] = state[rows]
+                        out["timer"] = timer[rows]
+                        out["infected_at"] = infected_at[rows]
+                        for r, lo, hi in spans:
+                            payloads[r] = out[lo:hi]
                         keep = ~leaving
                         ids = ids[keep]
                         cur_place = cur_place[keep]
                         state = state[keep]
                         timer = timer[keep]
                         infected_at = infected_at[keep]
-                    received = comm.alltoall(payloads)
-                    parts = [
-                        np.asarray(p, dtype=EPI_MIGRANT_DTYPE)
-                        for p in received
-                        if p is not None and len(p)
-                    ]
-                    if parts:
-                        inc = (
-                            np.concatenate(parts) if len(parts) > 1 else parts[0]
-                        )
+                    inc = unpack_migrants(
+                        comm.alltoall(payloads), EPI_MIGRANT_DTYPE
+                    )
+                    if len(inc):
                         ids = np.concatenate([ids, inc["person"]])
                         cur_place = np.concatenate([cur_place, inc["place"]])
                         state = np.concatenate([state, inc["state"]])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -29,6 +30,7 @@ from ..errors import CheckpointError, RankDeadError, RankFailureError, Simulatio
 from ..evlog.multifile import rank_log_path
 from ..evlog.schema import LogRecordArray, empty_records
 from ..evlog.writer import CachedLogWriter
+from ..obs import get_probe, start_span
 from ..sim.checkpoint import (
     CHECKPOINT_VERSION,
     read_manifest,
@@ -38,7 +40,7 @@ from ..sim.checkpoint import (
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
 from .comm import Communicator, TrafficStats
-from .migration import pack_migrants, unpack_migrants
+from .migration import pack_migrants, route_rows, unpack_migrants
 from .partition import PlacePartition
 from .simcluster import SimCluster
 
@@ -118,7 +120,7 @@ def _load_dist_checkpoint(
 
 
 class _ScheduleCache:
-    """Thread-shared lazy week-grid cache.
+    """Thread-shared lazy cache of week grids and their change planes.
 
     Models ranks reading the same deterministic schedule inputs; generating
     a week once and sharing it read-only across rank threads avoids
@@ -128,18 +130,29 @@ class _ScheduleCache:
     def __init__(self, generator: WeeklyScheduleGenerator) -> None:
         self._generator = generator
         self._lock = threading.Lock()
-        self._weeks: dict[int, WeekGrid] = {}
+        self._weeks: dict[int, tuple[WeekGrid, np.ndarray]] = {}
 
-    def week(self, index: int) -> WeekGrid:
+    def _entry(self, index: int) -> tuple[WeekGrid, np.ndarray]:
         with self._lock:
-            grid = self._weeks.get(index)
-            if grid is None:
+            entry = self._weeks.get(index)
+            if entry is None:
                 grid = self._generator.week(index)
-                self._weeks[index] = grid
+                previous = None
+                if index > 0:  # a resume can start past a week never cached
+                    cached = self._weeks.get(index - 1)
+                    previous = cached[0] if cached else self._generator.week(index - 1)
+                entry = self._weeks[index] = (grid, grid.change_plane(previous))
                 # keep at most two weeks resident (current + boundary)
                 for old in [k for k in self._weeks if k < index - 1]:
                     del self._weeks[old]
-        return grid
+        return entry
+
+    def week(self, index: int) -> WeekGrid:
+        return self._entry(index)[0]
+
+    def changes(self, index: int) -> np.ndarray:
+        """``WeekGrid.change_plane`` of week ``index``, hour-major."""
+        return self._entry(index)[1]
 
 
 @dataclass
@@ -150,6 +163,10 @@ class _RankOutput:
     hosted_final: int
     log_path: Path | None
     checkpoints: int = 0
+    # this attempt's (a resumed rank counts from its resume hour)
+    changes: int = 0
+    migrants: int = 0
+    loop_seconds: float = 0.0
 
 
 @dataclass
@@ -285,8 +302,7 @@ class DistributedSimulation:
 
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
             rank = comm.rank
-            week = cache.week(0)
-            checkpoints = 0
+            checkpoints = changes = 0
             if resume_state is not None:
                 ids = resume_state["ids"].astype(np.uint32).copy()
                 spell_start = resume_state["spell_start"].astype(np.int64).copy()
@@ -297,13 +313,12 @@ class DistributedSimulation:
                 )
                 start_hour = int(resume_state["next_hour"])
             else:
+                week = cache.week(0)
                 place0 = week.place[:, 0]
-                act0 = week.activity[:, 0]
-                mine = assignment[place0.astype(np.int64)] == rank
-                ids = np.flatnonzero(mine).astype(np.uint32)
+                ids = np.flatnonzero(assignment[place0] == rank).astype(np.uint32)
                 spell_start = np.zeros(len(ids), dtype=np.int64)
-                spell_act = act0[ids].astype(np.uint32)
-                spell_place = place0[ids].astype(np.uint32)
+                spell_act = week.activity[:, 0][ids].astype(np.uint32)
+                spell_place = place0[ids]
                 migrations_out = np.zeros(duration, dtype=np.int64)
                 start_hour = 1
 
@@ -330,13 +345,22 @@ class DistributedSimulation:
             if resume_state is not None and len(resume_state["records"]):
                 records.append(resume_state["records"])
 
-            def emit(rec: LogRecordArray) -> None:
-                if len(rec):
-                    records.append(rec)
-                    if writer is not None:
-                        writer.log_batch(rec)
+            def close_spells(rows: "np.ndarray | slice", stop: int) -> np.ndarray:
+                """Log the open spells of hosted ``rows`` as ending at ``stop``."""
+                who = ids[rows]
+                rec = empty_records(len(who))
+                rec["start"] = spell_start[rows]
+                rec["stop"] = stop
+                rec["person"] = who
+                rec["activity"] = spell_act[rows]
+                rec["place"] = spell_place[rows]
+                records.append(rec)
+                if writer is not None:
+                    writer.log_batch(rec)
+                return who
 
             killed = False
+            tic = time.perf_counter()
             try:
                 for hour in range(start_hour, duration):
                     if fault_hook is not None:
@@ -344,53 +368,42 @@ class DistributedSimulation:
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == start_hour:
                         week = cache.week(week_index)
-                    act_col = week.activity[:, hour_of_week]
-                    place_col = week.place[:, hour_of_week]
+                        plane = cache.changes(week_index)
 
-                    new_act = act_col[ids]
-                    new_place = place_col[ids]
-                    changed = (new_act != spell_act) | (new_place != spell_place)
-                    idx = np.flatnonzero(changed)
-                    if len(idx):
-                        rec = empty_records(len(idx))
-                        rec["start"] = spell_start[idx]
-                        rec["stop"] = hour
-                        rec["person"] = ids[idx]
-                        rec["activity"] = spell_act[idx]
-                        rec["place"] = spell_place[idx]
-                        emit(rec)
-                        spell_start[idx] = hour
-                        spell_act[idx] = new_act[idx]
-                        spell_place[idx] = new_place[idx]
-
-                    dest = assignment[spell_place.astype(np.int64)]
-                    leaving = dest != rank
+                    # open spells equal the grid at hour-1, so the plane row
+                    # is the change test; only changers touch the grid
+                    idx = np.flatnonzero(plane[hour_of_week][ids])
                     payloads: list[np.ndarray | None] = [None] * comm.size
-                    if leaving.any():
-                        lv = np.flatnonzero(leaving)
-                        migrations_out[hour] = len(lv)
-                        dest_lv = dest[lv]
-                        order = np.argsort(dest_lv, kind="stable")
-                        lv = lv[order]
-                        dest_lv = dest_lv[order]
-                        bounds = np.searchsorted(
-                            dest_lv, np.arange(comm.size + 1)
-                        )
-                        for r in range(comm.size):
-                            lo, hi = bounds[r], bounds[r + 1]
-                            if hi > lo:
-                                rows = lv[lo:hi]
-                                payloads[r] = pack_migrants(
-                                    ids[rows],
-                                    spell_start[rows],
-                                    spell_act[rows],
-                                    spell_place[rows],
-                                )
-                        keep = ~leaving
-                        ids = ids[keep]
-                        spell_start = spell_start[keep]
-                        spell_act = spell_act[keep]
-                        spell_place = spell_place[keep]
+                    if len(idx):
+                        changes += len(idx)
+                        who = close_spells(idx, hour)
+                        new_place = week.place[who, hour_of_week]
+                        spell_start[idx] = hour
+                        spell_act[idx] = week.activity[who, hour_of_week]
+                        spell_place[idx] = new_place
+                        # every hosted agent sits on a place this rank owns,
+                        # so only a changer can leave
+                        dest = assignment[new_place]
+                        gone = dest != rank
+                        if gone.any():
+                            lv = idx[gone]
+                            migrations_out[hour] = len(lv)
+                            order, spans = route_rows(dest[gone], comm.size)
+                            rows = lv[order]
+                            packed = pack_migrants(
+                                ids[rows],
+                                spell_start[rows],
+                                spell_act[rows],
+                                spell_place[rows],
+                            )
+                            for r, lo, hi in spans:
+                                payloads[r] = packed[lo:hi]
+                            keep = np.ones(len(ids), dtype=bool)
+                            keep[lv] = False
+                            ids = ids[keep]
+                            spell_start = spell_start[keep]
+                            spell_act = spell_act[keep]
+                            spell_place = spell_place[keep]
                     incoming = unpack_migrants(comm.alltoall(payloads))
                     if len(incoming):
                         ids = np.concatenate([ids, incoming["person"]])
@@ -439,15 +452,8 @@ class DistributedSimulation:
                         comm.barrier()
                         checkpoints += 1
 
-                # close remaining spells
                 if len(ids):
-                    rec = empty_records(len(ids))
-                    rec["start"] = spell_start
-                    rec["stop"] = duration
-                    rec["person"] = ids
-                    rec["activity"] = spell_act
-                    rec["place"] = spell_place
-                    emit(rec)
+                    close_spells(slice(None), duration)
             except RankDeadError:
                 # simulated hard kill: skip all cleanup so the log file is
                 # left torn, exactly as a SIGKILL would
@@ -468,17 +474,28 @@ class DistributedSimulation:
                 hosted_final=len(ids),
                 log_path=path,
                 checkpoints=checkpoints,
+                changes=changes,
+                migrants=int(migrations_out[start_hour:].sum()),
+                loop_seconds=time.perf_counter() - tic,
             )
+
+        def traced_rank_fn(comm: Communicator, resume_state: dict | None):
+            attrs = {"rank": comm.rank, "hours": duration - first_hour}
+            with start_span("distrib.rank", run_span.context(), attrs) as span:
+                out = rank_fn(comm, resume_state)
+                span.set_attr("records", len(out.records))
+                span.set_attr("migrants", out.migrants)
+                return out
 
         restarts = 0
         while True:
-            resume_states: list[dict] | None = None
+            first_hour, resume_states = 1, None
             if ckpt_dir is not None and (ckpt_dir / DIST_MANIFEST).is_file():
-                next_hour, resume_states = _load_dist_checkpoint(
+                first_hour, resume_states = _load_dist_checkpoint(
                     ckpt_dir, digest, n_ranks
                 )
                 for st in resume_states:
-                    st["next_hour"] = next_hour
+                    st["next_hour"] = first_hour
             attempt_cluster = cluster
             if attempt_cluster is None:
                 attempt_cluster = SimCluster(
@@ -489,7 +506,8 @@ class DistributedSimulation:
                 for r in range(n_ranks)
             ]
             try:
-                result = attempt_cluster.run(rank_fn, rank_args=rank_args)
+                with start_span("distrib.run", attrs={"ranks": n_ranks}) as run_span:
+                    result = attempt_cluster.run(traced_rank_fn, rank_args=rank_args)
                 break
             except RankFailureError:
                 # supervised restart only with the default in-process
@@ -506,8 +524,14 @@ class DistributedSimulation:
                 f"population is {self.population.n_persons}"
             )
         migrations = np.zeros(duration, dtype=np.int64)
-        for o in outputs:
+        probe = get_probe()  # once per rank, after the run: nothing per hour
+        for o, traffic in zip(outputs, result.traffic):
             migrations += o.migrations_out
+            probe.count("distrib.rank_hours", duration - first_hour)
+            probe.count("distrib.changes", o.changes)
+            probe.count("distrib.migrants_out", o.migrants)
+            probe.count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
+            probe.observe("distrib.rank_loop_seconds", o.loop_seconds)
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,

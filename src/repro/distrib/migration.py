@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import CommError
 
-__all__ = ["MIGRANT_DTYPE", "pack_migrants", "unpack_migrants"]
+__all__ = ["MIGRANT_DTYPE", "pack_migrants", "unpack_migrants", "route_rows"]
 
 #: person id, the open spell's start hour, and its (activity, place) state
 MIGRANT_DTYPE = np.dtype(
@@ -49,15 +49,39 @@ def pack_migrants(
     return out
 
 
+def route_rows(
+    dest: np.ndarray, n_ranks: int
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Order leavers by destination rank.
+
+    Returns ``(order, spans)``: ``order`` sorts ``dest`` stably (leavers
+    bound for one rank keep their hosted order) and ``spans`` holds
+    ``(rank, lo, hi)`` for every rank that receives someone — rows
+    ``order[lo:hi]`` go to ``rank``.  Pack the rows once in that order and
+    send each destination its slice.
+    """
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(dest[order], np.arange(n_ranks + 1)).tolist()
+    return order, [
+        (r, lo, hi)
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        if hi > lo
+    ]
+
+
 def unpack_migrants(
     payloads: list[np.ndarray | None],
+    dtype: np.dtype = MIGRANT_DTYPE,
 ) -> np.ndarray:
-    """Concatenate received migrant payloads (skipping empty/None)."""
-    parts = [
-        np.asarray(p, dtype=MIGRANT_DTYPE)
-        for p in payloads
-        if p is not None and len(p)
-    ]
+    """Concatenate received migrant payloads (skipping empty/None); a
+    payload of another dtype is a protocol error, never cast."""
+    parts = [p for p in payloads if p is not None and len(p)]
+    for p in parts:
+        if getattr(p, "dtype", None) != dtype:
+            raise CommError(
+                f"migrant payload has dtype {getattr(p, 'dtype', type(p))}, "
+                f"expected {dtype}"
+            )
     if not parts:
-        return np.empty(0, dtype=MIGRANT_DTYPE)
+        return np.empty(0, dtype=dtype)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]

@@ -8,9 +8,13 @@ thread scheduling — which is what makes the serial-vs-distributed
 equivalence test meaningful.
 
 Threads, not processes: the simulated cluster exists to *model* rank
-topology, place ownership, and communication volume, not to win wall-clock
-speed (numpy releases the GIL for large kernels anyway; real task-parallel
-speedup lives in :class:`~repro.distrib.taskpool.ProcessPool`).
+topology, place ownership, and communication volume.  Under the interpreter
+lock its ranks take turns, so it can never beat the serial engine on
+wall-clock; what it costs on top of the serial engine is measured
+(``distrib.overhead_ratio`` in ``benchmarks/e2e``: about 1.6x at 10 k
+persons on 4 ranks) and is kept low because every workload's world is built
+through it.  Real task-parallel speedup lives in
+:class:`~repro.distrib.taskpool.ProcessPool`.
 
 Failure semantics mirror a real MPI job: a rank raising an ordinary
 exception aborts the barrier so siblings fail fast with the root cause; a

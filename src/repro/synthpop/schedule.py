@@ -74,10 +74,29 @@ class WeekGrid:
         differs from the previous hour; the transition into hour 0 from the
         previous week's last hour is not counted (both are AT_HOME).
         """
-        diff = (self.activity[:, 1:] != self.activity[:, :-1]) | (
-            self.place[:, 1:] != self.place[:, :-1]
-        )
-        return float(diff.sum()) / (self.n_persons * 7)
+        return float(self.change_plane(None).sum()) / (self.n_persons * 7)
+
+    def change_plane(self, previous: "WeekGrid | None") -> np.ndarray:
+        """Hour-major ``(168, n)`` bool: ``[h, p]`` is set where person *p*'s
+        (activity, place) at hour *h* differs from the hour before.
+
+        Row 0 compares against ``previous``'s last hour (all-false when
+        there is no previous week).  Row *h* is contiguous, so a consumer
+        that walks hours reads one row per step.
+        """
+        act, place = self.activity, self.place
+        changed = np.zeros(act.shape, dtype=bool)
+        # in place: the three (n, 167) temporaries of the plain expression
+        # double the build time
+        np.not_equal(act[:, 1:], act[:, :-1], out=changed[:, 1:])
+        changed[:, 1:] |= place[:, 1:] != place[:, :-1]
+        if previous is not None:
+            if previous.n_persons != self.n_persons:
+                raise ScheduleError("previous week covers another population")
+            changed[:, 0] = (act[:, 0] != previous.activity[:, -1]) | (
+                place[:, 0] != previous.place[:, -1]
+            )
+        return np.ascontiguousarray(changed.T)
 
 
 class WeeklyScheduleGenerator:
@@ -172,9 +191,8 @@ class WeeklyScheduleGenerator:
         rng = self._week_rng(week_index)
 
         act = np.zeros((n, HOURS_PER_WEEK), dtype=np.uint8)
-        place = np.tile(
-            persons.household[:, None], (1, HOURS_PER_WEEK)
-        ).astype(np.uint32)
+        place = np.empty((n, HOURS_PER_WEEK), dtype=np.uint32)
+        place[:] = persons.household[:, None]
 
         students = np.flatnonzero(persons.is_student)
         workers = np.flatnonzero(persons.is_employed)

@@ -12,8 +12,10 @@ from repro.distrib import (
     random_partition,
     spatial_partition,
 )
-from repro.errors import SimulationError
+from repro.distrib.dmodel import _ScheduleCache
+from repro.errors import RankFailureError, SimulationError
 from repro.evlog import LogSet
+from repro.obs import CollectingProbe, configure, get_collector, push_probe
 from repro.sim import Simulation
 
 
@@ -131,3 +133,136 @@ class TestValidation:
         part = repro.PlacePartition(np.zeros(pop.n_places, dtype=np.int32), 1)
         with pytest.raises(SimulationError):
             DistributedSimulation(pop, dist_config(pop, 2), part)
+
+
+class CountingGenerator:
+    """A schedule generator that records which weeks it was asked for."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.asked: list[int] = []
+
+    def week(self, index):
+        self.asked.append(index)
+        return self.generator.week(index)
+
+
+class TestScheduleCache:
+    def test_plane_and_grid_stay_in_step_through_eviction(self, pop):
+        generator = pop.schedule_generator()
+        cache = _ScheduleCache(generator)
+        for index in range(5):
+            grid = cache.week(index)
+            want = generator.week(index)
+            assert np.array_equal(grid.place, want.place)
+            previous = generator.week(index - 1) if index else None
+            assert np.array_equal(cache.changes(index), want.change_plane(previous))
+            assert cache.week(index) is grid  # one generation, shared
+            # current + boundary week resident, each with its own plane
+            assert sorted(cache._weeks) == list(range(max(0, index - 1), index + 1))
+            for kept, (kept_grid, _) in cache._weeks.items():
+                assert kept_grid.week_index == kept
+
+    def test_walking_weeks_generates_each_once(self, pop):
+        counting = CountingGenerator(pop.schedule_generator())
+        cache = _ScheduleCache(counting)
+        for index in range(4):
+            cache.week(index)
+            cache.changes(index)
+        assert counting.asked == [0, 1, 2, 3]
+
+    def test_resume_past_an_uncached_week_still_compares_with_it(self, pop):
+        """Row 0 of week 3's plane looks at week 2's last hour even when
+        the cache never held week 2 (a resumed run starts there)."""
+        generator = pop.schedule_generator()
+        counting = CountingGenerator(generator)
+        cache = _ScheduleCache(counting)
+        plane = cache.changes(3)
+        assert sorted(counting.asked) == [2, 3]
+        assert np.array_equal(
+            plane, generator.week(3).change_plane(generator.week(2))
+        )
+
+    def test_resume_does_not_generate_week_zero(self, pop, tmp_path, monkeypatch):
+        part = spatial_partition(
+            pop.places.coords(), pop.places.capacity.astype(float), 2
+        )
+        cfg = SimulationConfig(
+            scale=pop.scale, duration_hours=3 * repro.HOURS_PER_WEEK, n_ranks=2,
+            checkpoint_every_hours=2 * repro.HOURS_PER_WEEK + 10,
+            heartbeat_timeout=2.0,
+        )
+
+        def hook(comm, hour):
+            if hour == 2 * repro.HOURS_PER_WEEK + 20 and comm.rank == 1:
+                comm.die()
+
+        with pytest.raises(RankFailureError):
+            DistributedSimulation(pop, cfg, part).run(
+                checkpoint_dir=tmp_path, fault_hook=hook
+            )
+        asked: list[int] = []
+        generate = pop.schedule_generator
+
+        def counting_generator(*args, **kwargs):
+            counting = CountingGenerator(generate(*args, **kwargs))
+            counting.asked = asked
+            return counting
+
+        monkeypatch.setattr(pop, "schedule_generator", counting_generator)
+        res = DistributedSimulation(pop, cfg, part).run(checkpoint_dir=tmp_path)
+        assert sorted(asked) == [1, 2]  # the resume week and the one before
+        ref = DistributedSimulation(pop, dist_config(pop, 2, cfg.duration_hours), part)
+        assert (res.merged_records() == ref.run().merged_records()).all()
+
+
+class TestTelemetry:
+    @pytest.fixture(autouse=True)
+    def telemetry_on(self):
+        previous = configure(True)  # the suite may run under REPRO_TELEMETRY=0
+        yield
+        configure(previous)
+
+    def run_probed(self, pop, n_ranks=3, **run_kwargs):
+        part = spatial_partition(
+            pop.places.coords(), pop.places.capacity.astype(float), n_ranks
+        )
+        sim = DistributedSimulation(pop, dist_config(pop, n_ranks, 50), part)
+        get_collector().drain()
+        with push_probe(CollectingProbe()) as probe:
+            res = sim.run(**run_kwargs)
+        return res, probe.to_dict()["counters"], get_collector().drain()
+
+    def test_counters_once_per_rank(self, pop):
+        res, counters, _ = self.run_probed(pop)
+        closing = pop.n_persons  # every agent's last spell closes at the end
+        assert counters["distrib.rank_hours"] == 3 * 49
+        assert counters["distrib.changes"] == res.total_events - closing
+        assert counters["distrib.migrants_out"] == res.total_migrations
+        assert counters["distrib.alltoall_bytes"] == res.traffic.by_kind["alltoall"]
+        assert counters["distrib.rank_loop_seconds.count"] == 3
+
+    def test_run_span_has_one_child_per_rank(self, pop):
+        res, _, spans = self.run_probed(pop)
+        (run,) = [s for s in spans if s["name"] == "distrib.run"]
+        ranks = [s for s in spans if s["name"] == "distrib.rank"]
+        assert run["attrs"] == {"ranks": 3}
+        assert sorted(s["attrs"]["rank"] for s in ranks) == [0, 1, 2]
+        for s in ranks:
+            assert (s["trace_id"], s["parent_id"]) == (run["trace_id"], run["span_id"])
+            assert s["attrs"]["hours"] == 49
+            assert s["attrs"]["records"] == len(res.per_rank_records[s["attrs"]["rank"]])
+            assert s["duration"] <= run["duration"]
+        assert sum(s["attrs"]["migrants"] for s in ranks) == res.total_migrations
+
+    def test_telemetry_off_changes_nothing(self, pop, tmp_path):
+        on, _, _ = self.run_probed(pop, log_dir=tmp_path / "on")
+        previous = configure(False)
+        try:
+            off, counters, spans = self.run_probed(pop, log_dir=tmp_path / "off")
+        finally:
+            configure(previous)
+        assert not counters and not spans
+        assert on.per_rank_traffic == off.per_rank_traffic
+        for a, b in zip(on.log_paths, off.log_paths):
+            assert a.read_bytes() == b.read_bytes()

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import HOURS_PER_DAY, HOURS_PER_WEEK, ScheduleConfig
 from repro.errors import ScheduleError
+from repro.synthpop import schedule
 from repro.synthpop.schedule import Activity, WeekGrid, WeeklyScheduleGenerator
 from repro.synthpop.person import NO_PLACE
 
@@ -131,3 +135,84 @@ class TestActivityPlaceConsistency:
         assert (
             week0.place[rows, cols] == small_pop.persons.workplace[rows]
         ).all()
+
+
+class TestPlaceGridInit:
+    def test_grid_equals_the_one_built_from_the_tiled_household(
+        self, small_pop, generator, monkeypatch
+    ):
+        """``week`` fills its place grid by broadcast assignment; the grid
+        must equal the one the former ``np.tile(...).astype(uint32)`` start
+        gives (same RNG draws, same cells overwritten)."""
+        want = generator.week(2)
+        household = small_pop.persons.household
+        shape = (small_pop.n_persons, HOURS_PER_WEEK)
+
+        class NumpyWithTiledStart:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, got_shape, dtype=float):
+                assert (tuple(got_shape), np.dtype(dtype)) == (shape, np.uint32)
+                return np.tile(household[:, None], (1, HOURS_PER_WEEK)).astype(
+                    np.uint32
+                )
+
+        monkeypatch.setattr(schedule, "np", NumpyWithTiledStart())
+        old = generator.week(2)
+        assert old.place.dtype == want.place.dtype == np.uint32
+        assert np.array_equal(old.place, want.place)
+        assert np.array_equal(old.activity, want.activity)
+
+
+def grids(n_persons: int):
+    return st.tuples(
+        hnp.arrays(np.uint8, (n_persons, HOURS_PER_WEEK), elements=st.integers(0, 2)),
+        hnp.arrays(np.uint32, (n_persons, HOURS_PER_WEEK), elements=st.integers(0, 2)),
+    ).map(lambda pair: WeekGrid(0, *pair))
+
+
+@st.composite
+def grid_and_previous(draw):
+    n = draw(st.integers(1, 4))
+    return draw(grids(n)), draw(st.none() | grids(n))
+
+
+class TestChangePlane:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_and_previous())
+    def test_matches_the_definition(self, pair):
+        grid, previous = pair
+        plane = grid.change_plane(previous)
+        assert plane.dtype == np.bool_
+        assert plane.shape == (HOURS_PER_WEEK, grid.n_persons)
+        assert plane.flags.c_contiguous  # row h is one contiguous read
+        for p in range(grid.n_persons):
+            for h in range(HOURS_PER_WEEK):
+                now = (grid.activity[p, h], grid.place[p, h])
+                if h:
+                    before = (grid.activity[p, h - 1], grid.place[p, h - 1])
+                elif previous is not None:
+                    before = (previous.activity[p, -1], previous.place[p, -1])
+                else:
+                    before = now  # nothing before the first hour of a run
+                assert plane[h, p] == (now != before), (h, p)
+
+    def test_changes_per_person_day_counts_the_hour_boundaries(self, week0):
+        assert not week0.change_plane(None)[0].any()
+        diff = (week0.activity[:, 1:] != week0.activity[:, :-1]) | (
+            week0.place[:, 1:] != week0.place[:, :-1]
+        )
+        assert week0.changes_per_person_day() == diff.sum() / (week0.n_persons * 7)
+
+    def test_row_zero_looks_at_the_previous_week(self, generator, week0):
+        week1 = generator.week(1)
+        altered = WeekGrid(0, week0.activity.copy(), week0.place.copy())
+        altered.place[3, -1] += 1
+        assert not week1.change_plane(week0)[0, 3]  # both nights at home
+        assert week1.change_plane(altered)[0, 3]
+
+    def test_rejects_a_previous_week_of_another_population(self, week0):
+        other = WeekGrid(0, week0.activity[:5], week0.place[:5])
+        with pytest.raises(ScheduleError):
+            week0.change_plane(other)

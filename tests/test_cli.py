@@ -97,6 +97,22 @@ class TestPipeline:
         assert "analysis.triangles_total" in out
         assert "stage.analysis.triangles.seconds" in out
 
+    def test_simulate_metrics_out_feeds_repro_metrics(
+        self, workspace, tmp_path, capsys
+    ):
+        _, world, _, _ = workspace
+        snap = tmp_path / "sim.metrics.json"
+        assert main(["simulate", "--population", str(world), "--ranks", "3",
+                     "--log-dir", str(tmp_path / "logs"),
+                     "--metrics-out", str(snap)]) == 0
+        assert "wrote metrics" in capsys.readouterr().out
+        assert main(["metrics", "--file", str(snap)]) == 0
+        out = capsys.readouterr().out
+        for name in ("distrib.rank_hours", "distrib.changes",
+                     "distrib.migrants_out", "distrib.alltoall_bytes",
+                     "distrib.rank_loop_seconds"):
+            assert name in out
+
     def test_epidemic_runs(self, workspace, capsys):
         _, world, _, _ = workspace
         assert main(["epidemic", "--population", str(world), "--weeks", "1",
