@@ -98,7 +98,6 @@ def critical_path(plan, n_persons, t0, t1) -> dict:
             partial, _, _ = _shard_partial(
                 s,
                 plan,
-                plan.descriptors,
                 plan.shard_file_indices(s),
                 n_persons,
                 t0,
@@ -131,8 +130,7 @@ def run_bench() -> dict:
 
         tic = time.perf_counter()
         reference, ref_report = repro.synthesize_from_logs(
-            logs, pop.n_persons, t0, t1,
-            kernel="intervals", dispatch="zero-copy",
+            logs, pop.n_persons, t0, t1, kernel="intervals"
         )
         single_seconds = time.perf_counter() - tic
 

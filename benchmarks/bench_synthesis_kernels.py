@@ -1,22 +1,24 @@
-"""BENCH-KERNELS — kernel × dispatch × backend synthesis matrix.
+"""BENCH-KERNELS — kernel × backend synthesis matrix.
 
 Reproduces the ``bench_txt_fourweek`` configuration (8 ranks, 4 simulated
 weeks, bench-scale population, batches of 2) and synthesizes the **full
-4-week window** under four pipeline configurations:
+4-week window** under three pipeline configurations (there is one record
+path — the per-file walk — so no dispatch axis):
 
-* ``dense-hours`` kernel, by-value dispatch — the seed baseline;
-* ``intervals`` kernel, by-value dispatch;
-* ``intervals`` kernel, zero-copy dispatch (byte-range descriptors);
-* ``intervals`` kernel, zero-copy dispatch, **masked backend** — the
-  compiled masked-triangular SpGEMM with preallocated workspaces.
+* ``dense-hours`` kernel — the seed baseline and oracle;
+* ``intervals`` kernel, scipy backend;
+* ``intervals`` kernel, **masked backend** — the compiled
+  masked-triangular SpGEMM with preallocated workspaces.
 
 Emits ``BENCH_synthesis.json`` (records/s, per-stage timings, kernel-stage
-timings, speedups, root→worker bytes shipped) and — with ``--check`` —
-fails if the interval kernel's measured speedup over the in-run dense
-baseline regresses more than 20% against the committed baseline, or if
-the masked backend's combined ``collocation_matrices`` + ``adjacency``
-stage time is not at least 3x faster (minus the same margin) than the
-scipy backend *measured in the same run*.  All gates compare ratios of
+timings, speedups, the pickled size of a stage-2 pool task) and — with
+``--check`` — fails if the interval kernel's measured speedup over the
+in-run dense baseline regresses more than 20% against the committed
+baseline, if a stage-2 task no longer pickles to under 1 KB (the root
+ships paths, never records), or if the masked backend's combined
+``collocation_matrices`` + ``adjacency`` stage time is not at least 3x
+faster (minus the same margin) than the scipy backend *measured in the
+same run*.  All gates compare ratios of
 same-process measurements, never absolute throughput: every config runs
 on the same machine interleaved repeat-by-repeat, so the ratios are
 stable across hardware while absolute records/s are not.  The masked
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import sys
 import tempfile
 import time
@@ -43,6 +46,7 @@ import numpy as np
 
 import repro
 from repro.core.kernels import compiled_impl
+from repro.core.pipeline import _file_task
 from repro.distrib import DistributedSimulation, SerialPool, spatial_partition
 from repro.evlog import LogSet
 from repro.sim import Simulation  # noqa: F401  (parity with sibling benches)
@@ -60,18 +64,28 @@ REGRESSION_MARGIN = 0.20  # fail --check below 80% of baseline speedup
 MASKED_MIN_RATIO = 3.0
 REPEATS = 4  # best-of, to shed cold-cache noise
 
-#: (kernel, dispatch, backend); scipy rows keep their historical names
-CONFIGS = [
-    ("dense-hours", "value", "scipy"),
-    ("intervals", "value", "scipy"),
-    ("intervals", "zero-copy", "scipy"),
-    ("intervals", "zero-copy", "masked"),
-]
+#: stage-2 pool tasks carry a path and a window, never records
+MAX_TASK_BYTES = 1024
+
+#: row name -> (kernel, backend)
+CONFIGS = {
+    "dense-hours": ("dense-hours", "scipy"),
+    "intervals/scipy": ("intervals", "scipy"),
+    "intervals/masked": ("intervals", "masked"),
+}
 
 
-def config_name(kernel: str, dispatch: str, backend: str) -> str:
-    base = f"{kernel}/{dispatch}"
-    return base if backend == "scipy" else f"{base}/{backend}"
+class _TaskSizePool(SerialPool):
+    """A serial pool that records the largest pickled per-file task."""
+
+    file_task_bytes = 0
+
+    def map(self, fn, items):
+        if fn is _file_task:
+            self.file_task_bytes = max(
+                self.file_task_bytes, *(len(pickle.dumps(i)) for i in items)
+            )
+        return super().map(fn, items)
 
 
 def generate_logs(log_dir: Path):
@@ -90,15 +104,14 @@ def generate_logs(log_dir: Path):
     return pop, LogSet(log_dir)
 
 
-def measure_once(logs, n_persons, t0, t1, kernel, dispatch, backend):
-    pool = SerialPool()
-    pool.track_bytes = True
+def measure_once(logs, n_persons, t0, t1, kernel, backend):
+    pool = _TaskSizePool()
     try:
         tic = time.perf_counter()
         net, report = repro.synthesize_from_logs(
             logs, n_persons, t0, t1,
             batch_size=BATCH_SIZE, pool=pool,
-            kernel=kernel, dispatch=dispatch, backend=backend,
+            kernel=kernel, backend=backend,
         )
         elapsed = time.perf_counter() - tic
     finally:
@@ -115,7 +128,7 @@ def measure_once(logs, n_persons, t0, t1, kernel, dispatch, backend):
         "kernel_stages": {
             k: round(v, 4) for k, v in sorted(report.kernel_timings.items())
         },
-        "bytes_shipped": pool.bytes_shipped,
+        "file_task_bytes": pool.file_task_bytes,
         "n_records": report.n_records,
         "network": net,
     }
@@ -135,11 +148,8 @@ def run_bench() -> dict:
         results: dict = {}
         combined: dict = {}
         for _ in range(REPEATS):
-            for kernel, dispatch, backend in CONFIGS:
-                name = config_name(kernel, dispatch, backend)
-                run = measure_once(
-                    logs, pop.n_persons, t0, t1, kernel, dispatch, backend
-                )
+            for name, (kernel, backend) in CONFIGS.items():
+                run = measure_once(logs, pop.n_persons, t0, t1, kernel, backend)
                 combined[name] = min(
                     combined.get(name, float("inf")),
                     run.pop("combined_colloc_adjacency"),
@@ -148,7 +158,7 @@ def run_bench() -> dict:
                 if best is None or run["seconds"] < best["seconds"]:
                     results[name] = run
 
-    base = results["dense-hours/value"]
+    base = results["dense-hours"]
     nets = [r.pop("network") for r in results.values()]
     identical = all(
         (nets[0].adjacency != n.adjacency).nnz == 0 for n in nets[1:]
@@ -159,8 +169,8 @@ def run_bench() -> dict:
         r["records_per_s"] = round(r["records_per_s"], 1)
         r["combined_colloc_adjacency"] = round(combined[name], 4)
 
-    scipy_combined = combined["intervals/zero-copy"]
-    masked_combined = combined["intervals/zero-copy/masked"]
+    scipy_combined = combined["intervals/scipy"]
+    masked_combined = combined["intervals/masked"]
     backend_gate = {
         "compiled_impl": compiled_impl(),
         "scipy_combined_s": round(scipy_combined, 4),
@@ -184,16 +194,7 @@ def run_bench() -> dict:
         },
         "kernels": results,
         "backend_gate": backend_gate,
-        "dispatch_bytes": {
-            "value": results["intervals/value"]["bytes_shipped"],
-            "zero-copy": results["intervals/zero-copy"]["bytes_shipped"],
-            "reduction": round(
-                1
-                - results["intervals/zero-copy"]["bytes_shipped"]
-                / results["intervals/value"]["bytes_shipped"],
-                4,
-            ),
-        },
+        "file_task_bytes": max(r["file_task_bytes"] for r in results.values()),
         "outputs_bit_identical": identical,
     }
 
@@ -202,7 +203,7 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
     failures = []
     if not measured["outputs_bit_identical"]:
         failures.append("kernel outputs are no longer bit-identical")
-    for name in ("intervals/value", "intervals/zero-copy"):
+    for name in ("intervals/scipy", "intervals/masked"):
         base_speedup = baseline["kernels"][name]["speedup"]
         got = measured["kernels"][name]["speedup"]
         floor = base_speedup * (1 - REGRESSION_MARGIN)
@@ -226,12 +227,10 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
                 f"{MASKED_MIN_RATIO:.1f}x - {REGRESSION_MARGIN:.0%} noise "
                 f"margin, same-run scipy/masked)"
             )
-    base_red = baseline["dispatch_bytes"]["reduction"]
-    got_red = measured["dispatch_bytes"]["reduction"]
-    if got_red < base_red * (1 - REGRESSION_MARGIN):
+    if measured["file_task_bytes"] >= MAX_TASK_BYTES:
         failures.append(
-            f"zero-copy byte reduction {got_red:.2%} regressed vs "
-            f"baseline {base_red:.2%}"
+            f"a stage-2 pool task pickles to {measured['file_task_bytes']} "
+            f"bytes (must stay under {MAX_TASK_BYTES}: paths, not records)"
         )
     return failures
 

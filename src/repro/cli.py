@@ -168,7 +168,6 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
         return 2
     plan = SynthesisPlan(
         kernel="intervals",
-        dispatch="zero-copy",
         backend=args.backend,
         strict=args.strict,
     )
@@ -219,7 +218,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
     plan = SynthesisPlan(
         kernel=args.kernel,
-        dispatch=args.dispatch,
         backend=args.backend,
         batch_size=args.batch_size,
         strict=args.strict,
@@ -295,7 +293,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         budget_nnz=args.budget_nnz,
         cache_dir=args.cache_dir,
         pool=pool,
-        dispatch=args.dispatch,
         strict=args.strict,
         backend=args.backend,
     )
@@ -403,7 +400,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tile_hours=args.tile_hours,
         cache_budget_nnz=args.budget_nnz,
         cache_dir=args.cache_dir,
-        dispatch=args.dispatch,
         strict=args.strict,
         backend=args.backend,
         tenant_budget_nnz=args.tenant_budget_nnz,
@@ -638,11 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical",
     )
     p.add_argument(
-        "--dispatch", choices=["value", "zero-copy"], default="value",
-        help="how records reach workers: pickled arrays (value) or mmap "
-        "byte-range descriptors (zero-copy)",
-    )
-    p.add_argument(
         "--backend", choices=["auto", "scipy", "masked"], default="auto",
         help="kernel backend: compiled masked-triangular SpGEMM (masked), "
         "the scipy reference, or whichever is available (auto); outputs "
@@ -714,10 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(
-        "--dispatch", choices=["value", "zero-copy"], default="value",
-        help="how records reach tile-building workers",
-    )
-    p.add_argument(
         "--backend", choices=["auto", "scipy", "masked"], default="auto",
         help="kernel backend for tile construction (bit-identical outputs)",
     )
@@ -751,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist tiles under DIR (one subdirectory per cache)",
-    )
-    p.add_argument(
-        "--dispatch", choices=["value", "zero-copy"], default="value",
     )
     p.add_argument(
         "--backend", choices=["auto", "scipy", "masked"], default="auto",

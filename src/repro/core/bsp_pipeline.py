@@ -43,7 +43,7 @@ from .intervals import interval_pack_for_place, sum_pack_adjacency
 from ..obs import get_probe, start_span
 from .kernels import resolve_backend
 from .network import CollocationNetwork
-from .pipeline import _check_kernel, _chunk_groups
+from .pipeline import _check_kernel
 from .slicing import records_by_place, slice_records
 
 __all__ = [
@@ -51,6 +51,25 @@ __all__ = [
     "synthesize_network_bsp",
     "synthesize_from_logs_bsp",
 ]
+
+
+def _chunk_groups(
+    groups: list[tuple[int, LogRecordArray]], n_chunks: int
+) -> list[list[tuple[int, LogRecordArray]]]:
+    """Split place groups into roughly record-balanced chunks, preserving
+    a deterministic order."""
+    if n_chunks <= 1 or len(groups) <= 1:
+        return [groups]
+    # simple greedy by record count, stable across runs
+    sizes = np.array([len(rec) for _, rec in groups], dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    loads = np.zeros(n_chunks, dtype=np.int64)
+    chunks: list[list[tuple[int, LogRecordArray]]] = [[] for _ in range(n_chunks)]
+    for i in order:
+        b = int(np.argmin(loads))
+        chunks[b].append(groups[int(i)])
+        loads[b] += sizes[i]
+    return [c for c in chunks if c]
 
 
 @dataclass
@@ -259,7 +278,7 @@ def synthesize_from_logs_bsp(
         parts = []
         for path in batch:
             if strict:
-                rec = LogReader(path).read_time_slice(t0, t1)
+                rec = LogReader(path, strict=True).read_time_slice(t0, t1)
             else:
                 rec, _reason = try_read_time_slice(path, t0, t1)
                 if rec is None:

@@ -143,8 +143,7 @@ def collocation_matrix_for_place(
 def merge_collocations(mats: list[CollocationMatrix]) -> CollocationMatrix:
     """Union-merge matrices for the *same* place and window.
 
-    Used by zero-copy dispatch when one place's records were split across
-    per-file tasks: presence is binary, so the union of the partial
+    Used when one place's records were split across per-file tasks: presence is binary, so the union of the partial
     matrices is bit-for-bit what a single build from the concatenated
     records would produce.
     """

@@ -50,6 +50,8 @@ __all__ = [
     "interval_pack_for_place",
     "select_pack_places",
     "merge_packs",
+    "merge_duplicate_places",
+    "sum_columns_adjacency",
     "sum_pack_adjacency",
 ]
 
@@ -191,15 +193,8 @@ def _finish_pack(
 def build_interval_pack(
     records: LogRecordArray, t0: int, t1: int, backend: str | None = None
 ) -> IntervalPack:
-    """Build the interval-overlap presence pack for a set of records.
-
-    Records must be clipped to ``[t0, t1)`` and may cover any number of
-    places, in any order.  Fully vectorized: one boundary sort, one
-    segment expansion, one COO->CSR conversion for all places together.
-    ``backend`` selects the kernel backend (see
-    :mod:`repro.core.kernels`); every backend builds a bit-identical
-    pack.
-    """
+    """:func:`build_interval_pack_columns` for struct records (clipped to
+    ``[t0, t1)``, any number of places, any order)."""
     records = np.asarray(records, dtype=LOG_DTYPE)
     if len(records) == 0:
         raise SynthesisError("cannot build an interval pack from no records")
@@ -223,16 +218,22 @@ def build_interval_pack_columns(
     t1: int,
     backend: str | None = None,
 ) -> IntervalPack:
-    """Columnar twin of :func:`build_interval_pack`.
+    """Build the interval-overlap presence pack from record columns.
 
-    Takes the four int64 record columns directly — the zero-copy
-    dispatch path decodes mmap'd chunks straight into columns (no
-    intermediate struct-record copies) and lands here.
+    Takes four int64 columns clipped to ``[t0, t1)``, covering any number
+    of places in any order — what the log walk decodes mmap'd chunks
+    straight into (:func:`~repro.evlog.reader.read_window_columns`).
+    Fully vectorized: one boundary sort, one segment expansion, one
+    COO->CSR conversion for all places together.  ``backend`` selects the
+    kernel backend (see :mod:`repro.core.kernels`); every backend builds a
+    bit-identical pack.
     """
     if len(starts) == 0:
         raise SynthesisError("cannot build an interval pack from no records")
     if starts.min() < t0 or stops.max() > t1:
         raise SynthesisError("records extend outside the slice; clip first")
+    if (stops <= starts).any():
+        raise SynthesisError("a record covers no hour of the slice (stop <= start)")
     with kernel_stage("pack_build"):
         if resolve_backend(backend) == "masked":
             from .kernels.masked import build_pack_arrays
@@ -369,7 +370,7 @@ def merge_packs(packs: Sequence[IntervalPack]) -> IntervalPack:
     """Union-merge packs whose place sets may overlap.
 
     For a place present in several packs (its records were split across
-    zero-copy dispatch tasks), the merged segment boundaries are the union
+    per-file tasks), the merged segment boundaries are the union
     of the source boundaries and presence is the per-(person, segment)
     union — bit-for-bit what a single pack built from the concatenated
     records would contain.
@@ -426,6 +427,57 @@ def _merge_packs_reunion(packs: Sequence[IntervalPack]) -> IntervalPack:
         t0,
         t1,
     )
+
+
+def merge_duplicate_places(packs: "Sequence[IntervalPack | None]") -> list[IntervalPack]:
+    """Packs are built per file, so a place whose records span several
+    files arrives in several packs.  Merge exactly those places (union of
+    boundaries and presence — bit-identical to a single build from the
+    concatenated records); disjoint packs pass through untouched, which is
+    the only case for locality-respecting per-rank logs."""
+    packs = [p for p in packs if p is not None]
+    if len(packs) <= 1:
+        return packs
+    uniq, counts = np.unique(
+        np.concatenate([p.places for p in packs]), return_counts=True
+    )
+    dups = uniq[counts > 1]
+    if not len(dups):
+        return packs
+    kept: list[IntervalPack] = []
+    shared: list[IntervalPack] = []
+    for p in packs:
+        sub = select_pack_places(p, dups)
+        if sub is None:
+            kept.append(p)
+            continue
+        shared.append(sub)
+        rest = select_pack_places(p, np.setdiff1d(p.places, dups))
+        if rest is not None:
+            kept.append(rest)
+    kept.append(merge_packs(shared))
+    return kept
+
+
+def sum_columns_adjacency(
+    column_sets: Sequence[tuple],
+    t0: int,
+    t1: int,
+    n_persons: int,
+    backend: str | None = None,
+) -> sp.csr_matrix:
+    """The partial adjacency of several files' clipped record columns (a
+    tile's, a shard's): one pack per non-empty file — smaller sorts and
+    products than one pack of everything — split places union-merged, one
+    stacked weighted product."""
+    packs = merge_duplicate_places(
+        [
+            build_interval_pack_columns(*columns, t0, t1, backend=backend)
+            for columns in column_sets
+            if len(columns[0])
+        ]
+    )
+    return sum_pack_adjacency(packs, n_persons, backend=backend)
 
 
 def sum_pack_adjacency(

@@ -1,8 +1,7 @@
 """Pluggable kernel backends for the collocation/adjacency hot path.
 
 The ``backend=`` knob sits alongside the existing ``kernel=`` (dense
-hours vs. intervals) and ``dispatch=`` (value vs. zero-copy) knobs and
-selects *how the arithmetic runs*, never *what it computes* — every
+hours vs. intervals) knob and selects *how the arithmetic runs*, never *what it computes* — every
 backend is bit-identical, gated by the equivalence suite:
 
 ``scipy``

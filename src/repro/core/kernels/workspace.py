@@ -23,6 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ...evlog.reader import publish_walk_stats
 from ...obs import (
     TraceContext,
     capture_spans,
@@ -152,27 +153,36 @@ def task_span(name: str, ctx_wire: dict | None, attrs: dict | None = None):
             yield spans
 
 
-def collect_task_telemetry(spans: list[dict] | None = None) -> dict:
-    """Drain this thread's kernel timings plus any captured spans into
-    the dict a worker task ships back with its payload."""
-    return {"kernel": collect_kernel_timings(), "spans": spans or []}
+def collect_task_telemetry(
+    spans: list[dict] | None = None, reader: dict | None = None
+) -> dict:
+    """Drain this thread's kernel timings plus any captured spans and the
+    task's log-walk stats (:func:`~repro.evlog.reader.read_window_columns`)
+    into the dict a worker task ships back with its payload."""
+    return {
+        "kernel": collect_kernel_timings(),
+        "spans": spans or [],
+        "reader": reader,
+    }
 
 
 def absorb_task_telemetry(total: dict[str, float], telemetry: dict | None) -> None:
     """Coordinator-side: fold one task's shipped telemetry into the run.
 
     Accepts either the rich :func:`collect_task_telemetry` form or a
-    plain stage-times dict (the value-dispatch workers).  Kernel stage
-    times merge into ``total`` and emit through the active probe —
-    exactly once per task, so batch→total merges must keep using
-    :func:`merge_kernel_timings` to avoid double counting.  Worker spans
-    are absorbed into the process-wide collector, parent links intact.
+    plain stage-times dict.  Kernel stage times merge into ``total`` and
+    emit through the active probe, as do the walk's ``evlog.reader.*``
+    counters — exactly once per task, so batch→total merges must keep
+    using :func:`merge_kernel_timings` to avoid double counting.  Worker
+    spans are absorbed into the process-wide collector, parent links
+    intact.
     """
     if not telemetry:
         return
     if "kernel" in telemetry or "spans" in telemetry:
         times = telemetry.get("kernel")
         spans = telemetry.get("spans")
+        publish_walk_stats(telemetry.get("reader"))
     else:
         times, spans = telemetry, None
     merge_kernel_timings(total, times)

@@ -101,7 +101,6 @@ def layer_caches(
     budget_nnz: int | None = None,
     cache_dir: "str | Path | None" = None,
     pool: WorkerPool | None = None,
-    dispatch: str = "value",
     strict: bool = False,
     kinds: "tuple[str, ...] | list[str] | None" = None,
     backend: str | None = None,
@@ -125,7 +124,6 @@ def layer_caches(
         # the plan is authoritative for cache sizing + synthesis knobs
         tile_hours = plan.tile_hours
         budget_nnz = plan.cache_budget_nnz
-        dispatch = plan.dispatch
         strict = plan.strict
         backend = plan.backend
         if cache_dir is None:
@@ -148,7 +146,6 @@ def layer_caches(
             budget_nnz=budget_nnz,
             cache_dir=Path(cache_dir) / name if cache_dir is not None else None,
             pool=pool,
-            dispatch=dispatch,
             strict=strict,
             place_mask=places.kind == int(kind),
             backend=backend,

@@ -1,11 +1,13 @@
 """End-to-end synthesis orchestration (paper Section IV.A).
 
-The stages map one-to-one onto the paper's:
+The stages map onto the paper's:
 
-1. *data loading* — read per-rank EVL files (root);
-2. *collocation matrices creation* — slice the window, group records by
-   place, map matrix construction over a worker pool;
-3. *collocation matrix list partitioning* — LPT by nnz across workers;
+1. *data loading* + 2. *collocation matrices creation* — one worker task
+   per log file walks it once (verify, decode the window's chunks into
+   clipped columns, build the file's collocation unit); the root ships
+   paths and never touches a record;
+3. *collocation matrix list partitioning* — LPT by work across workers
+   (skipped for one worker);
 4. *adjacency matrices creation* — each worker computes and sums its
    ``x·xᵀ`` share; the root reduces to one upper-triangular matrix.
 
@@ -23,10 +25,10 @@ the pipeline can persist a checkpoint — the partial adjacency sum plus a
 manifest recording the configuration digest and how many batches are done —
 written atomically so a run killed mid-batch resumes from the last
 completed batch and produces a bit-identical network.  Damaged log files
-(truncated or failing CRC) are quarantined instead of killing the run
-(``strict=True`` restores the raise-on-damage behavior), and worker-task
-retries performed by the pool are surfaced in the
-:class:`SynthesisReport`.
+(truncated or failing CRC) come back from their task as a result and are
+quarantined instead of killing the run (``strict=True`` raises the typed
+error instead), and worker-task retries performed by the pool are
+surfaced in the :class:`SynthesisReport`.
 """
 
 from __future__ import annotations
@@ -34,35 +36,27 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
 from .._util import StageTimings, atomic_write_bytes
-from ..errors import CheckpointError, SynthesisError
-from ..evlog.multifile import LogSet, try_read_time_slice, try_slice_descriptor
-from ..evlog.reader import (
-    LogReader,
-    SliceDescriptor,
-    read_slice_columns,
-    read_slice_descriptor,
-)
-from ..evlog.schema import LogRecordArray
+from ..errors import CheckpointError, LogFormatError, SynthesisError
+from ..evlog.multifile import LogSet
+from ..evlog.reader import Columns, LogReader, read_window_columns, slice_columns
+from ..evlog.schema import LOG_DTYPE, LogRecordArray
 from ..distrib.taskpool import SerialPool, WorkerPool
 from .adjacency import accumulate_adjacency, sum_adjacency_list
 from .balance import BalanceReport, balance_by_work, lpt_partition
 from .colloc import (
     CollocationMatrix,
     build_collocation_matrices,
-    collocation_matrix_for_place,
     merge_collocations,
 )
 from .intervals import (
     IntervalPack,
-    build_interval_pack,
     build_interval_pack_columns,
-    merge_packs,
+    merge_duplicate_places,
     select_pack_places,
     sum_pack_adjacency,
 )
@@ -73,12 +67,11 @@ from .kernels import (
     check_backend,
     collect_kernel_timings,
     collect_task_telemetry,
-    merge_kernel_timings,
     resolve_backend,
     task_span,
 )
 from .network import CollocationNetwork
-from .slicing import clip_records, records_by_place, slice_records
+from .slicing import clip_records
 
 __all__ = [
     "SynthesisReport",
@@ -90,42 +83,37 @@ __all__ = [
     "CHECKPOINT_MANIFEST",
     "CHECKPOINT_PARTIAL",
     "KERNELS",
-    "DISPATCHES",
 ]
 
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARTIAL = "partial.npz"
 _CHECKPOINT_VERSION = 1
+#: the :class:`SynthesisReport` counts a checkpoint carries across a resume
+_CHECKPOINT_COUNTS = (
+    "n_records",
+    "n_sliced_records",
+    "n_places",
+    "colloc_nnz_total",
+    "n_retries",
+    "skipped_records",
+)
 
 #: collocation kernels: the legacy per-hour expansion and the
 #: interval-overlap default.  Both produce bit-identical networks; the
-#: kernel (like the dispatch mode) is deliberately *excluded* from the
-#: checkpoint digest so a run may resume under either.
+#: kernel is deliberately *excluded* from the checkpoint digest so a run
+#: may resume under either.
 KERNELS = ("dense-hours", "intervals")
 DEFAULT_KERNEL = "intervals"
 
-#: how record data reaches stage-2 workers: ``value`` pickles record
-#: arrays (legacy), ``zero-copy`` ships :class:`SliceDescriptor` byte
-#: ranges and workers mmap the EVL files themselves.
-DISPATCHES = ("value", "zero-copy")
-DEFAULT_DISPATCH = "value"
-
-# The third knob, ``backend=`` (scipy reference vs. compiled masked
-# SpGEMM), lives in :mod:`repro.core.kernels`.  Like kernel and
-# dispatch it is excluded from the checkpoint digest: every backend is
-# bit-identical, so a run may resume under any of them.
+# The other knob, ``backend=`` (scipy reference vs. compiled masked
+# SpGEMM), lives in :mod:`repro.core.kernels`.  Like the kernel it is
+# excluded from the checkpoint digest: every backend is bit-identical,
+# so a run may resume under any of them.
 
 
 def _check_kernel(kernel: str) -> None:
     if kernel not in KERNELS:
         raise SynthesisError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-
-
-def _check_dispatch(dispatch: str) -> None:
-    if dispatch not in DISPATCHES:
-        raise SynthesisError(
-            f"unknown dispatch {dispatch!r}; choose from {DISPATCHES}"
-        )
 
 
 @dataclass
@@ -152,8 +140,6 @@ class SynthesisReport:
     resumed_batches: int = 0
     #: collocation kernel the run used
     kernel: str = DEFAULT_KERNEL
-    #: how record data reached stage-2 workers
-    dispatch: str = DEFAULT_DISPATCH
     #: kernel backend the run resolved to (never "auto")
     backend: str = "scipy"
     #: per-stage kernel seconds (pack build / SpGEMM / accumulate),
@@ -163,7 +149,6 @@ class SynthesisReport:
     def summary(self) -> str:
         lines = [
             f"kernel           {self.kernel:>12}",
-            f"dispatch         {self.dispatch:>12}",
             f"backend          {self.backend:>12}",
             f"records          {self.n_records:>12,}",
             f"in slice         {self.n_sliced_records:>12,}",
@@ -196,17 +181,6 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _matrices_task(
-    chunk: tuple[list[tuple[int, LogRecordArray]], int, int],
-) -> list[CollocationMatrix]:
-    """Stage-2 worker: build collocation matrices for a chunk of places."""
-    groups, t0, t1 = chunk
-    return [
-        collocation_matrix_for_place(place, records, t0, t1)
-        for place, records in groups
-    ]
-
-
 def _adjacency_task(
     chunk: tuple[list[CollocationMatrix], int, str],
 ):
@@ -214,13 +188,6 @@ def _adjacency_task(
     matrices, n_persons, backend = chunk
     out = sum_adjacency_list(matrices, n_persons, backend=backend)
     return out, collect_kernel_timings()
-
-
-def _pack_task(chunk: tuple[LogRecordArray, int, int, str]):
-    """Stage-2 worker (interval kernel): one pack per place-disjoint slab."""
-    records, t0, t1, backend = chunk
-    pack = build_interval_pack(records, t0, t1, backend=backend)
-    return pack, collect_kernel_timings()
 
 
 def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int, str]"):
@@ -231,83 +198,92 @@ def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int, str]"):
     return out, collect_kernel_timings()
 
 
-def _descriptor_task(args: "tuple[SliceDescriptor, str, str] | tuple[SliceDescriptor, str, str, dict | None]"):
-    """Stage-2 worker under zero-copy dispatch: mmap + decode + build.
+def _build_unit(columns: Columns, t0: int, t1: int, kernel: str, backend: str):
+    """The collocation unit of a set of clipped record columns: one
+    :class:`IntervalPack`, or — for the dense-hours oracle — the list of
+    per-place :class:`CollocationMatrix`."""
+    if kernel == "intervals":
+        return build_interval_pack_columns(*columns, t0, t1, backend=backend)
+    # back to struct records; ``activity`` is not part of a collocation
+    rec = np.zeros(len(columns[0]), dtype=LOG_DTYPE)
+    for name, col in zip(("start", "stop", "person", "place"), columns):
+        rec[name] = col
+    # the (no-op) clip refuses stop <= start spells, as the pack build does
+    return build_collocation_matrices(clip_records(rec, t0, t1), t0, t1)
 
-    Receives only a byte-range descriptor (plus, optionally, the
-    coordinator's wire trace context); reads the slice itself, clips it,
-    and builds the kernel's per-file unit.  Returns ``(payload,
-    n_records, telemetry)`` where payload is an :class:`IntervalPack`
-    (or None for an empty slice) or a list of :class:`CollocationMatrix`,
-    and telemetry carries the kernel stage times plus any spans finished
-    in this worker — re-parented to the coordinator's trace on absorb.
+
+def _slab_task(chunk: "tuple[Columns, int, int, str, str]"):
+    """Stage-2 worker of :func:`synthesize_network`: the unit of one
+    place-disjoint column slab."""
+    columns, t0, t1, kernel, backend = chunk
+    unit = _build_unit(columns, t0, t1, kernel, backend)
+    return unit, collect_kernel_timings()
+
+
+def _file_task(args: "tuple[str, int, int, str, str, bool, dict | None]"):
+    """Stage-2 worker: one verify + decode + build walk over one log file.
+
+    Receives a path, never records.  Returns ``(payload, n_records,
+    telemetry, error)``: payload is the kernel's per-file unit — an
+    :class:`IntervalPack`, or a list of :class:`CollocationMatrix` — or
+    None when the window holds no record of the file; telemetry carries
+    the kernel stage times, the walk's counters and seconds, and any spans
+    finished in this worker (re-parented to the coordinator's trace on
+    absorb).  Damage is a *result*: a
+    :class:`~repro.errors.LogFormatError` comes back as ``error`` for the
+    root to quarantine or raise — raised here, a retrying pool would
+    re-run deterministic damage and wrap it in ``TaskRetryError``.
     """
-    descriptor, kernel, backend = args[:3]
-    trace = args[3] if len(args) > 3 else None
+    path, t0, t1, kernel, backend, whole_file, trace = args
+    payload, n, walk, error = None, 0, None, None
     # the span must close before telemetry is collected, so the captured
     # list already holds it when it ships back with the payload
     with task_span(
-        "worker.build",
-        trace,
-        attrs={"file": Path(descriptor.path).name, "kernel": kernel},
+        "worker.build", trace, attrs={"file": Path(path).name, "kernel": kernel}
     ) as spans:
-        if kernel == "intervals":
-            # columnar decode: mmap'd chunks land as clipped int64 columns
-            # with no intermediate struct-record copies
-            starts, stops, person, place = read_slice_columns(descriptor)
-            n = len(starts)
-            payload = (
-                build_interval_pack_columns(
-                    starts,
-                    stops,
-                    person,
-                    place,
-                    descriptor.t0,
-                    descriptor.t1,
-                    backend=backend,
-                )
-                if n
-                else None
-            )
+        try:
+            columns, walk = read_window_columns(path, t0, t1, whole_file)
+        except LogFormatError as exc:
+            error = exc
         else:
-            raw = read_slice_descriptor(descriptor)
-            # descriptor materialization already applied the window mask;
-            # only the interval clip remains to match slice_records()
-            # output exactly.
-            sliced = (
-                clip_records(raw, descriptor.t0, descriptor.t1)
-                if len(raw)
-                else raw
-            )
-            n = len(raw)
-            payload = (
-                build_collocation_matrices(sliced, descriptor.t0, descriptor.t1)
-                if len(sliced)
-                else []
-            )
-    return payload, n, collect_task_telemetry(spans)
+            n = len(columns[0])
+            if n:
+                payload = _build_unit(columns, t0, t1, kernel, backend)
+    if spans and walk:
+        spans[-1]["attrs"]["load_s"] = walk["seconds"]
+    return payload, n, collect_task_telemetry(spans, walk), error
 
 
-def _place_slabs(sliced: LogRecordArray, n_chunks: int) -> list[LogRecordArray]:
-    """Interval-kernel task chunking: sort records by place and cut the
-    sorted array at place boundaries into ~record-balanced contiguous
-    slabs.  Cheaper than materializing per-place groups — one argsort,
-    no per-place view objects — and each slab is place-disjoint, so slab
-    packs never share a place."""
-    if len(sliced) == 0:
+def _place_slabs(columns: Columns, n_workers: int) -> list[Columns]:
+    """Task chunking of :func:`synthesize_network`: sort the columns by
+    place and cut at place boundaries into ``4 × n_workers``
+    ~record-balanced contiguous slabs — place-disjoint, so slab packs
+    never share a place.  One worker gets the columns as they are: one
+    pack, no sort."""
+    place = columns[3]
+    if len(place) == 0:
         return []
-    rec = sliced[np.argsort(sliced["place"], kind="stable")]
-    if n_chunks <= 1:
-        return [rec]
-    pl = rec["place"]
-    group_starts = np.flatnonzero(np.concatenate(([True], pl[1:] != pl[:-1])))
-    targets = (np.arange(1, n_chunks) * len(rec)) // n_chunks
+    if n_workers == 1:
+        return [columns]
+    n_chunks = n_workers * 4
+    order = np.argsort(place, kind="stable")
+    starts, stops, person, place = (col[order] for col in columns)
+    group_starts = np.flatnonzero(
+        np.concatenate(([True], place[1:] != place[:-1]))
+    )
+    targets = (np.arange(1, n_chunks) * len(place)) // n_chunks
     cut_idx = np.minimum(
         np.searchsorted(group_starts, targets, side="left"),
         len(group_starts) - 1,
     )
-    offsets = np.unique(np.concatenate(([0], group_starts[cut_idx], [len(rec)])))
-    return [rec[a:b] for a, b in zip(offsets[:-1], offsets[1:]) if b > a]
+    offsets = np.unique(
+        np.concatenate(([0], group_starts[cut_idx], [len(place)]))
+    )
+    return [
+        (starts[a:b], stops[a:b], person[a:b], place[a:b])
+        for a, b in zip(offsets[:-1], offsets[1:])
+        if b > a
+    ]
 
 
 def _balance_packs(
@@ -317,11 +293,17 @@ def _balance_packs(
 
     The balancing unit is the *place* (as in the legacy pipeline), weighted
     by estimated pairwise work; each worker's share is delivered as column
-    slices of the source packs, so stage 4 stays one matmul per pack."""
+    slices of the source packs, so stage 4 stays one matmul per pack.
+    One worker takes every pack as it is: same report, no partitioning."""
     packs = [p for p in packs if p is not None and p.n_places]
     if not packs:
         _, report = lpt_partition([], n_workers)
         return [[] for _ in range(n_workers)], report
+    if n_workers == 1:
+        return [packs], BalanceReport(
+            loads=np.array([sum(p.work for p in packs)], dtype=np.int64),
+            max_item=max(int(p.place_work.max()) for p in packs),
+        )
     work = np.concatenate([p.place_work for p in packs])
     pack_of = np.repeat(
         np.arange(len(packs)), [p.n_places for p in packs]
@@ -352,40 +334,11 @@ def _merge_balance(report: SynthesisReport, balance: BalanceReport | None) -> No
         report.balance = balance
 
 
-def _merge_duplicate_packs(packs: list[IntervalPack]) -> list[IntervalPack]:
-    """Zero-copy tasks are per file, so a place whose records span several
-    files arrives in several packs.  Merge exactly those places (union of
-    boundaries and presence — bit-identical to a single build from the
-    concatenated records); disjoint packs pass through untouched, which is
-    the only case for locality-respecting per-rank logs."""
-    packs = [p for p in packs if p is not None]
-    if len(packs) <= 1:
-        return packs
-    uniq, counts = np.unique(
-        np.concatenate([p.places for p in packs]), return_counts=True
-    )
-    dups = uniq[counts > 1]
-    if not len(dups):
-        return packs
-    kept: list[IntervalPack] = []
-    shared: list[IntervalPack] = []
-    for p in packs:
-        sub = select_pack_places(p, dups)
-        if sub is None:
-            kept.append(p)
-            continue
-        shared.append(sub)
-        rest = select_pack_places(p, np.setdiff1d(p.places, dups))
-        if rest is not None:
-            kept.append(rest)
-    kept.append(merge_packs(shared))
-    return kept
-
-
 def _merge_duplicate_colloc(
     matrices: list[CollocationMatrix],
 ) -> list[CollocationMatrix]:
-    """Dense-kernel twin of :func:`_merge_duplicate_packs`."""
+    """Dense-kernel twin of
+    :func:`~repro.core.intervals.merge_duplicate_places`."""
     by_place: dict[int, list[CollocationMatrix]] = {}
     for m in matrices:
         by_place.setdefault(m.place, []).append(m)
@@ -394,23 +347,39 @@ def _merge_duplicate_colloc(
     return [merge_collocations(by_place[p]) for p in sorted(by_place)]
 
 
-def _chunk_groups(
-    groups: list[tuple[int, LogRecordArray]], n_chunks: int
-) -> list[list[tuple[int, LogRecordArray]]]:
-    """Split place groups into roughly record-balanced chunks, preserving
-    a deterministic order."""
-    if n_chunks <= 1 or len(groups) <= 1:
-        return [groups]
-    # simple greedy by record count, stable across runs
-    sizes = np.array([len(rec) for _, rec in groups], dtype=np.int64)
-    order = np.argsort(-sizes, kind="stable")
-    loads = np.zeros(n_chunks, dtype=np.int64)
-    chunks: list[list[tuple[int, LogRecordArray]]] = [[] for _ in range(n_chunks)]
-    for i in order:
-        b = int(np.argmin(loads))
-        chunks[b].append(groups[int(i)])
-        loads[b] += sizes[i]
-    return [c for c in chunks if c]
+def _multiply_units(
+    units: list,
+    kernel: str,
+    n_persons: int,
+    pool: WorkerPool,
+    backend: str,
+    report: SynthesisReport,
+):
+    """Stages 3 and 4 over one batch's collocation units (interval packs,
+    or dense-hours matrices): count them into *report*, balance them
+    across the pool, map the ``x·xᵀ`` products and reduce the partials."""
+    timings = report.timings
+    if kernel == "intervals":
+        report.n_places += sum(p.n_places for p in units)
+        report.colloc_nnz_total += sum(p.person_hours for p in units)
+        with timings.time("balance"):
+            shares, balance = _balance_packs(units, pool.n_workers)
+        task = _pack_adjacency_task
+    else:
+        report.n_places += len(units)
+        report.colloc_nnz_total += sum(m.nnz for m in units)
+        with timings.time("balance"):
+            shares, balance = balance_by_work(units, pool.n_workers)
+        task = _adjacency_task
+    _merge_balance(report, balance)
+    with timings.time("adjacency"):
+        summed = pool.map(
+            task, [(share, n_persons, backend) for share in shares if share]
+        )
+    for _a, times in summed:
+        absorb_task_telemetry(report.kernel_timings, times)
+    with timings.time("reduce"):
+        return accumulate_adjacency([a for a, _t in summed], n_persons)
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -489,13 +458,8 @@ def _write_checkpoint(
         "batches_done": batches_done,
         "has_partial": network is not None,
         "report": {
-            "n_records": report.n_records,
-            "n_sliced_records": report.n_sliced_records,
-            "n_places": report.n_places,
-            "colloc_nnz_total": report.colloc_nnz_total,
-            "n_retries": report.n_retries,
+            **{name: getattr(report, name) for name in _CHECKPOINT_COUNTS},
             "quarantined": list(report.quarantined),
-            "skipped_records": report.skipped_records,
         },
     }
     atomic_write_bytes(
@@ -507,8 +471,6 @@ def _write_checkpoint(
 def _recoverable_records(path: Path) -> int:
     """Best-effort intact-record count inside a damaged file (for the
     report's skipped-records line; 0 when even recovery fails)."""
-    from ..evlog.reader import LogReader
-
     try:
         return LogReader(path).n_records
     except Exception:
@@ -570,69 +532,35 @@ def synthesize_network(
     )
     timings = report.timings
     retries_before = _pool_retries(pool)
-    span = start_span(
-        "synthesize_network",
-        attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
-    )
-    span.__enter__()
     try:
-        with timings.time("slice"):
-            sliced = slice_records(records, t0, t1)
-        report.n_sliced_records = len(sliced)
-
-        if kernel == "intervals":
+        with start_span(
+            "synthesize_network",
+            attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+        ) as span:
+            with timings.time("slice"):
+                columns = slice_columns(records, t0, t1)
+            report.n_sliced_records = len(columns[0])
             with timings.time("group_by_place"):
-                slabs = _place_slabs(sliced, pool.n_workers * 4)
+                slabs = _place_slabs(columns, pool.n_workers)
             with timings.time("collocation_matrices"):
                 built = pool.map(
-                    _pack_task, [(slab, t0, t1, backend) for slab in slabs]
+                    _slab_task,
+                    [(slab, t0, t1, kernel, backend) for slab in slabs],
                 )
-                packs = [p for p, _t in built]
-                for _p, times in built:
+                units = [unit for unit, _t in built]
+                for _unit, times in built:
                     absorb_task_telemetry(report.kernel_timings, times)
-            report.n_places = sum(p.n_places for p in packs)
-            report.colloc_nnz_total = sum(p.person_hours for p in packs)
-            with timings.time("balance"):
-                shares, balance = _balance_packs(packs, pool.n_workers)
-            report.balance = balance
-            with timings.time("adjacency"):
-                summed = pool.map(
-                    _pack_adjacency_task,
-                    [(share, n_persons, backend) for share in shares if share],
-                )
-        else:
-            with timings.time("group_by_place"):
-                place_ids, groups = records_by_place(sliced)
-                paired = list(zip((int(p) for p in place_ids), groups))
-            report.n_places = len(paired)
-            with timings.time("collocation_matrices"):
-                chunks = _chunk_groups(paired, pool.n_workers * 4)
-                results = pool.map(
-                    _matrices_task, [(chunk, t0, t1) for chunk in chunks]
-                )
-                matrices = [m for sub in results for m in sub]
-            report.colloc_nnz_total = sum(m.nnz for m in matrices)
-            with timings.time("balance"):
-                shares, balance = balance_by_work(matrices, pool.n_workers)
-            report.balance = balance
-            with timings.time("adjacency"):
-                summed = pool.map(
-                    _adjacency_task,
-                    [(share, n_persons, backend) for share in shares if share],
-                )
-
-        partials = [a for a, _t in summed]
-        for _a, times in summed:
-            absorb_task_telemetry(report.kernel_timings, times)
-        with timings.time("reduce"):
-            adjacency = accumulate_adjacency(partials, n_persons)
-        report.n_retries = _pool_retries(pool) - retries_before
-        span.set_attr("n_records", report.n_records)
-        span.set_attr("n_places", report.n_places)
+            if kernel != "intervals":
+                units = [m for ms in units for m in ms]
+            adjacency = _multiply_units(
+                units, kernel, n_persons, pool, backend, report
+            )
+            report.n_retries = _pool_retries(pool) - retries_before
+            span.set_attr("n_records", report.n_records)
+            span.set_attr("n_places", report.n_places)
     finally:
         if own_pool:
             pool.close()
-        span.__exit__(*sys.exc_info())
     return CollocationNetwork(adjacency, t0=t0, t1=t1), report
 
 
@@ -674,7 +602,7 @@ def validate_place_locality(
     return True
 
 
-def _synthesize_batch_descriptors(
+def _synthesize_batch(
     batch: list[Path],
     n_persons: int,
     t0: int,
@@ -685,103 +613,65 @@ def _synthesize_batch_descriptors(
     strict: bool,
     report: SynthesisReport,
 ) -> CollocationNetwork | None:
-    """One batch under zero-copy dispatch, mutating *report* in place.
+    """One batch of files, mutating *report* in place.
 
-    The root never decodes a record: it reads each file's chunk index,
-    CRC-checks the framing (whole file when quarantining, window chunks
-    when strict — mirroring what the by-value path would decode), and
-    ships O(1)-size :class:`SliceDescriptor` tasks.  Workers mmap, decode,
-    and build; places split across files are union-merged at the root so
-    the output is bit-identical to by-value dispatch.
+    The root never touches a record: it ships one O(1)-size
+    :func:`_file_task` per file; workers open, verify, decode and build.
+    A damaged file comes back as a result and is quarantined here
+    (non-strict) or raised as its typed error (strict); places split
+    across files are union-merged at the root so the output is
+    bit-identical to one build from the concatenated records.
     """
     timings = report.timings
     retries_before = _pool_retries(pool)
-    span = start_span("batch", attrs={"files": len(batch), "dispatch": "zero-copy"})
-    span.__enter__()
     try:
-        return _batch_descriptors_traced(
-            batch, n_persons, t0, t1, pool, kernel, backend, strict, report,
-            span,
-        )
-    finally:
-        report.n_retries += _pool_retries(pool) - retries_before
-        span.__exit__(*sys.exc_info())
-
-
-def _batch_descriptors_traced(
-    batch: list[Path],
-    n_persons: int,
-    t0: int,
-    t1: int,
-    pool: WorkerPool,
-    kernel: str,
-    backend: str,
-    strict: bool,
-    report: SynthesisReport,
-    span,
-) -> CollocationNetwork | None:
-    timings = report.timings
-    with timings.time("load"):
-        descriptors: list[SliceDescriptor] = []
-        for path in batch:
-            if strict:
-                with LogReader(path, strict=True, use_mmap=True) as reader:
-                    reader.check_crc(t0, t1)
-                    descriptor = reader.slice_descriptor(t0, t1)
-            else:
-                descriptor, _reason = try_slice_descriptor(path, t0, t1)
-                if descriptor is None:
+        with start_span("batch", attrs={"files": len(batch)}) as span:
+            with timings.time("collocation_matrices"):
+                # ship the batch span's context into the workers: their
+                # build spans come back in the task telemetry and
+                # re-attach under it
+                ctx = current_context()
+                wire = ctx.to_wire() if ctx is not None else None
+                results = pool.map(
+                    _file_task,
+                    [
+                        (str(path), t0, t1, kernel, backend, not strict, wire)
+                        for path in batch
+                    ],
+                )
+            units = []
+            n_read = 0
+            for path, (payload, n, telemetry, error) in zip(batch, results):
+                absorb_task_telemetry(report.kernel_timings, telemetry)
+                if telemetry["reader"]:
+                    # worker-side seconds, inside the map's wall above
+                    timings.add("load", telemetry["reader"]["seconds"])
+                if error is not None:
+                    if strict:
+                        raise error
                     report.quarantined.append(str(path))
                     report.skipped_records += _recoverable_records(path)
-                    continue
-            if descriptor.chunk_offsets:
-                descriptors.append(descriptor)
-    if not descriptors:
-        return None
-    with timings.time("collocation_matrices"):
-        # ship the batch span's context into the workers: their build
-        # spans come back in the task telemetry and re-attach under it
-        ctx = current_context()
-        wire = ctx.to_wire() if ctx is not None else None
-        results = pool.map(
-            _descriptor_task, [(d, kernel, backend, wire) for d in descriptors]
-        )
-    n_read = sum(n for _payload, n, _t in results)
-    report.n_records += n_read
-    report.n_sliced_records += n_read
-    for _payload, _n, telemetry in results:
-        absorb_task_telemetry(report.kernel_timings, telemetry)
-    if kernel == "intervals":
-        with timings.time("merge"):
-            packs = _merge_duplicate_packs([p for p, _n, _t in results])
-        report.n_places += sum(p.n_places for p in packs)
-        report.colloc_nnz_total += sum(p.person_hours for p in packs)
-        with timings.time("balance"):
-            shares, balance = _balance_packs(packs, pool.n_workers)
-        adjacency_task = _pack_adjacency_task
-    else:
-        with timings.time("merge"):
-            matrices = _merge_duplicate_colloc(
-                [m for ms, _n, _t in results for m in ms]
+                elif payload is not None:
+                    units.append(payload)
+                    n_read += n
+            report.n_records += n_read
+            report.n_sliced_records += n_read
+            span.set_attr("records", n_read)
+            if not units:
+                return None
+            with timings.time("merge"):
+                if kernel == "intervals":
+                    units = merge_duplicate_places(units)
+                else:
+                    units = _merge_duplicate_colloc(
+                        [m for ms in units for m in ms]
+                    )
+            adjacency = _multiply_units(
+                units, kernel, n_persons, pool, backend, report
             )
-        report.n_places += len(matrices)
-        report.colloc_nnz_total += sum(m.nnz for m in matrices)
-        with timings.time("balance"):
-            shares, balance = balance_by_work(matrices, pool.n_workers)
-        adjacency_task = _adjacency_task
-    _merge_balance(report, balance)
-    with timings.time("adjacency"):
-        summed = pool.map(
-            adjacency_task,
-            [(share, n_persons, backend) for share in shares if share],
-        )
-    partials = [a for a, _t in summed]
-    for _a, times in summed:
-        absorb_task_telemetry(report.kernel_timings, times)
-    with timings.time("reduce"):
-        adjacency = accumulate_adjacency(partials, n_persons)
-    span.set_attr("records", n_read)
-    return CollocationNetwork(adjacency, t0=t0, t1=t1)
+            return CollocationNetwork(adjacency, t0=t0, t1=t1)
+    finally:
+        report.n_retries += _pool_retries(pool) - retries_before
 
 
 def synthesize_from_logs(
@@ -795,7 +685,6 @@ def synthesize_from_logs(
     checkpoint: str | Path | None = None,
     resume: str | Path | None = None,
     kernel: str = DEFAULT_KERNEL,
-    dispatch: str = DEFAULT_DISPATCH,
     backend: str | None = None,
     cache=None,
     plan=None,
@@ -804,19 +693,16 @@ def synthesize_from_logs(
 
     Files are processed in independent batches of ``batch_size`` (the
     paper's job unit); per-batch networks are summed into the complete
-    network.
+    network.  Records reach the kernel one way: each worker task gets a
+    *path*, walks the file once (verify + decode + pack build, see
+    :func:`~repro.evlog.reader.read_window_columns`) and returns the
+    file's pack — root→worker traffic is O(1) per task.
 
     Parameters
     ----------
     kernel:
-        Collocation kernel, see :func:`synthesize_network`.
-    dispatch:
-        ``"value"`` (default) reads and pickles record arrays at the root;
-        ``"zero-copy"`` ships ``(path, chunk byte offsets, window)``
-        descriptors and lets workers mmap the files themselves —
-        root→worker traffic drops from O(records) to O(1) per task.
-        Output is bit-identical either way; checkpoints are compatible
-        across both kernels and both dispatch modes.
+        Collocation kernel, see :func:`synthesize_network`.  Checkpoints
+        are compatible across both kernels.
     backend:
         Kernel backend, see :func:`synthesize_network`.  Bit-identical
         across backends; checkpoints are compatible across all of them.
@@ -824,8 +710,10 @@ def synthesize_from_logs(
         When False (default), a damaged log file — truncated by a killed
         writer or failing a chunk CRC — is quarantined: the whole file is
         skipped, recorded in ``report.quarantined``, and the run continues.
-        When True, the first damaged file raises (the pre-quarantine
-        behavior).
+        The verdict covers the whole file, so it is the same for every
+        window.  When True, the first damaged file raises its typed
+        :class:`~repro.errors.LogFormatError` (a file without a trailer
+        included); only the chunks the window overlaps are checked.
     checkpoint:
         Directory to persist per-batch checkpoints into.  After each
         completed batch the partial adjacency sum and a manifest are
@@ -851,7 +739,7 @@ def synthesize_from_logs(
         network-query service does).
     plan:
         A :class:`~repro.core.plan.SynthesisPlan`.  When given, the plan
-        is authoritative for kernel, dispatch, backend, batch size, and
+        is authoritative for kernel, backend, batch size, and
         strictness (the individual keyword arguments are ignored for
         those knobs); ``checkpoint``/``resume`` keep an explicit argument
         over the plan's.  ``pool=None`` builds (and owns) the plan's
@@ -859,7 +747,6 @@ def synthesize_from_logs(
     """
     if plan is not None:
         kernel = plan.kernel
-        dispatch = plan.dispatch
         backend = plan.backend
         batch_size = plan.batch_size
         strict = plan.strict
@@ -868,7 +755,6 @@ def synthesize_from_logs(
         if resume is None:
             resume = plan.resume
     _check_kernel(kernel)
-    _check_dispatch(dispatch)
     backend = resolve_backend(backend)
     if cache is not None:
         if checkpoint is not None or resume is not None:
@@ -896,7 +782,6 @@ def synthesize_from_logs(
             n_workers=cache.pool.n_workers,
             batches=0,
             kernel="intervals",
-            dispatch=cache.dispatch,
             # the cache computes tiles under its own backend setting
             backend=getattr(cache, "backend", backend),
             quarantined=list(cache.quarantined),
@@ -916,7 +801,6 @@ def synthesize_from_logs(
         n_workers=pool.n_workers,
         batches=0,
         kernel=kernel,
-        dispatch=dispatch,
         backend=backend,
     )
 
@@ -944,35 +828,26 @@ def synthesize_from_logs(
                 )
             network = CollocationNetwork.load(partial)
         saved = manifest["report"]
-        total_report.n_records = int(saved["n_records"])
-        total_report.n_sliced_records = int(saved["n_sliced_records"])
-        total_report.n_places = int(saved["n_places"])
-        total_report.colloc_nnz_total = int(saved["colloc_nnz_total"])
-        total_report.n_retries = int(saved["n_retries"])
+        for name in _CHECKPOINT_COUNTS:
+            setattr(total_report, name, int(saved[name]))
         total_report.quarantined = list(saved["quarantined"])
-        total_report.skipped_records = int(saved["skipped_records"])
         total_report.batches = batches_done
         total_report.resumed_batches = batches_done
 
-    run_span = start_span(
-        "synthesize",
-        attrs={"kernel": kernel, "dispatch": dispatch, "backend": backend,
-               "t0": t0, "t1": t1},
-    )
-    run_span.__enter__()
     try:
-        for batch_index, batch in enumerate(log_set.batches(batch_size)):
-            if batch_index < batches_done:
-                continue
-            if dispatch == "zero-copy":
-                batch_net = _synthesize_batch_descriptors(
+        with start_span(
+            "synthesize",
+            attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+        ) as run_span:
+            for batch_index, batch in enumerate(log_set.batches(batch_size)):
+                if batch_index < batches_done:
+                    continue
+                batch_net = _synthesize_batch(
                     batch, n_persons, t0, t1, pool, kernel, backend, strict,
                     total_report,
                 )
                 if batch_net is not None:
-                    network = (
-                        batch_net if network is None else network + batch_net
-                    )
+                    network = batch_net if network is None else network + batch_net
                 total_report.batches += 1
                 if checkpoint_dir is not None:
                     with total_report.timings.time("checkpoint"):
@@ -983,58 +858,10 @@ def synthesize_from_logs(
                             network,
                             total_report,
                         )
-                continue
-            parts = []
-            with total_report.timings.time("load"):
-                for path in batch:
-                    if strict:
-                        rec = LogReader(path).read_time_slice(t0, t1)
-                    else:
-                        rec, _reason = try_read_time_slice(path, t0, t1)
-                        if rec is None:
-                            total_report.quarantined.append(str(path))
-                            total_report.skipped_records += (
-                                _recoverable_records(path)
-                            )
-                            continue
-                    if len(rec):
-                        parts.append(rec)
-            if parts:
-                records = (
-                    np.concatenate(parts) if len(parts) > 1 else parts[0]
-                )
-                batch_net, batch_report = synthesize_network(
-                    records, n_persons, t0, t1, pool=pool, kernel=kernel,
-                    backend=backend,
-                )
-                network = batch_net if network is None else network + batch_net
-                total_report.n_records += batch_report.n_records
-                total_report.n_sliced_records += batch_report.n_sliced_records
-                total_report.n_places += batch_report.n_places
-                total_report.colloc_nnz_total += batch_report.colloc_nnz_total
-                _merge_balance(total_report, batch_report.balance)
-                total_report.n_retries += batch_report.n_retries
-                # merge (not add): the batch's stage clocks already
-                # emitted through the probe when they were recorded
-                total_report.timings.merge(batch_report.timings)
-                merge_kernel_timings(
-                    total_report.kernel_timings, batch_report.kernel_timings
-                )
-            total_report.batches += 1
-            if checkpoint_dir is not None:
-                with total_report.timings.time("checkpoint"):
-                    _write_checkpoint(
-                        checkpoint_dir,
-                        digest,
-                        batch_index + 1,
-                        network,
-                        total_report,
-                    )
+            run_span.set_attr("batches", total_report.batches)
     finally:
         if own_pool:
             pool.close()
-        run_span.set_attr("batches", total_report.batches)
-        run_span.__exit__(*sys.exc_info())
     if network is None:
         network = CollocationNetwork(
             accumulate_adjacency([], n_persons), t0=t0, t1=t1

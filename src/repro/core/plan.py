@@ -1,7 +1,7 @@
 """The synthesis planner: one object owning every synthesis knob.
 
-Before this module, the same six knobs — collocation kernel, dispatch
-mode, kernel backend, batch size, strictness, checkpoint policy — were
+Before this module, the same knobs — collocation kernel, kernel
+backend, batch size, strictness, checkpoint policy — were
 threaded as separate keyword arguments through ``pipeline.py``,
 ``bsp_pipeline.py``, ``streaming.py``, ``layers.py``, the tile cache,
 the query service, and the CLI, each with its own defaulting.  A
@@ -45,9 +45,6 @@ class SynthesisPlan:
     ----------
     kernel:
         Collocation kernel: ``"intervals"`` (default) or ``"dense-hours"``.
-    dispatch:
-        ``"value"`` pickles record arrays to workers; ``"zero-copy"``
-        ships :class:`~repro.evlog.reader.SliceDescriptor` byte ranges.
     backend:
         Kernel backend (``None``/``"auto"`` resolves to the best
         available; ``"scipy"`` is the bit-identical reference).
@@ -67,7 +64,6 @@ class SynthesisPlan:
     """
 
     kernel: str = "intervals"
-    dispatch: str = "value"
     backend: str | None = None
     batch_size: int = 16
     strict: bool = False
@@ -83,10 +79,9 @@ class SynthesisPlan:
         # import here: pipeline imports nothing from this module, so the
         # validation helpers stay single-sourced without a cycle
         from .kernels import resolve_backend
-        from .pipeline import _check_dispatch, _check_kernel
+        from .pipeline import _check_kernel
 
         _check_kernel(self.kernel)
-        _check_dispatch(self.dispatch)
         if self.pool_kind not in POOL_KINDS:
             raise SynthesisError(
                 f"unknown pool kind {self.pool_kind!r}; choose from {POOL_KINDS}"
@@ -139,7 +134,6 @@ class SynthesisPlan:
             budget_nnz=self.cache_budget_nnz,
             cache_dir=cache_dir if cache_dir is not None else self.cache_dir,
             pool=pool,
-            dispatch=self.dispatch,
             strict=self.strict,
             place_mask=place_mask,
             backend=self.backend,
@@ -166,7 +160,6 @@ class SynthesisPlan:
         """One-line human summary (CLI + service logs)."""
         parts = [
             f"kernel={self.kernel}",
-            f"dispatch={self.dispatch}",
             f"backend={self.backend}",
             f"batch={self.batch_size}",
             f"pool={self.pool_kind}",
@@ -178,5 +171,5 @@ class SynthesisPlan:
         return " ".join(parts)
 
 
-#: the stock plan: interval kernel, by-value dispatch, auto backend
+#: the stock plan: interval kernel, auto backend
 DEFAULT_PLAN = SynthesisPlan()

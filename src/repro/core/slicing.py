@@ -15,7 +15,13 @@ import numpy as np
 from ..errors import SynthesisError
 from ..evlog.schema import LOG_DTYPE, LogRecordArray
 
-__all__ = ["slice_records", "clip_records", "unique_places", "records_by_place"]
+__all__ = [
+    "slice_records",
+    "clip_records",
+    "mask_place_columns",
+    "unique_places",
+    "records_by_place",
+]
 
 
 def slice_records(records: LogRecordArray, t0: int, t1: int) -> LogRecordArray:
@@ -39,6 +45,18 @@ def clip_records(records: LogRecordArray, t0: int, t1: int) -> LogRecordArray:
     if np.any(out["stop"] <= out["start"]):
         raise SynthesisError("clip produced an empty interval; slice first")
     return out
+
+
+def mask_place_columns(columns, place_mask: np.ndarray):
+    """Rows of ``(starts, stops, person, place)`` int64 columns whose place
+    id the boolean *place_mask* admits (layer and shard filters)."""
+    place = columns[3]
+    if len(place) and int(place.max()) >= len(place_mask):
+        raise SynthesisError("records reference places outside the mask")
+    keep = place_mask[place]
+    if keep.all():
+        return columns
+    return tuple(col[keep] for col in columns)
 
 
 def unique_places(records: LogRecordArray) -> np.ndarray:

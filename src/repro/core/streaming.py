@@ -127,7 +127,6 @@ class StreamingSynthesizer:
         batch_size: int = 16,
         pool: WorkerPool | None = None,
         kernel: str = "intervals",
-        dispatch: str = "value",
         cache=None,
         backend: str | None = None,
         plan=None,
@@ -140,7 +139,6 @@ class StreamingSynthesizer:
         if plan is not None:
             # the plan is authoritative for the synthesis knobs
             kernel = plan.kernel
-            dispatch = plan.dispatch
             backend = plan.backend
             batch_size = plan.batch_size
         if interval_hours <= 0:
@@ -154,7 +152,6 @@ class StreamingSynthesizer:
         self.batch_size = batch_size
         self.pool = pool
         self.kernel = kernel
-        self.dispatch = dispatch
         self.cache = cache
         self.backend = backend
 
@@ -184,7 +181,6 @@ class StreamingSynthesizer:
                             batch_size=self.batch_size,
                             pool=self.pool,
                             kernel=self.kernel,
-                            dispatch=self.dispatch,
                             backend=self.backend,
                         )
                 networks.append(net)

@@ -56,9 +56,14 @@ query's latency degrades to a rebuild.
 
 Tile construction runs through the existing
 :class:`~repro.distrib.taskpool.WorkerPool` machinery — one task per
-tile, batched per query — and under ``dispatch="zero-copy"`` ships
-:class:`~repro.evlog.reader.SliceDescriptor` byte ranges so workers mmap
-and decode the chunks themselves, exactly like the batch pipeline.
+tile, batched per query — and every task walks the log files the way the
+batch pipeline does (:func:`~repro.evlog.reader.read_window_columns`).
+The cache opens, verifies and digests each file **once, through one held
+reader**, and builds every tile through that reader: a log file deleted
+or replaced under a live cache cannot leak into a tile keyed by the old
+digest.  A process pool cannot share the readers; its tasks get the path
+plus the identity the cache recorded at open and refuse a file that no
+longer matches.
 
 Concurrency
 -----------
@@ -83,35 +88,25 @@ import json
 import threading
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .._util import StageTimings, Timer, atomic_write_bytes
 from ..obs import get_probe, start_span
-from ..errors import SynthesisError, TileCacheError
+from ..errors import LogFormatError, TileCacheError
 from ..evlog.multifile import LogSet
-from ..evlog.reader import (
-    LogReader,
-    SliceDescriptor,
-    read_slice_columns,
-    read_slice_descriptor,
-)
-from ..evlog.schema import LogRecordArray, empty_records
-from ..distrib.taskpool import SerialPool, WorkerPool
+from ..evlog.reader import LogReader, publish_walk_stats, read_window_columns
+from ..distrib.taskpool import SerialPool, ThreadPool, WorkerPool
 from .adjacency import empty_adjacency
-from .intervals import (
-    build_interval_pack,
-    build_interval_pack_columns,
-    sum_pack_adjacency,
-)
+from .intervals import sum_columns_adjacency
 from .kernels import resolve_backend
 from .network import CollocationNetwork
-from .pipeline import DISPATCHES, _check_dispatch, _merge_duplicate_packs
-from .slicing import clip_records
+from .slicing import mask_place_columns
 
 __all__ = [
     "TileCache",
@@ -129,16 +124,25 @@ _DEFAULT_TILE_HOURS = 24
 _HASH_CHUNK = 1 << 20
 
 
-def logset_digest(paths: Sequence[str | Path]) -> str:
+def logset_digest(
+    paths: Sequence[str | Path], readers: "dict[Path, LogReader] | None" = None
+) -> str:
     """Content digest of a set of log files (names, sizes, and bytes).
 
     Any rewrite of a file — salvage after a crash, regeneration, manual
     edit — changes the digest, which is what keys persisted tiles to the
-    exact log bytes they were computed from.
+    exact log bytes they were computed from.  A path with an open reader
+    in *readers* is hashed through that reader's buffer — the bytes its
+    tiles will be built from — instead of being read again.
     """
     h = hashlib.sha256()
     for path in sorted(Path(p) for p in paths):
         h.update(path.name.encode())
+        reader = readers.get(path) if readers else None
+        if reader is not None:
+            h.update(reader.file_bytes.to_bytes(8, "little"))
+            h.update(reader._buf)
+            continue
         h.update(int(path.stat().st_size).to_bytes(8, "little"))
         with path.open("rb") as fh:
             while True:
@@ -195,79 +199,63 @@ class TileCacheStats:
         return "\n".join(lines)
 
 
-def _apply_place_mask(
-    records: LogRecordArray, place_mask: np.ndarray
-) -> LogRecordArray:
-    """Keep records whose place id the boolean mask admits."""
-    if not len(records):
-        return records
-    ids = records["place"].astype(np.int64)
-    if int(ids.max()) >= len(place_mask):
-        raise SynthesisError("records reference places outside the mask")
-    return records[place_mask[ids]]
+@contextmanager
+def _source_reader(source: "LogReader | tuple[str, tuple]") -> Iterator[LogReader]:
+    """The reader a window task walks: the cache's own (in-process pools),
+    or ``(path, identity)`` reopened — and refused unless it is still the
+    file the cache verified and digested."""
+    if isinstance(source, LogReader):
+        yield source
+        return
+    path, identity = source
+    with LogReader(path, strict=True, use_mmap=True) as reader:
+        if reader.identity != identity:
+            raise TileCacheError(
+                f"{path} was replaced under a live tile cache; reload it"
+            )
+        yield reader
 
 
-def _window_value_task(
-    args: tuple[LogRecordArray, int, int, int, str],
-) -> sp.csr_matrix:
-    """Worker (value dispatch): one window's partial adjacency.
+def _window_task(
+    args: "tuple[list, int, int, int, np.ndarray | None, str]",
+) -> tuple[sp.csr_matrix, list[dict]]:
+    """Worker: one window's partial adjacency, one walk per log file.
 
-    Receives the window's records (already masked to the window and place
-    filter at the root); clips, builds one interval pack, and returns the
-    canonical upper-triangular CSR partial.
+    ``place_mask`` filters the place column; a place split across files
+    is union-merged so the partial matches a single build from the
+    concatenated records.  A file rewritten in place under its reader
+    fails the task rather than leak bytes the cache's digest does not
+    cover.  Returns the canonical upper-triangular CSR partial and the
+    walks' stats.
     """
-    records, t0, t1, n_persons, backend = args
-    if not len(records):
-        return empty_adjacency(n_persons)
-    sliced = clip_records(records, t0, t1)
-    pack = build_interval_pack(sliced, t0, t1, backend=backend)
-    return sum_pack_adjacency([pack], n_persons, backend=backend)
-
-
-def _window_descriptor_task(
-    args: tuple[list[SliceDescriptor], int, "np.ndarray | None", str],
-) -> sp.csr_matrix:
-    """Worker (zero-copy dispatch): mmap + decode + build one window.
-
-    Receives byte-range descriptors only; a place split across files is
-    union-merged so the partial matches a single build from the
-    concatenated records.  Without a place filter the decode goes through
-    the columnar reader — clipped int64 columns straight off the mmap,
-    no intermediate record array.
-    """
-    descriptors, n_persons, place_mask, backend = args
-    packs = []
-    for descriptor in descriptors:
-        if place_mask is None:
-            starts, stops, person, place = read_slice_columns(descriptor)
-            if not len(starts):
-                continue
-            packs.append(
-                build_interval_pack_columns(
-                    starts,
-                    stops,
-                    person,
-                    place,
-                    descriptor.t0,
-                    descriptor.t1,
-                    backend=backend,
+    sources, t0, t1, n_persons, place_mask, backend = args
+    column_sets, walks = [], []
+    for source in sources:
+        with _source_reader(source) as reader:
+            columns, walk = read_window_columns(reader, t0, t1)
+            if reader.rewritten_in_place():
+                raise TileCacheError(
+                    f"{reader.path} was rewritten under a live tile cache; "
+                    "reload it"
                 )
-            )
-            continue
-        raw = read_slice_descriptor(descriptor)
-        raw = _apply_place_mask(raw, place_mask)
-        if not len(raw):
-            continue
-        sliced = clip_records(raw, descriptor.t0, descriptor.t1)
-        packs.append(
-            build_interval_pack(
-                sliced, descriptor.t0, descriptor.t1, backend=backend
-            )
-        )
-    packs = _merge_duplicate_packs(packs)
-    if not packs:
-        return empty_adjacency(n_persons)
-    return sum_pack_adjacency(packs, n_persons, backend=backend)
+        walks.append(walk)
+        if place_mask is not None:
+            columns = mask_place_columns(columns, place_mask)
+        column_sets.append(columns)
+    partial = sum_columns_adjacency(column_sets, t0, t1, n_persons, backend)
+    return partial, walks
+
+
+def _open_verified(path: Path) -> LogReader:
+    """A held mmap reader over a file verified end to end (strict open,
+    every chunk decoded); closed again if the file is damaged."""
+    reader = LogReader(path, strict=True, use_mmap=True)
+    try:
+        reader.verify()
+    except BaseException:
+        reader.close()
+        raise
+    return reader
 
 
 def _tile_cost(mat: sp.csr_matrix) -> int:
@@ -316,9 +304,6 @@ class TileCache:
         Worker pool for tile construction; default
         :class:`~repro.distrib.taskpool.SerialPool` (owned, closed with
         the cache).
-    dispatch:
-        ``"value"`` ships record arrays to workers, ``"zero-copy"`` ships
-        :class:`SliceDescriptor` byte ranges.
     strict:
         When False (default), damaged log files are quarantined exactly
         like the batch pipeline; when True the first damaged file raises.
@@ -341,7 +326,6 @@ class TileCache:
         budget_nnz: int | None = None,
         cache_dir: str | Path | None = None,
         pool: WorkerPool | None = None,
-        dispatch: str = "value",
         strict: bool = False,
         place_mask: np.ndarray | None = None,
         backend: str | None = None,
@@ -352,31 +336,31 @@ class TileCache:
             raise TileCacheError("tile_hours must be positive")
         if budget_nnz is not None and budget_nnz < 1:
             raise TileCacheError("budget_nnz must be positive (or None)")
-        _check_dispatch(dispatch)
         self.log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
         self.n_persons = int(n_persons)
         self.tile_hours = int(tile_hours)
         self.budget_nnz = budget_nnz
-        self.dispatch = dispatch
         self.backend = resolve_backend(backend)
         self.place_mask = (
             np.asarray(place_mask, dtype=bool) if place_mask is not None else None
         )
         self.stats = TileCacheStats()
 
+        # every file is opened once, here: the same held reader is
+        # verified, digested, and later walked for every tile.  The
         # quarantine verdict is per file and window-independent, mirroring
         # the batch pipeline: a damaged file never contributes to any tile
-        if strict:
-            for path in self.log_set.paths:
-                LogReader(path, strict=True).verify()
-            bad: list[tuple[Path, str]] = []
-        else:
-            bad = self.log_set.quarantine_scan()
-        damaged = {path for path, _reason in bad}
-        self.paths: list[Path] = [
-            p for p in self.log_set.paths if p not in damaged
-        ]
-        self.quarantined: list[str] = [str(p) for p, _ in bad]
+        self._readers: dict[Path, LogReader] = {}
+        self.quarantined: list[str] = []
+        for path in self.log_set.paths:
+            try:
+                self._readers[path] = _open_verified(path)
+            except LogFormatError:
+                if strict:
+                    self._close_readers()
+                    raise
+                self.quarantined.append(str(path))
+        self.paths: list[Path] = list(self._readers)
 
         self.digest = self._config_digest()
         self._own_pool = pool is None
@@ -385,7 +369,6 @@ class TileCache:
         #: nnz accounting, readers, persisted manifest, stats); immutable
         #: cached matrices are composed outside it — see module docstring
         self._lock = threading.RLock()
-        self._readers: dict[Path, LogReader] = {}
         #: LRU over tree nodes ``(level, idx)`` and fringe partials
         #: ``("F", w0, w1)`` — one nnz budget governs both
         self._tiles: "OrderedDict[tuple, sp.csr_matrix]" = OrderedDict()
@@ -405,7 +388,7 @@ class TileCache:
         """Digest of everything a tile's contents depend on."""
         payload = {
             "version": _TILE_VERSION,
-            "logset": logset_digest(self.paths),
+            "logset": logset_digest(self.paths, self._readers),
             "quarantined": sorted(Path(p).name for p in self.quarantined),
             "n_persons": self.n_persons,
             "tile_hours": self.tile_hours,
@@ -574,51 +557,33 @@ class TileCache:
 
     # -- record access --------------------------------------------------------
 
-    def _reader(self, path: Path) -> LogReader:
-        reader = self._readers.get(path)
-        if reader is None:
-            reader = LogReader(path, use_mmap=True)
-            self._readers[path] = reader
-        return reader
-
-    def _window_args(self, t0: int, t1: int):
-        """Root side of one window-build task."""
-        if self.dispatch == "zero-copy":
-            descriptors = []
-            for path in self.paths:
-                d = self._reader(path).slice_descriptor(t0, t1)
-                if d.chunk_offsets:
-                    descriptors.append(d)
-            return descriptors, self.n_persons, self.place_mask, self.backend
-        parts = []
-        for path in self.paths:
-            rec = self._reader(path).read_time_slice(t0, t1)
-            if self.place_mask is not None:
-                rec = _apply_place_mask(rec, self.place_mask)
-            if len(rec):
-                parts.append(rec)
-        records = (
-            np.concatenate(parts)
-            if len(parts) > 1
-            else (parts[0] if parts else empty_records(0))
-        )
-        return records, t0, t1, self.n_persons, self.backend
-
     def _build_windows(
         self, windows: list[tuple[int, int]]
     ) -> list[sp.csr_matrix]:
         """Build the partial adjacency of each window, one pool task each."""
         if not windows:
             return []
-        task = (
-            _window_descriptor_task
-            if self.dispatch == "zero-copy"
-            else _window_value_task
-        )
+        if isinstance(self.pool, (SerialPool, ThreadPool)):
+            sources: list = list(self._readers.values())
+        else:
+            # the pool may live in other processes, which cannot share the
+            # held readers: ship what lets a task prove it reopened the
+            # same file
+            sources = [(str(p), r.identity) for p, r in self._readers.items()]
         with start_span("kernel", attrs={"windows": len(windows)}) as span:
             with self.stats.timings.time("build"):
-                args = [self._window_args(w0, w1) for w0, w1 in windows]
-                mats = self.pool.map(task, args)
+                built = self.pool.map(
+                    _window_task,
+                    [
+                        (sources, w0, w1, self.n_persons, self.place_mask,
+                         self.backend)
+                        for w0, w1 in windows
+                    ],
+                )
+            for _mat, walks in built:
+                for walk in walks:
+                    publish_walk_stats(walk)
+            mats = [mat for mat, _walks in built]
             span.set_attr("nnz", sum(int(m.nnz) for m in mats))
             return mats
 
@@ -803,7 +768,7 @@ class TileCache:
             self._check_open()
             t_max = 0
             for path in self.paths:
-                for chunk in self._reader(path).chunks:
+                for chunk in self._readers[path].chunks:
                     t_max = max(t_max, int(chunk.t_max))
             return t_max
 
@@ -818,11 +783,14 @@ class TileCache:
             if self._closed:
                 return
             self._closed = True
-            for reader in self._readers.values():
-                reader.close()
-            self._readers.clear()
+            self._close_readers()
             if self._own_pool:
                 self.pool.close()
+
+    def _close_readers(self) -> None:
+        for reader in self._readers.values():
+            reader.close()
+        self._readers.clear()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -837,8 +805,7 @@ class TileCache:
     def __repr__(self) -> str:
         return (
             f"TileCache(files={len(self.paths)}, tile_hours={self.tile_hours}, "
-            f"tiles={self.n_tiles_cached}, nnz={self.cached_nnz:,}, "
-            f"dispatch={self.dispatch!r})"
+            f"tiles={self.n_tiles_cached}, nnz={self.cached_nnz:,})"
         )
 
 
@@ -852,7 +819,6 @@ def query_window(
     budget_nnz: int | None = None,
     cache_dir: str | Path | None = None,
     pool: WorkerPool | None = None,
-    dispatch: str = "value",
     strict: bool = False,
     backend: str | None = None,
 ) -> tuple[CollocationNetwork, TileCache]:
@@ -871,7 +837,6 @@ def query_window(
             budget_nnz=budget_nnz,
             cache_dir=cache_dir,
             pool=pool,
-            dispatch=dispatch,
             strict=strict,
             backend=backend,
         )

@@ -53,9 +53,9 @@ from typing import Any, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import SynthesisError
-from ..evlog.multifile import LogSet, try_slice_descriptor
-from ..evlog.reader import SliceDescriptor, read_slice_columns
+from ..errors import LogFormatError, SynthesisError
+from ..evlog.multifile import LogSet
+from ..evlog.reader import publish_walk_stats, read_window_columns
 from ..obs import default_registry, get_collector, start_span
 from ..obs.trace import capture_spans
 from .partition import PlacePartition, round_robin_partition, spatial_partition
@@ -85,7 +85,6 @@ def _check_strategy(strategy: str) -> None:
 def log_horizon(log_set: "LogSet") -> int:
     """Last simulation hour any intact log chunk reaches (chunk-index
     metadata only, damaged files skipped).  0 with no records."""
-    from ..errors import LogFormatError
     from ..evlog.reader import LogReader
 
     t_max = 0
@@ -121,8 +120,6 @@ class ShardPlan:
     paths: list[str]
     #: damaged files skipped by the plan scan (non-strict mode)
     quarantined: list[str]
-    #: zero-copy descriptors for ``paths`` over the planning window
-    descriptors: list[SliceDescriptor]
     t0: int
     t1: int
     strategy: str
@@ -290,8 +287,10 @@ def plan_shards(
 ) -> ShardPlan:
     """Scan the window once and partition places into ``n_shards``.
 
-    The scan builds one interval pack per intact file (exactly the
-    synthesis stage-2 computation) to obtain each place's true pairwise
+    The scan walks every file once, whole-file verified (exactly the
+    synthesis stage-2 computation, so a damaged file is quarantined
+    whatever the window), and builds one interval pack per intact file to
+    obtain each place's true pairwise
     work estimate — the same ``Σ_seg count²`` that ``balance_by_work``
     balances batches with — plus the per-file place sets that let shards
     skip irrelevant files.  Planning cost is one synthesis pass, amortized
@@ -310,26 +309,25 @@ def plan_shards(
 
     paths: list[str] = []
     quarantined: list[str] = []
-    descriptors: list[SliceDescriptor] = []
     file_places: list[np.ndarray] = []
     works: list[tuple[np.ndarray, np.ndarray]] = []
     max_place = -1
     for path in log_set.paths:
-        descriptor, reason = try_slice_descriptor(path, t0, t1)
-        if descriptor is None:
+        try:
+            columns, walk = read_window_columns(path, t0, t1, whole_file=True)
+        except LogFormatError as exc:
             if strict:
-                raise SynthesisError(f"damaged log file {path}: {reason}")
+                raise SynthesisError(
+                    f"damaged log file {path}: {type(exc).__name__}: {exc}"
+                ) from exc
             quarantined.append(str(path))
             continue
+        publish_walk_stats(walk)
         paths.append(str(path))
-        descriptors.append(descriptor)
-        starts, stops, person, place = read_slice_columns(descriptor)
-        if not len(starts):
+        if not len(columns[0]):
             file_places.append(np.empty(0, dtype=np.int64))
             continue
-        pack = build_interval_pack_columns(
-            starts, stops, person, place, t0, t1, backend=backend
-        )
+        pack = build_interval_pack_columns(*columns, t0, t1, backend=backend)
         file_places.append(pack.places.astype(np.int64))
         works.append((pack.places.astype(np.int64), pack.place_work))
         max_place = max(max_place, int(pack.places[-1]))
@@ -385,7 +383,6 @@ def plan_shards(
         file_places=file_places,
         paths=paths,
         quarantined=quarantined,
-        descriptors=descriptors,
         t0=int(t0),
         t1=int(t1),
         strategy=strategy,
@@ -455,18 +452,18 @@ def _publish_shard_metrics(report: ShardSynthesisReport) -> None:
 def _shard_partial(
     shard: int,
     shard_plan: ShardPlan,
-    descriptors: Sequence[SliceDescriptor],
     file_indices: Sequence[int],
     n_persons: int,
     t0: int,
     t1: int,
     backend: str | None,
 ) -> tuple[sp.csr_matrix, dict, list[dict]]:
-    """One shard's work: decode its files, mask to its places, build
-    packs, and produce the canonical upper-triangular partial CSR."""
-    from ..core.adjacency import empty_adjacency
-    from ..core.intervals import build_interval_pack_columns, sum_pack_adjacency
-    from ..core.pipeline import _merge_duplicate_packs
+    """One shard's work: walk its files (the plan verified them whole;
+    the window's chunks are CRC'd again as they decode), mask to its
+    places, build packs, and produce the canonical upper-triangular
+    partial CSR."""
+    from ..core.intervals import sum_columns_adjacency
+    from ..core.slicing import mask_place_columns
 
     mask = shard_plan.shard_mask(shard)
     started = time.perf_counter()
@@ -474,46 +471,27 @@ def _shard_partial(
         with start_span(
             "shard.build", attrs={"shard": shard, "files": len(file_indices)}
         ) as span:
-            packs = []
-            n_records = 0
+            column_sets = []
+            walks = []
             for i in file_indices:
-                starts, stops, person, place = read_slice_columns(
-                    descriptors[i]
+                columns, walk = read_window_columns(
+                    shard_plan.paths[i], t0, t1
                 )
-                if not len(starts):
-                    continue
-                if int(place.max()) >= len(mask):
-                    raise SynthesisError(
-                        "records reference places outside the shard plan"
-                    )
-                keep = mask[place]
-                if not keep.any():
-                    continue
-                n_records += int(keep.sum())
-                packs.append(
-                    build_interval_pack_columns(
-                        starts[keep],
-                        stops[keep],
-                        person[keep],
-                        place[keep],
-                        t0,
-                        t1,
-                        backend=backend,
-                    )
-                )
-            # a place split across this shard's files must be union-merged
-            # before the product, exactly as zero-copy dispatch does
-            packs = _merge_duplicate_packs(packs)
-            if packs:
-                partial = sum_pack_adjacency(packs, n_persons, backend=backend)
-            else:
-                partial = empty_adjacency(n_persons)
+                walks.append(walk)
+                column_sets.append(mask_place_columns(columns, mask))
+            n_records = sum(len(columns[0]) for columns in column_sets)
+            # a place split across this shard's files is union-merged
+            # before the product, exactly as in the batch pipeline
+            partial = sum_columns_adjacency(
+                column_sets, t0, t1, n_persons, backend
+            )
             span.set_attr("records", n_records)
             span.set_attr("nnz", int(partial.nnz))
     stats = {
         "records": n_records,
         "nnz": int(partial.nnz),
         "seconds": time.perf_counter() - started,
+        "walks": walks,
     }
     return partial, stats, spans
 
@@ -533,8 +511,8 @@ def shard_synthesize(
     """Synthesize the window across a place-sharded process cluster.
 
     Each shard of a :class:`~repro.distrib.proccluster.ProcessBspCluster`
-    decodes only the log files that mention its places (zero-copy
-    descriptors, columnar decode), masks the place columns to its shard,
+    walks only the log files that mention its places (columnar decode
+    straight off the mmap), masks the place columns to its shard,
     builds interval packs, and returns its canonical partial adjacency;
     the root folds the partials — **bit-identical** to single-process
     synthesis for every shard count and strategy (property-tested).
@@ -583,18 +561,6 @@ def shard_synthesize(
             f"cannot serve [{t0}, {t1})"
         )
 
-    # descriptors are window-specific: reuse the plan's when the window
-    # matches, rebuild (skipping already-quarantined files) otherwise
-    if (shard_plan.t0, shard_plan.t1) == (int(t0), int(t1)):
-        descriptors = shard_plan.descriptors
-    else:
-        descriptors = []
-        for path in shard_plan.paths:
-            descriptor, reason = try_slice_descriptor(path, t0, t1)
-            if descriptor is None:
-                raise SynthesisError(f"damaged log file {path}: {reason}")
-            descriptors.append(descriptor)
-
     file_indices = [
         shard_plan.shard_file_indices(s) for s in range(n_shards)
     ]
@@ -603,7 +569,6 @@ def shard_synthesize(
         return _shard_partial(
             shard,
             shard_plan,
-            descriptors,
             file_indices[shard],
             n_persons,
             t0,
@@ -634,6 +599,8 @@ def shard_synthesize(
             report.shard_records.append(stats["records"])
             report.shard_nnz.append(stats["nnz"])
             report.shard_seconds.append(stats["seconds"])
+            for walk in stats["walks"]:
+                publish_walk_stats(walk)
             # per-shard span trees, parent links intact
             get_collector().absorb(spans)
         started = time.perf_counter()
@@ -683,7 +650,6 @@ class ShardedTileCache:
         tile_hours: int = 24,
         budget_nnz: int | None = None,
         cache_dir: "str | Path | None" = None,
-        dispatch: str = "value",
         strict: bool = False,
         place_mask: np.ndarray | None = None,
         backend: str | None = None,
@@ -694,7 +660,6 @@ class ShardedTileCache:
         if plan is not None:
             tile_hours = plan.tile_hours
             budget_nnz = plan.cache_budget_nnz
-            dispatch = plan.dispatch
             strict = plan.strict
             backend = plan.backend
             if cache_dir is None:
@@ -702,7 +667,6 @@ class ShardedTileCache:
         self.shard_plan = shard_plan
         self.n_persons = int(n_persons)
         self.n_shards = shard_plan.n_shards
-        self.dispatch = dispatch
         self.reduce_seconds = 0.0
         log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
         per_shard_budget = (
@@ -728,7 +692,6 @@ class ShardedTileCache:
                         if cache_dir is not None
                         else None
                     ),
-                    dispatch=dispatch,
                     strict=strict,
                     place_mask=mask,
                     backend=backend,

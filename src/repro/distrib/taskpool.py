@@ -46,7 +46,7 @@ from types import TracebackType
 from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .._util import stable_uniform
-from ..errors import PartitionError, TaskRetryError
+from ..errors import LogFormatError, PartitionError, TaskRetryError
 from ..obs import get_probe
 
 __all__ = [
@@ -85,7 +85,9 @@ class RetryPolicy:
         Jitter stream selector.
     retry_on:
         Exception classes that are retried; anything else propagates
-        immediately.  Defaults to :class:`Exception`.
+        immediately.  Defaults to :class:`Exception`.  A
+        :class:`~repro.errors.LogFormatError` is never retried: damage in
+        a log file is deterministic, a re-run reads the same bytes.
     """
 
     max_attempts: int = 3
@@ -115,6 +117,8 @@ class RetryPolicy:
         return raw * (1.0 + self.jitter * (2.0 * u - 1.0))
 
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
+        if isinstance(exc, LogFormatError):
+            return False
         return attempt < self.max_attempts and isinstance(exc, self.retry_on)
 
 
@@ -230,8 +234,8 @@ class _PoolBase:
         #: when True, ``map`` pickles each task item once and accumulates
         #: the byte count in :attr:`bytes_shipped` — the root→worker
         #: serialization traffic a process backend pays (measured even on
-        #: in-process backends, so dispatch strategies compare like for
-        #: like).  Off by default: measuring costs a pickle pass.
+        #: in-process backends, so task shapes compare like for like).
+        #: Off by default: measuring costs a pickle pass.
         self.track_bytes = False
         self.bytes_shipped = 0
 

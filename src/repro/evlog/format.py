@@ -141,55 +141,67 @@ def pack_chunk(record_bytes_image: bytes, n_records: int, compress: bool) -> byt
     return _CHUNK_HEADER.pack(CHUNK_MAGIC, n_records, len(payload), crc) + payload
 
 
-def read_chunk_at(
-    buf: bytes | memoryview, offset: int, compressed: bool
-) -> tuple[bytes, int, int]:
-    """Read the chunk at *offset*.
+def _checked_frame(buf: bytes | memoryview, offset: int) -> tuple[int, int, int]:
+    """Framing + CRC of the chunk at *offset*; no copy, no decode.
 
-    Returns ``(record_bytes_image, n_records, next_offset)``.
-
-    Raises :class:`LogTruncatedError` if the chunk extends past the end of
-    the buffer and :class:`LogCorruptError` on a CRC mismatch.
+    Returns ``(n_records, payload_start, payload_end)``.  The CRC runs over
+    a view that is released before this returns or raises — a view kept
+    alive by a propagating traceback would pin the owner's mmap open.
     """
-    end = offset + CHUNK_HEADER_BYTES
-    if end > len(buf):
+    start = offset + CHUNK_HEADER_BYTES
+    if start > len(buf):
         raise LogTruncatedError("chunk header extends past end of file")
     magic, n_records, payload_bytes, crc = _CHUNK_HEADER.unpack_from(buf, offset)
     if magic != CHUNK_MAGIC:
         raise LogFormatError(f"expected chunk at offset {offset}, found {magic!r}")
-    if end + payload_bytes > len(buf):
+    end = start + payload_bytes
+    if end > len(buf):
         raise LogTruncatedError("chunk payload extends past end of file")
-    payload = bytes(buf[end : end + payload_bytes])
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-        raise LogCorruptError(f"chunk at offset {offset} failed CRC check")
-    image = zlib.decompress(payload) if compressed else payload
-    if len(image) != n_records * RECORD_BYTES:
+    with memoryview(buf)[start:end] as payload:
+        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+            raise LogCorruptError(f"chunk at offset {offset} failed CRC check")
+    return n_records, start, end
+
+
+def read_chunk_at(
+    buf: bytes | memoryview, offset: int, compressed: bool
+) -> tuple[bytes | memoryview, int, int]:
+    """Read the chunk at *offset*.
+
+    Returns ``(record_bytes_image, n_records, next_offset)``.  For an
+    uncompressed file the image is a view into *buf* (no payload copy) —
+    drop it, and anything built on it, before the buffer's owner closes;
+    a compressed file's image is its ``zlib.decompress`` output.
+
+    Raises :class:`LogTruncatedError` if the chunk extends past the end of
+    the buffer and :class:`LogCorruptError` on a CRC mismatch.
+    """
+    n_records, start, end = _checked_frame(buf, offset)
+    if compressed:
+        with memoryview(buf)[start:end] as payload:
+            image = zlib.decompress(payload)
+        image_bytes = len(image)
+    else:
+        image_bytes = end - start
+    if image_bytes != n_records * RECORD_BYTES:
         raise LogCorruptError(
             f"chunk at offset {offset} declares {n_records} records but "
-            f"payload decodes to {len(image)} bytes"
+            f"payload decodes to {image_bytes} bytes"
         )
-    return image, n_records, end + payload_bytes
+    if not compressed:
+        # created last: no error path above can leave the view alive
+        image = memoryview(buf)[start:end]
+    return image, n_records, end
 
 
 def check_chunk_at(buf: bytes | memoryview, offset: int) -> tuple[int, int]:
     """CRC-verify the chunk at *offset* without decoding its payload.
 
-    Returns ``(n_records, next_offset)``.  This is the cheap integrity
-    check zero-copy dispatch runs at the root: framing + CRC catch
-    truncation and bit rot, while the decompress/decode cost stays with
-    the worker that actually consumes the records.
+    Returns ``(n_records, next_offset)`` — framing + CRC catch truncation
+    and bit rot at a fraction of a decode's cost.
     """
-    end = offset + CHUNK_HEADER_BYTES
-    if end > len(buf):
-        raise LogTruncatedError("chunk header extends past end of file")
-    magic, n_records, payload_bytes, crc = _CHUNK_HEADER.unpack_from(buf, offset)
-    if magic != CHUNK_MAGIC:
-        raise LogFormatError(f"expected chunk at offset {offset}, found {magic!r}")
-    if end + payload_bytes > len(buf):
-        raise LogTruncatedError("chunk payload extends past end of file")
-    if (zlib.crc32(buf[end : end + payload_bytes]) & 0xFFFFFFFF) != crc:
-        raise LogCorruptError(f"chunk at offset {offset} failed CRC check")
-    return n_records, end + payload_bytes
+    n_records, _start, end = _checked_frame(buf, offset)
+    return n_records, end
 
 
 def pack_index(chunks: list[ChunkInfo]) -> bytes:

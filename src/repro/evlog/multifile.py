@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import LogFormatError
-from .reader import LogReader, SliceDescriptor
+from .reader import LogReader
 from .schema import LogRecordArray, empty_records
 from .writer import CachedLogWriter, wal_sidecar_path
 
@@ -35,7 +35,6 @@ __all__ = [
     "rank_log_path",
     "write_rank_logs",
     "try_read_time_slice",
-    "try_slice_descriptor",
     "salvage_rank_logs",
 ]
 
@@ -55,25 +54,6 @@ def try_read_time_slice(
         reader = LogReader(path, strict=True)
         reader.verify()
         return reader.read_time_slice(t0, t1), None
-    except LogFormatError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
-def try_slice_descriptor(
-    path: str | Path, t0: int, t1: int
-) -> tuple[SliceDescriptor | None, str | None]:
-    """Zero-copy twin of :func:`try_read_time_slice`.
-
-    Returns ``(descriptor, None)`` on success or ``(None, reason)`` when
-    the file must be quarantined.  The same whole-file determinism holds:
-    every chunk is CRC-checked (framing + checksum, no payload decode), so
-    a damaged file is rejected regardless of the query window — matching
-    the by-value path's verdict for any corruption a CRC can see.
-    """
-    try:
-        with LogReader(path, strict=True, use_mmap=True) as reader:
-            reader.check_crc()
-            return reader.slice_descriptor(t0, t1), None
     except LogFormatError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 

@@ -15,14 +15,18 @@ chunks forward until the first incomplete one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import mmap
+import os
+import time
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import LogFormatError, LogTruncatedError
+from ..obs import get_probe
 from .format import (
+    CHUNK_HEADER_BYTES,
     ChunkInfo,
     EvlHeader,
     HEADER_BYTES,
@@ -36,105 +40,121 @@ from .schema import LOG_DTYPE, LogRecordArray, empty_records, records_from_bytes
 
 __all__ = [
     "LogReader",
-    "SliceDescriptor",
-    "read_slice_descriptor",
-    "read_slice_columns",
+    "WALK_COUNTERS",
+    "read_window_columns",
+    "slice_columns",
+    "publish_walk_stats",
     "scan_intact_chunks",
 ]
 
 
-@dataclass(frozen=True)
-class SliceDescriptor:
-    """A zero-copy work order: *where* a window's records live, not the
-    records themselves.
+#: the per-walk counts :func:`publish_walk_stats` emits as
+#: ``evlog.reader.<name>`` (``records_decoded ÷ records_kept`` is the read
+#: amplification of a window)
+WALK_COUNTERS = (
+    "chunks_decoded",
+    "chunks_checked",
+    "bytes_crc",
+    "records_decoded",
+    "records_kept",
+)
 
-    The root builds one per file from the chunk index (plus a CRC scan —
-    no payload decode) and ships it to a worker, which mmaps the file and
-    decodes exactly the listed chunks.  Pickled size is O(chunks), not
-    O(records): a few dozen bytes per task instead of the full record
-    array.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _empty_columns(n: int) -> Columns:
+    return tuple(np.empty(n, dtype=np.int64) for _ in range(4))  # type: ignore[return-value]
+
+
+def _append_window(
+    rec: LogRecordArray, t0: int, t1: int, columns: Columns, n: int
+) -> int:
+    """Cast-copy the records of *rec* that intersect ``[t0, t1)`` into the
+    ``(starts, stops, person, place)`` columns at row *n*; returns the new
+    fill.  No intermediate struct copy when every record is kept."""
+    s, e = rec["start"], rec["stop"]
+    mask = (s < t1) & (e > t0)
+    if not mask.all():
+        idx = np.flatnonzero(mask)
+        if not len(idx):
+            return n
+        rec = rec[idx]
+        s, e = rec["start"], rec["stop"]
+    end = n + len(rec)
+    starts, stops, person, place = columns
+    starts[n:end] = s
+    stops[n:end] = e
+    person[n:end] = rec["person"]
+    place[n:end] = rec["place"]
+    return end
+
+
+def _clip_columns(columns: Columns, n: int, t0: int, t1: int) -> Columns:
+    starts, stops, person, place = (col[:n] for col in columns)
+    np.maximum(starts, t0, out=starts)
+    np.minimum(stops, t1, out=stops)
+    return starts, stops, person, place
+
+
+def slice_columns(records: LogRecordArray, t0: int, t1: int) -> Columns:
+    """In-memory records lowered to what the interval kernel consumes:
+    ``(starts, stops, person, place)`` int64 columns of the records that
+    intersect ``[t0, t1)``, clipped to it.  Value-identical to
+    ``slice_records(records, t0, t1)`` pulled apart, in one fused pass."""
+    if t1 <= t0:
+        raise ValueError(f"empty time slice [{t0}, {t1})")
+    records = np.asarray(records, dtype=LOG_DTYPE)
+    columns = _empty_columns(len(records))
+    return _clip_columns(columns, _append_window(records, t0, t1, columns, 0), t0, t1)
+
+
+def read_window_columns(
+    source: "LogReader | str | Path",
+    t0: int,
+    t1: int,
+    whole_file: bool = False,
+) -> tuple[Columns, dict]:
+    """One verify + decode walk over a log file for window ``[t0, t1)``.
+
+    Every chunk is visited once, in index order.  A chunk whose time
+    envelope overlaps the window is decoded (framing, CRC, size, count vs
+    index) straight off the buffer into four preallocated int64 columns,
+    window-masked and clipped — no struct-record copy, and for an
+    uncompressed mmap'd file no payload copy either.  With
+    ``whole_file=True`` every other chunk is CRC-checked too (framing,
+    CRC, count vs index), so damage anywhere fails the file whatever the
+    window — the quarantine verdict — while each payload byte is still
+    CRC'd exactly once.  ``whole_file=False`` touches window chunks only.
+
+    *source* is a path — opened strict (a missing trailer raises
+    :class:`~repro.errors.LogTruncatedError`) and mmap'd for the walk — or
+    an already-open :class:`LogReader`, which stays open.  Damage raises a
+    :class:`~repro.errors.LogFormatError` subclass.
+
+    Returns ``(columns, stats)``: columns value-identical to
+    ``clip_records(reader.read_time_slice(t0, t1), t0, t1)`` pulled apart,
+    and a stats dict with the :data:`WALK_COUNTERS` plus ``seconds``.
     """
-
-    path: str
-    t0: int
-    t1: int
-    #: byte offsets of the chunks whose time envelope overlaps the window
-    chunk_offsets: tuple[int, ...]
-    #: declared record count across those chunks (upper bound on the slice)
-    n_records: int
-
-
-def read_slice_descriptor(descriptor: SliceDescriptor) -> LogRecordArray:
-    """Worker side of zero-copy dispatch: materialize a descriptor.
-
-    Maps the file, decodes only the listed chunks, and applies the window
-    mask — byte-identical to
-    :meth:`LogReader.read_time_slice` on the same file and window.
-    """
-    parts = []
-    with LogReader(descriptor.path, use_mmap=True) as reader:
-        for offset in descriptor.chunk_offsets:
-            image, _n, _next = read_chunk_at(
-                reader._buf, offset, reader.header.compressed
-            )
-            rec = records_from_bytes(image)
-            mask = (rec["start"] < descriptor.t1) & (rec["stop"] > descriptor.t0)
-            if mask.any():
-                parts.append(rec[mask])
-    if not parts:
-        return empty_records(0)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if t1 <= t0:
+        raise ValueError(f"empty time slice [{t0}, {t1})")
+    tic = time.perf_counter()
+    if isinstance(source, LogReader):
+        columns, stats = source._walk(t0, t1, whole_file)
+    else:
+        with LogReader(source, strict=True, use_mmap=True) as reader:
+            columns, stats = reader._walk(t0, t1, whole_file)
+    stats["seconds"] = time.perf_counter() - tic
+    return columns, stats
 
 
-def read_slice_columns(
-    descriptor: SliceDescriptor,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar twin of :func:`read_slice_descriptor` for the interval
-    kernel: ``(starts, stops, person, place)`` int64 columns, window-masked
-    and clipped to ``[t0, t1)``.
-
-    Value-identical to ``clip_records(read_slice_descriptor(d), t0, t1)``
-    pulled apart into columns, but built without materializing struct
-    records: each mmap'd chunk is viewed in place (``np.frombuffer``, no
-    payload copy for uncompressed files) and its fields are cast-copied
-    straight into four preallocated int64 columns — no per-chunk record
-    copies, no fancy-indexed struct gather, no final concatenate.  The
-    columns land exactly where :func:`~repro.core.intervals.
-    build_interval_pack_columns` wants them.
-    """
-    cap = descriptor.n_records
-    starts = np.empty(cap, dtype=np.int64)
-    stops = np.empty(cap, dtype=np.int64)
-    person = np.empty(cap, dtype=np.int64)
-    place = np.empty(cap, dtype=np.int64)
-    n = 0
-    with LogReader(descriptor.path, use_mmap=True) as reader:
-        for offset in descriptor.chunk_offsets:
-            image, _n, _next = read_chunk_at(
-                reader._buf, offset, reader.header.compressed
-            )
-            rec = np.frombuffer(image, dtype=LOG_DTYPE)
-            s, e = rec["start"], rec["stop"]
-            mask = (s < descriptor.t1) & (e > descriptor.t0)
-            if mask.all():
-                k = len(rec)
-            else:
-                idx = np.flatnonzero(mask)
-                k = len(idx)
-                if not k:
-                    continue
-                rec = rec[idx]
-                s, e = rec["start"], rec["stop"]
-            end = n + k
-            starts[n:end] = s
-            stops[n:end] = e
-            person[n:end] = rec["person"]
-            place[n:end] = rec["place"]
-            n = end
-    starts, stops = starts[:n], stops[:n]
-    np.maximum(starts, descriptor.t0, out=starts)
-    np.minimum(stops, descriptor.t1, out=stops)
-    return starts, stops, person[:n], place[:n]
+def publish_walk_stats(stats: dict | None) -> None:
+    """Emit one walk's counters through the active probe.  Called where the
+    stats land (the coordinator, for a pool task), once per file walk."""
+    if not stats:
+        return
+    probe = get_probe()
+    for name in WALK_COUNTERS:
+        probe.count(f"evlog.reader.{name}", stats[name])
 
 
 def scan_intact_chunks(
@@ -189,40 +209,45 @@ class LogReader:
         the right mode for the paper's multi-GB per-rank files, where a
         time-sliced read touches only the overlapping chunks' pages."""
         self.path = Path(path)
-        if use_mmap:
-            import mmap
-
-            with self.path.open("rb") as fh:
-                try:
-                    self._mmap = mmap.mmap(
-                        fh.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-                    self._buf: bytes | memoryview = memoryview(self._mmap)
-                except ValueError:  # zero-length file cannot be mapped
-                    self._mmap = None
-                    self._buf = b""
-        else:
-            self._mmap = None
-            self._buf = self.path.read_bytes()
-        self.header: EvlHeader = unpack_header(self._buf)
+        self._mmap = None
+        with self.path.open("rb") as fh:
+            st = os.fstat(fh.fileno())
+            #: which bytes this reader holds: ``(st_ino, st_size,
+            #: st_mtime_ns)`` at open — a later open of the same path that
+            #: reports another identity is reading a replaced file
+            self.identity = (st.st_ino, st.st_size, st.st_mtime_ns)
+            if use_mmap and st.st_size:  # a zero-length file cannot be mapped
+                self._mmap = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                self._buf: bytes | memoryview = memoryview(self._mmap)
+            else:
+                self._buf = fh.read()
         self.recovered = False
+        try:
+            self.header: EvlHeader = unpack_header(self._buf)
+            self.chunks: list[ChunkInfo] = self._read_index(strict)
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_index(self, strict: bool) -> list[ChunkInfo]:
         trailer = unpack_trailer(self._buf)
-        if trailer is not None:
-            index_offset, total = trailer
-            self.chunks: list[ChunkInfo] = unpack_index(self._buf, index_offset)
-            declared = sum(c.n_records for c in self.chunks)
-            if declared != total:
-                raise LogFormatError(
-                    f"{self.path}: index declares {declared} records, "
-                    f"trailer says {total}"
-                )
-        else:
+        if trailer is None:
             if strict:
                 raise LogTruncatedError(
                     f"{self.path} has no trailer (writer did not close)"
                 )
-            self.chunks = self._scan_chunks()
             self.recovered = True
+            chunks, _end = scan_intact_chunks(self._buf, self.header.compressed)
+            return chunks
+        index_offset, total = trailer
+        chunks = unpack_index(self._buf, index_offset)
+        declared = sum(c.n_records for c in chunks)
+        if declared != total:
+            raise LogFormatError(
+                f"{self.path}: index declares {declared} records, "
+                f"trailer says {total}"
+            )
+        return chunks
 
     def close(self) -> None:
         """Release the mmap (no-op for in-memory readers)."""
@@ -233,18 +258,24 @@ class LogReader:
             self._mmap.close()
             self._mmap = None
 
+    def rewritten_in_place(self) -> bool:
+        """True once the file behind this reader changed under it: same
+        inode, another size or mtime — a shared mapping then shows the new
+        bytes, which the parsed index no longer describes.  A file that
+        was unlinked, or replaced by a rename, leaves the held inode (and
+        this reader) intact."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        ino, size, mtime_ns = self.identity
+        return st.st_ino == ino and (st.st_size, st.st_mtime_ns) != (size, mtime_ns)
+
     def __enter__(self) -> "LogReader":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _scan_chunks(self) -> list[ChunkInfo]:
-        """Recover chunk locations by scanning forward from the header."""
-        chunks, _end = scan_intact_chunks(self._buf, self.header.compressed)
-        return chunks
 
     # -- basic properties ------------------------------------------------------
 
@@ -266,14 +297,58 @@ class LogReader:
 
     # -- reading ----------------------------------------------------------------
 
-    def _decode(self, chunk: ChunkInfo) -> LogRecordArray:
-        image, n, _ = read_chunk_at(self._buf, chunk.offset, self.header.compressed)
+    def _check_count(self, chunk: ChunkInfo, n: int) -> None:
         if n != chunk.n_records:
             raise LogFormatError(
                 f"{self.path}: chunk at {chunk.offset} holds {n} records, "
                 f"index says {chunk.n_records}"
             )
-        return records_from_bytes(image)
+
+    def _image(self, chunk: ChunkInfo) -> tuple[bytes | memoryview, int]:
+        """``(record image, next offset)`` of an indexed chunk, verified:
+        framing, CRC, size, and count vs index."""
+        image, n, end = read_chunk_at(
+            self._buf, chunk.offset, self.header.compressed
+        )
+        if n != chunk.n_records:
+            image = None  # a view on the mmap must not ride the traceback
+        self._check_count(chunk, n)
+        return image, end
+
+    def _decode(self, chunk: ChunkInfo) -> LogRecordArray:
+        return records_from_bytes(self._image(chunk)[0])
+
+    def _walk(self, t0: int, t1: int, whole_file: bool) -> tuple[Columns, dict]:
+        """The body of :func:`read_window_columns` on this reader's buffer."""
+        columns = _empty_columns(
+            sum(c.n_records for c in self.chunks if c.overlaps(t0, t1))
+        )
+        n = decoded = checked = records = bytes_crc = 0
+        for chunk in self.chunks:
+            if chunk.overlaps(t0, t1):
+                image, end = self._image(chunk)
+                # rec views the buffer (the mmap itself, for an
+                # uncompressed file): both names die before any close
+                rec = np.frombuffer(image, dtype=LOG_DTYPE)
+                n = _append_window(rec, t0, t1, columns, n)
+                del rec, image
+                decoded += 1
+                records += chunk.n_records
+            elif whole_file:
+                count, end = check_chunk_at(self._buf, chunk.offset)
+                self._check_count(chunk, count)
+                checked += 1
+            else:
+                continue
+            bytes_crc += end - chunk.offset - CHUNK_HEADER_BYTES
+        stats = {
+            "chunks_decoded": decoded,
+            "chunks_checked": checked,
+            "bytes_crc": bytes_crc,
+            "records_decoded": records,
+            "records_kept": n,
+        }
+        return _clip_columns(columns, n, t0, t1), stats
 
     def iter_chunks(self) -> Iterator[LogRecordArray]:
         """Yield each chunk's records in file order (bounded memory)."""
@@ -309,43 +384,19 @@ class LogReader:
         the chunk-pruning benchmark)."""
         return sum(1 for c in self.chunks if c.overlaps(t0, t1))
 
-    def slice_descriptor(self, t0: int, t1: int) -> SliceDescriptor:
-        """Describe the window's byte locations instead of reading them."""
-        if t1 <= t0:
-            raise ValueError(f"empty time slice [{t0}, {t1})")
-        overlapping = [c for c in self.chunks if c.overlaps(t0, t1)]
-        return SliceDescriptor(
-            path=str(self.path),
-            t0=int(t0),
-            t1=int(t1),
-            chunk_offsets=tuple(c.offset for c in overlapping),
-            n_records=sum(c.n_records for c in overlapping),
-        )
-
     # -- integrity ----------------------------------------------------------------
 
-    def check_crc(self, t0: int | None = None, t1: int | None = None) -> int:
-        """CRC-verify chunk framing without decoding payloads.
+    def check_crc(self) -> int:
+        """CRC-verify every chunk's framing without decoding payloads.
 
-        With a window, only chunks overlapping ``[t0, t1)`` are checked
-        (the chunks a strict sliced read would decode); without one, the
-        whole file.  Returns the number of chunks checked; raises on the
-        first damaged chunk.  This is the root-side integrity gate of
-        zero-copy dispatch — same failure classes as :meth:`verify`, at a
-        fraction of the cost.
+        Returns the number of chunks checked; raises on the first damaged
+        chunk — same failure classes as :meth:`verify`, at a fraction of
+        the cost.
         """
-        checked = 0
         for chunk in self.chunks:
-            if t0 is not None and t1 is not None and not chunk.overlaps(t0, t1):
-                continue
             n, _next = check_chunk_at(self._buf, chunk.offset)
-            if n != chunk.n_records:
-                raise LogFormatError(
-                    f"{self.path}: chunk at {chunk.offset} holds {n} records, "
-                    f"index says {chunk.n_records}"
-                )
-            checked += 1
-        return checked
+            self._check_count(chunk, n)
+        return len(self.chunks)
 
     def verify(self) -> int:
         """Decode every chunk, checking framing and CRCs end to end.

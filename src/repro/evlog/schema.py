@@ -105,4 +105,4 @@ def records_from_bytes(buf: bytes | memoryview) -> LogRecordArray:
             f"byte buffer of {len(buf)} bytes is not a whole number of "
             f"{RECORD_BYTES}-byte records"
         )
-    return np.frombuffer(bytes(buf), dtype=LOG_DTYPE).copy()
+    return np.frombuffer(buf, dtype=LOG_DTYPE).copy()

@@ -154,7 +154,6 @@ class ServiceConfig:
     cache_budget_nnz: int | None = None
     #: directory for persisted tiles (one subdirectory per cache)
     cache_dir: str | Path | None = None
-    dispatch: str = "value"
     strict: bool = False
     #: kernel backend for tile construction (see :mod:`repro.core.kernels`);
     #: bit-identical across choices, so persisted tiles remain valid
@@ -208,7 +207,6 @@ class ServiceConfig:
         from ..core.plan import SynthesisPlan
 
         return SynthesisPlan(
-            dispatch=self.dispatch,
             strict=self.strict,
             backend=self.backend,
             tile_hours=self.tile_hours,
@@ -607,7 +605,6 @@ class NetworkQueryService:
                     if cfg.cache_dir is not None
                     else None
                 ),
-                dispatch=cfg.dispatch,
                 strict=cfg.strict,
                 backend=cfg.backend,
             )
@@ -620,7 +617,6 @@ class NetworkQueryService:
                 tile_hours=cfg.tile_hours,
                 budget_nnz=cfg.cache_budget_nnz,
                 cache_dir=cfg.cache_dir,
-                dispatch=cfg.dispatch,
                 strict=cfg.strict,
                 kinds=[key],
                 backend=cfg.backend,

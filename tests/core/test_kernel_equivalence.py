@@ -1,13 +1,15 @@
-"""Equivalence contract between the two collocation kernels and the two
-dispatch modes.
+"""Equivalence contract between the two collocation kernels, and between
+the production record path and the by-value reference it replaced.
 
 The interval-overlap kernel (``kernel="intervals"``) and the paper's
 dense-hours kernel (``kernel="dense-hours"``) must produce **bit-identical**
 upper-triangular CSR adjacencies — same ``data``, ``indices`` and
 ``indptr`` — on any input, including the awkward ones: overlapping spells,
 re-entries, duplicate person/hour records, single-person places, and empty
-slices.  Likewise by-value and zero-copy dispatch must be indistinguishable
-in output, including through checkpoint/resume and quarantine paths.
+slices.  Likewise the per-file walk (production, "zero-copy") and the
+pre-change by-value body (``_reference_value_dispatch``, "value") must be
+indistinguishable in output, including through checkpoint/resume and
+quarantine paths.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ from repro.errors import LogCorruptError
 from repro.evlog import LogSet, make_records, write_rank_logs
 from repro.evlog.multifile import rank_log_path
 from tests._faults import FlakyPool, WorkerCrash
+from tests.core import _reference_value_dispatch as reference
+
+#: the collapsed dispatch axis: the pre-change by-value body against the
+#: one production path
+RECORD_PATHS = {
+    "value": reference.synthesize_from_logs,
+    "zero-copy": synthesize_from_logs,
+}
 
 N_PERSONS = 150
 N_PLACES = 50
@@ -188,7 +198,7 @@ class TestKernelBitIdentity:
 
 class TestShardIdentity:
     """The place-sharded path joins the bit-identity matrix: for any
-    kernel/dispatch single-process reference, the sharded reduce of the
+    kernel/record-path single-process reference, the sharded reduce of the
     same logs yields the same CSR triple (adjacency is additive over
     places; canonical CSRs sum canonically)."""
 
@@ -198,9 +208,8 @@ class TestShardIdentity:
         from repro.distrib.shardsynth import shard_synthesize
 
         logs = write_tricky_logs(tmp_path / "logs", seed=21)
-        single, _ = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel,
-            dispatch=dispatch,
+        single, _ = RECORD_PATHS[dispatch](
+            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
         )
         sharded, _ = shard_synthesize(
             logs, N_PERSONS, T0, T1, n_shards=3, strategy="refined"
@@ -209,18 +218,17 @@ class TestShardIdentity:
 
 
 class TestDispatchIdentity:
-    """By-value and zero-copy dispatch are output-indistinguishable."""
+    """The by-value reference and the production walk are
+    output-indistinguishable."""
 
     @pytest.mark.parametrize("kernel", ["dense-hours", "intervals"])
     def test_value_vs_zero_copy(self, tmp_path, kernel):
         logs = write_tricky_logs(tmp_path / "logs", seed=11)
-        val, rep_v = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel,
-            dispatch="value",
+        val, rep_v = reference.synthesize_from_logs(
+            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
         )
         zc, rep_z = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel,
-            dispatch="zero-copy",
+            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
         )
         assert csr_identical(val.adjacency, zc.adjacency)
         assert rep_v.n_records == rep_z.n_records
@@ -232,13 +240,12 @@ class TestDispatchIdentity:
         base, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         with ThreadPool(3) as pool:
             zc, _ = synthesize_from_logs(
-                logs, N_PERSONS, T0, T1, batch_size=2,
-                pool=pool, dispatch="zero-copy",
+                logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
             )
         assert csr_identical(base.adjacency, zc.adjacency)
 
     def test_zero_copy_ships_fewer_bytes(self, tmp_path):
-        """The point of descriptors: root→worker traffic shrinks from
+        """The point of shipping paths: root→worker traffic shrinks from
         O(records) to O(1) per task."""
         logs = write_tricky_logs(tmp_path / "logs", seed=13)
 
@@ -246,42 +253,28 @@ class TestDispatchIdentity:
             pool = SerialPool()
             pool.track_bytes = True
             try:
-                synthesize_from_logs(
-                    logs, N_PERSONS, T0, T1, batch_size=2,
-                    pool=pool, dispatch=dispatch,
+                RECORD_PATHS[dispatch](
+                    logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
                 )
             finally:
                 pool.close()
             return pool.bytes_shipped
 
-    # stage-2 inputs dominate: records by value vs ~100-byte descriptors
+        # stage-2 inputs dominate: records by value vs a path and a window
         assert shipped("zero-copy") < shipped("value")
-
-    def test_descriptor_matches_read_time_slice(self, tmp_path):
-        from repro.evlog.reader import LogReader, read_slice_descriptor
-
-        logs = write_tricky_logs(tmp_path / "logs", seed=14)
-        path = rank_log_path(logs, 0)
-        with LogReader(path, use_mmap=True) as reader:
-            desc = reader.slice_descriptor(T0, T1)
-            direct = reader.read_time_slice(T0, T1)
-        via_desc = read_slice_descriptor(desc)
-        assert np.array_equal(via_desc, direct)
-        # n_records counts the listed chunks' records — an upper bound on
-        # what survives the window mask
-        assert desc.n_records >= len(direct)
 
 
 class TestCrossConfigResume:
-    """A checkpoint written under one (kernel, dispatch) pair is valid under
-    any other — the digest deliberately excludes both, because outputs are
-    bit-identical."""
+    """A checkpoint written under one (kernel, record path) pair is valid
+    under any other — a checkpoint the pre-change by-value body wrote
+    resumes on the production path and the reverse — because the digest
+    deliberately excludes both: outputs are bit-identical."""
 
     @pytest.mark.parametrize(
         "first,second",
         [
             (("dense-hours", "value"), ("intervals", "zero-copy")),
-            (("intervals", "value"), ("dense-hours", "value")),
+            (("intervals", "value"), ("dense-hours", "zero-copy")),
             (("intervals", "zero-copy"), ("intervals", "value")),
         ],
     )
@@ -291,20 +284,19 @@ class TestCrossConfigResume:
 
         ckpt = tmp_path / "ckpt"
         k1, d1 = first
-        # die inside batch 2 (after one committed batch); zero-copy issues
-        # two maps per batch as well (descriptor build + adjacency)
+        # die inside batch 2 (after one committed batch); both record
+        # paths issue two maps per batch (unit build + adjacency)
         pool = FlakyPool(SerialPool(), die_on_calls={2})
         with pytest.raises(WorkerCrash):
-            synthesize_from_logs(
+            RECORD_PATHS[d1](
                 logs, N_PERSONS, T0, T1, batch_size=2,
-                pool=pool, checkpoint=ckpt, kernel=k1, dispatch=d1,
+                pool=pool, checkpoint=ckpt, kernel=k1,
             )
         pool.inner.close()
 
         k2, d2 = second
-        resumed, report = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2,
-            resume=ckpt, kernel=k2, dispatch=d2,
+        resumed, report = RECORD_PATHS[d2](
+            logs, N_PERSONS, T0, T1, batch_size=2, resume=ckpt, kernel=k2
         )
         assert report.resumed_batches == 1
         assert report.batches == 3
@@ -312,8 +304,9 @@ class TestCrossConfigResume:
 
 
 class TestQuarantineParity:
-    """Zero-copy's CRC-only scan quarantines exactly the files value-mode
-    quarantines, and the surviving network is identical."""
+    """The walk's one-CRC-per-byte verdict quarantines exactly the files
+    the by-value reference's verify-then-read quarantined, and the
+    surviving network is identical."""
 
     def _corrupt(self, path):
         blob = bytearray(path.read_bytes())
@@ -324,12 +317,10 @@ class TestQuarantineParity:
         logs = write_tricky_logs(tmp_path / "logs", seed=31)
         bad = rank_log_path(logs, 2)
         self._corrupt(bad)
-        val, rep_v = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, dispatch="value"
+        val, rep_v = reference.synthesize_from_logs(
+            logs, N_PERSONS, T0, T1, batch_size=2
         )
-        zc, rep_z = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, dispatch="zero-copy"
-        )
+        zc, rep_z = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         assert rep_v.quarantined == [str(bad)]
         assert rep_z.quarantined == [str(bad)]
         assert csr_identical(val.adjacency, zc.adjacency)
@@ -339,9 +330,8 @@ class TestQuarantineParity:
         logs = write_tricky_logs(tmp_path / "logs", seed=32)
         self._corrupt(rank_log_path(logs, 1))
         with pytest.raises(LogCorruptError):
-            synthesize_from_logs(
-                logs, N_PERSONS, T0, T1, batch_size=2,
-                strict=True, dispatch=dispatch,
+            RECORD_PATHS[dispatch](
+                logs, N_PERSONS, T0, T1, batch_size=2, strict=True
             )
 
 

@@ -43,7 +43,6 @@ class TestPlanValidation:
         "bad",
         [
             {"kernel": "quantum"},
-            {"dispatch": "carrier-pigeon"},
             {"backend": "cuda"},
             {"pool_kind": "fork-bomb"},
             {"batch_size": 0},
@@ -53,6 +52,13 @@ class TestPlanValidation:
     def test_invalid_knobs_raise_at_construction(self, bad):
         with pytest.raises(SynthesisError):
             SynthesisPlan(**bad)
+
+    def test_dispatch_knob_is_gone(self):
+        """One record path: there is nothing left to select."""
+        with pytest.raises(TypeError):
+            SynthesisPlan(dispatch="value")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            synthesize_from_logs(".", N_PERSONS, T0, T1, dispatch="zero-copy")
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -84,17 +90,14 @@ class TestPlanAuthority:
     def test_plan_equals_loose_kwargs(self, plan_logs):
         loose, _ = synthesize_from_logs(
             plan_logs, N_PERSONS, T0, T1,
-            kernel="dense-hours", dispatch="zero-copy", batch_size=3,
+            kernel="dense-hours", batch_size=3,
         )
-        plan = SynthesisPlan(
-            kernel="dense-hours", dispatch="zero-copy", batch_size=3
-        )
+        plan = SynthesisPlan(kernel="dense-hours", batch_size=3)
         via_plan, report = synthesize_from_logs(
             plan_logs, N_PERSONS, T0, T1, plan=plan
         )
         assert csr_identical(loose.adjacency, via_plan.adjacency)
         assert report.kernel == "dense-hours"
-        assert report.dispatch == "zero-copy"
 
     def test_plan_overrides_conflicting_kwargs(self, plan_logs):
         plan = SynthesisPlan(kernel="intervals")
@@ -122,10 +125,8 @@ class TestPlanAuthority:
         assert csr_identical(net.adjacency, ref.adjacency)
 
     def test_streaming_accepts_plan(self, plan_logs):
-        plan = SynthesisPlan(dispatch="zero-copy", batch_size=2)
-        ref = StreamingSynthesizer(
-            N_PERSONS, interval_hours=48, dispatch="zero-copy", batch_size=2
-        )
+        plan = SynthesisPlan(batch_size=2)
+        ref = StreamingSynthesizer(N_PERSONS, interval_hours=48, batch_size=2)
         via = StreamingSynthesizer(N_PERSONS, interval_hours=48, plan=plan)
         a = ref.process(plan_logs, 2)
         b = via.process(plan_logs, 2)

@@ -123,9 +123,7 @@ class TestEquivalence:
             assert_bit_identical(net.adjacency, ref.adjacency)
 
     def test_zero_copy_dispatch(self, tile_logs, small_pop):
-        with TileCache(
-            tile_logs, small_pop.n_persons, dispatch="zero-copy"
-        ) as cache:
+        with TileCache(tile_logs, small_pop.n_persons) as cache:
             net = cache.query_window(5, 300)
             ref = direct(tile_logs, small_pop.n_persons, 5, 300)
             assert_bit_identical(net.adjacency, ref.adjacency)
@@ -134,11 +132,35 @@ class TestEquivalence:
         pool = make_pool("process", 2)
         try:
             with TileCache(
-                tile_logs, small_pop.n_persons, pool=pool,
-                dispatch="zero-copy",
+                tile_logs, small_pop.n_persons, pool=pool
             ) as cache:
                 net = cache.query_window(10, 200)
             ref = direct(tile_logs, small_pop.n_persons, 10, 200)
+            assert_bit_identical(net.adjacency, ref.adjacency)
+        finally:
+            pool.close()
+
+    def test_process_pool_refuses_a_swapped_file(
+        self, tile_logs, small_pop, tmp_path
+    ):
+        """Pool processes cannot share the cache's readers; they reopen the
+        path and must refuse a file that is not the one the cache digested
+        — while an in-process pool keeps answering from the held inode."""
+        import shutil
+
+        logs = tmp_path / "logs"
+        shutil.copytree(tile_logs, logs)
+        ref = direct(logs, small_pop.n_persons, 0, 48)
+        pool = make_pool("process", 2)
+        try:
+            with TileCache(logs, small_pop.n_persons, pool=pool) as forked:
+                with TileCache(logs, small_pop.n_persons) as held:
+                    swapped = tmp_path / "swap.evl"
+                    shutil.copy(logs / "rank_0002.evl", swapped)
+                    swapped.replace(logs / "rank_0001.evl")
+                    with pytest.raises(TileCacheError, match="replaced"):
+                        forked.query_window(0, 48)
+                    net = held.query_window(0, 48)
             assert_bit_identical(net.adjacency, ref.adjacency)
         finally:
             pool.close()
@@ -469,8 +491,8 @@ class TestErrors:
             TileCache(tile_logs, 0)
         with pytest.raises(TileCacheError):
             TileCache(tile_logs, 100, tile_hours=0)
-        with pytest.raises(SynthesisError):
-            TileCache(tile_logs, 100, dispatch="carrier-pigeon")
+        with pytest.raises(TypeError):
+            TileCache(tile_logs, 100, dispatch="zero-copy")
 
     def test_closed_cache_rejected(self, tile_logs, small_pop):
         cache = TileCache(tile_logs, small_pop.n_persons)

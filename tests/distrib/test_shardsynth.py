@@ -270,15 +270,12 @@ class TestShardedTileCache:
             assert cache.pool.n_workers == 3
 
     def test_plan_object_supplies_knobs(self, shard_logs, tmp_path, cache_plan):
-        plan = SynthesisPlan(
-            tile_hours=12, dispatch="zero-copy",
-            cache_dir=tmp_path / "tiles",
-        )
+        plan = SynthesisPlan(tile_hours=12, cache_dir=tmp_path / "tiles")
         with ShardedTileCache(
             shard_logs, N_PERSONS, cache_plan, plan=plan
         ) as cache:
             cache.query_window(T0, T0 + 24)
-            assert cache.dispatch == "zero-copy"
+            assert cache.shards[0].tile_hours == 12
         assert (tmp_path / "tiles" / "shard_000").exists()
 
     def test_misaligned_place_mask_rejected(self, shard_logs, cache_plan):

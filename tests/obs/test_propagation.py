@@ -1,7 +1,7 @@
 """Trace propagation across process-pool workers.
 
-The contract: one ``synthesize_from_logs`` call under zero-copy
-multiprocessing dispatch yields ONE connected span tree — the root
+The contract: one ``synthesize_from_logs`` call over a process pool
+yields ONE connected span tree — the root
 ``synthesize`` span, its per-batch ``batch`` spans, and the
 ``worker.build`` spans that actually ran in pool worker *processes*,
 re-attached via the captured-spans channel in the task payload."""
@@ -61,7 +61,7 @@ class TestProcessPoolPropagation:
         with ProcessPool(2) as pool:
             net, report = synthesize_from_logs(
                 prop_logs, small_pop.n_persons, 0, 48,
-                pool=pool, dispatch="zero-copy", batch_size=1,
+                pool=pool, batch_size=1,
             )
         assert net.n_edges > 0
 
@@ -75,7 +75,6 @@ class TestProcessPoolPropagation:
         tree = run_traces[0]
         root = assert_connected_tree(tree)
         assert root["name"] == "synthesize"
-        assert root["attrs"]["dispatch"] == "zero-copy"
 
         names = [s["name"] for s in tree]
         batches = [s for s in tree if s["name"] == "batch"]
@@ -93,14 +92,13 @@ class TestProcessPoolPropagation:
     def test_value_dispatch_also_connects_worker_stage_spans(
         self, prop_logs, small_pop
     ):
-        # by-value dispatch runs pack/adjacency tasks in workers too;
-        # whatever spans exist must still form one connected tree
+        # default arguments (one batch): pack/adjacency tasks run in
+        # workers; whatever spans exist must still form one connected tree
         collector = get_collector()
         collector.drain()
         with ProcessPool(2) as pool:
             synthesize_from_logs(
-                prop_logs, small_pop.n_persons, 0, 48,
-                pool=pool, dispatch="value",
+                prop_logs, small_pop.n_persons, 0, 48, pool=pool,
             )
         spans = collector.drain()
         run_traces = [
@@ -115,8 +113,7 @@ class TestProcessPoolPropagation:
     ):
         with ProcessPool(2) as pool:
             _net, report = synthesize_from_logs(
-                prop_logs, small_pop.n_persons, 0, 48,
-                pool=pool, dispatch="zero-copy",
+                prop_logs, small_pop.n_persons, 0, 48, pool=pool,
             )
         # per-stage kernel clocks ticked inside worker processes and were
         # absorbed at the root

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from repro.core import synthesize_from_logs
 from repro.errors import FrameError, ServiceError
+from repro.evlog import CachedLogWriter, LogReader
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
 from repro.service.protocol import encode_csr, read_frame, write_frame
 
@@ -313,6 +314,61 @@ class TestReloadInFlight:
         )
         assert_bit_identical(net_new.adjacency, ref_new.adjacency)
         assert net_new.total_weight < net_old.total_weight
+
+    def test_rank_file_rewritten_in_place_while_query_in_flight(
+        self, service_logs, small_pop, tmp_path
+    ):
+        """The nasty reload: same path, same inode, same size, other
+        records — a held mapping shows the new bytes and, chunk offsets
+        being equal, they would pass every CRC.  The old handle must
+        answer from the bytes it digested or fail typed; it must never
+        serve a tile of the new bytes under the old digest."""
+        log_dir = tmp_path / "logs"
+        shutil.copytree(service_logs, log_dir)
+        ref_old, _ = synthesize_from_logs(log_dir, small_pop.n_persons, 24, 192)
+        victim = log_dir / "rank_0001.evl"
+        with LogReader(victim) as reader:
+            rec = reader.read_all()
+            chunk = reader.chunks[0].n_records
+        rec["person"] = (rec["person"] + 1) % small_pop.n_persons
+        rewritten = tmp_path / "rewritten.evl"
+        with CachedLogWriter(rewritten, rank=1, cache_records=chunk) as w:
+            w.log_batch(rec)
+        new_bytes = rewritten.read_bytes()
+        assert len(new_bytes) == victim.stat().st_size
+
+        async def scenario():
+            svc = make_service(
+                log_dir, small_pop, prefetch_tiles=0, executor_threads=2
+            )
+            async with svc:
+                old_handle = svc._handles["full"]
+                gate = _Gate(old_handle)
+                async with ServiceClient(port=svc.port) as a:
+                    async with ServiceClient(port=svc.port) as b:
+                        inflight = asyncio.create_task(a.query_window(24, 192))
+                        await wait_for(gate.started.is_set)
+                        with victim.open("r+b") as fh:  # no truncate: the
+                            fh.write(new_bytes)  # mapping stays backed
+                        resp = await b.reload()
+                        assert resp["reloaded"] is True
+                        gate.release.set()
+                        try:
+                            net_old = await inflight
+                        except ServiceError as exc:
+                            net_old = exc
+                        net_new = await b.query_window(24, 192)
+                return net_old, net_new
+
+        net_old, net_new = asyncio.run(scenario())
+        ref_new, _ = synthesize_from_logs(log_dir, small_pop.n_persons, 24, 192)
+        assert_bit_identical(net_new.adjacency, ref_new.adjacency)
+        assert (ref_new.adjacency != ref_old.adjacency).nnz  # really changed
+        if isinstance(net_old, ServiceError):
+            assert net_old.code == "bad-request"
+            assert "rewritten under a live tile cache" in str(net_old)
+        else:
+            assert_bit_identical(net_old.adjacency, ref_old.adjacency)
 
 
 class TestGracefulShutdown:

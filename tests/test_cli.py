@@ -176,6 +176,43 @@ class TestFaultToleranceFlags:
             main(["synthesize", "--log-dir", str(damaged), "--strict",
                   "--population", str(world), "--out", str(out)])
 
+    def test_strict_refuses_a_trailerless_file_typed(self, workspace, tmp_path):
+        """--strict means the same thing for every kind of damage: a file a
+        killed writer left without a trailer raises its own typed error —
+        not silently recovered, not a TaskRetryError from the CLI's
+        retrying pool."""
+        import shutil
+
+        from repro.errors import LogTruncatedError
+
+        _, world, logs, _ = workspace
+        torn = tmp_path / "torn_logs"
+        shutil.copytree(logs, torn)
+        victim = torn / "rank_0001.evl"
+        victim.write_bytes(victim.read_bytes()[:-7])
+        out = tmp_path / "s.net.npz"
+        for pool in ("serial", "process"):
+            with pytest.raises(LogTruncatedError):
+                main(["synthesize", "--log-dir", str(torn), "--strict",
+                      "--pool", pool, "--workers", "2",
+                      "--population", str(world), "--out", str(out)])
+        assert main(["synthesize", "--log-dir", str(torn),
+                     "--population", str(world), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["synthesize", "--out", "x.npz"], ["query", "--window", "0", "24"],
+         ["serve"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_dispatch_flag_is_gone(self, workspace, command, capsys):
+        _, world, logs, _ = workspace
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--log-dir", str(logs), "--population", str(world),
+                  "--dispatch", "value"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --dispatch" in capsys.readouterr().err
+
     def test_retrying_thread_pool(self, workspace, tmp_path):
         _, world, logs, _ = workspace
         out = tmp_path / "t.net.npz"
