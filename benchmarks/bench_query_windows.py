@@ -118,7 +118,7 @@ def run_bench() -> dict:
             for i, (t0, t1) in enumerate(requests):
                 net, _ = repro.synthesize_from_logs(
                     logs, pop.n_persons, t0, t1,
-                    batch_size=BATCH_SIZE, kernel="intervals",
+                    batch_size=BATCH_SIZE,
                 )
                 if round_no == 0 and i < len(windows):
                     cold_nets.append(net)

@@ -276,7 +276,7 @@ def run_bench() -> dict:
         tic = time.perf_counter()
         for t0, t1 in windows:
             net, _ = repro.synthesize_from_logs(
-                log_dir, pop.n_persons, t0, t1, kernel="intervals"
+                log_dir, pop.n_persons, t0, t1
             )
             cold_refs[(t0, t1)] = net
         cold_seconds = time.perf_counter() - tic

@@ -130,7 +130,7 @@ def run_bench() -> dict:
 
         tic = time.perf_counter()
         reference, ref_report = repro.synthesize_from_logs(
-            logs, pop.n_persons, t0, t1, kernel="intervals"
+            logs, pop.n_persons, t0, t1
         )
         single_seconds = time.perf_counter() - tic
 

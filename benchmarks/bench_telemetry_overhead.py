@@ -69,8 +69,7 @@ def one_call(log_dir: Path, n_persons: int) -> float:
     """Wall seconds for one full-week synthesis call."""
     tic = time.perf_counter()
     repro.synthesize_from_logs(
-        log_dir, n_persons, 0, WEEKS * repro.HOURS_PER_WEEK,
-        kernel="intervals",
+        log_dir, n_persons, 0, WEEKS * repro.HOURS_PER_WEEK
     )
     return time.perf_counter() - tic
 

@@ -65,7 +65,6 @@ from .distrib import (
 from .evlog import CachedLogWriter, LogReader, LogSet
 from .core import (
     CollocationNetwork,
-    SynthesisPlan,
     SynthesisReport,
     TileCache,
     query_window,
@@ -133,7 +132,6 @@ __all__ = [
     "LogSet",
     # synthesis
     "CollocationNetwork",
-    "SynthesisPlan",
     "SynthesisReport",
     "TileCache",
     "query_window",

@@ -45,6 +45,8 @@ from . import (
     summarize,
     synthesize_from_logs,
 )
+from .core.pipeline import check_batch_size
+from .errors import PartitionError, SynthesisError
 from .evlog import salvage_rank_logs
 from .analysis import (
     age_group_degree_distributions,
@@ -150,27 +152,14 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
-    from .core.plan import SynthesisPlan
     from .distrib.shardsynth import shard_synthesize
 
-    if args.kernel != "intervals":
-        print(
-            "error: --shards requires the intervals kernel "
-            f"(got --kernel {args.kernel})",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint is not None or args.resume is not None:
         print(
             "error: --checkpoint/--resume are not supported with --shards",
             file=sys.stderr,
         )
         return 2
-    plan = SynthesisPlan(
-        kernel="intervals",
-        backend=args.backend,
-        strict=args.strict,
-    )
     net, report = shard_synthesize(
         args.log_dir,
         pop.n_persons,
@@ -178,7 +167,7 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
         t1,
         n_shards=args.shards,
         strategy=args.partition,
-        plan=plan,
+        strict=args.strict,
         coords=pop.places.coords(),
     )
     print(report.summary())
@@ -200,13 +189,18 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _synthesize_sharded(args, pop, t0, t1)
     pool = None
-    if args.pool != "serial" or args.retries > 1:
-        retry = None
-        if args.retries > 1:
-            retry = RetryPolicy(
-                max_attempts=args.retries, base_delay=args.retry_delay
-            )
-        pool = make_pool(args.pool, args.workers, retry=retry)
+    try:
+        check_batch_size(args.batch_size)
+        if args.pool != "serial" or args.retries > 1:
+            retry = None
+            if args.retries > 1:
+                retry = RetryPolicy(
+                    max_attempts=args.retries, base_delay=args.retry_delay
+                )
+            pool = make_pool(args.pool, args.workers, retry=retry)
+    except (SynthesisError, PartitionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     probe = None
     profile_cm: "object" = nullcontext()
     if args.profile:
@@ -214,16 +208,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
         probe = CollectingProbe()
         profile_cm = push_probe(probe)
-    from .core.plan import SynthesisPlan
-
-    plan = SynthesisPlan(
-        kernel=args.kernel,
-        backend=args.backend,
-        batch_size=args.batch_size,
-        strict=args.strict,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-    )
     try:
         with profile_cm:
             net, report = synthesize_from_logs(
@@ -231,8 +215,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                 pop.n_persons,
                 t0,
                 t1,
+                batch_size=args.batch_size,
                 pool=pool,
-                plan=plan,
+                strict=args.strict,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
             )
     finally:
         if pool is not None:
@@ -240,8 +227,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if probe is not None:
         from .core.kernels import backend_info
 
-        info = backend_info()
-        print("--- kernel backend ---")
+        info = {"impl": report.impl, **backend_info()}
+        print("--- kernel implementation ---")
         for key, value in info.items():
             print(f"  {key:>14}: {value}")
         print("\n--- profile ---")
@@ -258,7 +245,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         prof_path = Path(args.out).with_suffix(".profile.json")
         prof_path.write_text(
             json.dumps(
-                {"backend": info, **probe.to_dict()},
+                {**info, **probe.to_dict()},
                 indent=2,
                 sort_keys=True,
                 default=str,
@@ -294,7 +281,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         pool=pool,
         strict=args.strict,
-        backend=args.backend,
     )
     try:
         if cache.quarantined:
@@ -401,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_budget_nnz=args.budget_nnz,
         cache_dir=args.cache_dir,
         strict=args.strict,
-        backend=args.backend,
         tenant_budget_nnz=args.tenant_budget_nnz,
         executor_threads=args.threads,
         prefetch_tiles=args.prefetch,
@@ -628,21 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="base backoff before the first retry, seconds",
     )
     p.add_argument(
-        "--kernel", choices=["intervals", "dense-hours"], default="intervals",
-        help="collocation kernel: interval-overlap (default, window-length "
-        "independent) or the paper's per-hour expansion; outputs are "
-        "bit-identical",
-    )
-    p.add_argument(
-        "--backend", choices=["auto", "scipy", "masked"], default="auto",
-        help="kernel backend: compiled masked-triangular SpGEMM (masked), "
-        "the scipy reference, or whichever is available (auto); outputs "
-        "are bit-identical",
-    )
-    p.add_argument(
         "--profile", action="store_true",
-        help="print the resolved kernel backend and per-stage kernel "
-        "timings alongside the synthesis report",
+        help="print which kernel implementation ran (C extension or "
+        "numpy/scipy twin) and per-stage kernel timings alongside the "
+        "synthesis report",
     )
     p.add_argument(
         "--strict", action="store_true",
@@ -705,10 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(
-        "--backend", choices=["auto", "scipy", "masked"], default="auto",
-        help="kernel backend for tile construction (bit-identical outputs)",
-    )
-    p.add_argument(
         "--strict", action="store_true",
         help="fail on the first damaged log file instead of quarantining it",
     )
@@ -738,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist tiles under DIR (one subdirectory per cache)",
-    )
-    p.add_argument(
-        "--backend", choices=["auto", "scipy", "masked"], default="auto",
-        help="kernel backend for tile construction (bit-identical outputs)",
     )
     p.add_argument("--strict", action="store_true")
     p.add_argument(

@@ -4,16 +4,20 @@ From event-log records to a person collocation network (paper Section IV):
 
 1. **time slicing** (:mod:`repro.core.slicing`) — subset log records to the
    analysis window, clipping activity intervals;
-2. **collocation matrices** (:mod:`repro.core.colloc`) — per place, a
-   sparse binary ``p × t`` matrix *x* marking which person was present at
-   which hour;
-3. **load balancing** (:mod:`repro.core.balance`) — partition the matrix
-   list across workers by nonzero count, "crucial to achieve even load
+2. **collocation matrices** — per place, a sparse binary matrix *x*
+   marking who was present when.  Production builds it over elementary
+   segments, many places to an :class:`~repro.core.intervals.IntervalPack`
+   (:mod:`repro.core.intervals`); the paper's per-hour ``p × t`` form
+   (:mod:`repro.core.colloc`) is the primitive of the test-side oracle;
+3. **load balancing** (:mod:`repro.core.balance`) — partition places
+   across workers by pairwise work, "crucial to achieve even load
    balancing" because place sizes "range from a single individual to tens
    of thousands";
-4. **adjacency matrices** (:mod:`repro.core.adjacency`) — per place,
-   ``A_l = x·xᵀ``; the weighted network is ``A = Σ_l A_l``, stored upper
-   triangular (the graph is undirected);
+4. **adjacency matrices** — per place, ``A_l = x·xᵀ``; the weighted
+   network is ``A = Σ_l A_l``, stored upper triangular (the graph is
+   undirected): :func:`~repro.core.intervals.sum_pack_adjacency` in
+   production, :mod:`repro.core.adjacency` for the oracle and the
+   accumulation both share;
 5. **pipeline** (:mod:`repro.core.pipeline`) — the orchestration, serial
    or over a :mod:`repro.distrib.taskpool` worker pool, with the paper's
    independent per-batch log-file processing;
@@ -40,7 +44,6 @@ from .pipeline import (
     checkpoint_digest,
     load_checkpoint_manifest,
 )
-from .plan import DEFAULT_PLAN, SynthesisPlan
 from .streaming import StreamingSynthesizer, WeeklyNetworkSeries
 from .tilecache import TileCache, TileCacheStats, query_window
 from .bsp_pipeline import (
@@ -73,8 +76,6 @@ __all__ = [
     "accumulate_adjacency",
     "triu_symmetrize",
     "CollocationNetwork",
-    "SynthesisPlan",
-    "DEFAULT_PLAN",
     "SynthesisReport",
     "synthesize_network",
     "synthesize_from_logs",

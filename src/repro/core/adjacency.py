@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from ..errors import SynthesisError
 from .colloc import CollocationMatrix
-from .kernels import kernel_stage, resolve_backend
+from .kernels import kernel_stage
 
 __all__ = [
     "place_adjacency",
@@ -154,39 +154,18 @@ def pattern_degrees(upper: sp.csr_matrix) -> np.ndarray:
 def sum_adjacency_list(
     matrices: Sequence[CollocationMatrix],
     n_persons: int,
-    backend: str | None = None,
 ) -> sp.csr_matrix:
     """A worker's job: ``Σ place_adjacency(x)`` over its matrix share.
 
     "Each worker finally sums the set of adjacency matrices it has created
     and returns a single adjacency matrix to the root process."
 
-    Under the ``masked`` backend the per-place products run in the
-    compiled masked-triangular SpGEMM: collocation matrices are binary
-    (one nonzero per person-hour), so ``x·xᵀ`` is the weighted pattern
-    product with unit column weights.
+    Scipy only: this is the oracle's arithmetic and shares none with the
+    interval-pack product (:func:`~repro.core.intervals.sum_pack_adjacency`).
     """
     live = [m for m in matrices if m.matrix.nnz]
     if not live:
         return empty_adjacency(n_persons)
-    if resolve_backend(backend) == "masked":
-        for m in live:
-            if m.persons.size and int(m.persons.max()) >= n_persons:
-                raise SynthesisError(
-                    "collocation matrix references person outside population"
-                )
-        from .kernels.masked import sum_shares_adjacency
-
-        ones = np.ones(max(m.matrix.shape[1] for m in live), dtype=np.int64)
-        out = sum_shares_adjacency(
-            [
-                (m.matrix, ones[: m.matrix.shape[1]], m.persons.astype(np.int64))
-                for m in live
-            ],
-            n_persons,
-        )
-        if out is not None:
-            return out
     with kernel_stage("spgemm"):
         parts = [place_adjacency(m, n_persons) for m in live]
     with kernel_stage("accumulate"):

@@ -11,10 +11,10 @@ Here every stage is an explicit collective on a
 
 1. the root slices and groups records, then **scatters** per-place record
    groups across ranks (record-count balanced);
-2. ranks build their collocation matrices locally;
-3. ranks **allgather** per-matrix nnz, compute the LPT assignment
-   redundantly, and **exchange matrices all-to-all** so each rank ends up
-   with its nnz-balanced share — the paper's "collocation matrix list
+2. ranks build their per-place interval packs locally;
+3. ranks **allgather** per-pack pairwise work, compute the LPT assignment
+   redundantly, and **exchange packs all-to-all** so each rank ends up
+   with its work-balanced share — the paper's "collocation matrix list
    partitioning" step made visible as real communication;
 4. ranks compute and sum their ``x·xᵀ`` share and the root **reduces**
    the partial adjacencies.
@@ -36,14 +36,12 @@ from ..distrib.simcluster import SimCluster
 from ..errors import SynthesisError
 from ..evlog.multifile import LogSet, try_read_time_slice
 from ..evlog.schema import LogRecordArray
-from .adjacency import accumulate_adjacency, sum_adjacency_list
+from .adjacency import accumulate_adjacency
 from .balance import lpt_partition
-from .colloc import CollocationMatrix, collocation_matrix_for_place
 from .intervals import interval_pack_for_place, sum_pack_adjacency
 from ..obs import get_probe, start_span
-from .kernels import resolve_backend
 from .network import CollocationNetwork
-from .pipeline import _check_kernel
+from .pipeline import check_batch_size
 from .slicing import records_by_place, slice_records
 
 __all__ = [
@@ -93,25 +91,17 @@ def synthesize_network_bsp(
     t0: int,
     t1: int,
     n_ranks: int,
-    kernel: str = "intervals",
-    backend: str | None = None,
 ) -> BspSynthesisResult:
     """Synthesize the collocation network on a simulated MPI cluster.
 
-    ``kernel`` selects the collocation unit each rank builds in stage 2 —
-    per-place interval packs (default) or per-place dense-hour matrices —
-    and the matching stage-3 balancing weight (pairwise work / presence
-    nnz).  ``backend`` selects the stage-4 arithmetic (see
-    :mod:`repro.core.kernels`); it is resolved once here so every rank
-    runs the same concrete backend.  Output is bit-identical across
-    kernels and backends and to the task-pool pipeline.
+    Each rank builds per-place interval packs in stage 2, balanced by
+    pairwise work in stage 3.  Output is bit-identical to the task-pool
+    pipeline.
     """
     if n_persons <= 0:
         raise SynthesisError("n_persons must be positive")
     if n_ranks < 1:
         raise SynthesisError("need at least one rank")
-    _check_kernel(kernel)
-    backend = resolve_backend(backend)
 
     def rank_fn(comm: Communicator):
         rank = comm.rank
@@ -132,17 +122,11 @@ def synthesize_network_bsp(
         if my_groups is None:
             my_groups = []
 
-        # --- stage 2: local collocation units ------------------------------
-        if kernel == "intervals":
-            matrices = [
-                interval_pack_for_place(place, recs, t0, t1)
-                for place, recs in my_groups
-            ]
-        else:
-            matrices = [
-                collocation_matrix_for_place(place, recs, t0, t1)
-                for place, recs in my_groups
-            ]
+        # --- stage 2: local interval packs ---------------------------------
+        matrices = [
+            interval_pack_for_place(place, recs, t0, t1)
+            for place, recs in my_groups
+        ]
 
         # --- stage 3: work-balanced redistribution -------------------------
         local_nnz = np.array([m.work for m in matrices], dtype=np.int64)
@@ -181,17 +165,11 @@ def synthesize_network_bsp(
                 my_share.extend(part)
 
         # --- stage 4: adjacency + reduction --------------------------------
-        if kernel == "intervals":
-            partial = sum_pack_adjacency(my_share, n_persons, backend=backend)
-        else:
-            partial = sum_adjacency_list(my_share, n_persons, backend=backend)
+        partial = sum_pack_adjacency(my_share, n_persons)
         total = comm.reduce_with(partial, lambda a, b: a + b, root=0)
         return total, len(matrices), moved
 
-    with start_span(
-        "synthesize_bsp",
-        attrs={"kernel": kernel, "backend": backend, "ranks": n_ranks},
-    ) as span:
+    with start_span("synthesize_bsp", attrs={"ranks": n_ranks}) as span:
         cluster = SimCluster(n_ranks)
         result = cluster.run(rank_fn)
         span.set_attr("bytes_sent", result.total_traffic.bytes_sent)
@@ -223,10 +201,7 @@ def synthesize_from_logs_bsp(
     n_ranks: int,
     batch_size: int = 16,
     strict: bool = False,
-    kernel: str = "intervals",
     cache=None,
-    backend: str | None = None,
-    plan=None,
 ) -> BspSynthesisResult:
     """Batched from-logs synthesis on the simulated MPI cluster.
 
@@ -236,23 +211,14 @@ def synthesize_from_logs_bsp(
     the task-pool pipeline unless ``strict=True``.
 
     With a :class:`~repro.core.tilecache.TileCache`, the window is served
-    from cached tiles (bit-identical, interval kernel only) and no cluster
+    from cached tiles (bit-identical) and no cluster
     communication happens at all — the zero-traffic result shows what the
     cache saves over a full BSP re-synthesis.
     """
     from ..evlog.reader import LogReader
 
-    if plan is not None:
-        # the plan is authoritative for the synthesis knobs
-        kernel = plan.kernel
-        backend = plan.backend
-        batch_size = plan.batch_size
-        strict = plan.strict
+    check_batch_size(batch_size)
     if cache is not None:
-        if kernel != "intervals":
-            raise SynthesisError(
-                "the tile cache serves interval-kernel synthesis only"
-            )
         if cache.n_persons != n_persons:
             raise SynthesisError(
                 f"cache population {cache.n_persons} != requested {n_persons}"
@@ -290,9 +256,7 @@ def synthesize_from_logs_bsp(
         if not parts:
             continue
         records = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        result = synthesize_network_bsp(
-            records, n_persons, t0, t1, n_ranks, kernel=kernel, backend=backend
-        )
+        result = synthesize_network_bsp(records, n_persons, t0, t1, n_ranks)
         network = (
             result.network if network is None else network + result.network
         )

@@ -1,10 +1,11 @@
-"""Interval-overlap collocation kernel.
+"""The interval pack: how records become an adjacency.
 
-The legacy kernel (:mod:`repro.core.colloc`) materializes one presence
-nonzero per *person-hour*: a record ``[start, stop)`` costs ``stop-start``
-matrix entries, so the same log records cost ~28x more to process over a
-4-week window than over a 1-day window.  This module computes pairwise
-collocated hours directly from the ``[start, stop)`` spells instead:
+The paper's per-hour formulation (:mod:`repro.core.colloc`, kept as the
+test-side oracle) materializes one presence nonzero per *person-hour*: a
+record ``[start, stop)`` costs ``stop-start`` matrix entries, so the same
+log records cost ~28x more to process over a 4-week window than over a
+1-day window.  This module computes pairwise collocated hours directly
+from the ``[start, stop)`` spells instead:
 
 * per place, the union of all record start/stop times defines **elementary
   segments** — maximal intervals during which the set of present persons
@@ -12,9 +13,9 @@ collocated hours directly from the ``[start, stop)`` spells instead:
   binary ``persons x segments`` matrix ``Y`` whose column count is bounded
   by ``2 x records`` (and by the window length), never by the window alone;
 * pairwise collocated hours are ``A = (Y . diag(seg_len)) . Y^T`` — the
-  per-hour matrix product of the legacy kernel with all hours during which
+  per-hour matrix product of the oracle with all hours during which
   nothing changes coalesced into a single weighted column.  The result is
-  **bit-for-bit identical** to the legacy kernel's ``x . x^T`` because both
+  **bit-for-bit identical** to the oracle's ``x . x^T`` because both
   count the same integer person-hours.
 
 Complexity drops from O(person-hours) to O(records + pair overlaps),
@@ -24,8 +25,14 @@ The unit of work is an :class:`IntervalPack` covering *many* places at
 once: columns of all places live side by side in one sparse matrix
 (cross-place products are structurally zero, so one matmul equals the sum
 of per-place products).  This removes the per-place Python/scipy call
-overhead that dominates the legacy kernel at realistic place counts —
-building, balancing, and multiplying are all vectorized across places.
+overhead that dominates the per-hour formulation at realistic place
+counts — building, balancing, and multiplying are all vectorized across
+places.
+
+Both steps — records to pack, pack to adjacency — run one way: the C
+kernel (:mod:`repro.core.kernels.masked`) when the extension loaded and
+the input fits its layout, else the numpy/scipy body right below the
+call, bit-identically.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from ..errors import SynthesisError
 from ..evlog.schema import LOG_DTYPE, LogRecordArray
 from .adjacency import accumulate_adjacency, empty_adjacency
 from .colloc import _expand_intervals
-from .kernels import resolve_backend
-from .kernels.workspace import kernel_stage
+from .kernels.masked import build_pack_arrays, sum_shares_adjacency
+from .kernels.workspace import count_twin, kernel_stage
 
 __all__ = [
     "IntervalPack",
@@ -72,7 +79,7 @@ class IntervalPack:
         ``sum(col_count^2)`` over its segments — the LPT balancing weight.
     place_hours:
         per place, total person-hours of presence (report bookkeeping;
-        equals the legacy kernel's presence nnz for the place).
+        equals the per-hour formulation's presence nnz for the place).
     col_place, col_start, col_weight:
         per matrix column: owning place id, absolute segment start hour,
         and segment length in hours.  Columns are ordered by
@@ -113,7 +120,7 @@ class IntervalPack:
 
     @property
     def person_hours(self) -> int:
-        """Total person-hours of presence (= legacy presence nnz)."""
+        """Total person-hours of presence (= per-hour presence nnz)."""
         return int(self.place_hours.sum())
 
     @property
@@ -191,7 +198,7 @@ def _finish_pack(
 
 
 def build_interval_pack(
-    records: LogRecordArray, t0: int, t1: int, backend: str | None = None
+    records: LogRecordArray, t0: int, t1: int
 ) -> IntervalPack:
     """:func:`build_interval_pack_columns` for struct records (clipped to
     ``[t0, t1)``, any number of places, any order)."""
@@ -205,7 +212,6 @@ def build_interval_pack(
         records["place"].astype(np.int64),
         t0,
         t1,
-        backend=backend,
     )
 
 
@@ -216,7 +222,6 @@ def build_interval_pack_columns(
     place: np.ndarray,
     t0: int,
     t1: int,
-    backend: str | None = None,
 ) -> IntervalPack:
     """Build the interval-overlap presence pack from record columns.
 
@@ -224,9 +229,9 @@ def build_interval_pack_columns(
     of places in any order — what the log walk decodes mmap'd chunks
     straight into (:func:`~repro.evlog.reader.read_window_columns`).
     Fully vectorized: one boundary sort, one segment expansion, one
-    COO->CSR conversion for all places together.  ``backend`` selects the
-    kernel backend (see :mod:`repro.core.kernels`); every backend builds a
-    bit-identical pack.
+    COO->CSR conversion for all places together — in C when
+    :func:`~repro.core.kernels.masked.build_pack_arrays` takes the input,
+    in the numpy body below it otherwise; the pack is bit-identical.
     """
     if len(starts) == 0:
         raise SynthesisError("cannot build an interval pack from no records")
@@ -235,12 +240,10 @@ def build_interval_pack_columns(
     if (stops <= starts).any():
         raise SynthesisError("a record covers no hour of the slice (stop <= start)")
     with kernel_stage("pack_build"):
-        if resolve_backend(backend) == "masked":
-            from .kernels.masked import build_pack_arrays
-
-            fields = build_pack_arrays(starts, stops, person, place, t0, t1)
-            if fields is not None:
-                return IntervalPack(t0=int(t0), t1=int(t1), **fields)
+        fields = build_pack_arrays(starts, stops, person, place, t0, t1)
+        if fields is not None:
+            return IntervalPack(t0=int(t0), t1=int(t1), **fields)
+        count_twin("pack_build")
         placeu = place.astype(np.uint64)
         key_start = (placeu << _PLACE_SHIFT) | starts.astype(np.uint64)
         key_stop = (placeu << _PLACE_SHIFT) | stops.astype(np.uint64)
@@ -464,7 +467,6 @@ def sum_columns_adjacency(
     t0: int,
     t1: int,
     n_persons: int,
-    backend: str | None = None,
 ) -> sp.csr_matrix:
     """The partial adjacency of several files' clipped record columns (a
     tile's, a shard's): one pack per non-empty file — smaller sorts and
@@ -472,31 +474,31 @@ def sum_columns_adjacency(
     stacked weighted product."""
     packs = merge_duplicate_places(
         [
-            build_interval_pack_columns(*columns, t0, t1, backend=backend)
+            build_interval_pack_columns(*columns, t0, t1)
             for columns in column_sets
             if len(columns[0])
         ]
     )
-    return sum_pack_adjacency(packs, n_persons, backend=backend)
+    return sum_pack_adjacency(packs, n_persons)
 
 
 def sum_pack_adjacency(
     packs: Sequence[IntervalPack | None],
     n_persons: int,
-    backend: str | None = None,
 ) -> sp.csr_matrix:
     """A worker's stage-4 job: pairwise collocated hours over its share.
 
     One weighted product ``(Y . diag(w)) . Y^T`` per *pack* — a pack's
-    places share one column space, so this replaces the legacy per-place
-    matmul loop with a handful of large products (cross-place blocks are
-    structurally zero and cost nothing).  Output is the same strict
-    upper-triangular CSR :func:`~repro.core.adjacency.sum_adjacency_list`
-    produces from the legacy matrices.
+    places share one column space, so a handful of large products stand
+    in for a per-place matmul loop (cross-place blocks are structurally
+    zero and cost nothing).  Output is the same strict upper-triangular
+    CSR :func:`~repro.core.adjacency.sum_adjacency_list` produces from
+    the oracle's per-hour matrices.
 
-    Under the ``masked`` backend the product runs in the compiled
-    masked-triangular SpGEMM (upper pairs only, shared pooled output
-    triples); the scipy product below stays the bit-identical reference.
+    The product runs in the compiled masked-triangular SpGEMM (upper
+    pairs only, shared pooled output triples) when
+    :func:`~repro.core.kernels.masked.sum_shares_adjacency` takes the
+    share; the scipy product below it is the bit-identical twin.
     """
     live = [p for p in packs if p is not None and p.matrix.nnz]
     if not live:
@@ -504,22 +506,20 @@ def sum_pack_adjacency(
     for pack in live:
         if pack.persons.size and int(pack.persons.max()) >= n_persons:
             raise SynthesisError("pack references person outside population")
-    if resolve_backend(backend) == "masked":
-        from .kernels.masked import sum_shares_adjacency
-
-        out = sum_shares_adjacency(
-            [
-                (
-                    p.matrix,
-                    p.col_weight.astype(np.int64, copy=False),
-                    p.persons.astype(np.int64, copy=False),
-                )
-                for p in live
-            ],
-            n_persons,
-        )
-        if out is not None:
-            return out
+    out = sum_shares_adjacency(
+        [
+            (
+                p.matrix,
+                p.col_weight.astype(np.int64, copy=False),
+                p.persons.astype(np.int64, copy=False),
+            )
+            for p in live
+        ],
+        n_persons,
+    )
+    if out is not None:
+        return out
+    count_twin("spgemm")
     parts = []
     with kernel_stage("spgemm"):
         for pack in live:

@@ -6,14 +6,14 @@ compiled on demand: the embedded source (:mod:`._csrc`) is written next
 to a content-addressed cache path, compiled with ``cc -O2 -shared
 -fPIC``, and loaded through :mod:`ctypes`.  Every step degrades
 gracefully — no compiler, a failing compile, or a failing smoke test
-each just report "unavailable" and the callers fall through to numba or
-the scipy/numpy reference path.
+each just report "unavailable" and the callers run their numpy/scipy
+twin.
 
 Environment knobs:
 
 ``REPRO_NO_CC=1``
-    never compile or load the C extension (CI's pure-fallback legs);
-    unset, empty or ``0`` leaves it enabled.
+    never compile or load the C extension (CI's twin leg); unset, empty
+    or ``0`` leaves it enabled.
 ``REPRO_KERNEL_CC``
     compiler executable to use (default: ``cc`` then ``gcc`` then
     ``clang``, first found on PATH).
@@ -34,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ...obs import default_registry
 from ._csrc import C_SOURCE, C_SOURCE_VERSION
 
-__all__ = ["load_cext", "cext_available", "cext_error"]
+__all__ = ["load_cext", "cext_error"]
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
@@ -522,19 +523,13 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         raise RuntimeError("compiled graph kernel smoke test failed")
 
 
-def load_cext() -> CompiledKernels | None:
-    """The compiled kernels, building them on first call; None when
-    unavailable (no compiler, build failure, or ``REPRO_NO_CC=1``)."""
-    global _lib, _error
-    if _lib is not None:
-        return _lib or None
+def _load() -> "tuple[CompiledKernels | bool, str | None]":
+    """``(kernels, None)``, or ``(False, why not)``."""
     if os.environ.get("REPRO_NO_CC", "0") not in ("", "0"):
-        _lib, _error = False, "disabled by REPRO_NO_CC"
-        return None
+        return False, "disabled by REPRO_NO_CC"
     cc = _find_cc()
     if cc is None:
-        _lib, _error = False, "no C compiler on PATH"
-        return None
+        return False, "no C compiler on PATH"
     target = _cache_dir() / f"rk-{_source_key(cc)}.so"
     try:
         if not target.is_file():
@@ -542,16 +537,19 @@ def load_cext() -> CompiledKernels | None:
         kernels = CompiledKernels(ctypes.CDLL(str(target)))
         _smoke_test(kernels)
     except Exception as exc:  # missing headers, EPERM cache dir, ABI skew...
-        _lib, _error = False, f"{type(exc).__name__}: {exc}"
-        return None
-    _lib = kernels
-    _error = None
-    return kernels
+        return False, f"{type(exc).__name__}: {exc}"
+    return kernels, None
 
 
-def cext_available() -> bool:
-    """Whether the C extension built, loaded, and passed its smoke test."""
-    return load_cext() is not None
+def load_cext() -> CompiledKernels | None:
+    """The compiled kernels, building them on first call; None when
+    unavailable (no compiler, build failure, or ``REPRO_NO_CC=1``).  The
+    verdict is published once as the ``kernels.compiled`` gauge."""
+    global _lib, _error
+    if _lib is None:
+        _lib, _error = _load()
+        default_registry().gauge("kernels.compiled").set(1 if _lib else 0)
+    return _lib or None
 
 
 def cext_error() -> str | None:

@@ -1,7 +1,8 @@
-"""Masked-SpGEMM backend: compiled pack build and adjacency product.
+"""The compiled interval-pack build and masked adjacency product.
 
 Two entry points, both returning ``None`` when the fast path does not
-apply so callers fall through to the scipy/numpy reference:
+apply — no C extension, or an input outside its typed layout — so the
+caller runs its numpy/scipy twin:
 
 :func:`build_pack_arrays`
     the compiled interval-pack build — packed-key value sorts in numpy
@@ -11,9 +12,9 @@ apply so callers fall through to the scipy/numpy reference:
     map falls out of the same dedup scan that builds the CSR.  Produces
     bit-identical fields to :func:`repro.core.intervals.build_interval_pack`.
 :func:`sum_shares_adjacency`
-    the masked upper-triangular weighted SpGEMM over a worker's pack (or
-    collocation-matrix) share.  Computes only the strict upper triangle
-    of ``(Y·diag(w))·Yᵀ`` in local coordinates and writes every unit's
+    the masked upper-triangular weighted SpGEMM over a worker's pack
+    share.  Computes only the strict upper triangle of
+    ``(Y·diag(w))·Yᵀ`` in local coordinates and writes every unit's
     triples straight into one shared pooled COO buffer — no per-part
     ``tocoo``/``astype``/``concatenate`` — then accumulates them into the
     global CSR via packed sort keys (one global value sort plus linear
@@ -29,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cext import load_cext
-from .numba_backend import load_numba_kernels
 from .workspace import get_workspace, kernel_stage
 
 __all__ = [
@@ -40,29 +40,6 @@ __all__ = [
 
 #: int32 output coordinates bound every row/column index
 _I32_MAX = 2**31
-
-
-def _compiled_product():
-    """``(csr_to_csc, masked_spgemm, pack_triples, keys_to_csr,
-    fill_values)`` callables with the :mod:`.pyref` argument order, from
-    the preferred available implementation, or None."""
-    from . import compiled_impl
-
-    impl = compiled_impl()
-    if impl == "cext":
-        k = load_cext()
-        # the ctypes wrappers already take pyref's argument order
-        return (
-            k.csr_to_csc,
-            k.masked_spgemm,
-            k.pack_triples,
-            k.keys_to_csr,
-            k.fill_values,
-        )
-    if impl == "numba":
-        spgemm_jit, csc_jit, pack_jit, k2c_jit, fill_jit = load_numba_kernels()
-        return csc_jit, spgemm_jit, pack_jit, k2c_jit, fill_jit
-    return None
 
 
 # -- pack build --------------------------------------------------------------
@@ -261,14 +238,13 @@ class _TripleBuffer:
 def masked_adjacency_triples(
     matrix: sp.csr_matrix,
     weights: np.ndarray,
-    product,
+    k,
     buf: _TripleBuffer,
 ) -> tuple[int, int]:
     """Append one unit's strict-upper triples to the shared buffer.
 
     Returns the ``(base, count)`` slice written (local coordinates).
     """
-    csr_to_csc, spgemm = product[0], product[1]
     ws = buf._ws
     weights = np.ascontiguousarray(weights, dtype=np.int64)
     n_local, n_cols = matrix.shape
@@ -278,13 +254,13 @@ def masked_adjacency_triples(
     cp = ws.take("spg_cp", n_cols + 1, np.int64)
     ri = ws.take("spg_ri", max(nnz, 1), np.int32)
     qp = ws.take("spg_qp", max(nnz, 1), np.int64)
-    csr_to_csc(n_local, n_cols, indptr, indices, cp, ri, qp)
+    k.csr_to_csc(n_local, n_cols, indptr, indices, cp, ri, qp)
     acc = ws.take("spg_acc", n_local, np.int64)
     mark = ws.take("spg_mark", n_local, np.int32)
     touch = ws.take("spg_touch", n_local, np.int32)
     base = buf.n
     while True:
-        out = spgemm(
+        out = k.masked_spgemm(
             n_local,
             indptr,
             indices,
@@ -310,19 +286,19 @@ def sum_shares_adjacency(
     units: "list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]]",
     n_persons: int,
 ) -> sp.csr_matrix | None:
-    """Masked-backend worker reduction over ``(matrix, weights, persons)``
-    units — the shared stage-4 core for both kernels.
+    """Compiled worker reduction over ``(matrix, weights, persons)``
+    units — the stage-4 core.
 
     Every unit's strict-upper product lands in one pooled triple buffer;
     a compiled pass per unit packs its triples as global ``(row << 32 |
     col)`` sort keys (fusing the local→global gather), one global value
     sort plus a linear dedup scan emit the canonical CSR pattern, and a
     run-draining merge over the unsorted keys sums the values.  Returns
-    None when no compiled implementation is available or the coordinates
-    would not fit the int32 triple layout.
+    None when the C extension is unavailable or the coordinates would
+    not fit the int32 triple layout.
     """
-    product = _compiled_product()
-    if product is None:
+    k = load_cext()
+    if k is None:
         return None
     if n_persons >= _I32_MAX:
         return None
@@ -344,18 +320,17 @@ def sum_shares_adjacency(
         buf = _TripleBuffer(ws, max(est, 1024))
         slices = []
         for matrix, weights, persons in units:
-            base, count = masked_adjacency_triples(matrix, weights, product, buf)
+            base, count = masked_adjacency_triples(matrix, weights, k, buf)
             slices.append((base, count, persons))
     with kernel_stage("accumulate"):
         total = buf.n
-        pack_triples, keys_to_csr, fill_values = product[2], product[3], product[4]
         # fuse the local→global gather with the sort-key packing: one
         # compiled pass per run writes (global_row << 32 | global_col)
         # straight into the pooled key buffer
         keys = ws.take("acc_keys", max(total, 1), np.int64)
         for base, count, persons in slices:
             end = base + count
-            pack_triples(
+            k.pack_triples(
                 count,
                 buf.rows[base:end],
                 buf.cols[base:end],
@@ -373,7 +348,7 @@ def sum_shares_adjacency(
         keys_sorted[:total].sort()
         indptr_buf = ws.take("acc_indptr", n_persons + 1, np.int32)
         cols_out = ws.take("acc_cols_out", max(total, 1), np.int32)
-        nnz = keys_to_csr(keys_sorted, total, n_persons, indptr_buf, cols_out)
+        nnz = k.keys_to_csr(keys_sorted, total, n_persons, indptr_buf, cols_out)
         run_ptr = np.empty(len(slices) + 1, dtype=np.int64)
         run_ptr[0] = 0
         for i, (base, count, _p) in enumerate(slices):
@@ -382,7 +357,7 @@ def sum_shares_adjacency(
         mark = ws.take("acc_mark", n_persons, np.int32)
         cursor = ws.take("acc_cursor", len(slices), np.int64)
         vals_out = ws.take("acc_vals_out", max(total, 1), np.int64)
-        fill_values(
+        k.fill_values(
             len(slices),
             run_ptr,
             keys,

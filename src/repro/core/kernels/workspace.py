@@ -36,6 +36,7 @@ __all__ = [
     "KernelWorkspace",
     "get_workspace",
     "kernel_stage",
+    "count_twin",
     "collect_kernel_timings",
     "collect_task_telemetry",
     "merge_kernel_timings",
@@ -110,6 +111,14 @@ def kernel_stage(name: str):
     finally:
         times = _times()
         times[name] = times.get(name, 0.0) + (time.perf_counter() - t0)
+
+
+def count_twin(stage: str) -> None:
+    """Note one *stage* call that ran its numpy/scipy twin — the C
+    extension was unavailable or declined the input.  The count rides
+    with the stage times as ``<stage>.twin``."""
+    times, key = _times(), f"{stage}.twin"
+    times[key] = times.get(key, 0) + 1
 
 
 def collect_kernel_timings() -> dict[str, float]:

@@ -60,8 +60,6 @@ def synthesize_layers(
     t0: int,
     t1: int,
     pool: WorkerPool | None = None,
-    kernel: str = "intervals",
-    backend: str | None = None,
 ) -> dict[str, CollocationNetwork]:
     """One collocation network per place kind, over the same window.
 
@@ -73,13 +71,13 @@ def synthesize_layers(
     for kind in PlaceKind:
         with start_span("layer", attrs={"kind": kind.name.lower()}):
             layers[kind.name.lower()] = _layer_network(
-                records, places, kind, n_persons, t0, t1, pool, kernel, backend
+                records, places, kind, n_persons, t0, t1, pool
             )
     return layers
 
 
 def _layer_network(
-    records, places, kind, n_persons, t0, t1, pool, kernel, backend
+    records, places, kind, n_persons, t0, t1, pool
 ) -> CollocationNetwork:
     subset = layer_records(records, places, kind)
     window = subset[(subset["start"] < t1) & (subset["stop"] > t0)]
@@ -87,9 +85,7 @@ def _layer_network(
         from .adjacency import empty_adjacency
 
         return CollocationNetwork(empty_adjacency(n_persons), t0=t0, t1=t1)
-    net, _ = synthesize_network(
-        subset, n_persons, t0, t1, pool=pool, kernel=kernel, backend=backend
-    )
+    net, _ = synthesize_network(subset, n_persons, t0, t1, pool=pool)
     return net
 
 
@@ -103,8 +99,6 @@ def layer_caches(
     pool: WorkerPool | None = None,
     strict: bool = False,
     kinds: "tuple[str, ...] | list[str] | None" = None,
-    backend: str | None = None,
-    plan=None,
 ) -> dict:
     """One :class:`~repro.core.tilecache.TileCache` per place kind.
 
@@ -120,14 +114,6 @@ def layer_caches(
     """
     from .tilecache import TileCache
 
-    if plan is not None:
-        # the plan is authoritative for cache sizing + synthesis knobs
-        tile_hours = plan.tile_hours
-        budget_nnz = plan.cache_budget_nnz
-        strict = plan.strict
-        backend = plan.backend
-        if cache_dir is None:
-            cache_dir = plan.cache_dir
     if kinds is None:
         kinds = LAYER_KINDS
     unknown = [k for k in kinds if k not in LAYER_KINDS]
@@ -148,7 +134,6 @@ def layer_caches(
             pool=pool,
             strict=strict,
             place_mask=places.kind == int(kind),
-            backend=backend,
         )
     return caches
 

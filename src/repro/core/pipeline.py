@@ -44,15 +44,10 @@ from .._util import StageTimings, atomic_write_bytes
 from ..errors import CheckpointError, LogFormatError, SynthesisError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import Columns, LogReader, read_window_columns, slice_columns
-from ..evlog.schema import LOG_DTYPE, LogRecordArray
+from ..evlog.schema import LogRecordArray
 from ..distrib.taskpool import SerialPool, WorkerPool
-from .adjacency import accumulate_adjacency, sum_adjacency_list
-from .balance import BalanceReport, balance_by_work, lpt_partition
-from .colloc import (
-    CollocationMatrix,
-    build_collocation_matrices,
-    merge_collocations,
-)
+from .adjacency import accumulate_adjacency
+from .balance import BalanceReport, lpt_partition
 from .intervals import (
     IntervalPack,
     build_interval_pack_columns,
@@ -64,14 +59,12 @@ from ..obs import current_context, start_span
 from .kernels import (
     KERNEL_STAGES,
     absorb_task_telemetry,
-    check_backend,
     collect_kernel_timings,
     collect_task_telemetry,
-    resolve_backend,
+    compiled_impl,
     task_span,
 )
 from .network import CollocationNetwork
-from .slicing import clip_records
 
 __all__ = [
     "SynthesisReport",
@@ -82,7 +75,6 @@ __all__ = [
     "load_checkpoint_manifest",
     "CHECKPOINT_MANIFEST",
     "CHECKPOINT_PARTIAL",
-    "KERNELS",
 ]
 
 CHECKPOINT_MANIFEST = "manifest.json"
@@ -98,22 +90,12 @@ _CHECKPOINT_COUNTS = (
     "skipped_records",
 )
 
-#: collocation kernels: the legacy per-hour expansion and the
-#: interval-overlap default.  Both produce bit-identical networks; the
-#: kernel is deliberately *excluded* from the checkpoint digest so a run
-#: may resume under either.
-KERNELS = ("dense-hours", "intervals")
-DEFAULT_KERNEL = "intervals"
 
-# The other knob, ``backend=`` (scipy reference vs. compiled masked
-# SpGEMM), lives in :mod:`repro.core.kernels`.  Like the kernel it is
-# excluded from the checkpoint digest: every backend is bit-identical,
-# so a run may resume under any of them.
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in KERNELS:
-        raise SynthesisError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+def check_batch_size(batch_size: int) -> None:
+    """Every batched entry point's first line: a bad ``batch_size`` is a
+    typed error before any pool is built or span opened."""
+    if batch_size < 1:
+        raise SynthesisError("batch_size must be >= 1")
 
 
 @dataclass
@@ -138,18 +120,21 @@ class SynthesisReport:
     skipped_records: int = 0
     #: batches restored from a checkpoint rather than recomputed
     resumed_batches: int = 0
-    #: collocation kernel the run used
-    kernel: str = DEFAULT_KERNEL
-    #: kernel backend the run resolved to (never "auto")
-    backend: str = "scipy"
     #: per-stage kernel seconds (pack build / SpGEMM / accumulate),
-    #: summed across workers — attributable compute, not wall time
+    #: summed across workers — attributable compute, not wall time —
+    #: plus a ``<stage>.twin`` count of calls the C kernel did not take
     kernel_timings: dict = field(default_factory=dict)
+
+    @property
+    def impl(self) -> str:
+        """What ran the arithmetic: ``"cext"``, or ``"twin"`` when the
+        extension is unavailable or any call went to its numpy/scipy twin."""
+        ran_twin = any(name.endswith(".twin") for name in self.kernel_timings)
+        return "twin" if ran_twin or compiled_impl() is None else "cext"
 
     def summary(self) -> str:
         lines = [
-            f"kernel           {self.kernel:>12}",
-            f"backend          {self.backend:>12}",
+            f"impl             {self.impl:>12}",
             f"records          {self.n_records:>12,}",
             f"in slice         {self.n_sliced_records:>12,}",
             f"places           {self.n_places:>12,}",
@@ -181,51 +166,27 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _adjacency_task(
-    chunk: tuple[list[CollocationMatrix], int, str],
-):
-    """Stage-4 worker: sum ``x·xᵀ`` over its balanced matrix share."""
-    matrices, n_persons, backend = chunk
-    out = sum_adjacency_list(matrices, n_persons, backend=backend)
+def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int]"):
+    """Stage-4 worker: stacked weighted product over the balanced place
+    share."""
+    packs, n_persons = chunk
+    out = sum_pack_adjacency(packs, n_persons)
     return out, collect_kernel_timings()
 
 
-def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int, str]"):
-    """Stage-4 worker (interval kernel): stacked weighted product over the
-    balanced place share."""
-    packs, n_persons, backend = chunk
-    out = sum_pack_adjacency(packs, n_persons, backend=backend)
-    return out, collect_kernel_timings()
-
-
-def _build_unit(columns: Columns, t0: int, t1: int, kernel: str, backend: str):
-    """The collocation unit of a set of clipped record columns: one
-    :class:`IntervalPack`, or — for the dense-hours oracle — the list of
-    per-place :class:`CollocationMatrix`."""
-    if kernel == "intervals":
-        return build_interval_pack_columns(*columns, t0, t1, backend=backend)
-    # back to struct records; ``activity`` is not part of a collocation
-    rec = np.zeros(len(columns[0]), dtype=LOG_DTYPE)
-    for name, col in zip(("start", "stop", "person", "place"), columns):
-        rec[name] = col
-    # the (no-op) clip refuses stop <= start spells, as the pack build does
-    return build_collocation_matrices(clip_records(rec, t0, t1), t0, t1)
-
-
-def _slab_task(chunk: "tuple[Columns, int, int, str, str]"):
-    """Stage-2 worker of :func:`synthesize_network`: the unit of one
+def _slab_task(chunk: "tuple[Columns, int, int]"):
+    """Stage-2 worker of :func:`synthesize_network`: the pack of one
     place-disjoint column slab."""
-    columns, t0, t1, kernel, backend = chunk
-    unit = _build_unit(columns, t0, t1, kernel, backend)
-    return unit, collect_kernel_timings()
+    columns, t0, t1 = chunk
+    pack = build_interval_pack_columns(*columns, t0, t1)
+    return pack, collect_kernel_timings()
 
 
-def _file_task(args: "tuple[str, int, int, str, str, bool, dict | None]"):
+def _file_task(args: "tuple[str, int, int, bool, dict | None]"):
     """Stage-2 worker: one verify + decode + build walk over one log file.
 
     Receives a path, never records.  Returns ``(payload, n_records,
-    telemetry, error)``: payload is the kernel's per-file unit — an
-    :class:`IntervalPack`, or a list of :class:`CollocationMatrix` — or
+    telemetry, error)``: payload is the file's :class:`IntervalPack`, or
     None when the window holds no record of the file; telemetry carries
     the kernel stage times, the walk's counters and seconds, and any spans
     finished in this worker (re-parented to the coordinator's trace on
@@ -234,12 +195,12 @@ def _file_task(args: "tuple[str, int, int, str, str, bool, dict | None]"):
     root to quarantine or raise — raised here, a retrying pool would
     re-run deterministic damage and wrap it in ``TaskRetryError``.
     """
-    path, t0, t1, kernel, backend, whole_file, trace = args
+    path, t0, t1, whole_file, trace = args
     payload, n, walk, error = None, 0, None, None
     # the span must close before telemetry is collected, so the captured
     # list already holds it when it ships back with the payload
     with task_span(
-        "worker.build", trace, attrs={"file": Path(path).name, "kernel": kernel}
+        "worker.build", trace, attrs={"file": Path(path).name}
     ) as spans:
         try:
             columns, walk = read_window_columns(path, t0, t1, whole_file)
@@ -248,7 +209,7 @@ def _file_task(args: "tuple[str, int, int, str, str, bool, dict | None]"):
         else:
             n = len(columns[0])
             if n:
-                payload = _build_unit(columns, t0, t1, kernel, backend)
+                payload = build_interval_pack_columns(*columns, t0, t1)
     if spans and walk:
         spans[-1]["attrs"]["load_s"] = walk["seconds"]
     return payload, n, collect_task_telemetry(spans, walk), error
@@ -289,9 +250,9 @@ def _place_slabs(columns: Columns, n_workers: int) -> list[Columns]:
 def _balance_packs(
     packs: list[IntervalPack], n_workers: int
 ) -> tuple[list[list[IntervalPack]], BalanceReport]:
-    """Stage 3 for the interval kernel.
+    """Stage 3.
 
-    The balancing unit is the *place* (as in the legacy pipeline), weighted
+    The balancing unit is the *place* (as in the paper), weighted
     by estimated pairwise work; each worker's share is delivered as column
     slices of the source packs, so stage 4 stays one matmul per pack.
     One worker takes every pack as it is: same report, no partitioning."""
@@ -334,47 +295,25 @@ def _merge_balance(report: SynthesisReport, balance: BalanceReport | None) -> No
         report.balance = balance
 
 
-def _merge_duplicate_colloc(
-    matrices: list[CollocationMatrix],
-) -> list[CollocationMatrix]:
-    """Dense-kernel twin of
-    :func:`~repro.core.intervals.merge_duplicate_places`."""
-    by_place: dict[int, list[CollocationMatrix]] = {}
-    for m in matrices:
-        by_place.setdefault(m.place, []).append(m)
-    if all(len(v) == 1 for v in by_place.values()):
-        return matrices
-    return [merge_collocations(by_place[p]) for p in sorted(by_place)]
-
-
-def _multiply_units(
-    units: list,
-    kernel: str,
+def _multiply_packs(
+    packs: list[IntervalPack],
     n_persons: int,
     pool: WorkerPool,
-    backend: str,
     report: SynthesisReport,
 ):
-    """Stages 3 and 4 over one batch's collocation units (interval packs,
-    or dense-hours matrices): count them into *report*, balance them
-    across the pool, map the ``x·xᵀ`` products and reduce the partials."""
+    """Stages 3 and 4 over one batch's interval packs: count them into
+    *report*, balance them across the pool, map the ``x·xᵀ`` products and
+    reduce the partials."""
     timings = report.timings
-    if kernel == "intervals":
-        report.n_places += sum(p.n_places for p in units)
-        report.colloc_nnz_total += sum(p.person_hours for p in units)
-        with timings.time("balance"):
-            shares, balance = _balance_packs(units, pool.n_workers)
-        task = _pack_adjacency_task
-    else:
-        report.n_places += len(units)
-        report.colloc_nnz_total += sum(m.nnz for m in units)
-        with timings.time("balance"):
-            shares, balance = balance_by_work(units, pool.n_workers)
-        task = _adjacency_task
+    report.n_places += sum(p.n_places for p in packs)
+    report.colloc_nnz_total += sum(p.person_hours for p in packs)
+    with timings.time("balance"):
+        shares, balance = _balance_packs(packs, pool.n_workers)
     _merge_balance(report, balance)
     with timings.time("adjacency"):
         summed = pool.map(
-            task, [(share, n_persons, backend) for share in shares if share]
+            _pack_adjacency_task,
+            [(share, n_persons) for share in shares if share],
         )
     for _a, times in summed:
         absorb_task_telemetry(report.kernel_timings, times)
@@ -489,10 +428,13 @@ def synthesize_network(
     t0: int,
     t1: int,
     pool: WorkerPool | None = None,
-    kernel: str = DEFAULT_KERNEL,
-    backend: str | None = None,
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """Build the collocation network for window ``[t0, t1)`` from records.
+
+    Collocated hours come from ``[start, stop)`` spell overlaps
+    (:mod:`repro.core.intervals`), so the cost is independent of window
+    length; ``report.impl`` says whether the C kernels or their
+    numpy/scipy twins ran.
 
     Parameters
     ----------
@@ -504,38 +446,17 @@ def synthesize_network(
         Analysis window in absolute simulation hours.
     pool:
         Worker pool; default :class:`~repro.distrib.taskpool.SerialPool`.
-    kernel:
-        ``"intervals"`` (default) computes collocated hours from
-        ``[start, stop)`` spell overlaps; ``"dense-hours"`` is the paper's
-        per-hour presence expansion.  Both produce bit-identical networks
-        (equivalence-tested); the interval kernel's cost is independent of
-        window length.
-    backend:
-        Kernel backend (:mod:`repro.core.kernels`): ``"scipy"`` reference,
-        ``"masked"`` compiled masked-triangular SpGEMM, or ``"auto"``
-        (default) — masked when a compiled implementation is available.
-        Bit-identical either way.
     """
     if n_persons <= 0:
         raise SynthesisError("n_persons must be positive")
-    _check_kernel(kernel)
-    # resolve once at the root so every worker runs the same concrete
-    # backend regardless of its own environment
-    backend = resolve_backend(backend)
     own_pool = pool is None
     pool = pool or SerialPool()
-    report = SynthesisReport(
-        n_records=len(records),
-        n_workers=pool.n_workers,
-        kernel=kernel,
-        backend=backend,
-    )
+    report = SynthesisReport(n_records=len(records), n_workers=pool.n_workers)
     timings = report.timings
     retries_before = _pool_retries(pool)
     try:
         with start_span(
-            "synthesize_network",
-            attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+            "synthesize_network", attrs={"t0": t0, "t1": t1}
         ) as span:
             with timings.time("slice"):
                 columns = slice_columns(records, t0, t1)
@@ -544,20 +465,17 @@ def synthesize_network(
                 slabs = _place_slabs(columns, pool.n_workers)
             with timings.time("collocation_matrices"):
                 built = pool.map(
-                    _slab_task,
-                    [(slab, t0, t1, kernel, backend) for slab in slabs],
+                    _slab_task, [(slab, t0, t1) for slab in slabs]
                 )
-                units = [unit for unit, _t in built]
-                for _unit, times in built:
+                for _pack, times in built:
                     absorb_task_telemetry(report.kernel_timings, times)
-            if kernel != "intervals":
-                units = [m for ms in units for m in ms]
-            adjacency = _multiply_units(
-                units, kernel, n_persons, pool, backend, report
+            adjacency = _multiply_packs(
+                [pack for pack, _t in built], n_persons, pool, report
             )
             report.n_retries = _pool_retries(pool) - retries_before
             span.set_attr("n_records", report.n_records)
             span.set_attr("n_places", report.n_places)
+            span.set_attr("impl", report.impl)
     finally:
         if own_pool:
             pool.close()
@@ -608,8 +526,6 @@ def _synthesize_batch(
     t0: int,
     t1: int,
     pool: WorkerPool,
-    kernel: str,
-    backend: str,
     strict: bool,
     report: SynthesisReport,
 ) -> CollocationNetwork | None:
@@ -634,10 +550,7 @@ def _synthesize_batch(
                 wire = ctx.to_wire() if ctx is not None else None
                 results = pool.map(
                     _file_task,
-                    [
-                        (str(path), t0, t1, kernel, backend, not strict, wire)
-                        for path in batch
-                    ],
+                    [(str(path), t0, t1, not strict, wire) for path in batch],
                 )
             units = []
             n_read = 0
@@ -660,15 +573,8 @@ def _synthesize_batch(
             if not units:
                 return None
             with timings.time("merge"):
-                if kernel == "intervals":
-                    units = merge_duplicate_places(units)
-                else:
-                    units = _merge_duplicate_colloc(
-                        [m for ms in units for m in ms]
-                    )
-            adjacency = _multiply_units(
-                units, kernel, n_persons, pool, backend, report
-            )
+                units = merge_duplicate_places(units)
+            adjacency = _multiply_packs(units, n_persons, pool, report)
             return CollocationNetwork(adjacency, t0=t0, t1=t1)
     finally:
         report.n_retries += _pool_retries(pool) - retries_before
@@ -684,10 +590,7 @@ def synthesize_from_logs(
     strict: bool = False,
     checkpoint: str | Path | None = None,
     resume: str | Path | None = None,
-    kernel: str = DEFAULT_KERNEL,
-    backend: str | None = None,
     cache=None,
-    plan=None,
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """Synthesize the network from a directory of per-rank EVL files.
 
@@ -700,12 +603,9 @@ def synthesize_from_logs(
 
     Parameters
     ----------
-    kernel:
-        Collocation kernel, see :func:`synthesize_network`.  Checkpoints
-        are compatible across both kernels.
-    backend:
-        Kernel backend, see :func:`synthesize_network`.  Bit-identical
-        across backends; checkpoints are compatible across all of them.
+    batch_size:
+        Log files per independent batch; below 1 is a
+        :class:`~repro.errors.SynthesisError`.
     strict:
         When False (default), a damaged log file — truncated by a killed
         writer or failing a chunk CRC — is quarantined: the whole file is
@@ -729,42 +629,20 @@ def synthesize_from_logs(
     cache:
         A :class:`~repro.core.tilecache.TileCache` over the same log
         directory.  When given, the window is served from the cache's
-        composable tiles — bit-identical to the direct interval-kernel
-        synthesis, O(log W) cached partials instead of a record re-read —
-        and the batching arguments are unused.  Incompatible with
-        ``checkpoint``/``resume`` (the cache *is* the persistent state),
-        with the dense-hours kernel, and with ``strict=True`` when the
-        cache already quarantined damaged files.  The cache path is
-        thread-safe: concurrent callers may share one cache (the
-        network-query service does).
-    plan:
-        A :class:`~repro.core.plan.SynthesisPlan`.  When given, the plan
-        is authoritative for kernel, backend, batch size, and
-        strictness (the individual keyword arguments are ignored for
-        those knobs); ``checkpoint``/``resume`` keep an explicit argument
-        over the plan's.  ``pool=None`` builds (and owns) the plan's
-        pool.
+        composable tiles — bit-identical to the direct synthesis,
+        O(log W) cached partials instead of a record re-read — and the
+        batching arguments are unused.  Incompatible with
+        ``checkpoint``/``resume`` (the cache *is* the persistent state)
+        and with ``strict=True`` when the cache already quarantined
+        damaged files.  The cache path is thread-safe: concurrent callers
+        may share one cache (the network-query service does).
     """
-    if plan is not None:
-        kernel = plan.kernel
-        backend = plan.backend
-        batch_size = plan.batch_size
-        strict = plan.strict
-        if checkpoint is None:
-            checkpoint = plan.checkpoint
-        if resume is None:
-            resume = plan.resume
-    _check_kernel(kernel)
-    backend = resolve_backend(backend)
+    check_batch_size(batch_size)
     if cache is not None:
         if checkpoint is not None or resume is not None:
             raise SynthesisError(
                 "cache= cannot be combined with checkpoint/resume: the tile "
                 "store is the cache's own persistence"
-            )
-        if kernel != "intervals":
-            raise SynthesisError(
-                "the tile cache serves interval-kernel synthesis only"
             )
         if cache.n_persons != n_persons:
             raise SynthesisError(
@@ -781,28 +659,17 @@ def synthesize_from_logs(
         report = SynthesisReport(
             n_workers=cache.pool.n_workers,
             batches=0,
-            kernel="intervals",
-            # the cache computes tiles under its own backend setting
-            backend=getattr(cache, "backend", backend),
             quarantined=list(cache.quarantined),
         )
-        with start_span(
-            "synthesize", attrs={"kernel": "intervals", "cache": True}
-        ):
+        with start_span("synthesize", attrs={"cache": True}):
             with report.timings.time("cache_query"):
                 network = cache.query_window(t0, t1)
         return network, report
     log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
     own_pool = pool is None
-    if pool is None:
-        pool = plan.make_pool() if plan is not None else SerialPool()
+    pool = pool or SerialPool()
     network: CollocationNetwork | None = None
-    total_report = SynthesisReport(
-        n_workers=pool.n_workers,
-        batches=0,
-        kernel=kernel,
-        backend=backend,
-    )
+    total_report = SynthesisReport(n_workers=pool.n_workers, batches=0)
 
     digest = checkpoint_digest(log_set, n_persons, t0, t1, batch_size)
     checkpoint_dir = Path(checkpoint) if checkpoint is not None else None
@@ -836,15 +703,13 @@ def synthesize_from_logs(
 
     try:
         with start_span(
-            "synthesize",
-            attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+            "synthesize", attrs={"t0": t0, "t1": t1}
         ) as run_span:
             for batch_index, batch in enumerate(log_set.batches(batch_size)):
                 if batch_index < batches_done:
                     continue
                 batch_net = _synthesize_batch(
-                    batch, n_persons, t0, t1, pool, kernel, backend, strict,
-                    total_report,
+                    batch, n_persons, t0, t1, pool, strict, total_report
                 )
                 if batch_net is not None:
                     network = batch_net if network is None else network + batch_net
@@ -859,6 +724,7 @@ def synthesize_from_logs(
                             total_report,
                         )
             run_span.set_attr("batches", total_report.batches)
+            run_span.set_attr("impl", total_report.impl)
     finally:
         if own_pool:
             pool.close()

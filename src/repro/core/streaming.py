@@ -30,7 +30,7 @@ from ..distrib.taskpool import WorkerPool
 from ..obs import start_span
 from .adjacency import accumulate_adjacency
 from .network import CollocationNetwork
-from .pipeline import synthesize_from_logs
+from .pipeline import check_batch_size, synthesize_from_logs
 
 __all__ = ["WeeklyNetworkSeries", "StreamingSynthesizer"]
 
@@ -126,21 +126,14 @@ class StreamingSynthesizer:
         interval_hours: int = HOURS_PER_WEEK,
         batch_size: int = 16,
         pool: WorkerPool | None = None,
-        kernel: str = "intervals",
         cache=None,
-        backend: str | None = None,
-        plan=None,
     ) -> None:
         """``cache`` is an optional
         :class:`~repro.core.tilecache.TileCache` over the log directory:
         each interval becomes a cached tile query instead of a per-interval
         record re-read, and the cache is attached to the returned series so
         :meth:`WeeklyNetworkSeries.total` reduces tiles too."""
-        if plan is not None:
-            # the plan is authoritative for the synthesis knobs
-            kernel = plan.kernel
-            backend = plan.backend
-            batch_size = plan.batch_size
+        check_batch_size(batch_size)
         if interval_hours <= 0:
             raise SynthesisError("interval_hours must be positive")
         if cache is not None and cache.n_persons != n_persons:
@@ -151,9 +144,7 @@ class StreamingSynthesizer:
         self.interval_hours = interval_hours
         self.batch_size = batch_size
         self.pool = pool
-        self.kernel = kernel
         self.cache = cache
-        self.backend = backend
 
     def process(
         self, log_set: LogSet | str, n_intervals: int
@@ -163,9 +154,7 @@ class StreamingSynthesizer:
             raise SynthesisError("need at least one interval")
         logs = log_set if isinstance(log_set, LogSet) else LogSet(log_set)
         networks = []
-        with start_span(
-            "stream", attrs={"intervals": n_intervals, "kernel": self.kernel}
-        ):
+        with start_span("stream", attrs={"intervals": n_intervals}):
             for w in range(n_intervals):
                 t0 = w * self.interval_hours
                 t1 = t0 + self.interval_hours
@@ -180,8 +169,6 @@ class StreamingSynthesizer:
                             t1,
                             batch_size=self.batch_size,
                             pool=self.pool,
-                            kernel=self.kernel,
-                            backend=self.backend,
                         )
                 networks.append(net)
         return WeeklyNetworkSeries(

@@ -8,8 +8,8 @@ to window ``[t0, t1)``, and splitting the window at any interior point
 splits that contribution exactly.  Every partial sum is an exact integer,
 and every partial adjacency canonicalizes through the same coo→csr
 summation, so composing partials is *bit-identical* (same CSR
-``data``/``indices``/``indptr``) to a direct ``kernel="intervals"``
-synthesis of the same window.
+``data``/``indices``/``indptr``) to a direct synthesis of the same
+window.
 
 This module exploits that additivity to serve many overlapping or sliding
 window queries without re-reading records per query:
@@ -97,14 +97,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._util import StageTimings, Timer, atomic_write_bytes
-from ..obs import get_probe, start_span
+from ..obs import get_probe, record_kernel_timings, start_span
 from ..errors import LogFormatError, TileCacheError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import LogReader, publish_walk_stats, read_window_columns
 from ..distrib.taskpool import SerialPool, ThreadPool, WorkerPool
 from .adjacency import empty_adjacency
 from .intervals import sum_columns_adjacency
-from .kernels import resolve_backend
+from .kernels import collect_kernel_timings
 from .network import CollocationNetwork
 from .slicing import mask_place_columns
 
@@ -217,18 +217,18 @@ def _source_reader(source: "LogReader | tuple[str, tuple]") -> Iterator[LogReade
 
 
 def _window_task(
-    args: "tuple[list, int, int, int, np.ndarray | None, str]",
-) -> tuple[sp.csr_matrix, list[dict]]:
+    args: "tuple[list, int, int, int, np.ndarray | None]",
+) -> tuple[sp.csr_matrix, list[dict], dict]:
     """Worker: one window's partial adjacency, one walk per log file.
 
     ``place_mask`` filters the place column; a place split across files
     is union-merged so the partial matches a single build from the
     concatenated records.  A file rewritten in place under its reader
     fails the task rather than leak bytes the cache's digest does not
-    cover.  Returns the canonical upper-triangular CSR partial and the
-    walks' stats.
+    cover.  Returns the canonical upper-triangular CSR partial, the
+    walks' stats and the kernel stage times.
     """
-    sources, t0, t1, n_persons, place_mask, backend = args
+    sources, t0, t1, n_persons, place_mask = args
     column_sets, walks = [], []
     for source in sources:
         with _source_reader(source) as reader:
@@ -242,8 +242,8 @@ def _window_task(
         if place_mask is not None:
             columns = mask_place_columns(columns, place_mask)
         column_sets.append(columns)
-    partial = sum_columns_adjacency(column_sets, t0, t1, n_persons, backend)
-    return partial, walks
+    partial = sum_columns_adjacency(column_sets, t0, t1, n_persons)
+    return partial, walks, collect_kernel_timings()
 
 
 def _open_verified(path: Path) -> LogReader:
@@ -310,12 +310,6 @@ class TileCache:
     place_mask:
         Optional boolean array over place ids; only records at admitted
         places contribute (the layer-synthesis hook).  Part of the digest.
-    backend:
-        Kernel backend for tile construction (see
-        :mod:`repro.core.kernels`), resolved once at construction so every
-        worker runs the same concrete backend.  Deliberately *not* part of
-        the digest: backends are bit-identical, so persisted tiles stay
-        valid across backend changes.
     """
 
     def __init__(
@@ -328,7 +322,6 @@ class TileCache:
         pool: WorkerPool | None = None,
         strict: bool = False,
         place_mask: np.ndarray | None = None,
-        backend: str | None = None,
     ) -> None:
         if n_persons <= 0:
             raise TileCacheError("n_persons must be positive")
@@ -340,7 +333,6 @@ class TileCache:
         self.n_persons = int(n_persons)
         self.tile_hours = int(tile_hours)
         self.budget_nnz = budget_nnz
-        self.backend = resolve_backend(backend)
         self.place_mask = (
             np.asarray(place_mask, dtype=bool) if place_mask is not None else None
         )
@@ -575,15 +567,15 @@ class TileCache:
                 built = self.pool.map(
                     _window_task,
                     [
-                        (sources, w0, w1, self.n_persons, self.place_mask,
-                         self.backend)
+                        (sources, w0, w1, self.n_persons, self.place_mask)
                         for w0, w1 in windows
                     ],
                 )
-            for _mat, walks in built:
+            for _mat, walks, times in built:
                 for walk in walks:
                     publish_walk_stats(walk)
-            mats = [mat for mat, _walks in built]
+                record_kernel_timings(times)
+            mats = [mat for mat, _walks, _times in built]
             span.set_attr("nnz", sum(int(m.nnz) for m in mats))
             return mats
 
@@ -695,11 +687,11 @@ class TileCache:
         """The collocation network of ``[t0, t1)``, composed from tiles.
 
         Bit-identical (same CSR ``data``/``indices``/``indptr``) to
-        ``synthesize_from_logs(..., kernel="intervals")`` over the same
-        window and log directory.  Aligned spans come from O(log W) cached
-        tiles; unaligned edges are corrected from records in the two edge
-        spans only, and those fringe partials are themselves cached so a
-        repeated query touches no records.
+        ``synthesize_from_logs`` over the same window and log directory.
+        Aligned spans come from O(log W) cached tiles; unaligned edges are
+        corrected from records in the two edge spans only, and those
+        fringe partials are themselves cached so a repeated query touches
+        no records.
         """
         if t1 <= t0:
             raise TileCacheError(f"empty query window [{t0}, {t1})")
@@ -820,7 +812,6 @@ def query_window(
     cache_dir: str | Path | None = None,
     pool: WorkerPool | None = None,
     strict: bool = False,
-    backend: str | None = None,
 ) -> tuple[CollocationNetwork, TileCache]:
     """One window query against a (possibly fresh) tile cache.
 
@@ -838,7 +829,6 @@ def query_window(
             cache_dir=cache_dir,
             pool=pool,
             strict=strict,
-            backend=backend,
         )
     elif cache.n_persons != n_persons:
         raise TileCacheError(

@@ -48,7 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -283,7 +283,6 @@ def plan_shards(
     coords: np.ndarray | None = None,
     n_places: int | None = None,
     strict: bool = False,
-    backend: str | None = None,
 ) -> ShardPlan:
     """Scan the window once and partition places into ``n_shards``.
 
@@ -327,7 +326,7 @@ def plan_shards(
         if not len(columns[0]):
             file_places.append(np.empty(0, dtype=np.int64))
             continue
-        pack = build_interval_pack_columns(*columns, t0, t1, backend=backend)
+        pack = build_interval_pack_columns(*columns, t0, t1)
         file_places.append(pack.places.astype(np.int64))
         works.append((pack.places.astype(np.int64), pack.place_work))
         max_place = max(max_place, int(pack.places[-1]))
@@ -456,7 +455,6 @@ def _shard_partial(
     n_persons: int,
     t0: int,
     t1: int,
-    backend: str | None,
 ) -> tuple[sp.csr_matrix, dict, list[dict]]:
     """One shard's work: walk its files (the plan verified them whole;
     the window's chunks are CRC'd again as they decode), mask to its
@@ -482,9 +480,7 @@ def _shard_partial(
             n_records = sum(len(columns[0]) for columns in column_sets)
             # a place split across this shard's files is union-merged
             # before the product, exactly as in the batch pipeline
-            partial = sum_columns_adjacency(
-                column_sets, t0, t1, n_persons, backend
-            )
+            partial = sum_columns_adjacency(column_sets, t0, t1, n_persons)
             span.set_attr("records", n_records)
             span.set_attr("nnz", int(partial.nnz))
     stats = {
@@ -504,7 +500,7 @@ def shard_synthesize(
     n_shards: int = 1,
     strategy: str = "spatial",
     shard_plan: ShardPlan | None = None,
-    plan: Any = None,
+    strict: bool = False,
     coords: np.ndarray | None = None,
     timeout: float = 600.0,
 ):
@@ -518,26 +514,15 @@ def shard_synthesize(
     synthesis for every shard count and strategy (property-tested).
 
     ``shard_plan`` reuses an existing :func:`plan_shards` result (it must
-    cover the same window); otherwise one is computed here.  ``plan`` is
-    an optional :class:`~repro.core.plan.SynthesisPlan` supplying the
-    backend/strict knobs.
+    cover the same window); otherwise one is computed here, and
+    ``strict=True`` makes its scan raise on the first damaged log file
+    instead of quarantining it.
 
     Returns ``(network, report)`` like the single-process pipeline,
     with a :class:`ShardSynthesisReport`.
     """
     from ..core.network import CollocationNetwork
-    from ..core.pipeline import _check_kernel
 
-    backend = None
-    strict = False
-    if plan is not None:
-        _check_kernel(plan.kernel)
-        if plan.kernel != "intervals":
-            raise SynthesisError(
-                "sharded synthesis runs the interval kernel only"
-            )
-        backend = plan.backend
-        strict = plan.strict
     if n_persons <= 0:
         raise SynthesisError("n_persons must be positive")
 
@@ -550,7 +535,6 @@ def shard_synthesize(
             strategy=strategy,
             coords=coords,
             strict=strict,
-            backend=backend,
         )
     else:
         n_shards = shard_plan.n_shards
@@ -567,13 +551,7 @@ def shard_synthesize(
 
     def rank_fn(comm, shard: int):
         return _shard_partial(
-            shard,
-            shard_plan,
-            file_indices[shard],
-            n_persons,
-            t0,
-            t1,
-            backend,
+            shard, shard_plan, file_indices[shard], n_persons, t0, t1
         )
 
     with start_span(
@@ -652,18 +630,9 @@ class ShardedTileCache:
         cache_dir: "str | Path | None" = None,
         strict: bool = False,
         place_mask: np.ndarray | None = None,
-        backend: str | None = None,
-        plan: Any = None,
     ) -> None:
         from ..core.tilecache import TileCache
 
-        if plan is not None:
-            tile_hours = plan.tile_hours
-            budget_nnz = plan.cache_budget_nnz
-            strict = plan.strict
-            backend = plan.backend
-            if cache_dir is None:
-                cache_dir = plan.cache_dir
         self.shard_plan = shard_plan
         self.n_persons = int(n_persons)
         self.n_shards = shard_plan.n_shards
@@ -694,10 +663,8 @@ class ShardedTileCache:
                     ),
                     strict=strict,
                     place_mask=mask,
-                    backend=backend,
                 )
             )
-        self.backend = self.shards[0].backend
         self.pool = _ShardPoolFacade(self.n_shards)
         self._executor = ThreadPoolExecutor(
             max_workers=self.n_shards,

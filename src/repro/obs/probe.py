@@ -197,7 +197,9 @@ class push_probe:
 
 
 def record_kernel_timings(times: dict | None) -> None:
-    """Emit one task's kernel stage timings through the active probe.
+    """Emit one task's kernel stage timings through the active probe;
+    a ``<stage>.twin`` entry (calls that ran the numpy/scipy twin) is
+    counted as ``kernels.<stage>.twin``.
 
     Call exactly once per completed task result (not on batch→total
     merges — that would double-count).
@@ -205,5 +207,8 @@ def record_kernel_timings(times: dict | None) -> None:
     if not times or not enabled():
         return
     probe = _probe
-    for stage, secs in times.items():
-        probe.kernel_stage(stage, secs)
+    for stage, value in times.items():
+        if stage.endswith(".twin"):
+            probe.count(f"kernels.{stage}", value)
+        else:
+            probe.kernel_stage(stage, value)

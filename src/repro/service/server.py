@@ -155,9 +155,6 @@ class ServiceConfig:
     #: directory for persisted tiles (one subdirectory per cache)
     cache_dir: str | Path | None = None
     strict: bool = False
-    #: kernel backend for tile construction (see :mod:`repro.core.kernels`);
-    #: bit-identical across choices, so persisted tiles remain valid
-    backend: str | None = None
     #: per-tenant admission budget in estimated in-flight nnz; None admits all
     tenant_budget_nnz: float | None = None
     #: back-off hint carried by admission rejections, seconds
@@ -197,21 +194,6 @@ class ServiceConfig:
     #: place-partition strategy for sharded caches
     #: (see :data:`repro.distrib.shardsynth.STRATEGIES`)
     shard_partition: str = "refined"
-
-    def synthesis_plan(self):
-        """The :class:`~repro.core.plan.SynthesisPlan` this config implies.
-
-        Cache directories are deliberately left out: the service keys
-        per-cache subdirectories itself.
-        """
-        from ..core.plan import SynthesisPlan
-
-        return SynthesisPlan(
-            strict=self.strict,
-            backend=self.backend,
-            tile_hours=self.tile_hours,
-            cache_budget_nnz=self.cache_budget_nnz,
-        )
 
 
 @dataclass
@@ -566,7 +548,6 @@ class NetworkQueryService:
                     coords=coords,
                     n_places=n_places,
                     strict=cfg.strict,
-                    backend=cfg.backend,
                 )
             return self._shard_plan
 
@@ -585,13 +566,15 @@ class NetworkQueryService:
                 self.log_dir,
                 self.n_persons,
                 self._shard_plan_for(),
+                tile_hours=cfg.tile_hours,
+                budget_nnz=cfg.cache_budget_nnz,
                 cache_dir=(
                     Path(cfg.cache_dir) / key
                     if cfg.cache_dir is not None
                     else None
                 ),
+                strict=cfg.strict,
                 place_mask=place_mask,
-                plan=cfg.synthesis_plan(),
             )
             return _CacheHandle(cache, horizon=cache.horizon())
         if key == _FULL:
@@ -606,7 +589,6 @@ class NetworkQueryService:
                     else None
                 ),
                 strict=cfg.strict,
-                backend=cfg.backend,
             )
         else:
             assert self.places is not None
@@ -619,7 +601,6 @@ class NetworkQueryService:
                 cache_dir=cfg.cache_dir,
                 strict=cfg.strict,
                 kinds=[key],
-                backend=cfg.backend,
             )[key]
         return _CacheHandle(cache, horizon=cache.horizon())
 

@@ -8,8 +8,15 @@ second decode of the window's chunks — concatenates struct records, and
 ``n_workers × 4`` slabs before the shared pack / SpGEMM / accumulate
 stages; the tile cache's by-value window task built one pack from the
 concatenated records of all files.  ``_balance_packs`` is the version that
-ran LPT for any worker count.  Only the ``dispatch=`` / ``cache=`` arguments
-and the branches they selected are cut out.
+ran LPT for any worker count.  Only the ``dispatch=`` / ``cache=`` / ``backend=`` /
+``plan=`` arguments and the branches they selected are cut out.
+
+``kernel=`` survives here, and only here, as the test axis:
+``kernel="dense-hours"`` is **the oracle** — struct records →
+``records_by_place`` → ``collocation_matrix_for_place`` → scipy ``x·xᵀ``
+(``sum_adjacency_list``), no interval pack and no C kernel anywhere on
+the way — and ``kernel="intervals"`` is the by-value orchestration of the
+production pack arithmetic.
 
 Kept only so ``test_value_dispatch_equivalence.py`` and
 ``test_kernel_equivalence.py`` can require the production path to give
@@ -25,7 +32,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.adjacency import accumulate_adjacency, empty_adjacency
+from repro.core.adjacency import (
+    accumulate_adjacency,
+    empty_adjacency,
+    sum_adjacency_list,
+)
 from repro.core.balance import BalanceReport, balance_by_work, lpt_partition
 from repro.core.colloc import CollocationMatrix, collocation_matrix_for_place
 from repro.core.intervals import (
@@ -38,17 +49,12 @@ from repro.core.kernels import (
     absorb_task_telemetry,
     collect_kernel_timings,
     merge_kernel_timings,
-    resolve_backend,
 )
 from repro.core.network import CollocationNetwork
 from repro.core.pipeline import (
     CHECKPOINT_PARTIAL,
-    DEFAULT_KERNEL,
     SynthesisReport,
-    _adjacency_task,
-    _check_kernel,
     _merge_balance,
-    _pack_adjacency_task,
     _pool_retries,
     _recoverable_records,
     _write_checkpoint,
@@ -62,6 +68,29 @@ from repro.evlog.multifile import LogSet, try_read_time_slice
 from repro.evlog.reader import LogReader
 from repro.evlog.schema import LogRecordArray, empty_records
 from repro.obs import start_span
+
+
+KERNELS = ("dense-hours", "intervals")
+
+
+def _check_kernel(kernel: str) -> None:
+    if kernel not in KERNELS:
+        raise SynthesisError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+
+
+def _adjacency_task(chunk: tuple[list[CollocationMatrix], int]):
+    """Stage-4 worker: sum ``x·xᵀ`` over its balanced matrix share."""
+    matrices, n_persons = chunk
+    out = sum_adjacency_list(matrices, n_persons)
+    return out, collect_kernel_timings()
+
+
+def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int]"):
+    """Stage-4 worker (interval kernel): stacked weighted product over the
+    balanced place share."""
+    packs, n_persons = chunk
+    out = sum_pack_adjacency(packs, n_persons)
+    return out, collect_kernel_timings()
 
 
 def _matrices_task(
@@ -94,10 +123,10 @@ def _chunk_groups(
     return [c for c in chunks if c]
 
 
-def _pack_task(chunk: tuple[LogRecordArray, int, int, str]):
+def _pack_task(chunk: tuple[LogRecordArray, int, int]):
     """Stage-2 worker (interval kernel): one pack per place-disjoint slab."""
-    records, t0, t1, backend = chunk
-    pack = build_interval_pack(records, t0, t1, backend=backend)
+    records, t0, t1 = chunk
+    pack = build_interval_pack(records, t0, t1)
     return pack, collect_kernel_timings()
 
 
@@ -163,8 +192,7 @@ def synthesize_network(
     t0: int,
     t1: int,
     pool: WorkerPool | None = None,
-    kernel: str = DEFAULT_KERNEL,
-    backend: str | None = None,
+    kernel: str = "intervals",
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """Build the collocation network for window ``[t0, t1)`` from records.
 
@@ -184,31 +212,17 @@ def synthesize_network(
         per-hour presence expansion.  Both produce bit-identical networks
         (equivalence-tested); the interval kernel's cost is independent of
         window length.
-    backend:
-        Kernel backend (:mod:`repro.core.kernels`): ``"scipy"`` reference,
-        ``"masked"`` compiled masked-triangular SpGEMM, or ``"auto"``
-        (default) — masked when a compiled implementation is available.
-        Bit-identical either way.
     """
     if n_persons <= 0:
         raise SynthesisError("n_persons must be positive")
     _check_kernel(kernel)
-    # resolve once at the root so every worker runs the same concrete
-    # backend regardless of its own environment
-    backend = resolve_backend(backend)
     own_pool = pool is None
     pool = pool or SerialPool()
-    report = SynthesisReport(
-        n_records=len(records),
-        n_workers=pool.n_workers,
-        kernel=kernel,
-        backend=backend,
-    )
+    report = SynthesisReport(n_records=len(records), n_workers=pool.n_workers)
     timings = report.timings
     retries_before = _pool_retries(pool)
     span = start_span(
-        "synthesize_network",
-        attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+        "synthesize_network", attrs={"kernel": kernel, "t0": t0, "t1": t1}
     )
     span.__enter__()
     try:
@@ -221,7 +235,7 @@ def synthesize_network(
                 slabs = _place_slabs(sliced, pool.n_workers * 4)
             with timings.time("collocation_matrices"):
                 built = pool.map(
-                    _pack_task, [(slab, t0, t1, backend) for slab in slabs]
+                    _pack_task, [(slab, t0, t1) for slab in slabs]
                 )
                 packs = [p for p, _t in built]
                 for _p, times in built:
@@ -234,7 +248,7 @@ def synthesize_network(
             with timings.time("adjacency"):
                 summed = pool.map(
                     _pack_adjacency_task,
-                    [(share, n_persons, backend) for share in shares if share],
+                    [(share, n_persons) for share in shares if share],
                 )
         else:
             with timings.time("group_by_place"):
@@ -254,7 +268,7 @@ def synthesize_network(
             with timings.time("adjacency"):
                 summed = pool.map(
                     _adjacency_task,
-                    [(share, n_persons, backend) for share in shares if share],
+                    [(share, n_persons) for share in shares if share],
                 )
 
         partials = [a for a, _t in summed]
@@ -282,36 +296,18 @@ def synthesize_from_logs(
     strict: bool = False,
     checkpoint: str | Path | None = None,
     resume: str | Path | None = None,
-    kernel: str = DEFAULT_KERNEL,
-    backend: str | None = None,
-    plan=None,
+    kernel: str = "intervals",
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """The pre-change ``synthesize_from_logs`` under ``dispatch="value"``
     (the default every caller ran), minus the ``dispatch=`` and ``cache=``
     arguments: the root reads and window-masks every file's records,
     concatenates them and hands the array to :func:`synthesize_network`."""
-    if plan is not None:
-        kernel = plan.kernel
-        backend = plan.backend
-        batch_size = plan.batch_size
-        strict = plan.strict
-        if checkpoint is None:
-            checkpoint = plan.checkpoint
-        if resume is None:
-            resume = plan.resume
     _check_kernel(kernel)
-    backend = resolve_backend(backend)
     log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
     own_pool = pool is None
-    if pool is None:
-        pool = plan.make_pool() if plan is not None else SerialPool()
+    pool = pool or SerialPool()
     network: CollocationNetwork | None = None
-    total_report = SynthesisReport(
-        n_workers=pool.n_workers,
-        batches=0,
-        kernel=kernel,
-        backend=backend,
-    )
+    total_report = SynthesisReport(n_workers=pool.n_workers, batches=0)
 
     digest = checkpoint_digest(log_set, n_persons, t0, t1, batch_size)
     checkpoint_dir = Path(checkpoint) if checkpoint is not None else None
@@ -348,8 +344,7 @@ def synthesize_from_logs(
         total_report.resumed_batches = batches_done
 
     run_span = start_span(
-        "synthesize",
-        attrs={"kernel": kernel, "backend": backend, "t0": t0, "t1": t1},
+        "synthesize", attrs={"kernel": kernel, "t0": t0, "t1": t1}
     )
     run_span.__enter__()
     try:
@@ -376,8 +371,7 @@ def synthesize_from_logs(
                     np.concatenate(parts) if len(parts) > 1 else parts[0]
                 )
                 batch_net, batch_report = synthesize_network(
-                    records, n_persons, t0, t1, pool=pool, kernel=kernel,
-                    backend=backend,
+                    records, n_persons, t0, t1, pool=pool, kernel=kernel
                 )
                 network = batch_net if network is None else network + batch_net
                 total_report.n_records += batch_report.n_records
@@ -427,7 +421,7 @@ def _apply_place_mask(
 
 
 def _window_value_task(
-    args: tuple[LogRecordArray, int, int, int, str],
+    args: tuple[LogRecordArray, int, int, int],
 ) -> sp.csr_matrix:
     """Worker (value dispatch): one window's partial adjacency.
 
@@ -435,12 +429,12 @@ def _window_value_task(
     filter at the root); clips, builds one interval pack, and returns the
     canonical upper-triangular CSR partial.
     """
-    records, t0, t1, n_persons, backend = args
+    records, t0, t1, n_persons = args
     if not len(records):
         return empty_adjacency(n_persons)
     sliced = clip_records(records, t0, t1)
-    pack = build_interval_pack(sliced, t0, t1, backend=backend)
-    return sum_pack_adjacency([pack], n_persons, backend=backend)
+    pack = build_interval_pack(sliced, t0, t1)
+    return sum_pack_adjacency([pack], n_persons)
 
 
 def window_value_args(
@@ -449,7 +443,6 @@ def window_value_args(
     t1: int,
     n_persons: int,
     place_mask: "np.ndarray | None",
-    backend: str,
 ):
     """The by-value leg of the pre-change ``TileCache._window_args``: the
     root reads every file's window records (one open reader per file),
@@ -466,4 +459,4 @@ def window_value_args(
         if len(parts) > 1
         else (parts[0] if parts else empty_records(0))
     )
-    return records, t0, t1, n_persons, backend
+    return records, t0, t1, n_persons

@@ -33,17 +33,6 @@ from repro.sim import Simulation
 from repro.synthpop import generate_population
 
 
-@pytest.fixture(params=["cext", "pyref"])
-def impl(request, monkeypatch):
-    """Pin the implementation behind the entry points."""
-    if request.param == "cext":
-        if cext.load_cext() is None:
-            pytest.skip(f"C extension unavailable: {cext.cext_error()}")
-    else:
-        monkeypatch.setattr(graph, "load_cext", lambda: None)
-    return request.param
-
-
 #: the ``impl`` fixture only patches a module attribute, which may well
 #: stay in place across the examples of one test
 PER_IMPL = settings(
@@ -440,14 +429,13 @@ class TestImplementationPinning:
     def test_ci_pin_is_what_runs(self):
         """A CI leg that pins an implementation must get it: a silent
         fallback may not pass for coverage of the C kernels."""
-        if os.environ.get("REPRO_KERNEL_IMPL", "").strip().lower() == "cext":
-            assert cext.load_cext() is not None, cext.cext_error()
-        elif os.environ.get("REPRO_NO_CC", "0") not in ("", "0"):
-            # the numpy and numba legs: the analysis kernels have no
-            # numba tier and go through the numpy/scipy twin
-            assert cext.load_cext() is None
-        else:
+        pinned = os.environ.get("REPRO_NO_CC")
+        if pinned is None:
             pytest.skip("no implementation pinned")
+        elif pinned in ("", "0"):
+            assert cext.load_cext() is not None, cext.cext_error()
+        else:
+            assert cext.load_cext() is None
 
     @pytest.mark.parametrize("value, disabled", [("1", True), ("0", False), ("", False)])
     def test_no_cc_zero_means_enabled(self, monkeypatch, value, disabled):

@@ -1,0 +1,97 @@
+"""Ground truth beyond self-agreement.
+
+Bit-identity between our own paths only proves they agree with each
+other.  Here production (under each kernel implementation) **and** the
+dense-hours oracle are held to ``benchmarks/e2e/oracle.py`` — a 50-line
+brute-force reading of the paper's definition (``A = Σ_places x·xᵀ``,
+pair-hours, strict upper triangle) that shares no code with
+``repro.core`` — on generated logs: spells clipped by both window edges,
+a person in two places in one hour, verbatim duplicates, single-person
+places, empty rank files, uint32 extremes.  The oracle file is loaded by
+path, read-only: it belongs to the frozen benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import synthesize_from_logs, synthesize_network
+from repro.evlog import make_records, write_rank_logs
+from tests.core import _reference_value_dispatch as reference
+from tests.core.conftest import IMPLS, use_impl
+from tests.core.test_kernel_equivalence import csr_identical
+
+_ORACLE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("e2e_oracle", _ORACLE)
+_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_oracle)
+brute_force_adjacency = _oracle.brute_force_adjacency
+
+U32 = 2**32 - 1
+N_PERSONS = 6
+SPAN = 70  # generated hours, relative to the world's base hour
+#: few persons and places, so rosters overlap, one person is in two
+#: places at once and some places see one person only; the last place id
+#: sits on the uint32 edge
+PLACES = (0, 1, 5, 9, U32)
+
+
+@st.composite
+def worlds(draw):
+    """``(per-rank records, t0, t1)``: spells over ``[base, base + SPAN]``
+    with a window strictly inside, so both of its edges clip some.
+    Hypothesis picks the shape; the spells come from a seeded generator,
+    which fills rosters far more densely than drawn lists do."""
+    base = draw(st.sampled_from([0, U32 - SPAN]))
+    t0 = draw(st.integers(5, 25))
+    t1 = t0 + draw(st.sampled_from([1, 7, 24, 40]))
+    n_ranks = draw(st.integers(1, 7))
+    n = draw(st.sampled_from([12, 30, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    pick = rng.integers(0, n, n + n // 4)  # a fifth are verbatim duplicates
+    person = rng.integers(0, N_PERSONS, n)[pick]
+    place = np.array(PLACES, dtype=np.int64)[rng.integers(0, len(PLACES), n)][pick]
+    start = rng.integers(0, SPAN, n)[pick]
+    stop = np.minimum(start + rng.integers(1, 60, n)[pick], SPAN)
+    # a place's records stay in one rank file, like the distributed
+    # model's logs; a rank no place maps to writes an empty file
+    rank = np.searchsorted(PLACES, place) % n_ranks
+    per_rank = [
+        make_records(
+            base + start[rank == r],
+            base + stop[rank == r],
+            person[rank == r],
+            np.zeros(int((rank == r).sum()), dtype=np.uint32),
+            place[rank == r],
+        )
+        for r in range(n_ranks)
+    ]
+    return per_rank, base + t0, base + t1
+
+
+@settings(deadline=None, max_examples=60)
+@given(worlds())
+def test_production_and_oracle_match_brute_force(world):
+    per_rank, t0, t1 = world
+    rec = np.concatenate(per_rank)
+    truth = brute_force_adjacency(
+        rec["person"], rec["place"], rec["start"], rec["stop"], N_PERSONS, t0, t1
+    )
+    with tempfile.TemporaryDirectory() as logs:
+        write_rank_logs(logs, per_rank)
+        dense, _ = reference.synthesize_from_logs(
+            logs, N_PERSONS, t0, t1, kernel="dense-hours"
+        )
+        assert csr_identical(dense.adjacency, truth)
+        for impl in IMPLS:
+            with use_impl(impl):
+                from_logs, _ = synthesize_from_logs(logs, N_PERSONS, t0, t1)
+                in_memory, _ = synthesize_network(rec, N_PERSONS, t0, t1)
+            assert csr_identical(from_logs.adjacency, truth), impl
+            assert csr_identical(in_memory.adjacency, truth), impl

@@ -1,39 +1,41 @@
-"""Bit-identity contract of the kernel backends.
+"""Bit-identity contract of the kernel implementation: C and twin.
 
-``backend="masked"`` (compiled masked-triangular SpGEMM, whichever
-implementation is available) and ``backend="scipy"`` (the reference) must
-produce **bit-identical** CSR adjacencies — same ``data``, ``indices``,
-``indptr``, dtypes — for every kernel, on any input.  The property suite
-drives randomized logs through every (kernel, backend) pair, deliberately
-covering empty windows, empty places, single-person places, and records
-straddling the window boundary; the unit tests pin the pure-python
-reference loops against scipy directly, so the contract holds even where
-no compiled implementation exists.
+Records become an interval pack and a pack becomes an adjacency one way;
+each step runs in the C extension when it loaded and the input fits its
+layout, else in the numpy/scipy body below the call.  Both must produce
+**bit-identical** CSR adjacencies — same ``data``, ``indices``,
+``indptr``, dtypes — as each other and as the oracle
+(``reference.synthesize_network(kernel="dense-hours")``: per-hour
+matrices, scipy ``x·xᵀ``, no pack and no C), on any input.  The property
+suite drives randomized logs through oracle and production under both
+implementations, deliberately covering empty windows, empty places,
+single-person places, and records straddling the window boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import synthesize_network
-from repro.core.intervals import build_interval_pack
+from repro.core.intervals import (
+    build_interval_pack,
+    build_interval_pack_columns,
+    sum_pack_adjacency,
+)
 from repro.core.kernels import (
-    BACKENDS,
     backend_info,
-    check_backend,
+    collect_kernel_timings,
     compiled_impl,
     get_workspace,
-    resolve_backend,
 )
-from repro.core.kernels import pyref
-from repro.core.kernels.cext import cext_available
 from repro.core.slicing import clip_records, slice_records
-from repro.errors import SynthesisError
 from repro.evlog import make_records
+from repro.obs import CollectingProbe, default_registry, push_probe
+from tests.core import _reference_value_dispatch as reference
+from tests.core.conftest import IMPLS, use_impl
 
 N_PERSONS = 60
 T0, T1 = 10, 58
@@ -77,30 +79,30 @@ class TestBackendBitIdentity:
     @settings(deadline=None, max_examples=40)
     @given(record_lists)
     def test_all_kernel_backend_pairs(self, rows):
-        """One adjacency, four (kernel, backend) routes, zero bit drift."""
+        """One adjacency: the oracle's, and production's under each
+        implementation — zero bit drift."""
         rec = to_records(rows)
-        ref = None
-        for kernel in ("intervals", "dense-hours"):
-            for backend in BACKENDS:
-                net, report = synthesize_network(
-                    rec, N_PERSONS, T0, T1, kernel=kernel, backend=backend
-                )
-                assert report.backend == backend
-                if ref is None:
-                    ref = net.adjacency
-                else:
-                    assert csr_identical(ref, net.adjacency)
+        oracle, _ = reference.synthesize_network(
+            rec, N_PERSONS, T0, T1, kernel="dense-hours"
+        )
+        for impl in IMPLS:
+            with use_impl(impl):
+                net, report = synthesize_network(rec, N_PERSONS, T0, T1)
+            if report.n_sliced_records:
+                assert report.impl == impl
+            assert csr_identical(oracle.adjacency, net.adjacency)
 
     @settings(deadline=None, max_examples=20)
     @given(record_lists)
     def test_pack_fields_identical(self, rows):
-        """The compiled pack build yields the reference pack exactly —
+        """The compiled pack build yields the twin's pack exactly —
         every field, every dtype — not just the same adjacency."""
         rec = slice_records(to_records(rows), T0, T1)
         if not len(rec):
             return
-        ref = build_interval_pack(rec, T0, T1, backend="scipy")
-        fast = build_interval_pack(rec, T0, T1, backend="masked")
+        with use_impl("twin"):
+            ref = build_interval_pack(rec, T0, T1)
+        fast = build_interval_pack(rec, T0, T1)
         for name in (
             "places",
             "place_work",
@@ -115,168 +117,77 @@ class TestBackendBitIdentity:
         assert csr_identical(ref.matrix, fast.matrix)
 
     def test_empty_window(self):
-        for backend in BACKENDS:
-            net, _ = synthesize_network(
-                to_records([(0, 0, 1, 5)]), N_PERSONS, 500, 600, backend=backend
-            )
+        for impl in IMPLS:
+            with use_impl(impl):
+                net, _ = synthesize_network(
+                    to_records([(0, 0, 1, 5)]), N_PERSONS, 500, 600
+                )
             assert net.adjacency.nnz == 0
 
 
-class TestPyrefAgainstScipy:
-    """The reference loops (jitted by numba, ported to C) pinned against
-    scipy on small random inputs — interpreted, no compiled code."""
+class TestOneSelector:
+    """``masked.load_cext`` is the only thing that decides, and what it
+    decided is observable."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_masked_spgemm_is_strict_upper_product(self, seed):
-        rng = np.random.default_rng(seed)
-        n_rows, n_cols = 12, 9
-        dense = (rng.random((n_rows, n_cols)) < 0.3).astype(np.uint32)
-        y = sp.csr_matrix(dense)
-        y.indptr = y.indptr.astype(np.int32)
-        y.indices = y.indices.astype(np.int32)
-        w = rng.integers(1, 6, n_cols).astype(np.int64)
-        nnz = y.nnz
-        cp = np.empty(n_cols + 1, np.int64)
-        ri = np.empty(max(nnz, 1), np.int32)
-        qp = np.empty(max(nnz, 1), np.int64)
-        pyref.csr_to_csc(n_rows, n_cols, y.indptr, y.indices, cp, ri, qp)
-        acc = np.empty(n_rows, np.int64)
-        mark = np.empty(n_rows, np.int32)
-        touch = np.empty(n_rows, np.int32)
-        cap = n_rows * n_rows
-        out_r = np.empty(cap, np.int32)
-        out_c = np.empty(cap, np.int32)
-        out_v = np.empty(cap, np.int64)
-        n = pyref.masked_spgemm(
-            n_rows, y.indptr, y.indices, qp, cp, ri, w,
-            acc, mark, touch, out_r, out_c, out_v, cap,
+    ROWS = [(0, 0, 12, 5), (1, 0, 12, 5), (2, 1, 20, 9), (3, 1, 22, 4)]
+
+    def _columns(self):
+        rec = clip_records(slice_records(to_records(self.ROWS), T0, T1), T0, T1)
+        return tuple(
+            rec[name].astype(np.int64)
+            for name in ("start", "stop", "person", "place")
         )
-        got = sp.coo_matrix(
-            (out_v[:n], (out_r[:n], out_c[:n])), shape=(n_rows, n_rows)
-        ).toarray()
-        full = dense.astype(np.int64) @ np.diag(w) @ dense.T.astype(np.int64)
-        assert np.array_equal(got, np.triu(full, k=1))
 
-    def test_spgemm_undersized_buffer_reports_needed(self):
-        y = sp.csr_matrix(np.ones((3, 1), np.uint32))
-        y.indptr = y.indptr.astype(np.int32)
-        y.indices = y.indices.astype(np.int32)
-        cp = np.empty(2, np.int64)
-        ri = np.empty(3, np.int32)
-        qp = np.empty(3, np.int64)
-        pyref.csr_to_csc(3, 1, y.indptr, y.indices, cp, ri, qp)
-        w = np.ones(1, np.int64)
-        scratch = np.empty(3, np.int64), np.empty(3, np.int32), np.empty(3, np.int32)
-        tiny = np.empty(1, np.int32), np.empty(1, np.int32), np.empty(1, np.int64)
-        n = pyref.masked_spgemm(
-            3, y.indptr, y.indices, qp, cp, ri, w, *scratch, *tiny, 1
-        )
-        assert n == -3  # three upper pairs needed, capacity 1
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_accumulate_trio_matches_scipy(self, seed):
-        """pack_triples → sort → keys_to_csr → fill_values equals one
-        scipy COO accumulation of the same runs."""
-        rng = np.random.default_rng(10 + seed)
-        n_rows = 15
-        runs = []
-        for _ in range(3):
-            n_local = int(rng.integers(2, n_rows))
-            pmap = np.sort(
-                rng.choice(n_rows, size=n_local, replace=False)
-            ).astype(np.int64)
-            cnt = int(rng.integers(0, 12))
-            # rows ascending per run, like the SpGEMM emits them
-            rows = np.sort(rng.integers(0, n_local, cnt)).astype(np.int32)
-            cols = rng.integers(0, n_local, cnt).astype(np.int32)
-            vals = rng.integers(1, 9, cnt).astype(np.int64)
-            runs.append((rows, cols, vals, pmap))
-        total = sum(len(r[0]) for r in runs)
-        keys = np.empty(max(total, 1), np.int64)
-        run_ptr = np.zeros(len(runs) + 1, np.int64)
-        vals_cat = np.empty(max(total, 1), np.int64)
-        base = 0
-        for i, (rows, cols, vals, pmap) in enumerate(runs):
-            end = base + len(rows)
-            pyref.pack_triples(
-                len(rows), rows, cols, pmap, 1, keys[base:end]
+    def test_masked_out_extension_is_never_called(self, ctypes_calls):
+        """The split brain: the pack build and the product used to ask
+        different selectors, so one could run in C beside the other's
+        fallback."""
+        with use_impl("twin"):
+            pack = build_interval_pack_columns(*self._columns(), T0, T1)
+            sum_pack_adjacency([pack], N_PERSONS)
+            _, report = synthesize_network(
+                to_records(self.ROWS), N_PERSONS, T0, T1
             )
-            vals_cat[base:end] = vals
-            run_ptr[i + 1] = end
-            base = end
-        keys_sorted = np.sort(keys[:total])
-        indptr = np.empty(n_rows + 1, np.int32)
-        cols_out = np.empty(max(total, 1), np.int32)
-        nnz = pyref.keys_to_csr(keys_sorted, total, n_rows, indptr, cols_out)
-        acc = np.empty(n_rows, np.int64)
-        mark = np.empty(n_rows, np.int32)
-        cursor = np.empty(len(runs), np.int64)
-        vals_out = np.empty(max(total, 1), np.int64)
-        pyref.fill_values(
-            len(runs), run_ptr, keys[:total], vals_cat[:total], n_rows,
-            indptr, cols_out, acc, mark, cursor, vals_out,
-        )
-        got = sp.csr_matrix(
-            (vals_out[:nnz], cols_out[:nnz], indptr), shape=(n_rows, n_rows)
-        )
-        parts = [
-            sp.coo_matrix(
-                (vals, (pmap[rows], pmap[cols])), shape=(n_rows, n_rows)
+        assert ctypes_calls == []
+        assert report.impl == "twin"
+        assert {"pack_build", "spgemm", "accumulate"} <= set(report.kernel_timings)
+
+    def test_loaded_extension_runs_both_steps(self, ctypes_calls):
+        with use_impl("cext"), push_probe(CollectingProbe()) as probe:
+            _, report = synthesize_network(
+                to_records(self.ROWS), N_PERSONS, T0, T1
             )
-            for rows, cols, vals, pmap in runs
-        ]
-        want = (
-            sp.coo_matrix(
-                (
-                    np.concatenate([p.data for p in parts]),
-                    (
-                        np.concatenate([p.row for p in parts]),
-                        np.concatenate([p.col for p in parts]),
-                    ),
-                ),
-                shape=(n_rows, n_rows),
-            ).tocsr()
-            if total
-            else sp.csr_matrix((n_rows, n_rows), dtype=np.int64)
+        assert {"rk_boundary_scan", "rk_masked_spgemm"} <= set(ctypes_calls)
+        assert report.impl == "cext"
+        assert report.summary().splitlines()[0].split() == ["impl", "cext"]
+        assert not [name for name in probe.counters if name.endswith(".twin")]
+
+    def test_oracle_never_touches_the_extension(self, ctypes_calls):
+        reference.synthesize_network(
+            to_records(self.ROWS), N_PERSONS, T0, T1, kernel="dense-hours"
         )
-        assert np.array_equal(got.toarray(), want.toarray())
+        assert ctypes_calls == []
 
-    def test_pack_triples_identity_map(self):
-        rows = np.array([0, 2], np.int32)
-        cols = np.array([1, 3], np.int32)
-        keys = np.empty(2, np.int64)
-        pyref.pack_triples(2, rows, cols, np.empty(0, np.int64), 0, keys)
-        assert list(keys) == [(0 << 32) | 1, (2 << 32) | 3]
+    def test_declined_fast_path_is_counted(self):
+        """Once per call that ran the twin, whatever the reason: the
+        extension masked out, or loaded and declining a person id >= 2**32."""
+        with use_impl("twin"), push_probe(CollectingProbe()) as probe:
+            synthesize_network(to_records(self.ROWS), N_PERSONS, T0, T1)
+        assert probe.counters["kernels.pack_build.twin"] == 1
+        assert probe.counters["kernels.spgemm.twin"] == 1
+        collect_kernel_timings()
+        one = np.array([1], np.int64)
+        build_interval_pack_columns(one, one + 2, one << 32, one, 0, 24)
+        assert collect_kernel_timings()["pack_build.twin"] == 1
 
-
-class TestBackendResolution:
-    def test_check_backend_rejects_unknown(self):
-        with pytest.raises(SynthesisError):
-            check_backend("cuda")
-
-    def test_resolve_concrete_passthrough(self):
-        assert resolve_backend("scipy") == "scipy"
-        assert resolve_backend("masked") == "masked"
-        assert resolve_backend(None) in BACKENDS
-        assert resolve_backend("auto") in BACKENDS
-
-    def test_numpy_forcing_disables_compiled_impl(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_IMPL", "numpy")
-        assert compiled_impl() is None
-        # auto therefore falls back to the reference backend
-        assert resolve_backend("auto") == "scipy"
-        # an explicit masked request still runs (degrading internally)
-        net, report = synthesize_network(
-            to_records([(0, 0, 12, 5), (1, 0, 12, 5)]),
-            N_PERSONS, T0, T1, backend="masked",
-        )
-        assert report.backend == "masked"
-        assert net.adjacency.nnz == 1
-
-    def test_backend_info_shape(self):
+    def test_compiled_gauge_and_info(self):
         info = backend_info()
-        assert info["default"] in BACKENDS
-        assert info["compiled_impl"] in ("cext", "numba", None)
+        assert set(info) == {"compiled_impl", "cext_error"}
+        assert info["compiled_impl"] == compiled_impl()
+        assert info["compiled_impl"] in ("cext", None)
+        assert (info["cext_error"] is None) == (compiled_impl() == "cext")
+        gauges = default_registry().snapshot()["gauges"]
+        assert gauges["kernels.compiled"] == int(compiled_impl() == "cext")
 
 
 class TestWorkspacePooling:
@@ -304,7 +215,7 @@ class TestWorkspacePooling:
         ws.clear()
 
     def test_steady_state_synthesis_stops_allocating(self):
-        """Second identical run through the masked path must be all pool
+        """Second identical run through the C kernels must be all pool
         hits — the preallocated-workspace claim, asserted."""
         if compiled_impl() is None:
             pytest.skip("no compiled implementation available")
@@ -316,13 +227,13 @@ class TestWorkspacePooling:
         ]
         rec = to_records(rows)
         ws = get_workspace()
-        synthesize_network(rec, N_PERSONS, T0, T1, backend="masked")
+        synthesize_network(rec, N_PERSONS, T0, T1)
         grows = ws.grows
-        synthesize_network(rec, N_PERSONS, T0, T1, backend="masked")
+        synthesize_network(rec, N_PERSONS, T0, T1)
         assert ws.grows == grows
 
 
-@pytest.mark.skipif(not cext_available(), reason="no C compiler / cext")
+@pytest.mark.skipif(compiled_impl() is None, reason="no C compiler / cext")
 class TestCompiledGuards:
     """The compiled pack build must decline — not corrupt — inputs the
     reference semantics reserve."""
@@ -375,7 +286,8 @@ class TestCompiledGuards:
         rec = slice_records(to_records(rows), T0, T1)
         fields = build_pack_arrays(*self._cols(rec), T0, T1)
         assert fields is not None
-        ref = build_interval_pack(rec, T0, T1, backend="scipy")
+        with use_impl("twin"):
+            ref = build_interval_pack(rec, T0, T1)
         for name in ("places", "col_place", "col_start", "col_weight", "persons"):
             assert np.array_equal(fields[name], getattr(ref, name)), name
         assert csr_identical(fields["matrix"], ref.matrix)

@@ -1,15 +1,17 @@
-"""Equivalence contract between the two collocation kernels, and between
+"""Equivalence contract between the oracle and production, and between
 the production record path and the by-value reference it replaced.
 
-The interval-overlap kernel (``kernel="intervals"``) and the paper's
-dense-hours kernel (``kernel="dense-hours"``) must produce **bit-identical**
-upper-triangular CSR adjacencies — same ``data``, ``indices`` and
-``indptr`` — on any input, including the awkward ones: overlapping spells,
-re-entries, duplicate person/hour records, single-person places, and empty
-slices.  Likewise the per-file walk (production, "zero-copy") and the
-pre-change by-value body (``_reference_value_dispatch``, "value") must be
-indistinguishable in output, including through checkpoint/resume and
-quarantine paths.
+The oracle is ``reference.synthesize_*(kernel="dense-hours")``: struct
+records → ``records_by_place`` → ``collocation_matrix_for_place`` → scipy
+``x·xᵀ`` — the paper's per-hour formulation, no interval pack, no C.
+Production (interval packs, the C kernels or their numpy/scipy twins —
+the ``impl`` axis) must produce **bit-identical** upper-triangular CSR
+adjacencies — same ``data``, ``indices`` and ``indptr`` — on any input,
+including the awkward ones: overlapping spells, re-entries, duplicate
+person/hour records, single-person places, and empty slices.  Likewise
+the per-file walk (production, "zero-copy") and the pre-change by-value
+body (``_reference_value_dispatch``, "value") must be indistinguishable
+in output, including through checkpoint/resume and quarantine paths.
 """
 
 from __future__ import annotations
@@ -29,18 +31,25 @@ from repro.core.intervals import (
 )
 from repro.core.pipeline import SynthesisReport, _merge_balance
 from repro.core.slicing import slice_records
-from repro.distrib import SerialPool, ThreadPool
+from repro.distrib import SerialPool, ThreadPool, make_pool
 from repro.errors import LogCorruptError
 from repro.evlog import LogSet, make_records, write_rank_logs
 from repro.evlog.multifile import rank_log_path
 from tests._faults import FlakyPool, WorkerCrash
 from tests.core import _reference_value_dispatch as reference
 
-#: the collapsed dispatch axis: the pre-change by-value body against the
-#: one production path
-RECORD_PATHS = {
-    "value": reference.synthesize_from_logs,
-    "zero-copy": synthesize_from_logs,
+
+def oracle_from_logs(*args, **kwargs):
+    return reference.synthesize_from_logs(*args, kernel="dense-hours", **kwargs)
+
+
+#: every way to run a from-logs synthesis, by (kernel, record path): the
+#: oracle, the pre-change by-value body of the interval arithmetic, and
+#: the one production path
+RUNS = {
+    ("dense-hours", "value"): oracle_from_logs,
+    ("intervals", "value"): reference.synthesize_from_logs,
+    ("intervals", "zero-copy"): synthesize_from_logs,
 }
 
 N_PERSONS = 150
@@ -110,16 +119,68 @@ def write_tricky_logs(directory, seed, n_ranks=6):
     return directory
 
 
+#: the matrix of ``TestOracleVsProduction``; tricky records reach hour ~135
+HORIZON = 140
+WINDOWS = {
+    "aligned": (0, 48),
+    "unaligned": (7, 61),
+    "one-hour": (13, 14),
+    "whole-horizon": (0, HORIZON),
+    "past-the-horizon": (HORIZON + 5, HORIZON + 50),
+}
+COUNTS = ("n_records", "n_sliced_records", "n_places", "colloc_nnz_total")
+
+
+@pytest.fixture(scope="module")
+def matrix_logs(tmp_path_factory):
+    return write_tricky_logs(tmp_path_factory.mktemp("matrix") / "logs", seed=41)
+
+
+@pytest.fixture(scope="module")
+def oracle_runs(matrix_logs):
+    return {
+        name: oracle_from_logs(matrix_logs, N_PERSONS, t0, t1)
+        for name, (t0, t1) in WINDOWS.items()
+    }
+
+
+class TestOracleVsProduction:
+    """What is left of the kernel × backend product: the oracle against
+    the one production path, under each implementation, for every window
+    shape, pool kind and batch size."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 16])
+    @pytest.mark.parametrize("pool_kind", ["serial", "thread", "process"])
+    def test_every_window(
+        self, matrix_logs, oracle_runs, impl, pool_kind, batch_size
+    ):
+        # built under the pinned implementation: forked workers inherit it
+        with make_pool(pool_kind, 2) as pool:
+            for name, (t0, t1) in WINDOWS.items():
+                net, report = synthesize_from_logs(
+                    matrix_logs, N_PERSONS, t0, t1,
+                    batch_size=batch_size, pool=pool,
+                )
+                oracle_net, oracle_report = oracle_runs[name]
+                assert csr_identical(net.adjacency, oracle_net.adjacency), name
+                for count in COUNTS:
+                    assert getattr(report, count) == getattr(
+                        oracle_report, count
+                    ), (name, count)
+                if report.n_records:
+                    assert report.impl == impl
+
+
 class TestKernelBitIdentity:
-    """Same records, both kernels, identical CSR triple."""
+    """Same records, oracle and production, identical CSR triple."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pipeline_identity_random_logs(self, seed):
         rec = tricky_records(np.random.default_rng(seed))
-        dense, _ = synthesize_network(
+        dense, _ = reference.synthesize_network(
             rec, N_PERSONS, T0, T1, kernel="dense-hours"
         )
-        ivals, _ = synthesize_network(rec, N_PERSONS, T0, T1, kernel="intervals")
+        ivals, _ = synthesize_network(rec, N_PERSONS, T0, T1)
         assert csr_identical(dense.adjacency, ivals.adjacency)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -185,32 +246,38 @@ class TestKernelBitIdentity:
 
     def test_empty_slice_window(self):
         """A window with no overlapping records yields the empty network
-        from both kernels (via the from-logs path, which tolerates empty
-        batches)."""
+        from the oracle and from production."""
         rec = tricky_records(np.random.default_rng(3))
-        for kernel in ("dense-hours", "intervals"):
-            net, report = synthesize_network(
-                rec, N_PERSONS, 500, 600, kernel=kernel
-            )
+        for run in (
+            lambda: reference.synthesize_network(
+                rec, N_PERSONS, 500, 600, kernel="dense-hours"
+            ),
+            lambda: synthesize_network(rec, N_PERSONS, 500, 600),
+        ):
+            net, report = run()
             assert net.adjacency.nnz == 0
             assert report.n_sliced_records == 0
 
 
 class TestShardIdentity:
     """The place-sharded path joins the bit-identity matrix: for any
-    kernel/record-path single-process reference, the sharded reduce of the
-    same logs yields the same CSR triple (adjacency is additive over
-    places; canonical CSRs sum canonically)."""
+    single-process run, the sharded reduce of the same logs yields the
+    same CSR triple (adjacency is additive over places; canonical CSRs
+    sum canonically)."""
 
-    @pytest.mark.parametrize("kernel", ["dense-hours", "intervals"])
-    @pytest.mark.parametrize("dispatch", ["value", "zero-copy"])
-    def test_sharded_vs_single_process(self, tmp_path, kernel, dispatch):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(("dense-hours", "value"), id="value-dense-hours"),
+            pytest.param(("intervals", "value"), id="value-intervals"),
+            pytest.param(("intervals", "zero-copy"), id="zero-copy-intervals"),
+        ],
+    )
+    def test_sharded_vs_single_process(self, tmp_path, run):
         from repro.distrib.shardsynth import shard_synthesize
 
         logs = write_tricky_logs(tmp_path / "logs", seed=21)
-        single, _ = RECORD_PATHS[dispatch](
-            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
-        )
+        single, _ = RUNS[run](logs, N_PERSONS, T0, T1, batch_size=2)
         sharded, _ = shard_synthesize(
             logs, N_PERSONS, T0, T1, n_shards=3, strategy="refined"
         )
@@ -227,9 +294,7 @@ class TestDispatchIdentity:
         val, rep_v = reference.synthesize_from_logs(
             logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
         )
-        zc, rep_z = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, batch_size=2, kernel=kernel
-        )
+        zc, rep_z = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         assert csr_identical(val.adjacency, zc.adjacency)
         assert rep_v.n_records == rep_z.n_records
         assert rep_v.n_places == rep_z.n_places
@@ -253,7 +318,7 @@ class TestDispatchIdentity:
             pool = SerialPool()
             pool.track_bytes = True
             try:
-                RECORD_PATHS[dispatch](
+                RUNS["intervals", dispatch](
                     logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
                 )
             finally:
@@ -265,42 +330,45 @@ class TestDispatchIdentity:
 
 
 class TestCrossConfigResume:
-    """A checkpoint written under one (kernel, record path) pair is valid
-    under any other — a checkpoint the pre-change by-value body wrote
-    resumes on the production path and the reverse — because the digest
-    deliberately excludes both: outputs are bit-identical."""
+    """A checkpoint written by one way of running is valid under any
+    other — the oracle's (the in-tree stand-in for one the parent's
+    ``--kernel dense-hours --backend scipy`` left behind) resumes on the
+    production path, and production's under the oracle — because the
+    digest records neither: outputs are bit-identical."""
 
     @pytest.mark.parametrize(
         "first,second",
         [
             (("dense-hours", "value"), ("intervals", "zero-copy")),
-            (("intervals", "value"), ("dense-hours", "zero-copy")),
-            (("intervals", "zero-copy"), ("intervals", "value")),
+            (("intervals", "value"), ("intervals", "zero-copy")),
+            (("intervals", "zero-copy"), ("dense-hours", "value")),
         ],
     )
     def test_resume_across_configs(self, tmp_path, first, second):
         logs = write_tricky_logs(tmp_path / "logs", seed=21)
-        baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
+        baseline, base_report = synthesize_from_logs(
+            logs, N_PERSONS, T0, T1, batch_size=2
+        )
 
         ckpt = tmp_path / "ckpt"
-        k1, d1 = first
-        # die inside batch 2 (after one committed batch); both record
-        # paths issue two maps per batch (unit build + adjacency)
+        # die inside batch 2 (after one committed batch); every run
+        # issues two maps per batch (unit build + adjacency)
         pool = FlakyPool(SerialPool(), die_on_calls={2})
         with pytest.raises(WorkerCrash):
-            RECORD_PATHS[d1](
+            RUNS[first](
                 logs, N_PERSONS, T0, T1, batch_size=2,
-                pool=pool, checkpoint=ckpt, kernel=k1,
+                pool=pool, checkpoint=ckpt,
             )
         pool.inner.close()
 
-        k2, d2 = second
-        resumed, report = RECORD_PATHS[d2](
-            logs, N_PERSONS, T0, T1, batch_size=2, resume=ckpt, kernel=k2
+        resumed, report = RUNS[second](
+            logs, N_PERSONS, T0, T1, batch_size=2, resume=ckpt
         )
         assert report.resumed_batches == 1
         assert report.batches == 3
         assert csr_identical(baseline.adjacency, resumed.adjacency)
+        for count in COUNTS:
+            assert getattr(report, count) == getattr(base_report, count), count
 
 
 class TestQuarantineParity:
@@ -330,7 +398,7 @@ class TestQuarantineParity:
         logs = write_tricky_logs(tmp_path / "logs", seed=32)
         self._corrupt(rank_log_path(logs, 1))
         with pytest.raises(LogCorruptError):
-            RECORD_PATHS[dispatch](
+            RUNS["intervals", dispatch](
                 logs, N_PERSONS, T0, T1, batch_size=2, strict=True
             )
 

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import synthesize_from_logs, synthesize_network
+from repro.core import (
+    StreamingSynthesizer,
+    TileCache,
+    synthesize_from_logs,
+    synthesize_from_logs_bsp,
+    synthesize_network,
+    synthesize_network_bsp,
+)
 from repro.core.pipeline import validate_place_locality
 from repro.distrib import ThreadPool, make_pool, spatial_partition
-from repro.errors import SynthesisError
+from repro.errors import PartitionError, SynthesisError, TileCacheError
 from repro.evlog import LogSet, write_rank_logs
+from repro.obs import capture_spans
 from repro.sim.events import events_to_grid
 
 
@@ -197,3 +205,60 @@ class TestFromLogs:
             log_dir, small_pop.n_persons, 10_000, 10_001, batch_size=2
         )
         assert net.n_edges == 0
+
+
+class TestOnePath:
+    """There is nothing left to select: the arithmetic knobs and the
+    object that carried them are not arguments any more."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"kernel": "intervals"}, {"backend": "auto"}, {"plan": None},
+         {"dispatch": "zero-copy"}],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_knobs_are_gone(self, knob, week_result):
+        rec = week_result.records
+        for call in (
+            lambda: synthesize_network(rec, 800, 0, 24, **knob),
+            lambda: synthesize_from_logs(".", 800, 0, 24, **knob),
+            lambda: synthesize_network_bsp(rec, 800, 0, 24, 2, **knob),
+            lambda: synthesize_from_logs_bsp(".", 800, 0, 24, 2, **knob),
+            lambda: StreamingSynthesizer(800, **knob),
+            lambda: TileCache(".", 800, **knob),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_plan_is_not_exported(self):
+        assert not hasattr(repro, "SynthesisPlan")
+        assert not hasattr(repro.core, "DEFAULT_PLAN")
+
+
+class TestConfigurationErrors:
+    """Bad configuration is a typed error on the keyword surface, raised
+    before any work starts."""
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_bad_batch_size(self, tmp_path, batch_size):
+        with capture_spans() as spans:
+            for call in (
+                lambda: synthesize_from_logs(
+                    tmp_path, 10, 0, 24, batch_size=batch_size
+                ),
+                lambda: synthesize_from_logs_bsp(
+                    tmp_path, 10, 0, 24, 2, batch_size=batch_size
+                ),
+                lambda: StreamingSynthesizer(10, batch_size=batch_size),
+            ):
+                with pytest.raises(SynthesisError, match="batch_size must be >= 1"):
+                    call()
+        assert spans == []  # refused before the ``synthesize`` span opened
+
+    def test_unknown_pool_kind(self):
+        with pytest.raises(PartitionError):
+            make_pool("fork-bomb")
+
+    def test_tile_hours_below_one(self, tmp_path):
+        with pytest.raises(TileCacheError):
+            TileCache(tmp_path, 10, tile_hours=0)

@@ -31,7 +31,8 @@ def two_week_logs(tmp_path_factory, small_pop):
 
 class TestStreaming:
     def test_total_equals_whole_synthesis(self, small_pop, two_week_logs):
-        series = StreamingSynthesizer(small_pop.n_persons).process(
+        # four rank files in batches of two: every interval sums two batches
+        series = StreamingSynthesizer(small_pop.n_persons, batch_size=2).process(
             str(two_week_logs), 2
         )
         total = series.total()

@@ -2,7 +2,7 @@
 
 The load-bearing property is *bit-identity*: for any window, the
 tile-composed adjacency must have exactly the same CSR ``data``,
-``indices``, and ``indptr`` as a direct ``kernel="intervals"`` synthesis
+``indices``, and ``indptr`` as a direct synthesis
 over the same logs — aligned windows, unaligned fringes, single-tile and
 sub-tile windows, full runs, after checkpoint resume, and with damaged
 files quarantined.
@@ -64,9 +64,7 @@ def assert_bit_identical(a, b):
 
 
 def direct(log_dir, n_persons, t0, t1, **kw):
-    net, _ = synthesize_from_logs(
-        log_dir, n_persons, t0, t1, kernel="intervals", **kw
-    )
+    net, _ = synthesize_from_logs(log_dir, n_persons, t0, t1, **kw)
     return net
 
 
@@ -373,7 +371,7 @@ class TestWiring:
         )
         ref = direct(tile_logs, small_pop.n_persons, 7, 250)
         assert_bit_identical(net.adjacency, ref.adjacency)
-        assert report.kernel == "intervals"
+        assert report.batches == 0
         assert "cache_query" in report.timings.stages
 
     def test_pipeline_cache_rejects_checkpoint(
@@ -383,11 +381,6 @@ class TestWiring:
             synthesize_from_logs(
                 tile_logs, small_pop.n_persons, 0, 24,
                 cache=tile_cache, checkpoint=tmp_path / "c",
-            )
-        with pytest.raises(SynthesisError):
-            synthesize_from_logs(
-                tile_logs, small_pop.n_persons, 0, 24,
-                cache=tile_cache, kernel="dense-hours",
             )
         with pytest.raises(SynthesisError):
             synthesize_from_logs(

@@ -5,7 +5,7 @@ executor's threads, so the cache must tolerate concurrent
 ``query_window`` / ``warm`` calls — including with an LRU budget small
 enough that evictions race live compositions.  Property under test:
 *every* CSR any thread receives is bit-identical to a direct
-``kernel="intervals"`` synthesis of its window, and the stats counters
+synthesis of its window, and the stats counters
 (guarded by the cache lock) never lose an update.
 
 Seeded end to end: the window pool, each thread's query sequence, and
@@ -65,7 +65,7 @@ def references(conc_logs, small_pop):
     refs = {}
     for t0, t1 in WINDOW_POOL:
         net, _ = synthesize_from_logs(
-            conc_logs, small_pop.n_persons, t0, t1, kernel="intervals"
+            conc_logs, small_pop.n_persons, t0, t1
         )
         refs[(t0, t1)] = net
     return refs

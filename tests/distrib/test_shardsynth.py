@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import TileCache, synthesize_from_logs
-from repro.core.plan import SynthesisPlan
 from repro.distrib.shardsynth import (
     STRATEGIES,
     ShardedTileCache,
@@ -28,6 +27,7 @@ from repro.errors import SynthesisError
 from repro.evlog import LogSet
 from repro.evlog.multifile import rank_log_path
 from repro.obs import MetricsRegistry, set_default_registry
+from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import (
     N_PERSONS,
     N_PLACES,
@@ -48,9 +48,7 @@ def shard_logs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference(shard_logs):
-    net, _ = synthesize_from_logs(
-        shard_logs, N_PERSONS, T0, T1, kernel="intervals"
-    )
+    net, _ = synthesize_from_logs(shard_logs, N_PERSONS, T0, T1)
     return net
 
 
@@ -74,12 +72,14 @@ class TestShardBitIdentity:
 
     @pytest.mark.parametrize("n_shards", (2, 4))
     def test_masked_backend_identity(self, shard_logs, reference, n_shards):
-        """The compiled masked SpGEMM shard leg is bit-identical too."""
-        plan = SynthesisPlan(kernel="intervals", backend="masked")
-        net, _ = shard_synthesize(
-            shard_logs, N_PERSONS, T0, T1, n_shards=n_shards, plan=plan
-        )
-        assert csr_identical(net.adjacency, reference.adjacency)
+        """The shard leg is bit-identical on the C kernels and on their
+        twins (the forked shards inherit the pinned implementation)."""
+        for impl in IMPLS:
+            with use_impl(impl):
+                net, _ = shard_synthesize(
+                    shard_logs, N_PERSONS, T0, T1, n_shards=n_shards
+                )
+            assert csr_identical(net.adjacency, reference.adjacency)
 
     def test_reduce_is_order_independent(self, shard_logs, reference):
         """Spatial vs round-robin assign places in different orders; the
@@ -107,7 +107,7 @@ class TestShardPlan:
             shard_logs, N_PERSONS, T0 + 24, T1 - 24, shard_plan=plan
         )
         direct, _ = synthesize_from_logs(
-            shard_logs, N_PERSONS, T0 + 24, T1 - 24, kernel="intervals"
+            shard_logs, N_PERSONS, T0 + 24, T1 - 24
         )
         assert csr_identical(sub.adjacency, direct.adjacency)
 
@@ -142,13 +142,6 @@ class TestShardPlan:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
-    def test_requires_interval_kernel(self, shard_logs):
-        plan = SynthesisPlan(kernel="dense-hours")
-        with pytest.raises(SynthesisError, match="interval"):
-            shard_synthesize(
-                shard_logs, N_PERSONS, T0, T1, n_shards=2, plan=plan
-            )
-
     def test_log_horizon(self, shard_logs):
         assert log_horizon(LogSet(shard_logs)) >= T1
 
@@ -163,9 +156,7 @@ class TestShardQuarantine:
         logs = write_tricky_logs(tmp_path / "logs", seed=41)
         bad = rank_log_path(logs, 2)
         self._corrupt(bad)
-        single, rep_s = synthesize_from_logs(
-            logs, N_PERSONS, T0, T1, kernel="intervals"
-        )
+        single, rep_s = synthesize_from_logs(logs, N_PERSONS, T0, T1)
         sharded, rep = shard_synthesize(logs, N_PERSONS, T0, T1, n_shards=3)
         assert rep_s.quarantined == [str(bad)]
         assert rep.quarantined == [str(bad)]
@@ -174,9 +165,8 @@ class TestShardQuarantine:
     def test_strict_raises(self, tmp_path):
         logs = write_tricky_logs(tmp_path / "logs", seed=42)
         self._corrupt(rank_log_path(logs, 1))
-        plan = SynthesisPlan(kernel="intervals", strict=True)
         with pytest.raises(SynthesisError):
-            shard_synthesize(logs, N_PERSONS, T0, T1, n_shards=2, plan=plan)
+            shard_synthesize(logs, N_PERSONS, T0, T1, n_shards=2, strict=True)
 
 
 class TestShardMetrics:
@@ -224,7 +214,7 @@ class TestShardedTileCache:
             # unaligned window, exercising partial tiles per shard
             got = cache.query_window(T0 + 7, T1 - 5)
             want, _ = synthesize_from_logs(
-                shard_logs, N_PERSONS, T0 + 7, T1 - 5, kernel="intervals"
+                shard_logs, N_PERSONS, T0 + 7, T1 - 5
             )
             assert csr_identical(got.adjacency, want.adjacency)
             assert cache.reduce_seconds >= 0.0
@@ -269,10 +259,12 @@ class TestShardedTileCache:
             assert len(cache.digest) == 64
             assert cache.pool.n_workers == 3
 
-    def test_plan_object_supplies_knobs(self, shard_logs, tmp_path, cache_plan):
-        plan = SynthesisPlan(tile_hours=12, cache_dir=tmp_path / "tiles")
+    def test_keyword_arguments_reach_every_shard(
+        self, shard_logs, tmp_path, cache_plan
+    ):
         with ShardedTileCache(
-            shard_logs, N_PERSONS, cache_plan, plan=plan
+            shard_logs, N_PERSONS, cache_plan,
+            tile_hours=12, cache_dir=tmp_path / "tiles",
         ) as cache:
             cache.query_window(T0, T0 + 24)
             assert cache.shards[0].tile_hours == 12

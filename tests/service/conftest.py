@@ -4,7 +4,7 @@ The log directory is package-scoped (built once, read by every service
 test) and the direct-synthesis references are cached per window, because
 the load-bearing assertion everywhere is the same as the tile-cache
 suite's: whatever a client decodes off the wire must be bit-identical to
-a direct ``kernel="intervals"`` synthesis of the same window.
+a direct synthesis of the same window.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def direct_ref(service_logs, small_pop):
         key = (t0, t1)
         if key not in refs:
             net, _ = synthesize_from_logs(
-                service_logs, small_pop.n_persons, t0, t1, kernel="intervals"
+                service_logs, small_pop.n_persons, t0, t1
             )
             refs[key] = net
         return refs[key]

@@ -5,7 +5,7 @@ The contracts under test:
 * Identical in-flight windows share ONE composition (the instrumented
   ``compositions`` / ``coalesced`` counters prove it), and every client —
   leader or follower — decodes a CSR bit-identical to a direct
-  ``kernel="intervals"`` synthesis.
+  synthesis.
 * Derived ops (``ego``, ``degrees``) coalesce with plain ``window``
   requests over the same window.
 * Admission budgets are strictly per tenant: one tenant saturating its

@@ -267,7 +267,7 @@ class TestReloadInFlight:
         log_dir = tmp_path / "logs"
         shutil.copytree(service_logs, log_dir)
         ref_old, _ = synthesize_from_logs(
-            log_dir, small_pop.n_persons, 24, 192, kernel="intervals"
+            log_dir, small_pop.n_persons, 24, 192
         )
 
         async def scenario():
@@ -310,7 +310,7 @@ class TestReloadInFlight:
         assert_bit_identical(net_old.adjacency, ref_old.adjacency)
         # freshness: the next query no longer sees the deleted rank
         ref_new, _ = synthesize_from_logs(
-            log_dir, small_pop.n_persons, 24, 192, kernel="intervals"
+            log_dir, small_pop.n_persons, 24, 192
         )
         assert_bit_identical(net_new.adjacency, ref_new.adjacency)
         assert net_new.total_weight < net_old.total_weight

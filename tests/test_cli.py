@@ -213,6 +213,47 @@ class TestFaultToleranceFlags:
         assert err.value.code == 2
         assert "unrecognized arguments: --dispatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--kernel", "intervals"], ["--backend", "auto"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["synthesize", "--out", "x.npz"], ["query", "--window", "0", "24"],
+         ["serve"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_kernel_and_backend_flags_are_gone(
+        self, workspace, command, flag, capsys
+    ):
+        _, world, logs, _ = workspace
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--log-dir", str(logs), "--population", str(world),
+                  *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_bad_batch_size_is_an_error_not_a_traceback(
+        self, workspace, tmp_path, capsys
+    ):
+        _, world, logs, _ = workspace
+        out = tmp_path / "never.npz"
+        for pool in ("serial", "process"):
+            assert main(["synthesize", "--log-dir", str(logs),
+                         "--population", str(world), "--batch-size", "0",
+                         "--pool", pool, "--out", str(out)]) == 2
+            assert "error: batch_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_pool_kind_exits_2(self, workspace, capsys):
+        _, world, logs, _ = workspace
+        with pytest.raises(SystemExit) as err:
+            main(["synthesize", "--log-dir", str(logs),
+                  "--population", str(world), "--pool", "fork-bomb",
+                  "--out", "x.npz"])
+        assert err.value.code == 2
+        assert "--pool" in capsys.readouterr().err
+
     def test_retrying_thread_pool(self, workspace, tmp_path):
         _, world, logs, _ = workspace
         out = tmp_path / "t.net.npz"
