@@ -122,7 +122,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             max_restarts=args.max_restarts,
         )
         print(
-            f"distributed run on {args.ranks} ranks: "
+            f"distributed run on {args.ranks} ranks (impl {result.impl}): "
             f"{result.total_events:,} events, "
             f"{result.total_migrations:,} migrations, "
             f"{result.traffic.bytes_sent:,} comm bytes, "

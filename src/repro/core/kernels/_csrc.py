@@ -78,6 +78,16 @@ Two graph kernels serve the Section V analysis (entry points in
     one gather pass over the listed rows of a CSR matrix through a
     global→local column map — the compiled twin of
     ``m[persons][:, persons]``.
+
+One kernel serves the distributed model (entry point in
+:mod:`repro.distrib.rankstep`):
+
+``rk_rank_step``
+    one rank-hour over a rank's hosted table: a single scan that reads
+    the change plane row, closes the changers' spells as log records,
+    opens their next spells from the week grids, looks the new owner up,
+    compacts stayers in place and buckets leavers by destination — the
+    compiled twin of the numpy step below its call.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 6
+C_SOURCE_VERSION = 7
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -575,5 +585,90 @@ API int64_t rk_induced_subgraph(
         out_indptr[r + 1] = (int32_t)out;
     }
     return out;
+}
+
+/* The two 20-byte rows the distributed model moves: an open spell as a
+   rank hosts and migrates it (numpy MIGRANT_DTYPE, packed: the int64
+   sits at offset 4) and a closed spell as it is logged (LOG_DTYPE). */
+typedef struct __attribute__((packed)) {
+    uint32_t person; int64_t spell_start; uint32_t activity; uint32_t place;
+} rk_spell;
+typedef struct {
+    uint32_t start, stop, person, activity, place;
+} rk_record;
+typedef char rk_spell_is_20_bytes[sizeof(rk_spell) == 20 ? 1 : -1];
+typedef char rk_record_is_20_bytes[sizeof(rk_record) == 20 ? 1 : -1];
+
+/* One rank-hour of the distributed model: one scan over the n hosted
+   rows of table, in hosted order.
+
+   changed is the hour's row of the change plane (one byte per person);
+   act / place are the week's (n_persons, width) grids and how the
+   hour's column; owner maps a place to its rank.  A row whose person
+   did not change stays.  A changer's open spell is closed into records
+   (stop = hour), its next spell is read from the grids, and it stays if
+   this rank owns the new place, else leaves.  Stayers are compacted to
+   the front of table in hosted order; leavers are written to leavers
+   grouped by destination rank, hosted order kept within a group.
+
+   Outputs: out[0] = rows still hosted; out[1 .. n_ranks + 1] = group
+   bounds (rank r receives leavers[out[1 + r] : out[2 + r]]).  records,
+   leavers, moved (scratch rows) and dest (scratch int32) each hold n
+   entries.  Returns the number of records written, or, writing nothing
+   out of bounds, -1 for a person >= n_persons, -2 for a place >=
+   n_places (hosted or in the grid), -3 for an owner outside
+   [0, n_ranks), -4 for an open spell that does not start inside
+   [0, hour); the table is unspecified after an error. */
+API int64_t rk_rank_step(
+    rk_spell *table, int64_t n, const uint8_t *changed,
+    const uint8_t *act, const uint32_t *place, int64_t width, int64_t how,
+    const int32_t *owner,
+    int64_t n_persons, int64_t n_places, int64_t n_ranks, int64_t rank,
+    int64_t hour,
+    rk_record *records, rk_spell *leavers, rk_spell *moved, int32_t *dest,
+    int64_t *out) {
+    int64_t *bounds = out + 1;
+    int64_t kept = 0, n_rec = 0, n_gone = 0;
+    for (int64_t r = 0; r <= n_ranks; r++) bounds[r] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        rk_spell row = table[i];
+        if (row.person >= n_persons) return -1;
+        if (changed[row.person]) {
+            if (row.spell_start < 0 || row.spell_start >= hour) return -4;
+            if (row.place >= n_places) return -2;
+            rk_record *rec = &records[n_rec++];
+            rec->start = (uint32_t)row.spell_start;
+            rec->stop = (uint32_t)hour;
+            rec->person = row.person;
+            rec->activity = row.activity;
+            rec->place = row.place;
+            const size_t cell = (size_t)row.person * (size_t)width + (size_t)how;
+            row.spell_start = hour;
+            row.activity = act[cell];
+            row.place = place[cell];
+            if (row.place >= n_places) return -2;
+            const int32_t to = owner[row.place];
+            if (to < 0 || to >= n_ranks) return -3;
+            if (to != rank) {
+                moved[n_gone] = row;
+                dest[n_gone++] = to;
+                bounds[to + 1]++;
+                continue;
+            }
+        } else if (kept == i) {
+            kept++;
+            continue;
+        }
+        table[kept++] = row;
+    }
+    /* counting sort of the leavers by destination: bounds[r] is the
+       write cursor of group r during the scatter and ends on the
+       group's end, i.e. the next group's start, so shift back after */
+    for (int64_t r = 0; r < n_ranks; r++) bounds[r + 1] += bounds[r];
+    for (int64_t k = 0; k < n_gone; k++) leavers[bounds[dest[k]]++] = moved[k];
+    for (int64_t r = n_ranks; r > 0; r--) bounds[r] = bounds[r - 1];
+    bounds[0] = 0;
+    out[0] = kept;
+    return n_rec;
 }
 """

@@ -78,7 +78,8 @@ def _as_ptr(a: np.ndarray, typ) -> "ctypes.pointer":
 
 class CompiledKernels:
     """ctypes bindings over the built shared object, with array-aware
-    wrappers so callers pass numpy arrays, not pointers."""
+    wrappers so callers pass numpy arrays, not pointers (``rank_step``
+    excepted)."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
@@ -103,6 +104,12 @@ class CompiledKernels:
             ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_int64,
             _I32, _I32, _I64, _I32, ctypes.c_int64, _I32, _I32, _I64,
         ]
+        lib.rk_rank_step.restype = ctypes.c_int64
+        lib.rk_rank_step.argtypes = (
+            [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+            + [ctypes.c_int64] * 2 + [ctypes.c_void_p] + [ctypes.c_int64] * 5
+            + [ctypes.c_void_p] * 5
+        )
 
     def col_stats(
         self,
@@ -449,6 +456,17 @@ class CompiledKernels:
             )
         )
 
+    def rank_step(self, *args: int) -> int:
+        """``rk_rank_step`` (arguments and return codes: the comment
+        above it in :mod:`._csrc`), called with buffer *addresses*
+        (``arr.ctypes.data``), not arrays: the step runs once per
+        rank-hour and ``ndarray.ctypes`` costs microseconds an access, so
+        :class:`repro.distrib.rankstep.HostedTable` resolves each address
+        once per week (grids, plane) or per growth (table, scratch),
+        checks dtype, shape and contiguity there, and keeps the arrays
+        alive."""
+        return self._lib.rk_rank_step(*args)
+
 
 def _build(cc: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -521,6 +539,35 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         or (sub_indices[0], sub_data[0]) != (1, 6)
     ):
         raise RuntimeError("compiled graph kernel smoke test failed")
+    # one rank-hour (hour 1 of a 2-hour week) on rank 0 of 2: person 0
+    # moves to place 1 (rank 1's) and leaves, person 1 does not change,
+    # person 2 changes activity at place 0 and stays, now second
+    # (MIGRANT_DTYPE spelt out: core does not import distrib)
+    spell = np.dtype(
+        [("person", "<u4"), ("spell_start", "<i8"), ("activity", "<u4"), ("place", "<u4")]
+    )
+    table = np.array([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)], dtype=spell)
+    changed = np.array([1, 0, 1], dtype=np.uint8)
+    act = np.array([[0, 3], [0, 0], [0, 4]], dtype=np.uint8)
+    place = np.array([[0, 1], [0, 0], [0, 0]], dtype=np.uint32)
+    owner = np.array([0, 1], dtype=np.int32)
+    records = np.zeros((3, 5), dtype="<u4")
+    leavers, moved = np.zeros(3, dtype=spell), np.zeros(3, dtype=spell)
+    dest, out = np.zeros(3, dtype=np.int32), np.zeros(4, dtype=np.int64)
+    n_rec = kernels.rank_step(
+        table.ctypes.data, 3, changed.ctypes.data, act.ctypes.data,
+        place.ctypes.data, 2, 1, owner.ctypes.data, 3, 2, 2, 0, 1,
+        records.ctypes.data, leavers.ctypes.data, moved.ctypes.data,
+        dest.ctypes.data, out.ctypes.data,
+    )  # fmt: skip
+    if (
+        n_rec != 2
+        or out.tolist() != [2, 0, 0, 1]
+        or records[:2].tolist() != [[0, 1, 0, 0, 0], [0, 1, 2, 0, 0]]
+        or table[:2].tolist() != [(1, 0, 0, 0), (2, 1, 4, 0)]
+        or leavers[:1].tolist() != [(0, 1, 3, 1)]
+    ):
+        raise RuntimeError("compiled rank-step kernel smoke test failed")
 
 
 def _load() -> "tuple[CompiledKernels | bool, str | None]":

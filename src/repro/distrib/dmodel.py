@@ -26,6 +26,7 @@ import numpy as np
 
 from .._util import atomic_write_bytes
 from ..config import HOURS_PER_WEEK, SimulationConfig
+from ..core.kernels.cext import load_cext
 from ..errors import CheckpointError, RankDeadError, RankFailureError, SimulationError
 from ..evlog.multifile import rank_log_path
 from ..evlog.schema import LogRecordArray, empty_records
@@ -40,8 +41,9 @@ from ..sim.checkpoint import (
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
 from .comm import Communicator, TrafficStats
-from .migration import pack_migrants, route_rows, unpack_migrants
+from .migration import pack_migrants, unpack_migrants
 from .partition import PlacePartition
+from .rankstep import HostedTable
 from .simcluster import SimCluster
 
 __all__ = [
@@ -167,6 +169,9 @@ class _RankOutput:
     changes: int = 0
     migrants: int = 0
     loop_seconds: float = 0.0
+    #: what ran the rank-hour scan, and how many steps its twin took
+    impl: str = ""
+    twin_steps: int = 0
 
 
 @dataclass
@@ -184,6 +189,9 @@ class DistributedRunResult:
     restarts: int = 0
     #: collective snapshots committed (final successful attempt)
     checkpoints_written: int = 0
+    #: what ran the rank-hour step: ``"cext"``, or ``"twin"`` when any
+    #: rank stepped in numpy (as ``SynthesisReport.impl``)
+    impl: str = ""
 
     @property
     def total_migrations(self) -> int:
@@ -287,7 +295,11 @@ class DistributedSimulation:
         """
         duration = self.config.duration_hours
         n_ranks = self.config.n_ranks
+        n_persons = self.population.n_persons
         assignment = self.partition.assignment
+        # before any rank thread or forked rank exists: every rank runs
+        # the implementation this process loaded and none builds its own
+        load_cext()
         cache = _ScheduleCache(
             self.population.schedule_generator(self.config.schedule)
         )
@@ -304,10 +316,12 @@ class DistributedSimulation:
             rank = comm.rank
             checkpoints = changes = 0
             if resume_state is not None:
-                ids = resume_state["ids"].astype(np.uint32).copy()
-                spell_start = resume_state["spell_start"].astype(np.int64).copy()
-                spell_act = resume_state["spell_act"].astype(np.uint32).copy()
-                spell_place = resume_state["spell_place"].astype(np.uint32).copy()
+                rows = pack_migrants(
+                    resume_state["ids"],
+                    resume_state["spell_start"],
+                    resume_state["spell_act"],
+                    resume_state["spell_place"],
+                )
                 migrations_out = (
                     resume_state["migrations_out"].astype(np.int64).copy()
                 )
@@ -315,12 +329,16 @@ class DistributedSimulation:
             else:
                 week = cache.week(0)
                 place0 = week.place[:, 0]
-                ids = np.flatnonzero(assignment[place0] == rank).astype(np.uint32)
-                spell_start = np.zeros(len(ids), dtype=np.int64)
-                spell_act = week.activity[:, 0][ids].astype(np.uint32)
-                spell_place = place0[ids]
+                ids = np.flatnonzero(assignment[place0] == rank)
+                rows = pack_migrants(
+                    ids, np.zeros(len(ids), np.int64), week.activity[ids, 0], place0[ids]
+                )
                 migrations_out = np.zeros(duration, dtype=np.int64)
                 start_hour = 1
+            hosted = HostedTable(
+                rows, rank=rank, n_ranks=comm.size, n_persons=n_persons,
+                assignment=assignment,
+            )
 
             writer = None
             path = None
@@ -345,19 +363,10 @@ class DistributedSimulation:
             if resume_state is not None and len(resume_state["records"]):
                 records.append(resume_state["records"])
 
-            def close_spells(rows: "np.ndarray | slice", stop: int) -> np.ndarray:
-                """Log the open spells of hosted ``rows`` as ending at ``stop``."""
-                who = ids[rows]
-                rec = empty_records(len(who))
-                rec["start"] = spell_start[rows]
-                rec["stop"] = stop
-                rec["person"] = who
-                rec["activity"] = spell_act[rows]
-                rec["place"] = spell_place[rows]
+            def emit(rec: LogRecordArray) -> None:
                 records.append(rec)
                 if writer is not None:
                     writer.log_batch(rec)
-                return who
 
             killed = False
             tic = time.perf_counter()
@@ -367,55 +376,17 @@ class DistributedSimulation:
                         fault_hook(comm, hour)
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == start_hour:
-                        week = cache.week(week_index)
-                        plane = cache.changes(week_index)
+                        hosted.bind_week(
+                            cache.week(week_index), cache.changes(week_index)
+                        )
 
-                    # open spells equal the grid at hour-1, so the plane row
-                    # is the change test; only changers touch the grid
-                    idx = np.flatnonzero(plane[hour_of_week][ids])
-                    payloads: list[np.ndarray | None] = [None] * comm.size
-                    if len(idx):
-                        changes += len(idx)
-                        who = close_spells(idx, hour)
-                        new_place = week.place[who, hour_of_week]
-                        spell_start[idx] = hour
-                        spell_act[idx] = week.activity[who, hour_of_week]
-                        spell_place[idx] = new_place
-                        # every hosted agent sits on a place this rank owns,
-                        # so only a changer can leave
-                        dest = assignment[new_place]
-                        gone = dest != rank
-                        if gone.any():
-                            lv = idx[gone]
-                            migrations_out[hour] = len(lv)
-                            order, spans = route_rows(dest[gone], comm.size)
-                            rows = lv[order]
-                            packed = pack_migrants(
-                                ids[rows],
-                                spell_start[rows],
-                                spell_act[rows],
-                                spell_place[rows],
-                            )
-                            for r, lo, hi in spans:
-                                payloads[r] = packed[lo:hi]
-                            keep = np.ones(len(ids), dtype=bool)
-                            keep[lv] = False
-                            ids = ids[keep]
-                            spell_start = spell_start[keep]
-                            spell_act = spell_act[keep]
-                            spell_place = spell_place[keep]
-                    incoming = unpack_migrants(comm.alltoall(payloads))
-                    if len(incoming):
-                        ids = np.concatenate([ids, incoming["person"]])
-                        spell_start = np.concatenate(
-                            [spell_start, incoming["spell_start"]]
-                        )
-                        spell_act = np.concatenate(
-                            [spell_act, incoming["activity"]]
-                        )
-                        spell_place = np.concatenate(
-                            [spell_place, incoming["place"]]
-                        )
+                    rec, payloads, n_leavers = hosted.step(hour)
+                    if rec is not None:
+                        changes += len(rec)
+                        emit(rec)
+                        if n_leavers:
+                            migrations_out[hour] = n_leavers
+                    hosted.arrive(unpack_migrants(comm.alltoall(payloads)))
 
                     if (
                         ckpt_dir is not None
@@ -432,11 +403,14 @@ class DistributedSimulation:
                             else (records[0] if records else empty_records(0))
                         )
                         records = [merged]
+                        live = hosted.hosted()
                         state = {
-                            "ids": ids,
-                            "spell_start": spell_start,
-                            "spell_act": spell_act,
-                            "spell_place": spell_place,
+                            # columns that own their memory: the table is
+                            # rewritten in place from the next hour on
+                            "ids": live["person"].copy(),
+                            "spell_start": live["spell_start"].copy(),
+                            "spell_act": live["activity"].copy(),
+                            "spell_place": live["place"].copy(),
                             "records": merged,
                             "migrations_out": migrations_out,
                             "writer_offset": (
@@ -452,8 +426,8 @@ class DistributedSimulation:
                         comm.barrier()
                         checkpoints += 1
 
-                if len(ids):
-                    close_spells(slice(None), duration)
+                if hosted.count:
+                    emit(hosted.close_all(duration))
             except RankDeadError:
                 # simulated hard kill: skip all cleanup so the log file is
                 # left torn, exactly as a SIGKILL would
@@ -471,12 +445,14 @@ class DistributedSimulation:
                 rank=rank,
                 records=merged,
                 migrations_out=migrations_out,
-                hosted_final=len(ids),
+                hosted_final=hosted.count,
                 log_path=path,
                 checkpoints=checkpoints,
                 changes=changes,
                 migrants=int(migrations_out[start_hour:].sum()),
                 loop_seconds=time.perf_counter() - tic,
+                impl=hosted.impl,
+                twin_steps=hosted.twin_steps,
             )
 
         def traced_rank_fn(comm: Communicator, resume_state: dict | None):
@@ -532,6 +508,8 @@ class DistributedSimulation:
             probe.count("distrib.migrants_out", o.migrants)
             probe.count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
             probe.observe("distrib.rank_loop_seconds", o.loop_seconds)
+            if o.twin_steps:
+                probe.count("kernels.rank_step.twin", o.twin_steps)
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,
@@ -542,4 +520,5 @@ class DistributedSimulation:
             log_paths=[o.log_path for o in outputs if o.log_path is not None],
             restarts=restarts,
             checkpoints_written=outputs[0].checkpoints,
+            impl="cext" if all(o.impl == "cext" for o in outputs) else "twin",
         )

@@ -11,7 +11,8 @@ to the paper's MPI deployment:
 * each rank owns an inbox (``multiprocessing.Queue``); collectives are
   sequence-tagged messages so consecutive collectives never interleave;
 * barriers are ``multiprocessing.Barrier``;
-* return values and traffic stats ship back over a result queue.
+* return values, traffic stats and the spans a rank finished (its
+  collector dies with it) ship back over a result queue.
 
 The communicator satisfies the same protocol as
 :class:`~repro.distrib.comm.Communicator`, so any rank function written
@@ -26,6 +27,7 @@ import os
 from typing import Any, Callable, Sequence
 
 from ..errors import CommError
+from ..obs import capture_spans, get_collector
 from .comm import TrafficStats, payload_nbytes
 from .simcluster import ClusterRunResult
 
@@ -206,13 +208,15 @@ class ProcessBspCluster:
 
         def child(rank: int) -> None:
             comm = ProcessCommunicator(rank, inboxes, barrier)
-            try:
-                value = rank_fn(
-                    comm, *(rank_args[rank] if rank_args is not None else ())
-                )
-                results.put((rank, "ok", value, comm.stats))
-            except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                results.put((rank, "error", repr(exc), comm.stats))
+            with capture_spans() as spans:
+                try:
+                    value = rank_fn(
+                        comm, *(rank_args[rank] if rank_args is not None else ())
+                    )
+                    status = "ok"
+                except BaseException as exc:  # noqa: BLE001 - shipped to parent
+                    value, status = repr(exc), "error"
+            results.put((rank, status, value, comm.stats, spans))
 
         if self.n_ranks == 1:
             comm = ProcessCommunicator(0, inboxes, barrier)
@@ -232,12 +236,13 @@ class ProcessBspCluster:
         errors: list[tuple[int, str]] = []
         for _ in range(self.n_ranks):
             try:
-                rank, status, value, stats = results.get(timeout=timeout)
+                rank, status, value, stats, spans = results.get(timeout=timeout)
             except Exception as exc:
                 for p in procs:
                     p.terminate()
                 raise CommError("rank process died or timed out") from exc
             traffic[rank] = stats
+            get_collector().absorb(spans)
             if status == "ok":
                 returns[rank] = value
             else:

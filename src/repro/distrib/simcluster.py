@@ -11,7 +11,7 @@ Threads, not processes: the simulated cluster exists to *model* rank
 topology, place ownership, and communication volume.  Under the interpreter
 lock its ranks take turns, so it can never beat the serial engine on
 wall-clock; what it costs on top of the serial engine is measured
-(``distrib.overhead_ratio`` in ``benchmarks/e2e``: about 1.6x at 10 k
+(``distrib.overhead_ratio`` in ``benchmarks/e2e``: about 1.1x at 10 k
 persons on 4 ranks) and is kept low because every workload's world is built
 through it.  Real task-parallel speedup lives in
 :class:`~repro.distrib.taskpool.ProcessPool`.

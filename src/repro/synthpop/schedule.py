@@ -128,6 +128,17 @@ class WeeklyScheduleGenerator:
         self._work_start = np.clip(
             config.work_start + base_rng.integers(-2, 3, n), 0, 24 - config.work_hours
         ).astype(np.int64)
+        # the shift is a fixed-length block: workers grouped by start hour
+        # get it as one (rows, hour-slice) assignment per group and day —
+        # a third of the cost of scattering it cell by cell
+        workers = np.flatnonzero(persons.is_employed)
+        starts = self._work_start[workers]
+        self._shifts = []
+        for shift_start in np.unique(starts):
+            rows = workers[starts == shift_start]
+            self._shifts.append(
+                (int(shift_start), rows, persons.workplace[rows][:, None])
+            )
         # Per-person stable outing propensity: real populations mix
         # home-bodies (who collocate almost only with their household,
         # producing the paper's flat degree-1..7 head and the clustering-
@@ -208,11 +219,12 @@ class WeeklyScheduleGenerator:
             # --- work ---
             if len(workers):
                 ws = self._work_start[workers]
-                dur = np.full(len(workers), cfg.work_hours, dtype=np.int64)
-                self._set_block(
-                    act, place, workers, day, ws, dur, Activity.AT_WORK,
-                    persons.workplace[workers],
-                )
+                for shift_start, rows, workplace in self._shifts:
+                    sl = slice(
+                        base + shift_start, base + shift_start + cfg.work_hours
+                    )
+                    act[rows, sl] = int(Activity.AT_WORK)
+                    place[rows, sl] = workplace
                 # lunch out replaces one mid-shift hour
                 lunch = rng.random(len(workers)) < self._out_prob(cfg.lunch_out_prob, workers)
                 lrows = workers[lunch]
@@ -285,15 +297,11 @@ class WeeklyScheduleGenerator:
                 )
 
         # guarantee the day starts and ends at home so weeks chain cleanly
-        home_cols = []
-        for day in range(7):
-            home_cols.extend(
-                range(day * HOURS_PER_DAY, day * HOURS_PER_DAY + 7)
-            )
-            home_cols.append(day * HOURS_PER_DAY + 23)
-        home_cols = np.array(home_cols)
-        act[:, home_cols] = int(Activity.AT_HOME)
-        place[:, home_cols] = persons.household[:, None]
+        # (hours 0-6 and 23 of every day, through a (person, day, hour) view)
+        for grid, home in ((act, int(Activity.AT_HOME)), (place, persons.household)):
+            days = grid.reshape(n, 7, HOURS_PER_DAY)
+            days[:, :, :7] = np.reshape(home, (-1, 1, 1))
+            days[:, :, 23] = np.reshape(home, (-1, 1))
 
         if (place == NO_PLACE).any():
             raise ScheduleError("schedule grid contains NO_PLACE entries")

@@ -465,7 +465,7 @@ class TestImplementationPinning:
                 return getattr(kernels, name)
 
         cext._smoke_test(kernels)
-        for name in ("edge_triangles", "induced_subgraph"):
+        for name in ("edge_triangles", "induced_subgraph", "rank_step"):
             with pytest.raises(RuntimeError):
                 cext._smoke_test(Skewed(name))
 

@@ -6,7 +6,8 @@ columns for every hosted agent, compares them with the open spells, and
 recomputes the owner of every hosted agent's place.  It is kept only so
 ``test_rank_step_equivalence.py`` can require the production step to give
 byte-identical rank logs, records, migration counts, traffic and
-checkpoints.  Do not import it from ``src/``.
+checkpoints.  ``reference_step`` is one hour of that body on its own, for
+``test_rank_step_property.py``.  Do not import either from ``src/``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,45 @@ from repro.errors import RankDeadError, RankFailureError, SimulationError
 from repro.evlog.multifile import rank_log_path
 from repro.evlog.schema import LogRecordArray, empty_records
 from repro.evlog.writer import CachedLogWriter
+
+
+def reference_step(ids, spell_start, spell_act, spell_place, week, assignment,
+                   rank, n_ranks, hour):
+    """One rank-hour of the body below, on four parallel columns.
+
+    Returns ``(records, (ids, spell_start, spell_act, spell_place),
+    payloads)``; it reads no change plane and validates nothing.
+    """
+    hour_of_week = hour % HOURS_PER_WEEK
+    new_act = week.activity[:, hour_of_week][ids]
+    new_place = week.place[:, hour_of_week][ids]
+    spell_start, spell_act, spell_place = (
+        spell_start.copy(), spell_act.copy(), spell_place.copy()
+    )
+    idx = np.flatnonzero((new_act != spell_act) | (new_place != spell_place))
+    rec = empty_records(len(idx))
+    rec["start"] = spell_start[idx]
+    rec["stop"] = hour
+    rec["person"] = ids[idx]
+    rec["activity"] = spell_act[idx]
+    rec["place"] = spell_place[idx]
+    spell_start[idx] = hour
+    spell_act[idx] = new_act[idx]
+    spell_place[idx] = new_place[idx]
+
+    dest = assignment[spell_place.astype(np.int64)]
+    leaving = dest != rank
+    payloads: list[np.ndarray | None] = [None] * n_ranks
+    lv = np.flatnonzero(leaving)
+    for r in range(n_ranks):
+        rows = lv[dest[lv] == r]
+        if len(rows):
+            payloads[r] = pack_migrants(
+                ids[rows], spell_start[rows], spell_act[rows], spell_place[rows]
+            )
+    keep = ~leaving
+    state = ids[keep], spell_start[keep], spell_act[keep], spell_place[keep]
+    return rec, state, payloads
 
 
 class ReferenceDistributedSimulation(DistributedSimulation):

@@ -12,6 +12,8 @@ from repro.distrib import (
     random_partition,
     spatial_partition,
 )
+from repro.core.kernels import compiled_impl
+from repro.distrib import rankstep
 from repro.distrib.dmodel import _ScheduleCache
 from repro.errors import RankFailureError, SimulationError
 from repro.evlog import LogSet
@@ -241,6 +243,16 @@ class TestTelemetry:
         assert counters["distrib.migrants_out"] == res.total_migrations
         assert counters["distrib.alltoall_bytes"] == res.traffic.by_kind["alltoall"]
         assert counters["distrib.rank_loop_seconds.count"] == 3
+
+    def test_twin_steps_are_counted_once_per_rank(self, pop, monkeypatch):
+        res, counters, _ = self.run_probed(pop)
+        if compiled_impl() == "cext":
+            assert res.impl == "cext"
+            assert "kernels.rank_step.twin" not in counters
+        monkeypatch.setattr(rankstep, "load_cext", lambda: None)
+        res, counters, _ = self.run_probed(pop)
+        assert res.impl == "twin"
+        assert counters["kernels.rank_step.twin"] == counters["distrib.rank_hours"]
 
     def test_run_span_has_one_child_per_rank(self, pop):
         res, _, spans = self.run_probed(pop)

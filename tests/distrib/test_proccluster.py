@@ -11,8 +11,10 @@ from repro.distrib import (
     ProcessBspCluster,
     spatial_partition,
 )
+from repro.core.kernels import compiled_impl
 from repro.errors import CommError
 from repro.evlog import LogSet
+from repro.obs import configure, get_collector
 
 
 class TestCollectives:
@@ -113,3 +115,34 @@ class TestModelOnProcesses:
         logs = LogSet(tmp_path)
         assert len(logs) == 3
         assert logs.total_records() == procs.total_events
+
+    def test_forked_ranks_report_what_ran(self):
+        """``run`` loads the extension before the fork, so every forked rank
+        steps with what the parent reports; each rank's span ends in a child
+        whose collector dies with it and comes back with the return value."""
+        pop = repro.generate_population(repro.ScaleConfig(n_persons=300, seed=8))
+        cfg = repro.SimulationConfig(scale=pop.scale, duration_hours=30, n_ranks=3)
+        part = spatial_partition(
+            pop.places.coords(), pop.places.capacity.astype(float), 3
+        )
+        previous = configure(True)  # the suite may run under REPRO_TELEMETRY=0
+        try:
+            get_collector().drain()
+            res = DistributedSimulation(pop, cfg, part).run(
+                cluster=ProcessBspCluster(3)
+            )
+            spans = get_collector().drain()
+        finally:
+            configure(previous)
+        assert res.impl == ("cext" if compiled_impl() == "cext" else "twin")
+        (run,) = [s for s in spans if s["name"] == "distrib.run"]
+        ranks = sorted(
+            (s for s in spans if s["name"] == "distrib.rank"),
+            key=lambda s: s["attrs"]["rank"],
+        )
+        assert [s["attrs"]["rank"] for s in ranks] == [0, 1, 2]
+        for s, records in zip(ranks, res.per_rank_records):
+            assert (s["trace_id"], s["parent_id"]) == (run["trace_id"], run["span_id"])
+            assert s["attrs"]["hours"] == 29
+            assert s["attrs"]["records"] == len(records)
+        assert sum(s["attrs"]["migrants"] for s in ranks) == res.total_migrations

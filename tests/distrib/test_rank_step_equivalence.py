@@ -2,10 +2,13 @@
 
 ``_reference_rank_step.ReferenceDistributedSimulation`` carries the
 pre-change ``rank_fn`` verbatim (full column gathers, owner lookup over
-every hosted agent).  The production step reads the shared change plane
-and looks only at changers; it must give the same bytes everywhere a run
-can be observed: rank logs, per-rank records, migration counts, per-rank
-traffic, and the snapshots a killed run resumes from.
+every hosted agent).  The production step is one scan of the rank's hosted
+table against the shared change plane — in the C extension, or in its numpy
+twin when that is unavailable (CI runs this file once per implementation;
+the ``twin`` tests below mask the extension out so one process covers
+both).  Either must give the same bytes everywhere a run can be observed:
+rank logs, per-rank records, migration counts, per-rank traffic, and the
+snapshots a killed run resumes from.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.distrib import (
     random_partition,
     spatial_partition,
 )
-from repro.distrib import dmodel
+from repro.distrib import dmodel, rankstep
 from repro.distrib.dmodel import DIST_MANIFEST, DIST_STATE
 from repro.errors import RankFailureError
 
@@ -79,6 +82,29 @@ def test_step_matches_reference(pop, tmp_path, n_ranks, kind, duration, logged):
     ref = ReferenceDistributedSimulation(pop, config, partition).run(log_dir=ref_logs)
     assert new.total_events > 0
     assert_same_run(new, ref, new_logs, ref_logs)
+
+
+@pytest.fixture()
+def twin(monkeypatch):
+    """Mask the extension out of the step (a no-op on CI's twin leg)."""
+    monkeypatch.setattr(rankstep, "load_cext", lambda: None)
+
+
+@pytest.mark.parametrize("duration", [5, 2 * HOURS_PER_WEEK + 5])
+@pytest.mark.parametrize("kind", ["spatial", "random"])
+@pytest.mark.parametrize("n_ranks", [1, 4])
+def test_twin_step_matches_reference(pop, tmp_path, twin, n_ranks, kind, duration):
+    partition = make_partition(pop, kind, n_ranks)
+    config = SimulationConfig(
+        scale=pop.scale, duration_hours=duration, n_ranks=n_ranks,
+        log_cache_records=64,
+    )
+    new = DistributedSimulation(pop, config, partition).run(log_dir=tmp_path / "new")
+    ref = ReferenceDistributedSimulation(pop, config, partition).run(
+        log_dir=tmp_path / "ref"
+    )
+    assert new.impl == "twin"
+    assert_same_run(new, ref, tmp_path / "new", tmp_path / "ref")
 
 
 def kill_once_at(hour: int, rank: int):
@@ -146,6 +172,52 @@ def test_killed_and_resumed_matches_reference(pop, tmp_path, kill_hour, resumes_
     assert clean.merged_records().tobytes() == new.merged_records().tobytes()
     for path in sorted(clean_logs.glob("*.evl")):
         assert path.read_bytes() == (new_logs / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("impl", ["loaded", "twin"])
+def test_resumes_state_persisted_by_the_old_step(pop, tmp_path, request, impl):
+    """``dist_state.npz`` + manifest + torn logs exactly as the four-column
+    step wrote them (the reference shares ``_save_dist_checkpoint`` with the
+    commit before the hosted table) resume under the table to the bytes of
+    a run nobody killed, next snapshot included."""
+    if impl == "twin":
+        request.getfixturevalue("twin")
+    n_ranks = 4
+    partition = make_partition(pop, "random", n_ranks)
+    config = SimulationConfig(
+        scale=pop.scale, duration_hours=HOURS_PER_WEEK + 40, n_ranks=n_ranks,
+        checkpoint_every_hours=60, heartbeat_timeout=2.0, log_durability="wal",
+        log_cache_records=64,
+    )
+    logs, ckpt = tmp_path / "logs", tmp_path / "ck"
+    with pytest.raises(RankFailureError):
+        ReferenceDistributedSimulation(pop, config, partition).run(
+            log_dir=logs, checkpoint_dir=ckpt, fault_hook=kill_once_at(130, rank=1)
+        )
+    old_snapshot = load_snapshot(ckpt)
+    assert json.loads((ckpt / DIST_MANIFEST).read_text())["next_hour"] == 120
+    resumed = DistributedSimulation(pop, config, partition).run(
+        log_dir=logs, checkpoint_dir=ckpt
+    )
+    assert resumed.checkpoints_written == 1  # hour 180, over the old one
+
+    clean_logs, clean_ckpt = tmp_path / "clean-logs", tmp_path / "clean-ck"
+    clean = ReferenceDistributedSimulation(pop, config, partition).run(
+        log_dir=clean_logs, checkpoint_dir=clean_ckpt
+    )
+    for a, b in zip(resumed.per_rank_records, clean.per_rank_records):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(resumed.migrations_per_hour, clean.migrations_per_hour)
+    for path in sorted(clean_logs.glob("*.evl")):
+        assert path.read_bytes() == (logs / path.name).read_bytes()
+
+    # the snapshot the resumed run left at hour 180: the table derives the
+    # old columns from its fields
+    own, ref = load_snapshot(ckpt), load_snapshot(clean_ckpt)
+    assert sorted(own) == sorted(ref) == sorted(old_snapshot)
+    for key in ref:
+        assert own[key].dtype == ref[key].dtype == old_snapshot[key].dtype, key
+        assert np.array_equal(own[key], ref[key]), key
 
 
 def test_supervised_restart_matches_reference(pop, tmp_path):
