@@ -95,15 +95,7 @@ def critical_path(plan, n_persons, t0, t1) -> dict:
         partials = []
         for s in range(plan.n_shards):
             tic = time.perf_counter()
-            partial, _, _ = _shard_partial(
-                s,
-                plan,
-                plan.shard_file_indices(s),
-                n_persons,
-                t0,
-                t1,
-                None,
-            )
+            partial, _, _ = _shard_partial(s, plan, n_persons, t0, t1)
             best_shards[s] = min(
                 best_shards[s], time.perf_counter() - tic
             )

@@ -46,7 +46,7 @@ from unittest import mock
 import repro
 from repro.core.kernels import compiled_impl, masked
 from repro.core.pipeline import _file_task
-from repro.distrib import DistributedSimulation, SerialPool, spatial_partition
+from repro.distrib import DistributedSimulation, TaskPool, spatial_partition
 from repro.evlog import LogSet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,8 +72,8 @@ CONFIGS = {
 }
 
 
-class _TaskSizePool(SerialPool):
-    """A serial pool that records the largest pickled per-file task."""
+class _TaskSizePool(TaskPool):
+    """An inline pool that records the largest pickled per-file task."""
 
     file_task_bytes = 0
 

@@ -5,9 +5,9 @@ collocation work and nnz-balanced adjacency work across workers; batches
 of log files are processed independently ("each batch of 16 can be run as
 separate batch jobs").  Here we measure:
 
-* end-to-end synthesis wall time at 1 and 2 workers (thread and process
-  backends) — who wins and by how much on this machine;
-* that parallel output is bit-identical to serial (determinism);
+* end-to-end synthesis wall time inline and on 2 worker threads — who
+  wins and by how much on this machine;
+* that threaded output is bit-identical to inline (determinism);
 * stage timing breakdown, mirroring the paper's 30-min-per-batch anatomy.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 import repro
-from repro.distrib import ThreadPool, make_pool
+from repro.distrib import TaskPool
 
 from conftest import write_report
 
@@ -28,40 +28,37 @@ def test_txt_synthesis_worker_scaling(benchmark, bench_pop, bench_week, tmp_path
     t1 = repro.HOURS_PER_WEEK
 
     results = {}
-    serial_net, serial_report = None, None
-    for kind, workers in (("serial", 1), ("thread", 2), ("process", 2)):
-        pool = None if kind == "serial" else make_pool(kind, workers)
-        t0 = time.perf_counter()
-        net, report = repro.synthesize_network(records, n, 0, t1, pool=pool)
-        elapsed = time.perf_counter() - t0
-        if pool is not None:
-            pool.close()
-        results[kind] = elapsed
-        if kind == "serial":
-            serial_net, serial_report = net, report
+    inline_net, inline_report = None, None
+    for kind, workers in (("inline", 1), ("threads", 2)):
+        with TaskPool(workers) as pool:
+            t0 = time.perf_counter()
+            net, report = repro.synthesize_network(records, n, 0, t1, pool=pool)
+            results[kind] = time.perf_counter() - t0
+        if kind == "inline":
+            inline_net, inline_report = net, report
         else:
-            assert (net.adjacency != serial_net.adjacency).nnz == 0
+            assert (net.adjacency != inline_net.adjacency).nnz == 0
 
     lines = [
-        "TXT-SYNTH: synthesis wall time by worker backend",
-        f"  records={len(records):,}  places={serial_report.n_places:,}",
+        "TXT-SYNTH: synthesis wall time by worker count",
+        f"  records={len(records):,}  places={inline_report.n_places:,}",
         *(
-            f"  {kind:>8}: {secs:.3f} s  (speedup vs serial: "
-            f"{results['serial'] / secs:.2f}x)"
+            f"  {kind:>8}: {secs:.3f} s  (speedup vs inline: "
+            f"{results['inline'] / secs:.2f}x)"
             for kind, secs in results.items()
         ),
-        "  --- serial stage breakdown ---",
-        *("  " + ln for ln in serial_report.timings.report().splitlines()),
+        "  --- inline stage breakdown ---",
+        *("  " + ln for ln in inline_report.timings.report().splitlines()),
         "  paper: ~30 min per 16-file batch on 64 processes; batches",
         "  independent, so jobs run concurrently on the cluster queue.",
     ]
     write_report("txt_synthesis_scaling", "\n".join(lines))
 
-    # parallel must not be catastrophically slower than serial (2-CPU box;
-    # thread backend shares the GIL for the non-numpy parts, so the paper's
+    # threads must not be catastrophically slower than inline (2-CPU box;
+    # they share the GIL for the non-numpy parts, so the paper's
     # cluster-scale speedups do not appear here — the *shape* claim is that
     # the pipeline parallelizes without changing its output)
-    assert results["thread"] < results["serial"] * 5.0
+    assert results["threads"] < results["inline"] * 5.0
 
 
 def test_txt_synthesis_batches_sum_like_one_job(benchmark, bench_pop, bench_week, tmp_path):
@@ -102,7 +99,7 @@ def test_txt_synthesis_throughput(benchmark, bench_pop, bench_week):
 
 
 def test_txt_synthesis_threaded_throughput(benchmark, bench_pop, bench_week):
-    with ThreadPool(2) as pool:
+    with TaskPool(2) as pool:
         net, _ = benchmark.pedantic(
             repro.synthesize_network,
             args=(

@@ -55,8 +55,8 @@ from .distrib import (
     RetryPolicy,
     PoolReport,
     SimCluster,
+    TaskPool,
     estimate_migration,
-    make_pool,
     movement_matrix,
     random_partition,
     refine_partition,
@@ -67,7 +67,6 @@ from .core import (
     CollocationNetwork,
     SynthesisReport,
     TileCache,
-    query_window,
     synthesize_from_logs,
     synthesize_network,
 )
@@ -121,7 +120,7 @@ __all__ = [
     "PoolReport",
     "SimCluster",
     "estimate_migration",
-    "make_pool",
+    "TaskPool",
     "movement_matrix",
     "random_partition",
     "refine_partition",
@@ -134,7 +133,6 @@ __all__ = [
     "CollocationNetwork",
     "SynthesisReport",
     "TileCache",
-    "query_window",
     "synthesize_from_logs",
     "synthesize_network",
     # analysis

@@ -34,18 +34,18 @@ from . import (
     Simulation,
     SimulationConfig,
     DistributedSimulation,
+    TaskPool,
     compare_fits,
     degree_distribution,
     ego_network,
     generate_population,
     load_population,
-    make_pool,
     save_population,
     spatial_partition,
     summarize,
     synthesize_from_logs,
 )
-from .core.pipeline import check_batch_size
+from .core.pipeline import check_batch_size, check_window
 from .errors import PartitionError, SynthesisError
 from .evlog import salvage_rank_logs
 from .analysis import (
@@ -186,18 +186,17 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     pop = load_population(args.population)
     t0 = args.t0
     t1 = args.t1 if args.t1 is not None else t0 + HOURS_PER_WEEK
-    if args.shards > 1:
-        return _synthesize_sharded(args, pop, t0, t1)
-    pool = None
     try:
         check_batch_size(args.batch_size)
-        if args.pool != "serial" or args.retries > 1:
-            retry = None
-            if args.retries > 1:
-                retry = RetryPolicy(
-                    max_attempts=args.retries, base_delay=args.retry_delay
-                )
-            pool = make_pool(args.pool, args.workers, retry=retry)
+        check_window(pop.n_persons, t0, t1)
+        if args.shards > 1:
+            return _synthesize_sharded(args, pop, t0, t1)
+        retry = None
+        if args.retries > 1:
+            retry = RetryPolicy(
+                max_attempts=args.retries, base_delay=args.retry_delay
+            )
+        pool = TaskPool(args.workers, retry=retry)
     except (SynthesisError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -222,8 +221,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                 resume=args.resume,
             )
     finally:
-        if pool is not None:
-            pool.close()
+        pool.close()
     if probe is not None:
         from .core.kernels import backend_info
 
@@ -270,9 +268,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .core.tilecache import TileCache
 
     pop = load_population(args.population)
-    pool = None
-    if args.pool != "serial":
-        pool = make_pool(args.pool, args.workers)
+    pool = TaskPool(args.workers)
     cache = TileCache(
         args.log_dir,
         pop.n_persons,
@@ -303,8 +299,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(cache.stats.summary())
     finally:
         cache.close()
-        if pool is not None:
-            pool.close()
+        pool.close()
     return 0
 
 
@@ -395,8 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         shed_inflight_age=args.shed_age,
         trace_log=args.trace_log,
-        shards=args.shards,
-        shard_partition=args.shard_partition,
     )
     service = NetworkQueryService(
         args.log_dir, pop.n_persons, places=pop.places, config=config
@@ -600,10 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--pool", choices=["serial", "thread", "process"], default="serial",
-        help="worker pool backend for the per-batch synthesis stages",
+        "--workers", type=int, default=1,
+        help="worker threads for the per-batch synthesis stages "
+        "(default: 1, every task inline)",
     )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--retries", type=int, default=3,
         help="total attempts per worker task (1 disables retries)",
@@ -674,10 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
         "them automatically",
     )
     p.add_argument(
-        "--pool", choices=["serial", "thread", "process"], default="serial",
-        help="worker pool backend for tile construction",
+        "--workers", type=int, default=1,
+        help="worker threads for tile construction (default: 1, every "
+        "task inline)",
     )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--strict", action="store_true",
         help="fail on the first damaged log file instead of quarantining it",
@@ -748,18 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-log", default=None, metavar="FILE",
         help="append every finished request span to FILE as JSONL "
         "(render with `repro trace FILE`)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="serve from a place-sharded tile cache: partition places "
-        "across N shards, each with its own TileCache; answers are "
-        "reduced bit-identically to the single-cache mode (default: 1)",
-    )
-    p.add_argument(
-        "--shard-partition",
-        choices=["spatial", "refined", "round-robin"], default="refined",
-        help="place→shard partition strategy for --shards "
-        "(default: refined)",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -31,7 +31,6 @@ from .colloc import CollocationMatrix, build_collocation_matrices, collocation_m
 from .intervals import (
     IntervalPack,
     build_interval_pack,
-    interval_pack_for_place,
     sum_pack_adjacency,
 )
 from .balance import balance_by_nnz, balance_by_work, BalanceReport
@@ -45,12 +44,7 @@ from .pipeline import (
     load_checkpoint_manifest,
 )
 from .streaming import StreamingSynthesizer, WeeklyNetworkSeries
-from .tilecache import TileCache, TileCacheStats, query_window
-from .bsp_pipeline import (
-    BspSynthesisResult,
-    synthesize_network_bsp,
-    synthesize_from_logs_bsp,
-)
+from .tilecache import TileCache, TileCacheStats
 from .layers import (
     synthesize_layers,
     synthesize_layers_from_logs,
@@ -67,7 +61,6 @@ __all__ = [
     "collocation_matrix_for_place",
     "IntervalPack",
     "build_interval_pack",
-    "interval_pack_for_place",
     "sum_pack_adjacency",
     "balance_by_nnz",
     "balance_by_work",
@@ -85,10 +78,6 @@ __all__ = [
     "WeeklyNetworkSeries",
     "TileCache",
     "TileCacheStats",
-    "query_window",
-    "BspSynthesisResult",
-    "synthesize_network_bsp",
-    "synthesize_from_logs_bsp",
     "synthesize_layers",
     "synthesize_layers_from_logs",
     "layer_caches",

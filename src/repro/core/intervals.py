@@ -38,27 +38,29 @@ call, bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SynthesisError
+from ..evlog.reader import LogReader, read_window_columns
 from ..evlog.schema import LOG_DTYPE, LogRecordArray
 from .adjacency import accumulate_adjacency, empty_adjacency
 from .colloc import _expand_intervals
 from .kernels.masked import build_pack_arrays, sum_shares_adjacency
 from .kernels.workspace import count_twin, kernel_stage
+from .slicing import mask_place_columns
 
 __all__ = [
     "IntervalPack",
     "build_interval_pack",
     "build_interval_pack_columns",
-    "interval_pack_for_place",
     "select_pack_places",
     "merge_packs",
     "merge_duplicate_places",
-    "sum_columns_adjacency",
+    "window_partial",
     "sum_pack_adjacency",
 ]
 
@@ -260,19 +262,6 @@ def build_interval_pack_columns(
         return _finish_pack(ukeys, local[rec_rows], cols, persons, t0, t1)
 
 
-def interval_pack_for_place(
-    place: int, records: LogRecordArray, t0: int, t1: int
-) -> IntervalPack:
-    """Single-place pack — the interval twin of
-    :func:`~repro.core.colloc.collocation_matrix_for_place`."""
-    records = np.asarray(records, dtype=LOG_DTYPE)
-    if len(records) == 0:
-        raise SynthesisError(f"no records for place {place}")
-    if (records["place"] != place).any():
-        raise SynthesisError(f"records contain foreign places (expected {place})")
-    return build_interval_pack(records, t0, t1)
-
-
 def select_pack_places(
     pack: IntervalPack, places: np.ndarray
 ) -> IntervalPack | None:
@@ -462,24 +451,35 @@ def merge_duplicate_places(packs: "Sequence[IntervalPack | None]") -> list[Inter
     return kept
 
 
-def sum_columns_adjacency(
-    column_sets: Sequence[tuple],
+def window_partial(
+    sources: "Sequence[LogReader | str | Path]",
     t0: int,
     t1: int,
     n_persons: int,
-) -> sp.csr_matrix:
-    """The partial adjacency of several files' clipped record columns (a
-    tile's, a shard's): one pack per non-empty file — smaller sorts and
-    products than one pack of everything — split places union-merged, one
-    stacked weighted product."""
-    packs = merge_duplicate_places(
-        [
-            build_interval_pack_columns(*columns, t0, t1)
-            for columns in column_sets
-            if len(columns[0])
-        ]
-    )
-    return sum_pack_adjacency(packs, n_persons)
+    place_mask: np.ndarray | None = None,
+) -> tuple[sp.csr_matrix, int, list[dict]]:
+    """The partial adjacency of ``[t0, t1)`` over some log files at the
+    places *place_mask* admits — a tile's, a fringe's, a shard's.
+
+    One walk per file (:func:`~repro.evlog.reader.read_window_columns`; a
+    held reader stays open), the place column masked, one pack per
+    non-empty file — smaller sorts and products than one pack of
+    everything — a place split across files union-merged, so the partial
+    equals one build from the concatenated records, and one stacked
+    weighted product.  Returns the canonical upper-triangular CSR, the
+    number of records that went into it and the walks' stats.
+    """
+    packs, walks, n_records = [], [], 0
+    for source in sources:
+        columns, walk = read_window_columns(source, t0, t1)
+        walks.append(walk)
+        if place_mask is not None:
+            columns = mask_place_columns(columns, place_mask)
+        if len(columns[0]):
+            n_records += len(columns[0])
+            packs.append(build_interval_pack_columns(*columns, t0, t1))
+    partial = sum_pack_adjacency(merge_duplicate_places(packs), n_persons)
+    return partial, n_records, walks
 
 
 def sum_pack_adjacency(

@@ -26,7 +26,7 @@ from ..distrib.taskpool import WorkerPool
 from ..obs import start_span
 from ..synthpop.places import PlaceKind, PlaceTable
 from .network import CollocationNetwork
-from .pipeline import synthesize_network
+from .pipeline import check_window, synthesize_network
 
 __all__ = [
     "LAYER_KINDS",
@@ -67,6 +67,7 @@ def synthesize_layers(
     Kinds with no in-window records yield empty networks of the right
     shape, so layer arithmetic always works.
     """
+    check_window(n_persons, t0, t1)
     layers: dict[str, CollocationNetwork] = {}
     for kind in PlaceKind:
         with start_span("layer", attrs={"kind": kind.name.lower()}):
@@ -98,7 +99,6 @@ def layer_caches(
     cache_dir: "str | Path | None" = None,
     pool: WorkerPool | None = None,
     strict: bool = False,
-    kinds: "tuple[str, ...] | list[str] | None" = None,
 ) -> dict:
     """One :class:`~repro.core.tilecache.TileCache` per place kind.
 
@@ -107,23 +107,11 @@ def layer_caches(
     sliding windows reuse per-kind tiles instead of re-filtering records.
     With ``cache_dir``, each kind persists into its own subdirectory.
     ``budget_nnz`` applies per kind.  Close every cache when done.
-
-    ``kinds`` restricts construction to a subset of :data:`LAYER_KINDS`
-    (the query service builds layer caches one kind at a time, on first
-    request); the default builds all four.
     """
     from .tilecache import TileCache
 
-    if kinds is None:
-        kinds = LAYER_KINDS
-    unknown = [k for k in kinds if k not in LAYER_KINDS]
-    if unknown:
-        raise SynthesisError(
-            f"unknown layer kind(s) {unknown}; expected a subset of "
-            f"{list(LAYER_KINDS)}"
-        )
     caches: dict[str, TileCache] = {}
-    for name in kinds:
+    for name in LAYER_KINDS:
         kind = PlaceKind[name.upper()]
         caches[name] = TileCache(
             log_dir,

@@ -45,7 +45,7 @@ from ..errors import CheckpointError, LogFormatError, SynthesisError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import Columns, LogReader, read_window_columns, slice_columns
 from ..evlog.schema import LogRecordArray
-from ..distrib.taskpool import SerialPool, WorkerPool
+from ..distrib.taskpool import TaskPool, WorkerPool
 from .adjacency import accumulate_adjacency
 from .balance import BalanceReport, lpt_partition
 from .intervals import (
@@ -96,6 +96,16 @@ def check_batch_size(batch_size: int) -> None:
     typed error before any pool is built or span opened."""
     if batch_size < 1:
         raise SynthesisError("batch_size must be >= 1")
+
+
+def check_window(n_persons: int, t0: int, t1: int) -> None:
+    """Every synthesis entry point's first line, root side: an empty
+    population or window is a typed error here, not a reader's
+    ``ValueError`` re-run by a retrying pool inside a worker."""
+    if n_persons <= 0:
+        raise SynthesisError("n_persons must be positive")
+    if t1 <= t0:
+        raise SynthesisError(f"empty time window [{t0}, {t1})")
 
 
 @dataclass
@@ -445,12 +455,12 @@ def synthesize_network(
     t0, t1:
         Analysis window in absolute simulation hours.
     pool:
-        Worker pool; default :class:`~repro.distrib.taskpool.SerialPool`.
+        Worker pool; default a one-worker
+        :class:`~repro.distrib.taskpool.TaskPool`.
     """
-    if n_persons <= 0:
-        raise SynthesisError("n_persons must be positive")
+    check_window(n_persons, t0, t1)
     own_pool = pool is None
-    pool = pool or SerialPool()
+    pool = pool or TaskPool()
     report = SynthesisReport(n_records=len(records), n_workers=pool.n_workers)
     timings = report.timings
     retries_before = _pool_retries(pool)
@@ -590,7 +600,6 @@ def synthesize_from_logs(
     strict: bool = False,
     checkpoint: str | Path | None = None,
     resume: str | Path | None = None,
-    cache=None,
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """Synthesize the network from a directory of per-rank EVL files.
 
@@ -626,48 +635,12 @@ def synthesize_from_logs(
         is raised.  Completed batches are skipped and the partial network
         is restored; checkpointing continues into the same directory unless
         a different ``checkpoint`` is given.
-    cache:
-        A :class:`~repro.core.tilecache.TileCache` over the same log
-        directory.  When given, the window is served from the cache's
-        composable tiles — bit-identical to the direct synthesis,
-        O(log W) cached partials instead of a record re-read — and the
-        batching arguments are unused.  Incompatible with
-        ``checkpoint``/``resume`` (the cache *is* the persistent state)
-        and with ``strict=True`` when the cache already quarantined
-        damaged files.  The cache path is thread-safe: concurrent callers
-        may share one cache (the network-query service does).
     """
     check_batch_size(batch_size)
-    if cache is not None:
-        if checkpoint is not None or resume is not None:
-            raise SynthesisError(
-                "cache= cannot be combined with checkpoint/resume: the tile "
-                "store is the cache's own persistence"
-            )
-        if cache.n_persons != n_persons:
-            raise SynthesisError(
-                f"cache population {cache.n_persons} != requested {n_persons}"
-            )
-        if strict and cache.quarantined:
-            # a non-strict cache silently skips damaged files; honoring
-            # strict= here would return a network the caller believes is
-            # complete when it is not
-            raise SynthesisError(
-                "strict=True but the cache quarantined damaged log "
-                f"file(s): {', '.join(cache.quarantined)}"
-            )
-        report = SynthesisReport(
-            n_workers=cache.pool.n_workers,
-            batches=0,
-            quarantined=list(cache.quarantined),
-        )
-        with start_span("synthesize", attrs={"cache": True}):
-            with report.timings.time("cache_query"):
-                network = cache.query_window(t0, t1)
-        return network, report
+    check_window(n_persons, t0, t1)
     log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
     own_pool = pool is None
-    pool = pool or SerialPool()
+    pool = pool or TaskPool()
     network: CollocationNetwork | None = None
     total_report = SynthesisReport(n_workers=pool.n_workers, batches=0)
 

@@ -41,10 +41,6 @@ class WeeklyNetworkSeries:
 
     networks: list[CollocationNetwork]
     interval_hours: int
-    #: tile cache the series was synthesized through, when one was used —
-    #: lets :meth:`total` reduce O(log W) cached tiles instead of summing
-    #: per-interval matrices
-    cache: "object | None" = None
 
     def __post_init__(self) -> None:
         if not self.networks:
@@ -62,18 +58,13 @@ class WeeklyNetworkSeries:
         return self.networks[0].n_persons
 
     def total(self) -> CollocationNetwork:
-        """The complete summed network ("adjacency matrices simply summed").
-
-        With a tile cache attached the full span is answered as one cached
-        window query (O(log W) tile reduction); otherwise all interval
-        adjacencies are merged in a single pre-sized accumulation — one
-        COO concatenation + ``tocsr`` — instead of growing a running sum
-        pairwise.  Both paths produce the identical canonical matrix.
+        """The complete summed network ("adjacency matrices simply summed"):
+        all interval adjacencies merged in a single pre-sized accumulation
+        — one COO concatenation + ``tocsr`` — instead of growing a running
+        sum pairwise.
         """
         t0 = min(net.t0 for net in self.networks)
         t1 = max(net.t1 for net in self.networks)
-        if self.cache is not None:
-            return self.cache.query_window(t0, t1)
         adjacency = accumulate_adjacency(
             [net.adjacency for net in self.networks], self.n_persons
         )
@@ -126,25 +117,14 @@ class StreamingSynthesizer:
         interval_hours: int = HOURS_PER_WEEK,
         batch_size: int = 16,
         pool: WorkerPool | None = None,
-        cache=None,
     ) -> None:
-        """``cache`` is an optional
-        :class:`~repro.core.tilecache.TileCache` over the log directory:
-        each interval becomes a cached tile query instead of a per-interval
-        record re-read, and the cache is attached to the returned series so
-        :meth:`WeeklyNetworkSeries.total` reduces tiles too."""
         check_batch_size(batch_size)
         if interval_hours <= 0:
             raise SynthesisError("interval_hours must be positive")
-        if cache is not None and cache.n_persons != n_persons:
-            raise SynthesisError(
-                f"cache population {cache.n_persons} != requested {n_persons}"
-            )
         self.n_persons = n_persons
         self.interval_hours = interval_hours
         self.batch_size = batch_size
         self.pool = pool
-        self.cache = cache
 
     def process(
         self, log_set: LogSet | str, n_intervals: int
@@ -159,20 +139,15 @@ class StreamingSynthesizer:
                 t0 = w * self.interval_hours
                 t1 = t0 + self.interval_hours
                 with start_span("interval", attrs={"t0": t0, "t1": t1}):
-                    if self.cache is not None:
-                        net = self.cache.query_window(t0, t1)
-                    else:
-                        net, _ = synthesize_from_logs(
-                            logs,
-                            self.n_persons,
-                            t0,
-                            t1,
-                            batch_size=self.batch_size,
-                            pool=self.pool,
-                        )
+                    net, _ = synthesize_from_logs(
+                        logs,
+                        self.n_persons,
+                        t0,
+                        t1,
+                        batch_size=self.batch_size,
+                        pool=self.pool,
+                    )
                 networks.append(net)
         return WeeklyNetworkSeries(
-            networks=networks,
-            interval_hours=self.interval_hours,
-            cache=self.cache,
+            networks=networks, interval_hours=self.interval_hours
         )

@@ -54,16 +54,14 @@ from the manifest, counted in ``stats.tiles_quarantined``) and rebuilt
 from the logs transparently.  Answers stay bit-identical; only that one
 query's latency degrades to a rebuild.
 
-Tile construction runs through the existing
+Tile construction runs through the
 :class:`~repro.distrib.taskpool.WorkerPool` machinery — one task per
-tile, batched per query — and every task walks the log files the way the
-batch pipeline does (:func:`~repro.evlog.reader.read_window_columns`).
-The cache opens, verifies and digests each file **once, through one held
-reader**, and builds every tile through that reader: a log file deleted
-or replaced under a live cache cannot leak into a tile keyed by the old
-digest.  A process pool cannot share the readers; its tasks get the path
-plus the identity the cache recorded at open and refuse a file that no
-longer matches.
+tile, batched per query — and every task is the builder a shard of
+:func:`~repro.distrib.shardsynth.shard_synthesize` runs
+(:func:`~repro.core.intervals.window_partial`).  The cache opens, verifies
+and digests each file **once, through one held reader**, and builds every
+tile through that reader: a log file deleted or replaced under a live
+cache cannot leak into a tile keyed by the old digest.
 
 Concurrency
 -----------
@@ -88,10 +86,9 @@ import json
 import threading
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,18 +97,16 @@ from .._util import StageTimings, Timer, atomic_write_bytes
 from ..obs import get_probe, record_kernel_timings, start_span
 from ..errors import LogFormatError, TileCacheError
 from ..evlog.multifile import LogSet
-from ..evlog.reader import LogReader, publish_walk_stats, read_window_columns
-from ..distrib.taskpool import SerialPool, ThreadPool, WorkerPool
+from ..evlog.reader import LogReader, publish_walk_stats
+from ..distrib.taskpool import TaskPool, WorkerPool
 from .adjacency import empty_adjacency
-from .intervals import sum_columns_adjacency
+from .intervals import window_partial
 from .kernels import collect_kernel_timings
 from .network import CollocationNetwork
-from .slicing import mask_place_columns
 
 __all__ = [
     "TileCache",
     "TileCacheStats",
-    "query_window",
     "logset_digest",
     "TILE_MANIFEST",
 ]
@@ -199,50 +194,24 @@ class TileCacheStats:
         return "\n".join(lines)
 
 
-@contextmanager
-def _source_reader(source: "LogReader | tuple[str, tuple]") -> Iterator[LogReader]:
-    """The reader a window task walks: the cache's own (in-process pools),
-    or ``(path, identity)`` reopened — and refused unless it is still the
-    file the cache verified and digested."""
-    if isinstance(source, LogReader):
-        yield source
-        return
-    path, identity = source
-    with LogReader(path, strict=True, use_mmap=True) as reader:
-        if reader.identity != identity:
-            raise TileCacheError(
-                f"{path} was replaced under a live tile cache; reload it"
-            )
-        yield reader
-
-
 def _window_task(
-    args: "tuple[list, int, int, int, np.ndarray | None]",
+    args: "tuple[list[LogReader], int, int, int, np.ndarray | None]",
 ) -> tuple[sp.csr_matrix, list[dict], dict]:
-    """Worker: one window's partial adjacency, one walk per log file.
-
-    ``place_mask`` filters the place column; a place split across files
-    is union-merged so the partial matches a single build from the
-    concatenated records.  A file rewritten in place under its reader
-    fails the task rather than leak bytes the cache's digest does not
-    cover.  Returns the canonical upper-triangular CSR partial, the
-    walks' stats and the kernel stage times.
+    """Worker: one window's partial adjacency over the cache's held
+    readers (:func:`~repro.core.intervals.window_partial`).  A file
+    rewritten in place under its reader fails the task rather than leak
+    bytes the cache's digest does not cover.  Returns the canonical
+    upper-triangular CSR partial, the walks' stats and the kernel stage
+    times.
     """
-    sources, t0, t1, n_persons, place_mask = args
-    column_sets, walks = [], []
-    for source in sources:
-        with _source_reader(source) as reader:
-            columns, walk = read_window_columns(reader, t0, t1)
-            if reader.rewritten_in_place():
-                raise TileCacheError(
-                    f"{reader.path} was rewritten under a live tile cache; "
-                    "reload it"
-                )
-        walks.append(walk)
-        if place_mask is not None:
-            columns = mask_place_columns(columns, place_mask)
-        column_sets.append(columns)
-    partial = sum_columns_adjacency(column_sets, t0, t1, n_persons)
+    readers, t0, t1, n_persons, place_mask = args
+    partial, _n, walks = window_partial(readers, t0, t1, n_persons, place_mask)
+    for reader in readers:
+        if reader.rewritten_in_place():
+            raise TileCacheError(
+                f"{reader.path} was rewritten under a live tile cache; "
+                "reload it"
+            )
     return partial, walks, collect_kernel_timings()
 
 
@@ -301,8 +270,8 @@ class TileCache:
         Directory for persisted tiles.  Opened against a stale content
         digest, every persisted tile is discarded before rebuilding.
     pool:
-        Worker pool for tile construction; default
-        :class:`~repro.distrib.taskpool.SerialPool` (owned, closed with
+        Worker pool for tile construction; default a one-worker
+        :class:`~repro.distrib.taskpool.TaskPool` (owned, closed with
         the cache).
     strict:
         When False (default), damaged log files are quarantined exactly
@@ -356,7 +325,7 @@ class TileCache:
 
         self.digest = self._config_digest()
         self._own_pool = pool is None
-        self.pool = pool or SerialPool()
+        self.pool = pool or TaskPool()
         #: one reentrant lock guards all mutable cache state (LRU dict,
         #: nnz accounting, readers, persisted manifest, stats); immutable
         #: cached matrices are composed outside it — see module docstring
@@ -555,19 +524,13 @@ class TileCache:
         """Build the partial adjacency of each window, one pool task each."""
         if not windows:
             return []
-        if isinstance(self.pool, (SerialPool, ThreadPool)):
-            sources: list = list(self._readers.values())
-        else:
-            # the pool may live in other processes, which cannot share the
-            # held readers: ship what lets a task prove it reopened the
-            # same file
-            sources = [(str(p), r.identity) for p, r in self._readers.items()]
+        readers = list(self._readers.values())
         with start_span("kernel", attrs={"windows": len(windows)}) as span:
             with self.stats.timings.time("build"):
                 built = self.pool.map(
                     _window_task,
                     [
-                        (sources, w0, w1, self.n_persons, self.place_mask)
+                        (readers, w0, w1, self.n_persons, self.place_mask)
                         for w0, w1 in windows
                     ],
                 )
@@ -799,39 +762,3 @@ class TileCache:
             f"TileCache(files={len(self.paths)}, tile_hours={self.tile_hours}, "
             f"tiles={self.n_tiles_cached}, nnz={self.cached_nnz:,})"
         )
-
-
-def query_window(
-    log_dir: str | Path | LogSet,
-    n_persons: int,
-    t0: int,
-    t1: int,
-    cache: TileCache | None = None,
-    tile_hours: int = _DEFAULT_TILE_HOURS,
-    budget_nnz: int | None = None,
-    cache_dir: str | Path | None = None,
-    pool: WorkerPool | None = None,
-    strict: bool = False,
-) -> tuple[CollocationNetwork, TileCache]:
-    """One window query against a (possibly fresh) tile cache.
-
-    Returns ``(network, cache)`` — hold on to the cache and pass it back
-    for subsequent queries so tiles stay warm; close it when done.  With
-    ``cache`` given, the remaining cache-construction arguments are
-    ignored and the cache's population must match ``n_persons``.
-    """
-    if cache is None:
-        cache = TileCache(
-            log_dir,
-            n_persons,
-            tile_hours=tile_hours,
-            budget_nnz=budget_nnz,
-            cache_dir=cache_dir,
-            pool=pool,
-            strict=strict,
-        )
-    elif cache.n_persons != n_persons:
-        raise TileCacheError(
-            f"cache population {cache.n_persons} != requested {n_persons}"
-        )
-    return cache.query_window(t0, t1), cache

@@ -17,9 +17,9 @@ MPI is unavailable here, so this subpackage provides both patterns natively:
   an in-process cluster of lock-stepped threads.  Every payload is metered,
   so communication volume (the quantity the spatial partitioning minimizes)
   is a first-class measurable.
-* :mod:`repro.distrib.taskpool` — SNOW-style worker pools (serial,
-  thread, and real ``multiprocessing`` backends) used by the synthesis
-  pipeline.
+* :mod:`repro.distrib.taskpool` — the SNOW-style worker pool (inline for
+  one worker, threads otherwise) used by the synthesis pipeline;
+  :mod:`repro.distrib.shardsynth` is synthesis across real processes.
 * :mod:`repro.distrib.partition` — place→rank partitioning: random and
   round-robin baselines, weighted recursive coordinate bisection, and
   movement-graph refinement.
@@ -32,12 +32,9 @@ from .simcluster import SimCluster
 from .proccluster import ProcessBspCluster, ProcessCommunicator
 from .taskpool import (
     WorkerPool,
-    SerialPool,
-    ThreadPool,
-    ProcessPool,
+    TaskPool,
     RetryPolicy,
     PoolReport,
-    make_pool,
 )
 from .partition import (
     PlacePartition,
@@ -55,8 +52,6 @@ from .shardsynth import (
     STRATEGIES,
     ShardPlan,
     ShardSynthesisReport,
-    ShardedTileCache,
-    log_horizon,
     plan_shards,
     shard_synthesize,
 )
@@ -70,17 +65,12 @@ __all__ = [
     "STRATEGIES",
     "ShardPlan",
     "ShardSynthesisReport",
-    "ShardedTileCache",
-    "log_horizon",
     "plan_shards",
     "shard_synthesize",
     "WorkerPool",
-    "SerialPool",
-    "ThreadPool",
-    "ProcessPool",
+    "TaskPool",
     "RetryPolicy",
     "PoolReport",
-    "make_pool",
     "PlacePartition",
     "random_partition",
     "round_robin_partition",

@@ -11,8 +11,8 @@ per-shard canonical partials is **bit-identical** to single-process
 synthesis, whatever the partition.  That makes place sharding a pure
 parallelism/memory win: each shard of a
 :class:`~repro.distrib.proccluster.ProcessBspCluster` owns its own log
-slices, interval packs, and (via :class:`ShardedTileCache`) tile cache,
-touching only records at its places; a reduce stage folds the partials.
+slices and interval packs, touching only records at its places; a reduce
+stage folds the partials.
 
 Sharding is planned once (:func:`plan_shards`): one pass over the window
 estimates each place's true pairwise-product flops (the
@@ -43,9 +43,7 @@ Partition strategies (``STRATEGIES``):
 
 from __future__ import annotations
 
-import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -65,8 +63,6 @@ __all__ = [
     "STRATEGIES",
     "ShardPlan",
     "ShardSynthesisReport",
-    "ShardedTileCache",
-    "log_horizon",
     "plan_shards",
     "shard_synthesize",
 ]
@@ -82,22 +78,6 @@ def _check_strategy(strategy: str) -> None:
         )
 
 
-def log_horizon(log_set: "LogSet") -> int:
-    """Last simulation hour any intact log chunk reaches (chunk-index
-    metadata only, damaged files skipped).  0 with no records."""
-    from ..evlog.reader import LogReader
-
-    t_max = 0
-    for path in log_set.paths:
-        try:
-            with LogReader(path, use_mmap=True) as reader:
-                for chunk in reader.chunks:
-                    t_max = max(t_max, int(chunk.t_max))
-        except LogFormatError:
-            continue
-    return t_max
-
-
 # --------------------------------------------------------------------------
 # planning
 
@@ -107,8 +87,7 @@ class ShardPlan:
     """A place→shard assignment plus everything needed to execute it.
 
     Built once per (log set, window) by :func:`plan_shards`; reused by
-    every :func:`shard_synthesize` call and :class:`ShardedTileCache`
-    over the same logs.
+    every :func:`shard_synthesize` call over the same logs.
     """
 
     partition: PlacePartition
@@ -136,7 +115,7 @@ class ShardPlan:
         return self.partition.places_of_rank(shard)
 
     def shard_mask(self, shard: int) -> np.ndarray:
-        """Boolean place filter for one shard (``TileCache.place_mask``)."""
+        """Boolean place filter for one shard."""
         return self.partition.assignment == shard
 
     def shard_file_indices(self, shard: int) -> list[int]:
@@ -160,14 +139,6 @@ class ShardPlan:
     def imbalance(self) -> float:
         """max/mean shard work ratio (1.0 = perfect)."""
         return self.partition.imbalance(self.place_work.astype(np.float64))
-
-    def digest(self) -> str:
-        """Stable identity of the assignment (cache/config digests)."""
-        h = hashlib.sha256()
-        h.update(self.partition.assignment.tobytes())
-        h.update(np.int64(self.partition.n_ranks).tobytes())
-        h.update(self.strategy.encode())
-        return h.hexdigest()
 
 
 def _rebalance_by_work(
@@ -298,6 +269,13 @@ def plan_shards(
     ``coords`` (``(n_places, d)``) feeds the spatial strategies; without
     them, place id stands in as a 1-D coordinate.  ``n_places`` defaults
     to one past the highest place id seen in the window.
+
+    ``strategy`` defaults to ``"spatial"`` here and to ``"refined"`` on the
+    CLI (``--partition``), on purpose: with about as many rank files as
+    shards (the e2e world: 4 files, 2 shards) the two time the same and
+    refined's file alignment only costs balance (imbalance 1.000 → 1.019),
+    so the library keeps the better-balanced seed; alignment pays when
+    rank files far outnumber shards, which is what the CLI is run on.
     """
     from ..core.intervals import build_interval_pack_columns
 
@@ -451,36 +429,24 @@ def _publish_shard_metrics(report: ShardSynthesisReport) -> None:
 def _shard_partial(
     shard: int,
     shard_plan: ShardPlan,
-    file_indices: Sequence[int],
     n_persons: int,
     t0: int,
     t1: int,
 ) -> tuple[sp.csr_matrix, dict, list[dict]]:
-    """One shard's work: walk its files (the plan verified them whole;
-    the window's chunks are CRC'd again as they decode), mask to its
-    places, build packs, and produce the canonical upper-triangular
-    partial CSR."""
-    from ..core.intervals import sum_columns_adjacency
-    from ..core.slicing import mask_place_columns
+    """One shard's work: the shared window builder over the files that
+    mention its places (the plan verified them whole; the window's chunks
+    are CRC'd again as they decode), masked to its places."""
+    from ..core.intervals import window_partial
 
-    mask = shard_plan.shard_mask(shard)
+    files = [shard_plan.paths[i] for i in shard_plan.shard_file_indices(shard)]
     started = time.perf_counter()
     with capture_spans() as spans:
         with start_span(
-            "shard.build", attrs={"shard": shard, "files": len(file_indices)}
+            "shard.build", attrs={"shard": shard, "files": len(files)}
         ) as span:
-            column_sets = []
-            walks = []
-            for i in file_indices:
-                columns, walk = read_window_columns(
-                    shard_plan.paths[i], t0, t1
-                )
-                walks.append(walk)
-                column_sets.append(mask_place_columns(columns, mask))
-            n_records = sum(len(columns[0]) for columns in column_sets)
-            # a place split across this shard's files is union-merged
-            # before the product, exactly as in the batch pipeline
-            partial = sum_columns_adjacency(column_sets, t0, t1, n_persons)
+            partial, n_records, walks = window_partial(
+                files, t0, t1, n_persons, shard_plan.shard_mask(shard)
+            )
             span.set_attr("records", n_records)
             span.set_attr("nnz", int(partial.nnz))
     stats = {
@@ -522,10 +488,9 @@ def shard_synthesize(
     with a :class:`ShardSynthesisReport`.
     """
     from ..core.network import CollocationNetwork
+    from ..core.pipeline import check_window
 
-    if n_persons <= 0:
-        raise SynthesisError("n_persons must be positive")
-
+    check_window(n_persons, t0, t1)
     if shard_plan is None:
         shard_plan = plan_shards(
             log_dir,
@@ -545,14 +510,8 @@ def shard_synthesize(
             f"cannot serve [{t0}, {t1})"
         )
 
-    file_indices = [
-        shard_plan.shard_file_indices(s) for s in range(n_shards)
-    ]
-
     def rank_fn(comm, shard: int):
-        return _shard_partial(
-            shard, shard_plan, file_indices[shard], n_persons, t0, t1
-        )
+        return _shard_partial(shard, shard_plan, n_persons, t0, t1)
 
     with start_span(
         "shard_synthesize",
@@ -591,178 +550,3 @@ def shard_synthesize(
         report.reduce_seconds = time.perf_counter() - started
     _publish_shard_metrics(report)
     return CollocationNetwork(adjacency, t0=int(t0), t1=int(t1)), report
-
-
-# --------------------------------------------------------------------------
-# sharded tile cache
-
-
-class _ShardPoolFacade:
-    """Just enough pool surface for report/service bookkeeping."""
-
-    def __init__(self, n_workers: int) -> None:
-        self.n_workers = n_workers
-
-
-class ShardedTileCache:
-    """N per-shard :class:`~repro.core.tilecache.TileCache` + a reduce tier.
-
-    Each shard's cache sees only that shard's places (its ``place_mask``
-    is the shard mask, intersected with any layer mask), owns a slice of
-    the nnz budget, and persists into its own subdirectory.  Queries fan
-    out across shards on a thread pool and the partial networks are
-    folded — bit-identical to one unsharded cache over the same logs,
-    which is itself bit-identical to direct synthesis.
-
-    Satisfies the full cache interface the query service and
-    ``synthesize_from_logs(cache=...)`` expect: ``query_window``,
-    ``warm``, ``horizon``, ``close``, ``digest``, ``stats``,
-    ``cached_nnz``, ``quarantined``, ``quarantined_tiles``.
-    """
-
-    def __init__(
-        self,
-        log_dir: "str | Path | LogSet",
-        n_persons: int,
-        shard_plan: ShardPlan,
-        tile_hours: int = 24,
-        budget_nnz: int | None = None,
-        cache_dir: "str | Path | None" = None,
-        strict: bool = False,
-        place_mask: np.ndarray | None = None,
-    ) -> None:
-        from ..core.tilecache import TileCache
-
-        self.shard_plan = shard_plan
-        self.n_persons = int(n_persons)
-        self.n_shards = shard_plan.n_shards
-        self.reduce_seconds = 0.0
-        log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
-        per_shard_budget = (
-            max(1, budget_nnz // self.n_shards) if budget_nnz else None
-        )
-        self.shards: list[TileCache] = []
-        for s in range(self.n_shards):
-            mask = shard_plan.shard_mask(s)
-            if place_mask is not None:
-                if len(place_mask) != len(mask):
-                    raise SynthesisError(
-                        "place_mask must align with the shard plan's places"
-                    )
-                mask = mask & np.asarray(place_mask, dtype=bool)
-            self.shards.append(
-                TileCache(
-                    log_set,
-                    n_persons,
-                    tile_hours=tile_hours,
-                    budget_nnz=per_shard_budget,
-                    cache_dir=(
-                        Path(cache_dir) / f"shard_{s:03d}"
-                        if cache_dir is not None
-                        else None
-                    ),
-                    strict=strict,
-                    place_mask=mask,
-                )
-            )
-        self.pool = _ShardPoolFacade(self.n_shards)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.n_shards,
-            thread_name_prefix="shardcache",
-        )
-        h = hashlib.sha256()
-        h.update(shard_plan.digest().encode())
-        for shard in self.shards:
-            h.update(shard.digest.encode())
-        self.digest = h.hexdigest()
-
-    # -- aggregation --------------------------------------------------------
-
-    @property
-    def quarantined(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for shard in self.shards:
-            for name in shard.quarantined:
-                seen[name] = None
-        return list(seen)
-
-    @property
-    def quarantined_tiles(self) -> list[str]:
-        out: list[str] = []
-        for shard in self.shards:
-            out.extend(shard.quarantined_tiles)
-        return out
-
-    @property
-    def cached_nnz(self) -> int:
-        return int(sum(shard.cached_nnz for shard in self.shards))
-
-    @property
-    def stats(self):
-        """Aggregated :class:`~repro.core.tilecache.TileCacheStats`."""
-        from ..core.tilecache import TileCacheStats
-
-        total = TileCacheStats()
-        for shard in self.shards:
-            s = shard.stats
-            total.queries = max(total.queries, s.queries)
-            total.tile_hits += s.tile_hits
-            total.fringe_hits += s.fringe_hits
-            total.disk_hits += s.disk_hits
-            total.tiles_built += s.tiles_built
-            total.tiles_merged += s.tiles_merged
-            total.evictions += s.evictions
-            total.invalidated += s.invalidated
-            total.tiles_quarantined += s.tiles_quarantined
-            total.fringe_hours += s.fringe_hours
-        return total
-
-    # -- cache interface ----------------------------------------------------
-
-    def horizon(self) -> int:
-        return max(shard.horizon() for shard in self.shards)
-
-    def warm(self, t0: int, t1: int) -> int:
-        futures = [
-            self._executor.submit(shard.warm, t0, t1)
-            for shard in self.shards
-        ]
-        return int(sum(f.result() for f in futures))
-
-    def query_window(self, t0: int, t1: int):
-        """Fan a window query across shards and fold the partials."""
-        with start_span(
-            "shard_cache.query", attrs={"shards": self.n_shards}
-        ):
-            futures = [
-                self._executor.submit(shard.query_window, t0, t1)
-                for shard in self.shards
-            ]
-            networks = [f.result() for f in futures]
-            started = time.perf_counter()
-            with start_span("shard.reduce", attrs={"parts": len(networks)}):
-                out = networks[0]
-                for net in networks[1:]:
-                    from ..core.network import CollocationNetwork
-
-                    out = CollocationNetwork(
-                        out.adjacency + net.adjacency, t0=out.t0, t1=out.t1
-                    )
-            elapsed = time.perf_counter() - started
-        self.reduce_seconds += elapsed
-        reg = default_registry()
-        reg.counter("shard.reduce_seconds").inc(elapsed)
-        reg.gauge("shard.imbalance").set(self.shard_plan.imbalance)
-        reg.gauge("shard.count").set(self.n_shards)
-        return out
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardedTileCache":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -13,8 +13,8 @@ lock its ranks take turns, so it can never beat the serial engine on
 wall-clock; what it costs on top of the serial engine is measured
 (``distrib.overhead_ratio`` in ``benchmarks/e2e``: about 1.1x at 10 k
 persons on 4 ranks) and is kept low because every workload's world is built
-through it.  Real task-parallel speedup lives in
-:class:`~repro.distrib.taskpool.ProcessPool`.
+through it.  Real process-parallel speedup lives in
+:func:`~repro.distrib.shardsynth.shard_synthesize`.
 
 Failure semantics mirror a real MPI job: a rank raising an ordinary
 exception aborts the barrier so siblings fail fast with the root cause; a

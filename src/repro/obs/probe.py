@@ -49,9 +49,6 @@ class Probe:
         """A tile-cache event: tile_hit, fringe_hit, disk_hit, miss,
         built, merged, evicted, invalidated, quarantined, query."""
 
-    def pool_bytes(self, n: int) -> None:
-        """A worker pool shipped ``n`` pickled bytes to/from workers."""
-
     def count(self, name: str, n: int = 1) -> None:
         """Generic named event counter."""
 
@@ -89,9 +86,6 @@ class RegistryProbe(Probe):
 
     def cache_event(self, event: str, n: int = 1) -> None:
         self.registry.counter(f"cache.{event}").inc(n)
-
-    def pool_bytes(self, n: int) -> None:
-        self.registry.counter("pool.bytes_shipped").inc(n)
 
     def count(self, name: str, n: int = 1) -> None:
         self.registry.counter(name).inc(n)
@@ -132,9 +126,6 @@ class CollectingProbe(Probe):
         with self._lock:
             self.cache[event] = self.cache.get(event, 0) + n
         self._registry_probe.cache_event(event, n)
-
-    def pool_bytes(self, n: int) -> None:
-        self.count("pool.bytes_shipped", n)
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:

@@ -93,7 +93,7 @@ import numpy as np
 
 from ..analysis.degree import degree_distribution
 from ..analysis.ego import ego_network
-from ..core.layers import LAYER_KINDS, layer_caches
+from ..core.layers import LAYER_KINDS
 from ..core.tilecache import TileCache
 from ..obs import (
     NOOP_SPAN,
@@ -114,7 +114,7 @@ from ..errors import (
     ReproError,
     ServiceError,
 )
-from ..synthpop.places import PlaceTable
+from ..synthpop.places import PlaceKind, PlaceTable
 from .admission import AdmissionController
 from .health import HealthMonitor
 from .resilience import (
@@ -186,14 +186,6 @@ class ServiceConfig:
     #: append every finished span (server-side and absorbed worker spans)
     #: to this JSONL file for ``repro trace``; None disables
     trace_log: str | Path | None = None
-    #: number of place shards per cache; 1 serves every cache from one
-    #: process-local :class:`TileCache`, >1 switches every handle to a
-    #: :class:`~repro.distrib.shardsynth.ShardedTileCache` (per-shard
-    #: place-masked caches + a reduce tier, bit-identical answers)
-    shards: int = 1
-    #: place-partition strategy for sharded caches
-    #: (see :data:`repro.distrib.shardsynth.STRATEGIES`)
-    shard_partition: str = "refined"
 
 
 @dataclass
@@ -405,11 +397,6 @@ class NetworkQueryService:
         self._prefetch_task: asyncio.Task | None = None
         self._prefetch_queue: asyncio.Queue | None = None
         self._trace_sink: JsonlSpanSink | None = None
-        #: one shard plan shared by every sharded cache handle, built
-        #: lazily in the executor and dropped on reload (log bytes may
-        #: have changed)
-        self._shard_plan = None
-        self._shard_plan_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -522,86 +509,26 @@ class NetworkQueryService:
 
     # -- cache handles --------------------------------------------------------
 
-    def _shard_plan_for(self):
-        """The service-wide shard plan, built at most once per log
-        generation (executor thread; reload drops it)."""
-        from ..distrib.shardsynth import log_horizon, plan_shards
-        from ..evlog.multifile import LogSet
-
-        with self._shard_plan_lock:
-            if self._shard_plan is None:
-                cfg = self.config
-                log_set = LogSet(self.log_dir)
-                horizon = log_horizon(log_set)
-                coords = (
-                    self.places.coords() if self.places is not None else None
-                )
-                n_places = (
-                    len(self.places.kind) if self.places is not None else None
-                )
-                self._shard_plan = plan_shards(
-                    log_set,
-                    cfg.shards,
-                    0,
-                    max(horizon, 1),
-                    strategy=cfg.shard_partition,
-                    coords=coords,
-                    n_places=n_places,
-                    strict=cfg.strict,
-                )
-            return self._shard_plan
-
     def _build_handle_sync(self, key: str) -> _CacheHandle:
-        """Executor side of cache construction (reads every log byte)."""
+        """Executor side of cache construction (reads every log byte):
+        one :class:`TileCache` per key, the layer keys place-masked to
+        their kind."""
         cfg = self.config
-        if cfg.shards > 1:
-            from ..distrib.shardsynth import ShardedTileCache
-            from ..synthpop.places import PlaceKind
-
-            place_mask = None
-            if key != _FULL:
-                assert self.places is not None
-                place_mask = self.places.kind == int(PlaceKind[key.upper()])
-            cache = ShardedTileCache(
-                self.log_dir,
-                self.n_persons,
-                self._shard_plan_for(),
-                tile_hours=cfg.tile_hours,
-                budget_nnz=cfg.cache_budget_nnz,
-                cache_dir=(
-                    Path(cfg.cache_dir) / key
-                    if cfg.cache_dir is not None
-                    else None
-                ),
-                strict=cfg.strict,
-                place_mask=place_mask,
-            )
-            return _CacheHandle(cache, horizon=cache.horizon())
-        if key == _FULL:
-            cache = TileCache(
-                self.log_dir,
-                self.n_persons,
-                tile_hours=cfg.tile_hours,
-                budget_nnz=cfg.cache_budget_nnz,
-                cache_dir=(
-                    Path(cfg.cache_dir) / key
-                    if cfg.cache_dir is not None
-                    else None
-                ),
-                strict=cfg.strict,
-            )
-        else:
+        place_mask = None
+        if key != _FULL:
             assert self.places is not None
-            cache = layer_caches(
-                self.log_dir,
-                self.places,
-                self.n_persons,
-                tile_hours=cfg.tile_hours,
-                budget_nnz=cfg.cache_budget_nnz,
-                cache_dir=cfg.cache_dir,
-                strict=cfg.strict,
-                kinds=[key],
-            )[key]
+            place_mask = self.places.kind == int(PlaceKind[key.upper()])
+        cache = TileCache(
+            self.log_dir,
+            self.n_persons,
+            tile_hours=cfg.tile_hours,
+            budget_nnz=cfg.cache_budget_nnz,
+            cache_dir=(
+                Path(cfg.cache_dir) / key if cfg.cache_dir is not None else None
+            ),
+            strict=cfg.strict,
+            place_mask=place_mask,
+        )
         return _CacheHandle(cache, horizon=cache.horizon())
 
     async def _get_handle(self, key: str) -> _CacheHandle:
@@ -655,9 +582,6 @@ class NetworkQueryService:
         bytes; in-flight queries finish on the caches they started on."""
         keys = list(self._handles)
         old = [self._handles[k] for k in keys]
-        with self._shard_plan_lock:
-            # the new log bytes may put work in different places
-            self._shard_plan = None
         loop = asyncio.get_running_loop()
         fresh = {}
         for key in keys:

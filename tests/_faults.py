@@ -4,20 +4,17 @@ Two layers of injection, matching the two layers of fault handling:
 
 * :func:`inject_failures` wraps a *task function* so that chosen tasks
   fail on their first ``times`` attempts.  State lives on the filesystem,
-  so it works unchanged across :class:`~repro.distrib.taskpool.SerialPool`,
-  ``ThreadPool``, and fork-based ``ProcessPool`` workers, and
-  :func:`invocation_counts` can afterwards prove exactly how often each
-  task ran (the chunk-retry regression test depends on this).
+  so it works unchanged on a :class:`~repro.distrib.taskpool.TaskPool`'s
+  threads and in forked processes.
 
 * :class:`FlakyPool` wraps a *worker pool* so that a chosen ``map`` call
   either dies outright (simulating a run killed mid-batch) or injects
   first-attempt task failures beneath the pool's retry machinery.
 
 ``kind=Kill`` simulates a hard worker crash.  It raises
-:class:`WorkerCrash` rather than delivering a real SIGKILL because
-``multiprocessing.Pool`` cannot recover a task whose worker vanished
-mid-chunk (the map would hang); by the time a crashed worker matters to
-the retry layer, it manifests as exactly this kind of task failure.
+:class:`WorkerCrash` rather than delivering a real SIGKILL: by the time a
+crashed worker matters to the retry layer, it manifests as exactly this
+kind of task failure.
 """
 
 from __future__ import annotations
@@ -105,17 +102,6 @@ def inject_failures(
         state_dir = tempfile.mkdtemp(prefix="faults_")
     Path(state_dir).mkdir(parents=True, exist_ok=True)
     return _FailureInjector(fn, frozenset(fail_on), kind, times, str(state_dir))
-
-
-def invocation_counts(state_dir: str | Path) -> dict[str, int]:
-    """Per-task invocation counts recorded by an injector's ledger."""
-    counts: dict[str, int] = {}
-    for name in os.listdir(state_dir):
-        if not name.startswith("inv_"):
-            continue
-        key = name[len("inv_") : name.rindex("_")]
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 class FlakyPool:

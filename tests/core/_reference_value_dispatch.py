@@ -62,7 +62,7 @@ from repro.core.pipeline import (
     load_checkpoint_manifest,
 )
 from repro.core.slicing import clip_records, records_by_place, slice_records
-from repro.distrib.taskpool import SerialPool, WorkerPool
+from repro.distrib.taskpool import TaskPool, WorkerPool
 from repro.errors import CheckpointError, SynthesisError
 from repro.evlog.multifile import LogSet, try_read_time_slice
 from repro.evlog.reader import LogReader
@@ -205,7 +205,8 @@ def synthesize_network(
     t0, t1:
         Analysis window in absolute simulation hours.
     pool:
-        Worker pool; default :class:`~repro.distrib.taskpool.SerialPool`.
+        Worker pool; default a one-worker
+        :class:`~repro.distrib.taskpool.TaskPool`.
     kernel:
         ``"intervals"`` (default) computes collocated hours from
         ``[start, stop)`` spell overlaps; ``"dense-hours"`` is the paper's
@@ -217,7 +218,7 @@ def synthesize_network(
         raise SynthesisError("n_persons must be positive")
     _check_kernel(kernel)
     own_pool = pool is None
-    pool = pool or SerialPool()
+    pool = pool or TaskPool()
     report = SynthesisReport(n_records=len(records), n_workers=pool.n_workers)
     timings = report.timings
     retries_before = _pool_retries(pool)
@@ -305,7 +306,7 @@ def synthesize_from_logs(
     _check_kernel(kernel)
     log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
     own_pool = pool is None
-    pool = pool or SerialPool()
+    pool = pool or TaskPool()
     network: CollocationNetwork | None = None
     total_report = SynthesisReport(n_workers=pool.n_workers, batches=0)
 

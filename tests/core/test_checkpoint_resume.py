@@ -19,7 +19,7 @@ from repro.core.pipeline import (
     checkpoint_digest,
     load_checkpoint_manifest,
 )
-from repro.distrib import RetryPolicy, SerialPool, ThreadPool
+from repro.distrib import RetryPolicy, TaskPool
 from repro.errors import CheckpointError, LogCorruptError
 from repro.evlog import LogSet, make_records, write_rank_logs
 from tests._faults import FlakyPool, WorkerCrash
@@ -76,7 +76,7 @@ class TestCheckpointResumeEquivalence:
         rng = np.random.default_rng(1000 + seed)
         die_call = int(rng.integers(0, 6))
         ckpt = tmp_path / "ckpt"
-        pool = FlakyPool(SerialPool(), die_on_calls={die_call})
+        pool = FlakyPool(TaskPool(), die_on_calls={die_call})
         with pytest.raises(WorkerCrash):
             synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=2,
@@ -108,7 +108,7 @@ class TestCheckpointResumeEquivalence:
         baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         for done in (1, 2):
             ckpt = tmp_path / f"ckpt_{done}"
-            pool = FlakyPool(SerialPool(), die_on_calls={2 * done})
+            pool = FlakyPool(TaskPool(), die_on_calls={2 * done})
             with pytest.raises(WorkerCrash):
                 synthesize_from_logs(
                     logs, N_PERSONS, T0, T1, batch_size=2,
@@ -187,7 +187,7 @@ class TestWorkerCrashRecovery:
         # batch 2 (zero-based batch index 1) = map calls 2 and 3; fail the
         # first attempt of two tasks inside its collocation stage
         pool = FlakyPool(
-            SerialPool(retry=NO_SLEEP), fail_tasks={2: {0, 1}}
+            TaskPool(retry=NO_SLEEP), fail_tasks={2: {0, 1}}
         )
         net, report = synthesize_from_logs(
             logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
@@ -201,7 +201,7 @@ class TestWorkerCrashRecovery:
         logs = write_random_logs(tmp_path / "logs", seed=8)
         baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         pool = FlakyPool(
-            ThreadPool(2, retry=NO_SLEEP), fail_tasks={0: {0}, 4: {1}}
+            TaskPool(2, retry=NO_SLEEP), fail_tasks={0: {0}, 4: {1}}
         )
         net, report = synthesize_from_logs(
             logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
@@ -212,7 +212,7 @@ class TestWorkerCrashRecovery:
 
     def test_unrecoverable_crash_still_fails(self, tmp_path):
         logs = write_random_logs(tmp_path / "logs", seed=9)
-        pool = FlakyPool(SerialPool(), die_on_calls={2})
+        pool = FlakyPool(TaskPool(), die_on_calls={2})
         with pytest.raises(WorkerCrash):
             synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
@@ -272,7 +272,7 @@ class TestQuarantine:
         assert len(base_report.quarantined) == 1
 
         ckpt = tmp_path / "ckpt"
-        pool = FlakyPool(SerialPool(), die_on_calls={4})
+        pool = FlakyPool(TaskPool(), die_on_calls={4})
         with pytest.raises(WorkerCrash):
             synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=2,

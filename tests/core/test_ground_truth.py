@@ -9,6 +9,9 @@ pair-hours, strict upper triangle) that shares no code with
 a person in two places in one hour, verbatim duplicates, single-person
 places, empty rank files, uint32 extremes.  The oracle file is loaded by
 path, read-only: it belongs to the frozen benchmark.
+
+The masked window builder a tile, a fringe and a shard share is held to
+the same oracle, restricted to the places the mask admits.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import synthesize_from_logs, synthesize_network
+from repro.core import TileCache, synthesize_from_logs, synthesize_network
+from repro.core.intervals import window_partial
+from repro.distrib import TaskPool
 from repro.evlog import make_records, write_rank_logs
+from repro.evlog.multifile import rank_log_path
 from tests.core import _reference_value_dispatch as reference
 from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import csr_identical
@@ -40,10 +46,12 @@ SPAN = 70  # generated hours, relative to the world's base hour
 #: places at once and some places see one person only; the last place id
 #: sits on the uint32 edge
 PLACES = (0, 1, 5, 9, U32)
+#: the same shape under a place mask, which is an array over place ids
+MASKABLE_PLACES = (0, 1, 5, 9, 12)
 
 
 @st.composite
-def worlds(draw):
+def worlds(draw, places=PLACES):
     """``(per-rank records, t0, t1)``: spells over ``[base, base + SPAN]``
     with a window strictly inside, so both of its edges clip some.
     Hypothesis picks the shape; the spells come from a seeded generator,
@@ -56,12 +64,12 @@ def worlds(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     pick = rng.integers(0, n, n + n // 4)  # a fifth are verbatim duplicates
     person = rng.integers(0, N_PERSONS, n)[pick]
-    place = np.array(PLACES, dtype=np.int64)[rng.integers(0, len(PLACES), n)][pick]
+    place = np.array(places, dtype=np.int64)[rng.integers(0, len(places), n)][pick]
     start = rng.integers(0, SPAN, n)[pick]
     stop = np.minimum(start + rng.integers(1, 60, n)[pick], SPAN)
     # a place's records stay in one rank file, like the distributed
     # model's logs; a rank no place maps to writes an empty file
-    rank = np.searchsorted(PLACES, place) % n_ranks
+    rank = np.searchsorted(places, place) % n_ranks
     per_rank = [
         make_records(
             base + start[rank == r],
@@ -95,3 +103,50 @@ def test_production_and_oracle_match_brute_force(world):
                 in_memory, _ = synthesize_network(rec, N_PERSONS, t0, t1)
             assert csr_identical(from_logs.adjacency, truth), impl
             assert csr_identical(in_memory.adjacency, truth), impl
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    worlds(places=MASKABLE_PLACES),
+    st.lists(st.booleans(), min_size=len(MASKABLE_PLACES), max_size=len(MASKABLE_PLACES)),
+    # one-hour tiles align every window (a single hour is one tile), 4 h
+    # tiles align a few and straddle most, a 24 h tile holds or straddles
+    st.sampled_from([1, 4, 24]),
+)
+def test_masked_window_partial_matches_brute_force(world, admitted, tile_hours):
+    """The shared builder over the files that mention admitted places ==
+    a place-masked tile cache == direct synthesis of the admitted places'
+    records == the brute-force oracle over them, inline and on threads."""
+    per_rank, t0, t1 = world
+    mask = np.zeros(MASKABLE_PLACES[-1] + 1, dtype=bool)
+    mask[np.array(MASKABLE_PLACES)[admitted]] = True
+    kept = [rec[mask[rec["place"]]] for rec in per_rank]
+    rec = np.concatenate(kept)
+    truth = brute_force_adjacency(
+        rec["person"], rec["place"], rec["start"], rec["stop"], N_PERSONS, t0, t1
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        logs, kept_logs = Path(tmp, "all"), Path(tmp, "admitted")
+        write_rank_logs(logs, per_rank)
+        write_rank_logs(kept_logs, kept)
+        files = [rank_log_path(logs, r) for r in range(len(kept)) if len(kept[r])]
+        for impl in IMPLS:
+            with use_impl(impl):
+                partial, n_records, _walks = window_partial(
+                    files, t0, t1, N_PERSONS, mask
+                )
+                assert csr_identical(partial, truth), impl
+                in_window = (rec["start"] < t1) & (rec["stop"] > t0)
+                assert n_records == int(in_window.sum())
+                for workers in (1, 2, 3):
+                    with TaskPool(workers) as pool:
+                        with TileCache(
+                            logs, N_PERSONS, tile_hours=tile_hours,
+                            pool=pool, place_mask=mask,
+                        ) as cache:
+                            tiled = cache.query_window(t0, t1)
+                        direct, _ = synthesize_from_logs(
+                            kept_logs, N_PERSONS, t0, t1, pool=pool
+                        )
+                    assert csr_identical(tiled.adjacency, truth), (impl, workers)
+                    assert csr_identical(direct.adjacency, truth), (impl, workers)

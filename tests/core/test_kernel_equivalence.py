@@ -31,7 +31,7 @@ from repro.core.intervals import (
 )
 from repro.core.pipeline import SynthesisReport, _merge_balance
 from repro.core.slicing import slice_records
-from repro.distrib import SerialPool, ThreadPool, make_pool
+from repro.distrib import TaskPool
 from repro.errors import LogCorruptError
 from repro.evlog import LogSet, make_records, write_rank_logs
 from repro.evlog.multifile import rank_log_path
@@ -150,12 +150,11 @@ class TestOracleVsProduction:
     shape, pool kind and batch size."""
 
     @pytest.mark.parametrize("batch_size", [1, 2, 16])
-    @pytest.mark.parametrize("pool_kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("pool_kind", ["serial", "thread"])
     def test_every_window(
         self, matrix_logs, oracle_runs, impl, pool_kind, batch_size
     ):
-        # built under the pinned implementation: forked workers inherit it
-        with make_pool(pool_kind, 2) as pool:
+        with TaskPool({"serial": 1, "thread": 2}[pool_kind]) as pool:
             for name, (t0, t1) in WINDOWS.items():
                 net, report = synthesize_from_logs(
                     matrix_logs, N_PERSONS, t0, t1,
@@ -303,30 +302,11 @@ class TestDispatchIdentity:
     def test_zero_copy_threadpool(self, tmp_path):
         logs = write_tricky_logs(tmp_path / "logs", seed=12)
         base, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
-        with ThreadPool(3) as pool:
+        with TaskPool(3) as pool:
             zc, _ = synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
             )
         assert csr_identical(base.adjacency, zc.adjacency)
-
-    def test_zero_copy_ships_fewer_bytes(self, tmp_path):
-        """The point of shipping paths: root→worker traffic shrinks from
-        O(records) to O(1) per task."""
-        logs = write_tricky_logs(tmp_path / "logs", seed=13)
-
-        def shipped(dispatch):
-            pool = SerialPool()
-            pool.track_bytes = True
-            try:
-                RUNS["intervals", dispatch](
-                    logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
-                )
-            finally:
-                pool.close()
-            return pool.bytes_shipped
-
-        # stage-2 inputs dominate: records by value vs a path and a window
-        assert shipped("zero-copy") < shipped("value")
 
 
 class TestCrossConfigResume:
@@ -353,7 +333,7 @@ class TestCrossConfigResume:
         ckpt = tmp_path / "ckpt"
         # die inside batch 2 (after one committed batch); every run
         # issues two maps per batch (unit build + adjacency)
-        pool = FlakyPool(SerialPool(), die_on_calls={2})
+        pool = FlakyPool(TaskPool(), die_on_calls={2})
         with pytest.raises(WorkerCrash):
             RUNS[first](
                 logs, N_PERSONS, T0, T1, batch_size=2,
@@ -435,7 +415,7 @@ class TestBalanceAggregation:
         )
         logs = tmp_path / "logs"
         write_rank_logs(logs, [giant, even])
-        with ThreadPool(2) as pool:
+        with TaskPool(2) as pool:
             _, report = synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=1, pool=pool
             )

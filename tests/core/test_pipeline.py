@@ -10,13 +10,13 @@ from repro.core import (
     StreamingSynthesizer,
     TileCache,
     synthesize_from_logs,
-    synthesize_from_logs_bsp,
+    synthesize_layers,
     synthesize_network,
-    synthesize_network_bsp,
 )
 from repro.core.pipeline import validate_place_locality
-from repro.distrib import ThreadPool, make_pool, spatial_partition
-from repro.errors import PartitionError, SynthesisError, TileCacheError
+from repro.distrib import RetryPolicy, TaskPool, spatial_partition
+from repro.distrib.shardsynth import shard_synthesize
+from repro.errors import SynthesisError, TileCacheError
 from repro.evlog import LogSet, write_rank_logs
 from repro.obs import capture_spans
 from repro.sim.events import events_to_grid
@@ -127,23 +127,13 @@ class TestPools:
         serial, _ = synthesize_network(
             week_result.records, small_pop.n_persons, 0, 168
         )
-        with ThreadPool(4) as pool:
+        with TaskPool(4) as pool:
             threaded, report = synthesize_network(
                 week_result.records, small_pop.n_persons, 0, 168, pool=pool
             )
         assert (serial.adjacency != threaded.adjacency).nnz == 0
         assert report.n_workers == 4
         assert report.balance is not None
-
-    def test_process_pool_identical_to_serial(self, small_pop, week_result):
-        serial, _ = synthesize_network(
-            week_result.records, small_pop.n_persons, 0, 168
-        )
-        with make_pool("process", 2) as pool:
-            proc, _ = synthesize_network(
-                week_result.records, small_pop.n_persons, 0, 168, pool=pool
-            )
-        assert (serial.adjacency != proc.adjacency).nnz == 0
 
 
 class TestReport:
@@ -214,7 +204,7 @@ class TestOnePath:
     @pytest.mark.parametrize(
         "knob",
         [{"kernel": "intervals"}, {"backend": "auto"}, {"plan": None},
-         {"dispatch": "zero-copy"}],
+         {"dispatch": "zero-copy"}, {"cache": None}],
         ids=lambda knob: next(iter(knob)),
     )
     def test_knobs_are_gone(self, knob, week_result):
@@ -222,8 +212,6 @@ class TestOnePath:
         for call in (
             lambda: synthesize_network(rec, 800, 0, 24, **knob),
             lambda: synthesize_from_logs(".", 800, 0, 24, **knob),
-            lambda: synthesize_network_bsp(rec, 800, 0, 24, 2, **knob),
-            lambda: synthesize_from_logs_bsp(".", 800, 0, 24, 2, **knob),
             lambda: StreamingSynthesizer(800, **knob),
             lambda: TileCache(".", 800, **knob),
         ):
@@ -233,6 +221,11 @@ class TestOnePath:
     def test_plan_is_not_exported(self):
         assert not hasattr(repro, "SynthesisPlan")
         assert not hasattr(repro.core, "DEFAULT_PLAN")
+
+    def test_cache_pass_through_is_not_exported(self):
+        """A caller holding a cache calls ``cache.query_window(t0, t1)``."""
+        assert not hasattr(repro, "query_window")
+        assert not hasattr(repro.core, "query_window")
 
 
 class TestConfigurationErrors:
@@ -246,18 +239,42 @@ class TestConfigurationErrors:
                 lambda: synthesize_from_logs(
                     tmp_path, 10, 0, 24, batch_size=batch_size
                 ),
-                lambda: synthesize_from_logs_bsp(
-                    tmp_path, 10, 0, 24, 2, batch_size=batch_size
-                ),
                 lambda: StreamingSynthesizer(10, batch_size=batch_size),
             ):
                 with pytest.raises(SynthesisError, match="batch_size must be >= 1"):
                     call()
         assert spans == []  # refused before the ``synthesize`` span opened
 
-    def test_unknown_pool_kind(self):
-        with pytest.raises(PartitionError):
-            make_pool("fork-bomb")
+    @pytest.mark.parametrize(
+        "n_persons, t0, t1, message",
+        [(800, 48, 24, r"empty time window \[48, 24\)"),
+         (800, 24, 24, r"empty time window \[24, 24\)"),
+         (0, 0, 24, "n_persons must be positive"),
+         (-5, 0, 24, "n_persons must be positive")],
+        ids=["reversed", "zero-length", "no-persons", "negative-persons"],
+    )
+    def test_empty_window_or_population(
+        self, tmp_path, small_pop, week_result, n_persons, t0, t1, message
+    ):
+        """Refused at the root by every entry point, before any span opens
+        and before a retrying pool could re-run the refusal in a worker."""
+        rec = week_result.records
+        log_dir = tmp_path / "logs"
+        write_rank_logs(log_dir, np.array_split(rec, 2))
+        with TaskPool(retry=RetryPolicy(max_attempts=3)) as pool:
+            with capture_spans() as spans:
+                for call in (
+                    lambda: synthesize_from_logs(log_dir, n_persons, t0, t1, pool=pool),
+                    lambda: synthesize_network(rec, n_persons, t0, t1, pool=pool),
+                    lambda: synthesize_layers(
+                        rec, small_pop.places, n_persons, t0, t1, pool=pool
+                    ),
+                    lambda: shard_synthesize(log_dir, n_persons, t0, t1, n_shards=2),
+                ):
+                    with pytest.raises(SynthesisError, match=message):
+                        call()
+            assert spans == []
+            assert pool.report.n_tasks == 0
 
     def test_tile_hours_below_one(self, tmp_path):
         with pytest.raises(TileCacheError):

@@ -20,15 +20,13 @@ import repro
 from repro.core import (
     StreamingSynthesizer,
     TileCache,
-    query_window,
     synthesize_from_logs,
-    synthesize_from_logs_bsp,
     synthesize_layers,
     synthesize_layers_from_logs,
 )
 from repro.core.tilecache import TILE_MANIFEST, logset_digest
-from repro.distrib import DistributedSimulation, make_pool, spatial_partition
-from repro.errors import LogTruncatedError, SynthesisError, TileCacheError
+from repro.distrib import DistributedSimulation, spatial_partition
+from repro.errors import LogTruncatedError, TileCacheError
 from repro.evlog import LogSet
 from repro.evlog.multifile import salvage_rank_logs
 
@@ -125,43 +123,6 @@ class TestEquivalence:
             net = cache.query_window(5, 300)
             ref = direct(tile_logs, small_pop.n_persons, 5, 300)
             assert_bit_identical(net.adjacency, ref.adjacency)
-
-    def test_process_pool_construction(self, tile_logs, small_pop):
-        pool = make_pool("process", 2)
-        try:
-            with TileCache(
-                tile_logs, small_pop.n_persons, pool=pool
-            ) as cache:
-                net = cache.query_window(10, 200)
-            ref = direct(tile_logs, small_pop.n_persons, 10, 200)
-            assert_bit_identical(net.adjacency, ref.adjacency)
-        finally:
-            pool.close()
-
-    def test_process_pool_refuses_a_swapped_file(
-        self, tile_logs, small_pop, tmp_path
-    ):
-        """Pool processes cannot share the cache's readers; they reopen the
-        path and must refuse a file that is not the one the cache digested
-        — while an in-process pool keeps answering from the held inode."""
-        import shutil
-
-        logs = tmp_path / "logs"
-        shutil.copytree(tile_logs, logs)
-        ref = direct(logs, small_pop.n_persons, 0, 48)
-        pool = make_pool("process", 2)
-        try:
-            with TileCache(logs, small_pop.n_persons, pool=pool) as forked:
-                with TileCache(logs, small_pop.n_persons) as held:
-                    swapped = tmp_path / "swap.evl"
-                    shutil.copy(logs / "rank_0002.evl", swapped)
-                    swapped.replace(logs / "rank_0001.evl")
-                    with pytest.raises(TileCacheError, match="replaced"):
-                        forked.query_window(0, 48)
-                    net = held.query_window(0, 48)
-            assert_bit_identical(net.adjacency, ref.adjacency)
-        finally:
-            pool.close()
 
     def test_warm_then_query_builds_nothing(self, tile_logs, small_pop):
         with TileCache(tile_logs, small_pop.n_persons) as cache:
@@ -365,63 +326,16 @@ class TestInvalidation:
 
 
 class TestWiring:
-    def test_pipeline_cache_param(self, tile_cache, tile_logs, small_pop):
-        net, report = synthesize_from_logs(
-            tile_logs, small_pop.n_persons, 7, 250, cache=tile_cache
-        )
-        ref = direct(tile_logs, small_pop.n_persons, 7, 250)
-        assert_bit_identical(net.adjacency, ref.adjacency)
-        assert report.batches == 0
-        assert "cache_query" in report.timings.stages
-
-    def test_pipeline_cache_rejects_checkpoint(
-        self, tile_cache, tile_logs, small_pop, tmp_path
-    ):
-        with pytest.raises(SynthesisError):
-            synthesize_from_logs(
-                tile_logs, small_pop.n_persons, 0, 24,
-                cache=tile_cache, checkpoint=tmp_path / "c",
-            )
-        with pytest.raises(SynthesisError):
-            synthesize_from_logs(
-                tile_logs, small_pop.n_persons + 1, 0, 24, cache=tile_cache
-            )
-
-    def test_streaming_through_cache(self, tile_cache, tile_logs, small_pop):
-        cached = StreamingSynthesizer(
-            small_pop.n_persons, cache=tile_cache
-        ).process(str(tile_logs), 2)
-        plain = StreamingSynthesizer(small_pop.n_persons).process(
-            str(tile_logs), 2
-        )
-        for a, b in zip(cached.networks, plain.networks):
-            assert_bit_identical(a.adjacency, b.adjacency)
-        assert_bit_identical(
-            cached.total().adjacency, plain.total().adjacency
-        )
-
     def test_series_total_presized_fallback(self, tile_logs, small_pop):
-        """The no-cache total() (one pre-sized accumulation) matches the
-        whole-window synthesis exactly."""
+        """total() (one pre-sized accumulation) matches the whole-window
+        synthesis exactly."""
         series = StreamingSynthesizer(small_pop.n_persons).process(
             str(tile_logs), 2
         )
-        assert series.cache is None
         total = series.total()
         ref = direct(tile_logs, small_pop.n_persons, 0, 336)
         assert_bit_identical(total.adjacency, ref.adjacency)
         assert (total.t0, total.t1) == (0, 336)
-
-    def test_bsp_through_cache(self, tile_cache, tile_logs, small_pop):
-        res = synthesize_from_logs_bsp(
-            tile_logs, small_pop.n_persons, 12, 220, n_ranks=3,
-            cache=tile_cache,
-        )
-        ref = synthesize_from_logs_bsp(
-            tile_logs, small_pop.n_persons, 12, 220, n_ranks=3
-        )
-        assert_bit_identical(res.network.adjacency, ref.network.adjacency)
-        assert res.traffic.bytes_sent == 0  # no cluster communication
 
     def test_layers_through_caches(self, tile_cache, tile_logs, small_pop):
         layers, caches = synthesize_layers_from_logs(
@@ -456,19 +370,6 @@ class TestWiring:
             for c in caches.values():
                 c.close()
 
-    def test_module_level_query_window(self, tile_logs, small_pop):
-        net, cache = query_window(tile_logs, small_pop.n_persons, 0, 100)
-        try:
-            ref = direct(tile_logs, small_pop.n_persons, 0, 100)
-            assert_bit_identical(net.adjacency, ref.adjacency)
-            net2, cache2 = query_window(
-                tile_logs, small_pop.n_persons, 0, 100, cache=cache
-            )
-            assert cache2 is cache
-            assert_bit_identical(net2.adjacency, ref.adjacency)
-        finally:
-            cache.close()
-
 
 class TestErrors:
     def test_empty_window_rejected(self, tile_cache):
@@ -493,12 +394,6 @@ class TestErrors:
         with pytest.raises(TileCacheError):
             cache.query_window(0, 24)
         cache.close()  # idempotent
-
-    def test_population_mismatch(self, tile_cache, tile_logs, small_pop):
-        with pytest.raises(TileCacheError):
-            query_window(
-                tile_logs, small_pop.n_persons + 1, 0, 24, cache=tile_cache
-            )
 
 
 class TestDigest:

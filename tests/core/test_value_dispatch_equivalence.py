@@ -21,7 +21,7 @@ from repro.core.intervals import build_interval_pack
 from repro.core.pipeline import _balance_packs, _file_task
 from repro.core.slicing import slice_records
 from repro.core.tilecache import _window_task
-from repro.distrib import ProcessPool, RetryPolicy, SerialPool, ThreadPool
+from repro.distrib import RetryPolicy, TaskPool
 from repro.errors import (
     LogCorruptError,
     LogTruncatedError,
@@ -132,15 +132,10 @@ def awkward_logs(tmp_path_factory):
     return logs
 
 
-@pytest.fixture(scope="module", params=["serial", "thread", "process"])
+@pytest.fixture(scope="module", params=["serial", "thread"])
 def pool(request):
-    made = {
-        "serial": SerialPool,
-        "thread": lambda: ThreadPool(3),
-        "process": lambda: ProcessPool(2),
-    }[request.param]()
-    yield made
-    made.close()
+    with TaskPool({"serial": 1, "thread": 3}[request.param]) as made:
+        yield made
 
 
 COUNTS = (
@@ -408,16 +403,13 @@ class TestStrictHasOneMeaning:
             got, reference.synthesize_from_logs(logs, N_PERSONS, 0, 96, pool=pool)
         )
 
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_retrying_pool_neither_retries_nor_wraps(self, torn_logs, kind):
         logs, _ = torn_logs
         corrupt(rank_log_path(logs, 2))
-        retry = RetryPolicy(max_attempts=3)
-        made = {
-            "serial": lambda: SerialPool(retry=retry),
-            "thread": lambda: ThreadPool(2, retry=retry),
-            "process": lambda: ProcessPool(2, retry=retry),
-        }[kind]()
+        made = TaskPool(
+            {"serial": 1, "thread": 2}[kind], retry=RetryPolicy(max_attempts=3)
+        )
         try:
             with pytest.raises(LogTruncatedError) as err:
                 synthesize_from_logs(

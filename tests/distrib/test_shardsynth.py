@@ -7,7 +7,7 @@ CSR of a sum is unique.  These tests assert the strong form of that
 contract: for every shard count × partition strategy, the sharded
 pipeline's CSR triple (``data``/``indices``/``indptr``) is **exactly**
 the single-process kernel's, including through the compiled masked
-backend, layer masks, the sharded tile cache, and quarantine paths.
+backend and quarantine paths.
 """
 
 from __future__ import annotations
@@ -15,22 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TileCache, synthesize_from_logs
+from repro.core import synthesize_from_logs
 from repro.distrib.shardsynth import (
     STRATEGIES,
-    ShardedTileCache,
-    log_horizon,
     plan_shards,
     shard_synthesize,
 )
 from repro.errors import SynthesisError
-from repro.evlog import LogSet
 from repro.evlog.multifile import rank_log_path
 from repro.obs import MetricsRegistry, set_default_registry
 from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import (
     N_PERSONS,
-    N_PLACES,
     T0,
     T1,
     csr_identical,
@@ -135,16 +131,6 @@ class TestShardPlan:
         assert sum(per_shard) < 4 * n_files
         assert all(n >= 1 for n in per_shard)
 
-    def test_digest_tracks_partition(self, shard_logs):
-        a = plan_shards(shard_logs, 2, T0, T1, strategy="round-robin")
-        b = plan_shards(shard_logs, 2, T0, T1, strategy="round-robin")
-        c = plan_shards(shard_logs, 4, T0, T1, strategy="round-robin")
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
-
-    def test_log_horizon(self, shard_logs):
-        assert log_horizon(LogSet(shard_logs)) >= T1
-
 
 class TestShardQuarantine:
     def _corrupt(self, path):
@@ -197,82 +183,3 @@ class TestShardMetrics:
         text = report.summary()
         assert "shard 0" in text and "shard 1" in text
         assert f"{report.n_records:,}" in text
-
-
-class TestShardedTileCache:
-    @pytest.fixture(scope="class")
-    def cache_plan(self, shard_logs):
-        horizon = log_horizon(LogSet(shard_logs))
-        return plan_shards(shard_logs, 3, 0, horizon, strategy="refined")
-
-    def test_window_queries_bit_identical(
-        self, shard_logs, reference, cache_plan
-    ):
-        with ShardedTileCache(shard_logs, N_PERSONS, cache_plan) as cache:
-            net = cache.query_window(T0, T1)
-            assert csr_identical(net.adjacency, reference.adjacency)
-            # unaligned window, exercising partial tiles per shard
-            got = cache.query_window(T0 + 7, T1 - 5)
-            want, _ = synthesize_from_logs(
-                shard_logs, N_PERSONS, T0 + 7, T1 - 5
-            )
-            assert csr_identical(got.adjacency, want.adjacency)
-            assert cache.reduce_seconds >= 0.0
-            assert cache.stats.queries >= 1
-
-    def test_matches_unsharded_cache(self, shard_logs, cache_plan):
-        with ShardedTileCache(shard_logs, N_PERSONS, cache_plan) as sharded, \
-                TileCache(shard_logs, N_PERSONS) as single:
-            a = sharded.query_window(T0 + 1, T1 - 1)
-            b = single.query_window(T0 + 1, T1 - 1)
-            assert csr_identical(a.adjacency, b.adjacency)
-
-    def test_place_mask_composes_with_shards(self, shard_logs, cache_plan):
-        """A layer mask intersects each shard's mask; the reduced answer
-        equals one masked unsharded cache."""
-        mask = np.zeros(cache_plan.n_places, dtype=bool)
-        mask[: N_PLACES // 2] = True
-        with ShardedTileCache(
-            shard_logs, N_PERSONS, cache_plan, place_mask=mask
-        ) as sharded, TileCache(
-            shard_logs, N_PERSONS, place_mask=mask
-        ) as single:
-            a = sharded.query_window(T0, T1)
-            b = single.query_window(T0, T1)
-            assert csr_identical(a.adjacency, b.adjacency)
-
-    def test_pipeline_cache_injection(self, shard_logs, reference, cache_plan):
-        """synthesize_from_logs(cache=...) accepts the sharded cache."""
-        with ShardedTileCache(shard_logs, N_PERSONS, cache_plan) as cache:
-            net, _ = synthesize_from_logs(
-                shard_logs, N_PERSONS, T0, T1, cache=cache
-            )
-            assert csr_identical(net.adjacency, reference.adjacency)
-
-    def test_interface_surface(self, shard_logs, cache_plan):
-        with ShardedTileCache(shard_logs, N_PERSONS, cache_plan) as cache:
-            assert cache.horizon() >= T1
-            assert cache.warm(T0, T0 + 48) >= 0
-            assert cache.cached_nnz >= 0
-            assert cache.quarantined == []
-            assert cache.quarantined_tiles == []
-            assert len(cache.digest) == 64
-            assert cache.pool.n_workers == 3
-
-    def test_keyword_arguments_reach_every_shard(
-        self, shard_logs, tmp_path, cache_plan
-    ):
-        with ShardedTileCache(
-            shard_logs, N_PERSONS, cache_plan,
-            tile_hours=12, cache_dir=tmp_path / "tiles",
-        ) as cache:
-            cache.query_window(T0, T0 + 24)
-            assert cache.shards[0].tile_hours == 12
-        assert (tmp_path / "tiles" / "shard_000").exists()
-
-    def test_misaligned_place_mask_rejected(self, shard_logs, cache_plan):
-        with pytest.raises(SynthesisError, match="place_mask"):
-            ShardedTileCache(
-                shard_logs, N_PERSONS, cache_plan,
-                place_mask=np.ones(3, dtype=bool),
-            )

@@ -1,21 +1,17 @@
-"""Tests for the SNOW-style worker pools and their retry machinery."""
+"""Tests for the SNOW-style worker pool and its retry machinery.
+
+``TestSerialPool`` and the ``serial`` rows hold the inline leg (one
+worker), ``TestThreadPool`` and the ``thread`` rows the threaded one.
+"""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.distrib import (
-    PoolReport,
-    ProcessPool,
-    RetryPolicy,
-    SerialPool,
-    ThreadPool,
-    make_pool,
-)
+from repro.distrib import PoolReport, RetryPolicy, TaskPool
+from repro.obs import CollectingProbe, push_probe
 from repro.errors import PartitionError, TaskRetryError
-from tests._faults import Kill, WorkerCrash, inject_failures, invocation_counts
+from tests._faults import Kill, inject_failures
 
 
 def square(x):
@@ -27,49 +23,56 @@ NO_SLEEP = RetryPolicy(max_attempts=3, base_delay=0.0)
 
 class TestSerialPool:
     def test_map_preserves_order(self):
-        with SerialPool() as pool:
+        with TaskPool() as pool:
             assert pool.map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_closed_pool_rejects_map(self):
-        pool = SerialPool()
+        pool = TaskPool()
         pool.close()
         with pytest.raises(PartitionError):
             pool.map(square, [1])
 
     def test_n_workers(self):
-        assert SerialPool().n_workers == 1
+        assert TaskPool().n_workers == 1
 
 
 class TestThreadPool:
     def test_map_preserves_order(self):
-        with ThreadPool(4) as pool:
+        with TaskPool(4) as pool:
             assert pool.map(square, list(range(20))) == [i * i for i in range(20)]
 
     def test_exception_propagates(self):
         def boom(x):
             raise ValueError("boom")
 
-        with ThreadPool(2) as pool:
+        with TaskPool(2) as pool:
             with pytest.raises(ValueError):
                 pool.map(boom, [1, 2])
 
     def test_rejects_zero_workers(self):
         with pytest.raises(PartitionError):
-            ThreadPool(0)
+            TaskPool(0)
 
 
-class TestProcessPool:
-    def test_map_preserves_order(self):
-        with ProcessPool(2) as pool:
-            assert pool.map(square, list(range(30))) == [i * i for i in range(30)]
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=3)])
+class TestOneContractForEveryWorkerCount:
+    def test_closed_pool_is_a_typed_error(self, workers, retry):
+        pool = TaskPool(workers, retry=retry)
+        pool.close()
+        pool.close()  # idempotent
+        with pytest.raises(PartitionError, match="pool is closed"):
+            pool.map(square, [1, 2])
+        with pytest.raises(PartitionError, match="pool is closed"):
+            pool.map(square, [])
 
-    def test_empty_items(self):
-        with ProcessPool(2) as pool:
+    def test_empty_map_is_accounted(self, workers, retry):
+        probe = CollectingProbe()
+        with push_probe(probe), TaskPool(workers, retry=retry) as pool:
             assert pool.map(square, []) == []
-
-    def test_default_worker_count(self):
-        with ProcessPool() as pool:
-            assert pool.n_workers == (os.cpu_count() or 1)
+            assert pool.map(square, [2]) == [4]
+        assert probe.counters["pool.map_calls"] == 2
+        assert probe.counters["pool.tasks"] == 1
 
 
 class TestRetryPolicy:
@@ -119,10 +122,9 @@ class TestRetryPolicy:
 
 
 @pytest.mark.parametrize("make", [
-    lambda retry: SerialPool(retry=retry),
-    lambda retry: ThreadPool(2, retry=retry),
-    lambda retry: ProcessPool(2, retry=retry),
-], ids=["serial", "thread", "process"])
+    lambda retry: TaskPool(retry=retry),
+    lambda retry: TaskPool(2, retry=retry),
+], ids=["serial", "thread"])
 class TestRetryAcrossBackends:
     def test_transient_failure_recovers(self, make, tmp_path):
         flaky = inject_failures(square, fail_on={3}, state_dir=tmp_path)
@@ -165,28 +167,6 @@ class TestRetryAcrossBackends:
             assert pool.report.n_retries == 1
 
 
-class TestProcessPoolChunkRetry:
-    def test_retried_task_resubmitted_individually(self, tmp_path):
-        """Regression: with chunked dispatch, retrying one failed task must
-        not re-run the other tasks that shared its chunk."""
-        n = 16
-        flaky = inject_failures(square, fail_on={5}, state_dir=tmp_path)
-        with ProcessPool(2, retry=NO_SLEEP) as pool:
-            # chunksize = 16 // (2*4) = 2, so task 5 shares a chunk with 4
-            results = pool.map(flaky, list(range(n)))
-        assert results == [i * i for i in range(n)]
-        counts = invocation_counts(tmp_path)
-        assert counts["5"] == 2
-        assert all(counts[str(i)] == 1 for i in range(n) if i != 5)
-
-    def test_no_retry_policy_runs_each_task_once(self, tmp_path):
-        tracked = inject_failures(square, fail_on=set(), state_dir=tmp_path)
-        with ProcessPool(2) as pool:
-            pool.map(tracked, list(range(12)))
-        counts = invocation_counts(tmp_path)
-        assert all(counts[str(i)] == 1 for i in range(12))
-
-
 class TestPoolReport:
     def test_summary_mentions_counts(self):
         report = PoolReport()
@@ -194,19 +174,3 @@ class TestPoolReport:
         report.record(1, 3, exhausted=False)
         assert "retries=2" in report.summary()
         assert "tasks=2" in report.summary()
-
-
-class TestFactory:
-    @pytest.mark.parametrize("kind,cls", [
-        ("serial", SerialPool), ("thread", ThreadPool), ("process", ProcessPool),
-    ])
-    def test_kinds(self, kind, cls):
-        pool = make_pool(kind, 2)
-        try:
-            assert isinstance(pool, cls)
-        finally:
-            pool.close()
-
-    def test_unknown_kind(self):
-        with pytest.raises(PartitionError):
-            make_pool("gpu")

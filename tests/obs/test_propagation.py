@@ -1,10 +1,11 @@
-"""Trace propagation across process-pool workers.
+"""Trace propagation from workers back to the coordinator.
 
-The contract: one ``synthesize_from_logs`` call over a process pool
-yields ONE connected span tree — the root
-``synthesize`` span, its per-batch ``batch`` spans, and the
-``worker.build`` spans that actually ran in pool worker *processes*,
-re-attached via the captured-spans channel in the task payload."""
+The contract: one ``synthesize_from_logs`` call over pool threads yields
+ONE connected span tree — the root ``synthesize`` span, its per-batch
+``batch`` spans, and the ``worker.build`` spans that ran on the pool's
+threads, re-attached via the captured-spans channel in the task payload.
+Across a real fork the same channel carries each shard's ``shard.build``
+span back under the root's ``shard_synthesize`` span."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pytest
 
 import repro
 from repro.core import synthesize_from_logs
-from repro.distrib import DistributedSimulation, ProcessPool, spatial_partition
+from repro.distrib import DistributedSimulation, TaskPool, spatial_partition
+from repro.distrib.shardsynth import shard_synthesize
 from repro.obs import get_collector
 
 pytestmark = pytest.mark.timeout(120)
@@ -52,13 +54,13 @@ def assert_connected_tree(spans):
     return roots[0]
 
 
-class TestProcessPoolPropagation:
-    def test_zero_copy_dispatch_yields_one_connected_tree(
+class TestWorkerSpans:
+    def test_thread_workers_yield_one_connected_tree(
         self, prop_logs, small_pop
     ):
         collector = get_collector()
         collector.drain()
-        with ProcessPool(2) as pool:
+        with TaskPool(2) as pool:
             net, report = synthesize_from_logs(
                 prop_logs, small_pop.n_persons, 0, 48,
                 pool=pool, batch_size=1,
@@ -80,7 +82,7 @@ class TestProcessPoolPropagation:
         batches = [s for s in tree if s["name"] == "batch"]
         builds = [s for s in tree if s["name"] == "worker.build"]
         assert batches, names
-        assert builds, "worker spans must come back from pool processes"
+        assert builds, "worker spans must come back from the pool's threads"
         # batch_size=1 with 2 rank files -> one batch span per file, and
         # every worker.build hangs off a batch span, never off the root
         assert len(batches) == report.batches == 2
@@ -89,14 +91,36 @@ class TestProcessPoolPropagation:
         # a worker span recorded which file it decoded
         assert all(s["attrs"].get("file") for s in builds)
 
-    def test_value_dispatch_also_connects_worker_stage_spans(
-        self, prop_logs, small_pop
-    ):
+    def test_forked_shards_yield_one_connected_tree(self, prop_logs, small_pop):
+        collector = get_collector()
+        collector.drain()
+        net, report = shard_synthesize(
+            prop_logs, small_pop.n_persons, 0, 48, n_shards=2
+        )
+        assert net.n_edges > 0
+
+        run_traces = [
+            ss for ss in spans_by_trace(collector.drain()).values()
+            if any(s["name"] == "shard_synthesize" for s in ss)
+        ]
+        assert len(run_traces) == 1, "one call, one trace"
+        tree = run_traces[0]
+        root = assert_connected_tree(tree)
+        assert root["name"] == "shard_synthesize"
+        builds = [s for s in tree if s["name"] == "shard.build"]
+        # one span per forked shard process, each hanging off the root
+        assert sorted(s["attrs"]["shard"] for s in builds) == [0, 1]
+        assert all(s["parent_id"] == root["span_id"] for s in builds)
+        assert [s["attrs"]["records"] for s in sorted(
+            builds, key=lambda s: s["attrs"]["shard"]
+        )] == report.shard_records
+
+    def test_one_batch_also_connects_worker_spans(self, prop_logs, small_pop):
         # default arguments (one batch): pack/adjacency tasks run in
         # workers; whatever spans exist must still form one connected tree
         collector = get_collector()
         collector.drain()
-        with ProcessPool(2) as pool:
+        with TaskPool(2) as pool:
             synthesize_from_logs(
                 prop_logs, small_pop.n_persons, 0, 48, pool=pool,
             )
@@ -111,11 +135,11 @@ class TestProcessPoolPropagation:
     def test_kernel_timings_survive_the_pool_roundtrip(
         self, prop_logs, small_pop
     ):
-        with ProcessPool(2) as pool:
+        with TaskPool(2) as pool:
             _net, report = synthesize_from_logs(
                 prop_logs, small_pop.n_persons, 0, 48, pool=pool,
             )
-        # per-stage kernel clocks ticked inside worker processes and were
+        # per-stage kernel clocks ticked on the pool's threads and were
         # absorbed at the root
         assert report.kernel_timings
         assert all(v >= 0 for v in report.kernel_timings.values())

@@ -191,10 +191,10 @@ class TestFaultToleranceFlags:
         victim = torn / "rank_0001.evl"
         victim.write_bytes(victim.read_bytes()[:-7])
         out = tmp_path / "s.net.npz"
-        for pool in ("serial", "process"):
+        for workers in ("1", "2"):
             with pytest.raises(LogTruncatedError):
                 main(["synthesize", "--log-dir", str(torn), "--strict",
-                      "--pool", pool, "--workers", "2",
+                      "--workers", workers,
                       "--population", str(world), "--out", str(out)])
         assert main(["synthesize", "--log-dir", str(torn),
                      "--population", str(world), "--out", str(out)]) == 0
@@ -238,27 +238,52 @@ class TestFaultToleranceFlags:
     ):
         _, world, logs, _ = workspace
         out = tmp_path / "never.npz"
-        for pool in ("serial", "process"):
+        for workers in ("1", "2"):
             assert main(["synthesize", "--log-dir", str(logs),
                          "--population", str(world), "--batch-size", "0",
-                         "--pool", pool, "--out", str(out)]) == 2
+                         "--workers", workers, "--out", str(out)]) == 2
             assert "error: batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_pool_kind_exits_2(self, workspace, capsys):
+    @pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["pool", "shards"])
+    @pytest.mark.parametrize(
+        "window, message",
+        [(["--t0", "48", "--t1", "24"], "empty time window [48, 24)"),
+         (["--t0", "24", "--t1", "24"], "empty time window [24, 24)")],
+        ids=["reversed", "zero-length"],
+    )
+    def test_empty_window_is_an_error_not_a_retried_traceback(
+        self, workspace, tmp_path, capsys, window, message, shards
+    ):
+        """Default ``--retries 3``: the refusal comes from the root, before
+        any pool exists to re-run it."""
+        _, world, logs, _ = workspace
+        out = tmp_path / "never.npz"
+        assert main(["synthesize", "--log-dir", str(logs), *window, *shards,
+                     "--population", str(world), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synthesize", "--out", "x.npz", "--pool", "serial"],
+         ["query", "--window", "0", "24", "--pool", "thread"],
+         ["serve", "--shards", "2"],
+         ["serve", "--shard-partition", "refined"]],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_pool_and_serve_shards_flags_are_gone(self, workspace, argv, capsys):
         _, world, logs, _ = workspace
         with pytest.raises(SystemExit) as err:
-            main(["synthesize", "--log-dir", str(logs),
-                  "--population", str(world), "--pool", "fork-bomb",
-                  "--out", "x.npz"])
+            main([*argv, "--log-dir", str(logs), "--population", str(world)])
         assert err.value.code == 2
-        assert "--pool" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_retrying_thread_pool(self, workspace, tmp_path):
         _, world, logs, _ = workspace
         out = tmp_path / "t.net.npz"
         assert main(["synthesize", "--log-dir", str(logs),
-                     "--population", str(world), "--pool", "thread",
+                     "--population", str(world),
                      "--workers", "2", "--retries", "3",
                      "--out", str(out)]) == 0
         assert out.exists()
