@@ -11,10 +11,8 @@ weeks, bench-scale population, batches of 2) and synthesizes the **full
   a box without a C compiler.
 
 Emits ``BENCH_synthesis.json`` (records/s, per-stage timings, kernel-stage
-timings, the pickled size of a stage-2 pool task) and — with ``--check`` —
-fails if the two outputs are not bit-identical, if a stage-2 task no
-longer pickles to under 1 KB (the root ships paths, never records), or if
-production's combined ``collocation_matrices`` + ``adjacency`` stage time
+timings) and — with ``--check`` — fails if the two outputs are not
+bit-identical or if production's combined ``collocation_matrices`` + ``adjacency`` stage time
 is not at least 3x faster (minus a 20% noise margin) than the twin's
 *measured in the same run*.  The gate compares a ratio of same-process
 measurements, interleaved repeat by repeat, so it is stable across
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 import tempfile
 import time
@@ -45,8 +42,7 @@ from unittest import mock
 
 import repro
 from repro.core.kernels import compiled_impl, masked
-from repro.core.pipeline import _file_task
-from repro.distrib import DistributedSimulation, TaskPool, spatial_partition
+from repro.distrib import DistributedSimulation, spatial_partition
 from repro.evlog import LogSet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,27 +58,11 @@ NOISE_MARGIN = 0.20  # fail --check below 80% of the required ratio
 MIN_RATIO = 3.0
 REPEATS = 4  # best-of, to shed cold-cache noise
 
-#: stage-2 pool tasks carry a path and a window, never records
-MAX_TASK_BYTES = 1024
-
 #: row name -> what to run it under
 CONFIGS = {
     "production": nullcontext,
     "twin": lambda: mock.patch.object(masked, "load_cext", lambda: None),
 }
-
-
-class _TaskSizePool(TaskPool):
-    """An inline pool that records the largest pickled per-file task."""
-
-    file_task_bytes = 0
-
-    def map(self, fn, items):
-        if fn is _file_task:
-            self.file_task_bytes = max(
-                self.file_task_bytes, *(len(pickle.dumps(i)) for i in items)
-            )
-        return super().map(fn, items)
 
 
 def generate_logs(log_dir: Path):
@@ -102,15 +82,11 @@ def generate_logs(log_dir: Path):
 
 
 def measure_once(logs, n_persons, t0, t1):
-    pool = _TaskSizePool()
-    try:
-        tic = time.perf_counter()
-        net, report = repro.synthesize_from_logs(
-            logs, n_persons, t0, t1, batch_size=BATCH_SIZE, pool=pool
-        )
-        elapsed = time.perf_counter() - tic
-    finally:
-        pool.close()
+    tic = time.perf_counter()
+    net, report = repro.synthesize_from_logs(
+        logs, n_persons, t0, t1, batch_size=BATCH_SIZE
+    )
+    elapsed = time.perf_counter() - tic
     stages = report.timings.stages
     return {
         "seconds": elapsed,
@@ -123,7 +99,6 @@ def measure_once(logs, n_persons, t0, t1):
         "kernel_stages": {
             k: round(v, 4) for k, v in sorted(report.kernel_timings.items())
         },
-        "file_task_bytes": pool.file_task_bytes,
         "n_records": report.n_records,
         "impl": report.impl,
         "network": net,
@@ -183,7 +158,6 @@ def run_bench() -> dict:
         },
         "kernels": results,
         "gate": gate,
-        "file_task_bytes": max(r["file_task_bytes"] for r in results.values()),
         "outputs_bit_identical": identical,
     }
 
@@ -206,11 +180,6 @@ def check(measured: dict) -> list[str]:
                 f"{floor:.2f}x (required {MIN_RATIO:.1f}x - "
                 f"{NOISE_MARGIN:.0%} noise margin, same-run twin/production)"
             )
-    if measured["file_task_bytes"] >= MAX_TASK_BYTES:
-        failures.append(
-            f"a stage-2 pool task pickles to {measured['file_task_bytes']} "
-            f"bytes (must stay under {MAX_TASK_BYTES}: paths, not records)"
-        )
     return failures
 
 
@@ -223,9 +192,8 @@ def main(argv=None) -> int:
     )
     mode.add_argument(
         "--check", action="store_true",
-        help="fail (exit 1) if production and twin outputs differ, a pool "
-        "task grew past 1 KB or production misses its same-run ratio "
-        "gate over the twin",
+        help="fail (exit 1) if production and twin outputs differ or "
+        "production misses its same-run ratio gate over the twin",
     )
     args = parser.parse_args(argv)
 

@@ -35,7 +35,6 @@ from .config import (
     HOURS_PER_WEEK,
     PAPER_SCALE,
     DiseaseConfig,
-    FaultConfig,
     ScaleConfig,
     ScheduleConfig,
     SimulationConfig,
@@ -97,7 +96,6 @@ __all__ = [
     "HOURS_PER_WEEK",
     "PAPER_SCALE",
     "DiseaseConfig",
-    "FaultConfig",
     "ScaleConfig",
     "ScheduleConfig",
     "SimulationConfig",

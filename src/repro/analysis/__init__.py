@@ -23,7 +23,6 @@ cross-validated against networkx in the test suite.
 from .degree import DegreeDistribution, degree_distribution, log_binned
 from .fits import (
     FitResult,
-    bootstrap_exponent_ci,
     fit_power_law,
     fit_truncated_power_law,
     fit_exponential,
@@ -34,10 +33,8 @@ from .clustering import local_clustering, clustering_histogram, mean_clustering
 from .ego import EgoNetwork, ego_network, sample_ego_networks
 from .groups import within_group_network, age_group_degree_distributions
 from .summary import NetworkSummary, summarize
-from .community import label_propagation, modularity, community_sizes
 from .smallworld import PathLengthStats, sampled_path_lengths, small_world_sigma
 from .contactmatrix import ContactMatrix, contact_matrix
-from .timeuse import TimeUseTable, time_use_table
 from .weighted import (
     strength_distribution,
     edge_weight_distribution,
@@ -55,7 +52,6 @@ __all__ = [
     "fit_exponential",
     "compare_fits",
     "power_law_mle",
-    "bootstrap_exponent_ci",
     "local_clustering",
     "clustering_histogram",
     "mean_clustering",
@@ -66,9 +62,6 @@ __all__ = [
     "age_group_degree_distributions",
     "NetworkSummary",
     "summarize",
-    "label_propagation",
-    "modularity",
-    "community_sizes",
     "PathLengthStats",
     "sampled_path_lengths",
     "small_world_sigma",
@@ -78,6 +71,4 @@ __all__ = [
     "degree_assortativity",
     "ContactMatrix",
     "contact_matrix",
-    "TimeUseTable",
-    "time_use_table",
 ]

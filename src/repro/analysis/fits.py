@@ -178,34 +178,6 @@ def power_law_mle(degrees: np.ndarray, k_min: int = 1) -> float:
     return float(1.0 + len(tail) / denom)
 
 
-def bootstrap_exponent_ci(
-    degrees: np.ndarray,
-    n_boot: int = 200,
-    k_min: int = 1,
-    seed: int = 0,
-    confidence: float = 0.95,
-) -> tuple[float, float, float]:
-    """Bootstrap confidence interval for the power-law MLE exponent.
-
-    Returns ``(a_hat, lo, hi)``; resamples the degree vector with
-    replacement ``n_boot`` times.  Quantifies how (un)certain the Figure 3
-    exponent is — the paper reports point values only.
-    """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    degrees = degrees[degrees >= k_min]
-    if len(degrees) < 2:
-        raise FitError("too few observations to bootstrap")
-    rng = np.random.default_rng(seed)
-    a_hat = power_law_mle(degrees, k_min)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        sample = rng.choice(degrees, size=len(degrees), replace=True)
-        boots[b] = power_law_mle(sample, k_min)
-    alpha = (1.0 - confidence) / 2
-    lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
-    return float(a_hat), float(lo), float(hi)
-
-
 def compare_fits(dist: DegreeDistribution) -> dict[str, FitResult]:
     """Fit all three Figure 3 forms; keys: ``power_law``,
     ``truncated_power_law``, ``exponential``."""

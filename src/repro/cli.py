@@ -46,7 +46,7 @@ from . import (
     synthesize_from_logs,
 )
 from .core.pipeline import check_batch_size, check_window
-from .errors import PartitionError, SynthesisError
+from .errors import LogFormatError, PartitionError, SynthesisError
 from .evlog import salvage_rank_logs
 from .analysis import (
     age_group_degree_distributions,
@@ -182,6 +182,12 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
     return 0
 
 
+def _strict_damage(exc: LogFormatError) -> int:
+    """``--strict`` met a damaged log file: one line naming it, exit 1."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     pop = load_population(args.population)
     t0 = args.t0
@@ -200,6 +206,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     except (SynthesisError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LogFormatError as exc:
+        return _strict_damage(exc)
     probe = None
     profile_cm: "object" = nullcontext()
     if args.profile:
@@ -220,6 +228,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                 checkpoint=args.checkpoint,
                 resume=args.resume,
             )
+    except LogFormatError as exc:
+        return _strict_damage(exc)
     finally:
         pool.close()
     if probe is not None:

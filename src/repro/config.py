@@ -27,7 +27,6 @@ __all__ = [
     "ScheduleConfig",
     "DiseaseConfig",
     "SimulationConfig",
-    "FaultConfig",
     "PAPER_SCALE",
 ]
 
@@ -194,55 +193,6 @@ class DiseaseConfig:
             raise ConfigError("disease durations must be positive")
         if self.initial_infected < 0:
             raise ConfigError("initial_infected must be >= 0")
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Fault-tolerance knobs for multi-hour synthesis runs.
-
-    Batch jobs on the Blues cluster die for transient reasons — a worker
-    OOM-killed, an NFS hiccup, one truncated rank file out of hundreds.
-    This config bundles the retry, quarantine, and checkpoint policies the
-    pipeline uses to survive them.
-    """
-
-    #: total tries per worker task (1 disables retries)
-    max_attempts: int = 3
-    #: seconds before the first retry (0 disables sleeping)
-    backoff_base: float = 0.05
-    #: exponential backoff multiplier per additional attempt
-    backoff_factor: float = 2.0
-    #: ceiling on the un-jittered retry delay, seconds
-    backoff_max: float = 5.0
-    #: deterministic jitter fraction around each delay
-    jitter: float = 0.1
-    #: jitter stream selector
-    seed: int = 0
-    #: True restores raise-on-damaged-file behavior (no quarantine)
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError("jitter must be in [0, 1]")
-
-    def retry_policy(self):
-        """The equivalent :class:`~repro.distrib.taskpool.RetryPolicy`."""
-        from .distrib.taskpool import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay=self.backoff_base,
-            backoff=self.backoff_factor,
-            max_delay=self.backoff_max,
-            jitter=self.jitter,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,18 @@ From event-log records to a person collocation network (paper Section IV):
    segments, many places to an :class:`~repro.core.intervals.IntervalPack`
    (:mod:`repro.core.intervals`); the paper's per-hour ``p × t`` form
    (:mod:`repro.core.colloc`) is the primitive of the test-side oracle;
-3. **load balancing** (:mod:`repro.core.balance`) — partition places
-   across workers by pairwise work, "crucial to achieve even load
-   balancing" because place sizes "range from a single individual to tens
-   of thousands";
+3. **load balancing** (:mod:`repro.core.balance`) — LPT by pairwise work,
+   "crucial to achieve even load balancing" because place sizes "range
+   from a single individual to tens of thousands": the ablation's and the
+   oracle's; production balances where workers are processes
+   (:func:`~repro.distrib.shardsynth.plan_shards`);
 4. **adjacency matrices** — per place, ``A_l = x·xᵀ``; the weighted
    network is ``A = Σ_l A_l``, stored upper triangular (the graph is
-   undirected): :func:`~repro.core.intervals.sum_pack_adjacency` in
-   production, :mod:`repro.core.adjacency` for the oracle and the
-   accumulation both share;
-5. **pipeline** (:mod:`repro.core.pipeline`) — the orchestration, serial
-   or over a :mod:`repro.distrib.taskpool` worker pool, with the paper's
+   undirected): :func:`~repro.core.intervals.fold_packs` in production,
+   :mod:`repro.core.adjacency` for the oracle and the accumulation both
+   share;
+5. **pipeline** (:mod:`repro.core.pipeline`) — the orchestration: one
+   pool task per log file, one fold per batch, with the paper's
    independent per-batch log-file processing;
 6. **network** (:mod:`repro.core.network`) — the resulting
    :class:`~repro.core.network.CollocationNetwork` object consumed by
@@ -45,12 +46,7 @@ from .pipeline import (
 )
 from .streaming import StreamingSynthesizer, WeeklyNetworkSeries
 from .tilecache import TileCache, TileCacheStats
-from .layers import (
-    synthesize_layers,
-    synthesize_layers_from_logs,
-    layer_caches,
-    layer_records,
-)
+from .layers import synthesize_layers, layer_records
 
 __all__ = [
     "slice_records",
@@ -79,7 +75,5 @@ __all__ = [
     "TileCache",
     "TileCacheStats",
     "synthesize_layers",
-    "synthesize_layers_from_logs",
-    "layer_caches",
     "layer_records",
 ]

@@ -80,34 +80,7 @@ def accumulate_adjacency(
     ``tocsr`` already sums duplicate coordinates and sorts indices, so the
     result is canonical without a separate ``sum_duplicates`` pass.  Far
     cheaper than repeated ``csr + csr`` for many small parts.
-
-    A single already-canonical CSR part (the common shape under a serial
-    pool, where one worker returns the whole batch sum) skips the COO
-    round trip entirely: only the bounds and triangularity checks run.
     """
-    parts = list(parts)
-    if (
-        len(parts) == 1
-        and sp.issparse(parts[0])
-        and parts[0].format == "csr"
-        and parts[0].has_canonical_format
-        and parts[0].data.dtype == np.int64
-    ):
-        out = parts[0]
-        if out.shape != (n_persons, n_persons):
-            raise SynthesisError("adjacency part shaped outside population")
-        if out.nnz == 0:
-            return empty_adjacency(n_persons)
-        # strict upper triangle iff every row's smallest column index
-        # exceeds the row number (indices are sorted: first = smallest)
-        counts = np.diff(out.indptr)
-        occupied = np.flatnonzero(counts)
-        first_col = out.indices[out.indptr[occupied]]
-        if np.any(first_col <= occupied):
-            raise SynthesisError(
-                "accumulate_adjacency expects strict upper triangles"
-            )
-        return out
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     data_parts: list[np.ndarray] = []

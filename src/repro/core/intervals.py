@@ -26,8 +26,7 @@ once: columns of all places live side by side in one sparse matrix
 (cross-place products are structurally zero, so one matmul equals the sum
 of per-place products).  This removes the per-place Python/scipy call
 overhead that dominates the per-hour formulation at realistic place
-counts — building, balancing, and multiplying are all vectorized across
-places.
+counts — building and multiplying are vectorized across places.
 
 Both steps — records to pack, pack to adjacency — run one way: the C
 kernel (:mod:`repro.core.kernels.masked`) when the extension loaded and
@@ -37,6 +36,7 @@ call, bit-identically.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +44,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import SynthesisError
+from .._util import StageTimings
+from ..errors import LogFormatError, SynthesisError
 from ..evlog.reader import LogReader, read_window_columns
 from ..evlog.schema import LOG_DTYPE, LogRecordArray
 from .adjacency import accumulate_adjacency, empty_adjacency
@@ -60,6 +61,8 @@ __all__ = [
     "select_pack_places",
     "merge_packs",
     "merge_duplicate_places",
+    "file_pack",
+    "fold_packs",
     "window_partial",
     "sum_pack_adjacency",
 ]
@@ -78,7 +81,8 @@ class IntervalPack:
         sorted unique place ids covered by this pack.
     place_work:
         per place, the estimated pairwise-product work
-        ``sum(col_count^2)`` over its segments — the LPT balancing weight.
+        ``sum(col_count^2)`` over its segments — the weight
+        :func:`~repro.distrib.shardsynth.plan_shards` balances shards with.
     place_hours:
         per place, total person-hours of presence (report bookkeeping;
         equals the per-hour formulation's presence nnz for the place).
@@ -451,6 +455,63 @@ def merge_duplicate_places(packs: "Sequence[IntervalPack | None]") -> list[Inter
     return kept
 
 
+def file_pack(
+    source: "LogReader | str | Path",
+    t0: int,
+    t1: int,
+    whole_file: bool = False,
+    place_mask: np.ndarray | None = None,
+) -> "tuple[IntervalPack | None, int, dict | None, LogFormatError | None]":
+    """The per-file unit of every from-logs answer: one log file, one
+    window, one pack.
+
+    One walk (:func:`~repro.evlog.reader.read_window_columns`; a held
+    reader stays open), the place column masked by *place_mask*, one pack
+    from what is left — None when that is nothing.  Returns ``(pack,
+    n_records, walk, error)``.  Damage is a *result*: the file's own
+    :class:`~repro.errors.LogFormatError`, its message naming the file,
+    for the caller to quarantine or raise — raised inside a pool task, a
+    retrying pool would re-run it and wrap it in ``TaskRetryError``.
+    """
+    try:
+        columns, walk = read_window_columns(source, t0, t1, whole_file)
+    except LogFormatError as exc:
+        path = source.path if isinstance(source, LogReader) else Path(source)
+        if not str(exc).startswith(f"{path}: "):
+            exc.args = (f"{path}: {exc}",)
+        return None, 0, None, exc
+    if place_mask is not None:
+        columns = mask_place_columns(columns, place_mask)
+    n = len(columns[0])
+    pack = build_interval_pack_columns(*columns, t0, t1) if n else None
+    return pack, n, walk, None
+
+
+def fold_packs(
+    packs: "Sequence[IntervalPack | None]",
+    n_persons: int,
+    timings: StageTimings | None = None,
+) -> tuple[sp.csr_matrix, list[IntervalPack]]:
+    """The fold of every from-logs answer: a batch's, a tile's, a
+    fringe's or a shard's per-file packs into one partial adjacency.
+
+    A place split across files is union-merged
+    (:func:`merge_duplicate_places`), so the partial equals one build
+    from the concatenated records; then one stacked weighted product
+    (:func:`sum_pack_adjacency`).  Returns the canonical strict-upper CSR
+    and the merged packs; *timings* receives the ``merge`` and
+    ``adjacency`` stage clocks.
+    """
+    tic = time.perf_counter()
+    merged = merge_duplicate_places(packs)
+    toc = time.perf_counter()
+    partial = sum_pack_adjacency(merged, n_persons)
+    if timings is not None:
+        timings.add("merge", toc - tic)
+        timings.add("adjacency", time.perf_counter() - toc)
+    return partial, merged
+
+
 def window_partial(
     sources: "Sequence[LogReader | str | Path]",
     t0: int,
@@ -459,34 +520,29 @@ def window_partial(
     place_mask: np.ndarray | None = None,
 ) -> tuple[sp.csr_matrix, int, list[dict]]:
     """The partial adjacency of ``[t0, t1)`` over some log files at the
-    places *place_mask* admits — a tile's, a fringe's, a shard's.
-
-    One walk per file (:func:`~repro.evlog.reader.read_window_columns`; a
-    held reader stays open), the place column masked, one pack per
-    non-empty file — smaller sorts and products than one pack of
-    everything — a place split across files union-merged, so the partial
-    equals one build from the concatenated records, and one stacked
-    weighted product.  Returns the canonical upper-triangular CSR, the
-    number of records that went into it and the walks' stats.
+    places *place_mask* admits — a tile's, a fringe's, a shard's:
+    :func:`file_pack` per file, then :func:`fold_packs`.  A damaged file
+    raises its :class:`~repro.errors.LogFormatError` (the callers verified
+    their files whole before asking).  Returns the canonical
+    upper-triangular CSR, the number of records that went into it and the
+    walks' stats.
     """
     packs, walks, n_records = [], [], 0
     for source in sources:
-        columns, walk = read_window_columns(source, t0, t1)
+        pack, n, walk, error = file_pack(source, t0, t1, place_mask=place_mask)
+        if error is not None:
+            raise error
+        packs.append(pack)
         walks.append(walk)
-        if place_mask is not None:
-            columns = mask_place_columns(columns, place_mask)
-        if len(columns[0]):
-            n_records += len(columns[0])
-            packs.append(build_interval_pack_columns(*columns, t0, t1))
-    partial = sum_pack_adjacency(merge_duplicate_places(packs), n_persons)
-    return partial, n_records, walks
+        n_records += n
+    return fold_packs(packs, n_persons)[0], n_records, walks
 
 
 def sum_pack_adjacency(
     packs: Sequence[IntervalPack | None],
     n_persons: int,
 ) -> sp.csr_matrix:
-    """A worker's stage-4 job: pairwise collocated hours over its share.
+    """Stage 4: pairwise collocated hours over place-disjoint packs.
 
     One weighted product ``(Y . diag(w)) . Y^T`` per *pack* — a pack's
     places share one column space, so a handful of large products stand

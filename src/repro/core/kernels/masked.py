@@ -378,7 +378,7 @@ def sum_shares_adjacency(
             ),
             shape=(n_persons, n_persons),
         )
-        # the accumulation emits sorted, duplicate-free indices; the flag
-        # lets accumulate_adjacency keep a lone worker partial as-is
+        # the accumulation emits sorted, duplicate-free indices: spare
+        # scipy the scan that would find that out
         out.has_canonical_format = True
     return out

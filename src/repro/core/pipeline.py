@@ -2,14 +2,18 @@
 
 The stages map onto the paper's:
 
-1. *data loading* + 2. *collocation matrices creation* — one worker task
+1. *data loading* + 2. *collocation matrices creation* — one pool task
    per log file walks it once (verify, decode the window's chunks into
-   clipped columns, build the file's collocation unit); the root ships
-   paths and never touches a record;
-3. *collocation matrix list partitioning* — LPT by work across workers
-   (skipped for one worker);
-4. *adjacency matrices creation* — each worker computes and sums its
-   ``x·xᵀ`` share; the root reduces to one upper-triangular matrix.
+   clipped columns, build the file's interval pack:
+   :func:`~repro.core.intervals.file_pack`); the root ships paths and
+   never touches a record;
+3. *collocation matrix list partitioning* — not here: a batch's packs are
+   multiplied in one call.  Balancing lives where workers are processes
+   (:func:`~repro.distrib.shardsynth.plan_shards`' place partition) and
+   in :mod:`repro.core.balance` for the ablation;
+4. *adjacency matrices creation* — one fold per batch
+   (:func:`~repro.core.intervals.fold_packs`): places split across files
+   union-merged, one stacked ``x·xᵀ``, one upper-triangular matrix.
 
 Log files are processed in independent batches ("batches of 16 files at a
 time"); batch networks are summed.  Batch independence relies on the
@@ -41,19 +45,17 @@ from pathlib import Path
 import numpy as np
 
 from .._util import StageTimings, atomic_write_bytes
-from ..errors import CheckpointError, LogFormatError, SynthesisError
+from ..errors import CheckpointError, SynthesisError
 from ..evlog.multifile import LogSet
-from ..evlog.reader import Columns, LogReader, read_window_columns, slice_columns
+from ..evlog.reader import LogReader, slice_columns
 from ..evlog.schema import LogRecordArray
 from ..distrib.taskpool import TaskPool, WorkerPool
-from .adjacency import accumulate_adjacency
-from .balance import BalanceReport, lpt_partition
+from .adjacency import empty_adjacency
 from .intervals import (
     IntervalPack,
     build_interval_pack_columns,
-    merge_duplicate_places,
-    select_pack_places,
-    sum_pack_adjacency,
+    file_pack,
+    fold_packs,
 )
 from ..obs import current_context, start_span
 from .kernels import (
@@ -117,9 +119,6 @@ class SynthesisReport:
     n_places: int = 0
     n_workers: int = 1
     colloc_nnz_total: int = 0
-    #: for batched runs, the *worst-case* batch balance (highest
-    #: max/mean imbalance), not the last batch's
-    balance: BalanceReport | None = None
     timings: StageTimings = field(default_factory=StageTimings)
     batches: int = 1
     #: worker-task re-executions performed by the pool's retry policy
@@ -152,8 +151,6 @@ class SynthesisReport:
             f"person-hours     {self.colloc_nnz_total:>12,}",
             f"batches          {self.batches:>12,}",
         ]
-        if self.balance is not None:
-            lines.append(f"load imbalance   {self.balance.imbalance:>12.3f}")
         if self.n_retries:
             lines.append(f"task retries     {self.n_retries:>12,}")
         if self.resumed_batches:
@@ -176,159 +173,38 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _pack_adjacency_task(chunk: "tuple[list[IntervalPack], int]"):
-    """Stage-4 worker: stacked weighted product over the balanced place
-    share."""
-    packs, n_persons = chunk
-    out = sum_pack_adjacency(packs, n_persons)
-    return out, collect_kernel_timings()
-
-
-def _slab_task(chunk: "tuple[Columns, int, int]"):
-    """Stage-2 worker of :func:`synthesize_network`: the pack of one
-    place-disjoint column slab."""
-    columns, t0, t1 = chunk
-    pack = build_interval_pack_columns(*columns, t0, t1)
-    return pack, collect_kernel_timings()
-
-
 def _file_task(args: "tuple[str, int, int, bool, dict | None]"):
-    """Stage-2 worker: one verify + decode + build walk over one log file.
+    """The pool task: :func:`~repro.core.intervals.file_pack` over one log
+    file, under a worker span.
 
-    Receives a path, never records.  Returns ``(payload, n_records,
-    telemetry, error)``: payload is the file's :class:`IntervalPack`, or
-    None when the window holds no record of the file; telemetry carries
-    the kernel stage times, the walk's counters and seconds, and any spans
-    finished in this worker (re-parented to the coordinator's trace on
-    absorb).  Damage is a *result*: a
-    :class:`~repro.errors.LogFormatError` comes back as ``error`` for the
-    root to quarantine or raise — raised here, a retrying pool would
-    re-run deterministic damage and wrap it in ``TaskRetryError``.
+    Receives a path, never records.  Returns ``(pack, n_records,
+    telemetry, error)``: telemetry carries the kernel stage times, the
+    walk's counters and seconds, and any spans finished in this worker
+    (re-parented to the coordinator's trace on absorb); a damaged file
+    comes back as ``error`` for the root to quarantine or raise.
     """
     path, t0, t1, whole_file, trace = args
-    payload, n, walk, error = None, 0, None, None
     # the span must close before telemetry is collected, so the captured
     # list already holds it when it ships back with the payload
     with task_span(
         "worker.build", trace, attrs={"file": Path(path).name}
     ) as spans:
-        try:
-            columns, walk = read_window_columns(path, t0, t1, whole_file)
-        except LogFormatError as exc:
-            error = exc
-        else:
-            n = len(columns[0])
-            if n:
-                payload = build_interval_pack_columns(*columns, t0, t1)
+        pack, n, walk, error = file_pack(path, t0, t1, whole_file)
     if spans and walk:
         spans[-1]["attrs"]["load_s"] = walk["seconds"]
-    return payload, n, collect_task_telemetry(spans, walk), error
+    return pack, n, collect_task_telemetry(spans, walk), error
 
 
-def _place_slabs(columns: Columns, n_workers: int) -> list[Columns]:
-    """Task chunking of :func:`synthesize_network`: sort the columns by
-    place and cut at place boundaries into ``4 × n_workers``
-    ~record-balanced contiguous slabs — place-disjoint, so slab packs
-    never share a place.  One worker gets the columns as they are: one
-    pack, no sort."""
-    place = columns[3]
-    if len(place) == 0:
-        return []
-    if n_workers == 1:
-        return [columns]
-    n_chunks = n_workers * 4
-    order = np.argsort(place, kind="stable")
-    starts, stops, person, place = (col[order] for col in columns)
-    group_starts = np.flatnonzero(
-        np.concatenate(([True], place[1:] != place[:-1]))
-    )
-    targets = (np.arange(1, n_chunks) * len(place)) // n_chunks
-    cut_idx = np.minimum(
-        np.searchsorted(group_starts, targets, side="left"),
-        len(group_starts) - 1,
-    )
-    offsets = np.unique(
-        np.concatenate(([0], group_starts[cut_idx], [len(place)]))
-    )
-    return [
-        (starts[a:b], stops[a:b], person[a:b], place[a:b])
-        for a, b in zip(offsets[:-1], offsets[1:])
-        if b > a
-    ]
-
-
-def _balance_packs(
-    packs: list[IntervalPack], n_workers: int
-) -> tuple[list[list[IntervalPack]], BalanceReport]:
-    """Stage 3.
-
-    The balancing unit is the *place* (as in the paper), weighted
-    by estimated pairwise work; each worker's share is delivered as column
-    slices of the source packs, so stage 4 stays one matmul per pack.
-    One worker takes every pack as it is: same report, no partitioning."""
-    packs = [p for p in packs if p is not None and p.n_places]
-    if not packs:
-        _, report = lpt_partition([], n_workers)
-        return [[] for _ in range(n_workers)], report
-    if n_workers == 1:
-        return [packs], BalanceReport(
-            loads=np.array([sum(p.work for p in packs)], dtype=np.int64),
-            max_item=max(int(p.place_work.max()) for p in packs),
-        )
-    work = np.concatenate([p.place_work for p in packs])
-    pack_of = np.repeat(
-        np.arange(len(packs)), [p.n_places for p in packs]
-    )
-    place_of = np.concatenate([p.places for p in packs])
-    buckets, report = lpt_partition(work, n_workers)
-    shares: list[list[IntervalPack]] = []
-    for bucket in buckets:
-        share: list[IntervalPack] = []
-        if bucket:
-            sel = np.asarray(bucket)
-            for i in np.unique(pack_of[sel]):
-                sub = select_pack_places(
-                    packs[int(i)],
-                    np.sort(place_of[sel[pack_of[sel] == i]]),
-                )
-                if sub is not None:
-                    share.append(sub)
-        shares.append(share)
-    return shares, report
-
-
-def _merge_balance(report: SynthesisReport, balance: BalanceReport | None) -> None:
-    """Keep the worst-case (highest-imbalance) batch balance on the report."""
-    if balance is None:
-        return
-    if report.balance is None or balance.imbalance > report.balance.imbalance:
-        report.balance = balance
-
-
-def _multiply_packs(
-    packs: list[IntervalPack],
-    n_persons: int,
-    pool: WorkerPool,
-    report: SynthesisReport,
+def _fold(
+    packs: "list[IntervalPack | None]", n_persons: int, report: SynthesisReport
 ):
-    """Stages 3 and 4 over one batch's interval packs: count them into
-    *report*, balance them across the pool, map the ``x·xᵀ`` products and
-    reduce the partials."""
-    timings = report.timings
-    report.n_places += sum(p.n_places for p in packs)
-    report.colloc_nnz_total += sum(p.person_hours for p in packs)
-    with timings.time("balance"):
-        shares, balance = _balance_packs(packs, pool.n_workers)
-    _merge_balance(report, balance)
-    with timings.time("adjacency"):
-        summed = pool.map(
-            _pack_adjacency_task,
-            [(share, n_persons) for share in shares if share],
-        )
-    for _a, times in summed:
-        absorb_task_telemetry(report.kernel_timings, times)
-    with timings.time("reduce"):
-        return accumulate_adjacency([a for a, _t in summed], n_persons)
+    """:func:`~repro.core.intervals.fold_packs` over one batch's packs,
+    counted and clocked into *report*."""
+    adjacency, merged = fold_packs(packs, n_persons, report.timings)
+    report.n_places += sum(p.n_places for p in merged)
+    report.colloc_nnz_total += sum(p.person_hours for p in merged)
+    absorb_task_telemetry(report.kernel_timings, collect_kernel_timings())
+    return adjacency
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -437,14 +313,14 @@ def synthesize_network(
     n_persons: int,
     t0: int,
     t1: int,
-    pool: WorkerPool | None = None,
 ) -> tuple[CollocationNetwork, SynthesisReport]:
     """Build the collocation network for window ``[t0, t1)`` from records.
 
     Collocated hours come from ``[start, stop)`` spell overlaps
     (:mod:`repro.core.intervals`), so the cost is independent of window
     length; ``report.impl`` says whether the C kernels or their
-    numpy/scipy twins ran.
+    numpy/scipy twins ran.  The records become one pack and the pack one
+    fold, in the calling thread.
 
     Parameters
     ----------
@@ -454,41 +330,22 @@ def synthesize_network(
         Population size (matrix dimension).
     t0, t1:
         Analysis window in absolute simulation hours.
-    pool:
-        Worker pool; default a one-worker
-        :class:`~repro.distrib.taskpool.TaskPool`.
     """
     check_window(n_persons, t0, t1)
-    own_pool = pool is None
-    pool = pool or TaskPool()
-    report = SynthesisReport(n_records=len(records), n_workers=pool.n_workers)
+    report = SynthesisReport(n_records=len(records))
     timings = report.timings
-    retries_before = _pool_retries(pool)
-    try:
-        with start_span(
-            "synthesize_network", attrs={"t0": t0, "t1": t1}
-        ) as span:
-            with timings.time("slice"):
-                columns = slice_columns(records, t0, t1)
-            report.n_sliced_records = len(columns[0])
-            with timings.time("group_by_place"):
-                slabs = _place_slabs(columns, pool.n_workers)
+    with start_span("synthesize_network", attrs={"t0": t0, "t1": t1}) as span:
+        with timings.time("slice"):
+            columns = slice_columns(records, t0, t1)
+        report.n_sliced_records = len(columns[0])
+        packs = []
+        if report.n_sliced_records:
             with timings.time("collocation_matrices"):
-                built = pool.map(
-                    _slab_task, [(slab, t0, t1) for slab in slabs]
-                )
-                for _pack, times in built:
-                    absorb_task_telemetry(report.kernel_timings, times)
-            adjacency = _multiply_packs(
-                [pack for pack, _t in built], n_persons, pool, report
-            )
-            report.n_retries = _pool_retries(pool) - retries_before
-            span.set_attr("n_records", report.n_records)
-            span.set_attr("n_places", report.n_places)
-            span.set_attr("impl", report.impl)
-    finally:
-        if own_pool:
-            pool.close()
+                packs.append(build_interval_pack_columns(*columns, t0, t1))
+        adjacency = _fold(packs, n_persons, report)
+        span.set_attr("n_records", report.n_records)
+        span.set_attr("n_places", report.n_places)
+        span.set_attr("impl", report.impl)
     return CollocationNetwork(adjacency, t0=t0, t1=t1), report
 
 
@@ -544,8 +401,8 @@ def _synthesize_batch(
     The root never touches a record: it ships one O(1)-size
     :func:`_file_task` per file; workers open, verify, decode and build.
     A damaged file comes back as a result and is quarantined here
-    (non-strict) or raised as its typed error (strict); places split
-    across files are union-merged at the root so the output is
+    (non-strict) or raised as its typed error (strict); the fold
+    union-merges places split across files, so the output is
     bit-identical to one build from the concatenated records.
     """
     timings = report.timings
@@ -562,9 +419,8 @@ def _synthesize_batch(
                     _file_task,
                     [(str(path), t0, t1, not strict, wire) for path in batch],
                 )
-            units = []
             n_read = 0
-            for path, (payload, n, telemetry, error) in zip(batch, results):
+            for path, (_pack, n, telemetry, error) in zip(batch, results):
                 absorb_task_telemetry(report.kernel_timings, telemetry)
                 if telemetry["reader"]:
                     # worker-side seconds, inside the map's wall above
@@ -574,17 +430,13 @@ def _synthesize_batch(
                         raise error
                     report.quarantined.append(str(path))
                     report.skipped_records += _recoverable_records(path)
-                elif payload is not None:
-                    units.append(payload)
-                    n_read += n
+                n_read += n
             report.n_records += n_read
             report.n_sliced_records += n_read
             span.set_attr("records", n_read)
-            if not units:
+            if not n_read:
                 return None
-            with timings.time("merge"):
-                units = merge_duplicate_places(units)
-            adjacency = _multiply_packs(units, n_persons, pool, report)
+            adjacency = _fold([pack for pack, *_ in results], n_persons, report)
             return CollocationNetwork(adjacency, t0=t0, t1=t1)
     finally:
         report.n_retries += _pool_retries(pool) - retries_before
@@ -703,6 +555,6 @@ def synthesize_from_logs(
             pool.close()
     if network is None:
         network = CollocationNetwork(
-            accumulate_adjacency([], n_persons), t0=t0, t1=t1
+            empty_adjacency(n_persons), t0=t0, t1=t1
         )
     return network, total_report

@@ -47,7 +47,6 @@ from .partition import (
 )
 from .migration import MIGRANT_DTYPE, pack_migrants, unpack_migrants
 from .dmodel import DistributedSimulation, DistributedRunResult
-from .ddisease import DistributedEpidemicSimulation, EpidemicRunResult
 from .shardsynth import (
     STRATEGIES,
     ShardPlan,
@@ -83,6 +82,4 @@ __all__ = [
     "unpack_migrants",
     "DistributedSimulation",
     "DistributedRunResult",
-    "DistributedEpidemicSimulation",
-    "EpidemicRunResult",
 ]

@@ -69,19 +69,17 @@ def route_rows(
     ]
 
 
-def unpack_migrants(
-    payloads: list[np.ndarray | None],
-    dtype: np.dtype = MIGRANT_DTYPE,
-) -> np.ndarray:
+def unpack_migrants(payloads: list[np.ndarray | None]) -> np.ndarray:
     """Concatenate received migrant payloads (skipping empty/None); a
-    payload of another dtype is a protocol error, never cast."""
+    payload that is not :data:`MIGRANT_DTYPE` is a protocol error, never
+    cast."""
     parts = [p for p in payloads if p is not None and len(p)]
     for p in parts:
-        if getattr(p, "dtype", None) != dtype:
+        if getattr(p, "dtype", None) != MIGRANT_DTYPE:
             raise CommError(
                 f"migrant payload has dtype {getattr(p, 'dtype', type(p))}, "
-                f"expected {dtype}"
+                f"expected {MIGRANT_DTYPE}"
             )
     if not parts:
-        return np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=MIGRANT_DTYPE)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]

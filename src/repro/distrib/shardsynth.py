@@ -51,9 +51,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import LogFormatError, SynthesisError
+from ..errors import SynthesisError
 from ..evlog.multifile import LogSet
-from ..evlog.reader import publish_walk_stats, read_window_columns
+from ..evlog.reader import publish_walk_stats
 from ..obs import default_registry, get_collector, start_span
 from ..obs.trace import capture_spans
 from .partition import PlacePartition, round_robin_partition, spatial_partition
@@ -257,14 +257,16 @@ def plan_shards(
 ) -> ShardPlan:
     """Scan the window once and partition places into ``n_shards``.
 
-    The scan walks every file once, whole-file verified (exactly the
-    synthesis stage-2 computation, so a damaged file is quarantined
-    whatever the window), and builds one interval pack per intact file to
-    obtain each place's true pairwise
-    work estimate — the same ``Σ_seg count²`` that ``balance_by_work``
-    balances batches with — plus the per-file place sets that let shards
-    skip irrelevant files.  Planning cost is one synthesis pass, amortized
-    over every subsequent sharded query on the same logs.
+    The scan is the synthesis' own per-file unit
+    (:func:`~repro.core.intervals.file_pack`, whole-file verified, so a
+    damaged file is quarantined whatever the window — or, with
+    ``strict=True``, raised as its own
+    :class:`~repro.errors.LogFormatError` subclass): one interval pack per
+    intact file gives each place's true pairwise work estimate — the same
+    ``Σ_seg count²`` that ``balance_by_work`` balances with — plus the
+    per-file place sets that let shards skip irrelevant files.  Planning
+    cost is one synthesis pass, amortized over every subsequent sharded
+    query on the same logs.
 
     ``coords`` (``(n_places, d)``) feeds the spatial strategies; without
     them, place id stands in as a 1-D coordinate.  ``n_places`` defaults
@@ -277,7 +279,7 @@ def plan_shards(
     so the library keeps the better-balanced seed; alignment pays when
     rank files far outnumber shards, which is what the CLI is run on.
     """
-    from ..core.intervals import build_interval_pack_columns
+    from ..core.intervals import file_pack
 
     if n_shards < 1:
         raise SynthesisError("n_shards must be >= 1")
@@ -290,23 +292,19 @@ def plan_shards(
     works: list[tuple[np.ndarray, np.ndarray]] = []
     max_place = -1
     for path in log_set.paths:
-        try:
-            columns, walk = read_window_columns(path, t0, t1, whole_file=True)
-        except LogFormatError as exc:
+        pack, _n, walk, error = file_pack(path, t0, t1, whole_file=True)
+        if error is not None:
             if strict:
-                raise SynthesisError(
-                    f"damaged log file {path}: {type(exc).__name__}: {exc}"
-                ) from exc
+                raise error
             quarantined.append(str(path))
             continue
         publish_walk_stats(walk)
         paths.append(str(path))
-        if not len(columns[0]):
+        if pack is None:
             file_places.append(np.empty(0, dtype=np.int64))
             continue
-        pack = build_interval_pack_columns(*columns, t0, t1)
         file_places.append(pack.places.astype(np.int64))
-        works.append((pack.places.astype(np.int64), pack.place_work))
+        works.append((file_places[-1], pack.place_work))
         max_place = max(max_place, int(pack.places[-1]))
 
     if n_places is None:

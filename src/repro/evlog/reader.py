@@ -234,7 +234,7 @@ class LogReader:
         if trailer is None:
             if strict:
                 raise LogTruncatedError(
-                    f"{self.path} has no trailer (writer did not close)"
+                    f"{self.path}: no trailer (writer did not close)"
                 )
             self.recovered = True
             chunks, _end = scan_intact_chunks(self._buf, self.header.compressed)

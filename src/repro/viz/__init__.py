@@ -19,12 +19,6 @@ from .forceatlas2 import ForceAtlas2Layout, forceatlas2_layout
 from .gexf import write_gexf
 from .graphml import write_graphml
 from .ascii import ascii_loglog, ascii_histogram, ascii_series
-from .figdata import (
-    export_fig3_csv,
-    export_fig4_csv,
-    export_fig5_csv,
-    export_all_figure_data,
-)
 
 __all__ = [
     "ForceAtlas2Layout",
@@ -34,8 +28,4 @@ __all__ = [
     "ascii_loglog",
     "ascii_histogram",
     "ascii_series",
-    "export_fig3_csv",
-    "export_fig4_csv",
-    "export_fig5_csv",
-    "export_all_figure_data",
 ]

@@ -81,3 +81,23 @@ class TestLogBinning:
         d = degree_distribution(small_net.degrees())
         centers, _ = log_binned(d)
         assert (np.diff(centers) > 0).all()
+
+
+class TestCcdf:
+    def test_monotone_and_normalized(self, small_net):
+        dist = degree_distribution(small_net.degrees())
+        k, p = dist.ccdf()
+        assert p[0] == pytest.approx(1.0)
+        assert (np.diff(p) <= 1e-12).all()
+        assert p[-1] > 0
+
+    def test_exact_small_case(self):
+        dist = degree_distribution(np.array([1, 1, 2, 5]))
+        k, p = dist.ccdf()
+        assert k.tolist() == [1, 2, 5]
+        assert p.tolist() == [1.0, 0.5, 0.25]
+
+    def test_empty(self):
+        dist = degree_distribution(np.zeros(3, dtype=int))
+        k, p = dist.ccdf()
+        assert len(k) == 0

@@ -7,9 +7,12 @@ second decode of the window's chunks — concatenates struct records, and
 ``synthesize_network`` slices, clips, place-sorts and gathers them into
 ``n_workers × 4`` slabs before the shared pack / SpGEMM / accumulate
 stages; the tile cache's by-value window task built one pack from the
-concatenated records of all files.  ``_balance_packs`` is the version that
-ran LPT for any worker count.  Only the ``dispatch=`` / ``cache=`` / ``backend=`` /
-``plan=`` arguments and the branches they selected are cut out.
+concatenated records of all files.  ``_balance_packs`` and
+``_pack_adjacency_task`` are the LPT-by-place stage 3/4 leg production
+ran for more than one worker until every batch became one fold (the
+report's ``balance`` field went with it and is not kept here).  Only the
+``dispatch=`` / ``cache=`` / ``backend=`` / ``plan=`` arguments and the
+branches they selected are cut out.
 
 ``kernel=`` survives here, and only here, as the test axis:
 ``kernel="dense-hours"`` is **the oracle** — struct records →
@@ -54,7 +57,6 @@ from repro.core.network import CollocationNetwork
 from repro.core.pipeline import (
     CHECKPOINT_PARTIAL,
     SynthesisReport,
-    _merge_balance,
     _pool_retries,
     _recoverable_records,
     _write_checkpoint,
@@ -244,8 +246,7 @@ def synthesize_network(
             report.n_places = sum(p.n_places for p in packs)
             report.colloc_nnz_total = sum(p.person_hours for p in packs)
             with timings.time("balance"):
-                shares, balance = _balance_packs(packs, pool.n_workers)
-            report.balance = balance
+                shares, _balance = _balance_packs(packs, pool.n_workers)
             with timings.time("adjacency"):
                 summed = pool.map(
                     _pack_adjacency_task,
@@ -264,8 +265,7 @@ def synthesize_network(
                 matrices = [m for sub in results for m in sub]
             report.colloc_nnz_total = sum(m.nnz for m in matrices)
             with timings.time("balance"):
-                shares, balance = balance_by_work(matrices, pool.n_workers)
-            report.balance = balance
+                shares, _balance = balance_by_work(matrices, pool.n_workers)
             with timings.time("adjacency"):
                 summed = pool.map(
                     _adjacency_task,
@@ -379,7 +379,6 @@ def synthesize_from_logs(
                 total_report.n_sliced_records += batch_report.n_sliced_records
                 total_report.n_places += batch_report.n_places
                 total_report.colloc_nnz_total += batch_report.colloc_nnz_total
-                _merge_balance(total_report, batch_report.balance)
                 total_report.n_retries += batch_report.n_retries
                 # merge (not add): the batch's stage clocks already
                 # emitted through the probe when they were recorded

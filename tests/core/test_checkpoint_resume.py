@@ -20,7 +20,7 @@ from repro.core.pipeline import (
     load_checkpoint_manifest,
 )
 from repro.distrib import RetryPolicy, TaskPool
-from repro.errors import CheckpointError, LogCorruptError
+from repro.errors import CheckpointError, LogCorruptError, TaskRetryError
 from repro.evlog import LogSet, make_records, write_rank_logs
 from tests._faults import FlakyPool, WorkerCrash
 
@@ -71,10 +71,10 @@ class TestCheckpointResumeEquivalence:
         )
         assert base_report.batches == 3
 
-        # every non-empty batch issues two pool.map calls (collocation +
-        # adjacency); dying on call 2*k kills the run inside batch k
+        # every batch issues one pool.map call (its file tasks); dying on
+        # call k kills the run inside batch k
         rng = np.random.default_rng(1000 + seed)
-        die_call = int(rng.integers(0, 6))
+        die_call = int(rng.integers(0, 3))
         ckpt = tmp_path / "ckpt"
         pool = FlakyPool(TaskPool(), die_on_calls={die_call})
         with pytest.raises(WorkerCrash):
@@ -84,7 +84,7 @@ class TestCheckpointResumeEquivalence:
             )
         pool.inner.close()
 
-        done_batches = die_call // 2
+        done_batches = die_call
         if done_batches:
             manifest = load_checkpoint_manifest(ckpt)
             assert manifest["batches_done"] == done_batches
@@ -108,7 +108,7 @@ class TestCheckpointResumeEquivalence:
         baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         for done in (1, 2):
             ckpt = tmp_path / f"ckpt_{done}"
-            pool = FlakyPool(TaskPool(), die_on_calls={2 * done})
+            pool = FlakyPool(TaskPool(), die_on_calls={done})
             with pytest.raises(WorkerCrash):
                 synthesize_from_logs(
                     logs, N_PERSONS, T0, T1, batch_size=2,
@@ -184,10 +184,10 @@ class TestWorkerCrashRecovery:
         logs = write_random_logs(tmp_path / "logs", seed=7, n_ranks=8)
         baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
 
-        # batch 2 (zero-based batch index 1) = map calls 2 and 3; fail the
-        # first attempt of two tasks inside its collocation stage
+        # batch 2 (zero-based batch index 1) = map call 1; fail the first
+        # attempt of both its file tasks
         pool = FlakyPool(
-            TaskPool(retry=NO_SLEEP), fail_tasks={2: {0, 1}}
+            TaskPool(retry=NO_SLEEP), fail_tasks={1: {0, 1}}
         )
         net, report = synthesize_from_logs(
             logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
@@ -201,7 +201,7 @@ class TestWorkerCrashRecovery:
         logs = write_random_logs(tmp_path / "logs", seed=8)
         baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
         pool = FlakyPool(
-            TaskPool(2, retry=NO_SLEEP), fail_tasks={0: {0}, 4: {1}}
+            TaskPool(2, retry=NO_SLEEP), fail_tasks={0: {0}, 2: {1}}
         )
         net, report = synthesize_from_logs(
             logs, N_PERSONS, T0, T1, batch_size=2, pool=pool
@@ -209,6 +209,31 @@ class TestWorkerCrashRecovery:
         pool.inner.close()
         assert identical(baseline, net)
         assert report.n_retries == 2
+
+    def test_exhausted_retries_raise_and_the_run_resumes(self, tmp_path):
+        """A file task that keeps crashing exhausts the policy: the run
+        dies with ``TaskRetryError`` between two committed batches and
+        resumes bit-identically."""
+        logs = write_random_logs(tmp_path / "logs", seed=13)
+        baseline, _ = synthesize_from_logs(logs, N_PERSONS, T0, T1, batch_size=2)
+        ckpt = tmp_path / "ckpt"
+        pool = FlakyPool(
+            TaskPool(2, retry=RetryPolicy(max_attempts=1, base_delay=0.0)),
+            fail_tasks={1: {1}},
+        )
+        with pytest.raises(TaskRetryError) as err:
+            synthesize_from_logs(
+                logs, N_PERSONS, T0, T1, batch_size=2,
+                pool=pool, checkpoint=ckpt,
+            )
+        pool.inner.close()
+        assert isinstance(err.value.__cause__, WorkerCrash)
+        assert load_checkpoint_manifest(ckpt)["batches_done"] == 1
+        resumed, report = synthesize_from_logs(
+            logs, N_PERSONS, T0, T1, batch_size=2, resume=ckpt
+        )
+        assert report.resumed_batches == 1
+        assert identical(baseline, resumed)
 
     def test_unrecoverable_crash_still_fails(self, tmp_path):
         logs = write_random_logs(tmp_path / "logs", seed=9)
@@ -272,7 +297,7 @@ class TestQuarantine:
         assert len(base_report.quarantined) == 1
 
         ckpt = tmp_path / "ckpt"
-        pool = FlakyPool(TaskPool(), die_on_calls={4})
+        pool = FlakyPool(TaskPool(), die_on_calls={2})
         with pytest.raises(WorkerCrash):
             synthesize_from_logs(
                 logs, N_PERSONS, T0, T1, batch_size=2,

@@ -11,7 +11,9 @@ places, empty rank files, uint32 extremes.  The oracle file is loaded by
 path, read-only: it belongs to the frozen benchmark.
 
 The masked window builder a tile, a fringe and a shard share is held to
-the same oracle, restricted to the places the mask admits.
+the same oracle, restricted to the places the mask admits; and a
+from-logs run — any batch size, inline or on threads, places split
+across files — to one fold per batch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core import TileCache, synthesize_from_logs, synthesize_network
 from repro.core.intervals import window_partial
 from repro.distrib import TaskPool
-from repro.evlog import make_records, write_rank_logs
+from repro.evlog import LogSet, make_records, write_rank_logs
 from repro.evlog.multifile import rank_log_path
 from tests.core import _reference_value_dispatch as reference
 from tests.core.conftest import IMPLS, use_impl
@@ -51,11 +53,13 @@ MASKABLE_PLACES = (0, 1, 5, 9, 12)
 
 
 @st.composite
-def worlds(draw, places=PLACES):
+def worlds(draw, places=PLACES, split_places=False):
     """``(per-rank records, t0, t1)``: spells over ``[base, base + SPAN]``
     with a window strictly inside, so both of its edges clip some.
     Hypothesis picks the shape; the spells come from a seeded generator,
-    which fills rosters far more densely than drawn lists do."""
+    which fills rosters far more densely than drawn lists do.  With
+    *split_places* every other place's records are dealt across all the
+    rank files instead of staying in one."""
     base = draw(st.sampled_from([0, U32 - SPAN]))
     t0 = draw(st.integers(5, 25))
     t1 = t0 + draw(st.sampled_from([1, 7, 24, 40]))
@@ -70,6 +74,9 @@ def worlds(draw, places=PLACES):
     # a place's records stay in one rank file, like the distributed
     # model's logs; a rank no place maps to writes an empty file
     rank = np.searchsorted(places, place) % n_ranks
+    if split_places:
+        dealt = np.searchsorted(places, place) % 2 == 0
+        rank = np.where(dealt, rng.integers(0, n_ranks, len(rank)), rank)
     per_rank = [
         make_records(
             base + start[rank == r],
@@ -150,3 +157,43 @@ def test_masked_window_partial_matches_brute_force(world, admitted, tile_hours):
                         )
                     assert csr_identical(tiled.adjacency, truth), (impl, workers)
                     assert csr_identical(direct.adjacency, truth), (impl, workers)
+
+
+@settings(deadline=None, max_examples=40)
+@given(worlds(split_places=True), st.integers(1, 8))
+def test_from_logs_is_one_fold_per_batch(world, batch_size):
+    """``synthesize_from_logs`` inline == on 2 / 3 threads == the shared
+    window builder over each batch's files, summed == the brute-force
+    oracle over each batch's records, summed — for places split across the
+    files of a batch (union-merged by the fold) and across batch
+    boundaries (batches are independent by contract: what a split place's
+    persons share across the boundary is nobody's)."""
+    per_rank, t0, t1 = world
+    with tempfile.TemporaryDirectory() as logs:
+        write_rank_logs(logs, per_rank)
+        batches = list(LogSet(logs).batches(batch_size))
+        truth = None
+        for batch in batches:
+            rec = np.concatenate(
+                [per_rank[int(path.stem.split("_")[1])] for path in batch]
+            )
+            part = brute_force_adjacency(
+                rec["person"], rec["place"], rec["start"], rec["stop"],
+                N_PERSONS, t0, t1,
+            )
+            truth = part if truth is None else truth + part
+        for impl in IMPLS:
+            with use_impl(impl):
+                folded = None
+                for batch in batches:
+                    part, _n, _walks = window_partial(batch, t0, t1, N_PERSONS)
+                    folded = part if folded is None else folded + part
+                assert csr_identical(folded, truth), impl
+                for workers in (1, 2, 3):
+                    with TaskPool(workers) as pool:
+                        net, report = synthesize_from_logs(
+                            logs, N_PERSONS, t0, t1,
+                            batch_size=batch_size, pool=pool,
+                        )
+                    assert csr_identical(net.adjacency, truth), (impl, workers)
+                    assert report.batches == len(batches)

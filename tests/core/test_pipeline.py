@@ -122,20 +122,6 @@ class TestOracleFuzz:
         assert (net.symmetric().toarray() == W).all()
 
 
-class TestPools:
-    def test_thread_pool_identical_to_serial(self, small_pop, week_result):
-        serial, _ = synthesize_network(
-            week_result.records, small_pop.n_persons, 0, 168
-        )
-        with TaskPool(4) as pool:
-            threaded, report = synthesize_network(
-                week_result.records, small_pop.n_persons, 0, 168, pool=pool
-            )
-        assert (serial.adjacency != threaded.adjacency).nnz == 0
-        assert report.n_workers == 4
-        assert report.balance is not None
-
-
 class TestReport:
     def test_report_counts(self, small_pop, week_result):
         _, report = synthesize_network(
@@ -265,9 +251,9 @@ class TestConfigurationErrors:
             with capture_spans() as spans:
                 for call in (
                     lambda: synthesize_from_logs(log_dir, n_persons, t0, t1, pool=pool),
-                    lambda: synthesize_network(rec, n_persons, t0, t1, pool=pool),
+                    lambda: synthesize_network(rec, n_persons, t0, t1),
                     lambda: synthesize_layers(
-                        rec, small_pop.places, n_persons, t0, t1, pool=pool
+                        rec, small_pop.places, n_persons, t0, t1
                     ),
                     lambda: shard_synthesize(log_dir, n_persons, t0, t1, n_shards=2),
                 ):

@@ -22,13 +22,14 @@ from repro.core import (
     TileCache,
     synthesize_from_logs,
     synthesize_layers,
-    synthesize_layers_from_logs,
 )
+from repro.core.layers import LAYER_KINDS
 from repro.core.tilecache import TILE_MANIFEST, logset_digest
 from repro.distrib import DistributedSimulation, spatial_partition
 from repro.errors import LogTruncatedError, TileCacheError
 from repro.evlog import LogSet
 from repro.evlog.multifile import salvage_rank_logs
+from repro.synthpop.places import PlaceKind
 
 
 @pytest.fixture(scope="module")
@@ -338,10 +339,18 @@ class TestWiring:
         assert (total.t0, total.t1) == (0, 336)
 
     def test_layers_through_caches(self, tile_cache, tile_logs, small_pop):
-        layers, caches = synthesize_layers_from_logs(
-            tile_logs, small_pop.places, small_pop.n_persons, 10, 200
-        )
+        """One ``TileCache(place_mask=)`` per place kind — what the service
+        holds per layer — against in-memory layer synthesis."""
+        caches = {
+            name: TileCache(
+                tile_logs,
+                small_pop.n_persons,
+                place_mask=small_pop.places.kind == int(PlaceKind[name.upper()]),
+            )
+            for name in LAYER_KINDS
+        }
         try:
+            layers = {k: c.query_window(10, 200) for k, c in caches.items()}
             records = LogSet(tile_logs).read_all()
             ref = synthesize_layers(
                 records, small_pop.places, small_pop.n_persons, 10, 200
@@ -357,12 +366,10 @@ class TestWiring:
                 total = net if total is None else total + net
             full = tile_cache.query_window(10, 200)
             assert (total.adjacency != full.adjacency).nnz == 0
-            # second window reuses the per-kind caches
+            # a second query of the window reuses the per-kind tiles
             built = {k: c.stats.tiles_built for k, c in caches.items()}
-            more, _ = synthesize_layers_from_logs(
-                tile_logs, small_pop.places, small_pop.n_persons,
-                10, 200, caches=caches,
-            )
+            for cache in caches.values():
+                cache.query_window(10, 200)
             assert all(
                 caches[k].stats.tiles_built == built[k] for k in caches
             )

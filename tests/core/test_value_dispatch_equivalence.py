@@ -6,7 +6,7 @@ same quarantine list on every input the old path accepted — and refuse
 the ones it refused — for every window shape, pool kind and batch size.
 Also here: what the single path promises beyond equality (each payload
 byte CRC'd once, a window-independent quarantine verdict, one meaning of
-``strict``, no balancing for one worker).
+``strict``).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import synthesize_from_logs, synthesize_network
-from repro.core.intervals import build_interval_pack
-from repro.core.pipeline import _balance_packs, _file_task
-from repro.core.slicing import slice_records
+from repro.core.pipeline import _file_task
 from repro.core.tilecache import _window_task
 from repro.distrib import RetryPolicy, TaskPool
 from repro.errors import (
@@ -170,10 +168,6 @@ class TestProductionEqualsReference:
         )
         assert_same_run(got, want)
         assert got[1].quarantined == [str(rank_log_path(awkward_logs, 5))]
-        if pool.n_workers == 1:
-            # same report from the no-balancing shortcut as from LPT
-            assert np.array_equal(got[1].balance.loads, want[1].balance.loads)
-            assert got[1].balance.max_item == want[1].balance.max_item
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_dense_hours_oracle_on_the_same_walk(self, awkward_logs, window):
@@ -191,7 +185,7 @@ class TestProductionEqualsReference:
     def test_in_memory_records(self, seed, pool):
         rec = tricky_records(np.random.default_rng(300 + seed))
         for t0, t1 in [(0, 96), (7, 61), (13, 14), (500, 600)]:
-            got = synthesize_network(rec, N_PERSONS, t0, t1, pool=pool)
+            got = synthesize_network(rec, N_PERSONS, t0, t1)
             want = reference.synthesize_network(
                 rec, N_PERSONS, t0, t1, pool=pool
             )
@@ -248,39 +242,6 @@ class TestProductionEqualsReference:
         finally:
             for reader in readers:
                 reader.close()
-
-
-class TestBalanceShortcut:
-    def test_one_worker_same_report_same_network(self):
-        rng = np.random.default_rng(5)
-        packs = []
-        for r in range(3):
-            rec = tricky_records(rng, n_records=150)
-            rec["place"] = rec["place"] % 10 + r * 10
-            packs.append(build_interval_pack(slice_records(rec, 0, 96), 0, 96))
-        shares, report = _balance_packs(packs, 1)
-        ref_shares, ref_report = reference._balance_packs(packs, 1)
-        assert np.array_equal(report.loads, ref_report.loads)
-        assert report.loads.dtype == ref_report.loads.dtype
-        assert report.max_item == ref_report.max_item
-        assert report.imbalance == ref_report.imbalance
-        assert len(shares) == len(ref_shares) == 1
-        # no copies: the share is the packs themselves
-        assert all(a is b for a, b in zip(shares[0], packs))
-        assert [p.n_places for p in shares[0]] == [
-            p.n_places for p in ref_shares[0]
-        ]
-
-    def test_empty_and_multi_worker_unchanged(self):
-        assert _balance_packs([], 1)[0] == [[]]
-        rec = slice_records(tricky_records(np.random.default_rng(6)), 0, 96)
-        pack = build_interval_pack(rec, 0, 96)
-        shares, report = _balance_packs([pack], 3)
-        ref_shares, ref_report = reference._balance_packs([pack], 3)
-        assert np.array_equal(report.loads, ref_report.loads)
-        assert [[p.n_places for p in s] for s in shares] == [
-            [p.n_places for p in s] for s in ref_shares
-        ]
 
 
 def payload_bytes(path):

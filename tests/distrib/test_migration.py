@@ -74,14 +74,6 @@ class TestUnpack:
         with pytest.raises(CommError, match="dtype"):
             unpack_migrants([good, payload])
 
-    def test_other_dtype_on_request(self):
-        dtype = np.dtype([("person", "<u4"), ("state", "<u1")])
-        a = np.zeros(2, dtype=dtype)
-        assert len(unpack_migrants([a, None, a], dtype)) == 4
-        assert unpack_migrants([None], dtype).dtype == dtype
-        with pytest.raises(CommError):
-            unpack_migrants([np.zeros(1, dtype=MIGRANT_DTYPE)], dtype)
-
 
 class TestRouteRows:
     def test_matches_the_per_destination_split(self, rng):

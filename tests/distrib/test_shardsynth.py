@@ -12,6 +12,8 @@ backend and quarantine paths.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,13 @@ from repro.distrib.shardsynth import (
     plan_shards,
     shard_synthesize,
 )
-from repro.errors import SynthesisError
+from repro.errors import LogCorruptError, LogTruncatedError, SynthesisError
 from repro.evlog.multifile import rank_log_path
 from repro.obs import MetricsRegistry, set_default_registry
 from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import (
     N_PERSONS,
+    N_PLACES,
     T0,
     T1,
     csr_identical,
@@ -148,11 +151,47 @@ class TestShardQuarantine:
         assert rep.quarantined == [str(bad)]
         assert csr_identical(single.adjacency, sharded.adjacency)
 
+    def test_plan_quarantines_what_direct_synthesis_quarantines(self, tmp_path):
+        """One per-file unit, one verdict: a flipped byte and a cut trailer
+        are skipped whole by the plan scan and by the pipeline alike, for
+        every window — also one the damage sits outside of."""
+        logs = write_tricky_logs(tmp_path / "logs", seed=43)
+        flipped, torn = rank_log_path(logs, 1), rank_log_path(logs, 4)
+        self._corrupt(flipped)
+        torn.write_bytes(torn.read_bytes()[:-7])
+        for t0, t1 in [(T0, T1), (13, 14), (900, 950)]:
+            _, report = synthesize_from_logs(logs, N_PERSONS, t0, t1)
+            plan = plan_shards(logs, 2, t0, t1, n_places=N_PLACES)
+            assert plan.quarantined == report.quarantined == [
+                str(flipped), str(torn)
+            ]
+            assert [Path(p).name for p in plan.paths] == [
+                f"rank_{r:04d}.evl" for r in (0, 2, 3, 5)
+            ]
+
     def test_strict_raises(self, tmp_path):
-        logs = write_tricky_logs(tmp_path / "logs", seed=42)
-        self._corrupt(rank_log_path(logs, 1))
-        with pytest.raises(SynthesisError):
-            shard_synthesize(logs, N_PERSONS, T0, T1, n_shards=2, strict=True)
+        """The file's own error class and message, not re-wrapped, from
+        the pipeline, the plan scan and the sharded run alike."""
+        for damage, error in (("flip", LogCorruptError), ("cut", LogTruncatedError)):
+            logs = write_tricky_logs(tmp_path / damage, seed=42)
+            bad = rank_log_path(logs, 1)
+            if damage == "flip":
+                self._corrupt(bad)
+            else:
+                bad.write_bytes(bad.read_bytes()[:-7])
+            raised = []
+            for run in (
+                lambda: synthesize_from_logs(logs, N_PERSONS, T0, T1, strict=True),
+                lambda: plan_shards(logs, 2, T0, T1, strict=True),
+                lambda: shard_synthesize(
+                    logs, N_PERSONS, T0, T1, n_shards=2, strict=True
+                ),
+            ):
+                with pytest.raises(error) as err:
+                    run()
+                assert type(err.value) is error
+                raised.append(str(err.value))
+            assert len(set(raised)) == 1 and raised[0].startswith(f"{bad}: ")
 
 
 class TestShardMetrics:

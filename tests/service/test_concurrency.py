@@ -25,9 +25,10 @@ import threading
 
 import pytest
 
-from repro.core.layers import layer_caches
+from repro.core import synthesize_layers
 from repro.errors import AdmissionError
 from repro.analysis import degree_distribution, ego_network
+from repro.evlog import LogSet
 from repro.service import (
     AdmissionController,
     NetworkQueryService,
@@ -236,14 +237,15 @@ class TestCoalescing:
         layers = asyncio.run(scenario())
         total = sum(net.adjacency for net in layers.values())
         assert (total != ref.adjacency).nnz == 0
-        caches = layer_caches(service_logs, small_pop.places, small_pop.n_persons)
-        try:
-            for kind, net in layers.items():
-                expected = caches[kind].query_window(0, 168)
-                assert_bit_identical(net.adjacency, expected.adjacency)
-        finally:
-            for cache in caches.values():
-                cache.close()
+        expected = synthesize_layers(
+            LogSet(service_logs).read_all(),
+            small_pop.places,
+            small_pop.n_persons,
+            0,
+            168,
+        )
+        for kind, net in layers.items():
+            assert_bit_identical(net.adjacency, expected[kind].adjacency)
 
 
 class TestAdmission:

@@ -170,20 +170,23 @@ class TestFaultToleranceFlags:
                      "--population", str(world), "--out", str(out)]) == 0
         assert "quarantined" in capsys.readouterr().out
 
-        from repro.errors import LogCorruptError
+        # --strict: one line naming the file, exit 1, on either leg
+        for leg in ([], ["--shards", "2"]):
+            assert main(["synthesize", "--log-dir", str(damaged), "--strict",
+                         "--population", str(world), "--out", str(out),
+                         *leg]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {victim}: ")
+            assert "CRC" in err[0]
 
-        with pytest.raises(LogCorruptError):
-            main(["synthesize", "--log-dir", str(damaged), "--strict",
-                  "--population", str(world), "--out", str(out)])
-
-    def test_strict_refuses_a_trailerless_file_typed(self, workspace, tmp_path):
+    def test_strict_refuses_a_trailerless_file_typed(
+        self, workspace, tmp_path, capsys
+    ):
         """--strict means the same thing for every kind of damage: a file a
-        killed writer left without a trailer raises its own typed error —
-        not silently recovered, not a TaskRetryError from the CLI's
-        retrying pool."""
+        killed writer left without a trailer is refused by name — not
+        silently recovered, not a TaskRetryError from the CLI's retrying
+        pool, not a traceback — with and without --shards."""
         import shutil
-
-        from repro.errors import LogTruncatedError
 
         _, world, logs, _ = workspace
         torn = tmp_path / "torn_logs"
@@ -191,11 +194,14 @@ class TestFaultToleranceFlags:
         victim = torn / "rank_0001.evl"
         victim.write_bytes(victim.read_bytes()[:-7])
         out = tmp_path / "s.net.npz"
-        for workers in ("1", "2"):
-            with pytest.raises(LogTruncatedError):
-                main(["synthesize", "--log-dir", str(torn), "--strict",
-                      "--workers", workers,
-                      "--population", str(world), "--out", str(out)])
+        for leg in (["--workers", "1"], ["--workers", "2"], ["--shards", "2"]):
+            capsys.readouterr()
+            assert main(["synthesize", "--log-dir", str(torn), "--strict",
+                         "--population", str(world), "--out", str(out),
+                         *leg]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {victim}: no trailer (writer did not close)\n"
+            )
         assert main(["synthesize", "--log-dir", str(torn),
                      "--population", str(world), "--out", str(out)]) == 0
 

@@ -9,7 +9,6 @@ from repro.config import (
     HOURS_PER_WEEK,
     PAPER_SCALE,
     DiseaseConfig,
-    FaultConfig,
     ScaleConfig,
     ScheduleConfig,
     SimulationConfig,
@@ -135,36 +134,3 @@ class TestSimulationConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             SimulationConfig(**kwargs)
-
-
-class TestFaultConfig:
-    def test_defaults_are_graceful(self):
-        c = FaultConfig()
-        assert c.max_attempts == 3
-        assert not c.strict
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.9},
-            {"jitter": 2.0},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
-            FaultConfig(**kwargs)
-
-    def test_retry_policy_mapping(self):
-        c = FaultConfig(
-            max_attempts=5, backoff_base=0.2, backoff_factor=3.0,
-            backoff_max=9.0, jitter=0.25, seed=7,
-        )
-        policy = c.retry_policy()
-        assert policy.max_attempts == 5
-        assert policy.base_delay == 0.2
-        assert policy.backoff == 3.0
-        assert policy.max_delay == 9.0
-        assert policy.jitter == 0.25
-        assert policy.seed == 7

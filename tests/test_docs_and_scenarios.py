@@ -1,4 +1,4 @@
-"""Documentation coverage and scenario presets.
+"""Documentation coverage.
 
 A library release requires doc comments on every public item; this test
 walks the package and enforces it mechanically.
@@ -13,9 +13,6 @@ import pkgutil
 import pytest
 
 import repro
-from repro.config import HOURS_PER_WEEK
-from repro.errors import ConfigError
-from repro.scenarios import SCENARIOS, get_scenario
 
 
 def walk_modules():
@@ -59,39 +56,3 @@ class TestDocCoverage:
                 if not (obj.__doc__ and obj.__doc__.strip()):
                     undocumented.append(symbol)
         assert not undocumented, undocumented
-
-
-class TestScenarios:
-    def test_expected_presets_exist(self):
-        for name in ("smoke", "laptop", "bench", "paper"):
-            assert name in SCENARIOS
-
-    def test_paper_scenario_matches_paper(self):
-        paper = get_scenario("paper")
-        assert paper.scale.n_persons == 2_900_000
-        assert paper.duration_hours == 4 * HOURS_PER_WEEK
-        assert paper.n_ranks == 256
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ConfigError, match="available"):
-            get_scenario("galaxy")
-
-    def test_configs_build(self):
-        for scenario in SCENARIOS.values():
-            cfg = scenario.simulation_config()
-            assert cfg.n_ranks == scenario.n_ranks
-
-    def test_smoke_scenario_runs_end_to_end(self):
-        scenario = get_scenario("smoke")
-        pop = repro.generate_population(scenario.scale)
-        result = repro.Simulation(
-            pop, scenario.simulation_config()
-        ).run_fast()
-        net, _ = repro.synthesize_network(
-            result.records, pop.n_persons, 0, scenario.duration_hours
-        )
-        assert net.n_edges > 0
-
-    def test_all_descriptions_non_empty(self):
-        for scenario in SCENARIOS.values():
-            assert scenario.description
