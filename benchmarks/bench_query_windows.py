@@ -14,11 +14,12 @@ field them — two ways:
 
 Emits ``BENCH_query.json`` (cold/warm totals, per-query latency, the
 warm/cold speedup, cache build cost, and peak cached nnz vs the budget)
-and — with ``--check`` — fails if the warm/cold speedup ratio regresses
-more than 20% against the committed baseline.  As with the kernel bench,
-the gate compares *speedup ratios*, not absolute latency: both paths run
-in the same process on the same machine, so the ratio is stable across
-hardware.
+and — with ``--check`` — fails if a warm answer differs from cold
+synthesis or the cache outgrew its budget.  The warm/cold speedup is
+reported, not gated: cold synthesis is a layer that gets faster on its
+own (2.5x in one change), which moved the ratio without the cache
+changing at all; warm latency is gated end to end by the ``query-windows``
+workload of ``benchmarks/e2e``.
 
 Usage::
 
@@ -59,7 +60,6 @@ ROUNDS = 3  # best-of, to shed scheduler/cold-cache noise (as kernel bench)
 #: in-memory cache budget (stored nonzeros); the bench asserts the cache
 #: honors it while still hitting the speedup target
 BUDGET_NNZ = 60_000_000
-REGRESSION_MARGIN = 0.20  # fail --check below 80% of baseline speedup
 SPEEDUP_TARGET = 10.0  # warm must beat cold by at least this factor
 
 
@@ -194,7 +194,7 @@ def run_bench() -> dict:
     }
 
 
-def check_regression(measured: dict, baseline: dict) -> list[str]:
+def check_regression(measured: dict) -> list[str]:
     failures = []
     if not measured["outputs_bit_identical"]:
         failures.append("warm queries are no longer bit-identical to cold")
@@ -202,13 +202,6 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
         failures.append(
             f"cache peaked at {measured['cache_nnz_peak']:,} nnz, over the "
             f"{measured['config']['budget_nnz']:,} budget"
-        )
-    base_speedup = baseline["speedup"]
-    floor = base_speedup * (1 - REGRESSION_MARGIN)
-    if measured["speedup"] < floor:
-        failures.append(
-            f"warm/cold speedup {measured['speedup']:.2f}x < {floor:.2f}x "
-            f"(baseline {base_speedup:.2f}x - {REGRESSION_MARGIN:.0%})"
         )
     return failures
 
@@ -222,8 +215,8 @@ def main(argv=None) -> int:
     )
     mode.add_argument(
         "--check", action="store_true",
-        help="fail (exit 1) if the warm/cold speedup regressed >20%% "
-        "against the committed baseline",
+        help="fail (exit 1) if warm answers differ from cold synthesis or "
+        "the cache outgrew its budget",
     )
     args = parser.parse_args(argv)
 
@@ -245,17 +238,13 @@ def main(argv=None) -> int:
         print(f"\nbaseline written to {BASELINE_PATH}")
         return 0
     if args.check:
-        if not BASELINE_PATH.exists():
-            print(f"\nno committed baseline at {BASELINE_PATH}", file=sys.stderr)
-            return 1
-        baseline = json.loads(BASELINE_PATH.read_text())
-        failures = check_regression(measured, baseline)
+        failures = check_regression(measured)
         if failures:
             print("\nREGRESSION:", file=sys.stderr)
             for f in failures:
                 print(f"  - {f}", file=sys.stderr)
             return 1
-        print("\nno regression vs committed baseline")
+        print("\nwarm answers bit-identical, cache under budget")
     return 0
 
 

@@ -18,11 +18,12 @@ one-week windows.  Three phases:
   by a warm bench-side :class:`~repro.core.tilecache.TileCache`, no
   sockets, no encode.
 
-Emits ``BENCH_service.json``.  The ``--check`` gate compares *ratios*
-against the committed baseline — load p50 ÷ warm compose p50 (the
-service against the layer below it), the service-vs-cold throughput
-gain, perfect success rate, burst coalescing, and response
-bit-identity — not absolute latency, so runner hardware doesn't matter.
+Emits ``BENCH_service.json``.  The ``--check`` gate compares one
+*ratio* against the committed baseline — load p50 ÷ warm compose p50,
+the service against the layer below it, so runner hardware doesn't
+matter — and asserts perfect success rate, burst coalescing, trace-id
+round trips and response bit-identity.  The service-vs-cold throughput
+gain is reported, not gated: cold synthesis gets faster on its own.
 ``--update`` refuses to record a load q/s or p50 more than 20 % worse
 than the committed file unless ``--accept-regression "<note>"`` says
 why; the note is written into the file.
@@ -354,14 +355,6 @@ def check_regression(measured: dict, baseline: dict) -> list[str]:
             f"load p50 is {measured['load_p50_over_warm_compose']:.1f}x the "
             f"warm compose p50, above {ceiling:.1f}x "
             f"(baseline {base_ratio:.1f}x + {REGRESSION_MARGIN:.0%})"
-        )
-    base_gain = baseline["throughput_gain_vs_cold"]
-    floor = base_gain * (1 - REGRESSION_MARGIN)
-    if measured["throughput_gain_vs_cold"] < floor:
-        failures.append(
-            f"service/cold throughput gain "
-            f"{measured['throughput_gain_vs_cold']:.2f}x < {floor:.2f}x "
-            f"(baseline {base_gain:.2f}x - {REGRESSION_MARGIN:.0%})"
         )
     return failures
 

@@ -11,6 +11,9 @@ triangular CSR (row < col), weights = collocated hours; the diagonal
 (self-collocation) is dropped.  The per-place product runs in *local*
 coordinates (participants only) and is mapped back to global ids, so the
 cost of a place scales with its participants, not the population.
+
+Partial adjacencies — a tile's, a fringe's, a batch's, a shard's, a
+week's — are summed by one fold, :func:`sum_partials`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ import scipy.sparse as sp
 from ..errors import SynthesisError
 from .colloc import CollocationMatrix
 from .kernels import kernel_stage
+from .kernels.masked import csr_sum
+from .kernels.workspace import count_twin
 
 __all__ = [
     "place_adjacency",
     "accumulate_adjacency",
     "sum_adjacency_list",
+    "sum_partials",
+    "strictly_upper",
     "triu_symmetrize",
     "pattern_degrees",
     "empty_adjacency",
@@ -108,6 +115,84 @@ def accumulate_adjacency(
     return sp.coo_matrix(
         (data, (rows, cols)), shape=(n_persons, n_persons)
     ).tocsr()
+
+
+def strictly_upper(adj: sp.csr_matrix) -> bool:
+    """Whether every stored entry of the square CSR *adj* lies strictly
+    above the diagonal and inside the matrix.
+
+    O(n) on canonical input — each non-empty row's first column is above
+    the row and its last column below n — and one O(nnz) scan otherwise.
+    """
+    n = adj.shape[0]
+    indptr, indices = adj.indptr, adj.indices
+    if adj.has_canonical_format:
+        full = indptr[:-1] < indptr[1:]
+        return bool(
+            (indices[indptr[:-1][full]] > np.flatnonzero(full)).all()
+            and (indices[indptr[1:][full] - 1] < n).all()
+        )
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    return bool((rows < indices[: len(rows)]).all() and (indices < n).all())
+
+
+def _check_partial(part: sp.csr_matrix, n_persons: int) -> None:
+    """Refuse what the pairwise twin must not be handed: anything but an
+    ``(n, n)`` CSR with a sound ``indptr`` and strict-upper entries."""
+    if not (sp.issparse(part) and part.format == "csr"):
+        raise SynthesisError("partial adjacency must be a CSR matrix")
+    if part.shape != (n_persons, n_persons):
+        raise SynthesisError("partial adjacency shaped outside population")
+    indptr, nnz = part.indptr, len(part.indices)
+    if (
+        len(indptr) != n_persons + 1
+        or indptr[0] != 0
+        or indptr[-1] != nnz
+        or len(part.data) != nnz
+        or (np.diff(indptr) < 0).any()
+    ):
+        raise SynthesisError("partial adjacency has an unsound indptr")
+    if not strictly_upper(part):
+        raise SynthesisError(
+            "partial adjacency has an entry outside the strict upper triangle"
+        )
+
+
+def sum_partials(
+    parts: Sequence[sp.csr_matrix], n_persons: int
+) -> sp.csr_matrix:
+    """The one fold for partial adjacencies: ``Σ parts`` as a canonical CSR.
+
+    "The adjacency matrices are simply summed": every composition of
+    canonical strict-upper ``(n_persons, n_persons)`` partials — a window
+    from its tiles and fringes, a tile from its two children, a run from
+    its batches or shards, a series from its weeks — goes through here.
+    Integer addition of canonical matrices has a unique canonical result,
+    so the sum is bit-identical in any order and to the one-shot
+    accumulation a direct synthesis does.  Zero sums are dropped; the
+    result never aliases an input (one part is copied).
+
+    Runs in one compiled k-way pass when
+    :func:`~repro.core.kernels.masked.csr_sum` takes the parts; scipy's
+    pairwise ``+`` below it is the bit-identical twin (counted as
+    ``kernels.csr_sum.twin``).  A malformed part raises
+    :class:`~repro.errors.SynthesisError` on both.
+    """
+    parts = list(parts)
+    if not parts:
+        return empty_adjacency(n_persons)
+    out = csr_sum(parts, n_persons)
+    if out is not None:
+        return out
+    count_twin("csr_sum")
+    for part in parts:
+        _check_partial(part, n_persons)
+    out = parts[0]
+    # one part still goes through + once: a copy, zeros dropped
+    for part in parts[1:] or [empty_adjacency(n_persons)]:
+        out = out + part
+    out.sum_duplicates()  # + leaves non-canonical parts' rows unsorted
+    return out
 
 
 def triu_symmetrize(adj: sp.spmatrix) -> sp.csr_matrix:

@@ -67,6 +67,13 @@ happen in numpy, on packed 64-bit keys, between the scans):
 Together the last three are the compiled twin of
 ``coo_matrix(...).tocsr()`` over the concatenated parts.
 
+One kernel composes partial adjacencies (entry point in :mod:`.masked`):
+
+``rk_csr_sum``
+    the k-way sum of canonical strict-upper CSR partials in one row-wise
+    pass, cascading 2-way merges through two row-sized scratch buffers —
+    the compiled twin of the pairwise ``csr + csr`` fold.
+
 Two graph kernels serve the Section V analysis (entry points in
 :mod:`.graph`):
 
@@ -95,7 +102,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 7
+C_SOURCE_VERSION = 8
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -508,6 +515,115 @@ API int64_t rk_fill_values(
             vals_out[k] = acc[cols_out[k]];
     }
     return 0;
+}
+
+/* Merge two ascending rows into oc/ov, summing equal columns and
+   dropping every zero value (as scipy's csr + csr does).  A merged
+   strict-upper row holds at most room entries, so more means an input
+   row was not ascending: -1.  Writes stay below index room + 1. */
+static int64_t rk_merge_rows(
+    const int32_t *ac, const int64_t *av, int64_t an,
+    const int32_t *bc, const int64_t *bv, int64_t bn,
+    int32_t *oc, int64_t *ov, int64_t room) {
+    int64_t i = 0, j = 0, m = 0;
+    while (i < an && j < bn) {
+        if (m > room) return -1;
+        /* branch-free: which side(s) the smaller column comes from is a
+           coin flip on real rows, so it is masked in, never branched on;
+           the add wraps like numpy's int64 add, never C's signed UB */
+        const int32_t x = ac[i], y = bc[j];
+        const uint64_t ta = x <= y, tb = y <= x;
+        const int64_t v = (int64_t)(((uint64_t)av[i] & -ta)
+                                    + ((uint64_t)bv[j] & -tb));
+        oc[m] = ta ? x : y;
+        ov[m] = v;
+        m += (v != 0);
+        i += ta;
+        j += tb;
+    }
+    for (; i < an; i++) {
+        if (m > room) return -1;
+        oc[m] = ac[i];
+        ov[m] = av[i];
+        m += (av[i] != 0);
+    }
+    for (; j < bn; j++) {
+        if (m > room) return -1;
+        oc[m] = bc[j];
+        ov[m] = bv[j];
+        m += (bv[j] != 0);
+    }
+    return (m > room) ? -1 : m;
+}
+
+/* k-way sum of (n, n) partial adjacencies in canonical strict-upper CSR
+   (int32 indptr/indices, int64 values), in one pass over the rows.
+
+   ptrs holds 3k addresses — the k indptr arrays, then the k indices
+   arrays, then the k value arrays — and nnzs each part's stored-entry
+   count.  A row's non-empty part rows fold left to right by a cascade
+   of 2-way merges through the scratch pairs (sc0, sv0) and (sc1, sv1),
+   n slots each; the first row is merged in place, never copied, and
+   the last merge writes straight into out_indices / out_data, whose
+   capacity must be the summed nnzs (a merge never outgrows its inputs).
+   Zero sums are dropped.
+
+   The canonical flag is the caller's; the pointers are checked here, in
+   the row loop: every indptr starts at 0, never decreases and ends at its
+   part's nnz, and each non-empty part row starts above the diagonal and
+   ends below n.  Returns the output nnz, or -1 — having read and written
+   nothing out of bounds — on a violation. */
+API int64_t rk_csr_sum(
+    int64_t k, int64_t n, const void *const *ptrs, const int64_t *nnzs,
+    int32_t *out_indptr, int32_t *out_indices, int64_t *out_data,
+    int32_t *sc0, int64_t *sv0, int32_t *sc1, int64_t *sv1) {
+    const int32_t *const *ip = (const int32_t *const *)ptrs;
+    const int32_t *const *ix = (const int32_t *const *)(ptrs + k);
+    const int64_t *const *dx = (const int64_t *const *)(ptrs + 2 * k);
+    for (int64_t p = 0; p < k; p++)
+        if (ip[p][0] != 0 || ip[p][n] != nnzs[p]) return -1;
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        out_indptr[i] = (int32_t)m;
+        int64_t last = -1;
+        for (int64_t p = 0; p < k; p++) {
+            const int32_t a = ip[p][i], b = ip[p][i + 1];
+            if (b < a || b > nnzs[p]) return -1;
+            if (b > a) {
+                if (ix[p][a] <= i || ix[p][b - 1] >= n) return -1;
+                last = p;
+            }
+        }
+        const int32_t *ac = NULL;
+        const int64_t *av = NULL;
+        int64_t an = 0;
+        int flip = 0;
+        for (int64_t p = 0; p <= last; p++) {
+            const int32_t a = ip[p][i], b = ip[p][i + 1];
+            if (a == b) continue;
+            if (ac == NULL && p != last) {  /* a later merge drops its zeros */
+                ac = ix[p] + a;
+                av = dx[p] + a;
+                an = b - a;
+                continue;
+            }
+            int32_t *oc = out_indices + m;
+            int64_t *ov = out_data + m;
+            if (p != last) {
+                oc = flip ? sc1 : sc0;
+                ov = flip ? sv1 : sv0;
+                flip ^= 1;
+            }
+            an = rk_merge_rows(
+                ac, av, an, ix[p] + a, dx[p] + a, b - a, oc, ov, n - 1 - i);
+            if (an < 0) return -1;
+            ac = oc;
+            av = ov;
+        }
+        m += an;
+    }
+    out_indptr[n] = (int32_t)m;
+    return m;
 }
 
 /* Triangle count of every edge of an undirected graph, given as its

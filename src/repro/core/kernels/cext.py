@@ -31,6 +31,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class CompiledKernels:
         lib.rk_pack_triples.restype = ctypes.c_int64
         lib.rk_keys_to_csr.restype = ctypes.c_int64
         lib.rk_fill_values.restype = ctypes.c_int64
+        lib.rk_csr_sum.restype = ctypes.c_int64
+        lib.rk_csr_sum.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, _I64,
+            _I32, _I32, _I64, _I32, _I64, _I32, _I64,
+        ]
         lib.rk_edge_triangles.restype = ctypes.c_int64
         lib.rk_edge_triangles.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I32, _I64,
@@ -402,6 +408,45 @@ class CompiledKernels:
             _as_ptr(vals_out, _I64),
         )
 
+    def csr_sum(
+        self,
+        n: int,
+        parts: list,
+        out_indptr: np.ndarray,
+        out_indices: np.ndarray,
+        out_data: np.ndarray,
+        sc0: np.ndarray,
+        sv0: np.ndarray,
+        sc1: np.ndarray,
+        sv1: np.ndarray,
+    ) -> int:
+        """Sum the ``(n, n)`` CSR matrices *parts* (int32 indptr/indices,
+        int64 data, canonical) into the output arrays (capacity: their
+        summed nnz); ``sc*`` / ``sv*``: int32 / int64 scratch of n slots.
+        Returns the output nnz, -1 on a malformed part."""
+        ptrs = np.array(
+            [p.indptr.ctypes.data for p in parts]
+            + [p.indices.ctypes.data for p in parts]
+            + [p.data.ctypes.data for p in parts],
+            dtype=np.uintp,
+        )
+        nnzs = np.array([len(p.indices) for p in parts], dtype=np.int64)
+        return int(
+            self._lib.rk_csr_sum(
+                len(parts),
+                n,
+                ptrs.ctypes.data,
+                _as_ptr(nnzs, _I64),
+                _as_ptr(out_indptr, _I32),
+                _as_ptr(out_indices, _I32),
+                _as_ptr(out_data, _I64),
+                _as_ptr(sc0, _I32),
+                _as_ptr(sv0, _I64),
+                _as_ptr(sc1, _I32),
+                _as_ptr(sv1, _I64),
+            )
+        )
+
     def edge_triangles(
         self,
         n: int,
@@ -489,7 +534,8 @@ def _smoke_test(kernels: CompiledKernels) -> None:
 
     Two persons sharing one 3-hour segment must yield the single triple
     (0, 1, 3), through the transpose and the product; a triangle with a
-    pendant must yield its edge counts and its induced pair.  Guards
+    pendant must yield its edge counts and its induced pair; three
+    partials must sum with their cancelling entry dropped.  Guards
     against a mis-built or ABI-skewed object before anything trusts it.
     """
     indptr = np.array([0, 1, 2], dtype=np.int32)
@@ -539,6 +585,35 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         or (sub_indices[0], sub_data[0]) != (1, 6)
     ):
         raise RuntimeError("compiled graph kernel smoke test failed")
+    # a 3-way sum over 3 persons: (0, 1) 1 + 2, (0, 2) 3, (1, 2) 5 - 5
+    # cancels and is dropped
+    parts = [
+        SimpleNamespace(
+            indptr=np.array(indptr, np.int32),
+            indices=np.array(indices, np.int32),
+            data=np.array(data, np.int64),
+        )
+        for indptr, indices, data in (
+            ([0, 1, 1, 1], [1], [1]),
+            ([0, 1, 2, 2], [1, 2], [2, 5]),
+            ([0, 1, 2, 2], [2, 2], [3, -5]),
+        )
+    ]
+    s_indptr = np.empty(4, np.int32)
+    s_indices = np.empty(5, np.int32)
+    s_data = np.empty(5, np.int64)
+    nnz = kernels.csr_sum(
+        3, parts, s_indptr, s_indices, s_data,
+        np.empty(3, np.int32), np.empty(3, np.int64),
+        np.empty(3, np.int32), np.empty(3, np.int64),
+    )
+    if (
+        nnz != 2
+        or s_indptr.tolist() != [0, 2, 2, 2]
+        or s_indices[:2].tolist() != [1, 2]
+        or s_data[:2].tolist() != [3, 3]
+    ):
+        raise RuntimeError("compiled partial-sum kernel smoke test failed")
     # one rank-hour (hour 1 of a 2-hour week) on rank 0 of 2: person 0
     # moves to place 1 (rank 1's) and leaves, person 1 does not change,
     # person 2 changes activity at place 0 and stays, now second

@@ -1,6 +1,7 @@
-"""The compiled interval-pack build and masked adjacency product.
+"""The compiled interval-pack build, masked adjacency product and
+partial sum.
 
-Two entry points, both returning ``None`` when the fast path does not
+Three entry points, each returning ``None`` when the fast path does not
 apply — no C extension, or an input outside its typed layout — so the
 caller runs its numpy/scipy twin:
 
@@ -19,6 +20,10 @@ caller runs its numpy/scipy twin:
     ``tocoo``/``astype``/``concatenate`` — then accumulates them into the
     global CSR via packed sort keys (one global value sort plus linear
     compiled scans) instead of a scipy round trip.
+:func:`csr_sum`
+    the k-way sum of canonical strict-upper partial adjacencies (tiles,
+    fringes, batches, shards) in one row-wise merge pass, bit-identical to
+    folding them with scipy's pairwise ``+``.
 
 All scratch comes from the per-thread :class:`~.workspace.KernelWorkspace`;
 steady state performs no scratch allocations.
@@ -29,11 +34,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ...errors import SynthesisError
 from .cext import load_cext
 from .workspace import get_workspace, kernel_stage
 
 __all__ = [
     "build_pack_arrays",
+    "csr_sum",
+    "in_sum_layout",
     "masked_adjacency_triples",
     "sum_shares_adjacency",
 ]
@@ -381,4 +389,67 @@ def sum_shares_adjacency(
         # the accumulation emits sorted, duplicate-free indices: spare
         # scipy the scan that would find that out
         out.has_canonical_format = True
+    return out
+
+
+# -- partial sum -------------------------------------------------------------
+
+
+def in_sum_layout(part, n: int) -> bool:
+    """Whether *part* is in the partial-sum kernel's layout: an ``(n, n)``
+    CSR with contiguous int32 ``indptr`` / ``indices``, int64 data and
+    scipy's canonical flag.  O(1) once scipy has cached that flag on the
+    matrix (it scans a matrix once, on the first ask)."""
+    return (
+        sp.issparse(part)
+        and part.format == "csr"
+        and part.shape == (n, n)
+        and part.indptr.dtype == np.int32
+        and part.indices.dtype == np.int32
+        and part.data.dtype == np.int64
+        and len(part.indptr) == n + 1
+        and len(part.data) == len(part.indices)
+        and part.indptr.flags.c_contiguous
+        and part.indices.flags.c_contiguous
+        and part.data.flags.c_contiguous
+        and part.has_canonical_format
+    )
+
+
+def csr_sum(parts: "list[sp.csr_matrix]", n: int) -> sp.csr_matrix | None:
+    """Compiled sum of partial adjacencies: canonical strict-upper
+    ``(n, n)`` CSR matrices in one row-wise merge pass.
+
+    The result is canonical, never aliases an input and drops zero sums.
+    Returns None when the C extension is unavailable, a part misses
+    :func:`in_sum_layout` or the sum could outgrow int32 offsets; raises
+    :class:`~repro.errors.SynthesisError` when the kernel finds a part's
+    ``indptr`` unsound or an entry outside the strict upper triangle.
+    """
+    k = load_cext()
+    if k is None or not all(in_sum_layout(p, n) for p in parts):
+        return None
+    cap = sum(len(p.indices) for p in parts)
+    if cap >= _I32_MAX:
+        return None
+    ws = get_workspace()
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(cap, dtype=np.int32)
+    data = np.empty(cap, dtype=np.int64)
+    nnz = k.csr_sum(
+        n, parts, indptr, indices, data,
+        ws.take("sum_c0", n, np.int32), ws.take("sum_v0", n, np.int64),
+        ws.take("sum_c1", n, np.int32), ws.take("sum_v1", n, np.int64),
+    )
+    if nnz < 0:
+        raise SynthesisError(
+            "partial adjacency has an unsound indptr or an entry outside "
+            "the strict upper triangle"
+        )
+    # overlapping parts sum to fewer entries than the capacity: shrink in
+    # place (a realloc) rather than copy the result out
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    out = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    out.has_canonical_format = True
     return out

@@ -15,7 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError, SynthesisError
-from .adjacency import pattern_degrees, triu_symmetrize
+from .adjacency import (
+    pattern_degrees,
+    strictly_upper,
+    sum_partials,
+    triu_symmetrize,
+)
 from .kernels.graph import induced_subgraph
 
 __all__ = ["CollocationNetwork"]
@@ -37,10 +42,7 @@ class CollocationNetwork:
         adj = adjacency.tocsr()
         if adj.shape[0] != adj.shape[1]:
             raise SynthesisError("adjacency must be square")
-        rows = np.repeat(
-            np.arange(adj.shape[0], dtype=adj.indices.dtype), np.diff(adj.indptr)
-        )
-        if np.any(rows >= adj.indices[: len(rows)]):
+        if not strictly_upper(adj):
             raise SynthesisError("adjacency must be strictly upper triangular")
         if not adj.data.all():
             # tocsr() aliases a CSR input: never edit the caller's matrix
@@ -92,7 +94,7 @@ class CollocationNetwork:
         if self.n_persons != other.n_persons:
             raise SynthesisError("cannot add networks over different populations")
         return CollocationNetwork(
-            (self.adjacency + other.adjacency).tocsr(),
+            sum_partials([self.adjacency, other.adjacency], self.n_persons),
             t0=min(self.t0, other.t0),
             t1=max(self.t1, other.t1),
         )

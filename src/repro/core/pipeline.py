@@ -538,6 +538,10 @@ def synthesize_from_logs(
                 )
                 if batch_net is not None:
                     network = batch_net if network is None else network + batch_net
+                    # the sum's twin count, if it ran one
+                    absorb_task_telemetry(
+                        total_report.kernel_timings, collect_kernel_timings()
+                    )
                 total_report.batches += 1
                 if checkpoint_dir is not None:
                     with total_report.timings.time("checkpoint"):

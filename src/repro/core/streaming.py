@@ -28,7 +28,7 @@ from ..errors import SynthesisError
 from ..evlog.multifile import LogSet
 from ..distrib.taskpool import WorkerPool
 from ..obs import start_span
-from .adjacency import accumulate_adjacency
+from .adjacency import sum_partials
 from .network import CollocationNetwork
 from .pipeline import check_batch_size, synthesize_from_logs
 
@@ -59,13 +59,10 @@ class WeeklyNetworkSeries:
 
     def total(self) -> CollocationNetwork:
         """The complete summed network ("adjacency matrices simply summed"):
-        all interval adjacencies merged in a single pre-sized accumulation
-        — one COO concatenation + ``tocsr`` — instead of growing a running
-        sum pairwise.
-        """
+        every interval adjacency in one :func:`sum_partials` pass."""
         t0 = min(net.t0 for net in self.networks)
         t1 = max(net.t1 for net in self.networks)
-        adjacency = accumulate_adjacency(
+        adjacency = sum_partials(
             [net.adjacency for net in self.networks], self.n_persons
         )
         return CollocationNetwork(adjacency, t0=t0, t1=t1)
@@ -94,9 +91,9 @@ class WeeklyNetworkSeries:
     def edge_recurrence(self) -> tuple[np.ndarray, np.ndarray]:
         """``(weeks, pair_counts)``: how many pairs met in exactly *w*
         intervals (w ≥ 1)."""
-        acc = self._binary(0)
-        for w in range(1, self.n_intervals):
-            acc = acc + self._binary(w)
+        acc = sum_partials(
+            [self._binary(w) for w in range(self.n_intervals)], self.n_persons
+        )
         counts = np.bincount(
             acc.data.astype(np.int64), minlength=self.n_intervals + 1
         )[1:]

@@ -29,9 +29,11 @@ window queries without re-reading records per query:
   records only in those edge hours.  Fringe partials are cached in the
   same LRU (keyed by their exact window, memory-only), so a repeated
   unaligned query re-reads no records at all;
-* composition is a pairwise CSR sum: exact integer addition of canonical
-  upper-triangular matrices, whose canonical result is unique — hence
-  bit-identical to the one-shot accumulation the direct pipeline does.
+* composition is one k-way pass over the cover's partials
+  (:func:`~repro.core.adjacency.sum_partials`): exact integer addition of
+  canonical upper-triangular matrices, whose canonical result is unique —
+  hence bit-identical to the one-shot accumulation the direct pipeline
+  does.  The same fold merges two children into their parent node.
 
 Resource management
 -------------------
@@ -52,7 +54,11 @@ match on load — torn write, bit rot, truncation, manual damage — is
 *quarantined* (renamed aside with a ``.quarantined`` suffix, dropped
 from the manifest, counted in ``stats.tiles_quarantined``) and rebuilt
 from the logs transparently.  Answers stay bit-identical; only that one
-query's latency degrades to a rebuild.
+query's latency degrades to a rebuild.  A load is also where a tile is
+held to the composition kernel's precondition — an ``(n, n)`` canonical
+strict-upper CSR in its typed layout — so a CRC-valid but malformed
+tile is quarantined and rebuilt the same way (reason ``malformed``),
+and every cached partial meets it, whichever way it entered.
 
 Tile construction runs through the
 :class:`~repro.distrib.taskpool.WorkerPool` machinery — one task per
@@ -72,8 +78,9 @@ persisted-store manifest, and the stats counters — is guarded by one
 reentrant lock, held while a query plans its cover and acquires (or
 builds) every partial it needs.  The final composition runs *outside*
 the lock on the acquired references: cached matrices are immutable, and
-:func:`_sum_parts` never aliases its inputs, so a tile evicted by a
-racing query stays valid for the composition that already holds it.
+:func:`~repro.core.adjacency.sum_partials` never aliases its inputs, so a
+tile evicted by a racing query stays valid for the composition that
+already holds it.
 Eviction, warm-up, persistence, and ``close()`` all take the same lock,
 which is what makes LRU bookkeeping safe while queries race.
 """
@@ -99,9 +106,10 @@ from ..errors import LogFormatError, TileCacheError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import LogReader, publish_walk_stats
 from ..distrib.taskpool import TaskPool, WorkerPool
-from .adjacency import empty_adjacency
+from .adjacency import strictly_upper, sum_partials
 from .intervals import window_partial
 from .kernels import collect_kernel_timings
+from .kernels.masked import in_sum_layout
 from .network import CollocationNetwork
 
 __all__ = [
@@ -231,25 +239,6 @@ def _tile_cost(mat: sp.csr_matrix) -> int:
     """LRU accounting unit: stored nonzeros (floor 1, so empty tiles still
     occupy a slot and cannot flood the cache for free)."""
     return max(int(mat.nnz), 1)
-
-
-def _sum_parts(parts: list[sp.csr_matrix], n_persons: int) -> sp.csr_matrix:
-    """Exact pairwise sum of canonical upper-triangular CSR partials.
-
-    Integer addition of canonical CSR matrices yields the canonical CSR of
-    the sum, and the canonical form of a matrix is unique — so this is
-    bit-identical to the one-shot coo-concat accumulation the direct
-    pipeline uses, while skipping its O(nnz log nnz) re-sort.  The result
-    never aliases an input (cached tiles stay immutable).
-    """
-    if not parts:
-        return empty_adjacency(n_persons)
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part
-    if out is parts[0]:
-        out = out.copy()
-    return out
 
 
 class TileCache:
@@ -467,8 +456,11 @@ class TileCache:
 
         Every load re-verifies the manifest CRC over the file's bytes, so
         corruption *anywhere* in the npz (torn write, flipped bits,
-        truncation) is detected before the matrix is trusted; the caller
-        falls through to a transparent rebuild from records.
+        truncation) is detected before the matrix is trusted, and then
+        holds the matrix to the composition kernel's precondition (shape,
+        typed layout, canonical format, strict upper triangle), which a
+        CRC only vouches the writer met; the caller falls through to a
+        transparent rebuild from records.
         """
         assert self._cache_dir is not None
         entry = self._disk[key]
@@ -482,7 +474,7 @@ class TileCache:
             return None
         try:
             with np.load(io.BytesIO(raw)) as z:
-                return sp.csr_matrix(
+                mat = sp.csr_matrix(
                     (z["data"], z["indices"], z["indptr"]),
                     shape=tuple(z["shape"]),
                 )
@@ -491,6 +483,10 @@ class TileCache:
             # same way: quarantine and rebuild
             self._quarantine_tile(key, "undecodable")
             return None
+        if not (in_sum_layout(mat, self.n_persons) and strictly_upper(mat)):
+            self._quarantine_tile(key, "malformed")
+            return None
+        return mat
 
     # -- LRU ------------------------------------------------------------------
 
@@ -598,7 +594,7 @@ class TileCache:
             left = self._get_tile(level - 1, 2 * idx)
             right = self._get_tile(level - 1, 2 * idx + 1)
             with self.stats.timings.time("merge"):
-                mat = _sum_parts([left, right], self.n_persons)
+                mat = sum_partials([left, right], self.n_persons)
             self.stats.tiles_merged += 1
             get_probe().cache_event("merged")
         self._persist(key, mat)
@@ -644,7 +640,9 @@ class TileCache:
             self._materialize_base(missing)
             for level, idx in cover:
                 self._get_tile(level, idx)
-            return self.stats.tiles_built - built_before
+            built = self.stats.tiles_built - built_before
+        record_kernel_timings(collect_kernel_timings())  # the merges' twins
+        return built
 
     def query_window(self, t0: int, t1: int) -> CollocationNetwork:
         """The collocation network of ``[t0, t1)``, composed from tiles.
@@ -654,12 +652,34 @@ class TileCache:
         Aligned spans come from O(log W) cached tiles; unaligned edges are
         corrected from records in the two edge spans only, and those
         fringe partials are themselves cached so a repeated query touches
-        no records.
+        no records.  The partials are summed in one
+        :func:`~repro.core.adjacency.sum_partials` pass, traced as a
+        ``compose`` span (``parts``, ``impl``, ``n_edges``).
         """
         if t1 <= t0:
             raise TileCacheError(f"empty query window [{t0}, {t1})")
         if t0 < 0:
             raise TileCacheError("query windows start at hour 0")
+        with start_span("compose", attrs={"t0": int(t0), "t1": int(t1)}) as span:
+            parts = self._acquire(t0, t1)
+            # compose outside the lock: every part is an immutable matrix
+            # this thread holds a reference to, so racing evictions cannot
+            # hurt it
+            with Timer() as timer:
+                adjacency = sum_partials(parts, self.n_persons)
+            times = collect_kernel_timings()  # this query's merges and sum
+            record_kernel_timings(times)
+            with self._lock:
+                self.stats.timings.add("reduce", timer.elapsed)
+            net = CollocationNetwork(adjacency, t0=int(t0), t1=int(t1))
+            span.set_attr("parts", len(parts))
+            span.set_attr("impl", "twin" if "csr_sum.twin" in times else "cext")
+            span.set_attr("n_edges", net.n_edges)
+        return net
+
+    def _acquire(self, t0: int, t1: int) -> list[sp.csr_matrix]:
+        """Plan the window's cover plus fringes and acquire (building what
+        is missing) every partial it needs, under the cache lock."""
         with self._lock:
             self._check_open()
             T = self.tile_hours
@@ -707,14 +727,7 @@ class TileCache:
                     parts.append(fringe_parts[(entry[1], entry[2])])
             self.stats.queries += 1
             get_probe().cache_event("query")
-
-        # compose outside the lock: every part is an immutable matrix this
-        # thread holds a reference to, so racing evictions cannot hurt it
-        with Timer() as timer:
-            adjacency = _sum_parts(parts, self.n_persons)
-        with self._lock:
-            self.stats.timings.add("reduce", timer.elapsed)
-        return CollocationNetwork(adjacency, t0=int(t0), t1=int(t1))
+            return parts
 
     def horizon(self) -> int:
         """Last simulation hour any usable log record reaches (chunk-index

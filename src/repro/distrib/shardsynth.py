@@ -54,7 +54,12 @@ import scipy.sparse as sp
 from ..errors import SynthesisError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import publish_walk_stats
-from ..obs import default_registry, get_collector, start_span
+from ..obs import (
+    default_registry,
+    get_collector,
+    record_kernel_timings,
+    start_span,
+)
 from ..obs.trace import capture_spans
 from .partition import PlacePartition, round_robin_partition, spatial_partition
 from .proccluster import ProcessBspCluster
@@ -485,6 +490,8 @@ def shard_synthesize(
     Returns ``(network, report)`` like the single-process pipeline,
     with a :class:`ShardSynthesisReport`.
     """
+    from ..core.adjacency import sum_partials
+    from ..core.kernels import collect_kernel_timings
     from ..core.network import CollocationNetwork
     from ..core.pipeline import check_window
 
@@ -540,11 +547,10 @@ def shard_synthesize(
             get_collector().absorb(spans)
         started = time.perf_counter()
         with start_span("shard.reduce", attrs={"parts": len(partials)}):
-            adjacency = partials[0]
-            for partial in partials[1:]:
-                # canonical + canonical -> canonical: order-independent,
-                # bit-identical to the single-process accumulate
-                adjacency = adjacency + partial
+            # canonical partials have one canonical sum: order-independent,
+            # bit-identical to the single-process fold
+            adjacency = sum_partials(partials, n_persons)
+            record_kernel_timings(collect_kernel_timings())
         report.reduce_seconds = time.perf_counter() - started
     _publish_shard_metrics(report)
     return CollocationNetwork(adjacency, t0=int(t0), t1=int(t1)), report

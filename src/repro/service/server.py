@@ -611,7 +611,7 @@ class NetworkQueryService:
         self.stats.bump("compositions")
         t0, t1 = wkey
         # the leader's coalesce-span context, carried into the executor
-        # thread so the composition (and the cache's kernel spans under
+        # thread so the cache's compose span (and the kernel spans under
         # it) nest in the leader's trace
         ctx = current_context()
 
@@ -625,12 +625,7 @@ class NetworkQueryService:
                     code="expired",
                 )
             with use_context(ctx):
-                with start_span(
-                    "compose", attrs={"t0": t0, "t1": t1}
-                ) as span:
-                    net = handle.cache.query_window(t0, t1)
-                    span.set_attr("n_edges", net.n_edges)
-                    return net
+                return handle.cache.query_window(t0, t1)
 
         exec_fut = loop.run_in_executor(self._executor, job)
 

@@ -2,13 +2,13 @@
 
 Bit-identity between our own paths only proves they agree with each
 other.  Here production (under each kernel implementation) **and** the
-dense-hours oracle are held to ``benchmarks/e2e/oracle.py`` — a 50-line
+dense-hours oracle are held to ``tests/_oracle.py`` — a 50-line
 brute-force reading of the paper's definition (``A = Σ_places x·xᵀ``,
 pair-hours, strict upper triangle) that shares no code with
 ``repro.core`` — on generated logs: spells clipped by both window edges,
 a person in two places in one hour, verbatim duplicates, single-person
-places, empty rank files, uint32 extremes.  The oracle file is loaded by
-path, read-only: it belongs to the frozen benchmark.
+places, empty rank files, uint32 extremes.  The tile cache's own
+properties live in ``test_tilecache_ground_truth.py``.
 
 The masked window builder a tile, a fringe and a shard share is held to
 the same oracle, restricted to the places the mask admits; and a
@@ -18,7 +18,6 @@ across files — to one fold per batch.
 
 from __future__ import annotations
 
-import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -31,15 +30,10 @@ from repro.core.intervals import window_partial
 from repro.distrib import TaskPool
 from repro.evlog import LogSet, make_records, write_rank_logs
 from repro.evlog.multifile import rank_log_path
+from tests._oracle import brute_force_adjacency
 from tests.core import _reference_value_dispatch as reference
 from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import csr_identical
-
-_ORACLE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "oracle.py"
-_spec = importlib.util.spec_from_file_location("e2e_oracle", _ORACLE)
-_oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_oracle)
-brute_force_adjacency = _oracle.brute_force_adjacency
 
 U32 = 2**32 - 1
 N_PERSONS = 6

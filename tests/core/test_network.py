@@ -67,6 +67,23 @@ class TestValidation:
         with pytest.raises(SynthesisError):
             CollocationNetwork(adj)
 
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("row, col", [(2, 0), (1, 1), (0, 3)])
+    def test_rejects_entry_outside_the_upper_triangle(self, canonical, row, col):
+        """Canonical input is checked in O(n) off each row's first and last
+        column, the rest entry by entry: both refuse the same matrices,
+        a column past n included."""
+        rows = {0: [1, 2] if canonical else [2, 1]}
+        rows.setdefault(row, []).append(col)
+        indptr = np.cumsum([0] + [len(rows.get(r, [])) for r in range(3)])
+        indices = np.array([c for r in range(3) for c in rows.get(r, [])])
+        adj = sp.csr_matrix(
+            (np.ones(len(indices), np.int64), indices, indptr), shape=(3, 3)
+        )
+        assert adj.has_canonical_format == canonical
+        with pytest.raises(SynthesisError):
+            CollocationNetwork(adj)
+
 
 def with_explicit_zero() -> sp.csr_matrix:
     """Two stored entries in row 0, one of them an explicit zero."""

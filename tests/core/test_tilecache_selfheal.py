@@ -4,15 +4,19 @@ The store's contract after this layer: a damaged tile file — flipped
 bits, torn write, truncation, even a valid-CRC-but-undecodable archive —
 is *never* served.  It is renamed aside with a ``.quarantined`` suffix,
 dropped from the manifest, and the tile is rebuilt from the logs so
-every answer stays bit-identical to a direct synthesis.  v1 manifests
+every answer stays bit-identical to a direct synthesis.  So is a
+CRC-valid tile that breaks the composition kernel's precondition (shape,
+typed layout, canonical format, strict upper triangle).  v1 manifests
 (no CRCs) are treated as stale wholesale.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core import TileCache, synthesize_from_logs
@@ -143,6 +147,72 @@ class TestQuarantine:
             assert_bit_identical(net.adjacency, ref.adjacency)
             assert cache.stats.tiles_quarantined == 0
             assert cache.stats.disk_hits > 0
+
+
+def unsorted_row(arrays):
+    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
+    r = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    a = indptr[r]
+    indices[a : a + 2] = indices[a : a + 2][::-1].copy()
+    data[a : a + 2] = data[a : a + 2][::-1].copy()
+
+
+def diagonal_entry(arrays):
+    indptr, indices = arrays["indptr"], arrays["indices"]
+    r = int(np.flatnonzero(np.diff(indptr) >= 1)[0])
+    indices[indptr[r]] = r  # still ascending: the first column was above r
+
+
+def wrong_shape(arrays):
+    arrays["shape"] = arrays["shape"] + 1
+    arrays["indptr"] = np.append(arrays["indptr"], arrays["indptr"][-1])
+
+
+def float_values(arrays):
+    arrays["data"] = arrays["data"].astype(np.float64)
+
+
+def rewrite_tile(store, victim, damage):
+    """Damage a persisted tile's matrix and re-record its CRC, so only the
+    load-time precondition can catch it."""
+    with np.load(victim) as z:
+        arrays = {name: z[name].copy() for name in z.files}
+    damage(arrays)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    raw = buf.getvalue()
+    victim.write_bytes(raw)
+    manifest_path = store / TILE_MANIFEST
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["tiles"].values():
+        if entry["file"] == victim.name:
+            entry["crc"] = zlib.crc32(raw)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestMalformedTile:
+    @pytest.mark.parametrize(
+        "damage", [unsorted_row, diagonal_entry, wrong_shape, float_values]
+    )
+    def test_crc_valid_malformed_tile_is_quarantined_and_rebuilt(
+        self, tile_logs, small_pop, tmp_path, damage
+    ):
+        store = make_store(tile_logs, small_pop, tmp_path)
+        victim = store / "tile_L00_00000000.npz"  # base tile [0, 24)
+        rewrite_tile(store, victim, damage)
+
+        with TileCache(
+            tile_logs, small_pop.n_persons, cache_dir=store, budget_nnz=1
+        ) as cache:
+            net = cache.query_window(0, 24)
+            ref = direct(tile_logs, small_pop.n_persons, 0, 24)
+            assert_bit_identical(net.adjacency, ref.adjacency)
+            assert cache.stats.tiles_quarantined == 1
+            assert any("malformed" in e for e in cache.quarantined_tiles)
+            net = cache.query_window(0, 336)
+            ref = direct(tile_logs, small_pop.n_persons, 0, 336)
+            assert_bit_identical(net.adjacency, ref.adjacency)
+        assert victim.with_name(victim.name + ".quarantined").is_file()
 
 
 class TestManifestVersioning:
