@@ -1,7 +1,7 @@
 """BENCH-TELEMETRY — cost of the always-on telemetry layer.
 
 Times the same synthesis workload twice in one process — once with
-telemetry recording enabled (spans, registry metrics, probe events) and
+telemetry recording enabled (spans and registry counters/histograms) and
 once with it switched off via :func:`repro.obs.configure` — and gates
 the instrumented-vs-bare overhead at under ``OVERHEAD_LIMIT``.
 
@@ -11,7 +11,7 @@ a low quantile of its per-call times (near-minimum wall time is the
 standard low-noise estimator for CPU-bound work; a low quantile beats
 the raw minimum because one lucky scheduler slot can't move it, and
 coarser block-alternating schedules showed ±4% run-to-run noise,
-swamping the real ~0.2% cost).
+swamping the real 1–2% cost).
 The gate is absolute — measured fresh on the runner, not relative to
 the committed baseline — because the claim being enforced is "telemetry
 costs < 3%", which must hold on any hardware.

@@ -118,25 +118,26 @@ class Timer:
 class StageTimings:
     """Accumulates named stage durations for pipeline reports.
 
-    Every ``add`` also flows through the active telemetry probe (scoped
-    as ``{scope}.{name}``), so stage timings land in the process-wide
-    metrics registry without each call site being instrumented twice.
+    Every ``add`` also lands in the process-wide metrics registry as the
+    ``stage.{scope}.{name}.seconds`` / ``.calls`` counters, so stage
+    timings need no second instrumentation at the call site.
     """
 
     stages: dict[str, float] = field(default_factory=dict)
-    #: probe scope prefix ("synthesis" for pipeline runs, "cache" for
-    #: the tile cache's internal stage clocks)
+    #: registry scope ("synthesis" for pipeline runs, "cache" for the
+    #: tile cache's internal stage clocks)
     scope: str = "synthesis"
 
     def add(self, name: str, seconds: float) -> None:
         seconds = float(seconds)
         self.stages[name] = self.stages.get(name, 0.0) + seconds
-        from .obs import get_probe  # deferred: _util must stay import-light
+        from .obs import count  # deferred: _util must stay import-light
 
-        get_probe().stage(f"{self.scope}.{name}", seconds)
+        count(f"stage.{self.scope}.{name}.seconds", seconds)
+        count(f"stage.{self.scope}.{name}.calls")
 
     def merge(self, other: "StageTimings") -> None:
-        """Fold another table in without re-emitting probe events (the
+        """Fold another table in without re-emitting registry counts (the
         other table already emitted when its stages were recorded)."""
         for name, secs in other.stages.items():
             self.stages[name] = self.stages.get(name, 0.0) + float(secs)

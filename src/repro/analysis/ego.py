@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from ..errors import AnalysisError
 from ..core.kernels.graph import induced_subgraph
 from ..core.network import CollocationNetwork
-from ..obs import get_probe
+from ..obs import count
 
 __all__ = ["EgoNetwork", "ego_network", "sample_ego_networks"]
 
@@ -107,7 +107,7 @@ def ego_network(
             break
         seen[frontier] = True
     persons = np.flatnonzero(seen)
-    get_probe().count("analysis.ego_nodes", len(persons))
+    count("analysis.ego_nodes", len(persons))
     sub = induced_subgraph(sym, persons)
     return EgoNetwork(center=person, persons=persons, matrix=sub, radius=radius)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from . import (
 from .core.pipeline import check_batch_size, check_window
 from .errors import LogFormatError, PartitionError, SynthesisError
 from .evlog import salvage_rank_logs
+from .obs import MetricsRegistry, default_registry, write_metrics_json
 from .analysis import (
     age_group_degree_distributions,
     clustering_histogram,
@@ -73,8 +73,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _write_metrics(path: str) -> None:
     """``--metrics-out``: the telemetry registry snapshot of this process."""
-    from .obs import default_registry, write_metrics_json
-
     write_metrics_json(path, default_registry().snapshot())
     print(f"wrote metrics {path} (render: repro metrics --file)")
 
@@ -182,6 +180,33 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
     return 0
 
 
+def _write_profile(path: Path, report, delta: dict) -> None:
+    """``synthesize --profile``: print the run's stage and kernel clocks
+    from its registry delta and write the delta plus the kernel
+    implementation block (the ``--metrics-out`` shape, so ``repro metrics
+    --file`` renders it)."""
+    from .core.kernels import backend_info
+
+    info = {"impl": report.impl, **backend_info()}
+    print("--- kernel implementation ---")
+    for key, value in info.items():
+        print(f"  {key:>14}: {value}")
+    print("\n--- profile ---")
+    counters = delta["counters"]
+    for prefix, unit in (("stage.", "call"), ("kernel.", "task")):
+        for name in sorted(counters):
+            if not (name.startswith(prefix) and name.endswith(".seconds")):
+                continue
+            base = name[: -len(".seconds")]
+            n = counters.get(f"{base}.{unit}s", 0)
+            if n:
+                label = base.removeprefix("stage.")
+                print(f"  {label:>24}: {counters[name]:.3f}s over {n} {unit}(s)")
+    write_metrics_json(path, {**info, **delta})
+    print(f"wrote profile {path}")
+    print()
+
+
 def _strict_damage(exc: LogFormatError) -> int:
     """``--strict`` met a damaged log file: one line naming it, exit 1."""
     print(f"error: {exc}", file=sys.stderr)
@@ -208,60 +233,26 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         return 2
     except LogFormatError as exc:
         return _strict_damage(exc)
-    probe = None
-    profile_cm: "object" = nullcontext()
-    if args.profile:
-        from .obs import CollectingProbe, push_probe
-
-        probe = CollectingProbe()
-        profile_cm = push_probe(probe)
+    before = default_registry().snapshot() if args.profile else None
     try:
-        with profile_cm:
-            net, report = synthesize_from_logs(
-                args.log_dir,
-                pop.n_persons,
-                t0,
-                t1,
-                batch_size=args.batch_size,
-                pool=pool,
-                strict=args.strict,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-            )
+        net, report = synthesize_from_logs(
+            args.log_dir,
+            pop.n_persons,
+            t0,
+            t1,
+            batch_size=args.batch_size,
+            pool=pool,
+            strict=args.strict,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+        )
     except LogFormatError as exc:
         return _strict_damage(exc)
     finally:
         pool.close()
-    if probe is not None:
-        from .core.kernels import backend_info
-
-        info = {"impl": report.impl, **backend_info()}
-        print("--- kernel implementation ---")
-        for key, value in info.items():
-            print(f"  {key:>14}: {value}")
-        print("\n--- profile ---")
-        for name, e in sorted(probe.stages.items()):
-            print(
-                f"  {name:>24}: {e['seconds']:.3f}s "
-                f"over {e['calls']} call(s)"
-            )
-        for stage, e in sorted(probe.kernel.items()):
-            print(
-                f"  {'kernel.' + stage:>24}: {e['seconds']:.3f}s "
-                f"over {e['tasks']} task(s)"
-            )
-        prof_path = Path(args.out).with_suffix(".profile.json")
-        prof_path.write_text(
-            json.dumps(
-                {**info, **probe.to_dict()},
-                indent=2,
-                sort_keys=True,
-                default=str,
-            )
-            + "\n"
-        )
-        print(f"wrote profile {prof_path}")
-        print()
+    if before is not None:
+        delta = MetricsRegistry.delta(before, default_registry().snapshot())
+        _write_profile(Path(args.out).with_suffix(".profile.json"), report, delta)
     print(report.summary())
     if report.quarantined:
         print(

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ...errors import AnalysisError
-from ...obs import get_probe, start_span
+from ...obs import count, start_span
 from . import pyref
 from .cext import load_cext
 from .workspace import get_workspace
@@ -33,13 +33,15 @@ __all__ = ["edge_triangles", "induced_subgraph"]
 
 @contextmanager
 def _traced(name: str, **attrs):
-    """One span per kernel call, its wall also fed to the probe."""
+    """One span per kernel call, its wall also counted as the stage
+    ``stage.<name>.seconds`` / ``.calls``."""
     span = start_span(name, attrs=attrs)
     try:
         with span:
             yield
     finally:
-        get_probe().stage(name, span.duration)
+        count(f"stage.{name}.seconds", span.duration)
+        count(f"stage.{name}.calls")
 
 
 def edge_triangles(upper: sp.csr_matrix) -> sp.csr_matrix:
@@ -68,7 +70,7 @@ def edge_triangles(upper: sp.csr_matrix) -> sp.csr_matrix:
                 )
         else:
             tri = pyref.edge_triangles(upper)
-    get_probe().count("analysis.triangles_total", int(tri.sum()) // 3)
+    count("analysis.triangles_total", int(tri.sum()) // 3)
     out = sp.csr_matrix((tri, upper.indices, upper.indptr), shape=upper.shape)
     out.has_canonical_format = True
     return out

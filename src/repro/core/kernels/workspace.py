@@ -180,7 +180,7 @@ def absorb_task_telemetry(total: dict[str, float], telemetry: dict | None) -> No
 
     Accepts either the rich :func:`collect_task_telemetry` form or a
     plain stage-times dict.  Kernel stage times merge into ``total`` and
-    emit through the active probe, as do the walk's ``evlog.reader.*``
+    land in the metrics registry, as do the walk's ``evlog.reader.*``
     counters — exactly once per task, so batch→total merges must keep
     using :func:`merge_kernel_timings` to avoid double counting.  Worker
     spans are absorbed into the process-wide collector, parent links

@@ -101,7 +101,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._util import StageTimings, Timer, atomic_write_bytes
-from ..obs import get_probe, record_kernel_timings, start_span
+from ..obs import MirroredStats, record_kernel_timings, start_span
 from ..errors import LogFormatError, TileCacheError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import LogReader, publish_walk_stats
@@ -157,8 +157,11 @@ def logset_digest(
 
 
 @dataclass
-class TileCacheStats:
-    """Observability for one cache's lifetime."""
+class TileCacheStats(MirroredStats):
+    """Observability for one cache's lifetime: each :meth:`bump` also
+    counts ``cache.<name>`` in the metrics registry."""
+
+    scope = "cache"
 
     queries: int = 0
     #: cover nodes served from the in-memory LRU
@@ -380,8 +383,7 @@ class TileCache:
                 manifest_path.unlink()
             except OSError:
                 pass
-            self.stats.invalidated += len(tiles)
-            get_probe().cache_event("invalidated", len(tiles))
+            self.stats.bump("invalidated", len(tiles))
             return
         for key_str, entry in tiles.items():
             level_str, _, idx_str = key_str.partition(":")
@@ -447,8 +449,7 @@ class TileCache:
             except OSError:
                 pass
         self._write_manifest()
-        self.stats.tiles_quarantined += 1
-        get_probe().cache_event("quarantined")
+        self.stats.bump("tiles_quarantined")
         self.quarantined_tiles.append(f"{path} ({reason})")
 
     def _load_disk(self, key: tuple[int, int]) -> sp.csr_matrix | None:
@@ -509,8 +510,7 @@ class TileCache:
             while self._cached_nnz > self.budget_nnz and self._tiles:
                 _k, dropped = self._tiles.popitem(last=False)
                 self._cached_nnz -= _tile_cost(dropped)
-                self.stats.evictions += 1
-                get_probe().cache_event("evicted")
+                self.stats.bump("evictions")
 
     # -- record access --------------------------------------------------------
 
@@ -574,29 +574,25 @@ class TileCache:
         mat = self._tiles.get(key)
         if mat is not None:
             self._tiles.move_to_end(key)
-            self.stats.tile_hits += 1
-            get_probe().cache_event("tile_hit")
+            self.stats.bump("tile_hits")
             return mat
         if key in self._disk:
             mat = self._load_disk(key)
             if mat is not None:
-                self.stats.disk_hits += 1
-                get_probe().cache_event("disk_hit")
+                self.stats.bump("disk_hits")
                 self._persist(key, mat)
                 self._insert(key, mat)
                 return mat
         if level == 0:
             w0 = idx * self.tile_hours
             (mat,) = self._build_windows([(w0, w0 + self.tile_hours)])
-            self.stats.tiles_built += 1
-            get_probe().cache_event("built")
+            self.stats.bump("tiles_built")
         else:
             left = self._get_tile(level - 1, 2 * idx)
             right = self._get_tile(level - 1, 2 * idx + 1)
             with self.stats.timings.time("merge"):
                 mat = sum_partials([left, right], self.n_persons)
-            self.stats.tiles_merged += 1
-            get_probe().cache_event("merged")
+            self.stats.bump("tiles_merged")
         self._persist(key, mat)
         self._insert(key, mat)
         return mat
@@ -611,8 +607,7 @@ class TileCache:
         T = self.tile_hours
         mats = self._build_windows([(i * T, (i + 1) * T) for i in missing])
         for i, mat in zip(missing, mats):
-            self.stats.tiles_built += 1
-            get_probe().cache_event("built")
+            self.stats.bump("tiles_built")
             self._persist((0, i), mat)
             self._insert((0, i), mat)
 
@@ -708,8 +703,7 @@ class TileCache:
                 cached = self._tiles.get(("F", *window))
                 if cached is not None:
                     self._tiles.move_to_end(("F", *window))
-                    self.stats.fringe_hits += 1
-                    get_probe().cache_event("fringe_hit")
+                    self.stats.bump("fringe_hits")
                     fringe_parts[window] = cached
                 else:
                     to_build.append(window)
@@ -717,7 +711,7 @@ class TileCache:
             for window, mat in zip(to_build, self._build_windows(to_build)):
                 fringe_parts[window] = mat
                 self._insert(("F", *window), mat)
-            self.stats.fringe_hours += sum(w1 - w0 for w0, w1 in to_build)
+            self.stats.bump("fringe_hours", sum(w1 - w0 for w0, w1 in to_build))
 
             parts: list[sp.csr_matrix] = []
             for entry in plan:
@@ -725,8 +719,7 @@ class TileCache:
                     parts.append(self._get_tile(entry[1], entry[2]))
                 else:
                     parts.append(fringe_parts[(entry[1], entry[2])])
-            self.stats.queries += 1
-            get_probe().cache_event("query")
+            self.stats.bump("queries")
             return parts
 
     def horizon(self) -> int:

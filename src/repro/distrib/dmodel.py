@@ -31,7 +31,7 @@ from ..errors import CheckpointError, RankDeadError, RankFailureError, Simulatio
 from ..evlog.multifile import rank_log_path
 from ..evlog.schema import LogRecordArray, empty_records
 from ..evlog.writer import CachedLogWriter
-from ..obs import get_probe, start_span
+from ..obs import count, observe, start_span
 from ..sim.checkpoint import (
     CHECKPOINT_VERSION,
     read_manifest,
@@ -500,16 +500,16 @@ class DistributedSimulation:
                 f"population is {self.population.n_persons}"
             )
         migrations = np.zeros(duration, dtype=np.int64)
-        probe = get_probe()  # once per rank, after the run: nothing per hour
+        # once per rank, after the run: nothing per hour
         for o, traffic in zip(outputs, result.traffic):
             migrations += o.migrations_out
-            probe.count("distrib.rank_hours", duration - first_hour)
-            probe.count("distrib.changes", o.changes)
-            probe.count("distrib.migrants_out", o.migrants)
-            probe.count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
-            probe.observe("distrib.rank_loop_seconds", o.loop_seconds)
+            count("distrib.rank_hours", duration - first_hour)
+            count("distrib.changes", o.changes)
+            count("distrib.migrants_out", o.migrants)
+            count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
+            observe("distrib.rank_loop_seconds", o.loop_seconds)
             if o.twin_steps:
-                probe.count("kernels.rank_step.twin", o.twin_steps)
+                count("kernels.rank_step.twin", o.twin_steps)
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,

@@ -38,7 +38,7 @@ from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .._util import stable_uniform
 from ..errors import LogFormatError, PartitionError, TaskRetryError
-from ..obs import get_probe
+from ..obs import count
 
 __all__ = ["RetryPolicy", "PoolReport", "WorkerPool", "TaskPool"]
 
@@ -182,9 +182,8 @@ class TaskPool:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         if self._closed:
             raise PartitionError("pool is closed")
-        probe = get_probe()
-        probe.count("pool.map_calls")
-        probe.count("pool.tasks", len(items))
+        count("pool.map_calls")
+        count("pool.tasks", len(items))
         if self.retry is None:
             return self._run(fn, items)
         caught = _caught(fn)
@@ -212,7 +211,7 @@ class TaskPool:
         finally:
             retries = sum(a - 1 for a in attempts.values())
             if retries:
-                probe.count("pool.retries", retries)
+                count("pool.retries", retries)
         return results
 
     def close(self) -> None:

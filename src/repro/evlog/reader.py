@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import LogFormatError, LogTruncatedError
-from ..obs import get_probe
+from ..obs import count
 from .format import (
     CHUNK_HEADER_BYTES,
     ChunkInfo,
@@ -148,13 +148,12 @@ def read_window_columns(
 
 
 def publish_walk_stats(stats: dict | None) -> None:
-    """Emit one walk's counters through the active probe.  Called where the
+    """Count one walk's stats into the metrics registry.  Called where the
     stats land (the coordinator, for a pool task), once per file walk."""
     if not stats:
         return
-    probe = get_probe()
     for name in WALK_COUNTERS:
-        probe.count(f"evlog.reader.{name}", stats[name])
+        count(f"evlog.reader.{name}", stats[name])
 
 
 def scan_intact_chunks(

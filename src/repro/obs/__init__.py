@@ -1,19 +1,19 @@
-"""Unified telemetry: metrics registry, structured tracing, profiling hooks.
+"""Unified telemetry: one metrics registry and structured tracing.
 
 Zero-dependency observability for the synthesis pipeline, the tile
-cache, and the query service.  Three coordinated pieces:
+cache, the distributed model and the query service.  Two coordinated
+pieces:
 
 * :mod:`repro.obs.metrics` — named counters/gauges/fixed-bucket
-  histograms in a process-wide registry, exported by the service
-  ``metrics`` op and the ``repro metrics`` CLI;
+  histograms in a process-wide registry, the one store every number
+  lands in: instrumented code writes through :func:`count` /
+  :func:`observe`, per-object counters (:class:`MirroredStats`) mirror
+  each bump into it, and the service ``metrics`` op, ``repro metrics``,
+  ``--metrics-out`` and ``synthesize --profile`` all read it;
 * :mod:`repro.obs.trace` — spans with trace/span ids that propagate
-  through asyncio tasks, executor threads, process-pool workers (via
-  the descriptor path), and service request frames, rendered by
-  ``repro trace``;
-* :mod:`repro.obs.probe` — the Probe callback seam profiling events
-  flow through (kernel stage timings, cache hits/evictions, pool
-  bytes), feeding the registry by default and ``--profile`` artifacts
-  on demand.
+  through asyncio tasks, executor threads, pool tasks and forked ranks
+  (captured span dicts shipped back with the result), and service
+  request frames, rendered by ``repro trace``.
 
 Recording stays on by default; ``REPRO_TELEMETRY=0`` or
 ``configure(False)`` disables it, and ``benchmarks/
@@ -36,18 +36,12 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    MirroredStats,
+    count,
     default_registry,
-    set_default_registry,
-)
-from .probe import (
-    CollectingProbe,
-    NullProbe,
-    Probe,
-    RegistryProbe,
-    get_probe,
-    push_probe,
+    observe,
     record_kernel_timings,
-    set_probe,
+    set_default_registry,
 )
 from .trace import (
     NOOP_SPAN,
@@ -70,15 +64,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "LATENCY_BUCKETS",
+    "MirroredStats",
     "default_registry",
     "set_default_registry",
-    "Probe",
-    "NullProbe",
-    "RegistryProbe",
-    "CollectingProbe",
-    "get_probe",
-    "set_probe",
-    "push_probe",
+    "count",
+    "observe",
     "record_kernel_timings",
     "Span",
     "SpanCollector",

@@ -1,10 +1,11 @@
 """Process-wide on/off switch for telemetry recording.
 
 Kept in its own tiny module so both :mod:`repro.obs.trace` and
-:mod:`repro.obs.probe` can consult it without import cycles.  Telemetry
+:mod:`repro.obs.metrics` can consult it without import cycles.  Telemetry
 is ON by default (the committed overhead benchmark holds the cost under
 3%); ``REPRO_TELEMETRY=0`` in the environment or ``configure(False)``
-turns every span into a shared no-op and every probe into a null sink.
+turns every span into a shared no-op and every ``count`` / ``observe``
+into a no-op.
 """
 
 from __future__ import annotations

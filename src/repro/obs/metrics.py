@@ -19,6 +19,12 @@ observation lands in the first bucket whose bound is ``>= value``; a
 value above the last bound lands in the implicit overflow bucket.  That
 makes bucket counts cumulative-friendly and keeps ``observe`` at a
 single bisect plus five int updates.
+
+Instrumented code writes through two functions, :func:`count` and
+:func:`observe`, which resolve the *current* default registry on every
+call and do nothing while telemetry is off; per-object counters
+(:class:`MirroredStats`) keep their own fields and mirror each bump
+into the registry the same way.
 """
 
 from __future__ import annotations
@@ -27,13 +33,19 @@ import math
 import threading
 from bisect import bisect_left
 
+from ._switch import enabled
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MirroredStats",
     "default_registry",
     "set_default_registry",
+    "count",
+    "observe",
+    "record_kernel_timings",
     "LATENCY_BUCKETS",
 ]
 
@@ -262,3 +274,71 @@ def set_default_registry(reg: MetricsRegistry) -> MetricsRegistry:
     prev = _default
     _default = reg
     return prev
+
+
+def count(name: str, n: int | float = 1) -> None:
+    """Add ``n`` to the default registry's counter ``name``."""
+    if enabled():
+        _default.counter(name).inc(n)
+
+
+def observe(name: str, value: float) -> None:
+    """Record ``value`` in the default registry's histogram ``name``."""
+    if enabled():
+        _default.histogram(name).observe(value)
+
+
+def record_kernel_timings(times: dict | None) -> None:
+    """Emit one task's kernel stage timings: ``kernel.<stage>.seconds`` /
+    ``.tasks`` counters and a ``.task_seconds`` histogram per stage; a
+    ``<stage>.twin`` entry (calls that ran the numpy/scipy twin) is
+    counted as ``kernels.<stage>.twin``.
+
+    Call exactly once per completed task result (not on batch→total
+    merges — that would double-count).
+    """
+    if not times or not enabled():
+        return
+    for stage, value in times.items():
+        if stage.endswith(".twin"):
+            count(f"kernels.{stage}", value)
+        else:
+            count(f"kernel.{stage}.seconds", value)
+            count(f"kernel.{stage}.tasks")
+            observe(f"kernel.{stage}.task_seconds", value)
+
+
+class MirroredStats:
+    """Base of per-object integer counters mirrored into the registry.
+
+    A dataclass subclass declares its counters as ``int`` fields and
+    names its registry scope in ``scope``.  :meth:`bump` adds to the
+    field under one lock and to the registry counter
+    ``<scope>.<field>``; :meth:`snapshot` copies every counter under the
+    same lock, so a reader never sees a half-updated set even when
+    executor threads race the event loop.  Fields count whether or not
+    telemetry is on; direct attribute reads stay valid.
+    """
+
+    scope = ""
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def bump(self, name: str, n: int = 1) -> None:
+        """Atomically add ``n`` to the field ``name`` and its counter."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + n)
+        count(f"{self.scope}.{name}", n)
+
+    def snapshot(self, **gauges) -> dict:
+        """One consistent copy of every counter field, plus any
+        instantaneous gauges the caller supplies."""
+        with self._lock:
+            out = {
+                k: v
+                for k in self.__dataclass_fields__
+                if isinstance(v := getattr(self, k), int)
+            }
+        out.update(gauges)
+        return out

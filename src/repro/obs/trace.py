@@ -11,11 +11,12 @@ supported, matching how work actually moves in this codebase:
 * **executor / worker threads** — capture ``current_context()`` where
   the work is scheduled and wrap the thread body in
   ``use_context(ctx)``;
-* **process-pool workers** — ship ``ctx.to_wire()`` inside the task
-  arguments, run the worker body under ``capture_spans()``, and return
-  the captured span dicts with the payload; the coordinator feeds them
-  to ``collector.absorb()``.  The same wire form rides in service
-  request frames (``header["trace"]``).
+* **pool tasks and forked ranks** — ship ``ctx.to_wire()`` inside the
+  task arguments, run the task body under ``capture_spans()``, and
+  return the captured span dicts with the payload; the coordinator
+  feeds them to ``collector.absorb()``.  A forked process (a
+  distributed rank, a shard) ships its spans back the same way.  The
+  same wire form rides in service request frames (``header["trace"]``).
 
 Finished spans land in the process-wide :class:`SpanCollector` — a
 bounded ring buffer plus optional sinks (e.g. a JSONL file) — unless a
@@ -255,7 +256,8 @@ def _deposit(span_dict: dict) -> None:
 @contextmanager
 def capture_spans() -> Iterator[list[dict]]:
     """Divert spans finished on this thread into a local list instead of
-    the global collector — the worker half of process-pool propagation.
+    the global collector — the task half of cross-thread and
+    cross-process propagation.
     The task returns the list; the coordinator ``absorb()``s it."""
     buf: list[dict] = []
     stack = getattr(_tls, "capture", None)
@@ -298,8 +300,9 @@ class SpanCollector:
                 pass  # a broken sink must never take down the workload
 
     def absorb(self, span_dicts: list[dict] | None) -> None:
-        """Fold spans captured elsewhere (pool workers) into this
-        collector, preserving their ids so parent links stay intact."""
+        """Fold spans captured elsewhere (pool tasks, forked ranks) into
+        this collector, preserving their ids so parent links stay
+        intact."""
         if not span_dicts:
             return
         for d in span_dicts:

@@ -59,6 +59,10 @@ PRIORITY_CONTROL = 0
 PRIORITY_QUERY = 1
 PRIORITY_PREFETCH = 2
 
+#: prefetch work is admitted only up to this fraction of the query limit,
+#: so background warming is shed before any client query is
+PREFETCH_HEADROOM = 0.5
+
 
 class Deadline:
     """An absolute point on the monotonic clock (or no deadline at all).
@@ -144,8 +148,7 @@ class LoadShedder:
     ----------
     limit:
         Maximum admitted-but-unfinished queries; ``None`` never sheds on
-        depth.  Prefetch work is capped at ``prefetch_headroom · limit``
-        so background warming is shed before any client query is.
+        depth.  Prefetch work is capped at ``PREFETCH_HEADROOM · limit``.
     shed_inflight_age:
         If the *oldest* admitted request has been in flight longer than
         this many seconds, new non-control work is shed: a wedged
@@ -159,7 +162,6 @@ class LoadShedder:
         limit: int | None = None,
         shed_inflight_age: float | None = None,
         retry_after: float = 0.05,
-        prefetch_headroom: float = 0.5,
         time_fn: Callable[[], float] = time.monotonic,
     ) -> None:
         if limit is not None and limit < 1:
@@ -167,7 +169,6 @@ class LoadShedder:
         self.limit = limit
         self.shed_inflight_age = shed_inflight_age
         self.retry_after = float(retry_after)
-        self.prefetch_headroom = float(prefetch_headroom)
         self._time = time_fn
         self._seq = 0
         #: token -> (priority, admitted_at); insertion-ordered, so the
@@ -209,7 +210,7 @@ class LoadShedder:
         if self.limit is not None:
             cap = self.limit
             if priority >= PRIORITY_PREFETCH:
-                cap = max(1, int(self.limit * self.prefetch_headroom))
+                cap = max(1, int(self.limit * PREFETCH_HEADROOM))
             if len(self._inflight) >= cap:
                 raise OverloadError(
                     f"admission queue full ({len(self._inflight)} in "

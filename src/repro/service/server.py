@@ -83,10 +83,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +97,13 @@ from ..core.tilecache import TileCache
 from ..obs import (
     NOOP_SPAN,
     JsonlSpanSink,
+    MirroredStats,
     TraceContext,
+    count,
     current_context,
     default_registry,
     get_collector,
-    get_probe,
+    observe,
     start_span,
     use_context,
 )
@@ -189,15 +190,12 @@ class ServiceConfig:
 
 
 @dataclass
-class ServiceStats:
-    """Service counters with an atomic snapshot.
+class ServiceStats(MirroredStats):
+    """Service counters: each :meth:`bump` also counts ``service.<name>``
+    in the metrics registry, and :meth:`snapshot` is the ``stats`` op's
+    atomic copy."""
 
-    Counters are mutated through :meth:`bump` under one lock, and
-    :meth:`snapshot` copies them under the same lock — a reader never
-    sees a half-updated set of counters even when executor threads or
-    a concurrent ``stats`` request race the event loop.  Direct
-    attribute reads remain valid for tests and single-field checks.
-    """
+    scope = "service"
 
     connections: int = 0
     requests: int = 0
@@ -230,28 +228,6 @@ class ServiceStats:
     #: connections aborted because a response write stalled past
     #: write_timeout
     slow_writes: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Atomically add ``n`` to the named counter and mirror the
-        event into the metrics registry (``service.<name>``)."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
-        get_probe().count(f"service.{name}", n)
-
-    def snapshot(self, **gauges) -> dict:
-        """One consistent copy of every counter, plus any instantaneous
-        gauges the caller supplies (e.g. ``uptime``, ``inflight``)."""
-        with self._lock:
-            out = {
-                k: getattr(self, k)
-                for k in self.__dataclass_fields__
-                if not k.startswith("_")
-            }
-        out.update(gauges)
-        return out
 
 
 class _CacheHandle:
@@ -873,11 +849,8 @@ class NetworkQueryService:
                 wspan.set_attr("bytes", n_bytes)
                 alive = await self._drain(writer)
         if op in self._OPS:  # never a metric per made-up op name
-            probe = get_probe()
-            probe.count("service.reply_bytes", n_bytes)
-            probe.observe(
-                f"service.op_seconds.{op}", time.perf_counter() - tic
-            )
+            count("service.reply_bytes", n_bytes)
+            observe(f"service.op_seconds.{op}", time.perf_counter() - tic)
         return alive
 
     async def _drain(self, writer: asyncio.StreamWriter) -> bool:

@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.config import ScaleConfig, SimulationConfig
+from repro.obs import MetricsRegistry, configure, set_default_registry
 from repro.sim import Simulation
 from repro.synthpop import generate_population
 
@@ -64,3 +65,14 @@ def random_records():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture()
+def registry():
+    """A fresh default metrics registry with telemetry on, for one test
+    (the suite may run under ``REPRO_TELEMETRY=0``)."""
+    mine = MetricsRegistry()
+    prev, was_on = set_default_registry(mine), configure(True)
+    yield mine
+    set_default_registry(prev)
+    configure(was_on)

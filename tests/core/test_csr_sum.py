@@ -22,7 +22,7 @@ from repro.core.adjacency import sum_partials
 from repro.core.kernels import cext, collect_kernel_timings
 from repro.errors import SynthesisError
 from repro.evlog import make_records, write_rank_logs
-from repro.obs import CollectingProbe, capture_spans, push_probe
+from repro.obs import capture_spans
 from tests.core.test_kernel_equivalence import csr_identical
 
 #: the ``impl`` fixture only patches a module attribute, which may well
@@ -241,19 +241,20 @@ class TestCompose:
     """The tile cache's compose: one span with ``parts`` and ``impl``, and
     the twin counter in the registry."""
 
-    def test_compose_span_and_twin_counter(self, impl, tmp_path):
+    def test_compose_span_and_twin_counter(self, impl, tmp_path, registry):
         recs = make_records(
             np.array([0, 0, 30, 30]), np.array([40, 40, 70, 70]),
             np.array([0, 1, 1, 2]), np.zeros(4, np.uint32), np.array([0, 0, 1, 1]),
         )
         write_rank_logs(tmp_path, [recs])
-        probe = CollectingProbe()
         with TileCache(tmp_path, 3, tile_hours=24) as cache:
             cache.warm(0, 72)
-            with push_probe(probe), capture_spans() as spans:
+            registry.reset()
+            with capture_spans() as spans:
                 net = cache.query_window(5, 72)  # fringe + tiles 1, 2
         [span] = [s for s in spans if s["name"] == "compose"]
         assert span["attrs"]["parts"] == 3
         assert span["attrs"]["impl"] == impl
         assert span["attrs"]["n_edges"] == net.n_edges == 2
-        assert probe.counters.get("kernels.csr_sum.twin", 0) == (impl == "twin")
+        counters = registry.snapshot()["counters"]
+        assert counters.get("kernels.csr_sum.twin", 0) == (impl == "twin")

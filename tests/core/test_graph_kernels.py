@@ -28,7 +28,7 @@ from repro.config import ScaleConfig, SimulationConfig
 from repro.core import CollocationNetwork
 from repro.core.kernels import cext, graph
 from repro.errors import AnalysisError
-from repro.obs import CollectingProbe, capture_spans, push_probe
+from repro.obs import capture_spans
 from repro.sim import Simulation
 from repro.synthpop import generate_population
 
@@ -471,24 +471,24 @@ class TestImplementationPinning:
 
 
 class TestTelemetry:
-    def test_triangle_kernel_span_and_counter(self, impl, small_net):
-        probe = CollectingProbe()
-        with push_probe(probe), capture_spans() as spans:
+    def test_triangle_kernel_span_and_counter(self, impl, small_net, registry):
+        with capture_spans() as spans:
             coefficients = local_clustering(small_net)
         [span] = [s for s in spans if s["name"] == "analysis.triangles"]
         assert span["attrs"]["edges"] == small_net.n_edges
         g = small_net.to_networkx()
-        assert probe.counters["analysis.triangles_total"] == sum(
+        counters = registry.snapshot()["counters"]
+        assert counters["analysis.triangles_total"] == sum(
             nx.triangles(g).values()
         ) // 3
-        assert probe.stages["analysis.triangles"]["calls"] == 1
+        assert counters["stage.analysis.triangles.calls"] == 1
         assert coefficients.max() <= 1.0
 
-    def test_ego_span_and_counter(self, impl, small_net):
-        probe = CollectingProbe()
-        with push_probe(probe), capture_spans() as spans:
+    def test_ego_span_and_counter(self, impl, small_net, registry):
+        with capture_spans() as spans:
             ego = ego_network(small_net, 5)
         [span] = [s for s in spans if s["name"] == "analysis.induced_subgraph"]
         assert span["attrs"]["nodes"] == ego.n_nodes
-        assert probe.counters["analysis.ego_nodes"] == ego.n_nodes
-        assert probe.stages["analysis.induced_subgraph"]["calls"] == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["analysis.ego_nodes"] == ego.n_nodes
+        assert counters["stage.analysis.induced_subgraph.calls"] == 1

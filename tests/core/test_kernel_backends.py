@@ -33,7 +33,7 @@ from repro.core.kernels import (
 )
 from repro.core.slicing import clip_records, slice_records
 from repro.evlog import make_records
-from repro.obs import CollectingProbe, default_registry, push_probe
+from repro.obs import default_registry
 from tests.core import _reference_value_dispatch as reference
 from tests.core.conftest import IMPLS, use_impl
 
@@ -152,15 +152,16 @@ class TestOneSelector:
         assert report.impl == "twin"
         assert {"pack_build", "spgemm", "accumulate"} <= set(report.kernel_timings)
 
-    def test_loaded_extension_runs_both_steps(self, ctypes_calls):
-        with use_impl("cext"), push_probe(CollectingProbe()) as probe:
+    def test_loaded_extension_runs_both_steps(self, ctypes_calls, registry):
+        with use_impl("cext"):
             _, report = synthesize_network(
                 to_records(self.ROWS), N_PERSONS, T0, T1
             )
         assert {"rk_boundary_scan", "rk_masked_spgemm"} <= set(ctypes_calls)
         assert report.impl == "cext"
         assert report.summary().splitlines()[0].split() == ["impl", "cext"]
-        assert not [name for name in probe.counters if name.endswith(".twin")]
+        counters = registry.snapshot()["counters"]
+        assert not [name for name in counters if name.endswith(".twin")]
 
     def test_oracle_never_touches_the_extension(self, ctypes_calls):
         reference.synthesize_network(
@@ -168,13 +169,14 @@ class TestOneSelector:
         )
         assert ctypes_calls == []
 
-    def test_declined_fast_path_is_counted(self):
+    def test_declined_fast_path_is_counted(self, registry):
         """Once per call that ran the twin, whatever the reason: the
         extension masked out, or loaded and declining a person id >= 2**32."""
-        with use_impl("twin"), push_probe(CollectingProbe()) as probe:
+        with use_impl("twin"):
             synthesize_network(to_records(self.ROWS), N_PERSONS, T0, T1)
-        assert probe.counters["kernels.pack_build.twin"] == 1
-        assert probe.counters["kernels.spgemm.twin"] == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["kernels.pack_build.twin"] == 1
+        assert counters["kernels.spgemm.twin"] == 1
         collect_kernel_timings()
         one = np.array([1], np.int64)
         build_interval_pack_columns(one, one + 2, one << 32, one, 0, 24)

@@ -17,7 +17,7 @@ from repro.distrib import rankstep
 from repro.distrib.dmodel import _ScheduleCache
 from repro.errors import RankFailureError, SimulationError
 from repro.evlog import LogSet
-from repro.obs import CollectingProbe, configure, get_collector, push_probe
+from repro.obs import configure, get_collector
 from repro.sim import Simulation
 
 
@@ -220,10 +220,8 @@ class TestScheduleCache:
 
 class TestTelemetry:
     @pytest.fixture(autouse=True)
-    def telemetry_on(self):
-        previous = configure(True)  # the suite may run under REPRO_TELEMETRY=0
-        yield
-        configure(previous)
+    def fresh(self, registry):
+        self.registry = registry
 
     def run_probed(self, pop, n_ranks=3, **run_kwargs):
         part = spatial_partition(
@@ -231,9 +229,9 @@ class TestTelemetry:
         )
         sim = DistributedSimulation(pop, dist_config(pop, n_ranks, 50), part)
         get_collector().drain()
-        with push_probe(CollectingProbe()) as probe:
-            res = sim.run(**run_kwargs)
-        return res, probe.to_dict()["counters"], get_collector().drain()
+        self.registry.reset()
+        res = sim.run(**run_kwargs)
+        return res, self.registry.snapshot()["counters"], get_collector().drain()
 
     def test_counters_once_per_rank(self, pop):
         res, counters, _ = self.run_probed(pop)
@@ -242,7 +240,8 @@ class TestTelemetry:
         assert counters["distrib.changes"] == res.total_events - closing
         assert counters["distrib.migrants_out"] == res.total_migrations
         assert counters["distrib.alltoall_bytes"] == res.traffic.by_kind["alltoall"]
-        assert counters["distrib.rank_loop_seconds.count"] == 3
+        loops = self.registry.snapshot()["histograms"]["distrib.rank_loop_seconds"]
+        assert loops["count"] == 3
 
     def test_twin_steps_are_counted_once_per_rank(self, pop, monkeypatch):
         res, counters, _ = self.run_probed(pop)

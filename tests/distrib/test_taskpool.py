@@ -9,7 +9,6 @@ from __future__ import annotations
 import pytest
 
 from repro.distrib import PoolReport, RetryPolicy, TaskPool
-from repro.obs import CollectingProbe, push_probe
 from repro.errors import PartitionError, TaskRetryError
 from tests._faults import Kill, inject_failures
 
@@ -66,13 +65,13 @@ class TestOneContractForEveryWorkerCount:
         with pytest.raises(PartitionError, match="pool is closed"):
             pool.map(square, [])
 
-    def test_empty_map_is_accounted(self, workers, retry):
-        probe = CollectingProbe()
-        with push_probe(probe), TaskPool(workers, retry=retry) as pool:
+    def test_empty_map_is_accounted(self, workers, retry, registry):
+        with TaskPool(workers, retry=retry) as pool:
             assert pool.map(square, []) == []
             assert pool.map(square, [2]) == [4]
-        assert probe.counters["pool.map_calls"] == 2
-        assert probe.counters["pool.tasks"] == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["pool.map_calls"] == 2
+        assert counters["pool.tasks"] == 1
 
 
 class TestRetryPolicy:

@@ -241,16 +241,14 @@ class TestWindowWalk:
         with pytest.raises(ValueError):
             read_window_columns(path, 5, 5)
 
-    def test_counters_reach_the_registry_once_per_walk(self, written):
-        from repro.obs import CollectingProbe, MetricsRegistry, push_probe
-
+    def test_counters_reach_the_registry_once_per_walk(self, written, registry):
         path, _rec = written
-        with push_probe(CollectingProbe(MetricsRegistry())) as probe:
-            _cols, stats = read_window_columns(path, 40, 80, whole_file=True)
-            assert not probe.counters  # the walk itself emits nothing
-            publish_walk_stats(stats)
+        _cols, stats = read_window_columns(path, 40, 80, whole_file=True)
+        assert not registry.snapshot()["counters"]  # the walk emits nothing
+        publish_walk_stats(stats)
+        counters = registry.snapshot()["counters"]
         for name in WALK_COUNTERS:
-            assert probe.counters[f"evlog.reader.{name}"] == stats[name]
+            assert counters[f"evlog.reader.{name}"] == stats[name]
         assert stats["chunks_decoded"] + stats["chunks_checked"] == 10
         assert stats["records_decoded"] >= stats["records_kept"] > 0
         assert stats["seconds"] > 0

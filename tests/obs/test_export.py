@@ -1,18 +1,23 @@
 """Exporter tests: JSONL span sinks survive garbage, renders stay
-readable, and the probe layer folds events where they belong."""
+readable, and the instrumentation sites fold events into the registry."""
 
 from __future__ import annotations
 
 import json
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro._util import StageTimings
 from repro.obs import (
-    CollectingProbe,
     JsonlSpanSink,
     MetricsRegistry,
-    RegistryProbe,
+    MirroredStats,
+    count,
+    observe,
     read_spans_jsonl,
+    record_kernel_timings,
     render_metrics,
     render_trace,
     render_traces,
@@ -122,32 +127,37 @@ class TestRenderMetrics:
         assert render_metrics({}) == "(no metrics recorded)"
 
 
-class TestProbes:
-    def test_registry_probe_folds_events_into_registry(self):
-        reg = MetricsRegistry()
-        p = RegistryProbe(reg)
-        p.stage("synthesis.slice", 0.5)
-        p.kernel_stage("spgemm", 0.2)
-        p.cache_event("tile_hit", 3)
-        snap = reg.snapshot()
+@dataclass
+class _Stats(MirroredStats):
+    scope = "demo"
+
+    hits: int = 0
+
+
+class TestRegistrySites:
+    def test_sites_fold_events_into_registry(self, registry):
+        StageTimings(scope="synthesis").add("slice", 0.5)
+        record_kernel_timings({"spgemm": 0.2, "spgemm.twin": 1})
+        _Stats().bump("hits", 3)
+        snap = registry.snapshot()
         assert snap["counters"]["stage.synthesis.slice.seconds"] == 0.5
+        assert snap["counters"]["stage.synthesis.slice.calls"] == 1
         assert snap["counters"]["kernel.spgemm.tasks"] == 1
-        assert snap["counters"]["cache.tile_hit"] == 3
+        assert snap["counters"]["kernels.spgemm.twin"] == 1
+        assert snap["counters"]["demo.hits"] == 3
         assert snap["histograms"]["kernel.spgemm.task_seconds"]["count"] == 1
 
-    def test_collecting_probe_accumulates_and_forwards(self):
-        reg = MetricsRegistry()
-        p = CollectingProbe(reg)
-        p.stage("cache.compose", 0.1)
-        p.stage("cache.compose", 0.3)
-        p.kernel_stage("pack_build", 0.05)
-        p.cache_event("miss")
-        p.observe("request.seconds", 0.2)
-        d = p.to_dict()
-        assert d["stages"]["cache.compose"]["calls"] == 2
-        assert d["stages"]["cache.compose"]["seconds"] == pytest.approx(0.4)
-        assert d["kernel"]["pack_build"]["tasks"] == 1
-        assert d["cache"]["miss"] == 1
-        assert d["counters"]["request.seconds.count"] == 1
-        # forwarded to the registry as well
-        assert reg.snapshot()["counters"]["cache.miss"] == 1
+    def test_delta_reads_one_run(self, registry):
+        timings = StageTimings(scope="cache")
+        timings.add("compose", 0.1)
+        before = registry.snapshot()
+        timings.add("compose", 0.3)
+        timings.add("compose", 0.2)
+        count("cache.misses")
+        observe("request.seconds", 0.2)
+        d = MetricsRegistry.delta(before, registry.snapshot())
+        assert d["counters"]["stage.cache.compose.calls"] == 2
+        assert d["counters"]["stage.cache.compose.seconds"] == pytest.approx(0.5)
+        assert d["counters"]["cache.misses"] == 1
+        assert d["histograms"]["request.seconds"]["count"] == 1
+        assert timings.stages["compose"] == pytest.approx(0.6)

@@ -1,10 +1,12 @@
 """Metrics registry unit tests: histogram bucket semantics (underflow /
 overflow / exact-edge), snapshot consistency, delta arithmetic, and
-thread-safety of concurrent recording."""
+thread-safety of concurrent recording and of per-object counters."""
 
 from __future__ import annotations
 
+import sys
 import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
+    MirroredStats,
     default_registry,
     set_default_registry,
 )
@@ -206,6 +209,38 @@ class TestThreadSafety:
         h = snap["histograms"]["h"]
         assert h["count"] == total
         assert sum(h["counts"]) == total
+
+    def test_concurrent_bumps_lose_nothing(self, registry):
+        @dataclass
+        class Stats(MirroredStats):
+            scope = "demo"
+
+            hits: int = 0
+            misses: int = 0
+
+        stats = Stats()
+        n_threads, per_thread = 8, 2_000
+
+        def work():
+            for i in range(per_thread):
+                stats.bump("hits")
+                stats.bump("misses", i % 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_threads * per_thread
+        assert stats.snapshot(up=1) == {"hits": total, "misses": total // 2, "up": 1}
+        counters = registry.snapshot()["counters"]
+        assert counters == {"demo.hits": total, "demo.misses": total // 2}
 
     def test_concurrent_get_or_create_yields_one_object(self):
         reg = MetricsRegistry()

@@ -1,0 +1,100 @@
+"""The metrics registry's name set, pinned.
+
+One small direct synthesis, one tile-cache warm + query and one service
+``window`` request must emit exactly these names: a renamed or vanished
+counter breaks every dashboard and ``repro metrics`` reading that looks
+for it.  The tile cache's and the service's counters carry the names of
+their ``TileCacheStats`` / ``ServiceStats`` fields (DESIGN §14), and
+those fields count whether or not telemetry is on.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import pytest
+
+from repro.core import synthesize_from_logs
+from repro.core.kernels import compiled_impl
+from repro.core.tilecache import TileCache
+from repro.obs import MetricsRegistry, configure, set_default_registry
+from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
+
+pytestmark = pytest.mark.timeout(120)
+
+KERNEL_STAGES = ("accumulate", "pack_build", "spgemm")
+
+COUNTERS = {
+    "cache.fringe_hours",
+    "cache.queries",
+    "cache.tile_hits",
+    "cache.tiles_built",
+    "cache.tiles_merged",
+    *(f"evlog.reader.{name}" for name in (
+        "bytes_crc", "chunks_checked", "chunks_decoded",
+        "records_decoded", "records_kept",
+    )),
+    *(f"kernel.{s}.{unit}" for s in KERNEL_STAGES for unit in ("seconds", "tasks")),
+    "pool.map_calls",
+    "pool.tasks",
+    *(f"service.{name}" for name in (
+        "compositions", "connections", "queries", "reply_bytes", "requests",
+    )),
+    *(f"stage.cache.{s}.{unit}" for s in ("build", "merge", "reduce")
+      for unit in ("calls", "seconds")),
+    *(f"stage.synthesis.{s}.{unit}"
+      for s in ("adjacency", "collocation_matrices", "load", "merge")
+      for unit in ("calls", "seconds")),
+}
+#: what the numpy/scipy twins add when the C extension is unavailable
+TWIN_COUNTERS = {f"kernels.{s}.twin" for s in ("csr_sum", "pack_build", "spgemm")}
+HISTOGRAMS = {
+    *(f"kernel.{s}.task_seconds" for s in KERNEL_STAGES),
+    "service.op_seconds.window",
+}
+
+
+def exercise(service_logs, n_persons, places):
+    """The three workloads; returns the cache's and the service's stats."""
+    synthesize_from_logs(service_logs, n_persons, 0, 48)
+    with TileCache(service_logs, n_persons, tile_hours=24) as cache:
+        cache.warm(0, 72)
+        cache.query_window(5, 48)  # one fringe, one tile
+
+    async def window():
+        svc = NetworkQueryService(
+            service_logs, n_persons, places=places,
+            config=ServiceConfig(port=0, prefetch_tiles=0),
+        )
+        async with svc:
+            async with ServiceClient(port=svc.port) as client:
+                await client.query_window(0, 24)
+        return svc.stats
+
+    return cache.stats, asyncio.run(window())
+
+
+def test_name_set_is_pinned(service_logs, small_pop, registry):
+    exercise(service_logs, small_pop.n_persons, small_pop.places)
+    snap = registry.snapshot()
+    twins = TWIN_COUNTERS if compiled_impl() != "cext" else set()
+    assert set(snap["counters"]) == COUNTERS | twins
+    assert set(snap["histograms"]) == HISTOGRAMS
+    assert "kernels.compiled" not in snap["counters"]
+
+
+def test_fields_count_with_telemetry_off(service_logs, small_pop):
+    mine = MetricsRegistry()
+    prev, was_on = set_default_registry(mine), configure(False)
+    try:
+        cache, service = exercise(
+            service_logs, small_pop.n_persons, small_pop.places
+        )
+    finally:
+        set_default_registry(prev)
+        configure(was_on)
+    assert (cache.tiles_built, cache.tiles_merged, cache.queries) == (3, 1, 1)
+    assert cache.tile_hits > 0 and cache.fringe_hours == 19
+    assert (service.requests, service.queries, service.compositions) == (1, 1, 1)
+    snap = mine.snapshot()
+    assert snap["counters"] == {} and snap["histograms"] == {}

@@ -111,7 +111,7 @@ class TestLoadShedder:
         shed.admit(PRIORITY_QUERY)
 
     def test_prefetch_is_shed_before_queries(self):
-        shed = LoadShedder(limit=4, prefetch_headroom=0.5)
+        shed = LoadShedder(limit=4)
         shed.admit(PRIORITY_QUERY)
         shed.admit(PRIORITY_QUERY)
         # depth 2 >= prefetch cap 2: prefetch shed, queries still fine

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,35 @@ class TestPipeline:
                      "distrib.migrants_out", "distrib.alltoall_bytes",
                      "distrib.rank_loop_seconds"):
             assert name in out
+
+    def test_synthesize_profile_is_the_registry_delta(
+        self, workspace, tmp_path, capsys, registry
+    ):
+        _, world, logs, _ = workspace
+        assert main(["synthesize", "--log-dir", str(logs),
+                     "--population", str(world),
+                     "--out", str(tmp_path / "week.net.npz"), "--profile"]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "week.net.profile.json"
+        profile = json.loads(path.read_text())
+        assert profile["impl"] in ("cext", "twin")
+        assert {"compiled_impl", "cext_error"} <= set(profile)
+        counters = profile["counters"]
+        assert counters == registry.snapshot()["counters"]  # one run, one store
+        assert counters["stage.synthesis.load.seconds"] > 0
+        for stage in ("load", "collocation_matrices", "adjacency"):
+            assert counters[f"stage.synthesis.{stage}.calls"] >= 1
+            assert f"synthesis.{stage}: " in printed
+        hists = profile["histograms"]
+        for stage in ("pack_build", "spgemm", "accumulate"):
+            tasks = counters[f"kernel.{stage}.tasks"]
+            assert tasks >= 1 and counters[f"kernel.{stage}.seconds"] > 0
+            assert hists[f"kernel.{stage}.task_seconds"]["count"] == tasks
+            assert f"kernel.{stage}: " in printed
+        assert main(["metrics", "--file", str(path)]) == 0
+        rendered = capsys.readouterr().out
+        assert "stage.synthesis.load.seconds" in rendered
+        assert "kernel.spgemm.task_seconds" in rendered
 
     def test_epidemic_runs(self, workspace, capsys):
         _, world, _, _ = workspace
