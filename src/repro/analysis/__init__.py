@@ -30,7 +30,7 @@ from .fits import (
     power_law_mle,
 )
 from .clustering import local_clustering, clustering_histogram, mean_clustering
-from .ego import EgoNetwork, ego_network, sample_ego_networks
+from .ego import EgoNetwork, ego_from_parts, ego_network, sample_ego_networks
 from .groups import within_group_network, age_group_degree_distributions
 from .summary import NetworkSummary, summarize
 from .smallworld import PathLengthStats, sampled_path_lengths, small_world_sigma
@@ -56,6 +56,7 @@ __all__ = [
     "clustering_histogram",
     "mean_clustering",
     "EgoNetwork",
+    "ego_from_parts",
     "ego_network",
     "sample_ego_networks",
     "within_group_network",

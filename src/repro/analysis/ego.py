@@ -6,9 +6,15 @@ vertices to V₁ to create set V₂.  The union V = V₁ ∪ V₂ contains all
 vertices within a graph radius of two from the original selected
 individual ... all edges between nodes in the set V are preserved."
 
-The BFS advances a boolean-mask frontier over CSR rows; the induced
-subgraph (one gather pass, :mod:`repro.core.kernels.graph`) keeps edge
-weights so layouts can use collocation hours as spring strength.
+The BFS and the induced subgraph read the strict-upper partial
+adjacencies whose sum is the network — one matrix for a
+:class:`CollocationNetwork`, a window's cached tiles and fringes for the
+query service (:meth:`~repro.core.tilecache.TileCache.window_parts`) —
+so neither the composed window nor its symmetric form is ever built:
+each hop is one frontier pass over the parts, and only the gathered
+subgraph is summed and mirrored (:mod:`repro.core.kernels.graph`).  The
+subgraph keeps edge weights so layouts can use collocation hours as
+spring strength.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AnalysisError
-from ..core.kernels.graph import induced_subgraph
-from ..core.network import CollocationNetwork
+from ..core.network import CollocationNetwork, ball, mirrored_subgraph
 from ..obs import count
 
-__all__ = ["EgoNetwork", "ego_network", "sample_ego_networks"]
+__all__ = ["EgoNetwork", "ego_from_parts", "ego_network", "sample_ego_networks"]
 
 
 @dataclass
@@ -91,25 +96,27 @@ def ego_network(
     network: CollocationNetwork, person: int, radius: int = 2
 ) -> EgoNetwork:
     """Extract the induced subgraph within ``radius`` hops of ``person``."""
+    return ego_from_parts([network.adjacency], person, radius=radius)
+
+
+def ego_from_parts(
+    parts: "list[sp.csr_matrix]", person: int, radius: int = 2
+) -> EgoNetwork:
+    """:func:`ego_network` of the network ``Σ parts``, read straight from
+    its strict-upper ``(n, n)`` partial adjacencies — bit-identical to
+    composing them first."""
     if radius < 0:
         raise AnalysisError("radius must be >= 0")
-    if not 0 <= person < network.n_persons:
+    if not 0 <= person < parts[0].shape[0]:
         raise AnalysisError(f"person {person} outside population")
-    sym = network.symmetric()
-    seen = np.zeros(network.n_persons, dtype=bool)
-    seen[person] = True
-    frontier = np.array([person], dtype=np.int64)
-    for _ in range(radius):
-        near = np.zeros_like(seen)
-        near[sym[frontier].indices] = True
-        frontier = np.flatnonzero(near & ~seen)
-        if not len(frontier):
-            break
-        seen[frontier] = True
-    persons = np.flatnonzero(seen)
+    persons = ball(parts, person, radius)
     count("analysis.ego_nodes", len(persons))
-    sub = induced_subgraph(sym, persons)
-    return EgoNetwork(center=person, persons=persons, matrix=sub, radius=radius)
+    return EgoNetwork(
+        center=person,
+        persons=persons,
+        matrix=mirrored_subgraph(parts, persons),
+        radius=radius,
+    )
 
 
 def sample_ego_networks(

@@ -13,6 +13,8 @@ import scipy.sparse as sp
 
 from ..config import AGE_GROUPS
 from ..errors import AnalysisError
+from ..core.adjacency import pattern_degrees
+from ..core.kernels.graph import induced_sum
 from ..core.network import CollocationNetwork
 from ..synthpop.person import PersonTable
 from .degree import DegreeDistribution, degree_distribution
@@ -56,7 +58,7 @@ def age_group_degree_distributions(
         if len(members) == 0:
             out[label] = degree_distribution(np.zeros(0, dtype=np.int64))
             continue
-        sub, _ = network.subgraph(members)
-        degrees = np.diff(sub.indptr).astype(np.int64)
-        out[label] = degree_distribution(degrees)
+        # the members' upper triangle is enough to count their degrees
+        upper = induced_sum([network.adjacency], members)
+        out[label] = degree_distribution(pattern_degrees(upper))
     return out

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
+from ..core.adjacency import triu_symmetrize
 from ..core.network import CollocationNetwork
 from ..errors import AnalysisError
 from .clustering import local_clustering, mean_clustering
@@ -58,7 +59,7 @@ def sampled_path_lengths(
 ) -> PathLengthStats:
     """Estimate mean/max shortest path length by BFS from random sources."""
     adj = (
-        network.symmetric()
+        triu_symmetrize(network.adjacency)
         if isinstance(network, CollocationNetwork)
         else sp.csr_matrix(network)
     )

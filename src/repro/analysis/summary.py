@@ -64,8 +64,10 @@ def summarize(network: CollocationNetwork) -> NetworkSummary:
     degrees = network.degrees()
     n = network.n_persons
     n_isolated = int(np.count_nonzero(degrees == 0))
+    # directed=False reads each stored edge both ways: the strict upper
+    # triangle gives the components of the graph, no mirror needed
     n_comp, labels = connected_components(
-        network.symmetric(), directed=False, return_labels=True
+        network.adjacency, directed=False, return_labels=True
     )
     sizes = np.bincount(labels)
     # ignore singleton components made of isolated vertices when reporting

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from ..errors import SynthesisError
 from .colloc import CollocationMatrix
 from .kernels import kernel_stage
-from .kernels.masked import csr_sum
+from .kernels.masked import csr_mirror, csr_sum
 from .kernels.workspace import count_twin
 
 __all__ = [
@@ -196,8 +196,21 @@ def sum_partials(
 
 
 def triu_symmetrize(adj: sp.spmatrix) -> sp.csr_matrix:
-    """Expand an upper-triangular adjacency to its full symmetric form."""
+    """Expand a strict upper-triangular adjacency to its full symmetric
+    form, canonical and with zeros dropped.
+
+    Runs in one compiled pass when
+    :func:`~repro.core.kernels.masked.csr_mirror` takes the matrix;
+    scipy's ``adj + adj.T`` below it is the bit-identical twin.  An entry
+    on or below the diagonal raises
+    :class:`~repro.errors.SynthesisError` on both.
+    """
     adj = adj.tocsr()
+    out = csr_mirror(adj)
+    if out is not None:
+        return out
+    if not strictly_upper(adj):
+        raise SynthesisError("adjacency to mirror is not strictly upper triangular")
     return (adj + adj.T).tocsr()
 
 

@@ -67,24 +67,36 @@ happen in numpy, on packed 64-bit keys, between the scans):
 Together the last three are the compiled twin of
 ``coo_matrix(...).tocsr()`` over the concatenated parts.
 
-One kernel composes partial adjacencies (entry point in :mod:`.masked`):
+Two kernels combine or expand partial adjacencies (entry points in
+:mod:`.masked`):
 
 ``rk_csr_sum``
     the k-way sum of canonical strict-upper CSR partials in one row-wise
     pass, cascading 2-way merges through two row-sized scratch buffers —
     the compiled twin of the pairwise ``csr + csr`` fold.
+``rk_csr_mirror``
+    a canonical strict-upper CSR expanded to its canonical symmetric form
+    by one counting pass and one in-order scatter — the compiled twin of
+    scipy's ``adj + adj.T``.
 
-Two graph kernels serve the Section V analysis (entry points in
+Three graph kernels serve the Section V analysis (entry points in
 :mod:`.graph`):
 
 ``rk_edge_triangles``
     the masked product ``(A·A)∘A`` over a strict-upper CSR, one marked
     row against its neighbours' rows: the triangle count of every edge,
     with no wedge intermediate.
-``rk_induced_subgraph``
-    one gather pass over the listed rows of a CSR matrix through a
-    global→local column map — the compiled twin of
-    ``m[persons][:, persons]``.
+``rk_induced_sum``
+    the sum of k strict-upper parts induced on a vertex list in one pass:
+    each listed row gathered from every part through a global→local
+    column map and the gathers merged as ``rk_csr_sum`` merges rows — the
+    compiled twin of ``sum_partials([p[persons][:, persons] for p in
+    parts])``.
+``rk_upper_frontier``
+    one breadth-first step over k strict-upper parts in one pass over the
+    rows up to the highest marked vertex: out-neighbours from the marked
+    rows, in-neighbours from every row holding a marked column — so an ego
+    network needs neither the composed window nor its symmetric form.
 
 One kernel serves the distributed model (entry point in
 :mod:`repro.distrib.rankstep`):
@@ -102,7 +114,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 8
+C_SOURCE_VERSION = 9
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -626,6 +638,61 @@ API int64_t rk_csr_sum(
     return m;
 }
 
+/* Canonical symmetric form of an (n, n) strict-upper CSR with ascending
+   rows (int32 indptr/indices, int64 values): row i of the output is the
+   mirrored entries (j, i), j ascending, followed by row i's own.  Zero
+   values are dropped, as scipy's adj + adj.T drops them.
+
+   A counting pass sizes every output row in cursor (int32[n] scratch);
+   the scatter then walks the rows in order, so when row i is reached
+   every mirrored entry it receives (from rows j < i) is already in
+   place and its own entries are appended behind them.  Output capacity:
+   twice the input nnz.  Every input entry is checked in the counting
+   pass — sound indptr, columns strictly ascending inside (i, n) — and a
+   violation returns -1 having written nothing out of bounds; otherwise
+   the output nnz. */
+API int64_t rk_csr_mirror(
+    int64_t n, int64_t nnz,
+    const int32_t *indptr, const int32_t *indices, const int64_t *data,
+    int32_t *out_indptr, int32_t *out_indices, int64_t *out_data,
+    int32_t *cursor) {
+    if (indptr[0] != 0 || indptr[n] != nnz) return -1;
+    memset(cursor, 0, (size_t)n * sizeof(int32_t));
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t a = indptr[i], b = indptr[i + 1];
+        if (b < a || b > nnz) return -1;
+        int64_t prev = i;
+        for (int32_t q = a; q < b; q++) {
+            const int64_t c = indices[q];
+            if (c <= prev || c >= n) return -1;
+            prev = c;
+            const int32_t live = data[q] != 0;
+            cursor[i] += live;
+            cursor[c] += live;
+        }
+    }
+    out_indptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        out_indptr[i + 1] = out_indptr[i] + cursor[i];
+        cursor[i] = out_indptr[i];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t a = indptr[i], b = indptr[i + 1];
+        int32_t own = cursor[i];
+        for (int32_t q = a; q < b; q++) {
+            const int64_t v = data[q];
+            if (v == 0) continue;
+            const int32_t c = indices[q];
+            out_indices[own] = c;
+            out_data[own++] = v;
+            const int32_t at = cursor[c]++;
+            out_indices[at] = (int32_t)i;
+            out_data[at] = v;
+        }
+    }
+    return out_indptr[n];
+}
+
 /* Triangle count of every edge of an undirected graph, given as its
    strict upper triangle in CSR with ascending, duplicate-free rows:
    tri[e] = |N(i) ∩ N(j)| for the e-th stored edge (i, j).
@@ -671,36 +738,128 @@ API int64_t rk_edge_triangles(
     return 0;
 }
 
-/* Induced submatrix of an n-column CSR matrix (nnz stored entries) on
-   the rows and columns listed in persons (ascending, inside [0, n)):
-   local[c] is the position of global column c in persons, or -1.  One
-   gather pass into outputs of capacity cap (the summed lengths of the
-   listed rows always suffices).  Returns the nnz written, or -1 on a
-   row pointer or column index out of range or an overrun of cap. */
-API int64_t rk_induced_subgraph(
-    int64_t n_sub, const int64_t *persons,
-    int64_t n, int64_t nnz,
-    const int32_t *indptr, const int32_t *indices, const int64_t *data,
-    const int32_t *local, int64_t cap,
-    int32_t *out_indptr, int32_t *out_indices, int64_t *out_data) {
-    int64_t out = 0;
+/* The sum of k (n, n) strict-upper CSR parts (ptrs and nnzs laid out as
+   for rk_csr_sum), induced on the rows and columns listed in persons
+   (ascending, inside [0, n)): local[c] is the position of global column
+   c in persons, or -1.  Each listed row is gathered from every part
+   through local — an order-preserving relabelling, so every gathered
+   row stays ascending above the diagonal — and the gathers are merged as
+   rk_csr_sum merges rows, zero values and zero sums dropped: one pass,
+   no per-part intermediate.  (fc, fv) hold one gathered part row and
+   (sc0, sv0), (sc1, sv1) the running sum, n_sub slots each; out_indices
+   / out_data have capacity cap (the summed lengths of the listed rows
+   always suffices).  Part row pointers are checked as in rk_csr_sum and
+   every column read must lie inside [0, n); returns the output nnz, or
+   -1 — having read and written nothing out of bounds — on a violation, a
+   gathered row starting on or below the diagonal or outgrowing the
+   n_sub - 1 - r slots above it, or an overrun of cap. */
+API int64_t rk_induced_sum(
+    int64_t k, int64_t n, const void *const *ptrs, const int64_t *nnzs,
+    int64_t n_sub, const int64_t *persons, const int32_t *local, int64_t cap,
+    int32_t *out_indptr, int32_t *out_indices, int64_t *out_data,
+    int32_t *fc, int64_t *fv, int32_t *sc0, int64_t *sv0,
+    int32_t *sc1, int64_t *sv1) {
+    const int32_t *const *ip = (const int32_t *const *)ptrs;
+    const int32_t *const *ix = (const int32_t *const *)(ptrs + k);
+    const int64_t *const *dx = (const int64_t *const *)(ptrs + 2 * k);
+    for (int64_t p = 0; p < k; p++)
+        if (ip[p][0] != 0 || ip[p][n] != nnzs[p]) return -1;
+    int64_t m = 0;
     out_indptr[0] = 0;
     for (int64_t r = 0; r < n_sub; r++) {
-        const int64_t g = persons[r];
-        if (indptr[g] < 0 || indptr[g + 1] > nnz) return -1;
-        for (int32_t p = indptr[g]; p < indptr[g + 1]; p++) {
-            if ((uint32_t)indices[p] >= (uint64_t)n) return -1;
-            if (out >= cap) return -1;
-            /* write unconditionally, keep only a mapped column: the
-               keep/drop branch is unpredictable, this one never taken */
-            const int32_t c = local[indices[p]];
-            out_indices[out] = c;
-            out_data[out] = data[p];
-            out += (c >= 0);
+        const int64_t g = persons[r], room = n_sub - 1 - r;
+        int32_t *ac = sc0;
+        int64_t *av = sv0;
+        int64_t an = 0;
+        for (int64_t p = 0; p < k; p++) {
+            const int32_t a = ip[p][g], b = ip[p][g + 1];
+            if (a < 0 || b < a || b > nnzs[p]) return -1;
+            /* the row's first non-empty gather is the running sum itself */
+            int32_t *tc = an ? fc : ac;
+            int64_t *tv = an ? fv : av;
+            int64_t tn = 0;
+            for (int32_t q = a; q < b; q++) {
+                if ((uint32_t)ix[p][q] >= (uint64_t)n) return -1;
+                if (tn > room) return -1;
+                const int32_t c = local[ix[p][q]];
+                tc[tn] = c;
+                tv[tn] = dx[p][q];
+                tn += (c >= 0) & (dx[p][q] != 0);
+            }
+            if (tn == 0) continue;
+            if (tc[0] <= r) return -1;
+            if (an == 0) {
+                an = tn;
+                continue;
+            }
+            int32_t *oc = (ac == sc0) ? sc1 : sc0;
+            int64_t *ov = (ac == sc0) ? sv1 : sv0;
+            an = rk_merge_rows(ac, av, an, fc, fv, tn, oc, ov, room);
+            if (an < 0) return -1;
+            ac = oc;
+            av = ov;
         }
-        out_indptr[r + 1] = (int32_t)out;
+        if (m + an > cap) return -1;
+        memcpy(out_indices + m, ac, (size_t)an * sizeof(int32_t));
+        memcpy(out_data + m, av, (size_t)an * sizeof(int64_t));
+        m += an;
+        out_indptr[r + 1] = (int32_t)m;
     }
-    return out;
+    return m;
+}
+
+/* One breadth-first step over k strict-upper (n, n) CSR parts (ptrs and
+   nnzs laid out as for rk_csr_sum): near[v] = 1 for every v adjacent, in
+   any part, to a vertex with mark[v] != 0.  near is only ever set, never
+   cleared.
+
+   An edge (i, c), i < c, is stored once, in row i, so a marked row's
+   columns are its out-neighbours, and a row holding a marked column is
+   an in-neighbour of it.  A row above hi (the highest marked id, < n)
+   can be neither, so only rows 0..hi are read, each part's row pointers
+   checked as in rk_csr_sum and every entry read held strictly inside
+   (i, n).  Rows must be ascending (the canonical flag is the caller's):
+   an unmarked row's scan stops at its first marked column or its first
+   column above hi, and a row already in near is not scanned.  Returns 0,
+   or -1 — having read and written nothing out of bounds — on a
+   violation. */
+API int64_t rk_upper_frontier(
+    int64_t k, int64_t n, const void *const *ptrs, const int64_t *nnzs,
+    const uint8_t *mark, int64_t hi, uint8_t *near) {
+    const int32_t *const *ip = (const int32_t *const *)ptrs;
+    const int32_t *const *ix = (const int32_t *const *)(ptrs + k);
+    if (hi < 0 || hi >= n) return -1;
+    for (int64_t p = 0; p < k; p++)
+        if (ip[p][0] != 0 || ip[p][n] != nnzs[p]) return -1;
+    for (int64_t i = 0; i <= hi; i++) {
+        const uint64_t room = (uint64_t)(n - i - 1);
+        for (int64_t p = 0; p < k; p++) {
+            const int32_t a = ip[p][i], b = ip[p][i + 1];
+            if (b < a || b > nnzs[p]) return -1;
+            const int32_t *col = ix[p];
+            if (mark[i]) {
+                uint8_t held = 0;
+                for (int32_t q = a; q < b; q++) {
+                    const int64_t c = col[q];
+                    if ((uint64_t)(c - i - 1) >= room) return -1;
+                    near[c] = 1;
+                    held |= mark[c];
+                }
+                near[i] |= held != 0;
+            } else if (!near[i]) {
+                for (int32_t q = a; q < b; q++) {
+                    const int64_t c = col[q];
+                    if ((uint64_t)(c - i - 1) >= room) return -1;
+                    if (c > hi) break;  /* ascending: no marked column left */
+                    if (mark[c]) {
+                        near[i] = 1;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    return 0;
 }
 
 /* The two 20-byte rows the distributed model moves: an open spell as a

@@ -43,6 +43,7 @@ __all__ = ["load_cext", "cext_error"]
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
+_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 #: loaded library, or False when loading failed / was disabled; None
 #: before the first attempt
@@ -77,6 +78,19 @@ def _as_ptr(a: np.ndarray, typ) -> "ctypes.pointer":
     return a.ctypes.data_as(typ)
 
 
+def _part_pointers(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The address table (every part's indptr, then indices, then data)
+    and the stored-entry counts a k-part kernel reads its parts from."""
+    ptrs = np.array(
+        [p.indptr.ctypes.data for p in parts]
+        + [p.indices.ctypes.data for p in parts]
+        + [p.data.ctypes.data for p in parts],
+        dtype=np.uintp,
+    )
+    nnzs = np.array([len(p.indices) for p in parts], dtype=np.int64)
+    return ptrs, nnzs
+
+
 class CompiledKernels:
     """ctypes bindings over the built shared object, with array-aware
     wrappers so callers pass numpy arrays, not pointers (``rank_step``
@@ -101,14 +115,25 @@ class CompiledKernels:
             ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, _I64,
             _I32, _I32, _I64, _I32, _I64, _I32, _I64,
         ]
+        lib.rk_csr_mirror.restype = ctypes.c_int64
+        lib.rk_csr_mirror.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I64,
+            _I32, _I32, _I64, _I32,
+        ]
+        lib.rk_induced_sum.restype = ctypes.c_int64
+        lib.rk_induced_sum.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, _I64,
+            ctypes.c_int64, _I64, _I32, ctypes.c_int64, _I32, _I32, _I64,
+            _I32, _I64, _I32, _I64, _I32, _I64,
+        ]
+        lib.rk_upper_frontier.restype = ctypes.c_int64
+        lib.rk_upper_frontier.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, _I64,
+            _U8, ctypes.c_int64, _U8,
+        ]
         lib.rk_edge_triangles.restype = ctypes.c_int64
         lib.rk_edge_triangles.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I32, _I64,
-        ]
-        lib.rk_induced_subgraph.restype = ctypes.c_int64
-        lib.rk_induced_subgraph.argtypes = [
-            ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_int64,
-            _I32, _I32, _I64, _I32, ctypes.c_int64, _I32, _I32, _I64,
         ]
         lib.rk_rank_step.restype = ctypes.c_int64
         lib.rk_rank_step.argtypes = (
@@ -424,13 +449,7 @@ class CompiledKernels:
         int64 data, canonical) into the output arrays (capacity: their
         summed nnz); ``sc*`` / ``sv*``: int32 / int64 scratch of n slots.
         Returns the output nnz, -1 on a malformed part."""
-        ptrs = np.array(
-            [p.indptr.ctypes.data for p in parts]
-            + [p.indices.ctypes.data for p in parts]
-            + [p.data.ctypes.data for p in parts],
-            dtype=np.uintp,
-        )
-        nnzs = np.array([len(p.indices) for p in parts], dtype=np.int64)
+        ptrs, nnzs = _part_pointers(parts)
         return int(
             self._lib.rk_csr_sum(
                 len(parts),
@@ -444,6 +463,101 @@ class CompiledKernels:
                 _as_ptr(sv0, _I64),
                 _as_ptr(sc1, _I32),
                 _as_ptr(sv1, _I64),
+            )
+        )
+
+    def csr_mirror(
+        self,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
+        out_indptr: np.ndarray,
+        out_indices: np.ndarray,
+        out_data: np.ndarray,
+        cursor: np.ndarray,
+    ) -> int:
+        """Mirror an ``(n, n)`` canonical strict-upper int32/int64 CSR
+        into the output arrays (capacity: twice its nnz; ``cursor``:
+        int32[n] scratch).  Returns the output nnz, -1 on a malformed
+        input."""
+        return int(
+            self._lib.rk_csr_mirror(
+                n,
+                len(indices),
+                _as_ptr(indptr, _I32),
+                _as_ptr(indices, _I32),
+                _as_ptr(data, _I64),
+                _as_ptr(out_indptr, _I32),
+                _as_ptr(out_indices, _I32),
+                _as_ptr(out_data, _I64),
+                _as_ptr(cursor, _I32),
+            )
+        )
+
+    def induced_sum(
+        self,
+        n: int,
+        parts: list,
+        persons: np.ndarray,
+        local: np.ndarray,
+        out_indptr: np.ndarray,
+        out_indices: np.ndarray,
+        out_data: np.ndarray,
+        scratch: list,
+    ) -> int:
+        """The sum of the ``(n, n)`` strict-upper CSR *parts* (int32
+        indptr/indices, int64 data, canonical) induced on ``persons``
+        through the column map ``local`` into the output arrays;
+        ``scratch``: three (int32, int64) pairs of ``len(persons)``
+        slots.  Returns the output nnz, -1 on a malformed part or an
+        output overrun."""
+        ptrs, nnzs = _part_pointers(parts)
+        (fc, fv), (c0, v0), (c1, v1) = scratch
+        return int(
+            self._lib.rk_induced_sum(
+                len(parts),
+                n,
+                ptrs.ctypes.data,
+                _as_ptr(nnzs, _I64),
+                len(persons),
+                _as_ptr(persons, _I64),
+                _as_ptr(local, _I32),
+                len(out_indices),
+                _as_ptr(out_indptr, _I32),
+                _as_ptr(out_indices, _I32),
+                _as_ptr(out_data, _I64),
+                _as_ptr(fc, _I32),
+                _as_ptr(fv, _I64),
+                _as_ptr(c0, _I32),
+                _as_ptr(v0, _I64),
+                _as_ptr(c1, _I32),
+                _as_ptr(v1, _I64),
+            )
+        )
+
+    def upper_frontier(
+        self,
+        n: int,
+        parts: list,
+        mark: np.ndarray,
+        hi: int,
+        near: np.ndarray,
+    ) -> int:
+        """Set ``near`` (uint8[n]) on every neighbour, in any of the
+        ``(n, n)`` strict-upper CSR *parts* (int32 indptr/indices), of a
+        vertex marked in ``mark`` (uint8[n]) whose highest marked id is
+        ``hi``.  Returns 0, -1 on a malformed part."""
+        ptrs, nnzs = _part_pointers(parts)
+        return int(
+            self._lib.rk_upper_frontier(
+                len(parts),
+                n,
+                ptrs.ctypes.data,
+                _as_ptr(nnzs, _I64),
+                _as_ptr(mark, _U8),
+                hi,
+                _as_ptr(near, _U8),
             )
         )
 
@@ -466,38 +580,6 @@ class CompiledKernels:
                 _as_ptr(indices, _I32),
                 _as_ptr(pos, _I32),
                 _as_ptr(tri, _I64),
-            )
-        )
-
-    def induced_subgraph(
-        self,
-        persons: np.ndarray,
-        n: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        local: np.ndarray,
-        out_indptr: np.ndarray,
-        out_indices: np.ndarray,
-        out_data: np.ndarray,
-    ) -> int:
-        """Gather the rows ``persons`` of an ``n``-column int32/int64
-        CSR through the column map ``local``; returns the nnz written,
-        -1 on an index out of range or an output overrun."""
-        return int(
-            self._lib.rk_induced_subgraph(
-                len(persons),
-                _as_ptr(persons, _I64),
-                n,
-                len(indices),
-                _as_ptr(indptr, _I32),
-                _as_ptr(indices, _I32),
-                _as_ptr(data, _I64),
-                _as_ptr(local, _I32),
-                len(out_indices),
-                _as_ptr(out_indptr, _I32),
-                _as_ptr(out_indices, _I32),
-                _as_ptr(out_data, _I64),
             )
         )
 
@@ -534,9 +616,10 @@ def _smoke_test(kernels: CompiledKernels) -> None:
 
     Two persons sharing one 3-hour segment must yield the single triple
     (0, 1, 3), through the transpose and the product; a triangle with a
-    pendant must yield its edge counts and its induced pair; three
-    partials must sum with their cancelling entry dropped.  Guards
-    against a mis-built or ABI-skewed object before anything trusts it.
+    pendant must yield its edge counts, its induced pair, its mirror and,
+    split in two parts, one BFS step and an induced sum; three partials
+    must sum with their cancelling entry dropped.  Guards against a
+    mis-built or ABI-skewed object before anything trusts it.
     """
     indptr = np.array([0, 1, 2], dtype=np.int32)
     cols = np.array([0, 0], dtype=np.int32)
@@ -566,16 +649,13 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     sub_indptr = np.empty(3, np.int32)
     sub_indices = np.empty(3, np.int32)
     sub_data = np.empty(3, np.int64)
-    nnz = kernels.induced_subgraph(
-        np.array([0, 2], dtype=np.int64),
-        4,
-        g_indptr,
-        g_indices,
-        np.array([5, 6, 7, 8], dtype=np.int64),
-        np.array([0, -1, 1, -1], dtype=np.int32),
-        sub_indptr,
-        sub_indices,
-        sub_data,
+    graph = SimpleNamespace(
+        indptr=g_indptr, indices=g_indices, data=np.array([5, 6, 7, 8], np.int64)
+    )
+    nnz = kernels.induced_sum(
+        4, [graph], np.array([0, 2], dtype=np.int64),
+        np.array([0, -1, 1, -1], dtype=np.int32), sub_indptr, sub_indices,
+        sub_data, [(np.empty(2, np.int32), np.empty(2, np.int64)) for _ in range(3)],
     )
     if (
         ok != 0
@@ -614,6 +694,55 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         or s_data[:2].tolist() != [3, 3]
     ):
         raise RuntimeError("compiled partial-sum kernel smoke test failed")
+    # the triangle-with-pendant above, mirrored; then, split in two
+    # parts, one BFS step from vertex 2 (0 and 1 hold it as a column, 3
+    # is in its own row) and its sum induced on three of the vertices
+    m_indptr = np.empty(5, np.int32)
+    m_indices = np.empty(8, np.int32)
+    m_data = np.empty(8, np.int64)
+    nnz = kernels.csr_mirror(
+        4, g_indptr, g_indices, np.array([5, 6, 7, 8], dtype=np.int64),
+        m_indptr, m_indices, m_data, np.empty(4, np.int32),
+    )
+    halves = [
+        SimpleNamespace(
+            indptr=np.array(indptr, np.int32),
+            indices=np.array(indices, np.int32),
+            data=np.array(data, np.int64),
+        )
+        for indptr, indices, data in (
+            ([0, 1, 1, 2, 2], [1, 3], [5, 8]),
+            ([0, 1, 2, 2, 2], [2, 2], [6, 7]),
+        )
+    ]
+    near = np.zeros(4, np.uint8)
+    ok = kernels.upper_frontier(
+        4, halves, np.array([0, 0, 1, 0], np.uint8), 2, near
+    )
+    # the two halves summed on persons {0, 2, 3}: (0, 2) 6 and (2, 3) 8
+    i_indptr = np.empty(4, np.int32)
+    i_indices = np.empty(4, np.int32)
+    i_data = np.empty(4, np.int64)
+    i_nnz = kernels.induced_sum(
+        4, halves, np.array([0, 2, 3], np.int64),
+        np.array([0, -1, 1, 2], np.int32), i_indptr, i_indices, i_data,
+        [(np.empty(3, np.int32), np.empty(3, np.int64)) for _ in range(3)],
+    )
+    if (
+        nnz != 8
+        or m_indptr.tolist() != [0, 2, 4, 7, 8]
+        or m_indices.tolist() != [1, 2, 0, 2, 0, 1, 3, 2]
+        or m_data.tolist() != [5, 6, 5, 7, 6, 7, 8, 8]
+        or ok != 0
+        or near.tolist() != [1, 1, 0, 1]
+        or i_nnz != 2
+        or i_indptr.tolist() != [0, 1, 2, 2]
+        or i_indices[:2].tolist() != [1, 2]
+        or i_data[:2].tolist() != [6, 8]
+    ):
+        raise RuntimeError(
+            "compiled mirror / frontier / induced-sum kernel smoke test failed"
+        )
     # one rank-hour (hour 1 of a 2-hour week) on rank 0 of 2: person 0
     # moves to place 1 (rank 1's) and leaves, person 1 does not change,
     # person 2 changes activity at place 0 and stays, now second

@@ -1,7 +1,7 @@
-"""The compiled interval-pack build, masked adjacency product and
-partial sum.
+"""The compiled interval-pack build, masked adjacency product, partial
+sum and mirror.
 
-Three entry points, each returning ``None`` when the fast path does not
+Four entry points, each returning ``None`` when the fast path does not
 apply — no C extension, or an input outside its typed layout — so the
 caller runs its numpy/scipy twin:
 
@@ -24,6 +24,9 @@ caller runs its numpy/scipy twin:
     the k-way sum of canonical strict-upper partial adjacencies (tiles,
     fringes, batches, shards) in one row-wise merge pass, bit-identical to
     folding them with scipy's pairwise ``+``.
+:func:`csr_mirror`
+    a canonical strict-upper adjacency expanded to its canonical
+    symmetric form, bit-identical to scipy's ``adj + adj.T``.
 
 All scratch comes from the per-thread :class:`~.workspace.KernelWorkspace`;
 steady state performs no scratch allocations.
@@ -40,6 +43,7 @@ from .workspace import get_workspace, kernel_stage
 
 __all__ = [
     "build_pack_arrays",
+    "csr_mirror",
     "csr_sum",
     "in_sum_layout",
     "masked_adjacency_triples",
@@ -448,6 +452,43 @@ def csr_sum(parts: "list[sp.csr_matrix]", n: int) -> sp.csr_matrix | None:
         )
     # overlapping parts sum to fewer entries than the capacity: shrink in
     # place (a realloc) rather than copy the result out
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    out = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    out.has_canonical_format = True
+    return out
+
+
+def csr_mirror(upper: sp.csr_matrix) -> sp.csr_matrix | None:
+    """Compiled symmetric form of a canonical strict-upper ``(n, n)``
+    adjacency: row *i* holds the mirrored entries ``(j, i)`` then its own,
+    zeros dropped.
+
+    Returns None when the C extension is unavailable, *upper* misses
+    :func:`in_sum_layout` or the result could outgrow int32 offsets;
+    raises :class:`~repro.errors.SynthesisError` when the kernel finds an
+    unsound ``indptr`` or a row that is not strictly ascending above the
+    diagonal.
+    """
+    k = load_cext()
+    n = upper.shape[0]
+    if k is None or not in_sum_layout(upper, n):
+        return None
+    cap = 2 * len(upper.indices)
+    if cap >= _I32_MAX:
+        return None
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(cap, dtype=np.int32)
+    data = np.empty(cap, dtype=np.int64)
+    nnz = k.csr_mirror(
+        n, upper.indptr, upper.indices, upper.data, indptr, indices, data,
+        get_workspace().take("mirror_cursor", max(n, 1), np.int32),
+    )
+    if nnz < 0:
+        raise SynthesisError(
+            "adjacency to mirror has an unsound indptr or a row that is not "
+            "strictly ascending above the diagonal"
+        )
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
     out = sp.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -1,6 +1,7 @@
 """Numpy/scipy twins of the C graph kernels.
 
-:func:`edge_triangles` and :func:`induced_subgraph` are what
+:func:`edge_triangles`, :func:`induced_sum` and
+:func:`upper_frontier` are what
 :mod:`.graph` runs when the C extension is unavailable or the input is
 outside its typed layout: vectorized, fast enough to be the production
 fallback, bit-identical to the C versions by contract.
@@ -12,8 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ...errors import AnalysisError
+from ..adjacency import strictly_upper
 
-__all__ = ["edge_triangles", "induced_subgraph"]
+__all__ = ["edge_triangles", "induced_sum", "upper_frontier"]
 
 #: edges per block in :func:`edge_triangles`: bounds the two gathered
 #: row blocks to a few MB whatever the graph size (fresh pages, not
@@ -47,7 +49,36 @@ def edge_triangles(upper):
     return tri
 
 
-def induced_subgraph(sym, persons):
-    """Rows and columns ``persons`` of CSR ``sym``, re-indexed by
-    position in ``persons`` — scipy's own two-step fancy indexing."""
-    return sym[persons][:, persons].tocsr()
+def upper_frontier(parts, mark, hi):
+    """Neighbours of the marked vertices (highest id *hi*) over
+    strict-upper CSR *parts*: each marked row's columns, plus every row
+    up to *hi* that holds a marked column."""
+    near = np.zeros(len(mark), dtype=bool)
+    for part in parts:
+        indptr, indices = part.indptr, part.indices
+        lens = np.diff(indptr[: hi + 2])
+        if indptr[0] != 0 or (lens < 0).any() or indptr[hi + 1] > len(indices):
+            raise AnalysisError("upper_frontier: malformed CSR part")
+        rows = np.repeat(np.arange(hi + 1), lens)
+        cols = indices[: indptr[hi + 1]]
+        if ((cols <= rows) | (cols >= len(mark))).any():
+            raise AnalysisError(
+                "upper_frontier needs strict upper triangular CSR parts"
+            )
+        near[cols[mark[rows]]] = True
+        near[rows[mark[cols]]] = True
+    return near
+
+
+def induced_sum(parts, persons):
+    """Each part's rows and columns ``persons`` (scipy's two-step fancy
+    indexing), summed with scipy's pairwise ``+`` (zeros dropped,
+    canonical)."""
+    if not all(strictly_upper(part) for part in parts):
+        raise AnalysisError("induced_sum needs strict upper triangular CSR parts")
+    out = parts[0][persons][:, persons].tocsr()
+    for part in parts[1:]:
+        out = out + part[persons][:, persons]
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out

@@ -21,9 +21,42 @@ from .adjacency import (
     sum_partials,
     triu_symmetrize,
 )
-from .kernels.graph import induced_subgraph
+from .kernels.graph import induced_sum, upper_frontier
 
-__all__ = ["CollocationNetwork"]
+__all__ = ["CollocationNetwork", "ball", "mirrored_subgraph"]
+
+
+def ball(parts: "list[sp.csr_matrix]", center: int, radius: int) -> np.ndarray:
+    """Sorted ids of every vertex within *radius* hops of *center* in the
+    network ``Σ parts`` (strict-upper ``(n, n)`` partial adjacencies, e.g.
+    a window's cached tiles and fringes), center included.
+
+    One :func:`~repro.core.kernels.graph.upper_frontier` step per hop:
+    the parts are never summed and never mirrored.
+    """
+    seen = np.zeros(parts[0].shape[0], dtype=bool)
+    seen[center] = True
+    frontier = seen
+    for _ in range(radius):
+        frontier = upper_frontier(parts, frontier) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+    return np.flatnonzero(seen)
+
+
+def mirrored_subgraph(
+    parts: "list[sp.csr_matrix]", persons: np.ndarray
+) -> sp.csr_matrix:
+    """The subgraph of ``Σ parts`` induced on *persons* (strictly
+    ascending ids), symmetric and re-indexed by position in *persons*:
+    bit-identical to ``triu_symmetrize(Σ parts)[persons][:, persons]``.
+
+    The parts are gathered on *persons* and summed in one pass — an
+    order-preserving relabelling keeps every gather strict-upper — and
+    only that small sum is mirrored.
+    """
+    return triu_symmetrize(induced_sum(parts, persons))
 
 
 class CollocationNetwork:
@@ -53,7 +86,6 @@ class CollocationNetwork:
         self.adjacency = adj
         self.t0 = t0
         self.t1 = t1
-        self._symmetric: sp.csr_matrix | None = None
 
     # -- basic shape -----------------------------------------------------------
 
@@ -79,12 +111,6 @@ class CollocationNetwork:
         a = self.adjacency
         return int(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
-    def symmetric(self) -> sp.csr_matrix:
-        """Full symmetric adjacency (cached)."""
-        if self._symmetric is None:
-            self._symmetric = triu_symmetrize(self.adjacency)
-        return self._symmetric
-
     # -- combination -------------------------------------------------------------
 
     def __add__(self, other: "CollocationNetwork") -> "CollocationNetwork":
@@ -107,18 +133,22 @@ class CollocationNetwork:
         return pattern_degrees(self.adjacency)
 
     def weighted_degrees(self) -> np.ndarray:
-        """Total collocated hours per person (vertex strength)."""
-        sym = self.symmetric()
-        return np.asarray(sym.sum(axis=1)).ravel().astype(np.int64)
+        """Total collocated hours per person (vertex strength, int64):
+        each person's row sum plus the entries naming it as a column."""
+        a = self.adjacency
+        strength = np.asarray(
+            a.sum(axis=1, dtype=np.result_type(a.dtype, np.int64))
+        ).ravel()
+        np.add.at(strength, a.indices, a.data)
+        return strength.astype(np.int64, copy=False)
 
     def neighbors(self, person: int) -> np.ndarray:
-        """Adjacent person ids."""
+        """Adjacent person ids, ascending."""
         if not 0 <= person < self.n_persons:
             raise AnalysisError(f"person {person} outside population")
-        sym = self.symmetric()
-        return sym.indices[sym.indptr[person] : sym.indptr[person + 1]].astype(
-            np.int64
-        )
+        mark = np.zeros(self.n_persons, dtype=bool)
+        mark[person] = True
+        return np.flatnonzero(upper_frontier([self.adjacency], mark))
 
     def edge_weight(self, i: int, j: int) -> int:
         """Collocated hours between persons *i* and *j* (0 if unconnected)."""
@@ -134,7 +164,7 @@ class CollocationNetwork:
         restricted to (and re-indexed by) the given persons.
         """
         persons = np.unique(np.asarray(persons, dtype=np.int64))
-        return induced_subgraph(self.symmetric(), persons), persons
+        return mirrored_subgraph([self.adjacency], persons), persons
 
     # -- interop ---------------------------------------------------------------------
 

@@ -643,26 +643,19 @@ class TileCache:
         """The collocation network of ``[t0, t1)``, composed from tiles.
 
         Bit-identical (same CSR ``data``/``indices``/``indptr``) to
-        ``synthesize_from_logs`` over the same window and log directory.
-        Aligned spans come from O(log W) cached tiles; unaligned edges are
-        corrected from records in the two edge spans only, and those
-        fringe partials are themselves cached so a repeated query touches
-        no records.  The partials are summed in one
-        :func:`~repro.core.adjacency.sum_partials` pass, traced as a
+        ``synthesize_from_logs`` over the same window and log directory:
+        ``sum_partials(window_parts(t0, t1))``, one
+        :func:`~repro.core.adjacency.sum_partials` pass traced as a
         ``compose`` span (``parts``, ``impl``, ``n_edges``).
         """
-        if t1 <= t0:
-            raise TileCacheError(f"empty query window [{t0}, {t1})")
-        if t0 < 0:
-            raise TileCacheError("query windows start at hour 0")
         with start_span("compose", attrs={"t0": int(t0), "t1": int(t1)}) as span:
-            parts = self._acquire(t0, t1)
+            parts = self.window_parts(t0, t1)
             # compose outside the lock: every part is an immutable matrix
             # this thread holds a reference to, so racing evictions cannot
             # hurt it
             with Timer() as timer:
                 adjacency = sum_partials(parts, self.n_persons)
-            times = collect_kernel_timings()  # this query's merges and sum
+            times = collect_kernel_timings()  # the sum's twin, if it ran
             record_kernel_timings(times)
             with self._lock:
                 self.stats.timings.add("reduce", timer.elapsed)
@@ -672,9 +665,21 @@ class TileCache:
             span.set_attr("n_edges", net.n_edges)
         return net
 
-    def _acquire(self, t0: int, t1: int) -> list[sp.csr_matrix]:
-        """Plan the window's cover plus fringes and acquire (building what
-        is missing) every partial it needs, under the cache lock."""
+    def window_parts(self, t0: int, t1: int) -> list[sp.csr_matrix]:
+        """The partial adjacencies whose sum is the network of ``[t0, t1)``.
+
+        Plans the window's O(log W) segment-tree cover plus its unaligned
+        edge fringes and acquires every partial, building what is missing
+        (fringe partials are cached too, so a repeated window touches no
+        records).  Each part is an immutable canonical strict-upper
+        ``(n_persons, n_persons)`` CSR the caller may hold past a racing
+        eviction; readers that need only a few rows — an ego network —
+        use the parts as they are instead of composing them.
+        """
+        if t1 <= t0:
+            raise TileCacheError(f"empty query window [{t0}, {t1})")
+        if t0 < 0:
+            raise TileCacheError("query windows start at hour 0")
         with self._lock:
             self._check_open()
             T = self.tile_hours
@@ -720,7 +725,8 @@ class TileCache:
                 else:
                     parts.append(fringe_parts[(entry[1], entry[2])])
             self.stats.bump("queries")
-            return parts
+        record_kernel_timings(collect_kernel_timings())  # builds and merges
+        return parts
 
     def horizon(self) -> int:
         """Last simulation hour any usable log record reaches (chunk-index

@@ -19,9 +19,12 @@ Architecture
 * **Request coalescing.**  Identical in-flight compositions are shared:
   the first request for a ``(cache, t0, t1)`` key becomes the *leader*
   and runs the composition; followers await the leader's future and get
-  the same immutable :class:`CollocationNetwork` object.  ``ego`` and
-  ``degrees`` requests coalesce with plain ``window`` requests for the
-  same window, since they derive from the same composition.
+  the same immutable :class:`CollocationNetwork` object.  ``degrees``
+  requests coalesce with plain ``window`` requests for the same window,
+  since they derive from the same composition.  ``ego`` composes
+  nothing: it reads the window's cached parts
+  (:meth:`~repro.core.tilecache.TileCache.window_parts`) on the executor,
+  so there is nothing for it to share.
 * **Admission control.**  Every query charges its tenant's
   :class:`~repro.service.admission.AdmissionController` ledger before
   any work happens and releases after its response blob is encoded; an
@@ -68,7 +71,8 @@ Architecture
 * **Telemetry.**  Every non-control request runs inside a ``request``
   span parented to the client's ``header["trace"]`` context, with
   ``admission`` → ``coalesce`` → ``compose`` → ``kernel`` children (the
-  composition carries the leader's context into the executor thread)
+  composition carries the leader's context into the executor thread;
+  an ``ego`` request's analysis kernels hang off the request itself)
   and a closing ``write`` child (attr ``bytes``) covering the socket
   write and drain, and the trace id is echoed in every response.
   Service counters are mirrored into the process metrics registry
@@ -91,7 +95,7 @@ from pathlib import Path
 import numpy as np
 
 from ..analysis.degree import degree_distribution
-from ..analysis.ego import ego_network
+from ..analysis.ego import ego_from_parts
 from ..core.layers import LAYER_KINDS
 from ..core.tilecache import TileCache
 from ..obs import (
@@ -547,6 +551,10 @@ class NetworkQueryService:
         finally:
             self._handle_futures.pop(key, None)
 
+    def _unref(self, handle: _CacheHandle) -> None:
+        handle.refs -= 1
+        self._maybe_close(handle)
+
     def _maybe_close(self, handle: _CacheHandle) -> None:
         if handle.retired and handle.refs == 0:
             handle.cache.close()
@@ -610,8 +618,7 @@ class NetworkQueryService:
             # becomes a fresh leader instead of re-joining this entry
             if handle.inflight.get(wkey) is entry:
                 del handle.inflight[wkey]
-            handle.refs -= 1
-            self._maybe_close(handle)
+            self._unref(handle)
             exc = f.exception()
             if exc is not None:
                 entry.fut.set_exception(exc)
@@ -673,8 +680,7 @@ class NetworkQueryService:
                     self._note_span(handle, t0, t1)
                     return net
                 finally:
-                    handle.refs -= 1
-                    self._maybe_close(handle)
+                    self._unref(handle)
 
     # -- prefetch -------------------------------------------------------------
 
@@ -731,8 +737,7 @@ class NetworkQueryService:
                         self.stats.bump("prefetched_tiles", built)
                     finally:
                         self.shedder.release(token)
-                        handle.refs -= 1
-                        self._maybe_close(handle)
+                        self._unref(handle)
             except asyncio.CancelledError:
                 self._prefetch_queue.task_done()
                 raise
@@ -949,13 +954,20 @@ class NetworkQueryService:
                                code="bad-request")
         return tenant
 
-    async def _bounded_executor(self, dl: Deadline, fn, *args):
+    async def _bounded_executor(
+        self, dl: Deadline, fn, *args, handle: _CacheHandle | None = None
+    ):
         """Run ``fn`` on the executor, waiting at most the remaining
         deadline budget.  The executor job itself is not interrupted
         (threads cannot be), but this waiter stops holding admission and
-        connection state for it the moment the budget runs out."""
+        connection state for it the moment the budget runs out.  A job
+        reading ``handle``'s cache holds a reference on it until the job
+        itself ends, so a reload never closes the cache under it."""
         loop = asyncio.get_running_loop()
         fut = loop.run_in_executor(self._executor, fn, *args)
+        if handle is not None:
+            handle.refs += 1
+            fut.add_done_callback(lambda f: self._unref(handle))
         try:
             return await asyncio.wait_for(asyncio.shield(fut), dl.remaining())
         except asyncio.TimeoutError:
@@ -967,10 +979,10 @@ class NetworkQueryService:
                 "deadline exceeded deriving the response"
             ) from None
 
-    async def _admitted_window(self, header: dict, key: str, dl: Deadline):
-        """Parse, admit, compose, encode-release: the shared query core.
+    def _admit(self, header: dict):
+        """Parse the window and charge the tenant's admission ledger.
 
-        Returns ``(net, t0, t1, release)`` — the caller must invoke
+        Returns ``(t0, t1, release)`` — the caller must invoke
         ``release()`` once it no longer holds response-sized data.
         """
         t0, t1 = _window_params(header)
@@ -987,6 +999,15 @@ class NetworkQueryService:
                 released = True
                 self.admission.release(tenant, cost)
 
+        return t0, t1, release
+
+    async def _admitted_window(self, header: dict, key: str, dl: Deadline):
+        """Parse, admit, compose, encode-release: the shared query core.
+
+        Returns ``(net, t0, t1, release)`` — the caller must invoke
+        ``release()`` once it no longer holds response-sized data.
+        """
+        t0, t1, release = self._admit(header)
         try:
             net = await self._coalesced_window(key, t0, t1, dl)
         except BaseException:
@@ -1055,14 +1076,23 @@ class NetworkQueryService:
             raise ServiceError(
                 "'radius' must be a positive integer", code="bad-request"
             )
-        net, t0, t1, release = await self._admitted_window(header, _FULL, dl)
-        # carried into the executor thread so the analysis kernel span
-        # nests in this request's trace
+        t0, t1, release = self._admit(header)
+        # carried into the executor thread so the analysis kernel spans
+        # nest in this request's trace
         ctx = current_context()
         try:
+            handle = await self._get_handle(_FULL)
+
             def _build() -> tuple[bytes, int, int]:
+                # work whose waiter gave up before dequeue is not started
+                if dl.expired:
+                    raise DeadlineError(
+                        "ego request expired before it was dequeued",
+                        code="expired",
+                    )
                 with use_context(ctx):
-                    ego = ego_network(net, person, radius=radius)
+                    parts = handle.cache.window_parts(t0, t1)
+                    ego = ego_from_parts(parts, person, radius=radius)
                 blob = encode_csr(
                     ego.matrix,
                     persons=ego.persons.astype(np.int64),
@@ -1071,7 +1101,10 @@ class NetworkQueryService:
                 )
                 return blob, ego.n_nodes, ego.n_edges
 
-            blob, n_nodes, n_edges = await self._bounded_executor(dl, _build)
+            blob, n_nodes, n_edges = await self._bounded_executor(
+                dl, _build, handle=handle
+            )
+            self._note_span(handle, t0, t1)
         finally:
             release()
         return (

@@ -47,3 +47,22 @@ def brute_force_adjacency(person, place, start, stop, n_persons: int, t0: int, t
     out.sum_duplicates()
     out.sort_indices()
     return out
+
+
+def brute_force_ego(adjacency, center: int, radius: int):
+    """Radius-*radius* ego network of a strict-upper adjacency, read off
+    its dense symmetric form: ``(sorted persons, dense weights among
+    them)``.  A plain set-based BFS, one vertex at a time."""
+    dense = adjacency.toarray()
+    sym = dense + dense.T
+    seen, frontier = {int(center)}, [int(center)]
+    for _ in range(radius):
+        reached = []
+        for v in frontier:
+            for u in np.flatnonzero(sym[v]):
+                if int(u) not in seen:
+                    seen.add(int(u))
+                    reached.append(int(u))
+        frontier = reached
+    persons = np.array(sorted(seen), dtype=np.int64)
+    return persons, sym[np.ix_(persons, persons)]

@@ -1,6 +1,7 @@
-"""The two analysis graph kernels against independent oracles.
+"""The analysis graph kernels against independent oracles.
 
-:func:`edge_triangles` and :func:`induced_subgraph` each have a compiled
+:func:`edge_triangles`, :func:`induced_sum`, :func:`upper_frontier` and
+the mirror behind ``triu_symmetrize`` each have a compiled
 implementation and a numpy/scipy twin.  Every test below runs through
 the public entry points once per implementation (``impl`` fixture: the C
 extension as loaded, then the twin with the extension masked out) and
@@ -19,15 +20,15 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.analysis import ego_network, local_clustering, weighted_clustering
 from repro.config import ScaleConfig, SimulationConfig
-from repro.core import CollocationNetwork
+from repro.core import CollocationNetwork, triu_symmetrize
 from repro.core.kernels import cext, graph
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SynthesisError
 from repro.obs import capture_spans
 from repro.sim import Simulation
 from repro.synthpop import generate_population
@@ -220,7 +221,7 @@ class TestEdgeTrianglesInputContract:
         assert np.array_equal(weighted_clustering(a), weighted_clustering(b))
 
 
-# -- induced_subgraph ---------------------------------------------------------
+# -- induced_sum ---------------------------------------------------------------
 
 
 def csr_identical(a, b):
@@ -236,37 +237,38 @@ def csr_identical(a, b):
 
 
 class TestInducedSubgraph:
+    """``induced_sum`` over one part: the gather of a strict-upper
+    matrix on a person list."""
+
     @PER_IMPL
     @given(graphs(), st.data())
     def test_matches_scipy_indexing(self, impl, graph_, data):
         n, edges = graph_
         upper = upper_csr(n, edges)
-        sym = (upper + upper.T).tocsr()
         persons = np.array(
             sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else [],
             dtype=np.int64,
         )
-        sub = graph.induced_subgraph(sym, persons)
-        assert csr_identical(sub, sym[persons][:, persons].tocsr())
+        sub = graph.induced_sum([upper], persons)
+        assert csr_identical(sub, upper[persons][:, persons].tocsr())
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
     def test_value_and_index_dtypes_survive(self, impl, dtype):
         n, edges = NAMED_GRAPHS["hub-over-ring"]
         upper = upper_csr(n, edges, dtype=dtype)
-        sym = (upper + upper.T).tocsr()
         persons = np.arange(3, n, 2, dtype=np.int64)
-        expected = sym[persons][:, persons].tocsr()
-        assert csr_identical(graph.induced_subgraph(sym, persons), expected)
-        sym.indices = sym.indices.astype(np.int64)
-        sym.indptr = sym.indptr.astype(np.int64)
-        wide = graph.induced_subgraph(sym, persons)
+        expected = upper[persons][:, persons].tocsr()
+        assert csr_identical(graph.induced_sum([upper], persons), expected)
+        upper.indices = upper.indices.astype(np.int64)
+        upper.indptr = upper.indptr.astype(np.int64)
+        wide = graph.induced_sum([upper], persons)
         assert np.array_equal(wide.toarray(), expected.toarray())
 
     def test_whole_and_empty_selection(self, impl, small_net):
-        sym = small_net.symmetric()
+        upper = small_net.adjacency
         everyone = np.arange(small_net.n_persons, dtype=np.int64)
-        assert csr_identical(graph.induced_subgraph(sym, everyone), sym)
-        nobody = graph.induced_subgraph(sym, np.empty(0, dtype=np.int64))
+        assert csr_identical(graph.induced_sum([upper], everyone), upper)
+        nobody = graph.induced_sum([upper], np.empty(0, dtype=np.int64))
         assert nobody.shape == (0, 0) and nobody.nnz == 0
 
     @pytest.mark.parametrize(
@@ -275,24 +277,94 @@ class TestInducedSubgraph:
     )
     def test_bad_person_lists_are_rejected(self, impl, small_net, persons):
         with pytest.raises(AnalysisError):
-            graph.induced_subgraph(small_net.symmetric(), np.array(persons))
+            graph.induced_sum([small_net.adjacency], np.array(persons))
 
     def test_network_subgraph_sorts_and_dedups(self, impl, small_net):
         members = np.array([40, 3, 3, 700, 12, 40])
         sub, persons = small_net.subgraph(members)
         assert persons.tolist() == [3, 12, 40, 700]
-        sym = small_net.symmetric()
+        sym = triu_symmetrize(small_net.adjacency)
         assert csr_identical(sub, sym[persons][:, persons].tocsr())
         with pytest.raises(AnalysisError):
             small_net.subgraph(np.array([0, small_net.n_persons]))
 
 
+class TestMirrorAndFrontier:
+    """The two kernels an ego network is read through: the strict-upper
+    → symmetric mirror (``triu_symmetrize``) and one breadth-first step
+    over k strict-upper parts (``upper_frontier``)."""
+
+    @PER_IMPL
+    @given(graphs())
+    def test_mirror_matches_scipy(self, impl, graph_):
+        n, edges = graph_
+        upper = upper_csr(n, edges)
+        assert csr_identical(triu_symmetrize(upper), (upper + upper.T).tocsr())
+
+    @PER_IMPL
+    @given(graphs(), st.data())
+    def test_frontier_matches_the_dense_sum(self, impl, graph_, data):
+        n, edges = graph_
+        k = data.draw(st.integers(1, 3))
+        # every edge lands in one or two parts: overlapping partials
+        owners = [data.draw(st.sets(st.integers(0, k - 1), min_size=1)) for _ in edges]
+        parts = [
+            upper_csr(n, [e for e, o in zip(edges, owners) if p in o])
+            for p in range(k)
+        ]
+        mark = np.zeros(n, dtype=bool)
+        mark[sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []] = True
+        dense = sum(p.toarray() for p in parts) if k else np.zeros((n, n))
+        want = (dense + dense.T)[mark].any(axis=0)
+        got = graph.upper_frontier(parts, mark)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    @PER_IMPL
+    @given(graphs(), st.data())
+    def test_induced_sum_matches_summed_gathers(self, impl, graph_, data):
+        n, edges = graph_
+        assume(n)
+        k = data.draw(st.integers(1, 4))
+        owners = [data.draw(st.sets(st.integers(0, k - 1), min_size=1)) for _ in edges]
+        parts = [
+            upper_csr(n, [e for e, o in zip(edges, owners) if p in o])
+            for p in range(k)
+        ]
+        persons = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        want = sum(p.toarray() for p in parts)[np.ix_(persons, persons)]
+        got = graph.induced_sum(parts, persons)
+        assert got.shape == want.shape and got.has_canonical_format
+        assert got.data.dtype == np.int64 and got.data.all()
+        assert np.array_equal(got.toarray(), want)
+
+    @pytest.mark.parametrize(
+        "entry", [(2, 2), (3, 1)], ids=["diagonal", "below-diagonal"]
+    )
+    def test_entries_off_the_upper_triangle_are_refused(self, impl, entry):
+        (i, j) = entry
+        bad = sp.coo_matrix(([1, 7], ([0, i], [4, j])), shape=(5, 5)).tocsr()
+        with pytest.raises(SynthesisError):
+            triu_symmetrize(bad)
+        mark = np.ones(5, dtype=bool)
+        with pytest.raises(AnalysisError):
+            graph.upper_frontier([bad], mark)
+        with pytest.raises((AnalysisError, SynthesisError)):
+            graph.induced_sum([bad, bad], np.arange(5))
+
+
 # -- the rebuilt analysis functions equal their pre-kernel bodies -------------
+
+
+def scipy_symmetric(network):
+    """The symmetric adjacency as scipy mirrors it: the references below
+    share no kernel with the code they check."""
+    a = network.adjacency
+    return (a + a.T).tocsr()
 
 
 def reference_local_clustering(network, batch_rows=8192):
     """``local_clustering`` as it was before the triangle kernel."""
-    sym = network.symmetric()
+    sym = scipy_symmetric(network)
     a = sym.copy()
     a.data = np.ones_like(a.data, dtype=np.int64)
     n = a.shape[0]
@@ -315,7 +387,7 @@ def reference_local_clustering(network, batch_rows=8192):
 
 def reference_weighted_clustering(network, batch_rows=4096):
     """``weighted_clustering`` as it was before the triangle kernel."""
-    sym = network.symmetric().astype(np.float64)
+    sym = scipy_symmetric(network).astype(np.float64)
     binary = sym.copy()
     binary.data = np.ones_like(binary.data)
     n = sym.shape[0]
@@ -344,7 +416,7 @@ def reference_weighted_clustering(network, batch_rows=4096):
 def reference_ego(network, person, radius=2):
     """``ego_network``'s BFS and induced subgraph as they were before
     the boolean-mask frontier and the gather kernel."""
-    sym = network.symmetric()
+    sym = scipy_symmetric(network)
     frontier = np.array([person], dtype=np.int64)
     visited = {int(person)}
     for _ in range(radius):
@@ -416,7 +488,7 @@ class TestAnalysisBitIdentity:
                 assert csr_identical(ego.matrix, sub)
 
     def test_group_subgraph(self, impl, real_net):
-        sym = real_net.symmetric()
+        sym = triu_symmetrize(real_net.adjacency)
         members = np.arange(1, real_net.n_persons, 3)
         sub, persons = real_net.subgraph(members)
         assert csr_identical(sub, sym[persons][:, persons].tocsr())
@@ -465,7 +537,7 @@ class TestImplementationPinning:
                 return getattr(kernels, name)
 
         cext._smoke_test(kernels)
-        for name in ("edge_triangles", "induced_subgraph", "rank_step"):
+        for name in ("edge_triangles", "induced_sum", "rank_step"):
             with pytest.raises(RuntimeError):
                 cext._smoke_test(Skewed(name))
 

@@ -6,8 +6,8 @@ The contracts under test:
   ``compositions`` / ``coalesced`` counters prove it), and every client —
   leader or follower — decodes a CSR bit-identical to a direct
   synthesis.
-* Derived ops (``ego``, ``degrees``) coalesce with plain ``window``
-  requests over the same window.
+* ``degrees`` coalesces with plain ``window`` requests over the same
+  window; ``ego`` reads the window's cached parts and composes nothing.
 * Admission budgets are strictly per tenant: one tenant saturating its
   budget is rejected with ``retry_after`` while another tenant's
   identical query is admitted, and nothing leaks between ledgers.
@@ -176,7 +176,8 @@ class TestCoalescing:
     def test_derived_ops_coalesce_with_window(
         self, service_logs, small_pop, direct_ref
     ):
-        """ego + degrees + window over one window: one composition."""
+        """ego + degrees + window over one window: one composition,
+        shared by window and degrees; ego composes nothing."""
         ref = direct_ref(0, 168)
         person = 7
 
@@ -190,11 +191,16 @@ class TestCoalescing:
                         b.query_ego(person, 0, 168),
                         c.degree_summary(0, 168),
                     )
+                    assert svc.stats.queries == 3
+                    assert svc.stats.compositions == 1
+                    assert svc.stats.coalesced == 1
+                    # an ego on a window nothing composed adds no
+                    # composition either
+                    await b.query_ego(person, 6, 174)
+                    assert svc.stats.queries == 4
+                    assert svc.stats.compositions == 1
                 finally:
                     await close_clients([a, b, c])
-                assert svc.stats.queries == 3
-                assert svc.stats.compositions == 1
-                assert svc.stats.coalesced == 2
                 return net, ego, deg
 
         net, ego, deg = asyncio.run(scenario())
