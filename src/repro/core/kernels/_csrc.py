@@ -107,6 +107,16 @@ One kernel serves the distributed model (entry point in
     opens their next spells from the week grids, looks the new owner up,
     compacts stayers in place and buckets leavers by destination — the
     compiled twin of the numpy step below its call.
+
+One kernel builds the schedule those steps read (entry point in
+:mod:`repro.synthpop.schedule`):
+
+``rk_week_fill``
+    a week's ``activity`` / ``place`` grids from its blocks (school and
+    work shifts, then the drawn outings, in the order the numpy body
+    writes them), the forced home hours, the ``NO_PLACE`` refusal and the
+    hour-major change plane, in one call — the compiled twin of
+    ``WeeklyScheduleGenerator._fill_twin`` + ``WeekGrid.change_plane``.
 """
 
 from __future__ import annotations
@@ -114,7 +124,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 9
+C_SOURCE_VERSION = 10
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -945,5 +955,124 @@ API int64_t rk_rank_step(
     bounds[0] = 0;
     out[0] = kept;
     return n_rec;
+}
+
+/* x[0..7]: eight rows of eight bytes; on return byte c of x[r] is what
+   byte r of x[c] was (three rounds of block swaps) */
+static void rk_transpose8(uint64_t x[8]) {
+    static const uint64_t mask[3] = {
+        0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
+    for (int level = 0; level < 3; level++) {
+        const int step = 1 << level, shift = 8 << level;
+        for (int r = 0; r < 8; r++) {
+            if (r & step) continue;
+            const uint64_t t = ((x[r] >> shift) ^ x[r + step]) & mask[level];
+            x[r + step] ^= t;
+            x[r] ^= t << shift;
+        }
+    }
+}
+
+#define RK_DAY_HOURS 24
+#define RK_WEEK_HOURS (7 * RK_DAY_HOURS)
+#define RK_NO_PLACE 0xFFFFFFFFu
+#define RK_TILE 64
+
+/* One week of schedules, one person at a time.
+
+   Person p's row of the (n, 168) act (uint8) / place (uint32) grids
+   starts at home: activity 0 at household[p].  Then the entries naming
+   p are written in table order: entry k puts (what[k], where[k]) on
+   hours [start[k], start[k] + dur[k]) of the day, clipped to the day, on
+   every day d whose bit is set in days[k].  Days never overlap, so a
+   later entry overwrites an earlier one exactly where the numpy body's
+   later block does.  Then hours 0-6 and 23 of every day go home, and the
+   row is written out once.
+
+   plane, when given, is the hour-major (168, n) change plane:
+   plane[h * n + p] is set where (act, place) of person p at hour h
+   differs from hour h - 1; row 0 compares with prev_act[p] /
+   prev_place[p] (the previous week's last hour) and is all zero
+   without them.  first (n + 1) and order (n_entries) are scratch.
+
+   Returns 0, or -1 when a cell holds NO_PLACE, -2 for an entry whose
+   person is outside [0, n), -3 for more entries than int32 counts; the
+   grids are unspecified after an error. */
+API int64_t rk_week_fill(
+    int64_t n, const uint32_t *household, int64_t n_entries,
+    const int32_t *who, const uint8_t *days, const uint8_t *start,
+    const uint8_t *dur, const uint8_t *what, const uint32_t *where,
+    const uint8_t *prev_act, const uint32_t *prev_place,
+    uint8_t *act, uint32_t *place, uint8_t *plane,
+    int32_t *first, int32_t *order) {
+    /* a stable counting sort of the entries by person: person p's are
+       order[first[p - 1] .. first[p]) once the scatter has run */
+    if (n_entries > INT32_MAX) return -3;
+    for (int64_t p = 0; p <= n; p++) first[p] = 0;
+    for (int64_t k = 0; k < n_entries; k++) {
+        if (who[k] < 0 || who[k] >= n) return -2;
+        first[who[k] + 1]++;
+    }
+    for (int64_t p = 0; p < n; p++) first[p + 1] += first[p];
+    for (int64_t k = 0; k < n_entries; k++) order[first[who[k]]++] = (int32_t)k;
+    uint8_t a[RK_WEEK_HOURS];
+    uint32_t q[RK_WEEK_HOURS];
+    /* the change columns of RK_TILE persons, written into the plane as
+       8 x 8 byte blocks once the tile is full: one plane row per hour
+       and person would touch 168 pages a person */
+    uint8_t tile[RK_TILE][RK_WEEK_HOURS];
+    int64_t e = 0;
+    for (int64_t p = 0; p < n; p++) {
+        const uint32_t home = household[p];
+        memset(a, 0, sizeof a);
+        for (int h = 0; h < RK_WEEK_HOURS; h++) q[h] = home;
+        for (; e < first[p]; e++) {
+            const int64_t k = order[e];
+            const int lo = start[k];
+            const int hi = lo + dur[k] < RK_DAY_HOURS ? lo + dur[k] : RK_DAY_HOURS;
+            for (unsigned m = days[k] & 0x7F; m; m &= m - 1) {
+                const int at = __builtin_ctz(m) * RK_DAY_HOURS;
+                for (int h = at + lo; h < at + hi; h++) {
+                    a[h] = what[k];
+                    q[h] = where[k];
+                }
+            }
+        }
+        for (int d = 0; d < 7; d++) {
+            for (int h = d * RK_DAY_HOURS; h < d * RK_DAY_HOURS + 7; h++) {
+                a[h] = 0;
+                q[h] = home;
+            }
+            a[d * RK_DAY_HOURS + 23] = 0;
+            q[d * RK_DAY_HOURS + 23] = home;
+        }
+        uint32_t missing = 0;
+        for (int h = 0; h < RK_WEEK_HOURS; h++) missing |= q[h] == RK_NO_PLACE;
+        if (missing) return -1;
+        memcpy(act + p * RK_WEEK_HOURS, a, sizeof a);
+        memcpy(place + p * RK_WEEK_HOURS, q, sizeof q);
+        if (plane == 0) continue;
+        const int64_t j = p % RK_TILE;
+        uint8_t *changed = tile[j];
+        changed[0] = prev_act != 0 && (a[0] != prev_act[p] || q[0] != prev_place[p]);
+        /* branch-free, so it vectorizes */
+        for (int h = 1; h < RK_WEEK_HOURS; h++)
+            changed[h] = ((a[h] ^ a[h - 1]) | (q[h] ^ q[h - 1])) != 0;
+        if (j == RK_TILE - 1) {
+            for (int i = 0; i < RK_TILE; i += 8) {
+                for (int h = 0; h < RK_WEEK_HOURS; h += 8) {
+                    uint64_t x[8];
+                    for (int r = 0; r < 8; r++) memcpy(&x[r], &tile[i + r][h], 8);
+                    rk_transpose8(x);
+                    for (int r = 0; r < 8; r++)
+                        memcpy(plane + (h + r) * n + p - j + i, &x[r], 8);
+                }
+            }
+        } else if (p == n - 1) {
+            for (int h = 0; h < RK_WEEK_HOURS; h++)
+                for (int64_t i = 0; i <= j; i++) plane[h * n + p - j + i] = tile[i][h];
+        }
+    }
+    return 0;
 }
 """

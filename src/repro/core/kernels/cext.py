@@ -141,6 +141,11 @@ class CompiledKernels:
             + [ctypes.c_int64] * 2 + [ctypes.c_void_p] + [ctypes.c_int64] * 5
             + [ctypes.c_void_p] * 5
         )
+        lib.rk_week_fill.restype = ctypes.c_int64
+        lib.rk_week_fill.argtypes = (
+            [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+            + [ctypes.c_void_p] * 13
+        )
 
     def col_stats(
         self,
@@ -594,6 +599,53 @@ class CompiledKernels:
         alive."""
         return self._lib.rk_rank_step(*args)
 
+    def week_fill(
+        self,
+        household: np.ndarray,
+        entries: tuple[np.ndarray, ...],
+        previous: tuple[np.ndarray, np.ndarray] | None,
+        act: np.ndarray,
+        place: np.ndarray,
+        plane: np.ndarray | None,
+    ) -> int:
+        """``rk_week_fill`` (semantics and return codes: the comment above
+        it in :mod:`._csrc`): ``household`` uint32[n], ``entries`` the
+        ``(who, days, start, dur, what, where)`` columns (int32, uint8 ×4,
+        uint32), ``previous`` the previous week's last hour as
+        ``(activity, place)`` columns (uint8[n], uint32[n]) or None;
+        writes the ``(n, 168)`` ``act`` / ``place`` grids and, unless
+        None, the ``(168, n)`` ``plane``.  Arrays that do not fit raise
+        ``ValueError`` before any pointer is passed."""
+        n, who = len(household), entries[0]
+        prev_act, prev_place = previous if previous is not None else (None, None)
+        wanted = [
+            (household, np.uint32, (n,)), (act, np.uint8, (n, 168)),
+            (place, np.uint32, (n, 168)),
+            *zip(entries, (np.int32, *[np.uint8] * 4, np.uint32), [who.shape] * 6),
+        ]
+        if plane is not None:
+            wanted.append((plane, np.bool_, (168, n)))
+        if previous is not None:
+            wanted += [(prev_act, np.uint8, (n,)), (prev_place, np.uint32, (n,))]
+        if len(entries) != 6 or not all(
+            a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+            for a, dtype, shape in wanted
+        ):
+            raise ValueError("week_fill: an array has the wrong dtype, shape or layout")
+        first = np.empty(len(household) + 1, dtype=np.int32)
+        order = np.empty(len(who), dtype=np.int32)
+        return int(
+            self._lib.rk_week_fill(
+                len(household), household.ctypes.data, len(who),
+                *(column.ctypes.data for column in entries),
+                None if prev_act is None else prev_act.ctypes.data,
+                None if prev_place is None else prev_place.ctypes.data,
+                act.ctypes.data, place.ctypes.data,
+                None if plane is None else plane.ctypes.data,
+                first.ctypes.data, order.ctypes.data,
+            )
+        )  # fmt: skip
+
 
 def _build(cc: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -772,6 +824,27 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         or leavers[:1].tolist() != [(0, 1, 3, 1)]
     ):
         raise RuntimeError("compiled rank-step kernel smoke test failed")
+    # one week of two persons at home (places 5 and 6): person 1 is at
+    # place 7 (activity 2) from 9 to 11 on Tuesday, and at place 8 from
+    # 22 to midnight on Monday, cut to 22 by the home hour 23
+    week_act = np.empty((2, 168), np.uint8)
+    week_place = np.empty((2, 168), np.uint32)
+    plane = np.empty((168, 2), np.bool_)
+    rc = kernels.week_fill(
+        np.array([5, 6], np.uint32),
+        (np.array([1, 1], np.int32), np.array([2, 1], np.uint8),
+         np.array([9, 22], np.uint8), np.array([2, 5], np.uint8),
+         np.array([2, 3], np.uint8), np.array([7, 8], np.uint32)),
+        None, week_act, week_place, plane,
+    )  # fmt: skip
+    if (
+        rc != 0
+        or week_place[0].tolist() != [5] * 168
+        or np.flatnonzero(week_act[1]).tolist() != [22, 33, 34]
+        or week_place[1, [22, 23, 33, 34, 35]].tolist() != [8, 6, 7, 7, 6]
+        or np.argwhere(plane).tolist() != [[22, 1], [23, 1], [33, 1], [35, 1]]
+    ):
+        raise RuntimeError("compiled week-fill kernel smoke test failed")
 
 
 def _load() -> "tuple[CompiledKernels | bool, str | None]":

@@ -45,7 +45,7 @@ from .partition import (
     movement_matrix,
     estimate_migration,
 )
-from .migration import MIGRANT_DTYPE, pack_migrants, unpack_migrants
+from .migration import MIGRANT_DTYPE, pack_migrants
 from .dmodel import DistributedSimulation, DistributedRunResult
 from .shardsynth import (
     STRATEGIES,
@@ -79,7 +79,6 @@ __all__ = [
     "estimate_migration",
     "MIGRANT_DTYPE",
     "pack_migrants",
-    "unpack_migrants",
     "DistributedSimulation",
     "DistributedRunResult",
 ]

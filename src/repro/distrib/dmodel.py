@@ -41,7 +41,7 @@ from ..sim.checkpoint import (
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
 from .comm import Communicator, TrafficStats
-from .migration import pack_migrants, unpack_migrants
+from .migration import pack_migrants
 from .partition import PlacePartition
 from .rankstep import HostedTable
 from .simcluster import SimCluster
@@ -126,7 +126,10 @@ class _ScheduleCache:
 
     Models ranks reading the same deterministic schedule inputs; generating
     a week once and sharing it read-only across rank threads avoids
-    duplicating the grid per rank in this in-process simulation.
+    duplicating the grid per rank in this in-process simulation.  A week's
+    grids and plane come from one
+    :meth:`~repro.synthpop.schedule.WeeklyScheduleGenerator.week_with_changes`
+    call.
     """
 
     def __init__(self, generator: WeeklyScheduleGenerator) -> None:
@@ -138,12 +141,16 @@ class _ScheduleCache:
         with self._lock:
             entry = self._weeks.get(index)
             if entry is None:
-                grid = self._generator.week(index)
                 previous = None
                 if index > 0:  # a resume can start past a week never cached
                     cached = self._weeks.get(index - 1)
-                    previous = cached[0] if cached else self._generator.week(index - 1)
-                entry = self._weeks[index] = (grid, grid.change_plane(previous))
+                    previous = (
+                        cached[0] if cached
+                        else self._generator.week_with_changes(index - 1, None)[0]
+                    )  # fmt: skip
+                entry = self._weeks[index] = self._generator.week_with_changes(
+                    index, previous
+                )
                 # keep at most two weeks resident (current + boundary)
                 for old in [k for k in self._weeks if k < index - 1]:
                     del self._weeks[old]
@@ -169,6 +176,8 @@ class _RankOutput:
     changes: int = 0
     migrants: int = 0
     loop_seconds: float = 0.0
+    #: of which ``HostedTable.receive``, summed over the hours
+    receive_seconds: float = 0.0
     #: what ran the rank-hour scan, and how many steps its twin took
     impl: str = ""
     twin_steps: int = 0
@@ -315,6 +324,7 @@ class DistributedSimulation:
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
             rank = comm.rank
             checkpoints = changes = 0
+            receive_seconds = 0.0
             if resume_state is not None:
                 rows = pack_migrants(
                     resume_state["ids"],
@@ -386,7 +396,10 @@ class DistributedSimulation:
                         emit(rec)
                         if n_leavers:
                             migrations_out[hour] = n_leavers
-                    hosted.arrive(unpack_migrants(comm.alltoall(payloads)))
+                    arrivals = comm.alltoall(payloads)
+                    tic_receive = time.perf_counter()
+                    hosted.receive(arrivals)
+                    receive_seconds += time.perf_counter() - tic_receive
 
                     if (
                         ckpt_dir is not None
@@ -451,6 +464,7 @@ class DistributedSimulation:
                 changes=changes,
                 migrants=int(migrations_out[start_hour:].sum()),
                 loop_seconds=time.perf_counter() - tic,
+                receive_seconds=receive_seconds,
                 impl=hosted.impl,
                 twin_steps=hosted.twin_steps,
             )
@@ -508,6 +522,7 @@ class DistributedSimulation:
             count("distrib.migrants_out", o.migrants)
             count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
             observe("distrib.rank_loop_seconds", o.loop_seconds)
+            observe("distrib.receive_seconds", o.receive_seconds)
             if o.twin_steps:
                 count("kernels.rank_step.twin", o.twin_steps)
         return DistributedRunResult(

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import CommError
 
-__all__ = ["MIGRANT_DTYPE", "pack_migrants", "unpack_migrants", "route_rows"]
+__all__ = ["MIGRANT_DTYPE", "pack_migrants", "route_rows"]
 
 #: person id, the open spell's start hour, and its (activity, place) state
 MIGRANT_DTYPE = np.dtype(
@@ -67,19 +67,3 @@ def route_rows(
         for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         if hi > lo
     ]
-
-
-def unpack_migrants(payloads: list[np.ndarray | None]) -> np.ndarray:
-    """Concatenate received migrant payloads (skipping empty/None); a
-    payload that is not :data:`MIGRANT_DTYPE` is a protocol error, never
-    cast."""
-    parts = [p for p in payloads if p is not None and len(p)]
-    for p in parts:
-        if getattr(p, "dtype", None) != MIGRANT_DTYPE:
-            raise CommError(
-                f"migrant payload has dtype {getattr(p, 'dtype', type(p))}, "
-                f"expected {MIGRANT_DTYPE}"
-            )
-    if not parts:
-        return np.empty(0, dtype=MIGRANT_DTYPE)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import HOURS_PER_WEEK
 from ..core.kernels.cext import load_cext
-from ..errors import SimulationError
+from ..errors import CommError, SimulationError
 from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records
 from ..synthpop.schedule import WeekGrid
 from .migration import MIGRANT_DTYPE, route_rows
@@ -53,7 +53,8 @@ class HostedTable:
     ``rows`` (``MIGRANT_DTYPE``) are the agents hosted at the start, in
     hosted order; ``assignment`` maps every place to its owning rank.
     ``table[:count]`` is the live state; capacity doubles when arrivals
-    need it and never exceeds the population.
+    need it and never exceeds the population.  Agents enter only through
+    :meth:`receive`.
     """
 
     def __init__(
@@ -86,7 +87,7 @@ class HostedTable:
         self._plane: np.ndarray | None = None
         self.table = np.empty(0, dtype=MIGRANT_DTYPE)
         self._reserve(len(rows))
-        self.arrive(rows)
+        self.receive([rows])
 
     @property
     def impl(self) -> str:
@@ -106,6 +107,7 @@ class HostedTable:
         table = np.empty(capacity, dtype=MIGRANT_DTYPE)
         table[: self.count] = self.table[: self.count]
         self.table = table
+        self._raw = table.view(np.uint8)
         if self._kernels is not None:
             # per-step outputs of the scan, held as bytes: what a step
             # keeps is copied out at exact size, and numpy copies bytes
@@ -123,12 +125,44 @@ class HostedTable:
             )
             self._table_at = table.ctypes.data
 
-    def arrive(self, incoming: np.ndarray) -> None:
-        """Append ``incoming`` (``MIGRANT_DTYPE``) in order."""
-        need = self.count + len(incoming)
+    def receive(self, payloads: list[np.ndarray | None]) -> None:
+        """Append what ``payloads`` carry, in list (source-rank) order.
+
+        ``payloads`` is what ``alltoall`` hands a rank: None or a
+        ``MIGRANT_DTYPE`` array per source.  Rows are copied as raw 20-byte
+        rows, with no structured assignment and no concatenation; a
+        payload of any other dtype is a protocol error
+        (:class:`~repro.errors.CommError`), never cast, and nothing is
+        appended then.
+        """
+        nbytes = 0
+        for payload in payloads:
+            if payload is None:
+                continue
+            dtype = getattr(payload, "dtype", None)
+            # identity first: a step's payloads carry the module's dtype
+            # object; only one that crossed a pickle merely equals it
+            if dtype is not MIGRANT_DTYPE and dtype != MIGRANT_DTYPE:
+                raise CommError(
+                    f"migrant payload has dtype "
+                    f"{type(payload) if dtype is None else dtype}, "
+                    f"expected {MIGRANT_DTYPE}"
+                )
+            nbytes += payload.nbytes
+        if not nbytes:
+            return
+        need = self.count + nbytes // _ROW_BYTES
         if need > len(self.table):
             self._reserve(need)
-        self.table[self.count : need] = incoming
+        at = self.count * _ROW_BYTES
+        for payload in payloads:
+            if payload is None:
+                continue
+            if not payload.flags.c_contiguous:
+                payload = np.ascontiguousarray(payload)
+            end = at + payload.nbytes
+            self._raw[at:end] = np.frombuffer(payload, np.uint8)
+            at = end
         self.count = need
 
     def hosted(self) -> np.ndarray:
@@ -209,12 +243,18 @@ class HostedTable:
         if n_leavers:
             # a fresh array per hour: a sibling may still read last
             # hour's payload while this rank runs one alltoall ahead
-            packed = self._leavers[: n_leavers * _ROW_BYTES].copy().view(MIGRANT_DTYPE)
+            # (frombuffer, not .view: a structured view runs numpy's
+            # Python-level field check, a microsecond a call)
+            packed = np.frombuffer(
+                self._leavers[: n_leavers * _ROW_BYTES].copy(), MIGRANT_DTYPE
+            )
             for r in range(self.n_ranks):
                 if bounds[r + 1] > bounds[r]:
                     payloads[r] = packed[bounds[r] : bounds[r + 1]]
         # a copy, not a view: a retained view would pin the whole scratch
-        rec = self._records[: n_records * LOG_DTYPE.itemsize].copy().view(LOG_DTYPE)
+        rec = np.frombuffer(
+            self._records[: n_records * LOG_DTYPE.itemsize].copy(), LOG_DTYPE
+        )
         return rec, payloads, n_leavers
 
     def _step_twin(

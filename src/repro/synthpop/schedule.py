@@ -18,12 +18,14 @@ person-day — the constant the paper uses to size its event logs.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import HOURS_PER_DAY, HOURS_PER_WEEK, ScheduleConfig
 from ..errors import ScheduleError
+from ..obs import count, observe
 from .person import NO_PLACE, PersonTable
 
 __all__ = ["Activity", "ACTIVITY_NAMES", "WeekGrid", "WeeklyScheduleGenerator"]
@@ -44,6 +46,8 @@ ACTIVITY_NAMES = {a: a.name.lower() for a in Activity}
 
 WEEKDAYS = range(5)
 WEEKEND = range(5, 7)
+#: the day mask of a block written on every weekday (bit d: day d)
+_EVERY_WEEKDAY = sum(1 << day for day in WEEKDAYS)
 
 
 @dataclass
@@ -112,6 +116,10 @@ class WeeklyScheduleGenerator:
         Base seed; week *w* uses the spawn-key ``(seed, w)`` stream so any
         week can be generated independently and reproducibly (ranks in a
         distributed run generate only the weeks they need).
+
+    A week is drawn in numpy and written by ``rk_week_fill`` in the C
+    extension when it loaded, else by the numpy twin (``_fill_twin``) —
+    same draws, same grids, byte for byte.
     """
 
     def __init__(
@@ -119,20 +127,31 @@ class WeeklyScheduleGenerator:
     ) -> None:
         if persons.favorites.shape[1] < 1:
             raise ScheduleError("persons need at least one favorite place")
+        n = len(persons)
+        if n >= 2**31:
+            raise ScheduleError(f"{n} persons: person ids must fit int32")
         self.persons = persons
         self.config = config
         self.seed = seed
         # per-person stable work start jitter: a person keeps their shift
         base_rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n = len(persons)
         self._work_start = np.clip(
             config.work_start + base_rng.integers(-2, 3, n), 0, 24 - config.work_hours
         ).astype(np.int64)
+        # what every week reads the same: who draws for which block, as
+        # int32 ids (the compiled fill's row type), and where they go
+        is_student, is_employed = persons.is_student, persons.is_employed
+        self._students = np.flatnonzero(is_student).astype(np.int32)
+        self._workers = workers = np.flatnonzero(is_employed).astype(np.int32)
+        self._inactive = np.flatnonzero(~is_student & ~is_employed).astype(np.int32)
+        self._everyone = np.arange(n, dtype=np.int32)
+        self._household = np.ascontiguousarray(persons.household, dtype=np.uint32)
+        self._school = persons.school[self._students]
+        starts = self._work_start[workers]
+        self._lunch_start = starts + config.work_hours // 2
         # the shift is a fixed-length block: workers grouped by start hour
         # get it as one (rows, hour-slice) assignment per group and day —
         # a third of the cost of scattering it cell by cell
-        workers = np.flatnonzero(persons.is_employed)
-        starts = self._work_start[workers]
         self._shifts = []
         for shift_start in np.unique(starts):
             rows = workers[starts == shift_start]
@@ -147,6 +166,12 @@ class WeeklyScheduleGenerator:
         # probabilities as the population mean.
         prop = base_rng.beta(0.7, 1.8, n)
         self._propensity = prop / prop.mean() if prop.mean() > 0 else prop
+        self._p_lunch = self._out_prob(config.lunch_out_prob, workers)
+        self._p_after_school = self._out_prob(0.5, self._students)
+        self._p_errand = self._out_prob(0.6, self._inactive)
+        self._p_evening = self._out_prob(config.evening_out_prob)
+        self._p_weekend = self._out_prob(config.weekend_out_prob)
+        self._p_weekend_errand = self._out_prob(config.weekend_out_prob / 2)
 
     def _out_prob(self, base: float, rows: np.ndarray | None = None) -> np.ndarray:
         """Per-person outing probability scaled by stable propensity."""
@@ -166,22 +191,107 @@ class WeeklyScheduleGenerator:
         choice = rng.integers(0, k, len(rows))
         return fav[rows, choice]
 
+    def _outings(self, rng: np.random.Generator):
+        """The week's drawn blocks, in the order they are written.
+
+        Yields ``(day, rows, start, duration, activity, place)``: persons
+        ``rows`` spend ``duration`` hours from hour ``start`` of ``day``,
+        cut at midnight, at ``place`` doing ``activity`` (one code, or one
+        per row).  Every RNG draw of a week happens here, in the order and
+        size the grids have always been drawn with (``WEEK_DIGESTS`` in
+        the tests pins them); a block overwrites the earlier blocks of its
+        day, and after the school and work blocks of every weekday.
+        """
+        cfg = self.config
+        workers, students = self._workers, self._students
+        inactive, everyone = self._inactive, self._everyone
+        n = len(everyone)
+        for day in WEEKDAYS:
+            # lunch out replaces one mid-shift hour
+            if len(workers):
+                lunch = rng.random(len(workers)) < self._p_lunch
+                lrows = workers[lunch]
+                if len(lrows):
+                    lstart = self._lunch_start[lunch]
+                    ldur = np.ones(len(lrows), dtype=np.int64)
+                    yield (
+                        day, lrows, lstart, ldur, Activity.LUNCH_OUT,
+                        self._pick_favorite(lrows, rng),
+                    )  # fmt: skip
+            # after-school activity (clubs, sports, friends)
+            if len(students):
+                after = rng.random(len(students)) < self._p_after_school
+                arows = students[after]
+                if len(arows):
+                    astart = np.full(len(arows), cfg.school_end, dtype=np.int64)
+                    adur = rng.integers(1, 3, len(arows))
+                    yield (
+                        day, arows, astart, adur, Activity.LEISURE,
+                        self._pick_favorite(arows, rng),
+                    )  # fmt: skip
+            # midday errand for persons with no school/work that day
+            if len(inactive):
+                mid = rng.random(len(inactive)) < self._p_errand
+                mrows = inactive[mid]
+                if len(mrows):
+                    mstart = rng.integers(9, 16, len(mrows))
+                    mdur = rng.integers(1, 3, len(mrows))
+                    yield (
+                        day, mrows, mstart, mdur, Activity.ERRAND,
+                        self._pick_favorite(mrows, rng),
+                    )  # fmt: skip
+            # evening outing: leisure or errand, one block (rows are
+            # distinct, so the order of the two kinds does not matter)
+            out = rng.random(n) < self._p_evening
+            orows = everyone[out]
+            if len(orows):
+                ostart = rng.integers(17, 21, len(orows))
+                odur = rng.integers(1, 3, len(orows))
+                kind = rng.random(len(orows)) < 0.5
+                activity = np.where(
+                    kind, np.uint8(Activity.LEISURE), np.uint8(Activity.ERRAND)
+                )
+                yield (
+                    day, orows, ostart, odur, activity,
+                    self._pick_favorite(orows, rng),
+                )  # fmt: skip
+
+        for day in WEEKEND:
+            out = rng.random(n) < self._p_weekend
+            orows = everyone[out]
+            if len(orows):
+                ostart = rng.integers(10, 19, len(orows))
+                odur = rng.integers(1, 5, len(orows))
+                yield (
+                    day, orows, ostart, odur, Activity.LEISURE,
+                    self._pick_favorite(orows, rng),
+                )  # fmt: skip
+            # a second, shorter errand for some
+            err = rng.random(n) < self._p_weekend_errand
+            erows = everyone[err]
+            if len(erows):
+                estart = rng.integers(9, 21, len(erows))
+                edur = np.ones(len(erows), dtype=np.int64)
+                yield (
+                    day, erows, estart, edur, Activity.ERRAND,
+                    self._pick_favorite(erows, rng),
+                )  # fmt: skip
+
     def _set_block(
         self,
         grid_act: np.ndarray,
         grid_place: np.ndarray,
-        rows: np.ndarray,
         day: int,
+        rows: np.ndarray,
         start: np.ndarray,
         duration: np.ndarray,
-        activity: Activity,
+        activity: "Activity | np.ndarray",
         place: np.ndarray,
     ) -> None:
         """Write an activity block of per-person start/duration (vectorized
         over persons; loops only over the ≤ max-duration offsets)."""
-        if len(rows) == 0:
-            return
         base = day * HOURS_PER_DAY
+        per_row = np.ndim(activity) > 0
         max_dur = int(duration.max(initial=0))
         for off in range(max_dur):
             mask = duration > off
@@ -189,112 +299,34 @@ class WeeklyScheduleGenerator:
             ok = hour < (day + 1) * HOURS_PER_DAY  # clip to the day
             r = rows[mask][ok]
             h = hour[ok]
-            grid_act[r, h] = int(activity)
+            grid_act[r, h] = activity[mask][ok] if per_row else int(activity)
             grid_place[r, h] = place[mask][ok]
 
-    def week(self, week_index: int) -> WeekGrid:
-        """Generate the grid for week ``week_index`` (0-based)."""
-        if week_index < 0:
-            raise ScheduleError("week_index must be >= 0")
+    def _fill_twin(self, week_index: int, rng: np.random.Generator) -> WeekGrid:
+        """The numpy body of the week: ``rk_week_fill``'s twin."""
         persons = self.persons
         cfg = self.config
         n = len(persons)
-        rng = self._week_rng(week_index)
-
         act = np.zeros((n, HOURS_PER_WEEK), dtype=np.uint8)
         place = np.empty((n, HOURS_PER_WEEK), dtype=np.uint32)
         place[:] = persons.household[:, None]
 
-        students = np.flatnonzero(persons.is_student)
-        workers = np.flatnonzero(persons.is_employed)
-        everyone = np.arange(n)
-
+        students = self._students
         for day in WEEKDAYS:
             base = day * HOURS_PER_DAY
             # --- school ---
             if len(students):
                 sl = slice(base + cfg.school_start, base + cfg.school_end)
                 act[students, sl] = int(Activity.AT_SCHOOL)
-                place[students, sl] = persons.school[students][:, None]
+                place[students, sl] = self._school[:, None]
             # --- work ---
-            if len(workers):
-                ws = self._work_start[workers]
-                for shift_start, rows, workplace in self._shifts:
-                    sl = slice(
-                        base + shift_start, base + shift_start + cfg.work_hours
-                    )
-                    act[rows, sl] = int(Activity.AT_WORK)
-                    place[rows, sl] = workplace
-                # lunch out replaces one mid-shift hour
-                lunch = rng.random(len(workers)) < self._out_prob(cfg.lunch_out_prob, workers)
-                lrows = workers[lunch]
-                if len(lrows):
-                    lstart = ws[lunch] + cfg.work_hours // 2
-                    ldur = np.ones(len(lrows), dtype=np.int64)
-                    self._set_block(
-                        act, place, lrows, day, lstart, ldur,
-                        Activity.LUNCH_OUT, self._pick_favorite(lrows, rng),
-                    )
-            # --- after-school activity (clubs, sports, friends) ---
-            if len(students):
-                after = rng.random(len(students)) < self._out_prob(0.5, students)
-                arows = students[after]
-                if len(arows):
-                    astart = np.full(len(arows), cfg.school_end, dtype=np.int64)
-                    adur = rng.integers(1, 3, len(arows))
-                    self._set_block(
-                        act, place, arows, day, astart, adur, Activity.LEISURE,
-                        self._pick_favorite(arows, rng),
-                    )
-            # --- midday errand for persons with no school/work that day ---
-            inactive = np.flatnonzero(~persons.is_student & ~persons.is_employed)
-            if len(inactive):
-                mid = rng.random(len(inactive)) < self._out_prob(0.6, inactive)
-                mrows = inactive[mid]
-                if len(mrows):
-                    mstart = rng.integers(9, 16, len(mrows))
-                    mdur = rng.integers(1, 3, len(mrows))
-                    self._set_block(
-                        act, place, mrows, day, mstart, mdur, Activity.ERRAND,
-                        self._pick_favorite(mrows, rng),
-                    )
-            # --- evening outing ---
-            out = rng.random(n) < self._out_prob(cfg.evening_out_prob)
-            orows = everyone[out]
-            if len(orows):
-                ostart = rng.integers(17, 21, len(orows))
-                odur = rng.integers(1, 3, len(orows))
-                kind = rng.random(len(orows)) < 0.5
-                fav = self._pick_favorite(orows, rng)
-                for activity, sel in (
-                    (Activity.LEISURE, kind),
-                    (Activity.ERRAND, ~kind),
-                ):
-                    self._set_block(
-                        act, place, orows[sel], day, ostart[sel], odur[sel],
-                        activity, fav[sel],
-                    )
-
-        for day in WEEKEND:
-            out = rng.random(n) < self._out_prob(cfg.weekend_out_prob)
-            orows = everyone[out]
-            if len(orows):
-                ostart = rng.integers(10, 19, len(orows))
-                odur = rng.integers(1, 5, len(orows))
-                self._set_block(
-                    act, place, orows, day, ostart, odur, Activity.LEISURE,
-                    self._pick_favorite(orows, rng),
-                )
-            # a second, shorter errand for some
-            err = rng.random(n) < self._out_prob(cfg.weekend_out_prob / 2)
-            erows = everyone[err]
-            if len(erows):
-                estart = rng.integers(9, 21, len(erows))
-                edur = np.ones(len(erows), dtype=np.int64)
-                self._set_block(
-                    act, place, erows, day, estart, edur, Activity.ERRAND,
-                    self._pick_favorite(erows, rng),
-                )
+            for shift_start, rows, workplace in self._shifts:
+                sl = slice(base + shift_start, base + shift_start + cfg.work_hours)
+                act[rows, sl] = int(Activity.AT_WORK)
+                place[rows, sl] = workplace
+        # --- lunch, after school, errands, evenings, weekends ---
+        for block in self._outings(rng):
+            self._set_block(act, place, *block)
 
         # guarantee the day starts and ends at home so weeks chain cleanly
         # (hours 0-6 and 23 of every day, through a (person, day, hour) view)
@@ -306,3 +338,97 @@ class WeeklyScheduleGenerator:
         if (place == NO_PLACE).any():
             raise ScheduleError("schedule grid contains NO_PLACE entries")
         return WeekGrid(week_index=week_index, activity=act, place=place)
+
+    def _fill(
+        self,
+        kernels,
+        week_index: int,
+        rng: np.random.Generator,
+        previous: WeekGrid | None,
+        changes: bool,
+    ) -> tuple[WeekGrid, np.ndarray | None]:
+        """The week, and its change plane when ``changes``, from one
+        ``rk_week_fill`` call over compact entry columns (int32 persons,
+        uint8 days / hours / codes, uint32 places): school and work once
+        for every weekday, then each drawn block on its day."""
+        cfg = self.config
+        n = len(self.persons)
+        students, workers = self._students, self._workers
+        fixed = [
+            (students, cfg.school_start, cfg.school_end - cfg.school_start,
+             Activity.AT_SCHOOL, self._school),
+            (workers, self._work_start[workers], cfg.work_hours,
+             Activity.AT_WORK, self.persons.workplace[workers]),
+        ]  # fmt: skip
+        columns: tuple[list, ...] = ([], [], [], [], [], [])
+        who, days, start_at, hours, what, where = columns
+
+        def add(day_mask, rows, start, duration, activity, place):
+            m = len(rows)
+            who.append(rows)
+            days.append(np.full(m, day_mask, np.uint8))
+            start_at.append(np.full(m, start, np.uint8))
+            hours.append(np.full(m, duration, np.uint8))
+            what.append(np.full(m, activity, np.uint8))
+            where.append(place)
+
+        for block in fixed:
+            add(_EVERY_WEEKDAY, *block)
+        for day, *block in self._outings(rng):
+            add(1 << day, *block)
+        entries = tuple(np.concatenate(column) for column in columns)
+        # the pieces go before the grids are allocated
+        del columns, who, days, start_at, hours, what, where
+
+        act = np.zeros((n, HOURS_PER_WEEK), dtype=np.uint8)
+        place = np.empty((n, HOURS_PER_WEEK), dtype=np.uint32)
+        plane = np.zeros((HOURS_PER_WEEK, n), dtype=np.bool_) if changes else None
+        last = None
+        if changes and previous is not None:
+            last = (
+                np.ascontiguousarray(previous.activity[:, -1]),
+                np.ascontiguousarray(previous.place[:, -1]),
+            )
+        rc = kernels.week_fill(self._household, entries, last, act, place, plane)
+        if rc == -1:
+            raise ScheduleError("schedule grid contains NO_PLACE entries")
+        if rc:
+            raise ScheduleError(f"rk_week_fill refused week {week_index} ({rc})")
+        return WeekGrid(week_index=week_index, activity=act, place=place), plane
+
+    def _build(
+        self, week_index: int, previous: WeekGrid | None, changes: bool
+    ) -> tuple[WeekGrid, np.ndarray | None]:
+        if week_index < 0:
+            raise ScheduleError("week_index must be >= 0")
+        if previous is not None:
+            if previous.n_persons != len(self.persons):
+                raise ScheduleError("previous week covers another population")
+            if previous.activity.dtype != np.uint8 or previous.place.dtype != np.uint32:
+                raise ScheduleError("previous week's grids must be uint8 / uint32")
+        # imported here: the core package imports this one
+        from ..core.kernels import cext
+
+        tic = time.perf_counter()
+        rng = self._week_rng(week_index)
+        kernels = cext.load_cext()
+        if kernels is None:
+            grid = self._fill_twin(week_index, rng)
+            plane = grid.change_plane(previous) if changes else None
+            count("kernels.week_fill.twin")
+        else:
+            grid, plane = self._fill(kernels, week_index, rng, previous, changes)
+        observe("sim.week_build_seconds", time.perf_counter() - tic)
+        return grid, plane
+
+    def week(self, week_index: int) -> WeekGrid:
+        """Generate the grid for week ``week_index`` (0-based)."""
+        return self._build(week_index, None, changes=False)[0]
+
+    def week_with_changes(
+        self, week_index: int, previous: WeekGrid | None
+    ) -> tuple[WeekGrid, np.ndarray]:
+        """Week ``week_index`` and its change plane against ``previous``
+        (:meth:`WeekGrid.change_plane`: hour-major, row 0 against
+        ``previous``'s last hour, all-false without one), built together."""
+        return self._build(week_index, previous, changes=True)

@@ -7,7 +7,9 @@ recomputes the owner of every hosted agent's place.  It is kept only so
 ``test_rank_step_equivalence.py`` can require the production step to give
 byte-identical rank logs, records, migration counts, traffic and
 checkpoints.  ``reference_step`` is one hour of that body on its own, for
-``test_rank_step_property.py``.  Do not import either from ``src/``.
+``test_rank_step_property.py``; ``unpack_migrants`` is how it took in what
+arrived (the receive path ``HostedTable.receive`` replaced), for
+``test_receive_property.py``.  Do not import any of them from ``src/``.
 """
 
 from __future__ import annotations
@@ -28,12 +30,28 @@ from repro.distrib.dmodel import (
     _save_dist_checkpoint,
     _ScheduleCache,
 )
-from repro.distrib.migration import pack_migrants, unpack_migrants
+from repro.distrib.migration import MIGRANT_DTYPE, pack_migrants
 from repro.distrib.simcluster import SimCluster
-from repro.errors import RankDeadError, RankFailureError, SimulationError
+from repro.errors import CommError, RankDeadError, RankFailureError, SimulationError
 from repro.evlog.multifile import rank_log_path
 from repro.evlog.schema import LogRecordArray, empty_records
 from repro.evlog.writer import CachedLogWriter
+
+
+def unpack_migrants(payloads: list[np.ndarray | None]) -> np.ndarray:
+    """Concatenate received migrant payloads (skipping empty/None); a
+    payload that is not :data:`MIGRANT_DTYPE` is a protocol error, never
+    cast."""
+    parts = [p for p in payloads if p is not None and len(p)]
+    for p in parts:
+        if getattr(p, "dtype", None) != MIGRANT_DTYPE:
+            raise CommError(
+                f"migrant payload has dtype {getattr(p, 'dtype', type(p))}, "
+                f"expected {MIGRANT_DTYPE}"
+            )
+    if not parts:
+        return np.empty(0, dtype=MIGRANT_DTYPE)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def reference_step(ids, spell_start, spell_act, spell_place, week, assignment,

@@ -12,7 +12,7 @@ from repro.distrib import (
     random_partition,
     spatial_partition,
 )
-from repro.core.kernels import compiled_impl
+from repro.core.kernels import cext, compiled_impl
 from repro.distrib import rankstep
 from repro.distrib.dmodel import _ScheduleCache
 from repro.errors import RankFailureError, SimulationError
@@ -144,9 +144,9 @@ class CountingGenerator:
         self.generator = generator
         self.asked: list[int] = []
 
-    def week(self, index):
+    def week_with_changes(self, index, previous):
         self.asked.append(index)
-        return self.generator.week(index)
+        return self.generator.week_with_changes(index, previous)
 
 
 class TestScheduleCache:
@@ -252,6 +252,23 @@ class TestTelemetry:
         res, counters, _ = self.run_probed(pop)
         assert res.impl == "twin"
         assert counters["kernels.rank_step.twin"] == counters["distrib.rank_hours"]
+
+    def test_receive_and_week_builds_are_observed(self, pop, monkeypatch):
+        """Receive time once per rank from a local sum, one week build per
+        week the run needs (50 hours: week 0)."""
+        res, counters, _ = self.run_probed(pop)
+        hist = self.registry.snapshot()["histograms"]
+        assert hist["distrib.receive_seconds"]["count"] == 3
+        assert hist["distrib.receive_seconds"]["sum"] <= hist["distrib.rank_loop_seconds"]["sum"]
+        assert hist["sim.week_build_seconds"]["count"] == 1
+        if compiled_impl() == "cext":
+            assert "kernels.week_fill.twin" not in counters
+        monkeypatch.setattr(cext, "load_cext", lambda: None)
+        twin, counters, _ = self.run_probed(pop)
+        assert counters["kernels.week_fill.twin"] == 1
+        assert [r.tobytes() for r in twin.per_rank_records] == [
+            r.tobytes() for r in res.per_rank_records
+        ]
 
     def test_run_span_has_one_child_per_rank(self, pop):
         res, _, spans = self.run_probed(pop)

@@ -1,13 +1,21 @@
-"""Tests for migrant payload packing."""
+"""Tests for migrant payload packing.
+
+``TestUnpack`` covers the reference arrival path, ``unpack_migrants``,
+which now lives beside the reference rank step in
+``_reference_rank_step.py``: ``HostedTable.receive`` is the one arrival
+path in ``src/`` and ``test_receive_property.py`` holds it to this one.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.distrib import MIGRANT_DTYPE, pack_migrants, unpack_migrants
+from repro.distrib import MIGRANT_DTYPE, pack_migrants
 from repro.distrib.migration import route_rows
 from repro.errors import CommError
+
+from ._reference_rank_step import unpack_migrants
 
 
 class TestPack:

@@ -129,7 +129,7 @@ def test_kernel_twin_and_reference_agree(world, spare):
         # the last ``spare`` rows arrive later: the table grows under them
         cut = max(len(rows) - spare, 0)
         table = hosted_table(impl, rows[:cut], world)
-        table.arrive(rows[cut:])
+        table.receive([rows[cut:]])
         rec, payloads, n_leavers = table.step(hour)
         if rec is None:
             rec = ref_rec[:0]
@@ -221,11 +221,11 @@ def test_table_never_outgrows_the_population(impl):
     table = hosted_table(impl, np.zeros(1, dtype=MIGRANT_DTYPE), world)
     capacities = []
     for _ in range(4):
-        table.arrive(np.zeros(1, dtype=MIGRANT_DTYPE))
+        table.receive([np.zeros(1, dtype=MIGRANT_DTYPE)])
         capacities.append(len(table.table))
     assert capacities == [2, 4, 4, 5]  # doubles, then stops at the population
     with pytest.raises(SimulationError, match="population is 5"):
-        table.arrive(np.zeros(1, dtype=MIGRANT_DTYPE))
+        table.receive([np.zeros(1, dtype=MIGRANT_DTYPE)])
     assert table.count == 5
 
 

@@ -1,9 +1,9 @@
 """The metrics registry's name set, pinned.
 
 One small direct synthesis, one tile-cache warm + query and one service
-``window`` request must emit exactly these names: a renamed or vanished
-counter breaks every dashboard and ``repro metrics`` reading that looks
-for it.  The tile cache's and the service's counters carry the names of
+``window`` request must emit exactly these names, and one short
+distributed simulation its own: a renamed or vanished counter breaks every
+dashboard and ``repro metrics`` reading that looks for it.  The tile cache's and the service's counters carry the names of
 their ``TileCacheStats`` / ``ServiceStats`` fields (DESIGN §14), and
 those fields count whether or not telemetry is on.
 """
@@ -14,9 +14,11 @@ import asyncio
 
 import pytest
 
+from repro.config import SimulationConfig
 from repro.core import synthesize_from_logs
 from repro.core.kernels import compiled_impl
 from repro.core.tilecache import TileCache
+from repro.distrib import DistributedSimulation, spatial_partition
 from repro.obs import MetricsRegistry, configure, set_default_registry
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
 
@@ -53,6 +55,19 @@ HISTOGRAMS = {
     "service.op_seconds.window",
 }
 
+#: what a distributed run records once per rank (counters, the loop and
+#: receive clocks) and once per week built (``sim.week_build_seconds``)
+SIM_COUNTERS = {
+    f"distrib.{name}"
+    for name in ("alltoall_bytes", "changes", "migrants_out", "rank_hours")
+}
+SIM_TWIN_COUNTERS = {"kernels.rank_step.twin", "kernels.week_fill.twin"}
+SIM_HISTOGRAMS = {
+    "distrib.rank_loop_seconds",
+    "distrib.receive_seconds",
+    "sim.week_build_seconds",
+}
+
 
 def exercise(service_logs, n_persons, places):
     """The three workloads; returns the cache's and the service's stats."""
@@ -81,6 +96,19 @@ def test_name_set_is_pinned(service_logs, small_pop, registry):
     assert set(snap["counters"]) == COUNTERS | twins
     assert set(snap["histograms"]) == HISTOGRAMS
     assert "kernels.compiled" not in snap["counters"]
+
+
+def test_simulation_name_set_is_pinned(small_pop, registry):
+    config = SimulationConfig(scale=small_pop.scale, duration_hours=30, n_ranks=2)
+    partition = spatial_partition(
+        small_pop.places.coords(), small_pop.places.capacity.astype(float), 2
+    )
+    DistributedSimulation(small_pop, config, partition).run()
+    snap = registry.snapshot()
+    twins = SIM_TWIN_COUNTERS if compiled_impl() != "cext" else set()
+    assert set(snap["counters"]) == SIM_COUNTERS | twins
+    assert set(snap["histograms"]) == SIM_HISTOGRAMS
+    assert snap["histograms"]["sim.week_build_seconds"]["count"] == 1
 
 
 def test_fields_count_with_telemetry_off(service_logs, small_pop):
