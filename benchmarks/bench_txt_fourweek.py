@@ -19,7 +19,11 @@ import numpy as np
 
 import repro
 from repro._util import human_bytes
-from repro.distrib import DistributedSimulation, spatial_partition
+from repro.distrib import (
+    DistributedSimulation,
+    round_robin_partition,
+    spatial_partition,
+)
 from repro.evlog import LogSet
 from repro.sim import Simulation
 
@@ -62,7 +66,7 @@ def test_txt_fourweek_workflow(benchmark, bench_pop, tmp_path):
     serial_cfg = repro.SimulationConfig(
         scale=bench_pop.scale, duration_hours=WEEKS * repro.HOURS_PER_WEEK
     )
-    serial = Simulation(bench_pop, serial_cfg).run_fast()
+    serial = Simulation(bench_pop, serial_cfg).run()
     oracle, _ = repro.synthesize_network(
         serial.records, bench_pop.n_persons, t0, t1
     )
@@ -92,10 +96,11 @@ def test_txt_fourweek_sliced_read_cost(benchmark, bench_pop, tmp_path):
         scale=bench_pop.scale,
         duration_hours=WEEKS * repro.HOURS_PER_WEEK,
     )
-    Simulation(bench_pop, cfg).run_fast(log_path=tmp_path / "rank_0000.evl")
+    one_rank = round_robin_partition(bench_pop.n_places, 1)
+    run = DistributedSimulation(bench_pop, cfg, one_rank).run(log_dir=tmp_path)
     from repro.evlog import LogReader
 
-    reader = LogReader(tmp_path / "rank_0000.evl")
+    reader = LogReader(run.log_paths[0])
     t0, t1 = 3 * repro.HOURS_PER_WEEK, 4 * repro.HOURS_PER_WEEK
     out = benchmark(reader.read_time_slice, t0, t1)
     assert len(out) > 0

@@ -27,7 +27,7 @@ def one_week_network(n_persons):
     cfg = repro.SimulationConfig(
         scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    res = Simulation(pop, cfg).run_fast()
+    res = Simulation(pop, cfg).run()
     net, _ = repro.synthesize_network(
         res.records, n_persons, 0, repro.HOURS_PER_WEEK
     )

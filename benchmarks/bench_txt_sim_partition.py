@@ -107,7 +107,7 @@ def test_txt_sim_serial_engine_time(benchmark, bench_pop):
         scale=bench_pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
     sim = repro.Simulation(bench_pop, cfg)
-    res = benchmark.pedantic(sim.run_fast, rounds=3, iterations=1)
+    res = benchmark.pedantic(sim.run, rounds=3, iterations=1)
     assert res.n_events > 0
 
 

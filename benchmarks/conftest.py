@@ -39,7 +39,7 @@ def bench_week(bench_pop):
     cfg = repro.SimulationConfig(
         scale=bench_pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    return Simulation(bench_pop, cfg).run_fast()
+    return Simulation(bench_pop, cfg).run()
 
 
 @pytest.fixture(scope="session")

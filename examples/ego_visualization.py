@@ -35,7 +35,7 @@ def main() -> None:
     config = repro.SimulationConfig(
         scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    result = repro.Simulation(pop, config).run_fast()
+    result = repro.Simulation(pop, config).run()
     net, _ = repro.synthesize_network(
         result.records, pop.n_persons, 0, repro.HOURS_PER_WEEK
     )

@@ -8,8 +8,11 @@ patient zero, the agent who initiated the disease outbreak."
 
 This example:
 
-1. runs a two-week SEIR outbreak on the synthetic population;
-2. writes the event log to an EVL file, exactly as a production run would;
+1. runs a two-week SEIR outbreak on the synthetic population (the serial
+   engine, which carries the disease layer);
+2. writes the same two weeks' event log with the rank step on one rank,
+   exactly as a production run would (the outbreak does not move anyone,
+   so the log records the movements it ran on);
 3. picks a late case and reconstructs their hourly contacts *from the log
    alone* (via ``events_to_grid``), confirming the true infector is among
    the reconstructed contacts at the infection hour;
@@ -21,6 +24,7 @@ Run:  python examples/epidemic_trace.py [n_persons]
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
+from repro.distrib import round_robin_partition
 from repro.sim import PrevalenceObserver
 from repro.sim.events import events_to_grid
 from repro.viz import ascii_series
@@ -53,12 +58,15 @@ def main() -> None:
             transmissibility=0.01, initial_infected=3
         ),
     )
-    log_path = Path(tempfile.mkdtemp()) / "rank_0000.evl"
     observer = PrevalenceObserver()
     print(f"=== simulating a 2-week outbreak over {n_persons:,} persons ===")
-    result = repro.Simulation(pop, config).run(
-        observers=[observer], log_path=log_path
-    )
+    result = repro.Simulation(pop, config).run(observers=[observer])
+    logged = repro.DistributedSimulation(
+        pop,
+        dataclasses.replace(config, disease=None),
+        round_robin_partition(pop.n_places, 1),
+    ).run(log_dir=tempfile.mkdtemp())
+    log_path = logged.log_paths[0]
     disease = result.disease
     assert disease is not None
     print(f"  final state : {disease.counts()}")

@@ -48,7 +48,7 @@ def run_scenario(pop, name, interventions, beta=0.03):
     net_cfg = repro.SimulationConfig(
         scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    records = Simulation(pop, net_cfg, schedules=schedules).run_fast().records
+    records = Simulation(pop, net_cfg, schedules=schedules).run().records
     net, _ = repro.synthesize_network(
         records, pop.n_persons, 0, repro.HOURS_PER_WEEK
     )

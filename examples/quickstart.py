@@ -31,7 +31,7 @@ def main() -> None:
     config = repro.SimulationConfig(
         scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    result = repro.Simulation(pop, config).run_fast()
+    result = repro.Simulation(pop, config).run()
     print(f"  events logged        : {result.n_events:,}")
     print(
         f"  events/person/day    : "

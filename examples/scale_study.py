@@ -33,7 +33,7 @@ def run_once(n_persons: int) -> dict[str, float]:
         scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
     t0 = time.perf_counter()
-    result = repro.Simulation(pop, config).run_fast()
+    result = repro.Simulation(pop, config).run()
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

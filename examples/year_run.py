@@ -7,8 +7,9 @@ The paper's production scenario is a one-year simulation whose logs reach
 This example runs the full year at laptop scale and exercises exactly that
 discipline:
 
-1. simulate 52 weeks, streaming the event log to one EVL file (bounded
-   memory: the engine holds one week's schedule grid at a time);
+1. simulate 52 weeks on one rank, streaming the event log to one EVL
+   file (bounded memory: the rank holds one week's schedule grid at a
+   time);
 2. synthesize 13 four-week ("monthly") networks via the chunk index —
    each window decodes only the chunks that overlap it;
 3. sum the monthlies into the annual network (the paper's aggregation)
@@ -30,6 +31,7 @@ import numpy as np
 import repro
 from repro._util import human_bytes
 from repro.core import StreamingSynthesizer
+from repro.distrib import DistributedSimulation, round_robin_partition
 from repro.evlog import LogReader
 
 WEEKS = 52
@@ -41,22 +43,21 @@ def main() -> None:
     n_persons = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000
     pop = repro.generate_population(repro.ScaleConfig(n_persons=n_persons))
     log_dir = Path(tempfile.mkdtemp(prefix="year-"))
-    log_path = log_dir / "rank_0000.evl"
 
     print(f"=== simulating {WEEKS} weeks for {n_persons:,} persons ===")
     config = repro.SimulationConfig(
         scale=pop.scale, duration_hours=WEEKS * repro.HOURS_PER_WEEK
     )
+    one_rank = round_robin_partition(pop.n_places, 1)
     t0 = time.perf_counter()
-    result = repro.Simulation(pop, config).run_fast(log_path=log_path)
+    result = DistributedSimulation(pop, config, one_rank).run(log_dir=log_dir)
     sim_time = time.perf_counter() - t0
-    reader = LogReader(log_path)
+    reader = LogReader(result.log_paths[0])
+    rate = result.total_events / (n_persons * WEEKS * 7)
     print(f"  wall time   : {sim_time:.1f} s")
-    print(f"  events      : {result.n_events:,} "
-          f"({result.events_per_person_day(n_persons):.2f}/person/day)")
+    print(f"  events      : {result.total_events:,} ({rate:.2f}/person/day)")
     print(f"  log size    : {human_bytes(reader.file_bytes)} "
           f"in {reader.n_chunks} chunks")
-    rate = result.n_events / (n_persons * WEEKS * 7)
     paper_year = 2_900_000 * rate * 365 * 20
     print(f"  paper-scale projection (2.9 M persons, 1 year): "
           f"{human_bytes(paper_year)}")

@@ -12,7 +12,7 @@ Quickstart
 >>> pop = repro.generate_population(repro.ScaleConfig(n_persons=2000))
 >>> sim = repro.Simulation(pop, repro.SimulationConfig(
 ...     scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK))
->>> result = sim.run_fast()
+>>> result = sim.run()
 >>> net, report = repro.synthesize_network(
 ...     result.records, pop.n_persons, 0, repro.HOURS_PER_WEEK)
 >>> net.n_edges > 0

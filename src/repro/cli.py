@@ -45,7 +45,12 @@ from . import (
     synthesize_from_logs,
 )
 from .core.pipeline import check_batch_size, check_window
-from .errors import LogFormatError, PartitionError, SynthesisError
+from .errors import (
+    CheckpointError,
+    LogFormatError,
+    PartitionError,
+    SynthesisError,
+)
 from .evlog import salvage_rank_logs
 from .obs import MetricsRegistry, default_registry, write_metrics_json
 from .analysis import (
@@ -89,44 +94,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat,
     )
     log_dir = Path(args.log_dir)
-    checkpointing = args.checkpoint is not None
-    if args.resume and not checkpointing:
-        print("error: --resume requires --checkpoint DIR", file=sys.stderr)
-        return 2
-    if args.ranks == 1:
-        log_dir.mkdir(parents=True, exist_ok=True)
-        log_path = log_dir / "rank_0000.evl"
-        if checkpointing:
-            # the per-hour engine supports snapshots; the fast path does not
-            result = Simulation(pop, config).run(
-                log_path=log_path,
-                checkpoint_dir=args.checkpoint,
-                resume=args.resume,
-            )
-            extra = f", {result.checkpoints_written} checkpoint(s)"
-            if result.resumed_from_hour is not None:
-                extra += f", resumed from hour {result.resumed_from_hour}"
-            print(f"serial run: {result.n_events:,} events{extra}")
-        else:
-            result = Simulation(pop, config).run_fast(log_path=log_path)
-            print(f"serial run: {result.n_events:,} events")
-    else:
-        part = spatial_partition(
-            pop.places.coords(), pop.places.capacity.astype(float), args.ranks
-        )
+    part = spatial_partition(
+        pop.places.coords(), pop.places.capacity.astype(float), args.ranks
+    )
+    try:
         result = DistributedSimulation(pop, config, part).run(
             log_dir=log_dir,
             checkpoint_dir=args.checkpoint,
             max_restarts=args.max_restarts,
         )
-        print(
-            f"distributed run on {args.ranks} ranks (impl {result.impl}): "
-            f"{result.total_events:,} events, "
-            f"{result.total_migrations:,} migrations, "
-            f"{result.traffic.bytes_sent:,} comm bytes, "
-            f"{result.checkpoints_written} checkpoint(s), "
-            f"{result.restarts} restart(s)"
-        )
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"distributed run on {args.ranks} ranks (impl {result.impl}): "
+        f"{result.total_events:,} events, "
+        f"{result.total_migrations:,} migrations, "
+        f"{result.traffic.bytes_sent:,} comm bytes, "
+        f"{result.checkpoints_written} checkpoint(s), "
+        f"{result.restarts} restart(s)"
+    )
     print(f"logs in {log_dir}")
     if args.metrics_out:
         _write_metrics(args.metrics_out)
@@ -553,30 +540,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="commit resumable snapshots to DIR (see --checkpoint-every)",
+        help="commit resumable snapshots to DIR (see --checkpoint-every); "
+        "a run finding one there continues from it",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=24, metavar="HOURS",
         help="simulated hours between snapshots (default: 24)",
     )
     p.add_argument(
-        "--resume", action="store_true",
-        help="serial only: continue from the snapshot in --checkpoint DIR",
-    )
-    p.add_argument(
         "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="distributed only: rank liveness deadline per collective",
+        help="rank liveness deadline per collective",
     )
     p.add_argument(
         "--max-restarts", type=int, default=0,
-        help="distributed only: supervised restarts from the last "
-        "checkpoint after a detected rank failure",
+        help="supervised restarts from the last checkpoint after a "
+        "detected rank failure",
     )
     p.add_argument(
         "--metrics-out", default=None, metavar="FILE",
-        help="write the telemetry registry snapshot (distributed runs: "
-        "distrib.rank_hours, changes, migrants_out, alltoall_bytes, "
-        "per-rank loop seconds) as JSON",
+        help="write the telemetry registry snapshot (distrib.rank_hours, "
+        "changes, migrants_out, alltoall_bytes, per-rank loop seconds) "
+        "as JSON",
     )
     p.set_defaults(fn=_cmd_simulate)
 

@@ -204,7 +204,7 @@ class SimulationConfig:
     disease: DiseaseConfig | None = None
     #: simulated duration in hours (paper: four weeks)
     duration_hours: int = HOURS_PER_WEEK
-    #: number of ranks for distributed runs (paper: 256)
+    #: number of ranks the model runs on (1: a serial run; paper: 256)
     n_ranks: int = 1
     #: event-log write cache, in records (paper nominal: 10,000)
     log_cache_records: int = 10_000

@@ -8,14 +8,20 @@ changes that occur only in that process").  When an agent's next place
 belongs to another rank, its open activity spell migrates there through a
 metered all-to-all exchange.
 
+This is the one loop that writes event logs and simulation checkpoints,
+at any rank count: a serial run is a world of one rank.
+
 Invariant (tested): for the same population/seed the union of all ranks'
-event records equals the serial engine's event stream exactly.
+event records equals the serial engine's event stream exactly, and one
+rank emits that stream in the serial engine's order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,12 +38,6 @@ from ..evlog.multifile import rank_log_path
 from ..evlog.schema import LogRecordArray, empty_records
 from ..evlog.writer import CachedLogWriter
 from ..obs import count, observe, start_span
-from ..sim.checkpoint import (
-    CHECKPOINT_VERSION,
-    read_manifest,
-    sim_checkpoint_digest,
-    write_manifest,
-)
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
 from .comm import Communicator, TrafficStats
@@ -55,6 +55,61 @@ __all__ = [
 
 DIST_MANIFEST = "dist_manifest.json"
 DIST_STATE = "dist_state.npz"
+CHECKPOINT_VERSION = 1
+#: commit point of the per-hour serial engine's snapshots, a format no
+#: longer written or read
+_SERIAL_MANIFEST = "sim_manifest.json"
+
+
+def sim_checkpoint_digest(config: Any, with_log: bool) -> str:
+    """Fingerprint of everything that determines a run's trajectory.
+
+    Any change to the configuration (population scale/seed, schedules,
+    disease parameters, duration, cache size, durability) or to whether a
+    log is written makes a snapshot unusable, because replay would diverge
+    from the checkpointed prefix.
+    """
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "config": dataclasses.asdict(config),
+        "with_log": bool(with_log),
+    }
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def write_manifest(directory: Path, name: str, manifest: dict) -> None:
+    """Atomically commit a checkpoint manifest (the commit point)."""
+    atomic_write_bytes(
+        directory / name,
+        json.dumps(manifest, indent=2, sort_keys=True).encode(),
+    )
+
+
+def read_manifest(
+    directory: Path, name: str, expected_digest: str | None = None
+) -> dict:
+    """Read and validate a checkpoint manifest."""
+    path = directory / name
+    if not path.is_file():
+        raise CheckpointError(f"no checkpoint manifest at {path}")
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint manifest {path}: {exc}"
+        ) from exc
+    if manifest.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {manifest.get('version')} unsupported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    if expected_digest is not None and manifest.get("digest") != expected_digest:
+        raise CheckpointError(
+            f"checkpoint in {directory} was written for a different "
+            "configuration; refusing to resume"
+        )
+    return manifest
 
 
 def _save_dist_checkpoint(
@@ -300,8 +355,24 @@ class DistributedSimulation:
         and replays.  ``fault_hook(comm, hour)`` runs at the top of every
         rank-hour and exists for fault injection (call ``comm.die()`` to
         simulate a hard kill); hooks must be stateful so they do not
-        re-kill after a restart.
+        re-kill after a restart.  A ``checkpoint_dir`` holding the serial
+        engine's old snapshot format (``sim_manifest.json``) and no
+        collective one is refused with
+        :class:`~repro.errors.CheckpointError` before any log is opened.
         """
+        ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+        if (
+            ckpt_dir is not None
+            and (ckpt_dir / _SERIAL_MANIFEST).is_file()
+            and not (ckpt_dir / DIST_MANIFEST).is_file()
+        ):
+            # resuming needs the rank tables this format never held, and
+            # starting over would silently overwrite the killed run's log
+            raise CheckpointError(
+                f"{ckpt_dir} holds a serial-engine checkpoint "
+                f"({_SERIAL_MANIFEST}), a format no longer read; remove it "
+                "or checkpoint into another directory"
+            )
         duration = self.config.duration_hours
         n_ranks = self.config.n_ranks
         n_persons = self.population.n_persons
@@ -318,7 +389,6 @@ class DistributedSimulation:
         cache_records = self.config.log_cache_records
         durability = self.config.log_durability
         every = self.config.checkpoint_every_hours
-        ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         digest = self.checkpoint_digest(with_log=log_directory is not None)
 
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:

@@ -74,8 +74,8 @@ def write_rank_logs(
 ) -> list[Path]:
     """Write one EVL file per rank from in-memory record arrays.
 
-    Convenience used by the serial engine and tests; the distributed engine
-    writes through per-rank :class:`CachedLogWriter` instances directly.
+    Convenience for tests; the rank step writes through per-rank
+    :class:`CachedLogWriter` instances directly.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

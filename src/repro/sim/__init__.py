@@ -8,10 +8,11 @@ location and interact with other agents at the new location."
 
 This subpackage provides:
 
-* :mod:`repro.sim.events` — vectorized conversion between hourly schedule
-  grids and event-log records (the "only log changes" rule of Section III);
-* :mod:`repro.sim.engine` — the serial reference engine, stepping one hour
-  at a time, emitting activity-change events and driving optional dynamics;
+* :mod:`repro.sim.events` — open activity spells, and event-log records
+  back to hourly grids (the "only log changes" rule of Section III);
+* :mod:`repro.sim.engine` — the in-memory serial engine, stepping one hour
+  at a time, collecting activity-change events and driving the per-hour
+  hooks (disease, observers, interventions); the rank step's oracle;
 * :mod:`repro.sim.disease` — the SEIR transmission layer chiSIM
   generalizes ("an extension of an infectious disease transmission model"),
   including the transmission-pair log used to trace back to patient zero;
@@ -19,15 +20,15 @@ This subpackage provides:
   "aggregate metrics and statistics such as disease incidence" the paper
   contrasts with full network analysis).
 
-The distributed engine lives in :mod:`repro.distrib` and reuses the same
-event semantics; serial-vs-distributed equivalence is a test invariant.
+The rank step in :mod:`repro.distrib` is the one loop that writes logs
+and checkpoints, at any rank count (one included); that it emits this
+engine's event stream is a test invariant.
 """
 
-from .events import grid_to_events, events_to_grid, OpenSpells
+from .events import events_to_grid, OpenSpells
 from .engine import Simulation, SimulationResult
 from .disease import DiseaseModel, DiseaseState, TransmissionRecord
-from .observers import Observer, StatefulObserver, PrevalenceObserver, OccupancyObserver, MovementObserver
-from .checkpoint import SimSnapshot, load_sim_checkpoint, save_sim_checkpoint
+from .observers import Observer, PrevalenceObserver, OccupancyObserver, MovementObserver
 from .interventions import (
     Intervention,
     CloseSchools,
@@ -37,7 +38,6 @@ from .interventions import (
 )
 
 __all__ = [
-    "grid_to_events",
     "events_to_grid",
     "OpenSpells",
     "Simulation",
@@ -46,10 +46,6 @@ __all__ = [
     "DiseaseState",
     "TransmissionRecord",
     "Observer",
-    "StatefulObserver",
-    "SimSnapshot",
-    "load_sim_checkpoint",
-    "save_sim_checkpoint",
     "PrevalenceObserver",
     "OccupancyObserver",
     "MovementObserver",

@@ -153,46 +153,6 @@ class DiseaseModel:
             )
         return len(newly)
 
-    # -- checkpointing -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Everything needed to continue the epidemic bit-for-bit: the
-        compartment arrays, the transmission ground truth, and the RNG
-        stream position (so post-resume draws match an uninterrupted run).
-        """
-        return {
-            "state": self.state.copy(),
-            "timer": self.timer.copy(),
-            "infected_at": self.infected_at.copy(),
-            "rng_state": self.rng.bit_generator.state,
-            "transmissions": [
-                (t.hour, t.place, t.infected, t.infector)
-                for t in self.transmissions
-            ],
-            "patient_zeros": list(self.patient_zeros),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this model.
-
-        The model must have been constructed with the same population size
-        and configuration; the constructor's seeding draws are overwritten
-        wholesale, including the RNG position.
-        """
-        if state["state"].shape != self.state.shape:
-            raise SimulationError(
-                "disease snapshot population does not match this model"
-            )
-        self.state = np.asarray(state["state"], dtype=np.uint8).copy()
-        self.timer = np.asarray(state["timer"], dtype=np.int32).copy()
-        self.infected_at = np.asarray(state["infected_at"], dtype=np.int64).copy()
-        self.rng.bit_generator.state = state["rng_state"]
-        self.transmissions = [
-            TransmissionRecord(hour=h, place=p, infected=i, infector=j)
-            for h, p, i, j in state["transmissions"]
-        ]
-        self.patient_zeros = list(state["patient_zeros"])
-
     # -- reporting ---------------------------------------------------------------
 
     def counts(self) -> dict[str, int]:

@@ -1,39 +1,31 @@
-"""Serial reference engine.
+"""In-memory serial engine: per-hour hooks + oracle.
 
 Steps the model one simulated hour at a time: looks up every agent's
 scheduled ``(activity, place)`` for the hour, moves agents, runs the
 optional disease layer on the resulting place occupancies, notifies
-observers, and emits event-log records on activity changes.
+observers, and collects event records on activity changes.
 
-This engine is the semantic oracle: the distributed engine
-(:mod:`repro.distrib.dmodel`) must produce the identical event stream for
-the same seed, which is enforced by integration tests.
+This engine is the semantic oracle: the rank step
+(:mod:`repro.distrib.dmodel`), the one loop that writes logs and
+checkpoints, must emit the identical event stream for the same seed,
+which is enforced by tests.  It is also the one loop that carries the
+per-hour hooks (disease, observers, ``schedules=`` interventions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-
-from typing import Callable
 
 from ..config import HOURS_PER_WEEK, SimulationConfig
 from ..errors import SimulationError
 from ..evlog.schema import LogRecordArray, empty_records
-from ..evlog.writer import CachedLogWriter
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
-from .checkpoint import (
-    SimSnapshot,
-    load_sim_checkpoint,
-    save_sim_checkpoint,
-    sim_checkpoint_digest,
-)
 from .disease import DiseaseModel
-from .events import OpenSpells, grid_to_events
-from .observers import Observer, StatefulObserver
+from .events import OpenSpells
+from .observers import Observer
 
 __all__ = ["Simulation", "SimulationResult"]
 
@@ -46,62 +38,11 @@ class SimulationResult:
     records: LogRecordArray
     n_events: int
     disease: DiseaseModel | None = None
-    log_path: Path | None = None
     observers: list[Observer] = field(default_factory=list)
-    #: hour a resumed run continued from (None: ran from the start)
-    resumed_from_hour: int | None = None
-    #: snapshots committed during the run
-    checkpoints_written: int = 0
 
     def events_per_person_day(self, n_persons: int) -> float:
         days = self.duration_hours / 24.0
         return self.n_events / (n_persons * days) if days else 0.0
-
-
-class _RecordAccumulator:
-    """Amortized event-record collector for checkpointed runs.
-
-    Snapshots need the records emitted so far as one contiguous array.
-    Re-concatenating every chunk at each checkpoint costs O(R) per
-    snapshot — O(R · checkpoints) over a run.  This accumulator keeps a
-    capacity-doubling buffer instead: chunks queue in ``append`` and
-    :meth:`merged` copies only the chunks added since the previous call,
-    so the total copy work over any run is O(R) regardless of checkpoint
-    cadence.  ``merged`` returns a view of the buffer — callers that store
-    it long-term hand it to ``np.savez`` (which copies) or treat it as
-    read-only.
-    """
-
-    def __init__(self, initial: LogRecordArray | None = None) -> None:
-        self._buf: LogRecordArray = empty_records(0)
-        self._size = 0
-        self._pending: list[LogRecordArray] = []
-        self._pending_n = 0
-        if initial is not None and len(initial):
-            self.append(initial)
-
-    def __len__(self) -> int:
-        return self._size + self._pending_n
-
-    def append(self, rec: LogRecordArray) -> None:
-        if len(rec):
-            self._pending.append(rec)
-            self._pending_n += len(rec)
-
-    def merged(self) -> LogRecordArray:
-        """All appended records, contiguous and in order."""
-        if self._pending:
-            need = self._size + self._pending_n
-            if need > len(self._buf):
-                grown = empty_records(max(need, 2 * len(self._buf), 1024))
-                grown[: self._size] = self._buf[: self._size]
-                self._buf = grown
-            for rec in self._pending:
-                self._buf[self._size : self._size + len(rec)] = rec
-                self._size += len(rec)
-            self._pending = []
-            self._pending_n = 0
-        return self._buf[: self._size]
 
 
 class Simulation:
@@ -148,259 +89,61 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(
-        self,
-        observers: list[Observer] | None = None,
-        log_path: str | Path | None = None,
-        compress_log: bool = False,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-        fault_hook: Callable[[int], None] | None = None,
-    ) -> SimulationResult:
-        """Run for ``config.duration_hours``; return events (and write an
-        EVL file when ``log_path`` is given).
+    def run(self, observers: list[Observer] | None = None) -> SimulationResult:
+        """Run for ``config.duration_hours``; return the events in
+        emission order (by stop hour, then person).
 
-        Checkpoint/resume
-        -----------------
-        With ``checkpoint_dir`` set and ``config.checkpoint_every_hours``
-        configured, the engine commits a resumable snapshot every N
-        simulated hours: open spells, emitted records, disease and observer
-        state (including RNG position), and the log writer's byte offset,
-        with an atomic manifest as the commit point.  ``resume=True``
-        restores the latest snapshot from ``checkpoint_dir`` — the
-        configuration digest must match — truncates the log file back to
-        the recorded offset, and continues; a resumed run is bit-for-bit
-        identical to an uninterrupted run with the same checkpoint cadence
-        (the cadence matters because each snapshot flushes the log cache,
-        which fixes chunk boundaries).
-
-        ``fault_hook(hour)``, called before each hour is processed, exists
-        for fault-injection tests: raising from it simulates a crash at an
-        exact simulated time.
+        Logs and checkpoints are written by the rank step
+        (:class:`~repro.distrib.dmodel.DistributedSimulation`, one rank
+        for a serial run), which emits exactly these records.
         """
         observers = observers or []
         duration = self.config.duration_hours
-        n = self.population.n_persons
-        every = self.config.checkpoint_every_hours
-        ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-        digest = sim_checkpoint_digest(self.config, with_log=log_path is not None)
-        stateful = [o for o in observers if isinstance(o, StatefulObserver)]
-
-        start_hour = 0
-        snapshot: SimSnapshot | None = None
-        if resume:
-            if ckpt_dir is None:
-                raise SimulationError("resume=True requires checkpoint_dir")
-            snapshot = load_sim_checkpoint(ckpt_dir, digest)
-            start_hour = snapshot.next_hour
-            if self.disease is not None:
-                assert snapshot.disease is not None
-                self.disease.load_state(snapshot.disease)
-            if len(snapshot.observers) != len(stateful):
-                raise SimulationError(
-                    f"snapshot has {len(snapshot.observers)} observer "
-                    f"states, run passes {len(stateful)} stateful observers"
-                )
-            for obs, state in zip(stateful, snapshot.observers):
-                obs.load_state(state)
-
-        writer = None
-        if log_path is not None:
-            if snapshot is not None:
-                writer = CachedLogWriter.open_resume(
-                    log_path,
-                    cache_records=self.config.log_cache_records,
-                    durability=self.config.log_durability,
-                    at_offset=snapshot.writer_offset,
-                )
-            else:
-                writer = CachedLogWriter(
-                    log_path,
-                    rank=0,
-                    cache_records=self.config.log_cache_records,
-                    compress=compress_log,
-                    durability=self.config.log_durability,
-                )
-
-        all_records = _RecordAccumulator()
+        chunks: list[LogRecordArray] = []
         spells: OpenSpells | None = None
         week: WeekGrid | None = None
-        checkpoints_written = 0
-        if snapshot is not None:
-            all_records.append(snapshot.records)
-            spells = OpenSpells(
-                start=snapshot.spell_start.copy(),
-                activity=snapshot.spell_activity.copy(),
-                place=snapshot.spell_place.copy(),
-            )
+        for hour in range(duration):
+            week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
+            if week is None or week.week_index != week_index:
+                week = self.schedules.week(week_index)
+            act_col = week.activity[:, hour_of_week]
+            place_col = week.place[:, hour_of_week]
 
-        try:
-            for hour in range(start_hour, duration):
-                if fault_hook is not None:
-                    fault_hook(hour)
-                week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
-                if week is None or week.week_index != week_index:
-                    week = self.schedules.week(week_index)
-                act_col = week.activity[:, hour_of_week]
-                place_col = week.place[:, hour_of_week]
+            if self.disease is not None:
+                self.disease.step(hour, place_col)
 
-                if self.disease is not None:
-                    self.disease.step(hour, place_col)
+            for obs in observers:
+                obs.on_tick(hour, act_col, place_col, self.disease)
 
-                for obs in observers:
-                    obs.on_tick(hour, act_col, place_col, self.disease)
+            # event emission: detect changes against the open spells
+            if spells is None:
+                spells = OpenSpells.begin(act_col, place_col, hour)
+                continue
+            changed = (act_col != spells.activity) | (place_col != spells.place)
+            idx = np.flatnonzero(changed)
+            if len(idx):
+                rec = empty_records(len(idx))
+                rec["start"] = spells.start[idx]
+                rec["stop"] = hour
+                rec["person"] = idx.astype(np.uint32)
+                rec["activity"] = spells.activity[idx]
+                rec["place"] = spells.place[idx]
+                chunks.append(rec)
+                spells.start[idx] = hour
+                spells.activity[idx] = act_col[idx]
+                spells.place[idx] = place_col[idx]
 
-                # event emission: detect changes against the open spells
-                if spells is None:
-                    spells = OpenSpells.begin(act_col, place_col, hour)
-                else:
-                    changed = (act_col != spells.activity) | (
-                        place_col != spells.place
-                    )
-                    idx = np.flatnonzero(changed)
-                    if len(idx):
-                        rec = empty_records(len(idx))
-                        rec["start"] = spells.start[idx]
-                        rec["stop"] = hour
-                        rec["person"] = idx.astype(np.uint32)
-                        rec["activity"] = spells.activity[idx]
-                        rec["place"] = spells.place[idx]
-                        all_records.append(rec)
-                        if writer is not None:
-                            writer.log_batch(rec)
-                        spells.start[idx] = hour
-                        spells.activity[idx] = act_col[idx]
-                        spells.place[idx] = place_col[idx]
-
-                if (
-                    ckpt_dir is not None
-                    and every
-                    and (hour + 1) % every == 0
-                    and (hour + 1) < duration
-                    and spells is not None
-                ):
-                    if writer is not None:
-                        # flush so the snapshot offset is a chunk boundary
-                        writer.flush()
-                    # copies only chunks queued since the last snapshot,
-                    # not all R records (savez copies again before commit)
-                    merged = all_records.merged()
-                    save_sim_checkpoint(
-                        ckpt_dir,
-                        digest,
-                        SimSnapshot(
-                            next_hour=hour + 1,
-                            spell_start=spells.start.copy(),
-                            spell_activity=spells.activity.copy(),
-                            spell_place=spells.place.copy(),
-                            records=merged,
-                            writer_offset=(
-                                writer.offset if writer is not None else -1
-                            ),
-                            disease=(
-                                self.disease.state_dict()
-                                if self.disease is not None
-                                else None
-                            ),
-                            observers=[o.state_dict() for o in stateful],
-                        ),
-                    )
-                    checkpoints_written += 1
-
-            assert spells is not None
-            final = spells.close_all(duration)
-            all_records.append(final)
-            if writer is not None:
-                writer.log_batch(final)
-        finally:
-            if writer is not None:
-                writer.close()
-
-        records = all_records.merged()
+        assert spells is not None
+        chunks.append(spells.close_all(duration))
+        records = np.concatenate(chunks)
         return SimulationResult(
             duration_hours=duration,
             records=records,
             n_events=len(records),
             disease=self.disease,
-            log_path=Path(log_path) if log_path is not None else None,
             observers=observers,
-            resumed_from_hour=start_hour if resume else None,
-            checkpoints_written=checkpoints_written,
         )
 
-    # -- fast path -------------------------------------------------------------
-
-    def run_fast(
-        self,
-        log_path: str | Path | None = None,
-        compress_log: bool = False,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-    ) -> SimulationResult:
-        """Grid-diff fast path: identical event stream to :meth:`run` when no
-        disease layer or observers are active, produced a week at a time.
-
-        The per-hour loop costs O(duration × n); this path extracts events
-        with one vectorized diff per week, which is how the full pipeline
-        benchmarks stay fast at large n.
-
-        ``compress_log`` is honored exactly as in :meth:`run`.  Snapshots
-        need per-hour state, which the week-at-a-time diff never
-        materializes, so ``checkpoint_dir``/``resume`` raise
-        :class:`~repro.errors.SimulationError` instead of being silently
-        ignored — use :meth:`run` for checkpointed runs.
-        """
-        if self.disease is not None:
-            raise SimulationError("run_fast does not support the disease layer")
-        if checkpoint_dir is not None or resume:
-            raise SimulationError(
-                "run_fast does not support checkpoint/resume (snapshots "
-                "need per-hour state); use run() for checkpointed runs"
-            )
-        duration = self.config.duration_hours
-        writer = None
-        if log_path is not None:
-            writer = CachedLogWriter(
-                log_path,
-                rank=0,
-                cache_records=self.config.log_cache_records,
-                compress=compress_log,
-                durability=self.config.log_durability,
-            )
-        all_records: list[LogRecordArray] = []
-        spells: OpenSpells | None = None
-        try:
-            hour = 0
-            while hour < duration:
-                week_index = hour // HOURS_PER_WEEK
-                week = self.schedules.week(week_index)
-                take = min(HOURS_PER_WEEK, duration - hour)
-                act = week.activity[:, :take]
-                plc = week.place[:, :take]
-                rec, spells = grid_to_events(act, plc, hour, spells)
-                if len(rec):
-                    # grid_to_events orders by person; re-order by stop time
-                    # to match the per-hour engine's emission order
-                    order = np.argsort(rec["stop"], kind="stable")
-                    rec = rec[order]
-                    all_records.append(rec)
-                    if writer is not None:
-                        writer.log_batch(rec)
-                hour += take
-            assert spells is not None
-            final = spells.close_all(duration)
-            all_records.append(final)
-            if writer is not None:
-                writer.log_batch(final)
-        finally:
-            if writer is not None:
-                writer.close()
-        records = (
-            np.concatenate(all_records) if len(all_records) > 1 else all_records[0]
-        )
-        return SimulationResult(
-            duration_hours=duration,
-            records=records,
-            n_events=len(records),
-            log_path=Path(log_path) if log_path is not None else None,
-        )
+    def run_fast(self) -> SimulationResult:
+        """Alias of :meth:`run`, kept for the e2e ``simlog-month`` workload."""
+        return self.run()

@@ -1,4 +1,4 @@
-"""Vectorized conversion between schedule grids and event records.
+"""Event records: open spells, and records back to schedule grids.
 
 Event-based logging is the paper's key storage idea: "only logs changes in
 person agent states ... Considering that agent activity states change only
@@ -11,8 +11,9 @@ absolute simulation hours.  :class:`OpenSpells` carries run state across
 grid boundaries (week to week) so a spell spanning midnight Sunday is one
 record, exactly as a per-tick logger would emit it.
 
-Both directions are provided; ``events_to_grid`` is the test oracle proving
-the compression is lossless.
+``events_to_grid`` turns records back into hour grids: the test oracle
+proving the compression is lossless, and contact reconstruction from a
+log.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records
 
-__all__ = ["OpenSpells", "grid_to_events", "events_to_grid"]
+__all__ = ["OpenSpells", "events_to_grid"]
 
 
 @dataclass
@@ -42,15 +43,10 @@ class OpenSpells:
     start: np.ndarray
     activity: np.ndarray
     place: np.ndarray
-    persons: np.ndarray | None = None  # defaults to arange(n)
 
     @classmethod
     def begin(
-        cls,
-        activity0: np.ndarray,
-        place0: np.ndarray,
-        t0: int,
-        persons: np.ndarray | None = None,
+        cls, activity0: np.ndarray, place0: np.ndarray, t0: int
     ) -> "OpenSpells":
         """Open a spell for every person at absolute hour ``t0``."""
         n = len(activity0)
@@ -58,15 +54,7 @@ class OpenSpells:
             start=np.full(n, t0, dtype=np.int64),
             activity=np.asarray(activity0, dtype=np.uint32).copy(),
             place=np.asarray(place0, dtype=np.uint32).copy(),
-            persons=(
-                None if persons is None else np.asarray(persons, dtype=np.uint32)
-            ),
         )
-
-    def person_ids(self) -> np.ndarray:
-        if self.persons is not None:
-            return self.persons
-        return np.arange(len(self.start), dtype=np.uint32)
 
     def close_all(self, t_end: int) -> LogRecordArray:
         """Emit the final records for all open spells ending at ``t_end``."""
@@ -74,128 +62,12 @@ class OpenSpells:
         rec = empty_records(n)
         rec["start"] = self.start
         rec["stop"] = t_end
-        rec["person"] = self.person_ids()
+        rec["person"] = np.arange(n, dtype=np.uint32)
         rec["activity"] = self.activity
         rec["place"] = self.place
         if np.any(rec["stop"] <= rec["start"]):
             raise SimulationError("close_all at or before spell start")
         return rec
-
-
-def grid_to_events(
-    activity: np.ndarray,
-    place: np.ndarray,
-    t_offset: int,
-    spells: OpenSpells | None = None,
-    person_ids: np.ndarray | None = None,
-) -> tuple[LogRecordArray, OpenSpells]:
-    """Convert an ``(n, H)`` hour grid into event records.
-
-    Parameters
-    ----------
-    activity, place:
-        per-person, per-hour state for hours ``[t_offset, t_offset + H)``.
-    t_offset:
-        absolute hour of the grid's first column.
-    spells:
-        open spells carried in from the previous grid; ``None`` opens
-        spells at the first column (start of simulation).
-    person_ids:
-        optional uint32 ids when the grid rows are a subset of the
-        population (used by per-rank logging); defaults to ``arange(n)``.
-
-    Returns ``(records, open_spells)``; the caller closes the final spells
-    with :meth:`OpenSpells.close_all` at end of simulation.  Records are
-    ordered by person then start time.
-    """
-    activity = np.asarray(activity)
-    place = np.asarray(place)
-    if activity.shape != place.shape or activity.ndim != 2:
-        raise SimulationError("activity/place grids must be equal 2-D shapes")
-    n, H = activity.shape
-    if H == 0:
-        raise SimulationError("grid must cover at least one hour")
-    ids = (
-        np.arange(n, dtype=np.uint32)
-        if person_ids is None
-        else np.asarray(person_ids, dtype=np.uint32)
-    )
-    if ids.shape != (n,):
-        raise SimulationError("person_ids must match grid rows")
-
-    if spells is None:
-        spells = OpenSpells.begin(
-            activity[:, 0], place[:, 0], t_offset, persons=person_ids
-        )
-        first_new = False
-    else:
-        if len(spells.start) != n:
-            raise SimulationError("carried spells do not match grid rows")
-        if spells.persons is not None and not np.array_equal(
-            spells.persons, ids
-        ):
-            raise SimulationError("carried spells cover different persons")
-        first_new = True
-
-    # change matrix: True where hour h differs from hour h-1 (within grid),
-    # plus column 0 against the carried spell state.
-    change = np.empty((n, H), dtype=bool)
-    if first_new:
-        change[:, 0] = (activity[:, 0] != spells.activity) | (
-            place[:, 0] != spells.place
-        )
-    else:
-        change[:, 0] = False
-    change[:, 1:] = (activity[:, 1:] != activity[:, :-1]) | (
-        place[:, 1:] != place[:, :-1]
-    )
-
-    rows, cols = np.nonzero(change)
-    # each change closes the spell open at that row and opens a new one; the
-    # closed spell's start is the previous change (or the carried start).
-    abs_hour = cols + t_offset
-
-    # Per row, the change hours are sorted by construction of nonzero (row-
-    # major).  The record for change k of a row spans from the previous
-    # change hour of the same row (or the carried spell start) to this one.
-    prev_same_row = np.empty(len(rows), dtype=np.int64)
-    if len(rows):
-        first_of_row = np.ones(len(rows), dtype=bool)
-        first_of_row[1:] = rows[1:] != rows[:-1]
-        prev_same_row[~first_of_row] = abs_hour[:-1][~first_of_row[1:]]
-        prev_same_row[first_of_row] = spells.start[rows[first_of_row]]
-
-    rec = empty_records(len(rows))
-    if len(rows):
-        rec["start"] = prev_same_row
-        rec["stop"] = abs_hour
-        rec["person"] = ids[rows]
-        # state being closed: the state at the hour before the change; for a
-        # row's first change that is the carried spell state.
-        prev_col = cols - 1
-        closing_act = np.where(
-            cols > 0, activity[rows, np.maximum(prev_col, 0)], spells.activity[rows]
-        )
-        closing_place = np.where(
-            cols > 0, place[rows, np.maximum(prev_col, 0)], spells.place[rows]
-        )
-        rec["activity"] = closing_act
-        rec["place"] = closing_place
-
-    # open spells after the grid: state at the last column, started at the
-    # last change (or carried start when a row had no change).
-    new_start = spells.start.copy()
-    if len(rows):
-        last_of_row = np.ones(len(rows), dtype=bool)
-        last_of_row[:-1] = rows[:-1] != rows[1:]
-        new_start[rows[last_of_row]] = abs_hour[last_of_row]
-    out = OpenSpells(
-        start=new_start,
-        activity=activity[:, -1].astype(np.uint32).copy(),
-        place=place[:, -1].astype(np.uint32).copy(),
-        persons=None if person_ids is None else ids,
-    )
-    return rec, out
 
 
 def events_to_grid(
@@ -206,9 +78,9 @@ def events_to_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct the ``(n_persons, t1 - t0)`` grids from event records.
 
-    The inverse of :func:`grid_to_events` over a fully-covered window
-    (every person has records covering every hour in ``[t0, t1)``); hours
-    not covered by any record are left as activity/place 0.  Used as the
+    The inverse of event emission over a fully-covered window (every
+    person has records covering every hour in ``[t0, t1)``); hours not
+    covered by any record are left as activity/place 0.  Used as the
     lossless-compression oracle in tests and for contact reconstruction.
     """
     records = np.asarray(records, dtype=LOG_DTYPE)

@@ -16,7 +16,6 @@ from .disease import DiseaseModel, DiseaseState
 
 __all__ = [
     "Observer",
-    "StatefulObserver",
     "PrevalenceObserver",
     "OccupancyObserver",
     "MovementObserver",
@@ -34,21 +33,6 @@ class Observer(Protocol):
         place: np.ndarray,
         disease: DiseaseModel | None,
     ) -> None: ...
-
-
-@runtime_checkable
-class StatefulObserver(Observer, Protocol):
-    """An observer whose accumulated state survives checkpoint/resume.
-
-    ``state_dict`` must return plain data (ints, lists, numpy arrays);
-    ``load_state`` restores it onto a freshly constructed instance.  The
-    engine snapshots every stateful observer so a resumed run reports the
-    same aggregates as an uninterrupted one.
-    """
-
-    def state_dict(self) -> dict: ...
-
-    def load_state(self, state: dict) -> None: ...
 
 
 class PrevalenceObserver:
@@ -80,16 +64,6 @@ class PrevalenceObserver:
             return 0, 0
         i = int(np.argmax(inf))
         return self.hours[i], inf[i]
-
-    def state_dict(self) -> dict:
-        return {
-            "hours": list(self.hours),
-            "series": {k: list(v) for k, v in self.series.items()},
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.hours = list(state["hours"])
-        self.series = {k: list(v) for k, v in state["series"].items()}
 
 
 class OccupancyObserver:
@@ -127,16 +101,6 @@ class OccupancyObserver:
         total = counts.sum()
         return float((counts * sizes).sum() / total) if total else 0.0
 
-    def state_dict(self) -> dict:
-        return {"histogram": self.histogram.copy(), "max_seen": self.max_seen}
-
-    def load_state(self, state: dict) -> None:
-        histogram = np.asarray(state["histogram"], dtype=np.int64)
-        if histogram.shape != self.histogram.shape:
-            raise ValueError("occupancy snapshot has a different max_occupancy")
-        self.histogram = histogram.copy()
-        self.max_seen = int(state["max_seen"])
-
 
 class MovementObserver:
     """Counts agents that changed place each hour (movement volume).
@@ -166,16 +130,3 @@ class MovementObserver:
     @property
     def total_moves(self) -> int:
         return int(sum(self.moves_per_hour))
-
-    def state_dict(self) -> dict:
-        return {
-            "last_place": (
-                None if self._last_place is None else self._last_place.copy()
-            ),
-            "moves_per_hour": list(self.moves_per_hour),
-        }
-
-    def load_state(self, state: dict) -> None:
-        last = state["last_place"]
-        self._last_place = None if last is None else np.asarray(last).copy()
-        self.moves_per_hour = list(state["moves_per_hour"])

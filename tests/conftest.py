@@ -32,7 +32,7 @@ def week_result(small_pop):
     config = SimulationConfig(
         scale=small_pop.scale, duration_hours=repro.HOURS_PER_WEEK
     )
-    return Simulation(small_pop, config).run_fast()
+    return Simulation(small_pop, config).run()
 
 
 @pytest.fixture(scope="session")

@@ -444,7 +444,7 @@ def week_6k():
     """The 6 000-person week the end-to-end benchmark analyses."""
     pop = generate_population(ScaleConfig(n_persons=6000, seed=2017))
     config = SimulationConfig(scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK)
-    records = Simulation(pop, config).run_fast().records
+    records = Simulation(pop, config).run().records
     net, _ = repro.synthesize_network(
         records, pop.n_persons, 0, repro.HOURS_PER_WEEK
     )

@@ -39,7 +39,7 @@ class TestStreaming:
         cfg = repro.SimulationConfig(
             scale=small_pop.scale, duration_hours=2 * repro.HOURS_PER_WEEK
         )
-        serial = Simulation(small_pop, cfg).run_fast()
+        serial = Simulation(small_pop, cfg).run()
         whole, _ = repro.synthesize_network(
             serial.records, small_pop.n_persons, 0, 2 * repro.HOURS_PER_WEEK
         )

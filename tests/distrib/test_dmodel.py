@@ -29,7 +29,7 @@ def pop():
 @pytest.fixture(scope="module")
 def serial_sorted(pop):
     cfg = SimulationConfig(scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK)
-    rec = Simulation(pop, cfg).run_fast().records
+    rec = Simulation(pop, cfg).run().records
     return rec[np.lexsort((rec["start"], rec["person"]))]
 
 

@@ -25,10 +25,9 @@ def pop():
     return generate_population(SCALE)
 
 
-@pytest.fixture(scope="module")
-def partition(pop):
-    assignment = (np.arange(pop.n_places) % N_RANKS).astype(np.int32)
-    return PlacePartition(assignment, N_RANKS)
+def _partition(pop, n_ranks=N_RANKS):
+    assignment = (np.arange(pop.n_places) % n_ranks).astype(np.int32)
+    return PlacePartition(assignment, n_ranks)
 
 
 def _config(**overrides):
@@ -125,8 +124,26 @@ class TestSharedDeadline:
 
 
 class TestSupervisedRecovery:
+    """Kill one rank mid-run and restart from the last snapshot.  The
+    subclass below runs every case on a world of one rank, which is what
+    ``simulate --ranks 1`` runs."""
+
+    n_ranks = N_RANKS
+
+    @pytest.fixture()
+    def partition(self, pop):
+        return _partition(pop, self.n_ranks)
+
+    def _config(self, **overrides):
+        return _config(n_ranks=self.n_ranks, **overrides)
+
+    def victim(self, rank: int) -> int:
+        """The rank a case kills: ``rank``, or the last one of a smaller
+        world."""
+        return min(rank, self.n_ranks - 1)
+
     def test_recovery_is_bit_for_bit(self, pop, partition, tmp_path):
-        ref = DistributedSimulation(pop, _config(), partition).run(
+        ref = DistributedSimulation(pop, self._config(), partition).run(
             log_dir=tmp_path / "logs_ref", checkpoint_dir=tmp_path / "ck_ref"
         )
         assert ref.checkpoints_written == 3
@@ -135,12 +152,12 @@ class TestSupervisedRecovery:
         state = {"killed": False}
 
         def hook(comm, hour):
-            # kill rank 1 once, after the hour-24 checkpoint committed
-            if hour == 30 and comm.rank == 1 and not state["killed"]:
+            # kill rank 1 (0 on one rank) once, after the hour-24 checkpoint
+            if hour == 30 and comm.rank == self.victim(1) and not state["killed"]:
                 state["killed"] = True
                 comm.die()
 
-        rec = DistributedSimulation(pop, _config(), partition).run(
+        rec = DistributedSimulation(pop, self._config(), partition).run(
             log_dir=tmp_path / "logs_rec",
             checkpoint_dir=tmp_path / "ck_rec",
             fault_hook=hook,
@@ -164,7 +181,7 @@ class TestSupervisedRecovery:
                 comm.die()
 
         with pytest.raises(RankFailureError) as exc_info:
-            DistributedSimulation(pop, _config(), partition).run(
+            DistributedSimulation(pop, self._config(), partition).run(
                 checkpoint_dir=tmp_path / "ck", fault_hook=hook
             )
         assert 0 in exc_info.value.suspects
@@ -172,16 +189,16 @@ class TestSupervisedRecovery:
     def test_recovery_before_first_checkpoint_restarts_from_scratch(
         self, pop, partition, tmp_path
     ):
-        ref = DistributedSimulation(pop, _config(), partition).run()
+        ref = DistributedSimulation(pop, self._config(), partition).run()
 
         state = {"killed": False}
 
         def hook(comm, hour):
-            if hour == 5 and comm.rank == 2 and not state["killed"]:
+            if hour == 5 and comm.rank == self.victim(2) and not state["killed"]:
                 state["killed"] = True
                 comm.die()
 
-        rec = DistributedSimulation(pop, _config(), partition).run(
+        rec = DistributedSimulation(pop, self._config(), partition).run(
             log_dir=tmp_path / "logs",
             checkpoint_dir=tmp_path / "ck",
             fault_hook=hook,
@@ -192,12 +209,16 @@ class TestSupervisedRecovery:
 
     def test_restart_budget_exhausted(self, pop, partition, tmp_path):
         def hook(comm, hour):  # unconditional: dies again after each restart
-            if hour == 20 and comm.rank == 1:
+            if hour == 20 and comm.rank == self.victim(1):
                 comm.die()
 
         with pytest.raises(RankFailureError):
-            DistributedSimulation(pop, _config(), partition).run(
+            DistributedSimulation(pop, self._config(), partition).run(
                 checkpoint_dir=tmp_path / "ck",
                 fault_hook=hook,
                 max_restarts=2,
             )
+
+
+class TestOneRankSupervisedRecovery(TestSupervisedRecovery):
+    n_ranks = 1

@@ -1,4 +1,5 @@
-"""Tests for the serial engine: fast/slow equivalence, logging, results."""
+"""Tests for the serial engine: the rank step on one rank against it,
+event semantics, observers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 import repro
 from repro.config import ScaleConfig, SimulationConfig
+from repro.distrib import DistributedSimulation, round_robin_partition
 from repro.errors import SimulationError
 from repro.evlog import LogReader
 from repro.sim import MovementObserver, Simulation
@@ -22,31 +24,39 @@ def config_for(pop, hours=repro.HOURS_PER_WEEK, **kw):
     return SimulationConfig(scale=pop.scale, duration_hours=hours, **kw)
 
 
+def one_rank(pop, cfg, **run_kwargs):
+    """The rank step on a world of one rank (what ``simulate --ranks 1``
+    runs)."""
+    partition = round_robin_partition(pop.n_places, 1)
+    return DistributedSimulation(pop, cfg, partition).run(**run_kwargs)
+
+
 class TestEquivalence:
+    """The production path (the rank step, one rank) against the oracle."""
+
     def test_fast_equals_slow(self, pop):
         cfg = config_for(pop)
-        fast = Simulation(pop, cfg).run_fast()
-        slow = Simulation(pop, cfg).run()
-        assert len(fast.records) == len(slow.records)
-        assert (fast.records == slow.records).all()
+        fast = one_rank(pop, cfg).per_rank_records[0]
+        slow = Simulation(pop, cfg).run().records
+        assert fast.tobytes() == slow.tobytes()
 
     def test_multi_week_fast_equals_slow(self, pop):
         cfg = config_for(pop, hours=2 * repro.HOURS_PER_WEEK + 13)
-        fast = Simulation(pop, cfg).run_fast()
-        slow = Simulation(pop, cfg).run()
-        assert (fast.records == slow.records).all()
+        fast = one_rank(pop, cfg).per_rank_records[0]
+        slow = Simulation(pop, cfg).run().records
+        assert fast.tobytes() == slow.tobytes()
 
     def test_rerun_deterministic(self, pop):
         cfg = config_for(pop)
-        a = Simulation(pop, cfg).run_fast()
-        b = Simulation(pop, cfg).run_fast()
+        a = Simulation(pop, cfg).run()
+        b = Simulation(pop, cfg).run()
         assert (a.records == b.records).all()
 
 
 class TestEventSemantics:
     def test_events_cover_full_duration(self, pop):
         cfg = config_for(pop, hours=100)
-        res = Simulation(pop, cfg).run_fast()
+        res = Simulation(pop, cfg).run()
         rec = res.records
         # per person: intervals tile [0, 100) exactly
         order = np.lexsort((rec["start"], rec["person"]))
@@ -60,7 +70,7 @@ class TestEventSemantics:
 
     def test_grid_reconstruction_matches_schedule(self, pop):
         cfg = config_for(pop)
-        res = Simulation(pop, cfg).run_fast()
+        res = Simulation(pop, cfg).run()
         grid = pop.schedule_generator().week(0)
         act, plc = events_to_grid(
             res.records, pop.n_persons, 0, repro.HOURS_PER_WEEK
@@ -69,114 +79,76 @@ class TestEventSemantics:
         assert (plc == grid.place).all()
 
     def test_event_rate_plausible(self, pop):
-        res = Simulation(pop, config_for(pop)).run_fast()
+        res = Simulation(pop, config_for(pop)).run()
         rate = res.events_per_person_day(pop.n_persons)
         assert 2.0 < rate < 7.0
 
 
 class TestLogging:
+    """A serial run's log is the one rank's log."""
+
     def test_run_writes_evl(self, pop, tmp_path):
-        path = tmp_path / "run.evl"
         cfg = config_for(pop, hours=50)
-        res = Simulation(pop, cfg).run(log_path=path)
-        r = LogReader(path)
-        assert r.n_records == res.n_events
-        key = ["person", "start", "place"]
-        assert (np.sort(r.read_all(), order=key)
-                == np.sort(res.records, order=key)).all()
+        res = one_rank(pop, cfg, log_dir=tmp_path)
+        assert [p.name for p in res.log_paths] == ["rank_0000.evl"]
+        r = LogReader(res.log_paths[0])
+        assert r.n_records == res.total_events
+        assert r.read_all().tobytes() == res.per_rank_records[0].tobytes()
 
     def test_fast_log_matches_slow_log(self, pop, tmp_path):
         cfg = config_for(pop, hours=72)
-        Simulation(pop, cfg).run(log_path=tmp_path / "slow.evl")
-        Simulation(pop, cfg).run_fast(log_path=tmp_path / "fast.evl")
-        a = LogReader(tmp_path / "slow.evl").read_all()
-        b = LogReader(tmp_path / "fast.evl").read_all()
-        assert (a == b).all()
-
-    def test_compressed_log(self, pop, tmp_path):
-        cfg = config_for(pop, hours=50)
-        Simulation(pop, cfg).run(log_path=tmp_path / "z.evl", compress_log=True)
-        assert LogReader(tmp_path / "z.evl").header.compressed
+        res = one_rank(pop, cfg, log_dir=tmp_path)
+        logged = LogReader(res.log_paths[0]).read_all()
+        assert logged.tobytes() == Simulation(pop, cfg).run().records.tobytes()
 
 
 class TestObservers:
     def test_movement_observer_counts(self, pop):
         cfg = config_for(pop, hours=48)
         obs = MovementObserver()
-        res = Simulation(pop, cfg).run(observers=[obs])
+        Simulation(pop, cfg).run(observers=[obs])
         assert len(obs.moves_per_hour) == 47
         # moves == events whose spell ended at hours 1..47 with place change
         assert obs.total_moves > 0
+
+    def test_run_fast_rejects_disease(self, pop):
+        """Hooks run on the serial engine only: the fast path (the rank
+        step, here on one rank) refuses the disease layer."""
+        cfg = config_for(
+            pop, hours=24, disease=repro.DiseaseConfig(initial_infected=1)
+        )
+        with pytest.raises(SimulationError, match="disease"):
+            one_rank(pop, cfg)
 
     def test_config_population_mismatch(self, pop):
         bad = SimulationConfig(scale=ScaleConfig(n_persons=999))
         with pytest.raises(SimulationError):
             Simulation(pop, bad)
 
-    def test_run_fast_rejects_disease(self, pop):
-        cfg = config_for(
-            pop, hours=24, disease=repro.DiseaseConfig(initial_infected=1)
-        )
-        with pytest.raises(SimulationError):
-            Simulation(pop, cfg).run_fast()
-
-
-class TestRunFastParity:
-    """run_fast must mirror run()'s logging API, not silently drop args."""
-
-    def test_compress_log_honored(self, pop, tmp_path):
-        cfg = config_for(pop, hours=50)
-        Simulation(pop, cfg).run_fast(
-            log_path=tmp_path / "fz.evl", compress_log=True
-        )
-        assert LogReader(tmp_path / "fz.evl").header.compressed
-        # compressed fast log decodes to the same stream as uncompressed
-        Simulation(pop, cfg).run_fast(log_path=tmp_path / "f.evl")
-        a = LogReader(tmp_path / "fz.evl").read_all()
-        b = LogReader(tmp_path / "f.evl").read_all()
-        assert (a == b).all()
-
-    def test_checkpoint_args_raise(self, pop, tmp_path):
-        cfg = config_for(pop, hours=24)
-        with pytest.raises(SimulationError, match="checkpoint"):
-            Simulation(pop, cfg).run_fast(checkpoint_dir=tmp_path / "c")
-        with pytest.raises(SimulationError, match="checkpoint"):
-            Simulation(pop, cfg).run_fast(resume=True)
-
 
 class TestRecordAccumulator:
-    """The checkpoint path copies each record O(1) amortized times, not
-    once per snapshot."""
-
-    def test_amortized_copies(self):
-        from repro.evlog.schema import empty_records
-        from repro.sim.engine import _RecordAccumulator
-
-        acc = _RecordAccumulator()
-        total = 0
-        chunks = []
-        rng = np.random.default_rng(11)
-        for i in range(50):
-            n = int(rng.integers(1, 200))
-            rec = empty_records(n)
-            rec["person"] = rng.integers(0, 1000, n)
-            rec["start"] = i
-            rec["stop"] = i + 1
-            chunks.append(rec.copy())
-            acc.append(rec)
-            total += n
-            if i % 7 == 0:  # interleave snapshots with appends
-                merged = acc.merged()
-                assert len(merged) == total
-        merged = acc.merged()
-        assert len(acc) == total
-        assert (merged == np.concatenate(chunks)).all()
-        # buffer growth is geometric: far fewer allocations than snapshots
-        assert len(acc._buf) >= total
+    """Checkpoints flush the log and gather records; neither may change
+    what a run emits."""
 
     def test_checkpointed_run_matches_plain(self, pop, tmp_path):
         cfg = config_for(pop, hours=72, checkpoint_every_hours=24)
         plain = Simulation(pop, cfg).run()
-        ckpt = Simulation(pop, cfg).run(checkpoint_dir=tmp_path / "snap")
+        ckpt = one_rank(pop, cfg, checkpoint_dir=tmp_path / "snap")
         assert ckpt.checkpoints_written == 2
-        assert (plain.records == ckpt.records).all()
+        assert ckpt.per_rank_records[0].tobytes() == plain.records.tobytes()
+
+
+class TestRunFastParity:
+    """``run_fast`` is an alias of ``run``; neither takes the logging or
+    checkpoint arguments the rank step owns."""
+
+    def test_checkpoint_args_raise(self, pop):
+        sim = Simulation(pop, config_for(pop, hours=24))
+        for kwargs in (
+            {"log_path": "x.evl"}, {"compress_log": True},
+            {"checkpoint_dir": "ck"}, {"resume": True}, {"fault_hook": print},
+        ):
+            with pytest.raises(TypeError):
+                sim.run(**kwargs)
+            with pytest.raises(TypeError):
+                sim.run_fast(**kwargs)

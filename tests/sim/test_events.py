@@ -1,4 +1,8 @@
-"""Tests for grid↔event conversion — the lossless-compression invariant."""
+"""Tests for event records — the lossless-compression invariant.
+
+The serial engine's records, painted back with ``events_to_grid``, must
+give the schedule's own week grids hour for hour, across week seams.
+"""
 
 from __future__ import annotations
 
@@ -7,83 +11,89 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import HOURS_PER_WEEK, ScaleConfig, SimulationConfig
 from repro.errors import SimulationError
-from repro.sim.events import OpenSpells, events_to_grid, grid_to_events
+from repro.sim import Simulation
+from repro.sim.events import events_to_grid
+from repro.synthpop import generate_population
+
+W = HOURS_PER_WEEK
 
 
-def random_grids(rng, n, hours, n_states=5):
-    """Random sticky state grids (runs of varying length)."""
-    act = np.zeros((n, hours), dtype=np.uint8)
-    plc = np.zeros((n, hours), dtype=np.uint32)
-    act[:, 0] = rng.integers(0, n_states, n)
-    plc[:, 0] = rng.integers(0, n_states * 3, n)
-    for h in range(1, hours):
-        change = rng.random(n) < 0.3
-        act[:, h] = np.where(change, rng.integers(0, n_states, n), act[:, h - 1])
-        plc[:, h] = np.where(change, rng.integers(0, n_states * 3, n), plc[:, h - 1])
+@pytest.fixture(scope="module")
+def pop():
+    return generate_population(ScaleConfig(n_persons=150, seed=31))
+
+
+def simulate(pop, hours):
+    config = SimulationConfig(scale=pop.scale, duration_hours=hours)
+    return Simulation(pop, config).run().records
+
+
+def schedule_grids(pop, hours):
+    """The schedule's ``(n, hours)`` activity and place grids."""
+    generator = pop.schedule_generator()
+    weeks = [generator.week(i) for i in range(-(-hours // W))]
+    act = np.hstack([w.activity for w in weeks])[:, :hours]
+    plc = np.hstack([w.place for w in weeks])[:, :hours]
     return act, plc
 
 
 class TestRoundTrip:
-    def test_single_grid_lossless(self, rng):
-        act, plc = random_grids(rng, 50, 40)
-        rec, spells = grid_to_events(act, plc, 0)
-        final = spells.close_all(40)
-        all_rec = np.concatenate([rec, final])
-        act2, plc2 = events_to_grid(all_rec, 50, 0, 40)
-        assert (act2 == act).all()
-        assert (plc2 == plc).all()
+    def test_single_grid_lossless(self, pop):
+        act, plc = events_to_grid(simulate(pop, W), pop.n_persons, 0, W)
+        week = pop.schedule_generator().week(0)
+        assert (act == week.activity).all()
+        assert (plc == week.place).all()
 
-    def test_chained_grids_equal_single(self, rng):
-        """Processing in two chunks with carried spells == one chunk."""
-        act, plc = random_grids(rng, 30, 60)
-        rec_a, spells = grid_to_events(act[:, :25], plc[:, :25], 0)
-        rec_b, spells = grid_to_events(act[:, 25:], plc[:, 25:], 25, spells)
-        final = spells.close_all(60)
-        chunked = np.concatenate([rec_a, rec_b, final])
+    def test_chained_grids_equal_single(self, pop):
+        """One fortnight window == its two week windows side by side ==
+        the schedule's two week grids."""
+        rec = simulate(pop, 2 * W)
+        act, plc = events_to_grid(rec, pop.n_persons, 0, 2 * W)
+        a0, p0 = events_to_grid(rec, pop.n_persons, 0, W)
+        a1, p1 = events_to_grid(rec, pop.n_persons, W, 2 * W)
+        assert (act == np.hstack([a0, a1])).all()
+        assert (plc == np.hstack([p0, p1])).all()
+        expected_act, expected_plc = schedule_grids(pop, 2 * W)
+        assert (act == expected_act).all()
+        assert (plc == expected_plc).all()
 
-        rec_full, spells_full = grid_to_events(act, plc, 0)
-        full = np.concatenate([rec_full, spells_full.close_all(60)])
+    def test_spell_spanning_chunk_boundary_is_one_record(self, pop):
+        """No artificial event at the week seam: a record stops at hour
+        ``W`` exactly for the persons whose state changes there."""
+        rec = simulate(pop, 2 * W)
+        act, plc = schedule_grids(pop, 2 * W)
+        changes = (act[:, W] != act[:, W - 1]) | (plc[:, W] != plc[:, W - 1])
+        stopped = np.zeros(pop.n_persons, dtype=bool)
+        stopped[rec["person"][rec["stop"] == W]] = True
+        assert (stopped == changes).all()
+        spanning = (rec["start"] < W) & (rec["stop"] > W)
+        assert spanning.any()
+        assert sorted(rec["person"][spanning]) == list(np.flatnonzero(~changes))
 
-        key = ["person", "start", "stop"]
-        assert (np.sort(chunked, order=key) == np.sort(full, order=key)).all()
-
-    def test_spell_spanning_chunk_boundary_is_one_record(self):
-        """No artificial event at the chunk seam (week boundary)."""
-        act = np.zeros((1, 10), dtype=np.uint8)
-        plc = np.full((1, 10), 7, dtype=np.uint32)
-        rec_a, spells = grid_to_events(act[:, :5], plc[:, :5], 0)
-        rec_b, spells = grid_to_events(act[:, 5:], plc[:, 5:], 5, spells)
-        final = spells.close_all(10)
-        assert len(rec_a) == 0 and len(rec_b) == 0
-        assert len(final) == 1
-        assert final["start"][0] == 0 and final["stop"][0] == 10
-
-    @given(st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_property_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 20))
-        hours = int(rng.integers(1, 30))
-        act, plc = random_grids(rng, n, hours)
-        rec, spells = grid_to_events(act, plc, 0)
-        all_rec = np.concatenate([rec, spells.close_all(hours)])
+    @given(
+        n_persons=st.integers(20, 120),
+        seed=st.integers(0, 2**31),
+        hours=st.integers(1, 2 * W + 30),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_property_roundtrip(self, n_persons, seed, hours):
+        pop = generate_population(ScaleConfig(n_persons=n_persons, seed=seed))
+        rec = simulate(pop, hours)
+        act, plc = schedule_grids(pop, hours)
         # event count == number of maximal runs
-        runs = 1 * n + int(
-            (
-                (act[:, 1:] != act[:, :-1]) | (plc[:, 1:] != plc[:, :-1])
-            ).sum()
+        runs = n_persons + int(
+            ((act[:, 1:] != act[:, :-1]) | (plc[:, 1:] != plc[:, :-1])).sum()
         )
-        assert len(all_rec) == runs
-        act2, plc2 = events_to_grid(all_rec, n, 0, hours)
+        assert len(rec) == runs
+        act2, plc2 = events_to_grid(rec, n_persons, 0, hours)
         assert (act2 == act).all() and (plc2 == plc).all()
 
-    def test_events_are_maximal_runs(self, rng):
+    def test_events_are_maximal_runs(self, pop):
         """No two consecutive records of one person share state (each
         record is a *change*)."""
-        act, plc = random_grids(rng, 40, 50)
-        rec, spells = grid_to_events(act, plc, 0)
-        all_rec = np.concatenate([rec, spells.close_all(50)])
+        all_rec = simulate(pop, 50)
         order = np.lexsort((all_rec["start"], all_rec["person"]))
         s = all_rec[order]
         same_person = s["person"][1:] == s["person"][:-1]
@@ -97,34 +107,27 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_mismatched_grids(self):
-        with pytest.raises(SimulationError):
-            grid_to_events(
-                np.zeros((2, 5), dtype=np.uint8),
-                np.zeros((2, 6), dtype=np.uint32),
-                0,
-            )
-
     def test_empty_grid(self):
-        with pytest.raises(SimulationError):
-            grid_to_events(
-                np.zeros((2, 0), dtype=np.uint8),
-                np.zeros((2, 0), dtype=np.uint32),
-                0,
-            )
+        """No records paint an all-zero grid of the window's shape."""
+        from repro.evlog.schema import empty_records
 
-    def test_carried_spells_wrong_size(self, rng):
-        act, plc = random_grids(rng, 5, 10)
-        spells = OpenSpells.begin(np.zeros(3), np.zeros(3), 0)
-        with pytest.raises(SimulationError):
-            grid_to_events(act, plc, 10, spells)
+        act, plc = events_to_grid(empty_records(0), 5, 10, 14)
+        assert act.shape == plc.shape == (5, 4)
+        assert not act.any() and not plc.any()
 
-    def test_person_ids_subset(self, rng):
-        act, plc = random_grids(rng, 4, 6)
-        ids = np.array([10, 20, 30, 40], dtype=np.uint32)
-        rec, spells = grid_to_events(act, plc, 0, person_ids=ids)
-        final = spells.close_all(6)
-        assert set(np.concatenate([rec, final])["person"]) <= set(ids.tolist())
+    def test_person_ids_subset(self, pop):
+        """One rank's records (a subset of persons) paint those persons'
+        rows and leave every other row 0."""
+        rec = simulate(pop, 30)
+        ids = np.arange(0, pop.n_persons, 7)
+        act, plc = events_to_grid(
+            rec[np.isin(rec["person"], ids)], pop.n_persons, 0, 30
+        )
+        expected_act, expected_plc = schedule_grids(pop, 30)
+        others = np.setdiff1d(np.arange(pop.n_persons), ids)
+        assert (act[ids] == expected_act[ids]).all()
+        assert (plc[ids] == expected_plc[ids]).all()
+        assert not act[others].any() and not plc[others].any()
 
     def test_events_to_grid_bad_person(self):
         from repro.evlog.schema import make_records

@@ -129,14 +129,12 @@ class TestEffects:
             scale=small_pop.scale, duration_hours=repro.HOURS_PER_WEEK
         )
         open_net, _ = repro.synthesize_network(
-            Simulation(small_pop, cfg).run_fast().records,
+            Simulation(small_pop, cfg).run().records,
             small_pop.n_persons, 0, repro.HOURS_PER_WEEK,
         )
         closed_sched = InterventionSchedule(base, [CloseSchools()])
         closed_net, _ = repro.synthesize_network(
-            Simulation(small_pop, cfg, schedules=closed_sched)
-            .run_fast()
-            .records,
+            Simulation(small_pop, cfg, schedules=closed_sched).run().records,
             small_pop.n_persons, 0, repro.HOURS_PER_WEEK,
         )
         kids_open = age_group_degree_distributions(open_net, small_pop.persons)["0-14"]

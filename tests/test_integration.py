@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.analysis import summarize
-from repro.distrib import spatial_partition
+from repro.distrib import round_robin_partition, spatial_partition
 from repro.evlog import LogReader, LogSet
 
 
@@ -21,14 +21,20 @@ def pop():
     return repro.generate_population(repro.ScaleConfig(n_persons=500, seed=77))
 
 
+def log_one_rank(pop, cfg, log_dir):
+    """The rank step on one rank: how a serial run writes its log."""
+    one_rank = round_robin_partition(pop.n_places, 1)
+    return repro.DistributedSimulation(pop, cfg, one_rank).run(log_dir=log_dir)
+
+
 class TestFullPipelineConsistency:
     def test_disk_roundtrip_equals_in_memory(self, pop, tmp_path):
         """simulate → EVL file → synthesize == simulate → synthesize."""
         cfg = repro.SimulationConfig(
             scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
         )
-        path = tmp_path / "rank_0000.evl"
-        res = repro.Simulation(pop, cfg).run_fast(log_path=path)
+        log_one_rank(pop, cfg, tmp_path)
+        res = repro.Simulation(pop, cfg).run()
         net_mem, _ = repro.synthesize_network(
             res.records, pop.n_persons, 0, repro.HOURS_PER_WEEK
         )
@@ -52,7 +58,7 @@ class TestFullPipelineConsistency:
         serial_cfg = repro.SimulationConfig(
             scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
         )
-        serial = repro.Simulation(pop, serial_cfg).run_fast()
+        serial = repro.Simulation(pop, serial_cfg).run()
         net_serial, _ = repro.synthesize_network(
             serial.records, pop.n_persons, 0, repro.HOURS_PER_WEEK
         )
@@ -64,7 +70,7 @@ class TestFullPipelineConsistency:
         cfg = repro.SimulationConfig(
             scale=pop.scale, duration_hours=2 * repro.HOURS_PER_WEEK
         )
-        res = repro.Simulation(pop, cfg).run_fast()
+        res = repro.Simulation(pop, cfg).run()
         w = repro.HOURS_PER_WEEK
         net1, _ = repro.synthesize_network(res.records, pop.n_persons, 0, w)
         net2, _ = repro.synthesize_network(res.records, pop.n_persons, w, 2 * w)
@@ -76,7 +82,7 @@ class TestFullPipelineConsistency:
         cfg = repro.SimulationConfig(
             scale=pop.scale, duration_hours=repro.HOURS_PER_WEEK
         )
-        res = repro.Simulation(pop, cfg).run_fast()
+        res = repro.Simulation(pop, cfg).run()
         net, report = repro.synthesize_network(
             res.records, pop.n_persons, 0, repro.HOURS_PER_WEEK
         )
@@ -132,9 +138,9 @@ class TestCacheSizeInvariance:
         cfg_big = repro.SimulationConfig(
             scale=pop.scale, duration_hours=100, log_cache_records=100_000
         )
-        repro.Simulation(pop, cfg_small).run_fast(log_path=tmp_path / "s.evl")
-        repro.Simulation(pop, cfg_big).run_fast(log_path=tmp_path / "b.evl")
-        a = LogReader(tmp_path / "s.evl")
-        b = LogReader(tmp_path / "b.evl")
+        small = log_one_rank(pop, cfg_small, tmp_path / "s")
+        big = log_one_rank(pop, cfg_big, tmp_path / "b")
+        a = LogReader(small.log_paths[0])
+        b = LogReader(big.log_paths[0])
         assert a.n_chunks > b.n_chunks
         assert (a.read_all() == b.read_all()).all()
