@@ -3,12 +3,12 @@
 Ten times the kernel bench's population (60,000 persons, 8 ranks, 4
 simulated weeks) synthesized through :mod:`repro.distrib.shardsynth`:
 
-* **bit-identity matrix** — every shard count × partition strategy
-  (1/2/4 × round-robin/spatial/refined) runs through the real forked
-  ``shard_synthesize`` path and must reproduce the single-process
+* **bit-identity** — every shard count (1/2/4) runs through the real
+  forked ``shard_synthesize`` path and must reproduce the single-process
   reference CSR exactly;
-* **balance gate** — the refined partition's estimated-work imbalance
-  must stay ≤ 1.2 at every shard count;
+* **balance gate** — the shard plan's estimated-work imbalance (whole
+  rank files, LPT-assigned by work) must stay ≤ 1.2 at every shard
+  count;
 * **scaling gate** — the critical-path speedup at 4 shards must reach
   3x over the 1-shard run.
 
@@ -46,12 +46,7 @@ import numpy as np
 
 import repro
 from repro.distrib import DistributedSimulation, spatial_partition
-from repro.distrib.shardsynth import (
-    STRATEGIES,
-    _shard_partial,
-    plan_shards,
-    shard_synthesize,
-)
+from repro.distrib.shardsynth import _shard_partial, plan_shards, shard_synthesize
 from repro.evlog import LogSet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +57,6 @@ SEED = 2017
 N_RANKS = 8
 WEEKS = 4
 SHARD_COUNTS = (1, 2, 4)
-TIMED_STRATEGY = "refined"
 MAX_IMBALANCE = 1.2
 MIN_SPEEDUP_4 = 3.0
 REGRESSION_MARGIN = 0.20
@@ -117,7 +111,6 @@ def run_bench() -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_shard_") as tmp:
         log_dir = Path(tmp)
         pop, logs = generate_logs(log_dir)
-        coords = pop.places.coords()
         t0, t1 = 0, WEEKS * repro.HOURS_PER_WEEK
 
         tic = time.perf_counter()
@@ -126,45 +119,29 @@ def run_bench() -> dict:
         )
         single_seconds = time.perf_counter() - tic
 
-        # bit-identity matrix: the real forked path, every strategy ×
-        # shard count
+        # per shard count: bit-identity through the real forked path,
+        # then critical-path walls of the same plan
         identity: dict = {}
-        all_identical = True
         imbalances: dict = {}
-        for strategy in STRATEGIES:
-            for k in SHARD_COUNTS:
-                plan = plan_shards(
-                    logs, k, t0, t1, strategy=strategy, coords=coords
-                )
-                net, report = shard_synthesize(
-                    logs, pop.n_persons, t0, t1, shard_plan=plan
-                )
-                same = (
-                    np.array_equal(
-                        net.adjacency.data, reference.adjacency.data
-                    )
-                    and np.array_equal(
-                        net.adjacency.indices, reference.adjacency.indices
-                    )
-                    and np.array_equal(
-                        net.adjacency.indptr, reference.adjacency.indptr
-                    )
-                )
-                all_identical = all_identical and same
-                identity[f"{strategy}/{k}"] = {
-                    "bit_identical": same,
-                    "imbalance": round(report.imbalance, 4),
-                    "records": report.n_records,
-                }
-                if strategy == TIMED_STRATEGY:
-                    imbalances[k] = report.imbalance
-
-        # scaling: critical-path walls under the timed strategy
         scaling: dict = {}
         for k in SHARD_COUNTS:
-            plan = plan_shards(
-                logs, k, t0, t1, strategy=TIMED_STRATEGY, coords=coords
+            plan = plan_shards(logs, k, t0, t1)
+            net, report = shard_synthesize(
+                logs, pop.n_persons, t0, t1, shard_plan=plan
             )
+            identity[str(k)] = {
+                "bit_identical": all(
+                    np.array_equal(
+                        getattr(net.adjacency, key),
+                        getattr(reference.adjacency, key),
+                    )
+                    for key in ("data", "indices", "indptr")
+                ),
+                "imbalance": round(report.imbalance, 4),
+                "records": report.n_records,
+                "files": [len(files) for files in plan.shard_files],
+            }
+            imbalances[k] = report.imbalance
             scaling[str(k)] = critical_path(plan, pop.n_persons, t0, t1)
         wall_1 = scaling["1"]["wall_seconds"]
         for k in SHARD_COUNTS:
@@ -181,15 +158,15 @@ def run_bench() -> dict:
             "weeks": WEEKS,
             "window": [t0, t1],
             "records": ref_report.n_records,
-            "strategies": list(STRATEGIES),
             "shard_counts": list(SHARD_COUNTS),
-            "timed_strategy": TIMED_STRATEGY,
         },
         "single_process_seconds": round(single_seconds, 4),
         "identity": identity,
         "scaling": scaling,
         "imbalance": {str(k): round(v, 4) for k, v in imbalances.items()},
-        "outputs_bit_identical": all_identical,
+        "outputs_bit_identical": all(
+            leg["bit_identical"] for leg in identity.values()
+        ),
     }
 
 
@@ -207,8 +184,7 @@ def check_gates(measured: dict, baseline: dict | None) -> list[str]:
     for k, imb in measured["imbalance"].items():
         if imb > MAX_IMBALANCE:
             failures.append(
-                f"{TIMED_STRATEGY} imbalance at {k} shard(s) is "
-                f"{imb:.3f} > {MAX_IMBALANCE}"
+                f"imbalance at {k} shard(s) is {imb:.3f} > {MAX_IMBALANCE}"
             )
     speedup_4 = measured["scaling"]["4"]["speedup"]
     if baseline is None:

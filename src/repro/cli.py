@@ -139,9 +139,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
     from .distrib.shardsynth import shard_synthesize
 
-    if args.checkpoint is not None or args.resume is not None:
+    if args.checkpoint is not None or args.resume is not None or args.profile:
         print(
-            "error: --checkpoint/--resume are not supported with --shards",
+            "error: --checkpoint/--resume/--profile are not supported with "
+            "--shards",
             file=sys.stderr,
         )
         return 2
@@ -151,9 +152,7 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
         t0,
         t1,
         n_shards=args.shards,
-        strategy=args.partition,
         strict=args.strict,
-        coords=pop.places.coords(),
     )
     print(report.summary())
     if report.quarantined:
@@ -207,7 +206,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     try:
         check_batch_size(args.batch_size)
         check_window(pop.n_persons, t0, t1)
-        if args.shards > 1:
+        if args.shards != 1:
             return _synthesize_sharded(args, pop, t0, t1)
         retry = None
         if args.retries > 1:
@@ -610,17 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=1,
-        help="partition places across N forked shard processes, each "
-        "owning its own log slices and interval packs; the reduce stage "
-        "merges per-shard CSRs bit-identically to single-process "
-        "synthesis (default: 1, sharding off)",
-    )
-    p.add_argument(
-        "--partition", choices=["spatial", "refined", "round-robin"],
-        default="refined",
-        help="place→shard partition strategy for --shards: weighted "
-        "recursive coordinate bisection (spatial), bisection plus "
-        "greedy work rebalancing (refined, default), or round-robin",
+        help="split the log files across N forked shard processes "
+        "(files sharing a place stay together, balanced by work); the "
+        "reduce stage merges per-shard CSRs bit-identically to "
+        "single-process synthesis (default: 1, sharding off)",
     )
     p.set_defaults(fn=_cmd_synthesize)
 

@@ -306,62 +306,6 @@ def select_pack_places(
     )
 
 
-def _packs_place_disjoint(packs: Sequence[IntervalPack]) -> bool:
-    """True when packs are place-ordered with pairwise-disjoint place sets.
-
-    This is the steady-state shape from the descriptor path: per-rank sim
-    logs have place locality, so per-file packs almost never share a
-    place.  Places are sorted within each pack, so ordered-and-disjoint
-    reduces to ``prev last < next first``.
-    """
-    prev_last = -1
-    for p in packs:
-        if p.n_places == 0 or int(p.places[0]) <= prev_last:
-            return False
-        prev_last = int(p.places[-1])
-    return True
-
-
-def _merge_packs_concat(packs: Sequence[IntervalPack]) -> IntervalPack:
-    """Fast path: place-disjoint ordered packs merge by pure concatenation.
-
-    No place's boundary set gains new members, so every column, segment
-    weight, and per-place work/hours total survives verbatim; only rows
-    are remapped into the union person space and columns shifted by the
-    preceding packs' widths.  Bit-identical to :func:`_merge_packs_reunion`
-    on these inputs (canonical CSR of the same presence pattern).
-    """
-    t0, t1 = packs[0].t0, packs[0].t1
-    persons = np.unique(np.concatenate([p.persons for p in packs]))
-    rows_parts, cols_parts = [], []
-    offset = 0
-    for p in packs:
-        coo = p.matrix.tocoo()
-        rows_parts.append(np.searchsorted(persons, p.persons)[coo.row])
-        cols_parts.append(coo.col.astype(np.int64) + offset)
-        offset += p.matrix.shape[1]
-    x = sp.coo_matrix(
-        (
-            np.ones(sum(len(r) for r in rows_parts), dtype=np.uint32),
-            (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-        ),
-        shape=(len(persons), offset),
-    ).tocsr()
-    x.data[:] = 1
-    return IntervalPack(
-        places=np.concatenate([p.places for p in packs]),
-        place_work=np.concatenate([p.place_work for p in packs]),
-        place_hours=np.concatenate([p.place_hours for p in packs]),
-        col_place=np.concatenate([p.col_place for p in packs]),
-        col_start=np.concatenate([p.col_start for p in packs]),
-        col_weight=np.concatenate([p.col_weight for p in packs]),
-        persons=persons,
-        matrix=x,
-        t0=t0,
-        t1=t1,
-    )
-
-
 def merge_packs(packs: Sequence[IntervalPack]) -> IntervalPack:
     """Union-merge packs whose place sets may overlap.
 
@@ -370,10 +314,6 @@ def merge_packs(packs: Sequence[IntervalPack]) -> IntervalPack:
     of the source boundaries and presence is the per-(person, segment)
     union — bit-for-bit what a single pack built from the concatenated
     records would contain.
-
-    When the packs are already place-ordered and place-disjoint (the
-    common descriptor-path shape) the merge skips the boundary re-union
-    and segment re-expansion entirely and concatenates.
     """
     if not packs:
         raise SynthesisError("cannot merge zero packs")
@@ -382,14 +322,6 @@ def merge_packs(packs: Sequence[IntervalPack]) -> IntervalPack:
     t0, t1 = packs[0].t0, packs[0].t1
     if any(p.t0 != t0 or p.t1 != t1 for p in packs):
         raise SynthesisError("cannot merge packs over different windows")
-    if _packs_place_disjoint(packs):
-        return _merge_packs_concat(packs)
-    return _merge_packs_reunion(packs)
-
-
-def _merge_packs_reunion(packs: Sequence[IntervalPack]) -> IntervalPack:
-    """General path: re-union boundaries and re-expand every segment."""
-    t0, t1 = packs[0].t0, packs[0].t1
     persons = np.unique(np.concatenate([p.persons for p in packs]))
     key_parts = []
     for p in packs:

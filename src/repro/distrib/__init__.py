@@ -48,7 +48,6 @@ from .partition import (
 from .migration import MIGRANT_DTYPE, pack_migrants
 from .dmodel import DistributedSimulation, DistributedRunResult
 from .shardsynth import (
-    STRATEGIES,
     ShardPlan,
     ShardSynthesisReport,
     plan_shards,
@@ -61,7 +60,6 @@ __all__ = [
     "SimCluster",
     "ProcessBspCluster",
     "ProcessCommunicator",
-    "STRATEGIES",
     "ShardPlan",
     "ShardSynthesisReport",
     "plan_shards",

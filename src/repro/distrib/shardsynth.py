@@ -10,35 +10,21 @@ and the canonical upper-triangular CSR of the sum is unique — summing
 per-shard canonical partials is **bit-identical** to single-process
 synthesis, whatever the partition.  That makes place sharding a pure
 parallelism/memory win: each shard of a
-:class:`~repro.distrib.proccluster.ProcessBspCluster` owns its own log
-slices and interval packs, touching only records at its places; a reduce
-stage folds the partials.
+:class:`~repro.distrib.proccluster.ProcessBspCluster` walks its own log
+files and builds its own interval packs; a reduce stage folds the
+partials.
 
-Sharding is planned once (:func:`plan_shards`): one pass over the window
-estimates each place's true pairwise-product flops (the
-``balance_by_work`` weight, ``Σ_seg count²``) and records which log files
-mention which places.  Per-rank simulation logs have place locality, so a
-spatial shard partition aligned with the simulated ranks means each shard
-decodes roughly ``1/N`` of the files — the plan's ``shard_paths`` skips
-files that cannot contain a shard's places entirely.
-
-Partition strategies (``STRATEGIES``):
-
-* ``"round-robin"`` — cyclic place assignment; count-balanced, ignores
-  both work and locality (the baseline the others must beat);
-* ``"spatial"`` — weighted recursive coordinate bisection over place
-  coordinates (:func:`~repro.distrib.partition.spatial_partition`),
-  weighted by estimated work; place-id order stands in for geometry when
-  no coordinates are given (synthetic populations lay places out so that
-  nearby ids are nearby in space — and, more importantly, in the same
-  rank log);
-* ``"refined"`` — spatial, then **file alignment**: rank logs are
-  place-local, so whole per-file place groups snap onto the shard
-  already holding the plurality of their work, greedy whole-group moves
-  close the remaining work gap, and single-place moves run only if the
-  aligned partition is still above tolerance.  Alignment keeps every
-  file's places on one shard, so each shard decodes only its own files
-  instead of masking away most of a shared decode.
+The partition is the one the log files already carry.  Sharding is
+planned once (:func:`plan_shards`): one pass over the window gives every
+intact file its place set and its true pairwise-product work (the
+``Σ_seg count²`` that ``balance_by_work`` balances with).  Files that
+share a place inside the window are grouped, so each place's window
+records sit in exactly one group, and whole groups go to shards by LPT
+(:func:`~repro.core.balance.lpt_partition`) on their summed work.  A
+shard walks only its own files, unmasked.  Places never change owner
+during a simulated run, so its rank files are place-disjoint and the
+plan is whole rank files balanced by work; logs that are not place-local
+merge into larger groups and stay exact.
 """
 
 from __future__ import annotations
@@ -46,11 +32,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
+from ..core.balance import BalanceReport, lpt_partition
 from ..errors import SynthesisError
 from ..evlog.multifile import LogSet
 from ..evlog.reader import publish_walk_stats
@@ -61,26 +48,14 @@ from ..obs import (
     start_span,
 )
 from ..obs.trace import capture_spans
-from .partition import PlacePartition, round_robin_partition, spatial_partition
 from .proccluster import ProcessBspCluster
 
 __all__ = [
-    "STRATEGIES",
     "ShardPlan",
     "ShardSynthesisReport",
     "plan_shards",
     "shard_synthesize",
 ]
-
-#: place-partition strategies :func:`plan_shards` accepts
-STRATEGIES = ("round-robin", "spatial", "refined")
-
-
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise SynthesisError(
-            f"unknown shard strategy {strategy!r}; choose from {STRATEGIES}"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -89,165 +64,49 @@ def _check_strategy(strategy: str) -> None:
 
 @dataclass
 class ShardPlan:
-    """A place→shard assignment plus everything needed to execute it.
+    """Whole log files assigned to shards, balanced by work.
 
     Built once per (log set, window) by :func:`plan_shards`; reused by
-    every :func:`shard_synthesize` call over the same logs.
+    every :func:`shard_synthesize` call over the same logs and any window
+    inside its own.
     """
 
-    partition: PlacePartition
-    #: per place, the window's true-flop work estimate (``Σ_seg count²``)
-    place_work: np.ndarray
-    #: per intact log file, sorted unique place ids seen in the window
-    file_places: list[np.ndarray]
-    #: intact log files, aligned with ``file_places``
+    #: per shard, the intact log files it walks (in ``paths`` order)
+    shard_files: list[list[str]]
+    #: the LPT assignment's per-shard work (``balance.loads``)
+    balance: BalanceReport
+    #: intact log files
     paths: list[str]
     #: damaged files skipped by the plan scan (non-strict mode)
     quarantined: list[str]
     t0: int
     t1: int
-    strategy: str
 
     @property
     def n_shards(self) -> int:
-        return self.partition.n_ranks
-
-    @property
-    def n_places(self) -> int:
-        return self.partition.n_places
-
-    def shard_places(self, shard: int) -> np.ndarray:
-        return self.partition.places_of_rank(shard)
-
-    def shard_mask(self, shard: int) -> np.ndarray:
-        """Boolean place filter for one shard."""
-        return self.partition.assignment == shard
-
-    def shard_file_indices(self, shard: int) -> list[int]:
-        """Indices into ``paths`` of files that mention this shard's places.
-
-        This is where place locality pays: a file whose place set misses
-        the shard entirely is never opened, let alone decoded.
-        """
-        mask = self.shard_mask(shard)
-        return [
-            i
-            for i, pl in enumerate(self.file_places)
-            if len(pl) and mask[pl].any()
-        ]
-
-    def shard_work(self) -> np.ndarray:
-        """Total estimated work per shard."""
-        return self.partition.rank_weights(self.place_work.astype(np.float64))
+        return len(self.shard_files)
 
     @property
     def imbalance(self) -> float:
-        """max/mean shard work ratio (1.0 = perfect)."""
-        return self.partition.imbalance(self.place_work.astype(np.float64))
+        """max/mean shard work ratio (1.0 = perfect, or no work at all)."""
+        return self.balance.imbalance
 
 
-def _rebalance_by_work(
-    assignment: np.ndarray,
-    work: np.ndarray,
-    n_shards: int,
-    max_moves: int = 256,
-) -> np.ndarray:
-    """Greedy refinement: move single places max→min shard while the
-    worst shard's load keeps dropping.  Terminates: every accepted move
-    strictly reduces ``max(loads)`` or the max-loaded shard's load."""
-    assignment = assignment.copy()
-    loads = np.bincount(assignment, weights=work, minlength=n_shards)
-    for _ in range(max_moves):
-        src = int(np.argmax(loads))
-        dst = int(np.argmin(loads))
-        if src == dst:
-            break
-        gap = loads[src] - loads[dst]
-        if gap <= 0:
-            break
-        members = np.flatnonzero(assignment == src)
-        w = work[members]
-        # best single move: the largest place that still fits in the gap
-        # (moving anything heavier would just swap which shard is worst)
-        fits = np.flatnonzero(w * 2 < gap)
-        if not len(fits):
-            break
-        pick = members[fits[np.argmax(w[fits])]]
-        delta = float(work[pick])
-        if delta <= 0:
-            break
-        assignment[pick] = dst
-        loads[src] -= delta
-        loads[dst] += delta
-    return assignment
-
-
-#: refined partitions above this work imbalance fall back to
-#: locality-breaking single-place moves
-REFINE_TOL = 1.15
-
-
-def _align_to_files(
-    assignment: np.ndarray,
-    work: np.ndarray,
-    file_places: Sequence[np.ndarray],
-    n_shards: int,
-    max_moves: int = 64,
-) -> np.ndarray:
-    """Snap file-exclusive place groups onto single shards.
-
-    Rank logs are place-local, so a whole file's places can live on one
-    shard without splitting any decode across shards — each shard then
-    reads only the files it owns.  Groups first snap to the shard
-    already holding the plurality of their work (preserving the spatial
-    seed's character), then greedy whole-group moves max→min close the
-    remaining work gap.  Places seen in more than one file keep their
-    seed assignment; the caller's place-level fallback handles them.
-    """
-    assignment = assignment.copy()
-    multiplicity = np.zeros(len(work), dtype=np.int64)
-    for members in file_places:
-        multiplicity[members] += 1
-
-    groups: list[np.ndarray] = []
-    group_work: list[float] = []
-    for members in file_places:
-        members = members[multiplicity[members] == 1]
-        if not len(members):
-            continue
-        per_shard = np.bincount(
-            assignment[members],
-            weights=work[members].astype(np.float64),
-            minlength=n_shards,
-        )
-        target = int(np.argmax(per_shard))
-        assignment[members] = target
-        groups.append(members)
-        group_work.append(float(work[members].sum()))
-
-    loads = np.bincount(
-        assignment, weights=work.astype(np.float64), minlength=n_shards
+def _file_groups(file_places: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Per file, a group id in ``[0, n_groups)``: files that share a place
+    share a group (connected components of the file–place graph)."""
+    n_files = len(file_places)
+    files = np.repeat(np.arange(n_files), [len(p) for p in file_places])
+    places = np.concatenate([np.empty(0, np.int64), *file_places])
+    _, place_node = np.unique(places, return_inverse=True)
+    n_nodes = n_files + int(place_node.max(initial=-1)) + 1
+    graph = sp.coo_matrix(
+        (np.ones(len(files)), (files, n_files + place_node.reshape(-1))),
+        shape=(n_nodes, n_nodes),
     )
-    owner = [int(assignment[g[0]]) for g in groups]
-    for _ in range(max_moves):
-        src = int(np.argmax(loads))
-        dst = int(np.argmin(loads))
-        gap = loads[src] - loads[dst]
-        if src == dst or gap <= 0:
-            break
-        candidates = [
-            i
-            for i, (o, w) in enumerate(zip(owner, group_work))
-            if o == src and 0 < w * 2 < gap
-        ]
-        if not candidates:
-            break
-        pick = max(candidates, key=lambda i: group_work[i])
-        assignment[groups[pick]] = dst
-        owner[pick] = dst
-        loads[src] -= group_work[pick]
-        loads[dst] += group_work[pick]
-    return assignment
+    # every place node hangs off a file, so each component holds a file
+    n_groups, labels = connected_components(graph, directed=False)
+    return labels[:n_files], n_groups
 
 
 def plan_shards(
@@ -255,47 +114,36 @@ def plan_shards(
     n_shards: int,
     t0: int,
     t1: int,
-    strategy: str = "spatial",
-    coords: np.ndarray | None = None,
-    n_places: int | None = None,
     strict: bool = False,
+    coords: np.ndarray | None = None,
 ) -> ShardPlan:
-    """Scan the window once and partition places into ``n_shards``.
+    """Scan the window once and assign whole file groups to ``n_shards``.
 
     The scan is the synthesis' own per-file unit
     (:func:`~repro.core.intervals.file_pack`, whole-file verified, so a
     damaged file is quarantined whatever the window — or, with
     ``strict=True``, raised as its own
-    :class:`~repro.errors.LogFormatError` subclass): one interval pack per
-    intact file gives each place's true pairwise work estimate — the same
-    ``Σ_seg count²`` that ``balance_by_work`` balances with — plus the
-    per-file place sets that let shards skip irrelevant files.  Planning
-    cost is one synthesis pass, amortized over every subsequent sharded
-    query on the same logs.
+    :class:`~repro.errors.LogFormatError` subclass).  Each intact file's
+    pack gives its window place set and its work (``Σ_seg count²``).
+    Files sharing a place form one group; groups are LPT-assigned by
+    summed work.  With more shards than groups the extra shards get no
+    files and return an empty partial.  Planning cost is one synthesis
+    pass, amortized over every subsequent sharded query on the same logs.
 
-    ``coords`` (``(n_places, d)``) feeds the spatial strategies; without
-    them, place id stands in as a 1-D coordinate.  ``n_places`` defaults
-    to one past the highest place id seen in the window.
-
-    ``strategy`` defaults to ``"spatial"`` here and to ``"refined"`` on the
-    CLI (``--partition``), on purpose: with about as many rank files as
-    shards (the e2e world: 4 files, 2 shards) the two time the same and
-    refined's file alignment only costs balance (imbalance 1.000 → 1.019),
-    so the library keeps the better-balanced seed; alignment pays when
-    rank files far outnumber shards, which is what the CLI is run on.
+    ``coords`` is accepted and ignored: the plan needs no geometry.  It
+    stays only for callers that still pass it
+    (``benchmarks/e2e/workloads/synth_windows.py``).
     """
     from ..core.intervals import file_pack
 
     if n_shards < 1:
         raise SynthesisError("n_shards must be >= 1")
-    _check_strategy(strategy)
     log_set = log_dir if isinstance(log_dir, LogSet) else LogSet(log_dir)
 
     paths: list[str] = []
     quarantined: list[str] = []
     file_places: list[np.ndarray] = []
-    works: list[tuple[np.ndarray, np.ndarray]] = []
-    max_place = -1
+    file_work: list[int] = []
     for path in log_set.paths:
         pack, _n, walk, error = file_pack(path, t0, t1, whole_file=True)
         if error is not None:
@@ -307,65 +155,29 @@ def plan_shards(
         paths.append(str(path))
         if pack is None:
             file_places.append(np.empty(0, dtype=np.int64))
-            continue
-        file_places.append(pack.places.astype(np.int64))
-        works.append((file_places[-1], pack.place_work))
-        max_place = max(max_place, int(pack.places[-1]))
+            file_work.append(0)
+        else:
+            file_places.append(pack.places.astype(np.int64))
+            file_work.append(pack.work)
 
-    if n_places is None:
-        n_places = max_place + 1
-    if n_places < max_place + 1:
-        raise SynthesisError(
-            f"n_places={n_places} but the window references place {max_place}"
-        )
-    if n_places < 1:
-        raise SynthesisError("the window contains no records to shard")
-
-    place_work = np.zeros(n_places, dtype=np.int64)
-    for ids, w in works:
-        # a place split across files double-counts slightly — fine for a
-        # balancing weight, exact per-file work is what each shard pays
-        np.add.at(place_work, ids, w)
-
-    if coords is not None:
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or len(coords) != n_places:
-            raise SynthesisError("coords must be (n_places, d)")
-    if strategy == "round-robin":
-        partition = round_robin_partition(n_places, n_shards)
-    else:
-        geo = (
-            coords
-            if coords is not None
-            else np.arange(n_places, dtype=np.float64).reshape(-1, 1)
-        )
-        partition = spatial_partition(
-            geo, place_work.astype(np.float64), n_shards
-        )
-        if strategy == "refined":
-            aligned = _align_to_files(
-                partition.assignment, place_work, file_places, n_shards
-            )
-            partition = PlacePartition(aligned, n_shards)
-            if partition.imbalance(place_work.astype(np.float64)) > REFINE_TOL:
-                # balance trumps locality: break file groups with
-                # single-place moves only when alignment left a shard
-                # meaningfully overloaded
-                partition = PlacePartition(
-                    _rebalance_by_work(
-                        aligned, place_work.astype(np.float64), n_shards
-                    ),
-                    n_shards,
-                )
+    group, n_groups = _file_groups(file_places)
+    group_work = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(group_work, group, file_work)
+    buckets, balance = lpt_partition(group_work, n_shards)
+    shard_of_group = np.empty(len(group_work), dtype=np.int64)
+    for shard, members in enumerate(buckets):
+        shard_of_group[members] = shard
+    shard_of_file = shard_of_group[group]
     return ShardPlan(
-        partition=partition,
-        place_work=place_work,
-        file_places=file_places,
+        shard_files=[
+            [paths[i] for i in np.flatnonzero(shard_of_file == s)]
+            for s in range(n_shards)
+        ],
+        balance=balance,
         paths=paths,
         quarantined=quarantined,
         t0=int(t0),
         t1=int(t1),
-        strategy=strategy,
     )
 
 
@@ -378,7 +190,6 @@ class ShardSynthesisReport:
     """Observability for one sharded synthesis run."""
 
     n_shards: int
-    strategy: str
     t0: int
     t1: int
     #: per shard: window records decoded, partial nnz, wall seconds
@@ -398,7 +209,6 @@ class ShardSynthesisReport:
     def summary(self) -> str:
         lines = [
             f"shards           {self.n_shards:>12,}",
-            f"strategy         {self.strategy:>12}",
             f"records          {self.n_records:>12,}",
             f"work imbalance   {self.imbalance:>12.3f}",
             f"reduce seconds   {self.reduce_seconds:>12.4f}",
@@ -436,20 +246,18 @@ def _shard_partial(
     t0: int,
     t1: int,
 ) -> tuple[sp.csr_matrix, dict, list[dict]]:
-    """One shard's work: the shared window builder over the files that
-    mention its places (the plan verified them whole; the window's chunks
-    are CRC'd again as they decode), masked to its places."""
+    """One shard's work: the shared window builder over its own files
+    (the plan verified them whole; the window's chunks are CRC'd again as
+    they decode)."""
     from ..core.intervals import window_partial
 
-    files = [shard_plan.paths[i] for i in shard_plan.shard_file_indices(shard)]
+    files = shard_plan.shard_files[shard]
     started = time.perf_counter()
     with capture_spans() as spans:
         with start_span(
             "shard.build", attrs={"shard": shard, "files": len(files)}
         ) as span:
-            partial, n_records, walks = window_partial(
-                files, t0, t1, n_persons, shard_plan.shard_mask(shard)
-            )
+            partial, n_records, walks = window_partial(files, t0, t1, n_persons)
             span.set_attr("records", n_records)
             span.set_attr("nnz", int(partial.nnz))
     stats = {
@@ -467,20 +275,18 @@ def shard_synthesize(
     t0: int,
     t1: int,
     n_shards: int = 1,
-    strategy: str = "spatial",
     shard_plan: ShardPlan | None = None,
     strict: bool = False,
-    coords: np.ndarray | None = None,
     timeout: float = 600.0,
 ):
     """Synthesize the window across a place-sharded process cluster.
 
     Each shard of a :class:`~repro.distrib.proccluster.ProcessBspCluster`
-    walks only the log files that mention its places (columnar decode
-    straight off the mmap), masks the place columns to its shard,
+    walks only its own log files (columnar decode straight off the mmap),
     builds interval packs, and returns its canonical partial adjacency;
     the root folds the partials — **bit-identical** to single-process
-    synthesis for every shard count and strategy (property-tested).
+    synthesis for every shard count, place-local logs or not
+    (property-tested).
 
     ``shard_plan`` reuses an existing :func:`plan_shards` result (it must
     cover the same window); otherwise one is computed here, and
@@ -497,18 +303,9 @@ def shard_synthesize(
 
     check_window(n_persons, t0, t1)
     if shard_plan is None:
-        shard_plan = plan_shards(
-            log_dir,
-            n_shards,
-            t0,
-            t1,
-            strategy=strategy,
-            coords=coords,
-            strict=strict,
-        )
+        shard_plan = plan_shards(log_dir, n_shards, t0, t1, strict=strict)
     else:
         n_shards = shard_plan.n_shards
-        strategy = shard_plan.strategy
     if shard_plan.t0 > t0 or shard_plan.t1 < t1:
         raise SynthesisError(
             f"shard plan covers [{shard_plan.t0}, {shard_plan.t1}), "
@@ -520,7 +317,7 @@ def shard_synthesize(
 
     with start_span(
         "shard_synthesize",
-        attrs={"shards": n_shards, "strategy": strategy, "t0": t0, "t1": t1},
+        attrs={"shards": n_shards, "t0": t0, "t1": t1},
     ):
         result = ProcessBspCluster(n_shards).run(
             rank_fn,
@@ -529,7 +326,6 @@ def shard_synthesize(
         )
         report = ShardSynthesisReport(
             n_shards=n_shards,
-            strategy=strategy,
             t0=int(t0),
             t1=int(t1),
             imbalance=shard_plan.imbalance,

@@ -275,9 +275,7 @@ class TestShardIdentity:
 
         logs = write_tricky_logs(tmp_path / "logs", seed=21)
         single, _ = RUNS[run](logs, N_PERSONS, T0, T1, batch_size=2)
-        sharded, _ = shard_synthesize(
-            logs, N_PERSONS, T0, T1, n_shards=3, strategy="refined"
-        )
+        sharded, _ = shard_synthesize(logs, N_PERSONS, T0, T1, n_shards=3)
         assert csr_identical(single.adjacency, sharded.adjacency)
 
 

@@ -1,12 +1,11 @@
-"""Merge fast paths: pre-sorted inputs must not change a single bit.
+"""Merges must not change a single bit.
 
-``merge_packs`` takes a concatenation shortcut when the packs'
-place ranges are disjoint and ordered (the overwhelmingly common case:
-rank logs and shards are place-local), and ``merge_collocations`` takes
-a matrix-sum shortcut when every partial shares one person roster.
-Both must be **bit-identical** to the general slow paths — these tests
-pin fast against slow on random inputs and check the routing predicate
-itself.
+``merge_packs`` re-unions segment boundaries, so merging per-part packs
+must give exactly the pack (and adjacency) one build from the
+concatenated records gives, whether the parts share places or not; and
+``merge_collocations`` takes a matrix-sum shortcut when every partial
+shares one person roster, which must be **bit-identical** to its general
+path.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import pytest
 from repro.core.colloc import build_collocation_matrices, merge_collocations
 from repro.core.intervals import (
     IntervalPack,
-    _merge_packs_concat,
-    _merge_packs_reunion,
-    _packs_place_disjoint,
     build_interval_pack,
     merge_packs,
     sum_pack_adjacency,
@@ -51,47 +47,49 @@ def pack_identical(a: IntervalPack, b: IntervalPack) -> bool:
     )
 
 
-def disjoint_packs(seed, n_parts=4):
-    """Per-part packs over disjoint, ascending place ranges."""
+def part_records(seed, n_parts=4, disjoint=True):
+    """Per-part sliced records: over disjoint, ascending place ranges, or
+    over one shared place range."""
     rng = np.random.default_rng(seed)
-    packs = []
+    parts = []
     width = N_PLACES // n_parts
     for part in range(n_parts):
         rec = tricky_records(rng, n_records=150)
-        rec["place"] = rec["place"] % width + part * width
-        packs.append(build_interval_pack(slice_records(rec, T0, T1), T0, T1))
-    return packs
+        if disjoint:
+            rec["place"] = rec["place"] % width + part * width
+        parts.append(slice_records(rec, T0, T1))
+    return parts
+
+
+def packs_and_whole(parts):
+    """One pack per part, and one pack from the concatenated records."""
+    packs = [build_interval_pack(rec, T0, T1) for rec in parts]
+    return packs, build_interval_pack(np.concatenate(parts), T0, T1)
+
+
+def disjoint_packs(seed, n_parts=4):
+    return packs_and_whole(part_records(seed, n_parts))[0]
 
 
 class TestPackMergeFastPath:
     @pytest.mark.parametrize("seed", range(6))
     def test_concat_equals_reunion(self, seed):
-        packs = disjoint_packs(seed)
-        assert _packs_place_disjoint(packs)
-        fast = _merge_packs_concat(packs)
-        slow = _merge_packs_reunion(packs)
-        assert pack_identical(fast, slow)
+        """A build from the concatenated records == the re-union merge of
+        the per-part packs, place-disjoint parts or not."""
+        for disjoint in (True, False):
+            packs, whole = packs_and_whole(part_records(seed, disjoint=disjoint))
+            assert pack_identical(merge_packs(packs), whole), disjoint
 
     @pytest.mark.parametrize("seed", range(6))
     def test_merged_adjacency_identical(self, seed):
         """The consumer-visible contract: identical adjacency either way."""
-        packs = disjoint_packs(100 + seed)
-        merged = merge_packs(packs)
-        a = sum_pack_adjacency([merged], N_PERSONS)
-        b = sum_pack_adjacency([_merge_packs_reunion(packs)], N_PERSONS)
-        assert csr_identical(a, b)
-
-    def test_overlapping_places_route_to_reunion(self):
-        rng = np.random.default_rng(9)
-        rec_a = tricky_records(rng, n_records=150)
-        rec_b = tricky_records(rng, n_records=150)
-        packs = [
-            build_interval_pack(slice_records(r, T0, T1), T0, T1)
-            for r in (rec_a, rec_b)
-        ]
-        assert not _packs_place_disjoint(packs)
-        merged = merge_packs(packs)
-        assert pack_identical(merged, _merge_packs_reunion(packs))
+        for disjoint in (True, False):
+            packs, whole = packs_and_whole(
+                part_records(100 + seed, disjoint=disjoint)
+            )
+            a = sum_pack_adjacency([merge_packs(packs)], N_PERSONS)
+            b = sum_pack_adjacency([whole], N_PERSONS)
+            assert csr_identical(a, b), disjoint
 
     def test_fast_path_does_not_mutate_inputs(self):
         packs = disjoint_packs(11)

@@ -89,8 +89,8 @@ def test_tile_cache_matches_brute_force(data, world, tile_hours, budget):
 
 
 @settings(deadline=None, max_examples=10)
-@given(worlds(places=MASKABLE_PLACES), st.sampled_from(["round-robin", "spatial"]))
-def test_shard_reduce_matches_brute_force(world, strategy):
+@given(worlds(places=MASKABLE_PLACES))
+def test_shard_reduce_matches_brute_force(world):
     """The summed partials of 1, 2 and 3 forked shards == the oracle."""
     per_rank, t0, t1 = world
     rec = np.concatenate(per_rank)
@@ -102,6 +102,6 @@ def test_shard_reduce_matches_brute_force(world, strategy):
             with use_impl(impl):
                 for n_shards in (1, 2, 3):
                     net, _report = shard_synthesize(
-                        logs, N_PERSONS, t0, t1, n_shards=n_shards, strategy=strategy
+                        logs, N_PERSONS, t0, t1, n_shards=n_shards
                     )
                     assert csr_identical(net.adjacency, truth), (impl, n_shards)

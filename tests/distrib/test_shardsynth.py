@@ -3,36 +3,46 @@
 The whole sharding design rests on one algebraic fact: every log record
 belongs to exactly one place, so the adjacency is additive over any
 place partition — ``A = Σ_s A_s`` — and the canonical upper-triangular
-CSR of a sum is unique.  These tests assert the strong form of that
-contract: for every shard count × partition strategy, the sharded
-pipeline's CSR triple (``data``/``indices``/``indptr``) is **exactly**
-the single-process kernel's, including through the compiled masked
-backend and quarantine paths.
+CSR of a sum is unique.  The plan hands out whole groups of files that
+share a window place, so no shard ever gets part of a place.  These tests
+assert the strong form of that contract: for every shard count, on
+place-local rank logs and on records scattered over files at random, the
+sharded pipeline's CSR triple (``data``/``indices``/``indptr``) is
+**exactly** the single-process kernel's and the brute-force oracle's,
+including on both kernel implementations and through quarantine paths.
 """
 
 from __future__ import annotations
 
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import synthesize_from_logs
+from repro.core.balance import lpt_partition
+from repro.core.intervals import file_pack
 from repro.distrib.shardsynth import (
-    STRATEGIES,
+    ShardPlan,
     plan_shards,
     shard_synthesize,
 )
 from repro.errors import LogCorruptError, LogTruncatedError, SynthesisError
+from repro.evlog import LogReader, write_rank_logs
 from repro.evlog.multifile import rank_log_path
 from repro.obs import MetricsRegistry, set_default_registry
+from tests._oracle import brute_force_adjacency
 from tests.core.conftest import IMPLS, use_impl
 from tests.core.test_kernel_equivalence import (
     N_PERSONS,
-    N_PLACES,
     T0,
     T1,
     csr_identical,
+    tricky_records,
     write_tricky_logs,
 )
 
@@ -51,21 +61,39 @@ def reference(shard_logs):
     return net
 
 
-class TestShardBitIdentity:
-    """The tentpole contract: any partition, any shard count, same CSR."""
+def window_places(path, t0, t1) -> set[int]:
+    """The places a log file has records for inside ``[t0, t1)``."""
+    with LogReader(path) as reader:
+        rec = reader.read_all()
+    live = (rec["start"] < t1) & (rec["stop"] > t0)
+    return set(rec["place"][live].tolist())
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+
+def assert_whole_places(plan: ShardPlan) -> None:
+    """Every intact file is walked by exactly one shard, and files that
+    share a window place share that shard."""
+    owner = {}
+    for shard, files in enumerate(plan.shard_files):
+        for path in files:
+            assert path not in owner, path
+            owner[path] = shard
+    assert sorted(owner) == sorted(plan.paths)
+    place_owner = {}
+    for path, shard in owner.items():
+        for place in window_places(path, plan.t0, plan.t1):
+            assert place_owner.setdefault(place, shard) == shard, place
+
+
+class TestShardBitIdentity:
+    """The tentpole contract: any shard count, same CSR."""
+
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_matches_single_process(
-        self, shard_logs, reference, n_shards, strategy
-    ):
+    def test_matches_single_process(self, shard_logs, reference, n_shards):
         net, report = shard_synthesize(
-            shard_logs, N_PERSONS, T0, T1,
-            n_shards=n_shards, strategy=strategy,
+            shard_logs, N_PERSONS, T0, T1, n_shards=n_shards
         )
         assert csr_identical(net.adjacency, reference.adjacency)
         assert report.n_shards == n_shards
-        assert report.strategy == strategy
         assert len(report.shard_records) == n_shards
         assert report.imbalance >= 1.0
 
@@ -81,27 +109,71 @@ class TestShardBitIdentity:
             assert csr_identical(net.adjacency, reference.adjacency)
 
     def test_reduce_is_order_independent(self, shard_logs, reference):
-        """Spatial vs round-robin assign places in different orders; the
+        """The same files handed to the shards in reverse order: the
         canonical reduce erases the difference completely."""
-        a, _ = shard_synthesize(
-            shard_logs, N_PERSONS, T0, T1, n_shards=4, strategy="spatial"
-        )
+        plan = plan_shards(shard_logs, 4, T0, T1)
+        reversed_plan = replace(plan, shard_files=plan.shard_files[::-1])
+        a, _ = shard_synthesize(shard_logs, N_PERSONS, T0, T1, shard_plan=plan)
         b, _ = shard_synthesize(
-            shard_logs, N_PERSONS, T0, T1, n_shards=4, strategy="round-robin"
+            shard_logs, N_PERSONS, T0, T1, shard_plan=reversed_plan
         )
         assert csr_identical(a.adjacency, b.adjacency)
+        assert csr_identical(a.adjacency, reference.adjacency)
+
+
+@st.composite
+def scattered_logs(draw):
+    """Records dealt over 1–6 files at random, so places span files; some
+    draws leave files empty, and one more empty file may follow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    rec = tricky_records(rng, n_records=draw(st.sampled_from([20, 80, 200])))
+    n_files = draw(st.integers(1, 6))
+    home = rng.integers(0, n_files, len(rec))
+    per_file = [rec[home == f] for f in range(n_files)]
+    if draw(st.booleans()):
+        per_file.append(rec[:0])
+    t0 = draw(st.sampled_from([T0, 13, 40]))
+    t1 = draw(st.sampled_from([T1, t0 + 1, t0 + 30]))
+    return per_file, t0, t1
+
+
+@settings(deadline=None, max_examples=30)
+@given(scattered_logs(), st.integers(1, 5))
+def test_scattered_logs_match_single_process_and_oracle(world, n_shards):
+    """Logs that are not place-local: the plan groups the files that share
+    a window place, so the sharded sum still equals direct synthesis and
+    the brute-force reading of the paper's definition."""
+    per_file, t0, t1 = world
+    rec = np.concatenate(per_file)
+    truth = brute_force_adjacency(
+        rec["person"], rec["place"], rec["start"], rec["stop"], N_PERSONS, t0, t1
+    )
+    with tempfile.TemporaryDirectory() as logs:
+        write_rank_logs(logs, per_file)
+        plan = plan_shards(logs, n_shards, t0, t1)
+        assert plan.n_shards == n_shards
+        assert_whole_places(plan)
+        single, _ = synthesize_from_logs(logs, N_PERSONS, t0, t1)
+        sharded, report = shard_synthesize(
+            logs, N_PERSONS, t0, t1, shard_plan=plan
+        )
+    assert csr_identical(single.adjacency, truth)
+    assert csr_identical(sharded.adjacency, truth)
+    assert report.n_records == sum(
+        int(((r["start"] < t1) & (r["stop"] > t0)).sum()) for r in per_file
+    )
 
 
 class TestShardPlan:
     def test_plan_reuse_and_subwindow(self, shard_logs, reference):
-        plan = plan_shards(shard_logs, 4, T0, T1, strategy="refined")
+        plan = plan_shards(shard_logs, 4, T0, T1)
         assert plan.n_shards == 4
         # full window through the precomputed plan
         net, _ = shard_synthesize(
             shard_logs, N_PERSONS, T0, T1, shard_plan=plan
         )
         assert csr_identical(net.adjacency, reference.adjacency)
-        # sub-window reuses the partition, rebuilds descriptors
+        # a sub-window reuses the file assignment
         sub, _ = shard_synthesize(
             shard_logs, N_PERSONS, T0 + 24, T1 - 24, shard_plan=plan
         )
@@ -116,23 +188,34 @@ class TestShardPlan:
             shard_synthesize(shard_logs, N_PERSONS, T0, T1, shard_plan=plan)
 
     def test_partition_covers_every_place_once(self, shard_logs):
-        plan = plan_shards(shard_logs, 4, T0, T1, strategy="refined")
-        counts = np.zeros(plan.n_places, dtype=int)
-        for s in range(4):
-            counts[plan.shard_places(s)] += 1
-        assert np.all(counts == 1)
+        plan = plan_shards(shard_logs, 4, T0, T1)
+        assert_whole_places(plan)
         assert plan.imbalance >= 1.0
-        # work-weighted refinement should land well under 2x mean
+        # six similar rank files over four shards: LPT keeps it under 2x
         assert plan.imbalance < 2.0
 
     def test_file_skipping_uses_place_locality(self, shard_logs):
-        """Rank logs are place-local, so spatial shards read fewer files
-        than a broadcast would."""
-        plan = plan_shards(shard_logs, 4, T0, T1, strategy="spatial")
-        n_files = len(plan.paths)
-        per_shard = [len(plan.shard_file_indices(s)) for s in range(4)]
-        assert sum(per_shard) < 4 * n_files
+        """Rank logs are place-disjoint, so each rank file is its own
+        group: every shard gets whole files, LPT-balanced by their work,
+        and no file is read twice."""
+        plan = plan_shards(shard_logs, 4, T0, T1)
+        per_shard = [len(files) for files in plan.shard_files]
+        assert sum(per_shard) == len(plan.paths) == 6
         assert all(n >= 1 for n in per_shard)
+        work = [file_pack(path, T0, T1)[0].work for path in plan.paths]
+        buckets, balance = lpt_partition(work, 4)
+        assert np.array_equal(plan.balance.loads, balance.loads)
+        assert [sorted(plan.paths[i] for i in b) for b in buckets] == [
+            sorted(files) for files in plan.shard_files
+        ]
+
+    def test_more_shards_than_files_leaves_shards_idle(self, shard_logs, reference):
+        net, report = shard_synthesize(
+            shard_logs, N_PERSONS, T0, T1, n_shards=8
+        )
+        assert csr_identical(net.adjacency, reference.adjacency)
+        assert report.shard_records.count(0) == 2
+        assert report.imbalance > 1.0
 
 
 class TestShardQuarantine:
@@ -161,7 +244,7 @@ class TestShardQuarantine:
         torn.write_bytes(torn.read_bytes()[:-7])
         for t0, t1 in [(T0, T1), (13, 14), (900, 950)]:
             _, report = synthesize_from_logs(logs, N_PERSONS, t0, t1)
-            plan = plan_shards(logs, 2, t0, t1, n_places=N_PLACES)
+            plan = plan_shards(logs, 2, t0, t1)
             assert plan.quarantined == report.quarantined == [
                 str(flipped), str(torn)
             ]

@@ -282,6 +282,30 @@ class TestFaultToleranceFlags:
             assert "error: batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--shards", "0"], "error: n_shards must be >= 1"),
+         (["--shards", "-2"], "error: n_shards must be >= 1"),
+         (["--shards", "2", "--profile"],
+          "error: --checkpoint/--resume/--profile are not supported with "
+          "--shards")],
+        ids=["zero", "negative", "profile"],
+    )
+    def test_bad_shards_input_is_an_error_not_ignored(
+        self, workspace, tmp_path, capsys, argv, message
+    ):
+        """A shard count below one, or a profile the sharded run cannot
+        take, is refused: no single-process fallback, no silent drop."""
+        _, world, logs, _ = workspace
+        out = tmp_path / "never.npz"
+        assert main(["synthesize", "--log-dir", str(logs), *argv,
+                     "--population", str(world), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert not out.with_suffix(".profile.json").exists()
+
     @pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["pool", "shards"])
     @pytest.mark.parametrize(
         "window, message",
@@ -306,7 +330,8 @@ class TestFaultToleranceFlags:
         [["synthesize", "--out", "x.npz", "--pool", "serial"],
          ["query", "--window", "0", "24", "--pool", "thread"],
          ["serve", "--shards", "2"],
-         ["serve", "--shard-partition", "refined"]],
+         ["serve", "--shard-partition", "refined"],
+         ["synthesize", "--out", "x.npz", "--partition", "refined"]],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
     def test_pool_and_serve_shards_flags_are_gone(self, workspace, argv, capsys):
