@@ -138,9 +138,7 @@ async def run_client(port: int, client_no: int, windows) -> list[dict]:
 
 
 async def drive_service(log_dir: Path, pop, windows, cold_refs) -> dict:
-    config = ServiceConfig(
-        port=0, tile_hours=TILE_HOURS, executor_threads=2, prefetch_tiles=1
-    )
+    config = ServiceConfig(port=0, tile_hours=TILE_HOURS, executor_threads=2)
     service = NetworkQueryService(
         log_dir, pop.n_persons, places=pop.places, config=config
     )
@@ -171,7 +169,6 @@ async def drive_service(log_dir: Path, pop, windows, cold_refs) -> dict:
         async with ServiceClient(port=port, tenant="warmup") as warm:
             for window in windows:
                 await warm.query_window(*window)
-        await service.prefetch_idle()
 
         load_base_queries = service.stats.queries
         load_base_comps = service.stats.compositions

@@ -49,6 +49,7 @@ from .errors import (
     CheckpointError,
     LogFormatError,
     PartitionError,
+    ReproError,
     SynthesisError,
 )
 from .evlog import salvage_rank_logs
@@ -362,33 +363,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import NetworkQueryService, ServiceConfig
 
     pop = load_population(args.population)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        tile_hours=args.tile_hours,
-        cache_budget_nnz=args.budget_nnz,
-        cache_dir=args.cache_dir,
-        strict=args.strict,
-        tenant_budget_nnz=args.tenant_budget_nnz,
-        executor_threads=args.threads,
-        prefetch_tiles=args.prefetch,
-        default_deadline=args.deadline,
-        write_timeout=args.write_timeout,
-        queue_limit=args.queue_limit,
-        shed_inflight_age=args.shed_age,
-        trace_log=args.trace_log,
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            tile_hours=args.tile_hours,
+            cache_budget_nnz=args.budget_nnz,
+            cache_dir=args.cache_dir,
+            strict=args.strict,
+            tenant_budget_nnz=args.tenant_budget_nnz,
+            executor_threads=args.threads,
+            default_deadline=args.deadline,
+            write_timeout=args.write_timeout,
+            queue_limit=args.queue_limit,
+            shed_inflight_age=args.shed_age,
+            trace_log=args.trace_log,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service = NetworkQueryService(
         args.log_dir, pop.n_persons, places=pop.places, config=config
     )
 
     async def run() -> None:
-        await service.start()
-        print(
-            f"serving network queries on {config.host}:{service.port} "
-            f"({pop.n_persons:,} persons, logs in {args.log_dir})"
-        )
         try:
+            await service.start()
+            print(
+                f"serving network queries on {config.host}:{service.port} "
+                f"({pop.n_persons:,} persons, logs in {args.log_dir})"
+            )
             await service.wait_stopped()
         except asyncio.CancelledError:
             pass
@@ -397,6 +401,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(run())
+    except ReproError as exc:  # from start(): nothing was served
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print("\ninterrupted; drained and stopped")
     return 0
@@ -406,9 +413,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from .service import FailoverClient, SyncServiceClient
 
     if args.replicas:
-        if args.op in ("reload", "shutdown"):
+        if args.op == "shutdown":
             print(
-                f"error: {args.op!r} is not idempotent; send it to one "
+                "error: 'shutdown' is not idempotent; send it to one "
                 "replica with --host/--port, not --replicas",
                 file=sys.stderr,
             )
@@ -435,14 +442,13 @@ def _cmd_client(args: argparse.Namespace) -> int:
             stats = client.stats()
             for key, value in sorted(stats["stats"].items()):
                 print(f"  {key:>18}: {value}")
-            for tenant, usage in sorted(stats.get("tenants", {}).items()):
+            tenants = stats["admission"]["tenants"]
+            for tenant, usage in sorted(tenants.items()):
                 print(f"  tenant {tenant}: {usage}")
         elif op == "metrics":
             from .obs import render_metrics
 
             print(render_metrics(client.metrics()["metrics"]))
-        elif op == "reload":
-            print(client.reload())
         elif op == "shutdown":
             print(client.shutdown())
         elif op == "window":
@@ -690,10 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=2,
         help="executor threads composing windows (default: 2)",
     )
-    p.add_argument(
-        "--prefetch", type=int, default=1,
-        help="tiles to warm ahead/behind each queried span (0 disables)",
-    )
+    # accepted and ignored: background prefetch is gone, but the e2e
+    # serve-mix workload (benchmarks/e2e/workloads/serve_mix.py) still
+    # passes --prefetch 1
+    p.add_argument("--prefetch", type=int, help=argparse.SUPPRESS)
     p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="server-side cap on every request's deadline budget (also "
@@ -728,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "op",
         choices=[
             "ping", "live", "ready", "window", "layer", "ego", "degrees",
-            "stats", "metrics", "reload", "shutdown",
+            "stats", "metrics", "shutdown",
         ],
     )
     p.add_argument("--host", default="127.0.0.1")

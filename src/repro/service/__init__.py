@@ -5,10 +5,10 @@ serves it.  A :class:`NetworkQueryService` owns warm
 :class:`~repro.core.tilecache.TileCache` instances over a log directory
 and answers concurrent window / layer / ego-subgraph / degree-summary
 queries from many clients over a length-prefixed frame protocol, with
-request coalescing, per-tenant admission control, background tile
-prefetch, and graceful drain.  The resilience layer adds deadline
-propagation, priority load shedding, liveness/readiness probes
-(:mod:`repro.service.resilience`, :mod:`repro.service.health`), and a
+request coalescing, per-tenant admission control, and graceful drain.
+Each cache lives exactly as long as the service.  The resilience layer
+adds deadline propagation, priority load shedding, liveness/readiness
+probes (:mod:`repro.service.resilience`, :mod:`repro.service.health`), and a
 replica-failover client with circuit breakers and request hedging
 (:mod:`repro.service.failover`).  See :mod:`repro.service.server` for
 the architecture and :mod:`repro.service.protocol` for the wire format.

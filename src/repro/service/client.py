@@ -293,10 +293,6 @@ class ServiceClient(QueryMethods):
 
     # -- single-connection control ops ---------------------------------------
 
-    async def reload(self) -> dict:
-        resp, _ = await self.request("reload")
-        return resp
-
     async def shutdown(self) -> dict:
         resp, _ = await self.request("shutdown")
         return resp

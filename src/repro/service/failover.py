@@ -12,9 +12,9 @@ Design points
 -------------
 * **Only idempotent ops.**  Every query op (``ping``/``live``/``ready``/
   ``stats``/``window``/``layer``/``ego``/``degrees``) is read-only and
-  safe to repeat; ``reload`` and ``shutdown`` are deliberately *not*
-  exposed — retrying a mutation against a different replica is how
-  split-brain stories start.
+  safe to repeat; ``shutdown`` is deliberately *not* exposed —
+  retrying a mutation against a different replica is how split-brain
+  stories start.
 * **Per-replica circuit breakers.**  Connection errors and timeouts trip
   the breaker; an open breaker removes the replica from rotation until
   ``reset_timeout`` grants a half-open probe.  When *every* breaker is
@@ -250,7 +250,7 @@ class FailoverClient(QueryMethods):
     # -- request with failover ------------------------------------------------
 
     async def request(self, op: str, **params: Any) -> tuple[dict, bytes]:
-        if op in ("reload", "shutdown"):
+        if op == "shutdown":
             raise ServiceError(
                 f"op {op!r} is not idempotent; send it to one replica "
                 "with ServiceClient",

@@ -40,7 +40,6 @@ to the caller's trace; the resolved trace id comes back as
 ``degrees``  ``t0, t1 [, kind]`` → degree summary + histogram (JSON)
 ``stats``    server + cache counters (JSON)
 ``metrics``  process metrics-registry snapshot (JSON)
-``reload``   re-open caches against the current log bytes (admin)
 ``shutdown`` begin graceful drain (admin)
 ========== ===========================================================
 

@@ -18,8 +18,7 @@ and the chaos tests:
     never shed, queries are shed when the admitted-but-unfinished depth
     reaches ``limit`` or the oldest in-flight request exceeds
     ``shed_inflight_age`` (the server is presumed stuck, so piling more
-    work behind it only grows the heap), and background prefetch is shed
-    first, at a fraction of the query limit.  Shedding raises
+    work behind it only grows the heap).  Shedding raises
     :class:`~repro.errors.OverloadError` carrying ``retry_after`` — the
     request is rejected immediately instead of queuing unboundedly.
 
@@ -51,17 +50,11 @@ __all__ = [
     "jittered_backoff",
     "PRIORITY_CONTROL",
     "PRIORITY_QUERY",
-    "PRIORITY_PREFETCH",
 ]
 
 #: admission priority classes, best first (smaller sheds later)
 PRIORITY_CONTROL = 0
 PRIORITY_QUERY = 1
-PRIORITY_PREFETCH = 2
-
-#: prefetch work is admitted only up to this fraction of the query limit,
-#: so background warming is shed before any client query is
-PREFETCH_HEADROOM = 0.5
 
 
 class Deadline:
@@ -148,7 +141,7 @@ class LoadShedder:
     ----------
     limit:
         Maximum admitted-but-unfinished queries; ``None`` never sheds on
-        depth.  Prefetch work is capped at ``PREFETCH_HEADROOM · limit``.
+        depth.
     shed_inflight_age:
         If the *oldest* admitted request has been in flight longer than
         this many seconds, new non-control work is shed: a wedged
@@ -171,9 +164,9 @@ class LoadShedder:
         self.retry_after = float(retry_after)
         self._time = time_fn
         self._seq = 0
-        #: token -> (priority, admitted_at); insertion-ordered, so the
-        #: first entry is always the oldest in-flight request
-        self._inflight: dict[int, tuple[int, float]] = {}
+        #: token -> admitted_at; insertion-ordered, so the first entry
+        #: is always the oldest in-flight request
+        self._inflight: dict[int, float] = {}
 
     @property
     def depth(self) -> int:
@@ -183,8 +176,7 @@ class LoadShedder:
         """Seconds the oldest admitted request has been in flight."""
         if not self._inflight:
             return 0.0
-        _prio, started = next(iter(self._inflight.values()))
-        return self._time() - started
+        return self._time() - next(iter(self._inflight.values()))
 
     def admit(self, priority: int) -> int:
         """Admit one unit of work, or raise :class:`OverloadError`.
@@ -207,17 +199,13 @@ class LoadShedder:
                 "work",
                 retry_after=self.retry_after,
             )
-        if self.limit is not None:
-            cap = self.limit
-            if priority >= PRIORITY_PREFETCH:
-                cap = max(1, int(self.limit * PREFETCH_HEADROOM))
-            if len(self._inflight) >= cap:
-                raise OverloadError(
-                    f"admission queue full ({len(self._inflight)} in "
-                    f"flight >= {cap})",
-                    retry_after=self.retry_after,
-                )
-        self._inflight[self._seq] = (priority, self._time())
+        if self.limit is not None and len(self._inflight) >= self.limit:
+            raise OverloadError(
+                f"admission queue full ({len(self._inflight)} in "
+                f"flight >= {self.limit})",
+                retry_after=self.retry_after,
+            )
+        self._inflight[self._seq] = self._time()
         return self._seq
 
     def release(self, token: int) -> None:

@@ -30,10 +30,12 @@ Architecture
   any work happens and releases after its response blob is encoded; an
   over-budget query is rejected with ``retry_after`` instead of growing
   the heap.  Budgets are strictly per tenant.
-* **Background prefetch.**  After each window query the aligned tile
-  span, extended ``prefetch_tiles`` base tiles fore and aft (clamped to
-  the log horizon), is queued for background warming — sliding-window
-  workloads find their next tile already built.
+* **One cache per key, for the server's lifetime.**  The full-network
+  cache opens in :meth:`start`, a layer cache on its kind's first
+  query, and each is closed exactly once, by :meth:`stop`, after the
+  drain.  Nothing swaps a cache under a running server and no work runs
+  in the background, so no in-flight work needs to hold a reference on
+  one.
 * **Deadline propagation.**  A request may carry a ``deadline`` budget
   (seconds) in its frame header; the server converts it to a monotonic
   :class:`~repro.service.resilience.Deadline` on receipt.  Dead-on-
@@ -51,8 +53,7 @@ Architecture
   queries are
   shed with ``code="overload"`` + ``retry_after`` when depth reaches
   ``queue_limit`` or the oldest in-flight request exceeds
-  ``shed_inflight_age``; background prefetch is shed first, at half the
-  query limit.
+  ``shed_inflight_age``.
 * **Slow-client write timeout.**  A response write that cannot drain
   within ``write_timeout`` aborts that connection (counted in
   ``slow_writes``) instead of parking a handler on a stalled socket
@@ -64,10 +65,6 @@ Architecture
   exit (no polling), and force-aborts any writer still unfinished at
   the ``drain_timeout`` deadline before closing caches and the
   executor.
-* **Reload.**  The ``reload`` op re-opens every cache against the
-  current log bytes (new content digest).  In-flight queries keep a
-  reference to the cache they started on and finish consistently; the
-  retired cache is closed once its last query completes.
 * **Telemetry.**  Every non-control request runs inside a ``request``
   span parented to the client's ``header["trace"]`` context, with
   ``admission`` → ``coalesce`` → ``compose`` → ``kernel`` children (the
@@ -113,6 +110,7 @@ from ..obs import (
 )
 from ..errors import (
     AdmissionError,
+    ConfigError,
     DeadlineError,
     FrameError,
     OverloadError,
@@ -122,12 +120,7 @@ from ..errors import (
 from ..synthpop.places import PlaceKind, PlaceTable
 from .admission import AdmissionController
 from .health import HealthMonitor
-from .resilience import (
-    PRIORITY_PREFETCH,
-    PRIORITY_QUERY,
-    Deadline,
-    LoadShedder,
-)
+from .resilience import PRIORITY_QUERY, Deadline, LoadShedder
 from .protocol import (
     DEFAULT_PORT,
     MAX_FRAME,
@@ -168,8 +161,6 @@ class ServiceConfig:
     assume_nnz_per_hour: float = 0.0
     #: composition/derivation thread pool size
     executor_threads: int = 2
-    #: base tiles warmed ahead/behind each queried span; 0 disables prefetch
-    prefetch_tiles: int = 1
     max_frame: int = MAX_FRAME
     #: seconds stop() waits for in-flight requests before force-closing
     drain_timeout: float = 10.0
@@ -191,6 +182,14 @@ class ServiceConfig:
     #: append every finished span (server-side and absorbed worker spans)
     #: to this JSONL file for ``repro trace``; None disables
     trace_log: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        for name in (
+            "tile_hours", "executor_threads", "queue_limit", "ego_radius"
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -217,9 +216,6 @@ class ServiceStats(MirroredStats):
     disconnects: int = 0
     #: unexpected internal errors answered with code="internal"
     errors: int = 0
-    #: base tiles built by the background prefetcher
-    prefetched_tiles: int = 0
-    reloads: int = 0
     #: requests whose deadline had already passed on arrival (rejected
     #: with code="expired", never queued)
     expired: int = 0
@@ -227,32 +223,21 @@ class ServiceStats(MirroredStats):
     deadline_timeouts: int = 0
     #: queries shed by the admission queue (code="overload")
     shed: int = 0
-    #: background prefetch jobs dropped under load
-    shed_prefetch: int = 0
     #: connections aborted because a response write stalled past
     #: write_timeout
     slow_writes: int = 0
 
 
 class _CacheHandle:
-    """One tile cache plus the loop-side state that rides along with it.
+    """One tile cache plus the loop-side state that rides along with it."""
 
-    ``refs`` counts in-flight uses (queries and prefetches).  After a
-    reload retires a handle, the cache is closed exactly when the last
-    reference drops — never under a live query.
-    """
-
-    __slots__ = ("cache", "horizon", "refs", "retired", "inflight", "prefetched")
+    __slots__ = ("cache", "horizon", "inflight")
 
     def __init__(self, cache: TileCache, horizon: int) -> None:
         self.cache = cache
         self.horizon = horizon
-        self.refs = 0
-        self.retired = False
         #: in-flight coalesced compositions keyed by ``(t0, t1)``
         self.inflight: dict[tuple[int, int], _Inflight] = {}
-        #: base-tile indices already queued for prefetch
-        self.prefetched: set[int] = set()
 
 
 class _Inflight:
@@ -361,7 +346,6 @@ class NetworkQueryService:
         self.health = HealthMonitor()
         self._handles: dict[str, _CacheHandle] = {}
         self._handle_futures: dict[str, asyncio.Future] = {}
-        self._retired: list[_CacheHandle] = []
         self._server: asyncio.base_events.Server | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -374,8 +358,6 @@ class NetworkQueryService:
         self._stopping = False
         self._stopped = asyncio.Event()
         self._started = False
-        self._prefetch_task: asyncio.Task | None = None
-        self._prefetch_queue: asyncio.Queue | None = None
         self._trace_sink: JsonlSpanSink | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -400,9 +382,6 @@ class NetworkQueryService:
             thread_name_prefix="repro-service",
         )
         await self._get_handle(_FULL)  # fail fast on an unusable log dir
-        self._prefetch_queue = asyncio.Queue()
-        if self.config.prefetch_tiles > 0:
-            self._prefetch_task = asyncio.create_task(self._prefetch_worker())
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host, port=self.config.port
         )
@@ -438,13 +417,6 @@ class NetworkQueryService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._prefetch_task is not None:
-            self._prefetch_task.cancel()
-            try:
-                await self._prefetch_task
-            except asyncio.CancelledError:
-                pass
-            self._prefetch_task = None
         for writer in list(self._writers):
             if clean:
                 writer.close()
@@ -456,11 +428,9 @@ class NetworkQueryService:
                 except (AttributeError, RuntimeError):
                     writer.close()
         self._writers.clear()
-        for handle in list(self._handles.values()) + self._retired:
-            handle.retired = True
+        for handle in self._handles.values():
             handle.cache.close()
         self._handles.clear()
-        self._retired.clear()
         if self._executor is not None:
             # after a timed-out drain an executor thread may be wedged in
             # a composition; joining it would hang stop() forever
@@ -475,11 +445,6 @@ class NetworkQueryService:
     async def wait_stopped(self) -> None:
         """Block until :meth:`stop` has completed (CLI serve loop)."""
         await self._stopped.wait()
-
-    async def prefetch_idle(self) -> None:
-        """Wait until the background prefetcher has drained its queue."""
-        if self._prefetch_queue is not None:
-            await self._prefetch_queue.join()
 
     async def __aenter__(self) -> "NetworkQueryService":
         return await self.start()
@@ -551,47 +516,17 @@ class NetworkQueryService:
         finally:
             self._handle_futures.pop(key, None)
 
-    def _unref(self, handle: _CacheHandle) -> None:
-        handle.refs -= 1
-        self._maybe_close(handle)
-
-    def _maybe_close(self, handle: _CacheHandle) -> None:
-        if handle.retired and handle.refs == 0:
-            handle.cache.close()
-            if handle in self._retired:
-                self._retired.remove(handle)
-
-    async def _reload(self) -> str:
-        """Swap every cache for a fresh one keyed to the current log
-        bytes; in-flight queries finish on the caches they started on."""
-        keys = list(self._handles)
-        old = [self._handles[k] for k in keys]
-        loop = asyncio.get_running_loop()
-        fresh = {}
-        for key in keys:
-            fresh[key] = await loop.run_in_executor(
-                self._executor, self._build_handle_sync, key
-            )
-        self._handles.update(fresh)
-        for handle in old:
-            handle.retired = True
-            self._retired.append(handle)
-            self._maybe_close(handle)
-        self.stats.bump("reloads")
-        return self._handles[_FULL].cache.digest
-
     # -- coalesced composition ------------------------------------------------
 
     def _start_composition(
         self, handle: _CacheHandle, wkey: tuple[int, int]
     ) -> _Inflight:
-        """Launch one composition on the executor, owning its own cache
-        reference so it survives every waiter abandoning it (deadline
-        timeouts must not yank a cache out from under a running build)."""
+        """Launch one composition on the executor.  It outlives any one
+        waiter: a waiter timing out leaves it running for its coalesced
+        peers."""
         loop = asyncio.get_running_loop()
         entry = _Inflight(loop.create_future())
         handle.inflight[wkey] = entry
-        handle.refs += 1
         self.stats.bump("compositions")
         t0, t1 = wkey
         # the leader's coalesce-span context, carried into the executor
@@ -618,7 +553,6 @@ class NetworkQueryService:
             # becomes a fresh leader instead of re-joining this entry
             if handle.inflight.get(wkey) is entry:
                 del handle.inflight[wkey]
-            self._unref(handle)
             exc = f.exception()
             if exc is not None:
                 entry.fut.set_exception(exc)
@@ -658,95 +592,23 @@ class NetworkQueryService:
                 else:
                     self.stats.bump("coalesced")
                 entry.register(dl)
-                handle.refs += 1
                 try:
-                    try:
-                        net = await asyncio.wait_for(
-                            asyncio.shield(entry.fut), dl.remaining()
-                        )
-                    except asyncio.TimeoutError:
-                        self.stats.bump("deadline_timeouts")
-                        raise DeadlineError(
-                            f"deadline exceeded composing [{t0}, {t1})"
-                        ) from None
-                    except DeadlineError:
-                        if dl.expired:
-                            raise
-                        # our registration raced the executor's
-                        # abandonment check; we still have budget, so
-                        # compose again
-                        continue
-                    self.admission.observe(t1 - t0, net.n_edges)
-                    self._note_span(handle, t0, t1)
-                    return net
-                finally:
-                    self._unref(handle)
-
-    # -- prefetch -------------------------------------------------------------
-
-    def _note_span(self, handle: _CacheHandle, t0: int, t1: int) -> None:
-        """Queue the tiles fore and aft of a queried span for warming."""
-        n_ahead = self.config.prefetch_tiles
-        if n_ahead <= 0 or self._prefetch_queue is None or handle.retired:
-            return
-        T = self.config.tile_hours
-        a0, a1 = t0 // T, -(-t1 // T)
-        last_tile = -(-handle.horizon // T)  # first tile past the horizon
-        candidates = [i for i in range(a1, min(a1 + n_ahead, last_tile))]
-        candidates += [i for i in range(max(a0 - n_ahead, 0), a0)]
-        for idx in candidates:
-            if idx not in handle.prefetched:
-                handle.prefetched.add(idx)
-                self._prefetch_queue.put_nowait((handle, idx))
-
-    def _warm_traced(self, handle: _CacheHandle, t0: int, t1: int) -> int:
-        """Executor body of one prefetch: a root ``prefetch`` span so the
-        cache's kernel spans don't show up as orphan roots."""
-        with start_span("prefetch", parent=None, attrs={"t0": t0, "t1": t1}):
-            return handle.cache.warm(t0, t1)
-
-    async def _prefetch_worker(self) -> None:
-        """Warm queued tiles in the background; never dies on an error."""
-        assert self._prefetch_queue is not None
-        loop = asyncio.get_running_loop()
-        T = self.config.tile_hours
-        while True:
-            handle, idx = await self._prefetch_queue.get()
-            try:
-                if not handle.retired:
-                    # prefetch is the lowest admission class: under load
-                    # it is shed (and un-marked, so a later quiet-period
-                    # query can queue the tile again) before any client
-                    # query is
-                    try:
-                        token = self.shedder.admit(PRIORITY_PREFETCH)
-                    except OverloadError:
-                        self.stats.bump("shed_prefetch")
-                        handle.prefetched.discard(idx)
-                        self._prefetch_queue.task_done()
-                        continue
-                    handle.refs += 1
-                    try:
-                        built = await loop.run_in_executor(
-                            self._executor,
-                            self._warm_traced,
-                            handle,
-                            idx * T,
-                            (idx + 1) * T,
-                        )
-                        self.stats.bump("prefetched_tiles", built)
-                    finally:
-                        self.shedder.release(token)
-                        self._unref(handle)
-            except asyncio.CancelledError:
-                self._prefetch_queue.task_done()
-                raise
-            except Exception:
-                self.stats.bump("errors")
-            else:
-                self._prefetch_queue.task_done()
-                continue
-            self._prefetch_queue.task_done()
+                    net = await asyncio.wait_for(
+                        asyncio.shield(entry.fut), dl.remaining()
+                    )
+                except asyncio.TimeoutError:
+                    self.stats.bump("deadline_timeouts")
+                    raise DeadlineError(
+                        f"deadline exceeded composing [{t0}, {t1})"
+                    ) from None
+                except DeadlineError:
+                    if dl.expired:
+                        raise
+                    # our registration raced the executor's abandonment
+                    # check; we still have budget, so compose again
+                    continue
+                self.admission.observe(t1 - t0, net.n_edges)
+                return net
 
     # -- connection handling --------------------------------------------------
 
@@ -954,20 +816,13 @@ class NetworkQueryService:
                                code="bad-request")
         return tenant
 
-    async def _bounded_executor(
-        self, dl: Deadline, fn, *args, handle: _CacheHandle | None = None
-    ):
+    async def _bounded_executor(self, dl: Deadline, fn, *args):
         """Run ``fn`` on the executor, waiting at most the remaining
         deadline budget.  The executor job itself is not interrupted
         (threads cannot be), but this waiter stops holding admission and
-        connection state for it the moment the budget runs out.  A job
-        reading ``handle``'s cache holds a reference on it until the job
-        itself ends, so a reload never closes the cache under it."""
+        connection state for it the moment the budget runs out."""
         loop = asyncio.get_running_loop()
         fut = loop.run_in_executor(self._executor, fn, *args)
-        if handle is not None:
-            handle.refs += 1
-            fut.add_done_callback(lambda f: self._unref(handle))
         try:
             return await asyncio.wait_for(asyncio.shield(fut), dl.remaining())
         except asyncio.TimeoutError:
@@ -1101,10 +956,7 @@ class NetworkQueryService:
                 )
                 return blob, ego.n_nodes, ego.n_edges
 
-            blob, n_nodes, n_edges = await self._bounded_executor(
-                dl, _build, handle=handle
-            )
-            self._note_span(handle, t0, t1)
+            blob, n_nodes, n_edges = await self._bounded_executor(dl, _build)
         finally:
             release()
         return (
@@ -1194,10 +1046,6 @@ class NetworkQueryService:
         histograms) — the same registry ``repro metrics`` renders."""
         return ok_response(rid, metrics=default_registry().snapshot()), b""
 
-    async def _op_reload(self, rid, header, dl) -> tuple[dict, bytes]:
-        digest = await self._reload()
-        return ok_response(rid, reloaded=True, digest=digest), b""
-
     async def _op_shutdown(self, rid, header, dl) -> tuple[dict, bytes]:
         # respond first; the drain starts as soon as this request's
         # response is on the wire (stop() waits for in-flight writes)
@@ -1216,6 +1064,5 @@ class NetworkQueryService:
         "degrees": _op_degrees,
         "stats": _op_stats,
         "metrics": _op_metrics,
-        "reload": _op_reload,
         "shutdown": _op_shutdown,
     }

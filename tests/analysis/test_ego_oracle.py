@@ -12,6 +12,12 @@ three ways of asking for an ego network must agree with it for radius
 * the service's ``ego`` reply for the same window (radius 1–3: the
   service refuses radius 0).
 
+The service's other replies over the same worlds are held to the same
+oracle: ``window`` to the brute-force adjacency, ``layer`` to brute
+force over the records at places of that kind (place kinds drawn per
+world), and ``degrees`` to the histogram read off the brute-force
+adjacency.
+
 Generated worlds hold isolated persons, a place nobody is at inside the
 window, spells that touch a window edge (zero hours inside it — a record
 with ``stop <= start`` is refused where it enters, by ``make_records``,
@@ -33,8 +39,10 @@ from hypothesis import strategies as st
 
 from repro.analysis import ego_from_parts, ego_network
 from repro.core import TileCache, synthesize_from_logs
+from repro.core.layers import LAYER_KINDS
 from repro.evlog import make_records, write_rank_logs
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
+from repro.synthpop.places import PlaceKind, PlaceTable
 from tests._oracle import brute_force_adjacency, brute_force_ego
 from tests.core.conftest import IMPLS, use_impl
 
@@ -85,23 +93,39 @@ def worlds(draw):
     return per_rank, n, centres
 
 
-def truth(per_rank, n):
+def truth(per_rank, n, keep=None):
+    """Brute force over every record, or those at places where ``keep``
+    (indexed by place id) is true."""
     rec = np.concatenate(per_rank)
+    if keep is not None:
+        rec = rec[keep[rec["place"]]]
     return brute_force_adjacency(
         rec["person"], rec["place"], rec["start"], rec["stop"], n, T0, T1
     )
+
+
+def histogram(adjacency):
+    """``(degrees, counts, n_isolated)`` read off the dense symmetric form."""
+    dense = adjacency.toarray()
+    degree = np.count_nonzero(dense + dense.T, axis=1)
+    values, counts = np.unique(degree[degree > 0], return_counts=True)
+    return values.tolist(), counts.tolist(), int(np.sum(degree == 0))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 def assert_matches(ego, want_persons, want_weights):
     """Same persons; a canonical symmetric int64 CSR of the same weights."""
     assert np.array_equal(ego.persons, want_persons)
     got = ego.matrix
-    want = sp.csr_matrix(want_weights)
-    assert got.shape == want.shape and got.data.dtype == np.int64
+    assert got.data.dtype == np.int64
     assert got.has_canonical_format and got.data.all()
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert_same_csr(got, sp.csr_matrix(want_weights))
 
 
 @settings(deadline=None, max_examples=40)
@@ -134,7 +158,7 @@ def test_service_ego_replies_match_brute_force(world):
 
     async def replies(logs):
         service = NetworkQueryService(
-            logs, n, config=ServiceConfig(port=0, tile_hours=24, prefetch_tiles=0)
+            logs, n, config=ServiceConfig(port=0, tile_hours=24)
         )
         async with service:
             async with ServiceClient(port=service.port) as client:
@@ -152,3 +176,56 @@ def test_service_ego_replies_match_brute_force(world):
             for (centre, radius), ego in got.items():
                 assert ego.center == centre and ego.radius == radius
                 assert_matches(ego, *brute_force_ego(adjacency, centre, radius))
+
+
+@settings(deadline=None, max_examples=8)
+@given(
+    worlds(),
+    st.lists(st.sampled_from(PlaceKind), min_size=PLACES[-1] + 1,
+             max_size=PLACES[-1] + 1),
+)
+def test_service_window_layer_and_degree_replies_match_brute_force(
+    world, kinds
+):
+    per_rank, n, _centres = world
+    kind = np.array(kinds, dtype=np.uint8)
+    places = PlaceTable(
+        kind=kind, x=np.zeros(len(kind)), y=np.zeros(len(kind)),
+        capacity=np.ones(len(kind)),
+    )
+    adjacency = truth(per_rank, n)
+    layers = {
+        name: truth(per_rank, n, keep=kind == int(PlaceKind[name.upper()]))
+        for name in LAYER_KINDS
+    }
+
+    async def replies(logs):
+        service = NetworkQueryService(
+            logs, n, places=places, config=ServiceConfig(port=0, tile_hours=24)
+        )
+        async with service:
+            async with ServiceClient(port=service.port) as client:
+                return (
+                    await client.query_window(T0, T1),
+                    {
+                        name: await client.query_layer(name, T0, T1)
+                        for name in LAYER_KINDS
+                    },
+                    await client.degree_summary(T0, T1),
+                )
+
+    with tempfile.TemporaryDirectory() as logs:
+        write_rank_logs(logs, per_rank)
+        for impl in IMPLS:
+            with use_impl(impl):
+                net, layer_nets, summary = asyncio.run(replies(Path(logs)))
+            assert_same_csr(net.adjacency, adjacency)
+            for name, layer in layer_nets.items():
+                assert_same_csr(layer.adjacency, layers[name])
+            degrees, counts, n_isolated = histogram(adjacency)
+            assert summary["degrees"] == degrees
+            assert summary["counts"] == counts
+            assert summary["n_isolated"] == n_isolated
+            assert summary["n_vertices"] == n
+            assert summary["n_edges"] == adjacency.nnz
+            assert summary["total_weight"] == int(adjacency.sum())

@@ -63,11 +63,10 @@ class TestChaosSoak:
             get_collector().drain()  # span integrity is judged on this run
             a = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0,
                 cache_dir=store,
                 cache_budget_nnz=1,  # force disk reads -> hit the damage
             )
-            b = make_service(service_logs, small_pop, prefetch_tiles=0)
+            b = make_service(service_logs, small_pop)
             async with a, b:
                 rng = random.Random(1234)
                 proxy = ChaosProxy(
@@ -170,8 +169,8 @@ class TestChaosSoak:
         black-hole proxy) must cost one attempt_timeout, not a hang."""
 
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
-            b = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
+            b = make_service(service_logs, small_pop)
             async with a, b:
                 proxy = ChaosProxy(
                     "127.0.0.1", a.port, random.Random(7), blackhole_p=1.0
@@ -210,7 +209,7 @@ class TestChaosSoak:
         request is answered with code="expired" and never queued."""
 
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
             async with a:
                 async with ServiceClient(port=a.port) as client:
                     from repro.errors import DeadlineError

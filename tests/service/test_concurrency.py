@@ -289,7 +289,6 @@ class TestAdmission:
                 service_logs,
                 small_pop,
                 executor_threads=1,
-                prefetch_tiles=0,
                 tenant_budget_nnz=100.0,
                 assume_nnz_per_hour=10.0,
             )
@@ -351,7 +350,6 @@ class TestAdmission:
                 service_logs,
                 small_pop,
                 executor_threads=1,
-                prefetch_tiles=0,
                 tenant_budget_nnz=100.0,
                 assume_nnz_per_hour=10.0,
                 retry_after=0.02,
@@ -383,54 +381,3 @@ class TestAdmission:
 
         for net in asyncio.run(scenario()):
             assert_bit_identical(net.adjacency, ref.adjacency)
-
-
-class TestPrefetch:
-    def test_prefetch_warms_tiles_beyond_queried_span(
-        self, service_logs, small_pop
-    ):
-        async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=2)
-            async with svc:
-                async with ServiceClient(port=svc.port) as client:
-                    await client.query_window(48, 96)  # tiles 2..3
-                    await svc.prefetch_idle()
-                    resp = await client.stats()
-                assert svc.stats.prefetched_tiles == 4  # tiles 0,1 + 4,5
-                handle = svc._handles["full"]
-                assert handle.prefetched == {0, 1, 4, 5}
-                # prefetched tiles serve later queries without builds;
-                # (0, 48) is deterministic here: its own prefetch
-                # candidates (tiles 2..3) were built by the first query,
-                # so the racing background warms cannot build anything
-                built = handle.cache.stats.tiles_built
-                async with ServiceClient(port=svc.port) as client:
-                    await client.query_window(0, 48)  # tiles 0..1
-                assert handle.cache.stats.tiles_built == built
-                await svc.prefetch_idle()
-                assert handle.cache.stats.tiles_built == built
-                return resp
-
-        resp = asyncio.run(scenario())
-        assert resp["stats"]["prefetched_tiles"] == 4
-
-    def test_prefetch_clamps_to_log_horizon(self, service_logs, small_pop):
-        async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=3)
-            async with svc:
-                horizon = svc._handles["full"].horizon
-                last_tile = -(-horizon // 24)
-                async with ServiceClient(port=svc.port) as client:
-                    # the final tile: nothing exists ahead to warm
-                    await client.query_window(
-                        (last_tile - 1) * 24, last_tile * 24
-                    )
-                    await svc.prefetch_idle()
-                ahead = {
-                    i
-                    for i in svc._handles["full"].prefetched
-                    if i >= last_tile
-                }
-                assert ahead == set()
-
-        asyncio.run(scenario())

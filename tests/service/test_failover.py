@@ -43,8 +43,8 @@ class TestFailover:
         self, service_logs, small_pop, direct_ref
     ):
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
-            b = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
+            b = make_service(service_logs, small_pop)
             async with a, b:
                 client = FailoverClient(
                     [("127.0.0.1", a.port), ("127.0.0.1", b.port)],
@@ -74,7 +74,7 @@ class TestFailover:
         self, service_logs, small_pop
     ):
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
             async with a:
                 client = FailoverClient(
                     [("127.0.0.1", a.port)],
@@ -100,8 +100,8 @@ class TestFailover:
         self, service_logs, small_pop, direct_ref
     ):
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
-            b = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
+            b = make_service(service_logs, small_pop)
             async with a, b:
                 port_a = a.port
                 client = FailoverClient(
@@ -120,9 +120,7 @@ class TestFailover:
                     skips_before = client.counters["breaker_skips"]
                     assert skips_before >= 1
                     # replica a comes back on the same port
-                    revived = make_service(
-                        service_logs, small_pop, prefetch_tiles=0,
-                    )
+                    revived = make_service(service_logs, small_pop)
                     revived.config.port = port_a
                     async with revived:
                         await asyncio.sleep(0.25)  # past reset_timeout
@@ -139,14 +137,13 @@ class TestFailover:
 
     def test_mutating_ops_are_refused(self, service_logs, small_pop):
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
             async with a:
                 client = FailoverClient([("127.0.0.1", a.port)])
                 async with client:
-                    for op in ("reload", "shutdown"):
-                        with pytest.raises(ServiceError) as exc_info:
-                            await client.request(op)
-                        assert exc_info.value.code == "bad-request"
+                    with pytest.raises(ServiceError) as exc_info:
+                        await client.request("shutdown")
+                    assert exc_info.value.code == "bad-request"
                 assert a.stats.requests == 0
 
         asyncio.run(scenario())
@@ -159,10 +156,9 @@ class TestFailover:
 
         async def scenario():
             a = make_service(
-                service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1,
+                service_logs, small_pop, executor_threads=1
             )
-            b = make_service(service_logs, small_pop, prefetch_tiles=0)
+            b = make_service(service_logs, small_pop)
             async with a, b:
                 gate = _Gate(await a._get_handle("full"))
                 client = FailoverClient(
@@ -187,7 +183,7 @@ class TestFailover:
 
     def test_string_addresses_parse(self, service_logs, small_pop):
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
             async with a:
                 client = FailoverClient([f"127.0.0.1:{a.port}"])
                 async with client:
@@ -202,7 +198,7 @@ class TestFailover:
         a bounded DeadlineError instead of a long exhaustion."""
 
         async def scenario():
-            a = make_service(service_logs, small_pop, prefetch_tiles=0)
+            a = make_service(service_logs, small_pop)
             async with a:
                 port = a.port
                 await kill_service(a)

@@ -7,9 +7,9 @@ Scenarios, mirroring the failure taxonomy of ``tests/_faults.py``:
   closed, server keeps serving everyone else;
 * clients that vanish mid-request and mid-response (the latter with an
   RST while their composition is still parked in the executor);
-* log-set digest invalidation (``reload``) while a query is in flight —
-  the in-flight query finishes bit-identical on the cache snapshot it
-  started on, the retired cache closes only after its last reference;
+* a rank file rewritten in place under the live cache while a query is
+  in flight — every answer comes from the bytes the cache digested or
+  fails typed, and only a restarted server serves the new bytes;
 * graceful shutdown draining an in-flight query to a complete response
   while refusing new work with ``code="shutting-down"``.
 
@@ -96,7 +96,7 @@ class TestMalformedFrames:
         self, service_logs, small_pop
     ):
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 for i, frame in enumerate(MALFORMED_FRAMES):
                     reader, writer = await asyncio.open_connection(
@@ -128,11 +128,12 @@ class TestMalformedFrames:
         ref = direct_ref(0, 24)
 
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 async with ServiceClient(port=svc.port) as client:
                     bad = [
                         ("nope", {}),
+                        ("reload", {}),  # an op older servers had
                         ("window", {"t0": 5, "t1": 5}),
                         ("window", {"t0": -1, "t1": 24}),
                         ("window", {"t0": 0, "t1": 24, "tenant": ""}),
@@ -190,7 +191,7 @@ class TestDamagedReplies:
 class TestDisconnects:
     def test_disconnect_mid_request_is_silent(self, service_logs, small_pop):
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 _, writer = await asyncio.open_connection(
                     "127.0.0.1", svc.port
@@ -215,10 +216,7 @@ class TestDisconnects:
 
         async def scenario():
             svc = make_service(
-                service_logs,
-                small_pop,
-                prefetch_tiles=0,
-                executor_threads=1,
+                service_logs, small_pop, executor_threads=1
             )
             async with svc:
                 gate = threading.Event()
@@ -259,116 +257,80 @@ class TestDisconnects:
 
 
 class TestReloadInFlight:
-    def test_digest_invalidation_while_query_in_flight(
-        self, service_logs, small_pop, tmp_path
-    ):
-        """Reload under load: the in-flight query completes on the cache
-        it started on; later queries see the new log bytes."""
-        log_dir = tmp_path / "logs"
-        shutil.copytree(service_logs, log_dir)
-        ref_old, _ = synthesize_from_logs(
-            log_dir, small_pop.n_persons, 24, 192
-        )
-
-        async def scenario():
-            svc = make_service(
-                log_dir, small_pop, prefetch_tiles=0, executor_threads=2
-            )
-            async with svc:
-                old_handle = svc._handles["full"]
-                old_digest = old_handle.cache.digest
-                gate = _Gate(old_handle)
-                async with ServiceClient(port=svc.port) as a:
-                    async with ServiceClient(port=svc.port) as b:
-                        inflight = asyncio.create_task(
-                            a.query_window(24, 192)
-                        )
-                        await wait_for(gate.started.is_set)
-                        # invalidate the digest: one rank's log vanishes
-                        # (the old cache's mmap keeps the inode alive, so
-                        # its in-flight query is unaffected)
-                        (log_dir / "rank_0001.evl").unlink()
-                        resp = await b.reload()
-                        assert resp["reloaded"] is True
-                        assert resp["digest"] != old_digest
-                        # swapped, retired, but NOT closed: the in-flight
-                        # query still holds a reference
-                        assert svc._handles["full"] is not old_handle
-                        assert old_handle.retired
-                        assert old_handle in svc._retired
-                        gate.release.set()
-                        net_old = await inflight
-                        # last reference gone -> retired cache closed
-                        assert old_handle not in svc._retired
-                        net_new = await b.query_window(24, 192)
-                assert svc.stats.reloads == 1
-                assert svc.stats.errors == 0
-                return net_old, net_new
-
-        net_old, net_new = asyncio.run(scenario())
-        # consistency: the in-flight query saw the pre-reload logs
-        assert_bit_identical(net_old.adjacency, ref_old.adjacency)
-        # freshness: the next query no longer sees the deleted rank
-        ref_new, _ = synthesize_from_logs(
-            log_dir, small_pop.n_persons, 24, 192
-        )
-        assert_bit_identical(net_new.adjacency, ref_new.adjacency)
-        assert net_new.total_weight < net_old.total_weight
+    """The logs change on disk under a running server.  Its caches live
+    as long as it does, so it never re-reads them: picking up new log
+    bytes takes a restart."""
 
     def test_rank_file_rewritten_in_place_while_query_in_flight(
         self, service_logs, small_pop, tmp_path
     ):
-        """The nasty reload: same path, same inode, same size, other
-        records — a held mapping shows the new bytes and, chunk offsets
-        being equal, they would pass every CRC.  The old handle must
-        answer from the bytes it digested or fail typed; it must never
-        serve a tile of the new bytes under the old digest."""
+        """Same path, same inode, same size, other records — a held
+        mapping shows the new bytes and, chunk offsets being equal, they
+        would pass every CRC.  The live cache must answer from the bytes
+        it digested or fail typed; it must never serve a tile of the new
+        bytes under the old digest."""
         log_dir = tmp_path / "logs"
         shutil.copytree(service_logs, log_dir)
-        ref_old, _ = synthesize_from_logs(log_dir, small_pop.n_persons, 24, 192)
+        n = small_pop.n_persons
+        ref_old, _ = synthesize_from_logs(log_dir, n, 24, 192)
+        ref_warm, _ = synthesize_from_logs(log_dir, n, 24, 96)
         victim = log_dir / "rank_0001.evl"
         with LogReader(victim) as reader:
             rec = reader.read_all()
             chunk = reader.chunks[0].n_records
-        rec["person"] = (rec["person"] + 1) % small_pop.n_persons
+        rec["person"] = (rec["person"] + 1) % n
         rewritten = tmp_path / "rewritten.evl"
         with CachedLogWriter(rewritten, rank=1, cache_records=chunk) as w:
             w.log_batch(rec)
         new_bytes = rewritten.read_bytes()
         assert len(new_bytes) == victim.stat().st_size
 
+        async def answer(client, t0, t1):
+            try:
+                return await client.query_window(t0, t1)
+            except ServiceError as exc:
+                return exc
+
         async def scenario():
-            svc = make_service(
-                log_dir, small_pop, prefetch_tiles=0, executor_threads=2
-            )
+            svc = make_service(log_dir, small_pop, executor_threads=2)
             async with svc:
-                old_handle = svc._handles["full"]
-                gate = _Gate(old_handle)
+                gate_handle = svc._handles["full"]
                 async with ServiceClient(port=svc.port) as a:
                     async with ServiceClient(port=svc.port) as b:
-                        inflight = asyncio.create_task(a.query_window(24, 192))
+                        # tiles 1..3 built from the digested bytes
+                        await b.query_window(24, 96)
+                        gate = _Gate(gate_handle)
+                        inflight = asyncio.create_task(answer(a, 24, 192))
                         await wait_for(gate.started.is_set)
                         with victim.open("r+b") as fh:  # no truncate: the
                             fh.write(new_bytes)  # mapping stays backed
-                        resp = await b.reload()
-                        assert resp["reloaded"] is True
                         gate.release.set()
-                        try:
-                            net_old = await inflight
-                        except ServiceError as exc:
-                            net_old = exc
-                        net_new = await b.query_window(24, 192)
-                return net_old, net_new
+                        replies = [await inflight, await answer(b, 24, 192)]
+                        warm = await b.query_window(24, 96)
+                assert svc._handles["full"] is gate_handle
+                assert svc.stats.errors == 0
+            return replies, warm
 
-        net_old, net_new = asyncio.run(scenario())
-        ref_new, _ = synthesize_from_logs(log_dir, small_pop.n_persons, 24, 192)
-        assert_bit_identical(net_new.adjacency, ref_new.adjacency)
+        async def restarted():
+            async with make_service(log_dir, small_pop) as svc:
+                async with ServiceClient(port=svc.port) as client:
+                    return await client.query_window(24, 192)
+
+        replies, warm = asyncio.run(scenario())
+        for reply in replies:
+            if isinstance(reply, ServiceError):
+                assert reply.code == "bad-request"
+                assert "rewritten under a live tile cache" in str(reply)
+            else:
+                assert_bit_identical(reply.adjacency, ref_old.adjacency)
+        # the window cached before the rewrite is still the old answer
+        assert_bit_identical(warm.adjacency, ref_warm.adjacency)
+        # a restarted server digests the new bytes
+        ref_new, _ = synthesize_from_logs(log_dir, n, 24, 192)
         assert (ref_new.adjacency != ref_old.adjacency).nnz  # really changed
-        if isinstance(net_old, ServiceError):
-            assert net_old.code == "bad-request"
-            assert "rewritten under a live tile cache" in str(net_old)
-        else:
-            assert_bit_identical(net_old.adjacency, ref_old.adjacency)
+        assert_bit_identical(
+            asyncio.run(restarted()).adjacency, ref_new.adjacency
+        )
 
 
 class TestGracefulShutdown:
@@ -378,7 +340,7 @@ class TestGracefulShutdown:
         ref = direct_ref(0, 24)
 
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 gate = _Gate(svc._handles["full"])
                 a = await ServiceClient(port=svc.port).connect()
@@ -414,7 +376,7 @@ class TestGracefulShutdown:
         of a connection refusal or a hang on half-sent bytes."""
 
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 gate = _Gate(svc._handles["full"])
                 holder = await ServiceClient(port=svc.port).connect()
@@ -450,7 +412,7 @@ class TestGracefulShutdown:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1, drain_timeout=0.3,
+                executor_threads=1, drain_timeout=0.3,
             )
             async with svc:
                 gate = _Gate(svc._handles["full"])
@@ -480,8 +442,7 @@ class TestGracefulShutdown:
 
         async def scenario():
             svc = make_service(
-                service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1,
+                service_logs, small_pop, executor_threads=1
             )
             async with svc:
                 gate = threading.Event()

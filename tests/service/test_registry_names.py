@@ -79,7 +79,7 @@ def exercise(service_logs, n_persons, places):
     async def window():
         svc = NetworkQueryService(
             service_logs, n_persons, places=places,
-            config=ServiceConfig(port=0, prefetch_tiles=0),
+            config=ServiceConfig(port=0),
         )
         async with svc:
             async with ServiceClient(port=svc.port) as client:

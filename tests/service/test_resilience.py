@@ -21,7 +21,6 @@ from repro.service import ServiceClient
 from repro.service.health import HealthMonitor
 from repro.service.resilience import (
     PRIORITY_CONTROL,
-    PRIORITY_PREFETCH,
     PRIORITY_QUERY,
     CircuitBreaker,
     Deadline,
@@ -108,15 +107,6 @@ class TestLoadShedder:
         shed.admit(PRIORITY_CONTROL)
         # release frees a slot
         shed.release(t1)
-        shed.admit(PRIORITY_QUERY)
-
-    def test_prefetch_is_shed_before_queries(self):
-        shed = LoadShedder(limit=4)
-        shed.admit(PRIORITY_QUERY)
-        shed.admit(PRIORITY_QUERY)
-        # depth 2 >= prefetch cap 2: prefetch shed, queries still fine
-        with pytest.raises(OverloadError):
-            shed.admit(PRIORITY_PREFETCH)
         shed.admit(PRIORITY_QUERY)
 
     def test_inflight_age_sheds_new_work(self):
@@ -218,7 +208,7 @@ class TestServerDeadlines:
         self, service_logs, small_pop
     ):
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 async with ServiceClient(port=svc.port) as client:
                     with pytest.raises(DeadlineError) as exc_info:
@@ -235,7 +225,7 @@ class TestServerDeadlines:
 
     def test_bad_deadline_type_is_bad_request(self, service_logs, small_pop):
         async def scenario():
-            svc = make_service(service_logs, small_pop, prefetch_tiles=0)
+            svc = make_service(service_logs, small_pop)
             async with svc:
                 async with ServiceClient(port=svc.port) as client:
                     with pytest.raises(Exception) as exc_info:
@@ -255,7 +245,7 @@ class TestServerDeadlines:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1,
+                executor_threads=1,
             )
             async with svc:
                 handle = await svc._get_handle("full")
@@ -291,7 +281,7 @@ class TestServerDeadlines:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1,
+                executor_threads=1,
                 default_deadline=0.2,
             )
             async with svc:
@@ -314,7 +304,7 @@ class TestServerLoadShedding:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1, queue_limit=1,
+                executor_threads=1, queue_limit=1,
             )
             async with svc:
                 handle = await svc._get_handle("full")
@@ -346,7 +336,7 @@ class TestServerLoadShedding:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, executor_threads=1, queue_limit=1,
+                executor_threads=1, queue_limit=1,
             )
             async with svc:
                 handle = await svc._get_handle("full")
@@ -379,7 +369,7 @@ class TestSlowClientWriteTimeout:
         async def scenario():
             svc = make_service(
                 service_logs, small_pop,
-                prefetch_tiles=0, write_timeout=0.5,
+                write_timeout=0.5,
             )
             async with svc:
                 reader, writer = await asyncio.open_connection(

@@ -27,7 +27,7 @@ pytestmark = pytest.mark.timeout(120)
 
 
 def make_service(service_logs, small_pop, **overrides) -> NetworkQueryService:
-    config = ServiceConfig(port=0, prefetch_tiles=0, **overrides)
+    config = ServiceConfig(port=0, **overrides)
     return NetworkQueryService(
         service_logs,
         small_pop.n_persons,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -349,3 +351,109 @@ class TestFaultToleranceFlags:
                      "--workers", "2", "--retries", "3",
                      "--out", str(out)]) == 0
         assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def served(workspace):
+    """A service over the workspace logs on its own event-loop thread, as
+    ``repro serve`` would run it; yields the bound port."""
+    from repro import load_population
+    from repro.service import NetworkQueryService, ServiceConfig
+
+    _, world, logs, _ = workspace
+    pop = load_population(world)
+    service = NetworkQueryService(
+        logs, pop.n_persons, places=pop.places, config=ServiceConfig(port=0)
+    )
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    asyncio.run_coroutine_threadsafe(service.start(), loop).result(60)
+    try:
+        yield str(service.port)
+    finally:
+        asyncio.run_coroutine_threadsafe(service.stop(), loop).result(60)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        assert not thread.is_alive()
+        loop.close()
+
+
+class TestServeAndClient:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--threads", "0"], "executor_threads must be >= 1, got 0"),
+         (["--queue-limit", "0"], "queue_limit must be >= 1, got 0"),
+         (["--tile-hours", "0"], "tile_hours must be >= 1, got 0"),
+         (["--log-dir", "{empty}"], "no rank_NNNN.evl files in {empty}")],
+        ids=["threads", "queue-limit", "tile-hours", "empty-log-dir"],
+    )
+    def test_bad_serve_input_is_an_error_not_a_traceback(
+        self, workspace, tmp_path, capsys, argv, message
+    ):
+        """Refused before anything is served: no listener, no
+        "serving network queries" line."""
+        _, world, logs, _ = workspace
+        argv = [a.format(empty=tmp_path) for a in argv]
+        assert main(["serve", "--log-dir", str(logs), "--population",
+                     str(world), "--port", "0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(empty=tmp_path)}\n"
+        assert captured.out == ""
+
+    def test_prefetch_flag_is_accepted_and_ignored(self):
+        args = build_parser().parse_args(
+            ["serve", "--log-dir", "logs", "--population", "world.npz",
+             "--prefetch", "1"]
+        )
+        assert args.fn.__name__ == "_cmd_serve"
+
+    def test_window_and_degrees(self, workspace, served, tmp_path, capsys):
+        _, _, _, week = workspace
+        from repro import CollocationNetwork
+
+        ref = CollocationNetwork.load(week)
+        out = tmp_path / "svc.net.npz"
+        assert main(["client", "window", "--port", served, "--t0", "0",
+                     "--t1", "168", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"[     0,    168): {ref.n_edges:,} edges, "
+            f"{ref.total_weight:,} collocated person-pair hours"
+        )
+        got = CollocationNetwork.load(out)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(
+                getattr(got.adjacency, name), getattr(ref.adjacency, name)
+            )
+        assert main(["client", "degrees", "--port", served, "--t0", "0",
+                     "--t1", "168"]) == 0
+        summary = {
+            key.strip(): value.strip()
+            for key, value in (
+                line.split(":") for line in capsys.readouterr().out.splitlines()
+            )
+        }
+        assert int(summary["n_edges"]) == ref.n_edges
+        assert int(summary["n_vertices"]) == ref.n_persons
+
+    def test_stats_prints_the_querying_tenant(self, served, capsys):
+        assert main(["client", "window", "--port", served, "--tenant",
+                     "alice", "--t0", "0", "--t1", "24"]) == 0
+        capsys.readouterr()
+        assert main(["client", "stats", "--port", served]) == 0
+        out = capsys.readouterr().out.splitlines()
+        alice = [line for line in out if line.startswith("  tenant alice: ")]
+        assert len(alice) == 1
+        assert "'admitted': 1" in alice[0]
+
+    def test_reload_is_not_an_op(self, served, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["client", "reload", "--port", served])
+        assert err.value.code == 2
+        assert "invalid choice: 'reload'" in capsys.readouterr().err
+
+    def test_shutdown_is_refused_on_a_replica_set(self, served, capsys):
+        assert main(["client", "shutdown", "--replicas",
+                     f"127.0.0.1:{served}"]) == 2
+        assert "error: 'shutdown' is not idempotent" in capsys.readouterr().err
+        assert main(["client", "ping", "--port", served]) == 0
