@@ -17,26 +17,31 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.analysis import degree_distribution
-from repro.core import StreamingSynthesizer, synthesize_layers
+from repro.analysis import degree_distribution, edge_persistence
+from repro.core.adjacency import sum_partials
 from repro.evlog.multifile import write_rank_logs
+from repro.synthpop.places import LAYER_KINDS, PlaceKind
 
 from conftest import write_report
 
 
 def test_ext_layers_degree_profiles(benchmark, bench_pop, bench_week, bench_net):
-    layers = benchmark.pedantic(
-        synthesize_layers,
-        args=(
-            bench_week.records,
-            bench_pop.places,
-            bench_pop.n_persons,
-            0,
-            repro.HOURS_PER_WEEK,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    records = bench_week.records
+    kind = bench_pop.places.kind[records["place"].astype(np.int64)]
+
+    def per_kind_networks():
+        """One network per place kind, over that kind's records."""
+        return {
+            name: repro.synthesize_network(
+                records[kind == int(PlaceKind[name.upper()])],
+                bench_pop.n_persons,
+                0,
+                repro.HOURS_PER_WEEK,
+            )[0]
+            for name in LAYER_KINDS
+        }
+
+    layers = benchmark.pedantic(per_kind_networks, rounds=1, iterations=1)
     rows = []
     stats = {}
     for name, net in layers.items():
@@ -74,14 +79,17 @@ def test_ext_granularity_daily_networks(benchmark, bench_pop, bench_week, tmp_pa
     """Daily aggregates of the same log; weekday vs weekend structure."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     write_rank_logs(tmp_path, [bench_week.records])
-    series = StreamingSynthesizer(
-        bench_pop.n_persons, interval_hours=24, batch_size=4
-    ).process(str(tmp_path), 7)
+    days = [
+        repro.synthesize_from_logs(
+            tmp_path, bench_pop.n_persons, 24 * d, 24 * (d + 1)
+        )[0]
+        for d in range(7)
+    ]
 
-    edges = series.interval_edge_counts()
+    edges = np.array([net.n_edges for net in days])
     weekday_mean = float(edges[:5].mean())
     weekend_mean = float(edges[5:].mean())
-    persistence = series.edge_persistence()
+    persistence = edge_persistence(days)
 
     lines = [
         "EXT-GRAN: daily networks from one week of logs (Section II's",
@@ -96,11 +104,11 @@ def test_ext_granularity_daily_networks(benchmark, bench_pop, bench_week, tmp_pa
     write_report("ext_granularity", "\n".join(lines))
 
     # the weekly total equals the sum of the dailies
-    total = series.total()
+    total = sum_partials([net.adjacency for net in days], bench_pop.n_persons)
     whole, _ = repro.synthesize_network(
         bench_week.records, bench_pop.n_persons, 0, repro.HOURS_PER_WEEK
     )
-    assert (total.adjacency != whole.adjacency).nnz == 0
+    assert (total != whole.adjacency).nnz == 0
     # weekday structure differs from weekend structure
     assert weekday_mean != weekend_mean
     # Mon-Tue persistence (routine) exceeds Fri-Sat (routine breaks)

@@ -27,12 +27,13 @@ import repro
 from repro.analysis import (
     contact_matrix,
     degree_assortativity,
+    edge_persistence,
+    edge_recurrence,
     edge_weight_distribution,
     local_clustering,
     strength_distribution,
     weighted_clustering,
 )
-from repro.core import StreamingSynthesizer
 from repro.distrib import DistributedSimulation, spatial_partition
 
 from conftest import write_report
@@ -98,11 +99,17 @@ def test_ext_temporal_persistence(benchmark, bench_pop, tmp_path):
         bench_pop.places.coords(), bench_pop.places.capacity.astype(float), 4
     )
     DistributedSimulation(bench_pop, cfg, part).run(log_dir=tmp_path)
-    series = StreamingSynthesizer(bench_pop.n_persons).process(
-        str(tmp_path), 2
-    )
-    persistence = series.edge_persistence()[0]
-    weeks, rec_counts = series.edge_recurrence()
+    weeks_nets = [
+        repro.synthesize_from_logs(
+            tmp_path,
+            bench_pop.n_persons,
+            w * repro.HOURS_PER_WEEK,
+            (w + 1) * repro.HOURS_PER_WEEK,
+        )[0]
+        for w in range(2)
+    ]
+    persistence = edge_persistence(weeks_nets)[0]
+    weeks, rec_counts = edge_recurrence(weeks_nets)
     write_report(
         "ext_temporal",
         "EXT-STATS (temporal): week-over-week edge dynamics\n"

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Year-scale run: 52 weeks of simulation, streamed synthesis, monthly
-aggregates.
+"""Year-scale run: 52 weeks of simulation, one synthesis per month,
+monthly aggregates.
 
 The paper's production scenario is a one-year simulation whose logs reach
 100-200 GB and whose analysis must proceed file-by-file, window-by-window.
@@ -10,8 +10,9 @@ discipline:
 1. simulate 52 weeks on one rank, streaming the event log to one EVL
    file (bounded memory: the rank holds one week's schedule grid at a
    time);
-2. synthesize 13 four-week ("monthly") networks via the chunk index —
-   each window decodes only the chunks that overlap it;
+2. synthesize 13 four-week ("monthly") networks, one
+   ``synthesize_from_logs`` call per window — each decodes only the
+   chunks that overlap it (the chunk index);
 3. sum the monthlies into the annual network (the paper's aggregation)
    and report the temporal statistics: seasonal edge counts, month-over-
    month persistence, and the recurring contact core.
@@ -30,9 +31,10 @@ import numpy as np
 
 import repro
 from repro._util import human_bytes
-from repro.core import StreamingSynthesizer
+from repro.analysis import edge_persistence, edge_recurrence
+from repro.core.adjacency import sum_partials
 from repro.distrib import DistributedSimulation, round_robin_partition
-from repro.evlog import LogReader
+from repro.evlog import LogReader, LogSet
 
 WEEKS = 52
 MONTH_HOURS = 4 * repro.HOURS_PER_WEEK  # 4-week "months"
@@ -64,18 +66,27 @@ def main() -> None:
 
     print(f"\n=== streaming synthesis: {N_MONTHS} four-week aggregates ===")
     t0 = time.perf_counter()
-    series = StreamingSynthesizer(
-        n_persons, interval_hours=MONTH_HOURS
-    ).process(str(log_dir), N_MONTHS)
+    logs = LogSet(log_dir)
+    months = [
+        repro.synthesize_from_logs(
+            logs, n_persons, m * MONTH_HOURS, (m + 1) * MONTH_HOURS
+        )[0]
+        for m in range(N_MONTHS)
+    ]
     synth_time = time.perf_counter() - t0
-    edges = series.interval_edge_counts()
+    edges = np.array([net.n_edges for net in months])
     print(f"  wall time   : {synth_time:.1f} s "
           f"({synth_time / N_MONTHS:.2f} s per month)")
     print(f"  edges/month : min={edges.min():,} max={edges.max():,}")
 
-    persistence = series.edge_persistence()
-    weeks_met, pair_counts = series.edge_recurrence()
-    annual = series.total()
+    persistence = edge_persistence(months)
+    weeks_met, pair_counts = edge_recurrence(months)
+    # the paper's aggregation: "the adjacency matrices are simply summed"
+    annual = repro.CollocationNetwork(
+        sum_partials([net.adjacency for net in months], n_persons),
+        t0=0,
+        t1=N_MONTHS * MONTH_HOURS,
+    )
     print(f"\n=== annual network ===")
     print(repro.summarize(annual).report())
     print(f"\n  month-over-month persistence: "

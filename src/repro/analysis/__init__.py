@@ -14,7 +14,9 @@ Implements every quantitative characterization the paper reports:
 * :mod:`repro.analysis.groups` — within-age-group subnetworks and their
   degree distributions (Figure 5);
 * :mod:`repro.analysis.summary` — whole-network statistics (vertex/edge
-  counts, components, memory footprint: the Section V text numbers).
+  counts, components, memory footprint: the Section V text numbers);
+* :mod:`repro.analysis.temporal` — edge persistence and recurrence over
+  a sequence of interval networks (one synthesis per window).
 
 All computations run on the sparse adjacency directly and are
 cross-validated against networkx in the test suite.
@@ -41,6 +43,7 @@ from .weighted import (
     weighted_clustering,
     degree_assortativity,
 )
+from .temporal import edge_persistence, edge_recurrence
 
 __all__ = [
     "DegreeDistribution",
@@ -72,4 +75,6 @@ __all__ = [
     "degree_assortativity",
     "ContactMatrix",
     "contact_matrix",
+    "edge_persistence",
+    "edge_recurrence",
 ]

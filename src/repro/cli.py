@@ -137,6 +137,11 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``synthesize`` flags only the single-process run reads, with their
+#: defaults; a sharded run refuses any other value
+_POOL_FLAGS = {"batch_size": 16, "workers": 1, "retries": 3, "retry_delay": 0.05}
+
+
 def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
     from .distrib.shardsynth import shard_synthesize
 
@@ -144,6 +149,13 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
         print(
             "error: --checkpoint/--resume/--profile are not supported with "
             "--shards",
+            file=sys.stderr,
+        )
+        return 2
+    if any(getattr(args, key) != value for key, value in _POOL_FLAGS.items()):
+        print(
+            "error: --batch-size/--workers/--retries/--retry-delay are not "
+            "supported with --shards",
             file=sys.stderr,
         )
         return 2
@@ -155,14 +167,23 @@ def _synthesize_sharded(args: argparse.Namespace, pop, t0: int, t1: int) -> int:
         n_shards=args.shards,
         strict=args.strict,
     )
-    print(report.summary())
-    if report.quarantined:
+    return _report_and_save(net, report, args.out)
+
+
+def _warn_quarantined(paths: list[str]) -> None:
+    if paths:
         print(
-            f"warning: {len(report.quarantined)} damaged log file(s) "
+            f"warning: {len(paths)} damaged log file(s) "
             "quarantined (re-run with --strict to fail instead)"
         )
-    path = net.save(args.out)
-    print(f"\nwrote {path}")
+
+
+def _report_and_save(net: CollocationNetwork, report, out: str) -> int:
+    """A synthesis run's report, its quarantine warning, the saved
+    network and its summary."""
+    print(report.summary())
+    _warn_quarantined(report.quarantined)
+    print(f"\nwrote {net.save(out)}")
     print(summarize(net).report())
     return 0
 
@@ -204,6 +225,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     pop = load_population(args.population)
     t0 = args.t0
     t1 = args.t1 if args.t1 is not None else t0 + HOURS_PER_WEEK
+    if args.retries < 1:
+        print("error: --retries must be >= 1 (1 disables retries)", file=sys.stderr)
+        return 2
     try:
         check_batch_size(args.batch_size)
         check_window(pop.n_persons, t0, t1)
@@ -240,54 +264,44 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if before is not None:
         delta = MetricsRegistry.delta(before, default_registry().snapshot())
         _write_profile(Path(args.out).with_suffix(".profile.json"), report, delta)
-    print(report.summary())
-    if report.quarantined:
-        print(
-            f"warning: {len(report.quarantined)} damaged log file(s) "
-            "quarantined (re-run with --strict to fail instead)"
-        )
-    path = net.save(args.out)
-    print(f"\nwrote {path}")
-    print(summarize(net).report())
-    return 0
+    return _report_and_save(net, report, args.out)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .core.tilecache import TileCache
+    from .core.tilecache import TileCache, check_query_window
 
     pop = load_population(args.population)
-    pool = TaskPool(args.workers)
-    cache = TileCache(
-        args.log_dir,
-        pop.n_persons,
-        tile_hours=args.tile_hours,
-        budget_nnz=args.budget_nnz,
-        cache_dir=args.cache_dir,
-        pool=pool,
-        strict=args.strict,
-    )
     try:
-        if cache.quarantined:
-            print(
-                f"warning: {len(cache.quarantined)} damaged log file(s) "
-                "quarantined (re-run with --strict to fail instead)"
-            )
-        for i, (t0, t1) in enumerate(args.window):
-            net = cache.query_window(t0, t1)
-            print(
-                f"[{t0:>6}, {t1:>6}): {net.n_edges:,} edges, "
-                f"{net.total_weight:,} collocated person-pair hours"
-            )
-            if args.out is not None:
-                out = Path(args.out)
-                if len(args.window) > 1:
-                    out = out.with_name(f"{out.stem}_{t0}_{t1}{out.suffix}")
-                print(f"  wrote {net.save(out)}")
-        print()
-        print(cache.stats.summary())
-    finally:
-        cache.close()
-        pool.close()
+        for t0, t1 in args.window:
+            check_query_window(t0, t1)
+        with TaskPool(args.workers) as pool, TileCache(
+            args.log_dir,
+            pop.n_persons,
+            tile_hours=args.tile_hours,
+            budget_nnz=args.budget_nnz,
+            cache_dir=args.cache_dir,
+            pool=pool,
+            strict=args.strict,
+        ) as cache:
+            _warn_quarantined(cache.quarantined)
+            for t0, t1 in args.window:
+                net = cache.query_window(t0, t1)
+                print(
+                    f"[{t0:>6}, {t1:>6}): {net.n_edges:,} edges, "
+                    f"{net.total_weight:,} collocated person-pair hours"
+                )
+                if args.out is not None:
+                    out = Path(args.out)
+                    if len(args.window) > 1:
+                        out = out.with_name(f"{out.stem}_{t0}_{t1}{out.suffix}")
+                    print(f"  wrote {net.save(out)}")
+            print()
+            print(cache.stats.summary())
+    except LogFormatError as exc:
+        return _strict_damage(exc)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -580,19 +594,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True)
     p.add_argument("--t0", type=int, default=0)
     p.add_argument("--t1", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=int, default=_POOL_FLAGS["batch_size"])
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int, default=_POOL_FLAGS["workers"],
         help="worker threads for the per-batch synthesis stages "
         "(default: 1, every task inline)",
     )
     p.add_argument(
-        "--retries", type=int, default=3,
+        "--retries", type=int, default=_POOL_FLAGS["retries"],
         help="total attempts per worker task (1 disables retries)",
     )
     p.add_argument(
-        "--retry-delay", type=float, default=0.05,
+        "--retry-delay", type=float, default=_POOL_FLAGS["retry_delay"],
         help="base backoff before the first retry, seconds",
     )
     p.add_argument(

@@ -44,9 +44,7 @@ from .pipeline import (
     checkpoint_digest,
     load_checkpoint_manifest,
 )
-from .streaming import StreamingSynthesizer, WeeklyNetworkSeries
 from .tilecache import TileCache, TileCacheStats
-from .layers import synthesize_layers, layer_records
 
 __all__ = [
     "slice_records",
@@ -70,10 +68,6 @@ __all__ = [
     "synthesize_from_logs",
     "checkpoint_digest",
     "load_checkpoint_manifest",
-    "StreamingSynthesizer",
-    "WeeklyNetworkSeries",
     "TileCache",
     "TileCacheStats",
-    "synthesize_layers",
-    "layer_records",
 ]

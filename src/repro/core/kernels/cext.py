@@ -3,7 +3,7 @@
 The container/CI images this project targets ship a system C compiler
 but deliberately no build-time python packages, so the extension is
 compiled on demand: the embedded source (:mod:`._csrc`) is written next
-to a content-addressed cache path, compiled with ``cc -O2 -shared
+to a content-addressed cache path, compiled with ``cc -O3 -shared
 -fPIC``, and loaded through :mod:`ctypes`.  Every step degrades
 gracefully — no compiler, a failing compile, or a failing smoke test
 each just report "unavailable" and the callers run their numpy/scipy

@@ -116,6 +116,7 @@ __all__ = [
     "TileCache",
     "TileCacheStats",
     "logset_digest",
+    "check_query_window",
     "TILE_MANIFEST",
 ]
 
@@ -205,6 +206,14 @@ class TileCacheStats(MirroredStats):
         return "\n".join(lines)
 
 
+def check_query_window(t0: int, t1: int) -> None:
+    """A window a tile cache answers: non-empty and from hour 0 on."""
+    if t1 <= t0:
+        raise TileCacheError(f"empty query window [{t0}, {t1})")
+    if t0 < 0:
+        raise TileCacheError("query windows start at hour 0")
+
+
 def _window_task(
     args: "tuple[list[LogReader], int, int, int, np.ndarray | None]",
 ) -> tuple[sp.csr_matrix, list[dict], dict]:
@@ -221,7 +230,7 @@ def _window_task(
         if reader.rewritten_in_place():
             raise TileCacheError(
                 f"{reader.path} was rewritten under a live tile cache; "
-                "reload it"
+                "reopen the cache (restart `repro serve`)"
             )
     return partial, walks, collect_kernel_timings()
 
@@ -676,10 +685,7 @@ class TileCache:
         eviction; readers that need only a few rows — an ego network —
         use the parts as they are instead of composing them.
         """
-        if t1 <= t0:
-            raise TileCacheError(f"empty query window [{t0}, {t1})")
-        if t0 < 0:
-            raise TileCacheError("query windows start at hour 0")
+        check_query_window(t0, t1)
         with self._lock:
             self._check_open()
             T = self.tile_hours

@@ -93,7 +93,6 @@ import numpy as np
 
 from ..analysis.degree import degree_distribution
 from ..analysis.ego import ego_from_parts
-from ..core.layers import LAYER_KINDS
 from ..core.tilecache import TileCache
 from ..obs import (
     NOOP_SPAN,
@@ -117,7 +116,7 @@ from ..errors import (
     ReproError,
     ServiceError,
 )
-from ..synthpop.places import PlaceKind, PlaceTable
+from ..synthpop.places import LAYER_KINDS, PlaceKind, PlaceTable
 from .admission import AdmissionController
 from .health import HealthMonitor
 from .resilience import PRIORITY_QUERY, Deadline, LoadShedder

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import PopulationError
 
-__all__ = ["PlaceKind", "PlaceTable"]
+__all__ = ["PlaceKind", "LAYER_KINDS", "PlaceTable"]
 
 
 class PlaceKind(enum.IntEnum):
@@ -26,6 +26,12 @@ class PlaceKind(enum.IntEnum):
     SCHOOL = 1
     WORKPLACE = 2
     OTHER = 3
+
+
+#: canonical lower-case layer names, in :class:`PlaceKind` order — the
+#: vocabulary of the place-masked tile caches and the network-query
+#: service's ``layer`` op
+LAYER_KINDS: tuple[str, ...] = tuple(kind.name.lower() for kind in PlaceKind)
 
 
 @dataclass

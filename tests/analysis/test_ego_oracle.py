@@ -39,10 +39,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import ego_from_parts, ego_network
 from repro.core import TileCache, synthesize_from_logs
-from repro.core.layers import LAYER_KINDS
 from repro.evlog import make_records, write_rank_logs
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
-from repro.synthpop.places import PlaceKind, PlaceTable
+from repro.synthpop.places import LAYER_KINDS, PlaceKind, PlaceTable
 from tests._oracle import brute_force_adjacency, brute_force_ego
 from tests.core.conftest import IMPLS, use_impl
 

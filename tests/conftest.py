@@ -45,6 +45,24 @@ def small_net(small_pop, week_result):
 
 
 @pytest.fixture(scope="session")
+def two_week_logs(tmp_path_factory, small_pop):
+    """Two weeks of the small world's events as four rank logs."""
+    from repro.distrib import DistributedSimulation, spatial_partition
+
+    d = tmp_path_factory.mktemp("two-week-logs")
+    cfg = SimulationConfig(
+        scale=small_pop.scale,
+        duration_hours=2 * repro.HOURS_PER_WEEK,
+        n_ranks=4,
+    )
+    part = spatial_partition(
+        small_pop.places.coords(), small_pop.places.capacity.astype(float), 4
+    )
+    DistributedSimulation(small_pop, cfg, part).run(log_dir=d)
+    return d
+
+
+@pytest.fixture(scope="session")
 def random_records():
     """Synthetic random (but valid) log records for format-level tests."""
     rng = np.random.default_rng(42)

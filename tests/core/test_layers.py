@@ -1,4 +1,11 @@
-"""Tests for place-kind network layers."""
+"""Tests for place-kind network layers.
+
+A layer is the collocation network of the contacts made at one kind of
+place: one :func:`~repro.core.pipeline.synthesize_network` over the
+records at places of that kind (what a ``TileCache(place_mask=)`` serves
+from logs).  Every record carries its place and every place has exactly
+one kind, so the layers decompose the full network exactly.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +13,24 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import layer_records, synthesize_layers
-from repro.errors import SynthesisError
-from repro.synthpop.places import PlaceKind
+from repro.core import synthesize_network
+from repro.synthpop.places import LAYER_KINDS, PlaceKind
+
+
+def kind_layers(pop, records, t0, t1):
+    """``{kind name: network}`` over the records at each place kind."""
+    kind = pop.places.kind[records["place"].astype(np.int64)]
+    return {
+        name: synthesize_network(
+            records[kind == int(PlaceKind[name.upper()])], pop.n_persons, t0, t1
+        )[0]
+        for name in LAYER_KINDS
+    }
 
 
 @pytest.fixture(scope="module")
 def layers(small_pop, week_result):
-    return synthesize_layers(
-        week_result.records,
-        small_pop.places,
-        small_pop.n_persons,
-        0,
-        repro.HOURS_PER_WEEK,
-    )
+    return kind_layers(small_pop, week_result.records, 0, repro.HOURS_PER_WEEK)
 
 
 class TestDecomposition:
@@ -31,27 +42,6 @@ class TestDecomposition:
         for net in layers.values():
             total = net if total is None else total + net
         assert (total.adjacency != small_net.adjacency).nnz == 0
-
-    def test_layer_records_partition(self, small_pop, week_result):
-        counts = sum(
-            len(layer_records(week_result.records, small_pop.places, kind))
-            for kind in PlaceKind
-        )
-        assert counts == len(week_result.records)
-
-    def test_layer_records_kind_pure(self, small_pop, week_result):
-        subset = layer_records(
-            week_result.records, small_pop.places, PlaceKind.SCHOOL
-        )
-        kinds = small_pop.places.kind[subset["place"].astype(np.int64)]
-        assert (kinds == int(PlaceKind.SCHOOL)).all()
-
-    def test_bad_place_id(self, small_pop):
-        from repro.evlog import make_records
-
-        bad = make_records([0], [1], [0], [0], [10**6])
-        with pytest.raises(SynthesisError):
-            layer_records(bad, small_pop.places, PlaceKind.HOME)
 
 
 class TestLayerStructure:
@@ -93,13 +83,7 @@ class TestLayerStructure:
         """Slicing a window with no school hours leaves an empty layer of
         the right shape (Sunday 3-5 AM)."""
         t0 = 6 * 24 + 3
-        layers = synthesize_layers(
-            week_result.records,
-            small_pop.places,
-            small_pop.n_persons,
-            t0,
-            t0 + 2,
-        )
+        layers = kind_layers(small_pop, week_result.records, t0, t0 + 2)
         assert layers["school"].n_edges == 0
         assert layers["school"].n_persons == small_pop.n_persons
         assert layers["home"].n_edges > 0

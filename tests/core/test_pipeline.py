@@ -7,10 +7,8 @@ import pytest
 
 import repro
 from repro.core import (
-    StreamingSynthesizer,
     TileCache,
     synthesize_from_logs,
-    synthesize_layers,
     synthesize_network,
     triu_symmetrize,
 )
@@ -199,7 +197,6 @@ class TestOnePath:
         for call in (
             lambda: synthesize_network(rec, 800, 0, 24, **knob),
             lambda: synthesize_from_logs(".", 800, 0, 24, **knob),
-            lambda: StreamingSynthesizer(800, **knob),
             lambda: TileCache(".", 800, **knob),
         ):
             with pytest.raises(TypeError):
@@ -222,14 +219,8 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_bad_batch_size(self, tmp_path, batch_size):
         with capture_spans() as spans:
-            for call in (
-                lambda: synthesize_from_logs(
-                    tmp_path, 10, 0, 24, batch_size=batch_size
-                ),
-                lambda: StreamingSynthesizer(10, batch_size=batch_size),
-            ):
-                with pytest.raises(SynthesisError, match="batch_size must be >= 1"):
-                    call()
+            with pytest.raises(SynthesisError, match="batch_size must be >= 1"):
+                synthesize_from_logs(tmp_path, 10, 0, 24, batch_size=batch_size)
         assert spans == []  # refused before the ``synthesize`` span opened
 
     @pytest.mark.parametrize(
@@ -241,7 +232,7 @@ class TestConfigurationErrors:
         ids=["reversed", "zero-length", "no-persons", "negative-persons"],
     )
     def test_empty_window_or_population(
-        self, tmp_path, small_pop, week_result, n_persons, t0, t1, message
+        self, tmp_path, week_result, n_persons, t0, t1, message
     ):
         """Refused at the root by every entry point, before any span opens
         and before a retrying pool could re-run the refusal in a worker."""
@@ -253,9 +244,6 @@ class TestConfigurationErrors:
                 for call in (
                     lambda: synthesize_from_logs(log_dir, n_persons, t0, t1, pool=pool),
                     lambda: synthesize_network(rec, n_persons, t0, t1),
-                    lambda: synthesize_layers(
-                        rec, small_pop.places, n_persons, t0, t1
-                    ),
                     lambda: shard_synthesize(log_dir, n_persons, t0, t1, n_shards=2),
                 ):
                     with pytest.raises(SynthesisError, match=message):

@@ -17,19 +17,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import (
-    StreamingSynthesizer,
-    TileCache,
-    synthesize_from_logs,
-    synthesize_layers,
-)
-from repro.core.layers import LAYER_KINDS
+from repro.core import TileCache, synthesize_from_logs
 from repro.core.tilecache import TILE_MANIFEST, logset_digest
 from repro.distrib import DistributedSimulation, spatial_partition
 from repro.errors import LogTruncatedError, TileCacheError
 from repro.evlog import LogSet
 from repro.evlog.multifile import salvage_rank_logs
-from repro.synthpop.places import PlaceKind
+from repro.synthpop.places import LAYER_KINDS, PlaceKind
+from tests._oracle import brute_force_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -328,19 +323,19 @@ class TestInvalidation:
 
 class TestWiring:
     def test_series_total_presized_fallback(self, tile_logs, small_pop):
-        """total() (one pre-sized accumulation) matches the whole-window
-        synthesis exactly."""
-        series = StreamingSynthesizer(small_pop.n_persons).process(
-            str(tile_logs), 2
-        )
-        total = series.total()
+        """Weekly networks summed (one :func:`sum_partials` pass under
+        ``+``) match the whole-window synthesis exactly."""
+        week1 = direct(tile_logs, small_pop.n_persons, 0, 168)
+        week2 = direct(tile_logs, small_pop.n_persons, 168, 336)
+        total = week1 + week2
         ref = direct(tile_logs, small_pop.n_persons, 0, 336)
         assert_bit_identical(total.adjacency, ref.adjacency)
         assert (total.t0, total.t1) == (0, 336)
 
     def test_layers_through_caches(self, tile_cache, tile_logs, small_pop):
         """One ``TileCache(place_mask=)`` per place kind — what the service
-        holds per layer — against in-memory layer synthesis."""
+        holds per layer — against the brute-force oracle over that kind's
+        records."""
         caches = {
             name: TileCache(
                 tile_logs,
@@ -351,15 +346,15 @@ class TestWiring:
         }
         try:
             layers = {k: c.query_window(10, 200) for k, c in caches.items()}
-            records = LogSet(tile_logs).read_all()
-            ref = synthesize_layers(
-                records, small_pop.places, small_pop.n_persons, 10, 200
-            )
-            assert set(layers) == set(ref)
-            for name in ref:
-                assert_bit_identical(
-                    layers[name].adjacency, ref[name].adjacency
+            rec = LogSet(tile_logs).read_all()
+            kind = small_pop.places.kind[rec["place"].astype(np.int64)]
+            for name, net in layers.items():
+                at = rec[kind == int(PlaceKind[name.upper()])]
+                truth = brute_force_adjacency(
+                    at["person"], at["place"], at["start"], at["stop"],
+                    small_pop.n_persons, 10, 200,
                 )
+                assert_bit_identical(net.adjacency, truth)
             # layer decomposition stays exact under the cache
             total = None
             for net in layers.values():

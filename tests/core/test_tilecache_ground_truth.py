@@ -3,8 +3,9 @@ held to the brute-force oracle.
 
 Every window :class:`~repro.core.tilecache.TileCache` composes — aligned
 tiles plus fringes, windows straddling tile and fringe edges, under an nnz
-budget tight enough to evict on every insert, and out of a persisted store
-reopened by a second cache — and every :func:`shard_synthesize` reduce over
+budget tight enough to evict on every insert, out of a persisted store
+reopened by a second cache, and over every place or only those a place
+mask admits (a place-kind layer) — and every :func:`shard_synthesize` reduce over
 1, 2 and 3 shards must equal ``tests/_oracle.py``'s reading of the paper's
 definition over the same records, on both kernel implementations.
 """
@@ -41,8 +42,10 @@ def windows(draw, world_window):
     return out
 
 
-def truths(per_rank, wins):
+def truths(per_rank, wins, place_mask=None):
     rec = np.concatenate(per_rank)
+    if place_mask is not None:
+        rec = rec[place_mask[rec["place"]]]
     return {
         w: brute_force_adjacency(
             rec["person"], rec["place"], rec["start"], rec["stop"], N_PERSONS, *w
@@ -52,14 +55,31 @@ def truths(per_rank, wins):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.data(), worlds(), st.sampled_from([1, 4, 24]), st.sampled_from([1, 16]))
-def test_tile_cache_matches_brute_force(data, world, tile_hours, budget):
-    """Unbounded, tightly budgeted and reopened-from-disk caches answer
-    every window — twice, so the second pass composes cached partials —
-    exactly as the oracle does."""
-    per_rank, t0, t1 = world
+@given(
+    st.data(),
+    st.none() | st.lists(
+        st.booleans(), min_size=len(MASKABLE_PLACES), max_size=len(MASKABLE_PLACES)
+    ),
+    st.sampled_from([1, 4, 24]),
+    st.sampled_from([1, 16]),
+)
+def test_tile_cache_matches_brute_force(data, admitted, tile_hours, budget):
+    """Unbounded, tightly budgeted and reopened-from-disk caches — over
+    every place, or over the places a mask admits (what a service layer
+    holds) — answer every window twice, so the second pass composes
+    cached partials, exactly as the oracle does over the admitted
+    places' records."""
+    # a mask is an array over place ids: a masked world keeps its ids
+    # small, an unmasked one keeps the uint32 edge
+    mask = None
+    if admitted is None:
+        per_rank, t0, t1 = data.draw(worlds())
+    else:
+        per_rank, t0, t1 = data.draw(worlds(places=MASKABLE_PLACES))
+        mask = np.zeros(MASKABLE_PLACES[-1] + 1, dtype=bool)
+        mask[np.array(MASKABLE_PLACES)[admitted]] = True
     wins = data.draw(windows((t0, t1)))
-    truth = truths(per_rank, wins)
+    truth = truths(per_rank, wins, mask)
     with tempfile.TemporaryDirectory() as tmp:
         logs, store = Path(tmp, "logs"), Path(tmp, "store")
         write_rank_logs(logs, per_rank)
@@ -67,7 +87,8 @@ def test_tile_cache_matches_brute_force(data, world, tile_hours, budget):
             with use_impl(impl):
                 for budget_nnz in (None, budget):
                     with TileCache(
-                        logs, N_PERSONS, tile_hours=tile_hours, budget_nnz=budget_nnz
+                        logs, N_PERSONS, tile_hours=tile_hours,
+                        budget_nnz=budget_nnz, place_mask=mask,
                     ) as cache:
                         for w in wins + wins:
                             net = cache.query_window(*w)
@@ -75,12 +96,14 @@ def test_tile_cache_matches_brute_force(data, world, tile_hours, budget):
                         if budget_nnz is not None:
                             assert cache.cached_nnz <= budget_nnz
                 with TileCache(
-                    logs, N_PERSONS, tile_hours=tile_hours, cache_dir=store / impl
+                    logs, N_PERSONS, tile_hours=tile_hours,
+                    cache_dir=store / impl, place_mask=mask,
                 ) as cache:
                     for w in wins:
                         cache.query_window(*w)
                 with TileCache(
-                    logs, N_PERSONS, tile_hours=tile_hours, cache_dir=store / impl
+                    logs, N_PERSONS, tile_hours=tile_hours,
+                    cache_dir=store / impl, place_mask=mask,
                 ) as reopened:
                     for w in wins:
                         net = reopened.query_window(*w)

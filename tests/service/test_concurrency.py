@@ -23,9 +23,9 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import numpy as np
 import pytest
 
-from repro.core import synthesize_layers
 from repro.errors import AdmissionError
 from repro.analysis import degree_distribution, ego_network
 from repro.evlog import LogSet
@@ -36,6 +36,8 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.protocol import decode_network
+from repro.synthpop.places import PlaceKind
+from tests._oracle import brute_force_adjacency
 
 from .conftest import assert_bit_identical
 
@@ -221,7 +223,8 @@ class TestCoalescing:
         self, service_logs, small_pop, direct_ref
     ):
         """Concurrent layer queries sum exactly to the full adjacency,
-        and each layer matches its own direct per-kind cache."""
+        and each layer matches the brute-force oracle over its kind's
+        records."""
         ref = direct_ref(0, 168)
         kinds = ["home", "school", "workplace", "other"]
 
@@ -243,15 +246,15 @@ class TestCoalescing:
         layers = asyncio.run(scenario())
         total = sum(net.adjacency for net in layers.values())
         assert (total != ref.adjacency).nnz == 0
-        expected = synthesize_layers(
-            LogSet(service_logs).read_all(),
-            small_pop.places,
-            small_pop.n_persons,
-            0,
-            168,
-        )
+        rec = LogSet(service_logs).read_all()
+        place_kind = small_pop.places.kind[rec["place"].astype(np.int64)]
         for kind, net in layers.items():
-            assert_bit_identical(net.adjacency, expected[kind].adjacency)
+            at = rec[place_kind == int(PlaceKind[kind.upper()])]
+            expected = brute_force_adjacency(
+                at["person"], at["place"], at["start"], at["stop"],
+                small_pop.n_persons, 0, 168,
+            )
+            assert_bit_identical(net.adjacency, expected)
 
 
 class TestAdmission:

@@ -11,6 +11,12 @@ import pytest
 
 from repro.cli import build_parser, main
 
+POOL_FLAGS_WITH_SHARDS = (
+    "error: --batch-size/--workers/--retries/--retry-delay are not "
+    "supported with --shards"
+)
+RETRIES_BELOW_ONE = "error: --retries must be >= 1 (1 disables retries)"
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -218,7 +224,8 @@ class TestFaultToleranceFlags:
         """--strict means the same thing for every kind of damage: a file a
         killed writer left without a trailer is refused by name — not
         silently recovered, not a TaskRetryError from the CLI's retrying
-        pool, not a traceback — with and without --shards."""
+        pool, not a traceback — with and without --shards, and by
+        ``query`` as by ``synthesize``."""
         import shutil
 
         _, world, logs, _ = workspace
@@ -235,6 +242,11 @@ class TestFaultToleranceFlags:
             assert capsys.readouterr().err == (
                 f"error: {victim}: no trailer (writer did not close)\n"
             )
+        assert main(["query", "--log-dir", str(torn), "--strict",
+                     "--population", str(world), "--window", "0", "24"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {victim}: no trailer (writer did not close)\n"
+        )
         assert main(["synthesize", "--log-dir", str(torn),
                      "--population", str(world), "--out", str(out)]) == 0
 
@@ -290,14 +302,26 @@ class TestFaultToleranceFlags:
          (["--shards", "-2"], "error: n_shards must be >= 1"),
          (["--shards", "2", "--profile"],
           "error: --checkpoint/--resume/--profile are not supported with "
-          "--shards")],
-        ids=["zero", "negative", "profile"],
+          "--shards"),
+         (["--shards", "2", "--workers", "0"], POOL_FLAGS_WITH_SHARDS),
+         (["--shards", "2", "--workers", "2"], POOL_FLAGS_WITH_SHARDS),
+         (["--shards", "2", "--retries", "1"], POOL_FLAGS_WITH_SHARDS),
+         (["--shards", "2", "--retry-delay", "0"], POOL_FLAGS_WITH_SHARDS),
+         (["--shards", "2", "--batch-size", "4"], POOL_FLAGS_WITH_SHARDS),
+         (["--retries", "0"], RETRIES_BELOW_ONE),
+         (["--shards", "2", "--retries", "0"], RETRIES_BELOW_ONE),
+         (["--retries", "-1", "--workers", "2"], RETRIES_BELOW_ONE)],
+        ids=["zero", "negative", "profile", "shards-workers-0",
+             "shards-workers-2", "shards-retries-1", "shards-retry-delay",
+             "shards-batch-size", "retries-0", "shards-retries-0",
+             "retries-negative"],
     )
     def test_bad_shards_input_is_an_error_not_ignored(
         self, workspace, tmp_path, capsys, argv, message
     ):
-        """A shard count below one, or a profile the sharded run cannot
-        take, is refused: no single-process fallback, no silent drop."""
+        """A shard count below one, a profile or a pool flag the sharded
+        run cannot take, or a retry count below one, is refused: no
+        single-process fallback, no silent drop."""
         _, world, logs, _ = workspace
         out = tmp_path / "never.npz"
         assert main(["synthesize", "--log-dir", str(logs), *argv,
@@ -307,6 +331,30 @@ class TestFaultToleranceFlags:
         assert captured.out == ""
         assert not out.exists()
         assert not out.with_suffix(".profile.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--workers", "0"], "error: n_workers must be >= 1"),
+         (["--tile-hours", "0"], "error: tile_hours must be positive"),
+         (["--budget-nnz", "0"], "error: budget_nnz must be positive (or None)"),
+         (["--window", "24", "0"], "error: empty query window [24, 0)"),
+         (["--window", "-24", "0"], "error: query windows start at hour 0")],
+        ids=["workers", "tile-hours", "budget-nnz", "reversed-window",
+             "negative-window"],
+    )
+    def test_bad_query_input_is_an_error_not_a_traceback(
+        self, workspace, tmp_path, capsys, argv, message
+    ):
+        """Every window is checked before the cache opens: nothing is
+        queried or written when any of them is bad."""
+        _, world, logs, _ = workspace
+        out = tmp_path / "never.npz"
+        assert main(["query", "--log-dir", str(logs), "--population", str(world),
+                     "--window", "0", "24", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["pool", "shards"])
     @pytest.mark.parametrize(
