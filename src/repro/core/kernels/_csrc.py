@@ -104,7 +104,8 @@ One kernel serves the distributed model (entry point in
 ``rk_rank_step``
     one rank-hour over a rank's hosted table: a single scan that reads
     the change plane row, closes the changers' spells as log records,
-    opens their next spells from the week grids, looks the new owner up,
+    opens their next spells from the hour's rows of the week, looks the
+    new owner up,
     compacts stayers in place and buckets leavers by destination — the
     compiled twin of the numpy step below its call.
 
@@ -124,7 +125,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 10
+C_SOURCE_VERSION = 11
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -887,9 +888,9 @@ typedef char rk_record_is_20_bytes[sizeof(rk_record) == 20 ? 1 : -1];
 /* One rank-hour of the distributed model: one scan over the n hosted
    rows of table, in hosted order.
 
-   changed is the hour's row of the change plane (one byte per person);
-   act / place are the week's (n_persons, width) grids and how the
-   hour's column; owner maps a place to its rank.  A row whose person
+   changed, act and place are the hour's rows of the week, hour-major:
+   one byte of the change plane, the activity (uint8) and the place
+   (uint32) per person; owner maps a place to its rank.  A row whose person
    did not change stays.  A changer's open spell is closed into records
    (stop = hour), its next spell is read from the grids, and it stays if
    this rank owns the new place, else leaves.  Stayers are compacted to
@@ -906,8 +907,7 @@ typedef char rk_record_is_20_bytes[sizeof(rk_record) == 20 ? 1 : -1];
    [0, hour); the table is unspecified after an error. */
 API int64_t rk_rank_step(
     rk_spell *table, int64_t n, const uint8_t *changed,
-    const uint8_t *act, const uint32_t *place, int64_t width, int64_t how,
-    const int32_t *owner,
+    const uint8_t *act, const uint32_t *place, const int32_t *owner,
     int64_t n_persons, int64_t n_places, int64_t n_ranks, int64_t rank,
     int64_t hour,
     rk_record *records, rk_spell *leavers, rk_spell *moved, int32_t *dest,
@@ -927,10 +927,9 @@ API int64_t rk_rank_step(
             rec->person = row.person;
             rec->activity = row.activity;
             rec->place = row.place;
-            const size_t cell = (size_t)row.person * (size_t)width + (size_t)how;
             row.spell_start = hour;
-            row.activity = act[cell];
-            row.place = place[cell];
+            row.activity = act[row.person];
+            row.place = place[row.person];
             if (row.place >= n_places) return -2;
             const int32_t to = owner[row.place];
             if (to < 0 || to >= n_ranks) return -3;

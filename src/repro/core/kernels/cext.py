@@ -137,9 +137,8 @@ class CompiledKernels:
         ]
         lib.rk_rank_step.restype = ctypes.c_int64
         lib.rk_rank_step.argtypes = (
-            [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
-            + [ctypes.c_int64] * 2 + [ctypes.c_void_p] + [ctypes.c_int64] * 5
-            + [ctypes.c_void_p] * 5
+            [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 4
+            + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 5
         )
         lib.rk_week_fill.restype = ctypes.c_int64
         lib.rk_week_fill.argtypes = (
@@ -594,7 +593,7 @@ class CompiledKernels:
         (``arr.ctypes.data``), not arrays: the step runs once per
         rank-hour and ``ndarray.ctypes`` costs microseconds an access, so
         :class:`repro.distrib.rankstep.HostedTable` resolves each address
-        once per week (grids, plane) or per growth (table, scratch),
+        once per week (hour rows, plane) or per growth (table, scratch),
         checks dtype, shape and contiguity there, and keeps the arrays
         alive."""
         return self._lib.rk_rank_step(*args)
@@ -804,15 +803,15 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     )
     table = np.array([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)], dtype=spell)
     changed = np.array([1, 0, 1], dtype=np.uint8)
-    act = np.array([[0, 3], [0, 0], [0, 4]], dtype=np.uint8)
-    place = np.array([[0, 1], [0, 0], [0, 0]], dtype=np.uint32)
+    act = np.array([3, 0, 4], dtype=np.uint8)  # hour 1's rows
+    place = np.array([1, 0, 0], dtype=np.uint32)
     owner = np.array([0, 1], dtype=np.int32)
     records = np.zeros((3, 5), dtype="<u4")
     leavers, moved = np.zeros(3, dtype=spell), np.zeros(3, dtype=spell)
     dest, out = np.zeros(3, dtype=np.int32), np.zeros(4, dtype=np.int64)
     n_rec = kernels.rank_step(
         table.ctypes.data, 3, changed.ctypes.data, act.ctypes.data,
-        place.ctypes.data, 2, 1, owner.ctypes.data, 3, 2, 2, 0, 1,
+        place.ctypes.data, owner.ctypes.data, 3, 2, 2, 0, 1,
         records.ctypes.data, leavers.ctypes.data, moved.ctypes.data,
         dest.ctypes.data, out.ctypes.data,
     )  # fmt: skip

@@ -82,11 +82,19 @@ class TrafficStats:
 class _SharedBoard:
     """Shared slots + a reusable barrier for one cluster.
 
+    The barrier is an arrival counter under one lock plus one gate lock
+    per rank, held shut while its rank is not passing: an arrival that
+    is not the last waits on its own gate, and the last arrival opens
+    every other gate and walks on.  A phase therefore costs each rank one
+    lock hand-off, where ``threading.Barrier`` wakes every waiter through
+    a shared condition.
+
     ``heartbeat_timeout`` arms a liveness deadline on every barrier phase:
     a rank that stops arriving (killed, hung) breaks the barrier for its
     siblings within the deadline instead of deadlocking them.  Per-rank
     arrival counts double as the failure detector — the ranks with the
-    fewest arrivals at detection time are the suspects.
+    fewest arrivals at detection time are the suspects.  Once broken
+    (a deadline passed, or :meth:`abort`), every ``sync`` raises at once.
     """
 
     def __init__(self, size: int, heartbeat_timeout: float | None = None) -> None:
@@ -99,7 +107,15 @@ class _SharedBoard:
         self.matrices: list[list[list[Any]]] = [
             [[None] * size for _ in range(size)] for _ in range(2)
         ]
-        self.barrier = threading.Barrier(size)
+        self._lock = threading.Lock()
+        self._arrived = 0
+        #: completed phases; a woken rank that sees it unchanged was
+        #: woken by :meth:`abort`
+        self._phase = 0
+        self._broken = False
+        self._gates = [threading.Lock() for _ in range(size)]
+        for gate in self._gates:
+            gate.acquire()
         # arrivals per rank; each rank writes only its own slot
         self.sync_counts: list[int] = [0] * size
 
@@ -108,17 +124,44 @@ class _SharedBoard:
         most = max(self.sync_counts)
         return [r for r, c in enumerate(self.sync_counts) if c < most]
 
-    def sync(self, rank: int | None = None) -> None:
-        if rank is not None:
-            self.sync_counts[rank] += 1
-        try:
-            self.barrier.wait(timeout=self.heartbeat_timeout)
-        except threading.BrokenBarrierError as exc:  # a rank died mid-collective
-            raise RankFailureError(
-                "cluster barrier broken (a rank failed or missed its "
-                "heartbeat deadline)",
-                suspects=self.suspects(),
-            ) from exc
+    def _failure(self) -> RankFailureError:
+        return RankFailureError(
+            "cluster barrier broken (a rank failed or missed its "
+            "heartbeat deadline)",
+            suspects=self.suspects(),
+        )
+
+    def abort(self) -> None:
+        """Break the barrier: every waiting and every later ``sync``
+        raises :class:`~repro.errors.RankFailureError`."""
+        with self._lock:
+            self._broken = True
+            # under the lock only a gate's owner can change it, and an
+            # owner can only shut an open gate: a shut gate is safe to open
+            for gate in self._gates:
+                if gate.locked():
+                    gate.release()
+
+    def sync(self, rank: int) -> None:
+        self.sync_counts[rank] += 1
+        with self._lock:
+            if self._broken:
+                raise self._failure()
+            phase = self._phase
+            self._arrived += 1
+            if self._arrived == self.size:
+                self._arrived = 0
+                self._phase += 1
+                for other, gate in enumerate(self._gates):
+                    if other != rank:
+                        gate.release()
+                return
+        timeout = -1 if self.heartbeat_timeout is None else self.heartbeat_timeout
+        if not self._gates[rank].acquire(timeout=timeout):
+            self.abort()  # a rank died mid-collective
+            raise self._failure()
+        if self._phase == phase:
+            raise self._failure()
 
 
 class Communicator:

@@ -9,7 +9,11 @@ belongs to another rank, its open activity spell migrates there through a
 metered all-to-all exchange.
 
 This is the one loop that writes event logs and simulation checkpoints,
-at any rank count: a serial run is a world of one rank.
+at any rank count: a serial run is a world of one rank.  A rank-hour
+costs its work: every rank skips, in lockstep, the hours in which nobody
+anywhere changes (no step, no exchange), the step reads the week
+hour-major, and a run that writes logs keeps per-rank counts and log
+offsets, never the records it wrote — its logs hold them.
 
 Invariant (tested): for the same population/seed the union of all ranks'
 event records equals the serial engine's event stream exactly, and one
@@ -24,6 +28,8 @@ import io
 import json
 import threading
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -35,15 +41,16 @@ from ..config import HOURS_PER_WEEK, SimulationConfig
 from ..core.kernels.cext import load_cext
 from ..errors import CheckpointError, RankDeadError, RankFailureError, SimulationError
 from ..evlog.multifile import rank_log_path
+from ..evlog.reader import LogReader
 from ..evlog.schema import LogRecordArray, empty_records
 from ..evlog.writer import CachedLogWriter
 from ..obs import count, observe, start_span
 from ..synthpop.generator import SyntheticPopulation
-from ..synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
+from ..synthpop.schedule import WeeklyScheduleGenerator
 from .comm import Communicator, TrafficStats
 from .migration import pack_migrants
 from .partition import PlacePartition
-from .rankstep import HostedTable
+from .rankstep import HostedTable, WeekRows
 from .simcluster import SimCluster
 
 __all__ = [
@@ -115,7 +122,11 @@ def read_manifest(
 def _save_dist_checkpoint(
     directory: Path, digest: str, next_hour: int, states: list[dict]
 ) -> None:
-    """Commit one collective snapshot: bulky npz first, manifest last."""
+    """Commit one collective snapshot: bulky npz first, manifest last.
+
+    A rank state's ``records`` is None in a run that writes logs: the log
+    up to ``writer_offset`` holds them, so the snapshot stores none.
+    """
     directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     offsets: list[int] = []
@@ -124,7 +135,8 @@ def _save_dist_checkpoint(
         arrays[f"start_{r}"] = st["spell_start"]
         arrays[f"act_{r}"] = st["spell_act"]
         arrays[f"place_{r}"] = st["spell_place"]
-        arrays[f"records_{r}"] = st["records"]
+        if st["records"] is not None:
+            arrays[f"records_{r}"] = st["records"]
         arrays[f"mig_{r}"] = st["migrations_out"]
         offsets.append(int(st["writer_offset"]))
     buf = io.BytesIO()
@@ -144,9 +156,18 @@ def _save_dist_checkpoint(
 
 
 def _load_dist_checkpoint(
-    directory: Path, digest: str, n_ranks: int
+    directory: Path, digest: str, n_ranks: int, with_records: bool = True
 ) -> tuple[int, list[dict]]:
-    """Load a collective snapshot; returns ``(next_hour, per-rank states)``."""
+    """Load a collective snapshot; returns ``(next_hour, per-rank states)``.
+
+    ``with_records`` loads each rank's ``records_{r}`` (a run without logs
+    resumes from them); otherwise a state's ``records`` is None, also when
+    the snapshot stores them (as one written before logged runs stopped
+    holding records does).  A snapshot that cannot be read — a damaged
+    npz, a manifest or npz missing what a rank needs — is a
+    :class:`~repro.errors.CheckpointError` naming the file.
+    """
+    manifest_path = directory / DIST_MANIFEST
     manifest = read_manifest(directory, DIST_MANIFEST, expected_digest=digest)
     if manifest.get("n_ranks") != n_ranks:
         raise CheckpointError(
@@ -158,71 +179,87 @@ def _load_dist_checkpoint(
         raise CheckpointError(
             f"manifest in {directory} has no {DIST_STATE} beside it"
         )
-    offsets = manifest["writer_offsets"]
+    try:
+        next_hour = int(manifest["next_hour"])
+        offsets = [int(o) for o in manifest["writer_offsets"]]
+        if len(offsets) != n_ranks:
+            raise ValueError(f"{len(offsets)} writer offsets for {n_ranks} ranks")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path} is malformed: {exc!r}"
+        ) from exc
     states: list[dict] = []
-    with np.load(state_path) as data:
-        for r in range(n_ranks):
-            states.append(
-                {
-                    "ids": data[f"ids_{r}"],
-                    "spell_start": data[f"start_{r}"],
-                    "spell_act": data[f"act_{r}"],
-                    "spell_place": data[f"place_{r}"],
-                    "records": data[f"records_{r}"],
-                    "migrations_out": data[f"mig_{r}"],
-                    "writer_offset": int(offsets[r]),
-                }
-            )
-    return int(manifest["next_hour"]), states
+    try:
+        with np.load(state_path) as data:
+            for r in range(n_ranks):
+                states.append(
+                    {
+                        "ids": data[f"ids_{r}"],
+                        "spell_start": data[f"start_{r}"],
+                        "spell_act": data[f"act_{r}"],
+                        "spell_place": data[f"place_{r}"],
+                        "records": data[f"records_{r}"] if with_records else None,
+                        "migrations_out": data[f"mig_{r}"],
+                        "writer_offset": offsets[r],
+                    }
+                )
+    except (
+        OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error
+    ) as exc:
+        raise CheckpointError(
+            f"checkpoint state {state_path} is unreadable: {exc!r}"
+        ) from exc
+    return next_hour, states
 
 
 class _ScheduleCache:
-    """Thread-shared lazy cache of week grids and their change planes.
+    """Thread-shared lazy cache of weeks as the rank step reads them.
 
     Models ranks reading the same deterministic schedule inputs; generating
     a week once and sharing it read-only across rank threads avoids
     duplicating the grid per rank in this in-process simulation.  A week's
     grids and plane come from one
     :meth:`~repro.synthpop.schedule.WeeklyScheduleGenerator.week_with_changes`
-    call.
+    call; the cache keeps them as :class:`~repro.distrib.rankstep.WeekRows`
+    (the plane, hour-major copies of the grids and which hours anybody
+    changes at) and lets the person-major grids go once copied.  At most
+    two weeks are resident, the one being built included: the current one
+    and its boundary week, whose last hour the next week's plane row 0
+    compares with.
     """
 
     def __init__(self, generator: WeeklyScheduleGenerator) -> None:
         self._generator = generator
         self._lock = threading.Lock()
-        self._weeks: dict[int, tuple[WeekGrid, np.ndarray]] = {}
+        self._weeks: dict[int, WeekRows] = {}
 
-    def _entry(self, index: int) -> tuple[WeekGrid, np.ndarray]:
+    def rows(self, index: int) -> WeekRows:
+        """Week ``index`` as the rank step reads it."""
         with self._lock:
-            entry = self._weeks.get(index)
-            if entry is None:
+            rows = self._weeks.get(index)
+            if rows is None:
+                for old in [k for k in self._weeks if k < index - 1]:
+                    del self._weeks[old]
                 previous = None
                 if index > 0:  # a resume can start past a week never cached
                     cached = self._weeks.get(index - 1)
                     previous = (
-                        cached[0] if cached
+                        cached.grid() if cached
                         else self._generator.week_with_changes(index - 1, None)[0]
                     )  # fmt: skip
-                entry = self._weeks[index] = self._generator.week_with_changes(
-                    index, previous
+                rows = self._weeks[index] = WeekRows.of(
+                    *self._generator.week_with_changes(index, previous)
                 )
-                # keep at most two weeks resident (current + boundary)
-                for old in [k for k in self._weeks if k < index - 1]:
-                    del self._weeks[old]
-        return entry
-
-    def week(self, index: int) -> WeekGrid:
-        return self._entry(index)[0]
-
-    def changes(self, index: int) -> np.ndarray:
-        """``WeekGrid.change_plane`` of week ``index``, hour-major."""
-        return self._entry(index)[1]
+        return rows
 
 
 @dataclass
 class _RankOutput:
     rank: int
-    records: LogRecordArray
+    #: what the rank emitted, when it wrote no log (None when it did)
+    records: LogRecordArray | None
+    #: how many records the rank emitted over the whole run
+    events: int
     migrations_out: np.ndarray  # per-hour counts
     hosted_final: int
     log_path: Path | None
@@ -236,15 +273,46 @@ class _RankOutput:
     #: what ran the rank-hour scan, and how many steps its twin took
     impl: str = ""
     twin_steps: int = 0
+    #: hours skipped because nobody anywhere changed at them
+    quiet_hours: int = 0
+
+
+def _hosted_at_start(
+    week: WeekRows, assignment: np.ndarray, rank: int
+) -> np.ndarray:
+    """The agents on ``rank``'s places at hour 0, as hosted rows (a
+    function, so the rank loop holds no reference to week 0)."""
+    ids = np.flatnonzero(assignment[week.place[0]] == rank)
+    return pack_migrants(
+        ids, np.zeros(len(ids), np.int64), week.activity[0][ids], week.place[0][ids]
+    )
+
+
+def _joined(parts: list[LogRecordArray]) -> LogRecordArray:
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts else empty_records(0)
+
+
+def _read_rank_log(path: Path) -> LogRecordArray:
+    with LogReader(path, strict=True) as reader:
+        return reader.read_all()
 
 
 @dataclass
 class DistributedRunResult:
-    """Everything a distributed run produced."""
+    """Everything a distributed run produced.
+
+    A run that wrote logs holds counts, not records: ``per_rank_records``
+    reads them back from ``log_paths`` on every access (nothing is
+    cached).  A run without logs holds its records in ``held_records``,
+    the only place they exist.
+    """
 
     n_ranks: int
     duration_hours: int
-    per_rank_records: list[LogRecordArray]
+    #: records each rank emitted
+    rank_events: list[int]
     migrations_per_hour: np.ndarray
     traffic: TrafficStats
     per_rank_traffic: list[TrafficStats] = field(default_factory=list)
@@ -256,6 +324,15 @@ class DistributedRunResult:
     #: what ran the rank-hour step: ``"cext"``, or ``"twin"`` when any
     #: rank stepped in numpy (as ``SynthesisReport.impl``)
     impl: str = ""
+    #: each rank's records, in memory (None: read them from ``log_paths``)
+    held_records: list[LogRecordArray] | None = None
+
+    @property
+    def per_rank_records(self) -> list[LogRecordArray]:
+        """Each rank's records in the order it emitted them."""
+        if self.held_records is not None:
+            return self.held_records
+        return [_read_rank_log(path) for path in self.log_paths]
 
     @property
     def total_migrations(self) -> int:
@@ -263,7 +340,7 @@ class DistributedRunResult:
 
     @property
     def total_events(self) -> int:
-        return sum(len(r) for r in self.per_rank_records)
+        return sum(self.rank_events)
 
     def merged_records(self) -> LogRecordArray:
         """All ranks' records, sorted by (person, start) — the canonical
@@ -276,7 +353,7 @@ class DistributedRunResult:
         return merged[order]
 
     def events_per_rank(self) -> list[int]:
-        return [len(r) for r in self.per_rank_records]
+        return list(self.rank_events)
 
 
 class DistributedSimulation:
@@ -344,20 +421,21 @@ class DistributedSimulation:
         ---------------
         With ``checkpoint_dir`` set and ``config.checkpoint_every_hours``
         configured, ranks commit a collective snapshot every N hours:
-        per-rank hosted agents, open spells, emitted records, and log-file
-        byte offsets are gathered to rank 0, which writes them atomically
-        (state npz first, manifest last).  With ``max_restarts > 0`` and the
-        default in-process cluster, a detected rank failure
+        per-rank hosted agents, open spells, migration counts and log-file
+        byte offsets (or, in a run without logs, the emitted records) are
+        gathered to rank 0, which writes them atomically (state npz first,
+        manifest last).  With ``max_restarts > 0`` and the default
+        in-process cluster, a detected rank failure
         (:class:`~repro.errors.RankFailureError`, raised when a rank misses
         its ``config.heartbeat_timeout`` deadline) triggers a supervised
         restart: a fresh cluster restores every rank from the last
         snapshot — truncating each rank's log back to the recorded offset —
         and replays.  ``fault_hook(comm, hour)`` runs at the top of every
-        rank-hour and exists for fault injection (call ``comm.die()`` to
-        simulate a hard kill); hooks must be stateful so they do not
-        re-kill after a restart.  A ``checkpoint_dir`` holding the serial
-        engine's old snapshot format (``sim_manifest.json``) and no
-        collective one is refused with
+        rank-hour, change-free ones included, and exists for fault
+        injection (call ``comm.die()`` to simulate a hard kill); hooks must
+        be stateful so they do not re-kill after a restart.  A
+        ``checkpoint_dir`` holding the serial engine's old snapshot format
+        (``sim_manifest.json``) and no collective one is refused with
         :class:`~repro.errors.CheckpointError` before any log is opened.
         """
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -393,7 +471,7 @@ class DistributedSimulation:
 
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
             rank = comm.rank
-            checkpoints = changes = 0
+            checkpoints = changes = quiet_hours = 0
             receive_seconds = 0.0
             if resume_state is not None:
                 rows = pack_migrants(
@@ -407,12 +485,7 @@ class DistributedSimulation:
                 )
                 start_hour = int(resume_state["next_hour"])
             else:
-                week = cache.week(0)
-                place0 = week.place[:, 0]
-                ids = np.flatnonzero(assignment[place0] == rank)
-                rows = pack_migrants(
-                    ids, np.zeros(len(ids), np.int64), week.activity[ids, 0], place0[ids]
-                )
+                rows = _hosted_at_start(cache.rows(0), assignment, rank)
                 migrations_out = np.zeros(duration, dtype=np.int64)
                 start_hour = 1
             hosted = HostedTable(
@@ -422,6 +495,9 @@ class DistributedSimulation:
 
             writer = None
             path = None
+            # what a run without logs emitted; a run that logs keeps none
+            # of it, its log holds it
+            records: list[LogRecordArray] = []
             if log_directory is not None:
                 path = rank_log_path(log_directory, rank)
                 if resume_state is not None:
@@ -439,14 +515,11 @@ class DistributedSimulation:
                         cache_records=cache_records,
                         durability=durability,
                     )
-            records: list[LogRecordArray] = []
-            if resume_state is not None and len(resume_state["records"]):
-                records.append(resume_state["records"])
-
-            def emit(rec: LogRecordArray) -> None:
-                records.append(rec)
-                if writer is not None:
-                    writer.log_batch(rec)
+                emit = writer.log_batch
+            else:
+                if resume_state is not None and len(resume_state["records"]):
+                    records.append(resume_state["records"])
+                emit = records.append
 
             killed = False
             tic = time.perf_counter()
@@ -456,20 +529,24 @@ class DistributedSimulation:
                         fault_hook(comm, hour)
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == start_hour:
-                        hosted.bind_week(
-                            cache.week(week_index), cache.changes(week_index)
-                        )
+                        week = cache.rows(week_index)
+                        hosted.bind_week(week)
 
-                    rec, payloads, n_leavers = hosted.step(hour)
-                    if rec is not None:
-                        changes += len(rec)
-                        emit(rec)
-                        if n_leavers:
-                            migrations_out[hour] = n_leavers
-                    arrivals = comm.alltoall(payloads)
-                    tic_receive = time.perf_counter()
-                    hosted.receive(arrivals)
-                    receive_seconds += time.perf_counter() - tic_receive
+                    if not week.active[hour_of_week]:
+                        # nobody anywhere changes: every rank skips the
+                        # step and the exchange alike
+                        quiet_hours += 1
+                    else:
+                        rec, payloads, n_leavers = hosted.step(hour)
+                        if rec is not None:
+                            changes += len(rec)
+                            emit(rec)
+                            if n_leavers:
+                                migrations_out[hour] = n_leavers
+                        arrivals = comm.alltoall(payloads)
+                        tic_receive = time.perf_counter()
+                        hosted.receive(arrivals)
+                        receive_seconds += time.perf_counter() - tic_receive
 
                     if (
                         ckpt_dir is not None
@@ -477,15 +554,13 @@ class DistributedSimulation:
                         and (hour + 1) % every == 0
                         and (hour + 1) < duration
                     ):
+                        held = None
                         if writer is not None:
                             # flush so the offset is a chunk boundary
                             writer.flush()
-                        merged = (
-                            np.concatenate(records)
-                            if len(records) > 1
-                            else (records[0] if records else empty_records(0))
-                        )
-                        records = [merged]
+                        else:
+                            held = _joined(records)
+                            records[:] = [held]
                         live = hosted.hosted()
                         state = {
                             # columns that own their memory: the table is
@@ -494,7 +569,7 @@ class DistributedSimulation:
                             "spell_start": live["spell_start"].copy(),
                             "spell_act": live["activity"].copy(),
                             "spell_place": live["place"].copy(),
-                            "records": merged,
+                            "records": held,
                             "migrations_out": migrations_out,
                             "writer_offset": (
                                 writer.offset if writer is not None else -1
@@ -520,13 +595,16 @@ class DistributedSimulation:
                 if writer is not None and not killed:
                     writer.close()
 
-            merged = (
-                np.concatenate(records) if len(records) > 1
-                else (records[0] if records else empty_records(0))
-            )
+            held = None
+            if writer is not None:
+                events = writer.stats.records
+            else:
+                held = _joined(records)
+                events = len(held)
             return _RankOutput(
                 rank=rank,
-                records=merged,
+                records=held,
+                events=events,
                 migrations_out=migrations_out,
                 hosted_final=hosted.count,
                 log_path=path,
@@ -537,13 +615,14 @@ class DistributedSimulation:
                 receive_seconds=receive_seconds,
                 impl=hosted.impl,
                 twin_steps=hosted.twin_steps,
+                quiet_hours=quiet_hours,
             )
 
         def traced_rank_fn(comm: Communicator, resume_state: dict | None):
             attrs = {"rank": comm.rank, "hours": duration - first_hour}
             with start_span("distrib.rank", run_span.context(), attrs) as span:
                 out = rank_fn(comm, resume_state)
-                span.set_attr("records", len(out.records))
+                span.set_attr("records", out.events)
                 span.set_attr("migrants", out.migrants)
                 return out
 
@@ -552,7 +631,7 @@ class DistributedSimulation:
             first_hour, resume_states = 1, None
             if ckpt_dir is not None and (ckpt_dir / DIST_MANIFEST).is_file():
                 first_hour, resume_states = _load_dist_checkpoint(
-                    ckpt_dir, digest, n_ranks
+                    ckpt_dir, digest, n_ranks, with_records=log_directory is None
                 )
                 for st in resume_states:
                     st["next_hour"] = first_hour
@@ -588,6 +667,7 @@ class DistributedSimulation:
         for o, traffic in zip(outputs, result.traffic):
             migrations += o.migrations_out
             count("distrib.rank_hours", duration - first_hour)
+            count("distrib.quiet_hours", o.quiet_hours)
             count("distrib.changes", o.changes)
             count("distrib.migrants_out", o.migrants)
             count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
@@ -598,7 +678,7 @@ class DistributedSimulation:
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,
-            per_rank_records=[o.records for o in outputs],
+            rank_events=[o.events for o in outputs],
             migrations_per_hour=migrations,
             traffic=result.total_traffic,
             per_rank_traffic=result.traffic,
@@ -606,4 +686,7 @@ class DistributedSimulation:
             restarts=restarts,
             checkpoints_written=outputs[0].checkpoints,
             impl="cext" if all(o.impl == "cext" for o in outputs) else "twin",
+            held_records=(
+                [o.records for o in outputs] if log_directory is None else None
+            ),
         )

@@ -5,13 +5,20 @@ A rank hosts the agents currently on its places as **one table**: a
 with a fill count, grown geometrically.  One rank-hour is **one scan** of
 that table (DESIGN.md §8a): read the shared change plane row, close the
 changers' spells as ``LOG_DTYPE`` records, open their next spells from the
-week grids, look the new owner up, compact stayers in place and bucket
-leavers by destination.  The scan runs in the C extension
+hour's rows of the week, look the new owner up, compact stayers in place
+and bucket leavers by destination.  The scan runs in the C extension
 (``rk_rank_step``) when it loaded, else in the numpy twin right below the
 call — same records, same table, same payloads, byte for byte.
+
+The step reads a week hour-major (:class:`WeekRows`): a changer's next
+spell is one read from the hour's activity row and one from its place row,
+each ``n_persons`` long, instead of two strided reads of the
+person-major grids.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records
 from ..synthpop.schedule import WeekGrid
 from .migration import MIGRANT_DTYPE, route_rows
 
-__all__ = ["HostedTable"]
+__all__ = ["HostedTable", "WeekRows"]
 
 _ROW_BYTES = MIGRANT_DTYPE.itemsize
 
@@ -33,6 +40,38 @@ _REFUSALS = {
     -3: "a place is owned by a rank outside the cluster",
     -4: "an open spell does not start before the hour that closes it",
 }
+
+
+@dataclass(frozen=True)
+class WeekRows:
+    """A week as the rank step reads it: hour-major.
+
+    ``plane`` is the week's change plane (``WeekGrid.change_plane``);
+    ``activity`` / ``place`` are contiguous ``(HOURS_PER_WEEK, n_persons)``
+    copies of the grids, so hour ``h`` of every person is one row;
+    ``active[h]`` is ``plane[h].any()``: whether anybody changes at ``h``.
+    """
+
+    week_index: int
+    plane: np.ndarray
+    activity: np.ndarray
+    place: np.ndarray
+    active: np.ndarray
+
+    @classmethod
+    def of(cls, week: WeekGrid, plane: np.ndarray) -> "WeekRows":
+        """``week``'s rows beside its change plane (two transposed copies)."""
+        return cls(
+            week.week_index,
+            plane,
+            np.ascontiguousarray(week.activity.T),
+            np.ascontiguousarray(week.place.T),
+            plane.any(axis=1),
+        )
+
+    def grid(self) -> WeekGrid:
+        """The week as a ``WeekGrid``: person-major views of the rows."""
+        return WeekGrid(self.week_index, self.activity.T, self.place.T)
 
 
 def _closed(rows: np.ndarray, stop: int) -> LogRecordArray:
@@ -83,8 +122,7 @@ class HostedTable:
         self._kernels = load_cext()
         #: the scan's ``out``: rows kept, then the n_ranks + 1 group bounds
         self._bounds = np.zeros(n_ranks + 2, dtype=np.int64)
-        self._week: WeekGrid | None = None
-        self._plane: np.ndarray | None = None
+        self._week: WeekRows | None = None
         self.table = np.empty(0, dtype=MIGRANT_DTYPE)
         self._reserve(len(rows))
         self.receive([rows])
@@ -171,32 +209,28 @@ class HostedTable:
 
     # -- the step --------------------------------------------------------------
 
-    def bind_week(self, week: WeekGrid, plane: np.ndarray) -> None:
-        """Point the step at a week's grids and change plane.
+    def bind_week(self, week: WeekRows) -> None:
+        """Point the step at a week's hour-major rows and change plane.
 
         Called when the week turns, not per hour: it validates what the
         scan indexes blindly and resolves the buffer addresses once.
         """
-        shape = (self.n_persons, HOURS_PER_WEEK)
-        if (
-            week.activity.shape != shape
-            or week.activity.dtype != np.uint8
-            or not week.activity.flags.c_contiguous
-            or week.place.shape != shape
-            or week.place.dtype != np.uint32
-            or not week.place.flags.c_contiguous
+        shape = (HOURS_PER_WEEK, self.n_persons)
+        for grid, dtype, what in (
+            (week.plane, np.bool_, "change plane"),
+            (week.activity, np.uint8, "activity rows"),
+            (week.place, np.uint32, "place rows"),
         ):
-            raise SimulationError("week grids do not fit the population")
-        if (
-            plane.shape != shape[::-1]
-            or plane.dtype != np.bool_
-            or not plane.flags.c_contiguous
-        ):
-            raise SimulationError("change plane does not fit the population")
-        self._week, self._plane = week, plane
+            if (
+                grid.shape != shape
+                or grid.dtype != dtype
+                or not grid.flags.c_contiguous
+            ):
+                raise SimulationError(f"week {what} do not fit the population")
+        self._week = week
         if self._kernels is not None:
             self._week_at = (
-                plane.ctypes.data,
+                week.plane.ctypes.data,
                 week.activity.ctypes.data,
                 week.place.ctypes.data,
                 self._assignment.ctypes.data,
@@ -227,9 +261,10 @@ class HostedTable:
             self.twin_steps += 1
             return self._step_twin(hour, how)
         plane_at, act_at, place_at, owner_at = self._week_at
+        row = how * self.n_persons  # cells before the hour's row
         n_records = self._kernels.rank_step(
-            self._table_at, self.count, plane_at + how * self.n_persons,
-            act_at, place_at, HOURS_PER_WEEK, how, owner_at,
+            self._table_at, self.count, plane_at + row, act_at + row,
+            place_at + 4 * row, owner_at,  # a place cell is 4 bytes
             self.n_persons, self.n_places, self.n_ranks, self.rank, hour,
             *self._buffers,
         )  # fmt: skip
@@ -268,13 +303,13 @@ class HostedTable:
         if len(ids) and int(ids.max()) >= self.n_persons:
             raise self._refusal(hour, -1)
         # open spells equal the grid at hour-1, so the plane row is the
-        # change test; only changers touch the grid
-        idx = np.flatnonzero(self._plane[how][ids])
+        # change test; only changers touch the hour's rows
+        idx = np.flatnonzero(week.plane[how][ids])
         if not len(idx):
             return None, payloads, 0
         closing = live[idx]
         who, start = closing["person"], closing["spell_start"]
-        new_place = week.place[who, how]
+        new_place = week.place[how][who]
         if ((start < 0) | (start >= hour)).any():
             raise self._refusal(hour, -4)
         if max(int(closing["place"].max()), int(new_place.max())) >= n_places:
@@ -283,7 +318,7 @@ class HostedTable:
         opened = np.empty(len(idx), dtype=MIGRANT_DTYPE)
         opened["person"] = who
         opened["spell_start"] = hour
-        opened["activity"] = week.activity[who, how]
+        opened["activity"] = week.activity[how][who]
         opened["place"] = new_place
         # every hosted agent sits on a place this rank owns, so only a
         # changer can leave

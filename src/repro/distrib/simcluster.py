@@ -11,9 +11,9 @@ Threads, not processes: the simulated cluster exists to *model* rank
 topology, place ownership, and communication volume.  Under the interpreter
 lock its ranks take turns, so it can never beat the serial engine on
 wall-clock; what it costs on top of the serial engine is measured
-(``distrib.overhead_ratio`` in ``benchmarks/e2e``: about 1.1x at 10 k
-persons on 4 ranks) and is kept low because every workload's world is built
-through it.  Real process-parallel speedup lives in
+(``distrib.overhead_ratio`` of a traced ``benchmarks/e2e`` ``simlog-month``
+run: about 1.4x at 10 k persons × 4 weeks on 4 ranks, one pinned cpu) and
+is kept low because every workload's world is built through it.  Real process-parallel speedup lives in
 :func:`~repro.distrib.shardsynth.shard_synthesize`.
 
 Failure semantics mirror a real MPI job: a rank raising an ordinary
@@ -116,7 +116,7 @@ class SimCluster:
             except BaseException as exc:  # noqa: BLE001 - rethrown below
                 with lock:
                     errors.append((rank, exc))
-                board.barrier.abort()
+                board.abort()
 
         if self.n_ranks == 1:
             # fast path, also keeps single-rank runs on the caller's stack
@@ -141,7 +141,7 @@ class SimCluster:
                 )
                 t.join(timeout=remaining)
                 if t.is_alive():
-                    board.barrier.abort()
+                    board.abort()
                     raise CommError(
                         f"rank thread {t.name} still running at the shared "
                         f"{timeout}s deadline"

@@ -10,6 +10,11 @@ checkpoints.  ``reference_step`` is one hour of that body on its own, for
 ``test_rank_step_property.py``; ``unpack_migrants`` is how it took in what
 arrived (the receive path ``HostedTable.receive`` replaced), for
 ``test_receive_property.py``.  Do not import any of them from ``src/``.
+
+It steps every hour, and holds every rank's records in memory also when
+it logs (``held_records``), as the loop did before change-free hours were
+skipped and logged runs stopped holding records; only the result and
+checkpoint-loading APIs it shares with ``dmodel`` were adapted.
 """
 
 from __future__ import annotations
@@ -144,7 +149,7 @@ class ReferenceDistributedSimulation(DistributedSimulation):
 
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
             rank = comm.rank
-            week = cache.week(0)
+            week = cache.rows(0).grid()
             checkpoints = 0
             if resume_state is not None:
                 ids = resume_state["ids"].astype(np.uint32).copy()
@@ -202,7 +207,7 @@ class ReferenceDistributedSimulation(DistributedSimulation):
                         fault_hook(comm, hour)
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == start_hour:
-                        week = cache.week(week_index)
+                        week = cache.rows(week_index).grid()
                     act_col = week.activity[:, hour_of_week]
                     place_col = week.place[:, hour_of_week]
 
@@ -323,6 +328,7 @@ class ReferenceDistributedSimulation(DistributedSimulation):
             return _RankOutput(
                 rank=rank,
                 records=merged,
+                events=len(merged),
                 migrations_out=migrations_out,
                 hosted_final=len(ids),
                 log_path=path,
@@ -370,11 +376,12 @@ class ReferenceDistributedSimulation(DistributedSimulation):
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,
-            per_rank_records=[o.records for o in outputs],
+            rank_events=[o.events for o in outputs],
             migrations_per_hour=migrations,
             traffic=result.total_traffic,
             per_rank_traffic=result.traffic,
             log_paths=[o.log_path for o in outputs if o.log_path is not None],
             restarts=restarts,
             checkpoints_written=outputs[0].checkpoints,
+            held_records=[o.records for o in outputs],
         )

@@ -101,6 +101,28 @@ class TestRankLogs:
         ]
         assert (merged_disk == res.merged_records()).all()
 
+    @pytest.mark.parametrize("n_ranks", [1, 4])
+    def test_read_back_equals_held_records_equals_serial(
+        self, pop, serial_sorted, tmp_path, n_ranks
+    ):
+        """A logged run holds counts and reads its records back from its
+        logs; they equal, record for record, the records a run without
+        logs holds in memory and the serial engine's."""
+        part = spatial_partition(
+            pop.places.coords(), pop.places.capacity.astype(float), n_ranks
+        )
+        sim = DistributedSimulation(pop, dist_config(pop, n_ranks), part)
+        logged = sim.run(log_dir=tmp_path)
+        held = sim.run()
+        assert logged.held_records is None and held.held_records is not None
+        assert logged.events_per_rank() == held.events_per_rank() == [
+            len(r) for r in held.held_records
+        ]
+        for a, b in zip(logged.per_rank_records, held.per_rank_records):
+            assert a.tobytes() == b.tobytes()
+        assert logged.merged_records().tobytes() == serial_sorted.tobytes()
+        assert held.merged_records().tobytes() == serial_sorted.tobytes()
+
     def test_rank_logs_only_own_places(self, pop, tmp_path):
         """Section III: each rank logs only activity on its own places."""
         part = spatial_partition(
@@ -154,23 +176,31 @@ class TestScheduleCache:
         generator = pop.schedule_generator()
         cache = _ScheduleCache(generator)
         for index in range(5):
-            grid = cache.week(index)
+            rows = cache.rows(index)
             want = generator.week(index)
+            grid = rows.grid()
+            assert grid.week_index == index
+            assert np.array_equal(grid.activity, want.activity)
             assert np.array_equal(grid.place, want.place)
             previous = generator.week(index - 1) if index else None
-            assert np.array_equal(cache.changes(index), want.change_plane(previous))
-            assert cache.week(index) is grid  # one generation, shared
-            # current + boundary week resident, each with its own plane
+            assert np.array_equal(rows.plane, want.change_plane(previous))
+            assert cache.rows(index) is rows  # one generation, shared
+            # the rows the step reads: hour-major copies of the same grids
+            for got, full in ((rows.activity, want.activity), (rows.place, want.place)):
+                assert got.flags.c_contiguous and got.dtype == full.dtype
+                assert np.array_equal(got, full.T)
+            assert np.array_equal(rows.active, rows.plane.any(axis=1))
+            # current + boundary week resident, each with its own rows
             assert sorted(cache._weeks) == list(range(max(0, index - 1), index + 1))
-            for kept, (kept_grid, _) in cache._weeks.items():
-                assert kept_grid.week_index == kept
+            for kept, kept_rows in cache._weeks.items():
+                assert kept_rows.week_index == kept
 
     def test_walking_weeks_generates_each_once(self, pop):
         counting = CountingGenerator(pop.schedule_generator())
         cache = _ScheduleCache(counting)
         for index in range(4):
-            cache.week(index)
-            cache.changes(index)
+            cache.rows(index)
+            cache.rows(index)
         assert counting.asked == [0, 1, 2, 3]
 
     def test_resume_past_an_uncached_week_still_compares_with_it(self, pop):
@@ -179,7 +209,7 @@ class TestScheduleCache:
         generator = pop.schedule_generator()
         counting = CountingGenerator(generator)
         cache = _ScheduleCache(counting)
-        plane = cache.changes(3)
+        plane = cache.rows(3).plane
         assert sorted(counting.asked) == [2, 3]
         assert np.array_equal(
             plane, generator.week(3).change_plane(generator.week(2))
@@ -237,6 +267,8 @@ class TestTelemetry:
         res, counters, _ = self.run_probed(pop)
         closing = pop.n_persons  # every agent's last spell closes at the end
         assert counters["distrib.rank_hours"] == 3 * 49
+        plane = pop.schedule_generator().week(0).change_plane(None)
+        assert counters["distrib.quiet_hours"] == 3 * int((~plane[1:50].any(axis=1)).sum())
         assert counters["distrib.changes"] == res.total_events - closing
         assert counters["distrib.migrants_out"] == res.total_migrations
         assert counters["distrib.alltoall_bytes"] == res.traffic.by_kind["alltoall"]
@@ -251,7 +283,9 @@ class TestTelemetry:
         monkeypatch.setattr(rankstep, "load_cext", lambda: None)
         res, counters, _ = self.run_probed(pop)
         assert res.impl == "twin"
-        assert counters["kernels.rank_step.twin"] == counters["distrib.rank_hours"]
+        assert counters["kernels.rank_step.twin"] == (
+            counters["distrib.rank_hours"] - counters["distrib.quiet_hours"]
+        )
 
     def test_receive_and_week_builds_are_observed(self, pop, monkeypatch):
         """Receive time once per rank from a local sum, one week build per

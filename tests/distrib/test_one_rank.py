@@ -60,17 +60,23 @@ def test_one_rank_writes_what_the_oracle_emits(impl, n_persons, seed, duration, 
         checkpoint_every_hours=every,
     )
     oracle = Simulation(pop, config).run().records
+    partition = round_robin_partition(pop.n_places, 1)
     with tempfile.TemporaryDirectory() as tmp:
-        result = DistributedSimulation(
-            pop, config, round_robin_partition(pop.n_places, 1)
-        ).run(
+        result = DistributedSimulation(pop, config, partition).run(
             log_dir=Path(tmp) / "logs",
             checkpoint_dir=Path(tmp) / "ck" if every else None,
         )
         logged = LogReader(result.log_paths[0]).read_all()
+        # a logged run reads its records back from the log
+        (read_back,) = result.per_rank_records
+        # a run without logs holds them (and its snapshots carry them)
+        held = DistributedSimulation(pop, config, partition).run(
+            checkpoint_dir=Path(tmp) / "ck-held" if every else None,
+        )
     if impl == "twin":
-        assert result.impl == "twin"
-    (records,) = result.per_rank_records
+        assert result.impl == held.impl == "twin"
+    (records,) = held.per_rank_records
     assert records.dtype == oracle.dtype
     assert records.tobytes() == oracle.tobytes()
-    assert logged.tobytes() == oracle.tobytes()
+    assert logged.tobytes() == read_back.tobytes() == oracle.tobytes()
+    assert result.total_events == held.total_events == len(oracle)

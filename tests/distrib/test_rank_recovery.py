@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.config import ScaleConfig, SimulationConfig
+from repro.config import HOURS_PER_WEEK, ScaleConfig, SimulationConfig
 from repro.distrib.dmodel import DistributedSimulation
 from repro.distrib.partition import PlacePartition
 from repro.distrib.simcluster import SimCluster
@@ -222,3 +226,88 @@ class TestSupervisedRecovery:
 
 class TestOneRankSupervisedRecovery(TestSupervisedRecovery):
     n_ranks = 1
+
+
+class TestKillAnywhere:
+    """A rank killed at any hour — a change-free one (no collective), a
+    snapshot hour, either side of the week boundary — and restarted from
+    the last snapshot leaves rank logs byte-equal to a run nobody killed,
+    and the records they read back equal a run without logs."""
+
+    HOURS = HOURS_PER_WEEK + 30
+    EVERY = 24
+
+    def config(self, n_ranks):
+        return _config(
+            n_ranks=n_ranks, duration_hours=self.HOURS,
+            checkpoint_every_hours=self.EVERY, heartbeat_timeout=1.0,
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self, pop, tmp_path_factory):
+        """Per rank count: the never-killed logs, the no-log records and
+        the hours worth drawing on purpose."""
+        generator = pop.schedule_generator()
+        planes = [
+            generator.week(0).change_plane(None),
+            generator.week(1).change_plane(generator.week(0)),
+        ]
+        quiet = [
+            h for h in range(1, self.HOURS)
+            if not planes[h // HOURS_PER_WEEK][h % HOURS_PER_WEEK].any()
+        ]
+        edges = list(range(self.EVERY - 1, self.HOURS, self.EVERY))
+        edges += [h + 1 for h in edges] + [HOURS_PER_WEEK - 1, HOURS_PER_WEEK]
+        out = {}
+        for n_ranks in (1, N_RANKS):
+            sim = DistributedSimulation(
+                pop, self.config(n_ranks), _partition(pop, n_ranks)
+            )
+            logs = tmp_path_factory.mktemp(f"never-killed-{n_ranks}")
+            sim.run(log_dir=logs, checkpoint_dir=logs / "ck")
+            logs_bytes = {p.name: p.read_bytes() for p in sorted(logs.glob("*.evl"))}
+            out[n_ranks] = (logs_bytes, sim.run().per_rank_records)
+        return out, quiet, sorted(set(edges) - {self.HOURS})
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("n_ranks", [1, N_RANKS])
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_killed_anywhere_logs_what_nobody_killed(
+        self, pop, reference, n_ranks, data
+    ):
+        by_ranks, quiet, edges = reference
+        logs_bytes, held = by_ranks[n_ranks]
+        hour = data.draw(
+            st.one_of(
+                st.integers(1, self.HOURS - 1),
+                st.sampled_from(quiet),
+                st.sampled_from(edges),
+            ),
+            label="kill hour",
+        )
+        victim = data.draw(st.integers(0, n_ranks - 1), label="killed rank")
+        fired = []
+
+        def hook(comm, at):
+            if at == hour and comm.rank == victim and not fired:
+                fired.append(at)
+                comm.die()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = Path(tmp) / "logs"
+            run = DistributedSimulation(
+                pop, self.config(n_ranks), _partition(pop, n_ranks)
+            ).run(
+                log_dir=logs, checkpoint_dir=Path(tmp) / "ck",
+                fault_hook=hook, max_restarts=2,
+            )
+            assert fired and run.restarts >= 1
+            written = {p.name: p.read_bytes() for p in sorted(logs.glob("*.evl"))}
+            assert written == logs_bytes
+            for a, b in zip(run.per_rank_records, held):
+                assert a.tobytes() == b.tobytes()

@@ -7,8 +7,12 @@ table against the shared change plane — in the C extension, or in its numpy
 twin when that is unavailable (CI runs this file once per implementation;
 the ``twin`` tests below mask the extension out so one process covers
 both).  Either must give the same bytes everywhere a run can be observed:
-rank logs, per-rank records, migration counts, per-rank traffic, and the
-snapshots a killed run resumes from.
+rank logs, per-rank records, migration counts, per-rank traffic bytes and
+messages, and the snapshots a killed run resumes from.  The production
+loop skips the hours at which nobody anywhere changes, so it makes
+exactly one collective fewer per rank and change-free hour than the
+reference, which steps every hour; and a logged run's snapshot stores no
+records (its log holds them).
 """
 
 from __future__ import annotations
@@ -48,14 +52,60 @@ def make_partition(pop, kind: str, n_ranks: int):
     return random_partition(pop.n_places, n_ranks, np.random.default_rng(3))
 
 
-def assert_same_run(new, ref, new_logs=None, ref_logs=None) -> None:
+def quiet_hours(pop, config, first: int = 1) -> int:
+    """Hours in ``[first, duration)`` at which nobody changes, counted from
+    the change planes."""
+    generator = pop.schedule_generator(config.schedule)
+    quiet, previous = 0, None
+    for index in range(-(-config.duration_hours // HOURS_PER_WEEK)):
+        week = generator.week(index)
+        hours = index * HOURS_PER_WEEK + np.arange(HOURS_PER_WEEK)
+        still = ~week.change_plane(previous).any(axis=1)
+        quiet += int((still & (hours >= first) & (hours < config.duration_hours)).sum())
+        previous = week
+    return quiet
+
+
+def assert_same_traffic(new, ref, skipped: int, unsent: int = 0) -> None:
+    """``new`` made ``skipped`` fewer collectives than ``ref`` and sent
+    what it sent, but for ``unsent`` bytes of records its snapshots did not
+    gather."""
+    assert new.messages_sent == ref.messages_sent
+    assert new.bytes_sent == ref.bytes_sent - unsent
+    assert new.collectives == ref.collectives - skipped
+    want = dict(ref.by_kind)
+    if unsent:
+        want["gather"] -= unsent
+    if "alltoall" not in new.by_kind:
+        # every stepped hour was change-free: no exchange was made at all
+        assert want.pop("alltoall") == 0
+    assert new.by_kind == want
+
+
+def assert_same_run(
+    new, ref, new_logs=None, ref_logs=None, *, quiet, snapshots=()
+) -> None:
+    """``quiet``: the change-free hours the final attempt stepped;
+    ``snapshots``: the hours it committed a snapshot at."""
     assert len(new.per_rank_records) == len(ref.per_rank_records)
     for rank, (a, b) in enumerate(zip(new.per_rank_records, ref.per_rank_records)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes(), f"rank {rank} records differ"
+    assert new.events_per_rank() == ref.events_per_rank()
     assert np.array_equal(new.migrations_per_hour, ref.migrations_per_hour)
-    assert new.per_rank_traffic == ref.per_rank_traffic
-    assert new.traffic == ref.traffic
+    # a logged run's snapshot gathers no records: a non-root rank ships
+    # those emitted before the snapshot hour (stop < hour) only to the
+    # reference's root
+    unsent = [0] * len(ref.per_rank_records)
+    if new.held_records is None:
+        for rank, records in enumerate(ref.per_rank_records[1:], start=1):
+            unsent[rank] = sum(records[records["stop"] < h].nbytes for h in snapshots)
+    assert len(new.per_rank_traffic) == len(ref.per_rank_traffic)
+    for a, b, bytes_unsent in zip(new.per_rank_traffic, ref.per_rank_traffic, unsent):
+        assert_same_traffic(a, b, quiet, bytes_unsent)
+    assert_same_traffic(
+        new.traffic, ref.traffic, quiet * len(new.per_rank_traffic), sum(unsent)
+    )
     if new_logs is not None:
         names = sorted(p.name for p in ref_logs.glob("*.evl"))
         assert names == sorted(p.name for p in new_logs.glob("*.evl"))
@@ -81,7 +131,7 @@ def test_step_matches_reference(pop, tmp_path, n_ranks, kind, duration, logged):
     new = DistributedSimulation(pop, config, partition).run(log_dir=new_logs)
     ref = ReferenceDistributedSimulation(pop, config, partition).run(log_dir=ref_logs)
     assert new.total_events > 0
-    assert_same_run(new, ref, new_logs, ref_logs)
+    assert_same_run(new, ref, new_logs, ref_logs, quiet=quiet_hours(pop, config))
 
 
 @pytest.fixture()
@@ -104,7 +154,9 @@ def test_twin_step_matches_reference(pop, tmp_path, twin, n_ranks, kind, duratio
         log_dir=tmp_path / "ref"
     )
     assert new.impl == "twin"
-    assert_same_run(new, ref, tmp_path / "new", tmp_path / "ref")
+    assert_same_run(
+        new, ref, tmp_path / "new", tmp_path / "ref", quiet=quiet_hours(pop, config)
+    )
 
 
 def kill_once_at(hour: int, rank: int):
@@ -121,6 +173,11 @@ def kill_once_at(hour: int, rank: int):
 def load_snapshot(directory):
     with np.load(directory / DIST_STATE) as data:
         return {key: data[key] for key in data.files}
+
+
+def without_records(snapshot) -> list[str]:
+    """The keys of ``snapshot`` a logged run's snapshot stores."""
+    return sorted(key for key in snapshot if not key.startswith("records_"))
 
 
 @pytest.mark.parametrize(
@@ -157,12 +214,16 @@ def test_killed_and_resumed_matches_reference(pop, tmp_path, kill_hour, resumes_
 
     new_snap, new, new_logs = results["new"]
     ref_snap, ref, ref_logs = results["ref"]
-    # the snapshot the killed runs left behind: same arrays, same dtypes
-    assert sorted(new_snap) == sorted(ref_snap)
-    for key in ref_snap:
+    # the snapshot the killed runs left behind: same arrays, same dtypes,
+    # but no records (the logs hold them up to the offsets)
+    assert sorted(new_snap) == without_records(ref_snap)
+    for key in new_snap:
         assert new_snap[key].dtype == ref_snap[key].dtype, key
         assert np.array_equal(new_snap[key], ref_snap[key]), key
-    assert_same_run(new, ref, new_logs, ref_logs)
+    assert_same_run(
+        new, ref, new_logs, ref_logs, quiet=quiet_hours(pop, config, resumes_at),
+        snapshots=range(resumes_at + 84, config.duration_hours, 84),
+    )
 
     # and neither differs from a run nobody killed
     clean_logs = tmp_path / "clean-logs"
@@ -212,10 +273,11 @@ def test_resumes_state_persisted_by_the_old_step(pop, tmp_path, request, impl):
         assert path.read_bytes() == (logs / path.name).read_bytes()
 
     # the snapshot the resumed run left at hour 180: the table derives the
-    # old columns from its fields
+    # old columns from its fields, and the log holds the records
     own, ref = load_snapshot(ckpt), load_snapshot(clean_ckpt)
-    assert sorted(own) == sorted(ref) == sorted(old_snapshot)
-    for key in ref:
+    assert sorted(ref) == sorted(old_snapshot)
+    assert sorted(own) == without_records(ref)
+    for key in own:
         assert own[key].dtype == ref[key].dtype == old_snapshot[key].dtype, key
         assert np.array_equal(own[key], ref[key]), key
 
@@ -240,7 +302,11 @@ def test_supervised_restart_matches_reference(pop, tmp_path):
         assert run.restarts == 1
         runs.append((run, logs))
     (new, new_logs), (ref, ref_logs) = runs
-    assert_same_run(new, ref, new_logs, ref_logs)
+    # the final attempt resumed from the snapshot at the week boundary
+    assert_same_run(
+        new, ref, new_logs, ref_logs, quiet=quiet_hours(pop, config, HOURS_PER_WEEK),
+        snapshots=[HOURS_PER_WEEK + 24],
+    )
 
 
 def test_fault_hook_runs_once_per_rank_hour(pop):

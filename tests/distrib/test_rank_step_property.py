@@ -20,7 +20,7 @@ from repro.config import HOURS_PER_WEEK
 from repro.core.kernels import cext
 from repro.distrib import rankstep
 from repro.distrib.migration import MIGRANT_DTYPE, pack_migrants
-from repro.distrib.rankstep import HostedTable
+from repro.distrib.rankstep import HostedTable, WeekRows
 from repro.errors import SimulationError
 from repro.synthpop.schedule import WeekGrid
 
@@ -52,7 +52,7 @@ def hosted_table(impl, rows, world):
         )
     assert table.impl == impl
     if "week" in world:
-        table.bind_week(world["week"], world["plane"])
+        table.bind_week(WeekRows.of(world["week"], world["plane"]))
     return table
 
 
@@ -241,13 +241,13 @@ def test_step_needs_its_week(impl):
     table = hosted_table(impl, np.zeros(2, dtype=MIGRANT_DTYPE), world)
     with pytest.raises(SimulationError, match="without its week"):
         table.step(1)
-    table.bind_week(week, week.change_plane(None))
+    table.bind_week(WeekRows.of(week, week.change_plane(None)))
     assert table.step(1) == (None, [None], 0)
     with pytest.raises(SimulationError, match="without its week"):
         table.step(HOURS_PER_WEEK)  # next week's first hour
     with pytest.raises(SimulationError, match="do not fit"):
         table.bind_week(
-            WeekGrid(0, week.activity[:1], week.place[:1]), week.change_plane(None)
+            WeekRows.of(WeekGrid(0, week.activity[:1], week.place[:1]), week.change_plane(None))
         )
     with pytest.raises(SimulationError, match="end of the run"):
         table.close_all(0)

@@ -59,7 +59,9 @@ HISTOGRAMS = {
 #: receive clocks) and once per week built (``sim.week_build_seconds``)
 SIM_COUNTERS = {
     f"distrib.{name}"
-    for name in ("alltoall_bytes", "changes", "migrants_out", "rank_hours")
+    for name in (
+        "alltoall_bytes", "changes", "migrants_out", "quiet_hours", "rank_hours"
+    )
 }
 SIM_TWIN_COUNTERS = {"kernels.rank_step.twin", "kernels.week_fill.twin"}
 SIM_HISTOGRAMS = {

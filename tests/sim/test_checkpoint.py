@@ -107,6 +107,50 @@ class TestSnapshotStore:
         with pytest.raises(CheckpointError, match="unreadable"):
             _load_dist_checkpoint(tmp_path, "d1", 1)
 
+    def test_logged_snapshot_stores_no_records(self, tmp_path):
+        """A run that logs keeps its records in the log up to the offset:
+        its snapshot carries none, and loading it asks for none."""
+        _save_dist_checkpoint(tmp_path, "d1", 12, [dict(self._state(), records=None)])
+        with np.load(tmp_path / DIST_STATE) as data:
+            assert "records_0" not in data.files
+        _, (state,) = _load_dist_checkpoint(tmp_path, "d1", 1, with_records=False)
+        assert state["records"] is None
+        with pytest.raises(CheckpointError, match=f"{DIST_STATE}.*records_0"):
+            _load_dist_checkpoint(tmp_path, "d1", 1, with_records=True)
+
+    def test_stored_records_are_ignored_when_not_asked_for(self, tmp_path):
+        _save_dist_checkpoint(tmp_path, "d1", 12, [self._state()])
+        _, (state,) = _load_dist_checkpoint(tmp_path, "d1", 1, with_records=False)
+        assert state["records"] is None
+
+    def test_truncated_state_is_a_checkpoint_error(self, tmp_path):
+        _save_dist_checkpoint(tmp_path, "d1", 12, [self._state()])
+        path = tmp_path / DIST_STATE
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(CheckpointError, match=DIST_STATE):
+            _load_dist_checkpoint(tmp_path, "d1", 1)
+
+    def test_manifest_without_offsets_is_a_checkpoint_error(self, tmp_path):
+        _save_dist_checkpoint(tmp_path, "d1", 12, [self._state()])
+        path = tmp_path / DIST_MANIFEST
+        manifest = json.loads(path.read_text())
+        del manifest["writer_offsets"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"{DIST_MANIFEST}.*writer_offsets"):
+            _load_dist_checkpoint(tmp_path, "d1", 1)
+
+    def test_state_missing_a_rank_is_a_checkpoint_error(self, tmp_path):
+        """A two-rank manifest over the arrays of one rank."""
+        _save_dist_checkpoint(tmp_path, "d1", 12, [self._state()] * 2)
+        one_rank = io.BytesIO()
+        with np.load(tmp_path / DIST_STATE) as data:
+            np.savez_compressed(
+                one_rank, **{k: data[k] for k in data.files if k.endswith("_0")}
+            )
+        (tmp_path / DIST_STATE).write_bytes(one_rank.getvalue())
+        with pytest.raises(CheckpointError, match=f"{DIST_STATE}.*ids_1"):
+            _load_dist_checkpoint(tmp_path, "d1", 2)
+
     def test_digest_covers_config_and_log(self):
         a = sim_checkpoint_digest(_config(), with_log=True)
         b = sim_checkpoint_digest(_config(), with_log=False)

@@ -118,9 +118,9 @@ class TestPipeline:
         assert "wrote metrics" in capsys.readouterr().out
         assert main(["metrics", "--file", str(snap)]) == 0
         out = capsys.readouterr().out
-        for name in ("distrib.rank_hours", "distrib.changes",
-                     "distrib.migrants_out", "distrib.alltoall_bytes",
-                     "distrib.rank_loop_seconds"):
+        for name in ("distrib.rank_hours", "distrib.quiet_hours",
+                     "distrib.changes", "distrib.migrants_out",
+                     "distrib.alltoall_bytes", "distrib.rank_loop_seconds"):
             assert name in out
 
     def test_synthesize_profile_is_the_registry_delta(
@@ -172,6 +172,25 @@ class TestPipeline:
 
 
 class TestFaultToleranceFlags:
+    def test_damaged_simulation_snapshot_is_an_error_not_a_traceback(
+        self, workspace, tmp_path, capsys
+    ):
+        """A ``dist_state.npz`` cut short beside its manifest: the rerun
+        that would resume from it prints one ``error:`` line and exits 2."""
+        _, world, _, _ = workspace
+        ckpt = tmp_path / "ck"
+        command = ["simulate", "--population", str(world), "--ranks", "2",
+                   "--log-dir", str(tmp_path / "logs"), "--weeks", "1",
+                   "--checkpoint", str(ckpt), "--checkpoint-every", "48"]
+        assert main(command) == 0
+        state = ckpt / "dist_state.npz"
+        state.write_bytes(state.read_bytes()[: state.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(command) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(state) in err[0]
+
     def test_checkpoint_then_resume(self, workspace, tmp_path, capsys):
         _, world, logs, _ = workspace
         ckpt = tmp_path / "ckpt"
