@@ -107,17 +107,20 @@ One kernel serves the distributed model (entry point in
     opens their next spells from the hour's rows of the week, looks the
     new owner up,
     compacts stayers in place and buckets leavers by destination — the
-    compiled twin of the numpy step below its call.
+    compiled twin of the numpy step below its call.  It takes one
+    preallocated argument block (addresses and sizes resolved when the
+    week is bound or the table grows).
 
 One kernel builds the schedule those steps read (entry point in
 :mod:`repro.synthpop.schedule`):
 
 ``rk_week_fill``
-    a week's ``activity`` / ``place`` grids from its blocks (school and
-    work shifts, then the drawn outings, in the order the numpy body
-    writes them), the forced home hours, the ``NO_PLACE`` refusal and the
-    hour-major change plane, in one call — the compiled twin of
-    ``WeeklyScheduleGenerator._fill_twin`` + ``WeekGrid.change_plane``.
+    a week's hour-major ``(168, n)`` ``activity`` / ``place`` rows from
+    its blocks (school and work shifts, then the drawn outings, in the
+    order the numpy body writes them), the forced home hours, the
+    ``NO_PLACE`` refusal and the hour-major change plane, in one call —
+    the compiled twin of ``WeeklyScheduleGenerator._fill_twin`` +
+    ``WeekGrid.change_plane``.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 11
+C_SOURCE_VERSION = 12
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -885,37 +888,77 @@ typedef struct {
 typedef char rk_spell_is_20_bytes[sizeof(rk_spell) == 20 ? 1 : -1];
 typedef char rk_record_is_20_bytes[sizeof(rk_record) == 20 ? 1 : -1];
 
-/* One rank-hour of the distributed model: one scan over the n hosted
-   rows of table, in hosted order.
+#define RK_DAY_HOURS 24
+#define RK_WEEK_HOURS (7 * RK_DAY_HOURS)
+#define RK_NO_PLACE 0xFFFFFFFFu
+#define RK_TILE 64
 
-   changed, act and place are the hour's rows of the week, hour-major:
-   one byte of the change plane, the activity (uint8) and the place
-   (uint32) per person; owner maps a place to its rank.  A row whose person
-   did not change stays.  A changer's open spell is closed into records
-   (stop = hour), its next spell is read from the grids, and it stays if
-   this rank owns the new place, else leaves.  Stayers are compacted to
-   the front of table in hosted order; leavers are written to leavers
-   grouped by destination rank, hosted order kept within a group.
+/* The slots of rk_rank_step's argument block (int64 each; an address is
+   stored as an integer).  The caller fills the block once and rewrites
+   only COUNT and HOUR per call; OUT is the first of n_ranks + 2 output
+   slots. */
+enum {
+    RK_STEP_TABLE, RK_STEP_COUNT, RK_STEP_PLANE, RK_STEP_ACT, RK_STEP_PLACE,
+    RK_STEP_OWNER, RK_STEP_N_PERSONS, RK_STEP_N_PLACES, RK_STEP_N_RANKS,
+    RK_STEP_RANK, RK_STEP_HOUR, RK_STEP_RECORDS, RK_STEP_LEAVERS,
+    RK_STEP_MOVED, RK_STEP_DEST, RK_STEP_OUT
+};
 
-   Outputs: out[0] = rows still hosted; out[1 .. n_ranks + 1] = group
-   bounds (rank r receives leavers[out[1 + r] : out[2 + r]]).  records,
-   leavers, moved (scratch rows) and dest (scratch int32) each hold n
+/* One rank-hour of the distributed model: one scan over the COUNT hosted
+   rows of TABLE, in hosted order.
+
+   PLANE, ACT and PLACE are the week, hour-major: (168, N_PERSONS) change
+   plane (one byte a person), activity (uint8) and place (uint32); the
+   scan reads row HOUR % 168 of each.  OWNER maps a place to its rank.  A
+   row whose person did not change stays.  A changer's open spell is
+   closed into RECORDS (stop = HOUR), its next spell is read from the
+   week's rows, and it stays if rank RANK owns the new place, else
+   leaves.  Stayers are compacted to the front of TABLE in hosted order;
+   leavers are written to LEAVERS grouped by destination rank, hosted
+   order kept within a group.
+
+   Outputs: OUT[0] = rows still hosted; OUT[1 .. N_RANKS + 1] = group
+   bounds (rank r receives leavers[OUT[1 + r] : OUT[2 + r]]).  RECORDS,
+   LEAVERS, MOVED (scratch rows) and DEST (scratch int32) each hold COUNT
    entries.  Returns the number of records written, or, writing nothing
-   out of bounds, -1 for a person >= n_persons, -2 for a place >=
-   n_places (hosted or in the grid), -3 for an owner outside
-   [0, n_ranks), -4 for an open spell that does not start inside
-   [0, hour); the table is unspecified after an error. */
-API int64_t rk_rank_step(
-    rk_spell *table, int64_t n, const uint8_t *changed,
-    const uint8_t *act, const uint32_t *place, const int32_t *owner,
-    int64_t n_persons, int64_t n_places, int64_t n_ranks, int64_t rank,
-    int64_t hour,
-    rk_record *records, rk_spell *leavers, rk_spell *moved, int32_t *dest,
-    int64_t *out) {
+   out of bounds, -1 for a person >= N_PERSONS, -2 for a place >=
+   N_PLACES (hosted or in the week), -3 for an owner outside
+   [0, N_RANKS), -4 for an open spell that does not start inside
+   [0, HOUR); the table is unspecified after an error. */
+API int64_t rk_rank_step(int64_t *args) {
+    rk_spell *table = (rk_spell *)(uintptr_t)args[RK_STEP_TABLE];
+    const int64_t n = args[RK_STEP_COUNT];
+    const int64_t n_persons = args[RK_STEP_N_PERSONS];
+    const int64_t n_places = args[RK_STEP_N_PLACES];
+    const int64_t n_ranks = args[RK_STEP_N_RANKS];
+    const int64_t rank = args[RK_STEP_RANK];
+    const int64_t hour = args[RK_STEP_HOUR];
+    const int64_t row0 = (hour % RK_WEEK_HOURS) * n_persons;
+    const uint8_t *changed = (const uint8_t *)(uintptr_t)args[RK_STEP_PLANE] + row0;
+    const uint8_t *act = (const uint8_t *)(uintptr_t)args[RK_STEP_ACT] + row0;
+    const uint32_t *place = (const uint32_t *)(uintptr_t)args[RK_STEP_PLACE] + row0;
+    const int32_t *owner = (const int32_t *)(uintptr_t)args[RK_STEP_OWNER];
+    rk_record *records = (rk_record *)(uintptr_t)args[RK_STEP_RECORDS];
+    rk_spell *leavers = (rk_spell *)(uintptr_t)args[RK_STEP_LEAVERS];
+    rk_spell *moved = (rk_spell *)(uintptr_t)args[RK_STEP_MOVED];
+    int32_t *dest = (int32_t *)(uintptr_t)args[RK_STEP_DEST];
+    int64_t *out = args + RK_STEP_OUT;
     int64_t *bounds = out + 1;
     int64_t kept = 0, n_rec = 0, n_gone = 0;
     for (int64_t r = 0; r <= n_ranks; r++) bounds[r] = 0;
     for (int64_t i = 0; i < n; i++) {
+        /* the hour's rows were last written when the week was built:
+           fetch the cells of the person 16 rows ahead, so the reads of
+           a changer's plane, activity and place cells hit the cache
+           (the row ahead is not yet compacted over) */
+        if (i + 16 < n) {
+            const uint32_t ahead = table[i + 16].person;
+            if (ahead < n_persons) {
+                __builtin_prefetch(changed + ahead);
+                __builtin_prefetch(act + ahead);
+                __builtin_prefetch(place + ahead);
+            }
+        }
         rk_spell row = table[i];
         if (row.person >= n_persons) return -1;
         if (changed[row.person]) {
@@ -956,43 +999,26 @@ API int64_t rk_rank_step(
     return n_rec;
 }
 
-/* x[0..7]: eight rows of eight bytes; on return byte c of x[r] is what
-   byte r of x[c] was (three rounds of block swaps) */
-static void rk_transpose8(uint64_t x[8]) {
-    static const uint64_t mask[3] = {
-        0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
-    for (int level = 0; level < 3; level++) {
-        const int step = 1 << level, shift = 8 << level;
-        for (int r = 0; r < 8; r++) {
-            if (r & step) continue;
-            const uint64_t t = ((x[r] >> shift) ^ x[r + step]) & mask[level];
-            x[r + step] ^= t;
-            x[r] ^= t << shift;
-        }
-    }
-}
+/* One week of schedules, written hour-major, RK_TILE persons at a time.
 
-#define RK_DAY_HOURS 24
-#define RK_WEEK_HOURS (7 * RK_DAY_HOURS)
-#define RK_NO_PLACE 0xFFFFFFFFu
-#define RK_TILE 64
+   act (uint8), place (uint32) and plane (bool, may be 0) are (168, n):
+   cell [h * n + p] is person p at hour h.  A tile of persons is built
+   hour-major on the stack and each of its hour rows stored once, so a
+   row of the grids is written RK_TILE cells at a time, never one cell a
+   person.
 
-/* One week of schedules, one person at a time.
+   Person p starts at home: activity 0 at household[p].  Then the
+   entries naming p are written in table order: entry k puts (what[k],
+   where[k]) on hours [start[k], start[k] + dur[k]) of the day, clipped
+   to the day, on every day d whose bit is set in days[k].  Days never
+   overlap, so a later entry overwrites an earlier one exactly where the
+   numpy body's later block does.  Then hours 0-6 and 23 of every day go
+   home.
 
-   Person p's row of the (n, 168) act (uint8) / place (uint32) grids
-   starts at home: activity 0 at household[p].  Then the entries naming
-   p are written in table order: entry k puts (what[k], where[k]) on
-   hours [start[k], start[k] + dur[k]) of the day, clipped to the day, on
-   every day d whose bit is set in days[k].  Days never overlap, so a
-   later entry overwrites an earlier one exactly where the numpy body's
-   later block does.  Then hours 0-6 and 23 of every day go home, and the
-   row is written out once.
-
-   plane, when given, is the hour-major (168, n) change plane:
    plane[h * n + p] is set where (act, place) of person p at hour h
-   differs from hour h - 1; row 0 compares with prev_act[p] /
-   prev_place[p] (the previous week's last hour) and is all zero
-   without them.  first (n + 1) and order (n_entries) are scratch.
+   differs from hour h - 1.  Row 0 is all zero: hour 0 is at home, and so
+   is the previous week's hour 167, so nobody changes at a week's first
+   hour.  first (n + 1) and order (n_entries) are scratch.
 
    Returns 0, or -1 when a cell holds NO_PLACE, -2 for an entry whose
    person is outside [0, n), -3 for more entries than int32 counts; the
@@ -1001,7 +1027,6 @@ API int64_t rk_week_fill(
     int64_t n, const uint32_t *household, int64_t n_entries,
     const int32_t *who, const uint8_t *days, const uint8_t *start,
     const uint8_t *dur, const uint8_t *what, const uint32_t *where,
-    const uint8_t *prev_act, const uint32_t *prev_place,
     uint8_t *act, uint32_t *place, uint8_t *plane,
     int32_t *first, int32_t *order) {
     /* a stable counting sort of the entries by person: person p's are
@@ -1014,62 +1039,53 @@ API int64_t rk_week_fill(
     }
     for (int64_t p = 0; p < n; p++) first[p + 1] += first[p];
     for (int64_t k = 0; k < n_entries; k++) order[first[who[k]]++] = (int32_t)k;
-    uint8_t a[RK_WEEK_HOURS];
-    uint32_t q[RK_WEEK_HOURS];
-    /* the change columns of RK_TILE persons, written into the plane as
-       8 x 8 byte blocks once the tile is full: one plane row per hour
-       and person would touch 168 pages a person */
-    uint8_t tile[RK_TILE][RK_WEEK_HOURS];
+    uint8_t a[RK_WEEK_HOURS][RK_TILE];
+    uint32_t q[RK_WEEK_HOURS][RK_TILE];
     int64_t e = 0;
-    for (int64_t p = 0; p < n; p++) {
-        const uint32_t home = household[p];
-        memset(a, 0, sizeof a);
-        for (int h = 0; h < RK_WEEK_HOURS; h++) q[h] = home;
-        for (; e < first[p]; e++) {
-            const int64_t k = order[e];
-            const int lo = start[k];
-            const int hi = lo + dur[k] < RK_DAY_HOURS ? lo + dur[k] : RK_DAY_HOURS;
-            for (unsigned m = days[k] & 0x7F; m; m &= m - 1) {
-                const int at = __builtin_ctz(m) * RK_DAY_HOURS;
-                for (int h = at + lo; h < at + hi; h++) {
-                    a[h] = what[k];
-                    q[h] = where[k];
+    for (int64_t p0 = 0; p0 < n; p0 += RK_TILE) {
+        const int64_t w = n - p0 < RK_TILE ? n - p0 : RK_TILE;
+        const uint32_t *home = household + p0;
+        for (int h = 0; h < RK_WEEK_HOURS; h++) {
+            memset(a[h], 0, RK_TILE);
+            for (int64_t j = 0; j < w; j++) q[h][j] = home[j];
+        }
+        for (int64_t j = 0; j < w; j++) {
+            for (; e < first[p0 + j]; e++) {
+                const int64_t k = order[e];
+                const int lo = start[k];
+                const int hi = lo + dur[k] < RK_DAY_HOURS ? lo + dur[k] : RK_DAY_HOURS;
+                for (unsigned m = days[k] & 0x7F; m; m &= m - 1) {
+                    const int at = __builtin_ctz(m) * RK_DAY_HOURS;
+                    for (int h = at + lo; h < at + hi; h++) {
+                        a[h][j] = what[k];
+                        q[h][j] = where[k];
+                    }
                 }
             }
-        }
-        for (int d = 0; d < 7; d++) {
-            for (int h = d * RK_DAY_HOURS; h < d * RK_DAY_HOURS + 7; h++) {
-                a[h] = 0;
-                q[h] = home;
-            }
-            a[d * RK_DAY_HOURS + 23] = 0;
-            q[d * RK_DAY_HOURS + 23] = home;
         }
         uint32_t missing = 0;
-        for (int h = 0; h < RK_WEEK_HOURS; h++) missing |= q[h] == RK_NO_PLACE;
-        if (missing) return -1;
-        memcpy(act + p * RK_WEEK_HOURS, a, sizeof a);
-        memcpy(place + p * RK_WEEK_HOURS, q, sizeof q);
-        if (plane == 0) continue;
-        const int64_t j = p % RK_TILE;
-        uint8_t *changed = tile[j];
-        changed[0] = prev_act != 0 && (a[0] != prev_act[p] || q[0] != prev_place[p]);
-        /* branch-free, so it vectorizes */
-        for (int h = 1; h < RK_WEEK_HOURS; h++)
-            changed[h] = ((a[h] ^ a[h - 1]) | (q[h] ^ q[h - 1])) != 0;
-        if (j == RK_TILE - 1) {
-            for (int i = 0; i < RK_TILE; i += 8) {
-                for (int h = 0; h < RK_WEEK_HOURS; h += 8) {
-                    uint64_t x[8];
-                    for (int r = 0; r < 8; r++) memcpy(&x[r], &tile[i + r][h], 8);
-                    rk_transpose8(x);
-                    for (int r = 0; r < 8; r++)
-                        memcpy(plane + (h + r) * n + p - j + i, &x[r], 8);
-                }
+        for (int h = 0; h < RK_WEEK_HOURS; h++) {
+            const int o = h % RK_DAY_HOURS;
+            if (o < 7 || o == 23) {
+                memset(a[h], 0, RK_TILE);
+                for (int64_t j = 0; j < w; j++) q[h][j] = home[j];
             }
-        } else if (p == n - 1) {
-            for (int h = 0; h < RK_WEEK_HOURS; h++)
-                for (int64_t i = 0; i <= j; i++) plane[h * n + p - j + i] = tile[i][h];
+            for (int64_t j = 0; j < w; j++) missing |= q[h][j] == RK_NO_PLACE;
+        }
+        if (missing) return -1;
+        /* one pass over the tile's hour rows: store them, and the plane
+           row against the hour before (branch-free, so it vectorizes) */
+        for (int h = 0; h < RK_WEEK_HOURS; h++) {
+            memcpy(act + h * n + p0, a[h], w);
+            memcpy(place + h * n + p0, q[h], 4 * w);
+            if (plane == 0) continue;
+            uint8_t *changed = plane + h * n + p0;
+            if (h == 0) {
+                memset(changed, 0, w);
+                continue;
+            }
+            for (int64_t j = 0; j < w; j++)
+                changed[j] = ((a[h][j] ^ a[h - 1][j]) | (q[h][j] ^ q[h - 1][j])) != 0;
         }
     }
     return 0;

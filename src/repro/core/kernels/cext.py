@@ -38,7 +38,17 @@ import numpy as np
 from ...obs import default_registry
 from ._csrc import C_SOURCE, C_SOURCE_VERSION
 
-__all__ = ["load_cext", "cext_error"]
+__all__ = ["load_cext", "cext_error", "STEP_SLOTS", "STEP_OUT"]
+
+#: ``rk_rank_step``'s argument block, slot by slot (the ``RK_STEP_*``
+#: enum of :mod:`._csrc`); ``n_ranks + 2`` output slots follow from
+#: ``STEP_OUT`` on: rows kept, then the leaver group bounds
+STEP_SLOTS = (
+    "table", "count", "plane", "act", "place", "owner", "n_persons",
+    "n_places", "n_ranks", "rank", "hour", "records", "leavers", "moved",
+    "dest",
+)  # fmt: skip
+STEP_OUT = len(STEP_SLOTS)
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
@@ -136,14 +146,11 @@ class CompiledKernels:
             ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I32, _I64,
         ]
         lib.rk_rank_step.restype = ctypes.c_int64
-        lib.rk_rank_step.argtypes = (
-            [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 4
-            + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 5
-        )
+        lib.rk_rank_step.argtypes = [ctypes.POINTER(ctypes.c_int64)]
         lib.rk_week_fill.restype = ctypes.c_int64
         lib.rk_week_fill.argtypes = (
             [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-            + [ctypes.c_void_p] * 13
+            + [ctypes.c_void_p] * 11
         )
 
     def col_stats(
@@ -587,22 +594,23 @@ class CompiledKernels:
             )
         )
 
-    def rank_step(self, *args: int) -> int:
-        """``rk_rank_step`` (arguments and return codes: the comment
-        above it in :mod:`._csrc`), called with buffer *addresses*
-        (``arr.ctypes.data``), not arrays: the step runs once per
-        rank-hour and ``ndarray.ctypes`` costs microseconds an access, so
-        :class:`repro.distrib.rankstep.HostedTable` resolves each address
-        once per week (hour rows, plane) or per growth (table, scratch),
-        checks dtype, shape and contiguity there, and keeps the arrays
-        alive."""
-        return self._lib.rk_rank_step(*args)
+    def rank_step(self, block: "ctypes.Array[ctypes.c_int64]") -> int:
+        """``rk_rank_step`` over its argument block (slots: ``STEP_SLOTS``;
+        semantics and return codes: the comment above it in :mod:`._csrc`),
+        a ``ctypes.c_int64`` array of ``STEP_OUT + n_ranks + 2`` slots
+        holding buffer *addresses* (``arr.ctypes.data``) and sizes.  The
+        step runs once per rank-hour and ``ndarray.ctypes`` costs
+        microseconds an access, so :class:`repro.distrib.rankstep.HostedTable`
+        fills the block once per week (week rows, plane) or per growth
+        (table, scratch), checks dtype, shape and contiguity there, keeps
+        the arrays alive, and rewrites only the ``count`` and ``hour``
+        slots per call."""
+        return self._lib.rk_rank_step(block)
 
     def week_fill(
         self,
         household: np.ndarray,
         entries: tuple[np.ndarray, ...],
-        previous: tuple[np.ndarray, np.ndarray] | None,
         act: np.ndarray,
         place: np.ndarray,
         plane: np.ndarray | None,
@@ -610,22 +618,17 @@ class CompiledKernels:
         """``rk_week_fill`` (semantics and return codes: the comment above
         it in :mod:`._csrc`): ``household`` uint32[n], ``entries`` the
         ``(who, days, start, dur, what, where)`` columns (int32, uint8 ×4,
-        uint32), ``previous`` the previous week's last hour as
-        ``(activity, place)`` columns (uint8[n], uint32[n]) or None;
-        writes the ``(n, 168)`` ``act`` / ``place`` grids and, unless
-        None, the ``(168, n)`` ``plane``.  Arrays that do not fit raise
-        ``ValueError`` before any pointer is passed."""
+        uint32); writes the hour-major ``(168, n)`` ``act`` / ``place``
+        rows and, unless None, the ``(168, n)`` ``plane``.  Arrays that do
+        not fit raise ``ValueError`` before any pointer is passed."""
         n, who = len(household), entries[0]
-        prev_act, prev_place = previous if previous is not None else (None, None)
         wanted = [
-            (household, np.uint32, (n,)), (act, np.uint8, (n, 168)),
-            (place, np.uint32, (n, 168)),
+            (household, np.uint32, (n,)), (act, np.uint8, (168, n)),
+            (place, np.uint32, (168, n)),
             *zip(entries, (np.int32, *[np.uint8] * 4, np.uint32), [who.shape] * 6),
         ]
         if plane is not None:
             wanted.append((plane, np.bool_, (168, n)))
-        if previous is not None:
-            wanted += [(prev_act, np.uint8, (n,)), (prev_place, np.uint32, (n,))]
         if len(entries) != 6 or not all(
             a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
             for a, dtype, shape in wanted
@@ -637,8 +640,6 @@ class CompiledKernels:
             self._lib.rk_week_fill(
                 len(household), household.ctypes.data, len(who),
                 *(column.ctypes.data for column in entries),
-                None if prev_act is None else prev_act.ctypes.data,
-                None if prev_place is None else prev_place.ctypes.data,
                 act.ctypes.data, place.ctypes.data,
                 None if plane is None else plane.ctypes.data,
                 first.ctypes.data, order.ctypes.data,
@@ -794,30 +795,32 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         raise RuntimeError(
             "compiled mirror / frontier / induced-sum kernel smoke test failed"
         )
-    # one rank-hour (hour 1 of a 2-hour week) on rank 0 of 2: person 0
-    # moves to place 1 (rank 1's) and leaves, person 1 does not change,
-    # person 2 changes activity at place 0 and stays, now second
+    # one rank-hour (hour 1) on rank 0 of 2 over a 3-person world:
+    # person 0 moves to place 1 (rank 1's) and leaves, person 1 does not
+    # change, person 2 changes activity at place 0 and stays, now second
     # (MIGRANT_DTYPE spelt out: core does not import distrib)
     spell = np.dtype(
         [("person", "<u4"), ("spell_start", "<i8"), ("activity", "<u4"), ("place", "<u4")]
     )
     table = np.array([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)], dtype=spell)
-    changed = np.array([1, 0, 1], dtype=np.uint8)
-    act = np.array([3, 0, 4], dtype=np.uint8)  # hour 1's rows
-    place = np.array([1, 0, 0], dtype=np.uint32)
+    changed = np.zeros((168, 3), dtype=np.uint8)  # the week, hour-major
+    act = np.zeros((168, 3), dtype=np.uint8)
+    place = np.zeros((168, 3), dtype=np.uint32)
+    changed[1], act[1], place[1] = [1, 0, 1], [3, 0, 4], [1, 0, 0]
     owner = np.array([0, 1], dtype=np.int32)
     records = np.zeros((3, 5), dtype="<u4")
     leavers, moved = np.zeros(3, dtype=spell), np.zeros(3, dtype=spell)
-    dest, out = np.zeros(3, dtype=np.int32), np.zeros(4, dtype=np.int64)
-    n_rec = kernels.rank_step(
+    dest = np.zeros(3, dtype=np.int32)
+    block = (ctypes.c_int64 * (STEP_OUT + 4))(
         table.ctypes.data, 3, changed.ctypes.data, act.ctypes.data,
         place.ctypes.data, owner.ctypes.data, 3, 2, 2, 0, 1,
         records.ctypes.data, leavers.ctypes.data, moved.ctypes.data,
-        dest.ctypes.data, out.ctypes.data,
+        dest.ctypes.data,
     )  # fmt: skip
+    n_rec = kernels.rank_step(block)
     if (
         n_rec != 2
-        or out.tolist() != [2, 0, 0, 1]
+        or block[STEP_OUT : STEP_OUT + 4] != [2, 0, 0, 1]
         or records[:2].tolist() != [[0, 1, 0, 0, 0], [0, 1, 2, 0, 0]]
         or table[:2].tolist() != [(1, 0, 0, 0), (2, 1, 4, 0)]
         or leavers[:1].tolist() != [(0, 1, 3, 1)]
@@ -826,21 +829,21 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     # one week of two persons at home (places 5 and 6): person 1 is at
     # place 7 (activity 2) from 9 to 11 on Tuesday, and at place 8 from
     # 22 to midnight on Monday, cut to 22 by the home hour 23
-    week_act = np.empty((2, 168), np.uint8)
-    week_place = np.empty((2, 168), np.uint32)
+    week_act = np.empty((168, 2), np.uint8)
+    week_place = np.empty((168, 2), np.uint32)
     plane = np.empty((168, 2), np.bool_)
     rc = kernels.week_fill(
         np.array([5, 6], np.uint32),
         (np.array([1, 1], np.int32), np.array([2, 1], np.uint8),
          np.array([9, 22], np.uint8), np.array([2, 5], np.uint8),
          np.array([2, 3], np.uint8), np.array([7, 8], np.uint32)),
-        None, week_act, week_place, plane,
+        week_act, week_place, plane,
     )  # fmt: skip
     if (
         rc != 0
-        or week_place[0].tolist() != [5] * 168
-        or np.flatnonzero(week_act[1]).tolist() != [22, 33, 34]
-        or week_place[1, [22, 23, 33, 34, 35]].tolist() != [8, 6, 7, 7, 6]
+        or week_place[:, 0].tolist() != [5] * 168
+        or np.flatnonzero(week_act[:, 1]).tolist() != [22, 33, 34]
+        or week_place[[22, 23, 33, 34, 35], 1].tolist() != [8, 6, 7, 7, 6]
         or np.argwhere(plane).tolist() != [[22, 1], [23, 1], [33, 1], [35, 1]]
     ):
         raise RuntimeError("compiled week-fill kernel smoke test failed")

@@ -12,8 +12,13 @@ This is the one loop that writes event logs and simulation checkpoints,
 at any rank count: a serial run is a world of one rank.  A rank-hour
 costs its work: every rank skips, in lockstep, the hours in which nobody
 anywhere changes (no step, no exchange), the step reads the week
-hour-major, and a run that writes logs keeps per-rank counts and log
-offsets, never the records it wrote — its logs hold them.
+hour-major as ``rk_week_fill`` wrote it, one week resident, and hands
+its closed spells to the log writer as raw rows; a run that writes logs
+keeps per-rank counts and log offsets, never the records it wrote — its
+logs hold them.  Each rank sums its step, log-append, exchange and
+receive clocks locally and records them once at the end
+(``distrib.step_seconds`` / ``log_seconds`` / ``exchange_seconds`` /
+``receive_seconds``), so where a month's time went comes from the registry.
 
 Invariant (tested): for the same population/seed the union of all ranks'
 event records equals the serial engine's event stream exactly, and one
@@ -42,7 +47,7 @@ from ..core.kernels.cext import load_cext
 from ..errors import CheckpointError, RankDeadError, RankFailureError, SimulationError
 from ..evlog.multifile import rank_log_path
 from ..evlog.reader import LogReader
-from ..evlog.schema import LogRecordArray, empty_records
+from ..evlog.schema import LogRecordArray, empty_records, records_from_bytes
 from ..evlog.writer import CachedLogWriter
 from ..obs import count, observe, start_span
 from ..synthpop.generator import SyntheticPopulation
@@ -213,44 +218,33 @@ def _load_dist_checkpoint(
 
 
 class _ScheduleCache:
-    """Thread-shared lazy cache of weeks as the rank step reads them.
+    """Thread-shared lazy cache of the week the rank step reads.
 
     Models ranks reading the same deterministic schedule inputs; generating
     a week once and sharing it read-only across rank threads avoids
     duplicating the grid per rank in this in-process simulation.  A week's
-    grids and plane come from one
+    hour-major rows and plane come from one
     :meth:`~repro.synthpop.schedule.WeeklyScheduleGenerator.week_with_changes`
-    call; the cache keeps them as :class:`~repro.distrib.rankstep.WeekRows`
-    (the plane, hour-major copies of the grids and which hours anybody
-    changes at) and lets the person-major grids go once copied.  At most
-    two weeks are resident, the one being built included: the current one
-    and its boundary week, whose last hour the next week's plane row 0
-    compares with.
+    call, kept as :class:`~repro.distrib.rankstep.WeekRows` (the plane, the
+    rows and which hours anybody changes at).  One week is cached: no week
+    needs the one before it (its plane's row 0 is all-false, both hours
+    being home), so a resume into week *w* builds week *w* alone.  A rank
+    still stepping the last hour of the old week holds it until it binds
+    the new one, so at most two are resident.
     """
 
     def __init__(self, generator: WeeklyScheduleGenerator) -> None:
         self._generator = generator
         self._lock = threading.Lock()
-        self._weeks: dict[int, WeekRows] = {}
+        self._week: WeekRows | None = None
 
     def rows(self, index: int) -> WeekRows:
         """Week ``index`` as the rank step reads it."""
         with self._lock:
-            rows = self._weeks.get(index)
-            if rows is None:
-                for old in [k for k in self._weeks if k < index - 1]:
-                    del self._weeks[old]
-                previous = None
-                if index > 0:  # a resume can start past a week never cached
-                    cached = self._weeks.get(index - 1)
-                    previous = (
-                        cached.grid() if cached
-                        else self._generator.week_with_changes(index - 1, None)[0]
-                    )  # fmt: skip
-                rows = self._weeks[index] = WeekRows.of(
-                    *self._generator.week_with_changes(index, previous)
-                )
-        return rows
+            if self._week is None or self._week.week_index != index:
+                self._week = None  # let the old week go before building
+                self._week = WeekRows.of(*self._generator.week_with_changes(index))
+            return self._week
 
 
 @dataclass
@@ -268,7 +262,12 @@ class _RankOutput:
     changes: int = 0
     migrants: int = 0
     loop_seconds: float = 0.0
-    #: of which ``HostedTable.receive``, summed over the hours
+    #: of which the step, the log append (or record keeping), the
+    #: ``alltoall`` with its barrier wait and ``HostedTable.receive``,
+    #: each summed over the rank's hours
+    step_seconds: float = 0.0
+    log_seconds: float = 0.0
+    exchange_seconds: float = 0.0
     receive_seconds: float = 0.0
     #: what ran the rank-hour scan, and how many steps its twin took
     impl: str = ""
@@ -472,7 +471,7 @@ class DistributedSimulation:
         def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
             rank = comm.rank
             checkpoints = changes = quiet_hours = 0
-            receive_seconds = 0.0
+            step_seconds = log_seconds = exchange_seconds = receive_seconds = 0.0
             if resume_state is not None:
                 rows = pack_migrants(
                     resume_state["ids"],
@@ -519,10 +518,14 @@ class DistributedSimulation:
             else:
                 if resume_state is not None and len(resume_state["records"]):
                     records.append(resume_state["records"])
-                emit = records.append
+
+                def emit(rows: np.ndarray) -> None:
+                    # the step's rows are its scratch: keep a copy
+                    records.append(records_from_bytes(rows.tobytes()))
 
             killed = False
-            tic = time.perf_counter()
+            clock = time.perf_counter
+            tic = clock()
             try:
                 for hour in range(start_hour, duration):
                     if fault_hook is not None:
@@ -537,16 +540,23 @@ class DistributedSimulation:
                         # step and the exchange alike
                         quiet_hours += 1
                     else:
+                        t_step = clock()
                         rec, payloads, n_leavers = hosted.step(hour)
+                        t_log = clock()
                         if rec is not None:
                             changes += len(rec)
                             emit(rec)
                             if n_leavers:
                                 migrations_out[hour] = n_leavers
+                        t_exchange = clock()
                         arrivals = comm.alltoall(payloads)
-                        tic_receive = time.perf_counter()
+                        t_receive = clock()
                         hosted.receive(arrivals)
-                        receive_seconds += time.perf_counter() - tic_receive
+                        t_done = clock()
+                        step_seconds += t_log - t_step
+                        log_seconds += t_exchange - t_log
+                        exchange_seconds += t_receive - t_exchange
+                        receive_seconds += t_done - t_receive
 
                     if (
                         ckpt_dir is not None
@@ -612,6 +622,9 @@ class DistributedSimulation:
                 changes=changes,
                 migrants=int(migrations_out[start_hour:].sum()),
                 loop_seconds=time.perf_counter() - tic,
+                step_seconds=step_seconds,
+                log_seconds=log_seconds,
+                exchange_seconds=exchange_seconds,
                 receive_seconds=receive_seconds,
                 impl=hosted.impl,
                 twin_steps=hosted.twin_steps,
@@ -672,6 +685,9 @@ class DistributedSimulation:
             count("distrib.migrants_out", o.migrants)
             count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
             observe("distrib.rank_loop_seconds", o.loop_seconds)
+            observe("distrib.step_seconds", o.step_seconds)
+            observe("distrib.log_seconds", o.log_seconds)
+            observe("distrib.exchange_seconds", o.exchange_seconds)
             observe("distrib.receive_seconds", o.receive_seconds)
             if o.twin_steps:
                 count("kernels.rank_step.twin", o.twin_steps)

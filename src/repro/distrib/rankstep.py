@@ -4,7 +4,7 @@ A rank hosts the agents currently on its places as **one table**: a
 ``MIGRANT_DTYPE`` array (person, open spell's start / activity / place)
 with a fill count, grown geometrically.  One rank-hour is **one scan** of
 that table (DESIGN.md §8a): read the shared change plane row, close the
-changers' spells as ``LOG_DTYPE`` records, open their next spells from the
+changers' spells as 20-byte log records, open their next spells from the
 hour's rows of the week, look the new owner up, compact stayers in place
 and bucket leavers by destination.  The scan runs in the C extension
 (``rk_rank_step``) when it loaded, else in the numpy twin right below the
@@ -13,25 +13,37 @@ call — same records, same table, same payloads, byte for byte.
 The step reads a week hour-major (:class:`WeekRows`): a changer's next
 spell is one read from the hour's activity row and one from its place row,
 each ``n_persons`` long, instead of two strided reads of the
-person-major grids.
+person-major grids.  A generated week already is hour-major
+(``rk_week_fill`` writes it so), so the rows are the week's own arrays.
+
+A rank-hour's bookkeeping around the scan is kept to a few Python
+operations: the kernel takes one preallocated argument block (only its
+``count`` and ``hour`` slots change per call), the closed spells leave as
+raw ``(k, 5)`` uint32 rows of the record scratch — what
+``CachedLogWriter.log_batch`` copies into its cache in one slice, with
+no structured-array round trip — and an arrival is one byte copy.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import HOURS_PER_WEEK
-from ..core.kernels.cext import load_cext
+from ..core.kernels.cext import STEP_OUT, STEP_SLOTS, load_cext
 from ..errors import CommError, SimulationError
-from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records
+from ..evlog.schema import LOG_FIELDS
 from ..synthpop.schedule import WeekGrid
 from .migration import MIGRANT_DTYPE, route_rows
 
 __all__ = ["HostedTable", "WeekRows"]
 
 _ROW_BYTES = MIGRANT_DTYPE.itemsize
+#: ``rk_rank_step``'s argument block slots the step reads or rewrites
+_COUNT, _HOUR = STEP_SLOTS.index("count"), STEP_SLOTS.index("hour")
+_BOUNDS = STEP_OUT + 1
 
 #: what ``rk_rank_step`` refuses, by return code (the twin raises the same)
 _REFUSALS = {
@@ -48,25 +60,26 @@ class WeekRows:
 
     ``plane`` is the week's change plane (``WeekGrid.change_plane``);
     ``activity`` / ``place`` are contiguous ``(HOURS_PER_WEEK, n_persons)``
-    copies of the grids, so hour ``h`` of every person is one row;
-    ``active[h]`` is ``plane[h].any()``: whether anybody changes at ``h``.
+    rows, so hour ``h`` of every person is one row; ``active[h]`` is
+    ``plane[h].any()``: whether anybody changes at ``h``.
     """
 
     week_index: int
     plane: np.ndarray
     activity: np.ndarray
     place: np.ndarray
-    active: np.ndarray
+    active: tuple[bool, ...]
 
     @classmethod
     def of(cls, week: WeekGrid, plane: np.ndarray) -> "WeekRows":
-        """``week``'s rows beside its change plane (two transposed copies)."""
+        """``week``'s rows beside its change plane: the generated week's
+        own hour-major arrays, a transposed copy of any other grid."""
         return cls(
             week.week_index,
             plane,
             np.ascontiguousarray(week.activity.T),
             np.ascontiguousarray(week.place.T),
-            plane.any(axis=1),
+            tuple(plane.any(axis=1).tolist()),
         )
 
     def grid(self) -> WeekGrid:
@@ -74,15 +87,15 @@ class WeekRows:
         return WeekGrid(self.week_index, self.activity.T, self.place.T)
 
 
-def _closed(rows: np.ndarray, stop: int) -> LogRecordArray:
-    """The open spells ``rows`` (``MIGRANT_DTYPE``) as records ending at
-    ``stop``."""
-    rec = empty_records(len(rows))
-    rec["start"] = rows["spell_start"]
-    rec["stop"] = stop
-    rec["person"] = rows["person"]
-    rec["activity"] = rows["activity"]
-    rec["place"] = rows["place"]
+def _closed(rows: np.ndarray, stop: int) -> np.ndarray:
+    """The open spells ``rows`` (``MIGRANT_DTYPE``) as raw record rows
+    (``(k, 5)`` uint32, ``LOG_FIELDS`` order) ending at ``stop``."""
+    rec = np.empty((len(rows), len(LOG_FIELDS)), dtype=np.uint32)
+    rec[:, 0] = rows["spell_start"]
+    rec[:, 1] = stop
+    rec[:, 2] = rows["person"]
+    rec[:, 3] = rows["activity"]
+    rec[:, 4] = rows["place"]
     return rec
 
 
@@ -120,9 +133,18 @@ class HostedTable:
         self.twin_steps = 0
         self._assignment = assignment
         self._kernels = load_cext()
-        #: the scan's ``out``: rows kept, then the n_ranks + 1 group bounds
-        self._bounds = np.zeros(n_ranks + 2, dtype=np.int64)
         self._week: WeekRows | None = None
+        self._block = None
+        if self._kernels is not None:
+            # the scan's arguments, outputs after them: rows kept, then
+            # the n_ranks + 1 group bounds; addresses are filled in by
+            # _reserve and bind_week
+            self._block = (ctypes.c_int64 * (STEP_OUT + n_ranks + 2))()
+            for slot, value in (
+                ("owner", assignment.ctypes.data), ("n_persons", n_persons),
+                ("n_places", self.n_places), ("n_ranks", n_ranks), ("rank", rank),
+            ):  # fmt: skip
+                self._block[STEP_SLOTS.index(slot)] = value
         self.table = np.empty(0, dtype=MIGRANT_DTYPE)
         self._reserve(len(rows))
         self.receive([rows])
@@ -145,34 +167,36 @@ class HostedTable:
         table = np.empty(capacity, dtype=MIGRANT_DTYPE)
         table[: self.count] = self.table[: self.count]
         self.table = table
-        self._raw = table.view(np.uint8)
-        if self._kernels is not None:
-            # per-step outputs of the scan, held as bytes: what a step
-            # keeps is copied out at exact size, and numpy copies bytes
-            # several times faster than structured rows
-            self._records = np.empty(capacity * LOG_DTYPE.itemsize, dtype=np.uint8)
+        #: the table's bytes: an arrival is one slice assignment into it
+        self._raw = memoryview(table.view(np.uint8))
+        if self._block is not None:
+            # per-step outputs of the scan: records as the raw rows the
+            # writer takes, leavers as bytes (copied out at exact size,
+            # and numpy copies bytes several times faster than structured
+            # rows)
+            self._records = np.empty((capacity, len(LOG_FIELDS)), dtype=np.uint32)
             self._leavers = np.empty(capacity * _ROW_BYTES, dtype=np.uint8)
             self._moved = np.empty(capacity * _ROW_BYTES, dtype=np.uint8)
             self._dest = np.empty(capacity, dtype=np.int32)
-            self._buffers = (
-                self._records.ctypes.data,
-                self._leavers.ctypes.data,
-                self._moved.ctypes.data,
-                self._dest.ctypes.data,
-                self._bounds.ctypes.data,
-            )
-            self._table_at = table.ctypes.data
+            for slot, array in (
+                ("table", table), ("records", self._records),
+                ("leavers", self._leavers), ("moved", self._moved),
+                ("dest", self._dest),
+            ):  # fmt: skip
+                self._block[STEP_SLOTS.index(slot)] = array.ctypes.data
 
     def receive(self, payloads: list[np.ndarray | None]) -> None:
         """Append what ``payloads`` carry, in list (source-rank) order.
 
         ``payloads`` is what ``alltoall`` hands a rank: None or a
         ``MIGRANT_DTYPE`` array per source.  Rows are copied as raw 20-byte
-        rows, with no structured assignment and no concatenation; a
-        payload of any other dtype is a protocol error
+        rows (``tobytes``, then one slice assignment into the table's
+        bytes), with no structured assignment, no buffer export and no
+        concatenation; a payload of any other dtype is a protocol error
         (:class:`~repro.errors.CommError`), never cast, and nothing is
         appended then.
         """
+        arrived = []
         nbytes = 0
         for payload in payloads:
             if payload is None:
@@ -186,20 +210,19 @@ class HostedTable:
                     f"{type(payload) if dtype is None else dtype}, "
                     f"expected {MIGRANT_DTYPE}"
                 )
-            nbytes += payload.nbytes
+            rows = payload.tobytes()
+            arrived.append(rows)
+            nbytes += len(rows)
         if not nbytes:
             return
         need = self.count + nbytes // _ROW_BYTES
         if need > len(self.table):
             self._reserve(need)
         at = self.count * _ROW_BYTES
-        for payload in payloads:
-            if payload is None:
-                continue
-            if not payload.flags.c_contiguous:
-                payload = np.ascontiguousarray(payload)
-            end = at + payload.nbytes
-            self._raw[at:end] = np.frombuffer(payload, np.uint8)
+        raw = self._raw
+        for rows in arrived:
+            end = at + len(rows)
+            raw[at:end] = rows
             at = end
         self.count = need
 
@@ -213,7 +236,8 @@ class HostedTable:
         """Point the step at a week's hour-major rows and change plane.
 
         Called when the week turns, not per hour: it validates what the
-        scan indexes blindly and resolves the buffer addresses once.
+        scan indexes blindly and writes the rows' addresses into the
+        argument block once.
         """
         shape = (HOURS_PER_WEEK, self.n_persons)
         for grid, dtype, what in (
@@ -228,53 +252,48 @@ class HostedTable:
             ):
                 raise SimulationError(f"week {what} do not fit the population")
         self._week = week
-        if self._kernels is not None:
-            self._week_at = (
-                week.plane.ctypes.data,
-                week.activity.ctypes.data,
-                week.place.ctypes.data,
-                self._assignment.ctypes.data,
-            )
+        if self._block is not None:
+            for slot, array in (
+                ("plane", week.plane), ("act", week.activity), ("place", week.place)
+            ):
+                self._block[STEP_SLOTS.index(slot)] = array.ctypes.data
 
     def _refusal(self, hour: int, code: int) -> SimulationError:
         return SimulationError(f"rank {self.rank}, hour {hour}: {_REFUSALS[code]}")
 
     def step(
         self, hour: int
-    ) -> tuple[LogRecordArray | None, list[np.ndarray | None], int]:
+    ) -> tuple[np.ndarray | None, list[np.ndarray | None], int]:
         """Move the hosted agents from ``hour - 1`` to ``hour``.
 
         Returns ``(records, payloads, n_leavers)``: the spells that closed
-        at ``hour`` (None when nobody changed; an array that owns its
-        exact-size memory otherwise), one payload per destination rank
-        (slices of one fresh array, None where nobody goes), and how many
-        agents left.  Malformed state — a person, place or owner out of
-        range, an open spell that starts at or after ``hour`` — raises
-        :class:`~repro.errors.SimulationError`.
+        at ``hour`` as raw ``(k, 5)`` uint32 rows in ``LOG_FIELDS`` order
+        (None when nobody changed; a view of the step's scratch, valid
+        until the next step — copy what is kept), one payload per
+        destination rank (slices of one fresh array, None where nobody
+        goes), and how many agents left.  Malformed state — a person,
+        place or owner out of range, an open spell that starts at or after
+        ``hour`` — raises :class:`~repro.errors.SimulationError`.
         """
-        week_index, how = divmod(hour, HOURS_PER_WEEK)
         if not 0 < hour < 2**32:
             raise SimulationError(f"hour {hour} outside the log's time range")
-        if self._week is None or self._week.week_index != week_index:
+        if self._week is None or self._week.week_index != hour // HOURS_PER_WEEK:
             raise SimulationError(f"hour {hour} stepped without its week bound")
-        if self._kernels is None:
+        block = self._block
+        if block is None:
             self.twin_steps += 1
-            return self._step_twin(hour, how)
-        plane_at, act_at, place_at, owner_at = self._week_at
-        row = how * self.n_persons  # cells before the hour's row
-        n_records = self._kernels.rank_step(
-            self._table_at, self.count, plane_at + row, act_at + row,
-            place_at + 4 * row, owner_at,  # a place cell is 4 bytes
-            self.n_persons, self.n_places, self.n_ranks, self.rank, hour,
-            *self._buffers,
-        )  # fmt: skip
-        payloads: list[np.ndarray | None] = [None] * self.n_ranks
-        if n_records < 0:
-            raise self._refusal(hour, n_records)
-        if n_records == 0:
-            return None, payloads, 0
-        self.count, *bounds = self._bounds.tolist()
+            return self._step_twin(hour, hour % HOURS_PER_WEEK)
+        block[_COUNT] = self.count
+        block[_HOUR] = hour
+        n_records = self._kernels.rank_step(block)
+        if n_records <= 0:
+            if n_records:
+                raise self._refusal(hour, n_records)
+            return None, [None] * self.n_ranks, 0
+        self.count = block[STEP_OUT]
+        bounds = block[_BOUNDS : _BOUNDS + self.n_ranks + 1]
         n_leavers = bounds[-1]
+        payloads: list[np.ndarray | None] = [None] * self.n_ranks
         if n_leavers:
             # a fresh array per hour: a sibling may still read last
             # hour's payload while this rank runs one alltoall ahead
@@ -286,15 +305,11 @@ class HostedTable:
             for r in range(self.n_ranks):
                 if bounds[r + 1] > bounds[r]:
                     payloads[r] = packed[bounds[r] : bounds[r + 1]]
-        # a copy, not a view: a retained view would pin the whole scratch
-        rec = np.frombuffer(
-            self._records[: n_records * LOG_DTYPE.itemsize].copy(), LOG_DTYPE
-        )
-        return rec, payloads, n_leavers
+        return self._records[:n_records], payloads, n_leavers
 
     def _step_twin(
         self, hour: int, how: int
-    ) -> tuple[LogRecordArray | None, list[np.ndarray | None], int]:
+    ) -> tuple[np.ndarray | None, list[np.ndarray | None], int]:
         """The numpy twin of ``rk_rank_step``."""
         week, n_places = self._week, self.n_places
         payloads: list[np.ndarray | None] = [None] * self.n_ranks
@@ -344,9 +359,10 @@ class HostedTable:
         live[first : self.count] = live[first:][keep]
         return rec, payloads, n_leavers
 
-    def close_all(self, stop: int) -> LogRecordArray:
-        """The open spells of every hosted agent as records ending at
-        ``stop`` (the end of the run); the table is left as it is."""
+    def close_all(self, stop: int) -> np.ndarray:
+        """The open spells of every hosted agent as raw record rows
+        (``(k, 5)`` uint32) ending at ``stop`` (the end of the run); the
+        table is left as it is."""
         live = self.hosted()
         start = live["spell_start"]
         if ((start < 0) | (start >= stop)).any() or not 0 < stop < 2**32:

@@ -12,8 +12,10 @@ topology, place ownership, and communication volume.  Under the interpreter
 lock its ranks take turns, so it can never beat the serial engine on
 wall-clock; what it costs on top of the serial engine is measured
 (``distrib.overhead_ratio`` of a traced ``benchmarks/e2e`` ``simlog-month``
-run: about 1.4x at 10 k persons × 4 weeks on 4 ranks, one pinned cpu) and
-is kept low because every workload's world is built through it.  Real process-parallel speedup lives in
+run: about 1.8x at 10 k persons × 4 weeks on 4 ranks, one pinned cpu —
+the serial engine reads a week's hour columns as contiguous rows, so it
+runs ≈ 0.13 s against the ranks' ≈ 0.21 s without logs) and is kept low
+because every workload's world is built through it.  Real process-parallel speedup lives in
 :func:`~repro.distrib.shardsynth.shard_synthesize`.
 
 Failure semantics mirror a real MPI job: a rank raising an ordinary

@@ -4,8 +4,15 @@ chiSIM drives agents with "a daily schedule for each person [that] specifies
 the activity and associated location with one-hour time resolution".  This
 module generates those schedules as dense weekly grids:
 
-* ``activity_grid``: ``(n_persons, 168) uint8`` activity codes;
-* ``place_grid``:    ``(n_persons, 168) uint32`` place ids.
+* ``activity``: ``(n_persons, 168) uint8`` activity codes;
+* ``place``:    ``(n_persons, 168) uint32`` place ids.
+
+A generated week is stored hour-major — ``(168, n_persons)`` rows, hour
+*h* of every person one contiguous row, the way the rank step and the
+serial engine read it — and ``WeekGrid.activity`` / ``.place`` are
+person-major views of those rows (``grid[p, h]`` reads person *p* at hour
+*h* either way).  One ``rk_week_fill`` call writes the rows and the
+week's change plane; nothing is transposed afterwards.
 
 A grid is deterministic in ``(seed, week_index)`` but *varies between weeks*
 (different outing choices), reproducing the paper's observation that yearly
@@ -52,7 +59,12 @@ _EVERY_WEEKDAY = sum(1 << day for day in WEEKDAYS)
 
 @dataclass
 class WeekGrid:
-    """One week of schedules for the whole population."""
+    """One week of schedules for the whole population.
+
+    ``activity`` / ``place`` are indexed ``[person, hour]``; a generated
+    week's are transposed views of hour-major rows (``activity.T`` is
+    C-contiguous), any other layout is accepted too.
+    """
 
     week_index: int
     activity: np.ndarray  # (n, 168) uint8
@@ -86,21 +98,24 @@ class WeekGrid:
 
         Row 0 compares against ``previous``'s last hour (all-false when
         there is no previous week).  Row *h* is contiguous, so a consumer
-        that walks hours reads one row per step.
+        that walks hours reads one row per step.  For generated weeks row
+        0 is all-false against any previous week: both hours are home.
         """
-        act, place = self.activity, self.place
+        # hour-major operands: rows of a generated week, a transposed view
+        # of any other grid
+        act, place = self.activity.T, self.place.T
         changed = np.zeros(act.shape, dtype=bool)
-        # in place: the three (n, 167) temporaries of the plain expression
+        # in place: the three (167, n) temporaries of the plain expression
         # double the build time
-        np.not_equal(act[:, 1:], act[:, :-1], out=changed[:, 1:])
-        changed[:, 1:] |= place[:, 1:] != place[:, :-1]
+        np.not_equal(act[1:], act[:-1], out=changed[1:])
+        changed[1:] |= place[1:] != place[:-1]
         if previous is not None:
             if previous.n_persons != self.n_persons:
                 raise ScheduleError("previous week covers another population")
-            changed[:, 0] = (act[:, 0] != previous.activity[:, -1]) | (
-                place[:, 0] != previous.place[:, -1]
+            changed[0] = (act[0] != previous.activity[:, -1]) | (
+                place[0] != previous.place[:, -1]
             )
-        return np.ascontiguousarray(changed.T)
+        return changed
 
 
 class WeeklyScheduleGenerator:
@@ -117,9 +132,11 @@ class WeeklyScheduleGenerator:
         week can be generated independently and reproducibly (ranks in a
         distributed run generate only the weeks they need).
 
-    A week is drawn in numpy and written by ``rk_week_fill`` in the C
-    extension when it loaded, else by the numpy twin (``_fill_twin``) —
-    same draws, same grids, byte for byte.
+    A week is drawn in numpy and written hour-major by ``rk_week_fill`` in
+    the C extension when it loaded, else by the numpy twin
+    (``_fill_twin``) — same draws, same rows, byte for byte.  Hours 0-6
+    and 23 of every day are home on both, so no week needs the one before
+    it: row 0 of every change plane is all-false.
     """
 
     def __init__(
@@ -150,14 +167,12 @@ class WeeklyScheduleGenerator:
         starts = self._work_start[workers]
         self._lunch_start = starts + config.work_hours // 2
         # the shift is a fixed-length block: workers grouped by start hour
-        # get it as one (rows, hour-slice) assignment per group and day —
+        # get it as one (hour-slice, rows) assignment per group and day —
         # a third of the cost of scattering it cell by cell
         self._shifts = []
         for shift_start in np.unique(starts):
             rows = workers[starts == shift_start]
-            self._shifts.append(
-                (int(shift_start), rows, persons.workplace[rows][:, None])
-            )
+            self._shifts.append((int(shift_start), rows, persons.workplace[rows]))
         # Per-person stable outing propensity: real populations mix
         # home-bodies (who collocate almost only with their household,
         # producing the paper's flat degree-1..7 head and the clustering-
@@ -288,8 +303,9 @@ class WeeklyScheduleGenerator:
         activity: "Activity | np.ndarray",
         place: np.ndarray,
     ) -> None:
-        """Write an activity block of per-person start/duration (vectorized
-        over persons; loops only over the ≤ max-duration offsets)."""
+        """Write an activity block of per-person start/duration into the
+        hour-major rows (vectorized over persons; loops only over the
+        ≤ max-duration offsets)."""
         base = day * HOURS_PER_DAY
         per_row = np.ndim(activity) > 0
         max_dur = int(duration.max(initial=0))
@@ -299,17 +315,18 @@ class WeeklyScheduleGenerator:
             ok = hour < (day + 1) * HOURS_PER_DAY  # clip to the day
             r = rows[mask][ok]
             h = hour[ok]
-            grid_act[r, h] = activity[mask][ok] if per_row else int(activity)
-            grid_place[r, h] = place[mask][ok]
+            grid_act[h, r] = activity[mask][ok] if per_row else int(activity)
+            grid_place[h, r] = place[mask][ok]
 
     def _fill_twin(self, week_index: int, rng: np.random.Generator) -> WeekGrid:
-        """The numpy body of the week: ``rk_week_fill``'s twin."""
+        """The numpy body of the week: ``rk_week_fill``'s twin, writing
+        the same hour-major rows."""
         persons = self.persons
         cfg = self.config
         n = len(persons)
-        act = np.zeros((n, HOURS_PER_WEEK), dtype=np.uint8)
-        place = np.empty((n, HOURS_PER_WEEK), dtype=np.uint32)
-        place[:] = persons.household[:, None]
+        act = np.zeros((HOURS_PER_WEEK, n), dtype=np.uint8)
+        place = np.empty((HOURS_PER_WEEK, n), dtype=np.uint32)
+        place[:] = persons.household
 
         students = self._students
         for day in WEEKDAYS:
@@ -317,35 +334,31 @@ class WeeklyScheduleGenerator:
             # --- school ---
             if len(students):
                 sl = slice(base + cfg.school_start, base + cfg.school_end)
-                act[students, sl] = int(Activity.AT_SCHOOL)
-                place[students, sl] = self._school[:, None]
+                act[sl, students] = int(Activity.AT_SCHOOL)
+                place[sl, students] = self._school
             # --- work ---
             for shift_start, rows, workplace in self._shifts:
                 sl = slice(base + shift_start, base + shift_start + cfg.work_hours)
-                act[rows, sl] = int(Activity.AT_WORK)
-                place[rows, sl] = workplace
+                act[sl, rows] = int(Activity.AT_WORK)
+                place[sl, rows] = workplace
         # --- lunch, after school, errands, evenings, weekends ---
         for block in self._outings(rng):
             self._set_block(act, place, *block)
 
-        # guarantee the day starts and ends at home so weeks chain cleanly
-        # (hours 0-6 and 23 of every day, through a (person, day, hour) view)
+        # every day starts and ends at home, so a week's hour 0 equals the
+        # previous week's hour 167 (hours 0-6 and 23 of every day, through
+        # a (day, hour, person) view)
         for grid, home in ((act, int(Activity.AT_HOME)), (place, persons.household)):
-            days = grid.reshape(n, 7, HOURS_PER_DAY)
-            days[:, :, :7] = np.reshape(home, (-1, 1, 1))
-            days[:, :, 23] = np.reshape(home, (-1, 1))
+            days = grid.reshape(7, HOURS_PER_DAY, n)
+            days[:, :7] = home
+            days[:, 23] = home
 
         if (place == NO_PLACE).any():
             raise ScheduleError("schedule grid contains NO_PLACE entries")
-        return WeekGrid(week_index=week_index, activity=act, place=place)
+        return WeekGrid(week_index=week_index, activity=act.T, place=place.T)
 
     def _fill(
-        self,
-        kernels,
-        week_index: int,
-        rng: np.random.Generator,
-        previous: WeekGrid | None,
-        changes: bool,
+        self, kernels, week_index: int, rng: np.random.Generator, changes: bool
     ) -> tuple[WeekGrid, np.ndarray | None]:
         """The week, and its change plane when ``changes``, from one
         ``rk_week_fill`` call over compact entry columns (int32 persons,
@@ -380,32 +393,22 @@ class WeeklyScheduleGenerator:
         # the pieces go before the grids are allocated
         del columns, who, days, start_at, hours, what, where
 
-        act = np.zeros((n, HOURS_PER_WEEK), dtype=np.uint8)
-        place = np.empty((n, HOURS_PER_WEEK), dtype=np.uint32)
-        plane = np.zeros((HOURS_PER_WEEK, n), dtype=np.bool_) if changes else None
-        last = None
-        if changes and previous is not None:
-            last = (
-                np.ascontiguousarray(previous.activity[:, -1]),
-                np.ascontiguousarray(previous.place[:, -1]),
-            )
-        rc = kernels.week_fill(self._household, entries, last, act, place, plane)
+        # every cell is written by the kernel: no zeroing pass
+        act = np.empty((HOURS_PER_WEEK, n), dtype=np.uint8)
+        place = np.empty((HOURS_PER_WEEK, n), dtype=np.uint32)
+        plane = np.empty((HOURS_PER_WEEK, n), dtype=np.bool_) if changes else None
+        rc = kernels.week_fill(self._household, entries, act, place, plane)
         if rc == -1:
             raise ScheduleError("schedule grid contains NO_PLACE entries")
         if rc:
             raise ScheduleError(f"rk_week_fill refused week {week_index} ({rc})")
-        return WeekGrid(week_index=week_index, activity=act, place=place), plane
+        return WeekGrid(week_index=week_index, activity=act.T, place=place.T), plane
 
     def _build(
-        self, week_index: int, previous: WeekGrid | None, changes: bool
+        self, week_index: int, changes: bool
     ) -> tuple[WeekGrid, np.ndarray | None]:
         if week_index < 0:
             raise ScheduleError("week_index must be >= 0")
-        if previous is not None:
-            if previous.n_persons != len(self.persons):
-                raise ScheduleError("previous week covers another population")
-            if previous.activity.dtype != np.uint8 or previous.place.dtype != np.uint32:
-                raise ScheduleError("previous week's grids must be uint8 / uint32")
         # imported here: the core package imports this one
         from ..core.kernels import cext
 
@@ -414,21 +417,20 @@ class WeeklyScheduleGenerator:
         kernels = cext.load_cext()
         if kernels is None:
             grid = self._fill_twin(week_index, rng)
-            plane = grid.change_plane(previous) if changes else None
+            plane = grid.change_plane(None) if changes else None
             count("kernels.week_fill.twin")
         else:
-            grid, plane = self._fill(kernels, week_index, rng, previous, changes)
+            grid, plane = self._fill(kernels, week_index, rng, changes)
         observe("sim.week_build_seconds", time.perf_counter() - tic)
         return grid, plane
 
     def week(self, week_index: int) -> WeekGrid:
         """Generate the grid for week ``week_index`` (0-based)."""
-        return self._build(week_index, None, changes=False)[0]
+        return self._build(week_index, changes=False)[0]
 
-    def week_with_changes(
-        self, week_index: int, previous: WeekGrid | None
-    ) -> tuple[WeekGrid, np.ndarray]:
-        """Week ``week_index`` and its change plane against ``previous``
-        (:meth:`WeekGrid.change_plane`: hour-major, row 0 against
-        ``previous``'s last hour, all-false without one), built together."""
-        return self._build(week_index, previous, changes=True)
+    def week_with_changes(self, week_index: int) -> tuple[WeekGrid, np.ndarray]:
+        """Week ``week_index`` and its change plane
+        (:meth:`WeekGrid.change_plane`, hour-major), built together.  Row
+        0 is all-false, and equals the plane against the previous week: a
+        week ends and starts at home."""
+        return self._build(week_index, changes=True)

@@ -166,9 +166,9 @@ class CountingGenerator:
         self.generator = generator
         self.asked: list[int] = []
 
-    def week_with_changes(self, index, previous):
+    def week_with_changes(self, index):
         self.asked.append(index)
-        return self.generator.week_with_changes(index, previous)
+        return self.generator.week_with_changes(index)
 
 
 class TestScheduleCache:
@@ -178,22 +178,17 @@ class TestScheduleCache:
         for index in range(5):
             rows = cache.rows(index)
             want = generator.week(index)
-            grid = rows.grid()
-            assert grid.week_index == index
-            assert np.array_equal(grid.activity, want.activity)
-            assert np.array_equal(grid.place, want.place)
+            assert rows.week_index == index
             previous = generator.week(index - 1) if index else None
             assert np.array_equal(rows.plane, want.change_plane(previous))
             assert cache.rows(index) is rows  # one generation, shared
-            # the rows the step reads: hour-major copies of the same grids
+            # the rows the step reads: hour-major, the same grids
             for got, full in ((rows.activity, want.activity), (rows.place, want.place)):
                 assert got.flags.c_contiguous and got.dtype == full.dtype
                 assert np.array_equal(got, full.T)
             assert np.array_equal(rows.active, rows.plane.any(axis=1))
-            # current + boundary week resident, each with its own rows
-            assert sorted(cache._weeks) == list(range(max(0, index - 1), index + 1))
-            for kept, kept_rows in cache._weeks.items():
-                assert kept_rows.week_index == kept
+            # one week resident in the cache: no boundary week is kept
+            assert cache._week is rows
 
     def test_walking_weeks_generates_each_once(self, pop):
         counting = CountingGenerator(pop.schedule_generator())
@@ -204,13 +199,15 @@ class TestScheduleCache:
         assert counting.asked == [0, 1, 2, 3]
 
     def test_resume_past_an_uncached_week_still_compares_with_it(self, pop):
-        """Row 0 of week 3's plane looks at week 2's last hour even when
-        the cache never held week 2 (a resumed run starts there)."""
+        """Week 3's plane equals its plane against week 2's last hour when
+        the cache never held week 2 (a resumed run starts there), and week
+        2 is not built for it: row 0 is all-false, both hours are home."""
         generator = pop.schedule_generator()
         counting = CountingGenerator(generator)
         cache = _ScheduleCache(counting)
         plane = cache.rows(3).plane
-        assert sorted(counting.asked) == [2, 3]
+        assert counting.asked == [3]
+        assert not plane[0].any()
         assert np.array_equal(
             plane, generator.week(3).change_plane(generator.week(2))
         )
@@ -243,7 +240,7 @@ class TestScheduleCache:
 
         monkeypatch.setattr(pop, "schedule_generator", counting_generator)
         res = DistributedSimulation(pop, cfg, part).run(checkpoint_dir=tmp_path)
-        assert sorted(asked) == [1, 2]  # the resume week and the one before
+        assert asked == [2]  # the resume week alone, not the one before
         ref = DistributedSimulation(pop, dist_config(pop, 2, cfg.duration_hours), part)
         assert (res.merged_records() == ref.run().merged_records()).all()
 

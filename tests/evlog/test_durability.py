@@ -103,6 +103,21 @@ class TestBatchValidation:
 
 
 class TestWalSalvage:
+    def test_raw_rows_are_journaled_before_insertion(self, tmp_path, random_records):
+        """Raw ``(n, 5)`` rows (the rank step's batches) are journaled like
+        structured ones: a kill after 150 acknowledged records salvages
+        the 22 that only the WAL holds."""
+        p = tmp_path / "t.evl"
+        w = CachedLogWriter(p, cache_records=64, durability="wal")
+        rows = np.ascontiguousarray(random_records[:150]).view(np.uint32).reshape(-1, 5)
+        for lo, hi in ((0, 3), (3, 100), (100, 150)):
+            w.log_batch(rows[lo:hi])
+        _crash(w)
+        r = CachedLogWriter.open_resume(p, cache_records=64, durability="wal")
+        assert r.stats.salvaged_records == 150 - 128
+        r.close()
+        assert (LogReader(p).read_all() == random_records[:150]).all()
+
     def test_kill_loses_nothing_acknowledged(self, tmp_path, random_records):
         p = tmp_path / "t.evl"
         w = CachedLogWriter(p, cache_records=64, durability="wal")

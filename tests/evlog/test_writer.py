@@ -62,6 +62,61 @@ class TestBatchLogging:
         assert (LogReader(path).read_all() == rec).all()
 
 
+def raw_rows(records):
+    """``records`` as the rank step hands them over: ``(n, 5)`` uint32."""
+    return np.ascontiguousarray(records).view(np.uint32).reshape(-1, 5)
+
+
+class TestRawRows:
+    """``log_batch`` takes a batch's raw 20-byte image as ``(n, 5)`` uint32
+    rows (what ``HostedTable.step`` returns) exactly as it takes the same
+    records as a ``LOG_DTYPE`` array."""
+
+    @pytest.mark.parametrize("durability", ["none", "fsync", "wal"])
+    @pytest.mark.parametrize("cache", [1, 7, 64, 10_000])
+    def test_same_file_as_structured(self, tmp_path, random_records, durability, cache):
+        rec = random_records[:700]
+        cuts = [0, 1, 64, 65, 300, 700]  # batches across every flush boundary
+        files = []
+        for name, batch in (("s", lambda r: r), ("r", raw_rows)):
+            path = tmp_path / f"{name}.evl"
+            with CachedLogWriter(path, cache_records=cache, durability=durability) as w:
+                for lo, hi in zip(cuts, cuts[1:]):
+                    w.log_batch(batch(rec[lo:hi]))
+                assert w.stats.flushes == 700 // cache
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+        assert (LogReader(tmp_path / "r.evl").read_all() == rec).all()
+
+    def test_strided_rows(self, tmp_path, random_records):
+        rows = raw_rows(random_records[:400])[::3]  # a non-contiguous view
+        path = tmp_path / "t.evl"
+        with CachedLogWriter(path, cache_records=50) as w:
+            w.log_batch(rows)
+        assert (LogReader(path).read_all() == random_records[:400][::3]).all()
+
+    def test_rows_are_validated_before_any_enters(self, tmp_path, random_records):
+        path = tmp_path / "t.evl"
+        bad = raw_rows(random_records[:30]).copy()
+        bad[17, 1] = bad[17, 0]  # stop == start
+        with CachedLogWriter(path, cache_records=8) as w:
+            with pytest.raises(LogFormatError, match="stop > start"):
+                w.log_batch(bad)
+            assert w.stats.records == 0
+            w.log_batch(raw_rows(random_records[:5]))
+        assert len(LogReader(path).read_all()) == 5
+
+    @pytest.mark.parametrize(
+        "shape, dtype", [((4,), np.uint32), ((4, 4), np.uint32), ((4, 5), np.int32),
+                         ((4, 5, 1), np.uint32), ((4, 5), np.uint64)],
+    )  # fmt: skip
+    def test_other_arrays_are_refused(self, tmp_path, shape, dtype):
+        with CachedLogWriter(tmp_path / "t.evl") as w:
+            with pytest.raises(LogFormatError, match="dtype"):
+                w.log_batch(np.ones(shape, dtype=dtype))
+            assert w.stats.records == 0
+
+
 class TestCachePolicy:
     def test_flush_count_tracks_cache_size(self, tmp_path, random_records):
         """Paper Section III: smaller cache → more write operations."""

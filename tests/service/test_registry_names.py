@@ -55,8 +55,9 @@ HISTOGRAMS = {
     "service.op_seconds.window",
 }
 
-#: what a distributed run records once per rank (counters, the loop and
-#: receive clocks) and once per week built (``sim.week_build_seconds``)
+#: what a distributed run records once per rank (counters, the loop clock
+#: and its step / log / exchange / receive split) and once per week built
+#: (``sim.week_build_seconds``)
 SIM_COUNTERS = {
     f"distrib.{name}"
     for name in (
@@ -66,9 +67,17 @@ SIM_COUNTERS = {
 SIM_TWIN_COUNTERS = {"kernels.rank_step.twin", "kernels.week_fill.twin"}
 SIM_HISTOGRAMS = {
     "distrib.rank_loop_seconds",
-    "distrib.receive_seconds",
+    *(f"distrib.{part}_seconds" for part in ("step", "log", "exchange", "receive")),
     "sim.week_build_seconds",
 }
+#: what a run that writes logs adds: the writers' counts and flush clock,
+#: recorded per flush and per file write, never per batch
+LOG_COUNTERS = {"evlog.bytes_written", "evlog.records_written"}
+LOG_HISTOGRAMS = {"evlog.flush_seconds"}
+#: and what the durability paths add: one fsync clock per fsync, one
+#: journal clock per WAL frame
+DURABLE_HISTOGRAMS = {"fsync": {"evlog.fsync_seconds"}}
+DURABLE_HISTOGRAMS["wal"] = DURABLE_HISTOGRAMS["fsync"] | {"evlog.wal_append_seconds"}
 
 
 def exercise(service_logs, n_persons, places):
@@ -111,6 +120,31 @@ def test_simulation_name_set_is_pinned(small_pop, registry):
     assert set(snap["counters"]) == SIM_COUNTERS | twins
     assert set(snap["histograms"]) == SIM_HISTOGRAMS
     assert snap["histograms"]["sim.week_build_seconds"]["count"] == 1
+
+
+@pytest.mark.parametrize("durability", ["none", "fsync", "wal"])
+def test_logged_simulation_name_set_is_pinned(small_pop, registry, tmp_path, durability):
+    config = SimulationConfig(
+        scale=small_pop.scale, duration_hours=30, n_ranks=2,
+        log_cache_records=64, log_durability=durability,
+    )  # fmt: skip
+    partition = spatial_partition(
+        small_pop.places.coords(), small_pop.places.capacity.astype(float), 2
+    )
+    result = DistributedSimulation(small_pop, config, partition).run(log_dir=tmp_path)
+    snap = registry.snapshot()
+    twins = SIM_TWIN_COUNTERS if compiled_impl() != "cext" else set()
+    assert set(snap["counters"]) == SIM_COUNTERS | LOG_COUNTERS | twins
+    assert set(snap["histograms"]) == (
+        SIM_HISTOGRAMS | LOG_HISTOGRAMS | DURABLE_HISTOGRAMS.get(durability, set())
+    )
+    # once per flush: a rank flushes each full cache and its tail at close
+    flushes = sum(-(-events // 64) for events in result.rank_events)
+    assert snap["histograms"]["evlog.flush_seconds"]["count"] == flushes
+    assert snap["counters"]["evlog.records_written"] == result.total_events
+    assert snap["counters"]["evlog.bytes_written"] == sum(
+        path.stat().st_size for path in result.log_paths
+    )
 
 
 def test_fields_count_with_telemetry_off(service_logs, small_pop):

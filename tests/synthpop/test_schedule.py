@@ -197,20 +197,23 @@ class TestPlaceGridInit:
     def test_grid_equals_the_one_built_from_the_tiled_household(
         self, small_pop, generator, monkeypatch
     ):
-        """``week`` fills its place grid by broadcast assignment; the grid
-        must equal the one the former ``np.tile(...).astype(uint32)`` start
-        gives (same RNG draws, same cells overwritten)."""
+        """``week`` fills its hour-major place rows by broadcast
+        assignment; the week must equal the one the former
+        ``np.tile(...).astype(uint32)`` start gives (same RNG draws, same
+        cells overwritten)."""
         want = generator.week(2)
         household = small_pop.persons.household
-        shape = (small_pop.n_persons, HOURS_PER_WEEK)
+        shape = (HOURS_PER_WEEK, small_pop.n_persons)
 
         class NumpyWithTiledStart:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def empty(self, got_shape, dtype=float):
-                assert (tuple(got_shape), np.dtype(dtype)) == (shape, np.uint32)
-                return np.tile(household[:, None], (1, HOURS_PER_WEEK)).astype(
+                if np.dtype(dtype) != np.uint32:  # the activity rows
+                    return np.empty(got_shape, dtype)
+                assert tuple(got_shape) == shape
+                return np.tile(household[None, :], (HOURS_PER_WEEK, 1)).astype(
                     np.uint32
                 )
 

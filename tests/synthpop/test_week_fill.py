@@ -1,13 +1,16 @@
 """A week two ways: ``rk_week_fill`` against the numpy body it replaced.
 
-``WeeklyScheduleGenerator`` draws a week in numpy, then writes its grids
-(and, for ``week_with_changes``, its change plane) with the compiled fill
-when the extension loaded, else with the numpy twin (``_fill_twin`` +
-``WeekGrid.change_plane``).  Over schedule configurations at their edges,
-populations missing whole groups and weeks 0-5 with and without a previous
-week, both must give the same bytes; a ``NO_PLACE`` cell must be refused
-by both.  Without a compiler (the twin leg of CI) only the twin runs here,
-and ``WEEK_DIGESTS`` in ``test_schedule.py`` holds it to the pinned grids.
+``WeeklyScheduleGenerator`` draws a week in numpy, then writes its
+hour-major rows (and, for ``week_with_changes``, its change plane) with
+the compiled fill when the extension loaded, else with the numpy twin
+(``_fill_twin`` + ``WeekGrid.change_plane``).  Over schedule
+configurations at their edges, populations missing whole groups and weeks
+0-5, both must give the same bytes, and a week's plane must equal its
+plane against the week before it: every week starts and ends at home, so
+row 0 is all-false and no week needs the previous one.  A ``NO_PLACE``
+cell must be refused by both.  Without a compiler (the twin leg of CI)
+only the twin runs here, and ``WEEK_DIGESTS`` in ``test_schedule.py``
+holds it to the pinned grids.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import HOURS_PER_WEEK, ScheduleConfig
+from repro.config import HOURS_PER_DAY, HOURS_PER_WEEK, ScheduleConfig
 from repro.core.kernels import cext
 from repro.errors import ScheduleError
 from repro.synthpop.person import NO_PLACE, PersonTable
-from repro.synthpop.schedule import WeekGrid, WeeklyScheduleGenerator
+from repro.synthpop.schedule import Activity, WeeklyScheduleGenerator
 
 IMPLS = ["cext", "twin"] if cext.load_cext() is not None else ["twin"]
 CASES = settings(
@@ -77,15 +80,13 @@ def configs(draw):
     )
 
 
-def weeks(generator, indices, chained):
-    """``(week, plane)`` of each index, the plane against the week before
-    when ``chained``; plus ``week()`` of each, which builds no plane."""
-    out, previous = [], None
-    for index in indices:
-        grid, plane = generator.week_with_changes(index, previous if chained else None)
-        out.append((grid, plane, generator.week(index)))
-        previous = grid
-    return out
+def weeks(generator, indices):
+    """``(week, plane)`` of each index, plus ``week()`` of each, which
+    builds no plane."""
+    return [
+        (*generator.week_with_changes(index), generator.week(index))
+        for index in indices
+    ]
 
 
 def same(a, b):
@@ -107,17 +108,19 @@ def test_compiled_fill_matches_the_numpy_body(
     generator = WeeklyScheduleGenerator(persons, config, seed=small_pop.seed)
     indices = range(first, min(first + 2, 6))
     built = {
-        impl: with_impl(impl, lambda: weeks(generator, indices, chained))
-        for impl in IMPLS
+        impl: with_impl(impl, lambda: weeks(generator, indices)) for impl in IMPLS
     }
     for index, (grid, plane, alone) in zip(indices, built[IMPLS[-1]]):
-        previous = generator.week(index - 1) if chained and index > first else None
+        # chained: against the week before, which the fill never reads
+        previous = generator.week(index - 1) if chained and index else None
         assert same(plane, grid.change_plane(previous))
         assert same(alone.activity, grid.activity) and same(alone.place, grid.place)
     if len(built) < 2:
         return
     for (grid, plane, alone), (want, want_plane, _) in zip(*built.values()):
         assert grid.week_index == want.week_index
+        # both store the week hour-major
+        assert grid.activity.T.flags.c_contiguous and grid.place.T.flags.c_contiguous
         assert same(grid.activity, want.activity)
         assert same(grid.place, want.place)
         assert same(plane, want_plane)
@@ -129,35 +132,32 @@ def test_a_block_is_cut_at_midnight():
     """Entries the generator never makes (it cuts its own blocks short of
     midnight): 12 hours from 20:00 on Wednesday and on Sunday write 20-22
     (23 is home) and nothing of the next day or the next person."""
-    act = np.empty((2, HOURS_PER_WEEK), np.uint8)
-    place = np.empty((2, HOURS_PER_WEEK), np.uint32)
+    act = np.empty((HOURS_PER_WEEK, 2), np.uint8)
+    place = np.empty((HOURS_PER_WEEK, 2), np.uint32)
     entries = (
         np.zeros(2, np.int32), np.array([1 << 2, 1 << 6], np.uint8),
         np.full(2, 20, np.uint8), np.full(2, 12, np.uint8),
         np.full(2, 3, np.uint8), np.full(2, 9, np.uint32),
     )
-    rc = cext.load_cext().week_fill(
-        np.array([5, 6], np.uint32), entries, None, act, place, None
-    )
+    rc = cext.load_cext().week_fill(np.array([5, 6], np.uint32), entries, act, place, None)
     assert rc == 0
     written = [2 * 24 + h for h in (20, 21, 22)] + [6 * 24 + h for h in (20, 21, 22)]
-    assert np.flatnonzero(act[0]).tolist() == written
-    assert place[0, written].tolist() == [9] * 6
-    assert np.flatnonzero(place[0] != 5).tolist() == written
-    assert not act[1].any() and (place[1] == 6).all()
+    assert np.flatnonzero(act[:, 0]).tolist() == written
+    assert place[written, 0].tolist() == [9] * 6
+    assert np.flatnonzero(place[:, 0] != 5).tolist() == written
+    assert not act[:, 1].any() and (place[:, 1] == 6).all()
     # what does not fit is refused before the kernel sees a pointer
     for bad in (
         (entries[0].astype(np.int64),) + entries[1:],
         entries[:5] + (entries[5][:1],),
     ):
         with pytest.raises(ValueError, match="week_fill"):
+            cext.load_cext().week_fill(np.array([5, 6], np.uint32), bad, act, place, None)
+    for wrong in (act[:, ::2], np.empty((2, HOURS_PER_WEEK), np.uint8)):  # person-major
+        with pytest.raises(ValueError, match="week_fill"):
             cext.load_cext().week_fill(
-                np.array([5, 6], np.uint32), bad, None, act, place, None
+                np.array([5, 6], np.uint32), entries, wrong, place, None
             )
-    with pytest.raises(ValueError, match="week_fill"):
-        cext.load_cext().week_fill(
-            np.array([5, 6], np.uint32), entries, None, act[:, ::2], place, None
-        )
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -175,20 +175,35 @@ def test_no_place_is_refused(small_pop, impl, where):
     generator = WeeklyScheduleGenerator(
         broken, ScheduleConfig(evening_out_prob=1.0), seed=small_pop.seed
     )
-    for build in (lambda: generator.week(0), lambda: generator.week_with_changes(1, None)):
+    for build in (lambda: generator.week(0), lambda: generator.week_with_changes(1)):
         with pytest.raises(ScheduleError, match="NO_PLACE"):
             with_impl(impl, build)
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_previous_week_must_fit(small_pop, impl):
-    generator = small_pop.schedule_generator()
-    week0 = with_impl(impl, lambda: generator.week(0))
-    other = WeekGrid(0, week0.activity[:5], week0.place[:5])
-    wide = WeekGrid(0, week0.activity.astype(np.int64), week0.place)
-    for previous, match in ((other, "another population"), (wide, "uint8")):
-        with pytest.raises(ScheduleError, match=match):
-            with_impl(impl, lambda: generator.week_with_changes(1, previous))
-    assert with_impl(impl, lambda: generator.week_with_changes(0, None))[1].shape == (
-        HOURS_PER_WEEK, small_pop.n_persons,
-    )
+#: hours 0-6 and 23 of every day of a week
+NIGHT_HOURS = [
+    day * HOURS_PER_DAY + hour for day in range(7) for hour in (*range(7), 23)
+]
+
+
+@CASES
+@given(
+    config=configs(),
+    drop=st.sampled_from(["none", "students", "workers", "both"]),
+    spread=st.booleans(),
+    index=st.integers(0, 5),
+)
+def test_nights_are_home_and_row_zero_is_quiet(small_pop, config, drop, spread, index):
+    """What lets a week be built without the one before it: on both legs,
+    over drawn populations and configurations, every person is at home
+    (activity AT_HOME at their household) in hours 0-6 and 23 of every
+    day, so the plane's row 0 is all-false."""
+    persons = population(small_pop.persons, drop, spread)
+    generator = WeeklyScheduleGenerator(persons, config, seed=small_pop.seed)
+    for impl in IMPLS:
+        grid, plane = with_impl(impl, lambda: generator.week_with_changes(index))
+        nights = grid.activity[:, NIGHT_HOURS]
+        assert (nights == int(Activity.AT_HOME)).all(), impl
+        assert (grid.place[:, NIGHT_HOURS] == persons.household[:, None]).all(), impl
+        assert plane.shape == (HOURS_PER_WEEK, len(persons))
+        assert not plane[0].any(), impl
