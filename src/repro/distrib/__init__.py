@@ -14,9 +14,14 @@ MPI is unavailable here, so this subpackage provides both patterns natively:
 
 * :mod:`repro.distrib.comm` + :mod:`repro.distrib.simcluster` — a BSP
   (bulk-synchronous) communicator with MPI-style collectives, executed by
-  an in-process cluster of lock-stepped threads.  Every payload is metered,
-  so communication volume (the quantity the spatial partitioning minimizes)
+  an in-process cluster of lock-stepped threads (or by forked processes,
+  :mod:`repro.distrib.proccluster`).  Every payload is metered, so
+  communication volume (the quantity the spatial partitioning minimizes)
   is a first-class measurable.
+* :mod:`repro.distrib.lockstep` — the distributed model's default
+  cluster: ranks written as generators that yield at each collective,
+  stepped in lockstep by one thread, metered exactly as the
+  communicator meters them.
 * :mod:`repro.distrib.taskpool` — the SNOW-style worker pool (inline for
   one worker, threads otherwise) used by the synthesis pipeline;
   :mod:`repro.distrib.shardsynth` is synthesis across real processes.

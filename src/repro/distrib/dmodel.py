@@ -9,16 +9,29 @@ belongs to another rank, its open activity spell migrates there through a
 metered all-to-all exchange.
 
 This is the one loop that writes event logs and simulation checkpoints,
-at any rank count: a serial run is a world of one rank.  A rank-hour
-costs its work: every rank skips, in lockstep, the hours in which nobody
-anywhere changes (no step, no exchange), the step reads the week
-hour-major as ``rk_week_fill`` wrote it, one week resident, and hands
-its closed spells to the log writer as raw rows; a run that writes logs
-keeps per-rank counts and log offsets, never the records it wrote — its
-logs hold them.  Each rank sums its step, log-append, exchange and
-receive clocks locally and records them once at the end
-(``distrib.step_seconds`` / ``log_seconds`` / ``exchange_seconds`` /
-``receive_seconds``), so where a month's time went comes from the registry.
+at any rank count: a serial run is a world of one rank.  A rank's run is
+one generator that yields at each collective (the hour's ``alltoall``, a
+snapshot's ``gather`` and ``barrier``); by default every rank is stepped
+in lockstep on the calling thread (:mod:`repro.distrib.lockstep`: no
+thread, no barrier, no lock hand-off), and the same body runs on any
+``run(rank_fn)`` cluster — thread or process ranks — through
+:func:`~repro.distrib.lockstep.spmd`, writing the same bytes.  A
+rank-hour costs its work: every rank skips, in lockstep, the hours in
+which nobody anywhere changes (no step, no exchange), the step reads the
+week hour-major as ``rk_week_fill`` wrote it, one week resident, and
+hands its closed spells to the log writer as raw rows; a run that writes
+logs keeps per-rank counts and log offsets, never the records it wrote —
+its logs hold them, and a run without logs appends the raw rows to one
+buffer per rank, made a record array once (at a snapshot, or at the
+end).  Each rank sums its step, log-append, exchange and receive clocks
+locally and records them once at the end (``distrib.step_seconds`` /
+``log_seconds`` / ``exchange_seconds`` / ``receive_seconds``), so where a
+month's time went comes from the registry.  ``exchange_seconds`` runs
+from handing the hour's payloads over to resuming with the arrivals: on
+lockstep ranks that is the other ranks' turns up to the same collective
+plus the transpose (the BSP wait, as a thread rank's barrier wait was),
+so the step, log and receive sums over ranks are the work and a rank's
+exchange is what it waited for.
 
 Invariant (tested): for the same population/seed the union of all ranks'
 event records equals the serial engine's event stream exactly, and one
@@ -47,16 +60,16 @@ from ..core.kernels.cext import load_cext
 from ..errors import CheckpointError, RankDeadError, RankFailureError, SimulationError
 from ..evlog.multifile import rank_log_path
 from ..evlog.reader import LogReader
-from ..evlog.schema import LogRecordArray, empty_records, records_from_bytes
+from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records, records_from_bytes
 from ..evlog.writer import CachedLogWriter
 from ..obs import count, observe, start_span
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeeklyScheduleGenerator
-from .comm import Communicator, TrafficStats
+from .comm import TrafficStats
+from .lockstep import LockstepCluster, spmd
 from .migration import pack_migrants
 from .partition import PlacePartition
 from .rankstep import HostedTable, WeekRows
-from .simcluster import SimCluster
 
 __all__ = [
     "DistributedSimulation",
@@ -218,11 +231,12 @@ def _load_dist_checkpoint(
 
 
 class _ScheduleCache:
-    """Thread-shared lazy cache of the week the rank step reads.
+    """Lazy cache of the week the rank step reads, shared by in-process
+    ranks (locked for thread ranks).
 
     Models ranks reading the same deterministic schedule inputs; generating
-    a week once and sharing it read-only across rank threads avoids
-    duplicating the grid per rank in this in-process simulation.  A week's
+    a week once and sharing it read-only across in-process ranks avoids
+    duplicating the grid per rank.  A week's
     hour-major rows and plane come from one
     :meth:`~repro.synthpop.schedule.WeeklyScheduleGenerator.week_with_changes`
     call, kept as :class:`~repro.distrib.rankstep.WeekRows` (the plane, the
@@ -263,8 +277,8 @@ class _RankOutput:
     migrants: int = 0
     loop_seconds: float = 0.0
     #: of which the step, the log append (or record keeping), the
-    #: ``alltoall`` with its barrier wait and ``HostedTable.receive``,
-    #: each summed over the rank's hours
+    #: ``alltoall`` with its wait for the other ranks and
+    #: ``HostedTable.receive``, each summed over the rank's hours
     step_seconds: float = 0.0
     log_seconds: float = 0.0
     exchange_seconds: float = 0.0
@@ -285,12 +299,6 @@ def _hosted_at_start(
     return pack_migrants(
         ids, np.zeros(len(ids), np.int64), week.activity[0][ids], week.place[0][ids]
     )
-
-
-def _joined(parts: list[LogRecordArray]) -> LogRecordArray:
-    if len(parts) > 1:
-        return np.concatenate(parts)
-    return parts[0] if parts else empty_records(0)
 
 
 def _read_rank_log(path: Path) -> LogRecordArray:
@@ -405,16 +413,21 @@ class DistributedSimulation:
     def run(
         self,
         log_dir: str | Path | None = None,
-        cluster: "SimCluster | None" = None,
+        cluster: Any = None,
         checkpoint_dir: str | Path | None = None,
-        fault_hook: "Callable[[Communicator, int], None] | None" = None,
+        fault_hook: "Callable[[Any, int], None] | None" = None,
         max_restarts: int = 0,
     ) -> DistributedRunResult:
         """Execute the run on ``config.n_ranks`` ranks.
 
-        ``cluster`` may be any object with a compatible ``run(rank_fn)``
-        (e.g. :class:`~repro.distrib.proccluster.ProcessBspCluster` for
-        real OS processes); defaults to the in-process simulated cluster.
+        By default the ranks are generators stepped in lockstep on the
+        calling thread (:class:`~repro.distrib.lockstep.LockstepCluster`):
+        no thread, no barrier.  ``cluster`` may be any object with a
+        compatible ``run(rank_fn, rank_args=...)`` — e.g.
+        :class:`~repro.distrib.proccluster.ProcessBspCluster` for real OS
+        processes, or :class:`~repro.distrib.simcluster.SimCluster` for
+        thread ranks — and runs the same rank body through
+        :func:`~repro.distrib.lockstep.spmd`.
 
         Fault tolerance
         ---------------
@@ -424,17 +437,20 @@ class DistributedSimulation:
         byte offsets (or, in a run without logs, the emitted records) are
         gathered to rank 0, which writes them atomically (state npz first,
         manifest last).  With ``max_restarts > 0`` and the default
-        in-process cluster, a detected rank failure
-        (:class:`~repro.errors.RankFailureError`, raised when a rank misses
-        its ``config.heartbeat_timeout`` deadline) triggers a supervised
-        restart: a fresh cluster restores every rank from the last
-        snapshot — truncating each rank's log back to the recorded offset —
-        and replays.  ``fault_hook(comm, hour)`` runs at the top of every
+        cluster, a detected rank failure
+        (:class:`~repro.errors.RankFailureError`: a rank was killed, or
+        its work between two collectives overran
+        ``config.heartbeat_timeout``) triggers a supervised restart: a
+        fresh cluster restores every rank from the last snapshot —
+        truncating each rank's log back to the recorded offset — and
+        replays.  ``fault_hook(comm, hour)`` runs at the top of every
         rank-hour, change-free ones included, and exists for fault
-        injection (call ``comm.die()`` to simulate a hard kill); hooks must
-        be stateful so they do not re-kill after a restart.  A
-        ``checkpoint_dir`` holding the serial engine's old snapshot format
-        (``sim_manifest.json``) and no collective one is refused with
+        injection: ``comm`` has ``rank``, ``size``, ``dead`` and ``die()``
+        (call it to simulate a hard kill: that rank's log is left torn,
+        the others' writers close); hooks must be stateful so they do not
+        re-kill after a restart.  A ``checkpoint_dir`` holding the serial
+        engine's old snapshot format (``sim_manifest.json``) and no
+        collective one is refused with
         :class:`~repro.errors.CheckpointError` before any log is opened.
         """
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -468,7 +484,10 @@ class DistributedSimulation:
         every = self.config.checkpoint_every_hours
         digest = self.checkpoint_digest(with_log=log_directory is not None)
 
-        def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
+        def rank_body(comm: Any, resume_state: dict | None):
+            """One rank's run, yielding at each collective (see
+            :mod:`repro.distrib.lockstep`): the hour's ``alltoall``, a
+            snapshot's ``gather`` and ``barrier``."""
             rank = comm.rank
             checkpoints = changes = quiet_hours = 0
             step_seconds = log_seconds = exchange_seconds = receive_seconds = 0.0
@@ -494,9 +513,10 @@ class DistributedSimulation:
 
             writer = None
             path = None
-            # what a run without logs emitted; a run that logs keeps none
-            # of it, its log holds it
-            records: list[LogRecordArray] = []
+            # what a run without logs emitted, as raw record rows appended
+            # to one buffer; a run that logs keeps none of it, its log
+            # holds it
+            held = bytearray()
             if log_directory is not None:
                 path = rank_log_path(log_directory, rank)
                 if resume_state is not None:
@@ -516,12 +536,10 @@ class DistributedSimulation:
                     )
                 emit = writer.log_batch
             else:
-                if resume_state is not None and len(resume_state["records"]):
-                    records.append(resume_state["records"])
-
-                def emit(rows: np.ndarray) -> None:
-                    # the step's rows are its scratch: keep a copy
-                    records.append(records_from_bytes(rows.tobytes()))
+                if resume_state is not None:
+                    held += resume_state["records"].tobytes()
+                # the step's rows are its scratch: this copies them
+                emit = held.extend
 
             killed = False
             clock = time.perf_counter
@@ -549,7 +567,7 @@ class DistributedSimulation:
                             if n_leavers:
                                 migrations_out[hour] = n_leavers
                         t_exchange = clock()
-                        arrivals = comm.alltoall(payloads)
+                        arrivals = yield ("alltoall", payloads)
                         t_receive = clock()
                         hosted.receive(arrivals)
                         t_done = clock()
@@ -564,13 +582,9 @@ class DistributedSimulation:
                         and (hour + 1) % every == 0
                         and (hour + 1) < duration
                     ):
-                        held = None
                         if writer is not None:
                             # flush so the offset is a chunk boundary
                             writer.flush()
-                        else:
-                            held = _joined(records)
-                            records[:] = [held]
                         live = hosted.hosted()
                         state = {
                             # columns that own their memory: the table is
@@ -579,19 +593,22 @@ class DistributedSimulation:
                             "spell_start": live["spell_start"].copy(),
                             "spell_act": live["activity"].copy(),
                             "spell_place": live["place"].copy(),
-                            "records": held,
+                            "records": (
+                                None if writer is not None
+                                else records_from_bytes(held)
+                            ),
                             "migrations_out": migrations_out,
                             "writer_offset": (
                                 writer.offset if writer is not None else -1
                             ),
                         }
-                        gathered = comm.gather(state, root=0)
+                        gathered = yield ("gather", state, 0)
                         if gathered is not None:
                             _save_dist_checkpoint(
                                 ckpt_dir, digest, hour + 1, gathered
                             )
                         # nobody proceeds until the snapshot is committed
-                        comm.barrier()
+                        yield ("barrier",)
                         checkpoints += 1
 
                 if hosted.count:
@@ -605,15 +622,16 @@ class DistributedSimulation:
                 if writer is not None and not killed:
                     writer.close()
 
-            held = None
+            records = None
             if writer is not None:
                 events = writer.stats.records
             else:
-                held = _joined(records)
-                events = len(held)
+                # the buffer's own bytes: nothing is appended any more
+                records = np.frombuffer(held, dtype=LOG_DTYPE)
+                events = len(records)
             return _RankOutput(
                 rank=rank,
-                records=held,
+                records=records,
                 events=events,
                 migrations_out=migrations_out,
                 hosted_final=hosted.count,
@@ -631,13 +649,23 @@ class DistributedSimulation:
                 quiet_hours=quiet_hours,
             )
 
-        def traced_rank_fn(comm: Communicator, resume_state: dict | None):
-            attrs = {"rank": comm.rank, "hours": duration - first_hour}
-            with start_span("distrib.rank", run_span.context(), attrs) as span:
-                out = rank_fn(comm, resume_state)
+        def rank_steps(comm: Any, resume_state: dict | None):
+            # opened and ended with an explicit parent, never made the
+            # current span: lockstep ranks interleave on one thread
+            span = start_span(
+                "distrib.rank", run_span.context(),
+                {"rank": comm.rank, "hours": duration - first_hour},
+            )
+            try:
+                out = yield from rank_body(comm, resume_state)
                 span.set_attr("records", out.events)
                 span.set_attr("migrants", out.migrants)
                 return out
+            except BaseException as exc:
+                span.set_status(f"error:{type(exc).__name__}")
+                raise
+            finally:
+                span.end()
 
         restarts = 0
         while True:
@@ -648,18 +676,18 @@ class DistributedSimulation:
                 )
                 for st in resume_states:
                     st["next_hour"] = first_hour
-            attempt_cluster = cluster
-            if attempt_cluster is None:
-                attempt_cluster = SimCluster(
-                    n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
-                )
             rank_args = [
                 (resume_states[r] if resume_states is not None else None,)
                 for r in range(n_ranks)
             ]
             try:
                 with start_span("distrib.run", attrs={"ranks": n_ranks}) as run_span:
-                    result = attempt_cluster.run(traced_rank_fn, rank_args=rank_args)
+                    if cluster is None:
+                        result = LockstepCluster(
+                            n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
+                        ).run(rank_steps, rank_args=rank_args)
+                    else:
+                        result = cluster.run(spmd(rank_steps), rank_args=rank_args)
                 break
             except RankFailureError:
                 # supervised restart only with the default in-process

@@ -1,8 +1,9 @@
 """Real-process BSP cluster (fork + queues).
 
 :class:`~repro.distrib.simcluster.SimCluster` runs ranks as lock-stepped
-threads — perfect for determinism and traffic metering, irrelevant for
-wall-clock speed.  :class:`ProcessBspCluster` runs the *same SPMD rank
+threads and :class:`~repro.distrib.lockstep.LockstepCluster` as generators
+on one thread — perfect for determinism and traffic metering, irrelevant
+for wall-clock speed.  :class:`ProcessBspCluster` runs the *same SPMD rank
 functions* as genuine OS processes, the closest a pure-Python stack gets
 to the paper's MPI deployment:
 

@@ -1,21 +1,26 @@
-"""In-process simulated cluster of lock-stepped ranks.
+"""In-process simulated cluster of lock-stepped thread ranks.
 
 Runs an SPMD function on *n* ranks, each a Python thread with its own
 :class:`~repro.distrib.comm.Communicator`.  Because rank functions only
 interact at collectives (which are barrier-synchronized) and otherwise
 touch only rank-private state, results are deterministic regardless of OS
-thread scheduling — which is what makes the serial-vs-distributed
-equivalence test meaningful.
+thread scheduling.
 
-Threads, not processes: the simulated cluster exists to *model* rank
-topology, place ownership, and communication volume.  Under the interpreter
-lock its ranks take turns, so it can never beat the serial engine on
-wall-clock; what it costs on top of the serial engine is measured
+This is the generic SPMD cluster: any ``rank_fn(comm, ...)`` runs on it,
+and a rank blocked in a collective waits for its siblings as an MPI rank
+would.  The distributed model does not build one by default any more: its
+ranks are generators stepped in lockstep on one thread
+(:class:`~repro.distrib.lockstep.LockstepCluster`), because under the
+interpreter lock thread ranks only take turns, and every rank-hour paid a
+barrier wake-up and a lock hand-off for it.  Passing ``cluster=SimCluster(n)``
+runs the same model body here (``repro.distrib.lockstep.spmd``), with
+logs, traffic and migrations equal to the default's (tested).  What the
+model's ranks cost on top of the serial engine is measured
 (``distrib.overhead_ratio`` of a traced ``benchmarks/e2e`` ``simlog-month``
-run: about 1.8x at 10 k persons × 4 weeks on 4 ranks, one pinned cpu —
-the serial engine reads a week's hour columns as contiguous rows, so it
-runs ≈ 0.13 s against the ranks' ≈ 0.21 s without logs) and is kept low
-because every workload's world is built through it.  Real process-parallel speedup lives in
+run: about 1.1x at 10 k persons × 4 weeks on 4 lockstep ranks without
+logs, one pinned cpu — ≈ 0.055 s against the serial engine's ≈ 0.047 s;
+it was about 1.8x on thread ranks).  Real
+process-parallel speedup lives in
 :func:`~repro.distrib.shardsynth.shard_synthesize`.
 
 Failure semantics mirror a real MPI job: a rank raising an ordinary

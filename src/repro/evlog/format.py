@@ -41,6 +41,7 @@ __all__ = [
     "ChunkInfo",
     "pack_header",
     "unpack_header",
+    "chunk_frame",
     "pack_chunk",
     "read_chunk_at",
     "check_chunk_at",
@@ -134,11 +135,24 @@ def unpack_header(buf: bytes) -> EvlHeader:
     return EvlHeader(version=version, flags=flags, record_bytes=recsize, rank=rank)
 
 
-def pack_chunk(record_bytes_image: bytes, n_records: int, compress: bool) -> bytes:
-    """Frame a chunk: header + (optionally compressed) payload."""
+def chunk_frame(
+    record_bytes_image: bytes | memoryview, n_records: int, compress: bool
+) -> tuple[bytes, bytes | memoryview]:
+    """A chunk's header and its payload, written one after the other.
+
+    The payload is ``record_bytes_image`` itself when uncompressed (a
+    byte view is framed and CRC'd in place, never copied), else its zlib
+    image.
+    """
     payload = zlib.compress(record_bytes_image, 6) if compress else record_bytes_image
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return _CHUNK_HEADER.pack(CHUNK_MAGIC, n_records, len(payload), crc) + payload
+    return _CHUNK_HEADER.pack(CHUNK_MAGIC, n_records, len(payload), crc), payload
+
+
+def pack_chunk(record_bytes_image: bytes, n_records: int, compress: bool) -> bytes:
+    """Frame a chunk: header + (optionally compressed) payload."""
+    header, payload = chunk_frame(record_bytes_image, n_records, compress)
+    return header + payload
 
 
 def _checked_frame(buf: bytes | memoryview, offset: int) -> tuple[int, int, int]:

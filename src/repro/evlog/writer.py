@@ -58,7 +58,7 @@ from ..errors import LogFormatError
 from ..obs import count, observe
 from .format import (
     ChunkInfo,
-    pack_chunk,
+    chunk_frame,
     pack_header,
     pack_index,
     pack_trailer,
@@ -200,12 +200,15 @@ class CachedLogWriter:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _write(self, buf: bytes) -> None:
+    def _write(self, *parts: bytes | memoryview) -> None:
         assert self._file is not None
-        self._file.write(buf)
-        self._offset += len(buf)
-        self.stats.bytes_written += len(buf)
-        count("evlog.bytes_written", len(buf))
+        size = 0
+        for buf in parts:
+            self._file.write(buf)
+            size += len(buf)
+        self._offset += size
+        self.stats.bytes_written += size
+        count("evlog.bytes_written", size)
 
     def _require_open(self) -> None:
         if self._file is None:
@@ -342,11 +345,14 @@ class CachedLogWriter:
             return
         tic = time.perf_counter()
         block = self._cache[: self._fill]
-        image = np.ascontiguousarray(block).tobytes()
         t_min = int(block[:, 0].min())
         t_max = int(block[:, 1].max())
         chunk_offset = self._offset
-        self._write(pack_chunk(image, self._fill, self.compress))
+        # the cache's own bytes (a prefix of a C-contiguous array): framed,
+        # CRC'd and written with no copy
+        self._write(
+            *chunk_frame(memoryview(block).cast("B"), self._fill, self.compress)
+        )
         if self.durability is not DurabilityPolicy.NONE:
             assert self._file is not None
             self._sync(self._file)

@@ -18,7 +18,7 @@ from repro.config import SimulationConfig
 from repro.core import synthesize_from_logs
 from repro.core.kernels import compiled_impl
 from repro.core.tilecache import TileCache
-from repro.distrib import DistributedSimulation, spatial_partition
+from repro.distrib import DistributedSimulation, SimCluster, spatial_partition
 from repro.obs import MetricsRegistry, configure, set_default_registry
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
 
@@ -57,7 +57,7 @@ HISTOGRAMS = {
 
 #: what a distributed run records once per rank (counters, the loop clock
 #: and its step / log / exchange / receive split) and once per week built
-#: (``sim.week_build_seconds``)
+#: (``sim.week_build_seconds``), on lockstep ranks and thread ranks alike
 SIM_COUNTERS = {
     f"distrib.{name}"
     for name in (
@@ -120,6 +120,25 @@ def test_simulation_name_set_is_pinned(small_pop, registry):
     assert set(snap["counters"]) == SIM_COUNTERS | twins
     assert set(snap["histograms"]) == SIM_HISTOGRAMS
     assert snap["histograms"]["sim.week_build_seconds"]["count"] == 1
+
+
+def test_thread_ranks_record_the_same_names(small_pop, registry):
+    """The default cluster steps ranks as generators; the same body on
+    thread ranks records the same names, the same number of times."""
+    config = SimulationConfig(scale=small_pop.scale, duration_hours=30, n_ranks=2)
+    partition = spatial_partition(
+        small_pop.places.coords(), small_pop.places.capacity.astype(float), 2
+    )
+    snaps = []
+    for cluster in (None, SimCluster(2)):
+        registry.reset()
+        DistributedSimulation(small_pop, config, partition).run(cluster=cluster)
+        snaps.append(registry.snapshot())
+    lockstep, threads = snaps
+    assert lockstep["counters"] == threads["counters"]
+    assert set(lockstep["histograms"]) == set(threads["histograms"]) == SIM_HISTOGRAMS
+    for name in SIM_HISTOGRAMS:
+        assert lockstep["histograms"][name]["count"] == threads["histograms"][name]["count"]
 
 
 @pytest.mark.parametrize("durability", ["none", "fsync", "wal"])
