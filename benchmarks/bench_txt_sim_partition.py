@@ -113,7 +113,7 @@ def test_txt_sim_serial_engine_time(benchmark, bench_pop):
 
 def test_txt_sim_process_cluster_equivalence(benchmark, bench_pop):
     """The model on real OS processes (fork + queues): same events as the
-    thread-based simulated cluster, at its own wall-clock cost."""
+    default in-process (lockstep) cluster, at its own wall-clock cost."""
     from repro.distrib import ProcessBspCluster
 
     parts, _ = build_partitions(bench_pop)
@@ -132,9 +132,9 @@ def test_txt_sim_process_cluster_equivalence(benchmark, bench_pop):
         rounds=2,
         iterations=1,
     )
-    res_thread = sim.run()
+    res_lockstep = sim.run()
     assert (
-        res_proc.merged_records() == res_thread.merged_records()
+        res_proc.merged_records() == res_lockstep.merged_records()
     ).all()
 
 

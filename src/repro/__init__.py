@@ -53,7 +53,6 @@ from .distrib import (
     PlacePartition,
     RetryPolicy,
     PoolReport,
-    SimCluster,
     TaskPool,
     estimate_migration,
     movement_matrix,
@@ -116,7 +115,6 @@ __all__ = [
     "PlacePartition",
     "RetryPolicy",
     "PoolReport",
-    "SimCluster",
     "estimate_migration",
     "TaskPool",
     "movement_matrix",

@@ -12,16 +12,17 @@ The paper's stack uses MPI twice:
 
 MPI is unavailable here, so this subpackage provides both patterns natively:
 
-* :mod:`repro.distrib.comm` + :mod:`repro.distrib.simcluster` — a BSP
-  (bulk-synchronous) communicator with MPI-style collectives, executed by
-  an in-process cluster of lock-stepped threads (or by forked processes,
-  :mod:`repro.distrib.proccluster`).  Every payload is metered, so
-  communication volume (the quantity the spatial partitioning minimizes)
-  is a first-class measurable.
-* :mod:`repro.distrib.lockstep` — the distributed model's default
-  cluster: ranks written as generators that yield at each collective,
-  stepped in lockstep by one thread, metered exactly as the
-  communicator meters them.
+* :mod:`repro.distrib.lockstep` — the in-process cluster: ranks written
+  as generators that yield at each BSP (bulk-synchronous) collective —
+  ``alltoall``, ``gather``, ``barrier`` — stepped in lockstep by one
+  thread.  The distributed model runs on it by default.
+* :mod:`repro.distrib.proccluster` — the same collectives across forked
+  processes, for the model's body (through ``lockstep.spmd``) and for
+  :mod:`repro.distrib.shardsynth`.
+* :mod:`repro.distrib.comm` — what a collective costs: every payload is
+  metered into per-rank :class:`TrafficStats`, so communication volume
+  (the quantity the spatial partitioning minimizes) is a first-class
+  measurable.
 * :mod:`repro.distrib.taskpool` — the SNOW-style worker pool (inline for
   one worker, threads otherwise) used by the synthesis pipeline;
   :mod:`repro.distrib.shardsynth` is synthesis across real processes.
@@ -32,8 +33,7 @@ MPI is unavailable here, so this subpackage provides both patterns natively:
   reproduce the serial engine's event stream exactly (a test invariant).
 """
 
-from .comm import Communicator, TrafficStats
-from .simcluster import SimCluster
+from .comm import TrafficStats
 from .proccluster import ProcessBspCluster, ProcessCommunicator
 from .taskpool import (
     WorkerPool,
@@ -60,9 +60,7 @@ from .shardsynth import (
 )
 
 __all__ = [
-    "Communicator",
     "TrafficStats",
-    "SimCluster",
     "ProcessBspCluster",
     "ProcessCommunicator",
     "ShardPlan",

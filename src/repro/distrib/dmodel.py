@@ -13,8 +13,8 @@ at any rank count: a serial run is a world of one rank.  A rank's run is
 one generator that yields at each collective (the hour's ``alltoall``, a
 snapshot's ``gather`` and ``barrier``); by default every rank is stepped
 in lockstep on the calling thread (:mod:`repro.distrib.lockstep`: no
-thread, no barrier, no lock hand-off), and the same body runs on any
-``run(rank_fn)`` cluster — thread or process ranks — through
+thread, no barrier, no lock hand-off), and the same body runs on forked
+process ranks (:mod:`repro.distrib.proccluster`) through
 :func:`~repro.distrib.lockstep.spmd`, writing the same bytes.  A
 rank-hour costs its work: every rank skips, in lockstep, the hours in
 which nobody anywhere changes (no step, no exchange), the step reads the
@@ -29,9 +29,9 @@ locally and records them once at the end (``distrib.step_seconds`` /
 month's time went comes from the registry.  ``exchange_seconds`` runs
 from handing the hour's payloads over to resuming with the arrivals: on
 lockstep ranks that is the other ranks' turns up to the same collective
-plus the transpose (the BSP wait, as a thread rank's barrier wait was),
-so the step, log and receive sums over ranks are the work and a rank's
-exchange is what it waited for.
+plus the transpose (the BSP wait, as a process rank's wait at its inbox
+is), so the step, log and receive sums over ranks are the work and a
+rank's exchange is what it waited for.
 
 Invariant (tested): for the same population/seed the union of all ranks'
 event records equals the serial engine's event stream exactly, and one
@@ -44,7 +44,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import threading
 import time
 import zipfile
 import zlib
@@ -232,7 +231,7 @@ def _load_dist_checkpoint(
 
 class _ScheduleCache:
     """Lazy cache of the week the rank step reads, shared by in-process
-    ranks (locked for thread ranks).
+    ranks (a forked rank reads its own copy).
 
     Models ranks reading the same deterministic schedule inputs; generating
     a week once and sharing it read-only across in-process ranks avoids
@@ -249,16 +248,14 @@ class _ScheduleCache:
 
     def __init__(self, generator: WeeklyScheduleGenerator) -> None:
         self._generator = generator
-        self._lock = threading.Lock()
         self._week: WeekRows | None = None
 
     def rows(self, index: int) -> WeekRows:
         """Week ``index`` as the rank step reads it."""
-        with self._lock:
-            if self._week is None or self._week.week_index != index:
-                self._week = None  # let the old week go before building
-                self._week = WeekRows.of(*self._generator.week_with_changes(index))
-            return self._week
+        if self._week is None or self._week.week_index != index:
+            self._week = None  # let the old week go before building
+            self._week = WeekRows.of(*self._generator.week_with_changes(index))
+        return self._week
 
 
 @dataclass
@@ -422,11 +419,11 @@ class DistributedSimulation:
 
         By default the ranks are generators stepped in lockstep on the
         calling thread (:class:`~repro.distrib.lockstep.LockstepCluster`):
-        no thread, no barrier.  ``cluster`` may be any object with a
-        compatible ``run(rank_fn, rank_args=...)`` — e.g.
+        no thread, no barrier; it is the one in-process cluster.
+        ``cluster`` may be any object with a compatible ``run(rank_fn,
+        rank_args=...)`` — i.e.
         :class:`~repro.distrib.proccluster.ProcessBspCluster` for real OS
-        processes, or :class:`~repro.distrib.simcluster.SimCluster` for
-        thread ranks — and runs the same rank body through
+        processes — and runs the same rank body through
         :func:`~repro.distrib.lockstep.spmd`.
 
         Fault tolerance
@@ -470,7 +467,7 @@ class DistributedSimulation:
         n_ranks = self.config.n_ranks
         n_persons = self.population.n_persons
         assignment = self.partition.assignment
-        # before any rank thread or forked rank exists: every rank runs
+        # before any forked rank exists: every rank runs
         # the implementation this process loaded and none builds its own
         load_cext()
         cache = _ScheduleCache(
@@ -676,6 +673,8 @@ class DistributedSimulation:
                 )
                 for st in resume_states:
                     st["next_hour"] = first_hour
+            # the first week is built here, once: forked ranks inherit it
+            cache.rows(first_hour // HOURS_PER_WEEK)
             rank_args = [
                 (resume_states[r] if resume_states is not None else None,)
                 for r in range(n_ranks)

@@ -5,13 +5,13 @@ at every collective — ``("alltoall", payloads)``, ``("gather", obj,
 root)`` or ``("barrier",)`` — receiving the collective's result back.
 :class:`LockstepCluster` advances every rank up to the same collective,
 performs it as a list transpose and records each rank's
-:class:`~repro.distrib.comm.TrafficStats` exactly as a
-:class:`~repro.distrib.comm.Communicator` records them; no thread, no
-barrier, no interpreter-lock hand-off.  :func:`spmd` turns the same body
-into a ``rank_fn(comm, ...)`` for any ``run(rank_fn)`` cluster
-(:class:`~repro.distrib.simcluster.SimCluster`,
-:class:`~repro.distrib.proccluster.ProcessBspCluster`), whose
-communicator then performs the collectives the body yields.
+:class:`~repro.distrib.comm.TrafficStats` (each off-diagonal non-empty
+payload one message of its size, a gather one message per non-root, a
+barrier none); no thread, no barrier, no interpreter-lock hand-off.
+:func:`spmd` turns the same body into a ``rank_fn(comm, ...)`` for
+:class:`~repro.distrib.proccluster.ProcessBspCluster`, whose
+communicator then performs the collectives the body yields and meters
+them alike.
 
 Failure semantics follow a real job's, without waiting for a deadline:
 
@@ -22,16 +22,15 @@ Failure semantics follow a real job's, without waiting for a deadline:
   run), and the run raises :class:`~repro.errors.RankFailureError`
   naming it at once;
 * a rank raising anything else fails the run with a
-  :class:`~repro.errors.CommError` naming the rank and chaining the cause,
-  as :class:`~repro.distrib.simcluster.SimCluster` does;
+  :class:`~repro.errors.CommError` naming the rank and chaining the cause;
 * ``heartbeat_timeout`` bounds a rank's work between two collectives
   (timed with ``time.perf_counter`` around each advance): a rank that
   overruns it is declared dead — :class:`~repro.errors.RankFailureError`
-  naming it — as a thread rank that kept its siblings waiting past the
+  naming it — as a rank that kept its siblings waiting past the
   deadline would be;
 * ranks reaching different collectives (or returning while others wait
-  at one) are a :class:`~repro.errors.CommError`, where threads would
-  deadlock.
+  at one) are a :class:`~repro.errors.CommError`, where blocking ranks
+  would deadlock.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from typing import Any, Callable, Generator, Sequence
 import numpy as np
 
 from ..errors import CommError, RankDeadError, RankFailureError
-from .comm import TrafficStats, payload_nbytes
-from .simcluster import ClusterRunResult
+from .comm import ClusterRunResult, TrafficStats, payload_nbytes
 
 __all__ = ["LockstepCluster", "LockstepRank", "spmd"]
 

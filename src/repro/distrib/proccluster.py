@@ -1,11 +1,10 @@
 """Real-process BSP cluster (fork + queues).
 
-:class:`~repro.distrib.simcluster.SimCluster` runs ranks as lock-stepped
-threads and :class:`~repro.distrib.lockstep.LockstepCluster` as generators
-on one thread — perfect for determinism and traffic metering, irrelevant
-for wall-clock speed.  :class:`ProcessBspCluster` runs the *same SPMD rank
-functions* as genuine OS processes, the closest a pure-Python stack gets
-to the paper's MPI deployment:
+:class:`~repro.distrib.lockstep.LockstepCluster` steps generator ranks on
+one thread — perfect for determinism and traffic metering, irrelevant for
+wall-clock speed.  :class:`ProcessBspCluster` runs SPMD rank functions as
+genuine OS processes, the closest a pure-Python stack gets to the paper's
+MPI deployment:
 
 * ranks are forked children (closures work without pickling, like an
   ``mpiexec`` launch inheriting the binary image);
@@ -15,24 +14,35 @@ to the paper's MPI deployment:
 * return values, traffic stats and the spans a rank finished (its
   collector dies with it) ship back over a result queue.
 
-The communicator satisfies the same protocol as
-:class:`~repro.distrib.comm.Communicator`, so any rank function written
-for the simulated cluster runs here unchanged — verified by running the
-full distributed model on both and comparing event streams bit-for-bit.
+The communicator performs the three collectives a lockstep rank body
+yields — ``alltoall``, ``gather`` and ``barrier`` — and meters them as
+the lockstep cluster does, so :func:`~repro.distrib.lockstep.spmd` runs
+the distributed model's body here unchanged (verified by comparing rank
+logs, snapshots and per-rank traffic byte-for-byte).
+
+Failure semantics: ``timeout`` is one deadline for the whole run; a rank
+that raises fails the run at once as a :class:`~repro.errors.CommError`
+naming it; a rank that exits without reporting (``SIGKILL``, the OOM
+killer) fails it as :class:`~repro.errors.RankFailureError` naming it
+as soon as its exit code is seen.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import queue
+import time
 from typing import Any, Callable, Sequence
 
-from ..errors import CommError
+from ..errors import CommError, RankFailureError
 from ..obs import capture_spans, get_collector
-from .comm import TrafficStats, payload_nbytes
-from .simcluster import ClusterRunResult
+from .comm import ClusterRunResult, TrafficStats, payload_nbytes
 
 __all__ = ["ProcessBspCluster", "ProcessCommunicator"]
+
+#: how often the parent looks at its ranks' exit codes while it waits
+_POLL_SECONDS = 0.05
 
 
 class ProcessCommunicator:
@@ -116,10 +126,6 @@ class ProcessCommunicator:
         self.stats.record("alltoall", n_msg, sent_bytes)
         return received
 
-    def allgather(self, obj: Any) -> list[Any]:
-        """Everyone contributes one object; everyone gets the full list."""
-        return self.alltoall([obj] * self.size)
-
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Collect one object per rank at *root* (None elsewhere)."""
         seq = self._seq
@@ -135,47 +141,6 @@ class ProcessCommunicator:
         self._send(root, seq, obj)
         self.stats.record("gather", 1, payload_nbytes(obj))
         return None
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast *obj* from *root* to every rank."""
-        seq = self._seq
-        self._seq += 1
-        if self.rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self._send(dest, seq, obj)
-            self.stats.record(
-                "bcast", self.size - 1, payload_nbytes(obj) * (self.size - 1)
-            )
-            return obj
-        out = self._recv(root, seq)
-        self.stats.record("bcast", 0, 0)
-        return out
-
-    def allreduce_sum(self, value: Any) -> Any:
-        """Sum across ranks (numbers or numpy arrays)."""
-        import numpy as np
-
-        gathered = self.allgather(value)
-        total = gathered[0]
-        if isinstance(total, np.ndarray):
-            total = total.copy()
-            for v in gathered[1:]:
-                total += v
-            return total
-        return sum(gathered[1:], start=total)
-
-    def reduce_with(
-        self, value: Any, fn: Callable[[Any, Any], Any], root: int = 0
-    ) -> Any:
-        """Gather at *root* and fold with *fn*."""
-        gathered = self.gather(value, root=root)
-        if gathered is None:
-            return None
-        acc = gathered[0]
-        for v in gathered[1:]:
-            acc = fn(acc, v)
-        return acc
 
 
 class ProcessBspCluster:
@@ -199,61 +164,99 @@ class ProcessBspCluster:
         rank_args: Sequence[tuple] | None = None,
         timeout: float = 600.0,
     ) -> ClusterRunResult:
-        """Execute ``rank_fn(comm, *args)`` on every rank; gather results."""
+        """Execute ``rank_fn(comm, *args)`` on every rank; gather results.
+
+        ``timeout`` bounds the whole run: one shared deadline, not a
+        per-rank allowance.  A rank that raises fails the run at once with
+        a :class:`~repro.errors.CommError` naming it (on one rank, which
+        runs in this process, the cause is chained); a rank that exits
+        without reporting fails it with
+        :class:`~repro.errors.RankFailureError` naming it.
+        """
         if rank_args is not None and len(rank_args) != self.n_ranks:
             raise CommError("rank_args must match n_ranks")
         ctx = mp.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(self.n_ranks)]
         barrier = ctx.Barrier(self.n_ranks)
+
+        def args(rank: int) -> tuple:
+            return rank_args[rank] if rank_args is not None else ()
+
+        if self.n_ranks == 1:
+            comm = ProcessCommunicator(0, inboxes, barrier)
+            try:
+                value = rank_fn(comm, *args(0))
+            except Exception as exc:
+                raise CommError(f"rank 0 failed: {exc!r}") from exc
+            return ClusterRunResult(returns=[value], traffic=[comm.stats])
+
         results = ctx.Queue()
 
         def child(rank: int) -> None:
             comm = ProcessCommunicator(rank, inboxes, barrier)
             with capture_spans() as spans:
                 try:
-                    value = rank_fn(
-                        comm, *(rank_args[rank] if rank_args is not None else ())
-                    )
+                    value = rank_fn(comm, *args(rank))
                     status = "ok"
                 except BaseException as exc:  # noqa: BLE001 - shipped to parent
                     value, status = repr(exc), "error"
             results.put((rank, status, value, comm.stats, spans))
 
-        if self.n_ranks == 1:
-            comm = ProcessCommunicator(0, inboxes, barrier)
-            value = rank_fn(
-                comm, *(rank_args[0] if rank_args is not None else ())
-            )
-            return ClusterRunResult(returns=[value], traffic=[comm.stats])
-
         procs = [
             ctx.Process(target=child, args=(rank,), daemon=True)
             for rank in range(self.n_ranks)
         ]
+        deadline = time.monotonic() + timeout
         for p in procs:
             p.start()
         returns: list[Any] = [None] * self.n_ranks
         traffic: list[TrafficStats] = [TrafficStats()] * self.n_ranks
-        errors: list[tuple[int, str]] = []
-        for _ in range(self.n_ranks):
-            try:
-                rank, status, value, stats, spans = results.get(timeout=timeout)
-            except Exception as exc:
-                for p in procs:
-                    p.terminate()
-                raise CommError("rank process died or timed out") from exc
+        waiting = set(range(self.n_ranks))
+
+        def take(report: tuple) -> None:
+            rank, status, value, stats, spans = report
+            waiting.discard(rank)
             traffic[rank] = stats
             get_collector().absorb(spans)
-            if status == "ok":
-                returns[rank] = value
-            else:
-                errors.append((rank, value))
-        for p in procs:
-            p.join(timeout=10.0)
-            if p.is_alive():
-                p.terminate()
-        if errors:
-            errors.sort()
-            rank, message = errors[0]
-            raise CommError(f"rank {rank} failed: {message}")
+            if status != "ok":
+                raise CommError(f"rank {rank} failed: {value}")
+            returns[rank] = value
+
+        try:
+            while waiting:
+                left = deadline - time.monotonic()
+                try:
+                    take(results.get(timeout=min(_POLL_SECONDS, max(left, 0.0))))
+                    continue
+                except queue.Empty:
+                    pass
+                # a rank flushes its report before it exits: drain what
+                # the exited ones sent, so a rank that reported is never
+                # a suspect
+                exited = {r for r in waiting if procs[r].exitcode is not None}
+                while exited & waiting:
+                    try:
+                        take(results.get_nowait())
+                    except queue.Empty:
+                        break
+                dead = sorted(exited & waiting)
+                if dead:
+                    codes = ", ".join(str(procs[r].exitcode) for r in dead)
+                    raise RankFailureError(
+                        f"rank(s) {dead} exited without reporting "
+                        f"(exit code(s) {codes})",
+                        suspects=dead,
+                    )
+                if left <= 0:
+                    raise CommError(
+                        f"rank(s) {sorted(waiting)} still running at the "
+                        f"shared {timeout}s deadline"
+                    )
+        finally:
+            for p in procs:
+                if waiting:  # the run failed: nobody waits on a sibling
+                    p.terminate()
+                p.join(timeout=10.0)
+                if p.is_alive():
+                    p.terminate()
         return ClusterRunResult(returns=returns, traffic=traffic)

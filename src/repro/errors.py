@@ -57,15 +57,18 @@ class SimulationError(ReproError):
 
 
 class CommError(ReproError):
-    """Communicator misuse (bad rank, mismatched collective, closed cluster)."""
+    """A cluster run failed: ranks at different collectives, a bad payload
+    count, a rank that raised (named, its cause chained where it ran in
+    this process) or a run past its deadline."""
 
 
 class RankFailureError(CommError):
-    """A rank stopped participating in collectives (missed its heartbeat
-    deadline or broke the barrier).
+    """A rank stopped participating in collectives: it was killed (a
+    lockstep rank's :class:`RankDeadError`, a forked rank that exited
+    without reporting) or its work between two collectives overran the
+    heartbeat deadline.
 
-    ``suspects`` lists the ranks that had made the fewest barrier arrivals
-    when the failure was detected — the ranks most likely dead.
+    ``suspects`` lists the ranks found dead.
     """
 
     def __init__(self, message: str, suspects: list[int] | None = None) -> None:
@@ -74,10 +77,11 @@ class RankFailureError(CommError):
 
 
 class RankDeadError(ReproError):
-    """Raised by :meth:`~repro.distrib.comm.Communicator.die` to simulate a
-    hard rank kill: the runner unwinds the rank's stack *without* notifying
-    siblings, exactly like a SIGKILLed MPI process — detection must come
-    from the heartbeat deadline, not from exception propagation."""
+    """Raised by :meth:`~repro.distrib.lockstep.LockstepRank.die` to
+    simulate a hard rank kill: the rank body skips its cleanup (the
+    distributed model leaves the rank's log torn, as a SIGKILL would), and
+    the cluster closes the other ranks where they wait and raises
+    :class:`RankFailureError` naming the victim at once."""
 
 
 class PartitionError(ReproError):

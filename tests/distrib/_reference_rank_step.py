@@ -14,18 +14,20 @@ arrived (the receive path ``HostedTable.receive`` replaced), for
 It steps every hour, and holds every rank's records in memory also when
 it logs (``held_records``), as the loop did before change-free hours were
 skipped and logged runs stopped holding records; only the result and
-checkpoint-loading APIs it shares with ``dmodel`` were adapted.
+checkpoint-loading APIs it shares with ``dmodel`` were adapted, and its
+three collectives are yielded (``alltoall``, ``gather`` to rank 0,
+``barrier``) for :class:`~repro.distrib.lockstep.LockstepCluster`, the
+one in-process cluster.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.config import HOURS_PER_WEEK
-from repro.distrib.comm import Communicator
 from repro.distrib.dmodel import (
     DIST_MANIFEST,
     DistributedRunResult,
@@ -35,8 +37,8 @@ from repro.distrib.dmodel import (
     _save_dist_checkpoint,
     _ScheduleCache,
 )
+from repro.distrib.lockstep import LockstepCluster, spmd
 from repro.distrib.migration import MIGRANT_DTYPE, pack_migrants
-from repro.distrib.simcluster import SimCluster
 from repro.errors import CommError, RankDeadError, RankFailureError, SimulationError
 from repro.evlog.multifile import rank_log_path
 from repro.evlog.schema import LogRecordArray, empty_records
@@ -104,16 +106,17 @@ class ReferenceDistributedSimulation(DistributedSimulation):
     def run(
         self,
         log_dir: str | Path | None = None,
-        cluster: "SimCluster | None" = None,
+        cluster: Any = None,
         checkpoint_dir: str | Path | None = None,
-        fault_hook: "Callable[[Communicator, int], None] | None" = None,
+        fault_hook: "Callable[[Any, int], None] | None" = None,
         max_restarts: int = 0,
     ) -> DistributedRunResult:
         """Execute the run on ``config.n_ranks`` ranks.
 
         ``cluster`` may be any object with a compatible ``run(rank_fn)``
         (e.g. :class:`~repro.distrib.proccluster.ProcessBspCluster` for
-        real OS processes); defaults to the in-process simulated cluster.
+        real OS processes), which runs the body through ``spmd``; defaults
+        to the in-process :class:`~repro.distrib.lockstep.LockstepCluster`.
 
         Fault tolerance
         ---------------
@@ -123,14 +126,14 @@ class ReferenceDistributedSimulation(DistributedSimulation):
         byte offsets are gathered to rank 0, which writes them atomically
         (state npz first, manifest last).  With ``max_restarts > 0`` and the
         default in-process cluster, a detected rank failure
-        (:class:`~repro.errors.RankFailureError`, raised when a rank misses
-        its ``config.heartbeat_timeout`` deadline) triggers a supervised
-        restart: a fresh cluster restores every rank from the last
-        snapshot — truncating each rank's log back to the recorded offset —
-        and replays.  ``fault_hook(comm, hour)`` runs at the top of every
-        rank-hour and exists for fault injection (call ``comm.die()`` to
-        simulate a hard kill); hooks must be stateful so they do not
-        re-kill after a restart.
+        (:class:`~repro.errors.RankFailureError`, raised when a rank is
+        killed or misses its ``config.heartbeat_timeout`` deadline)
+        triggers a supervised restart: a fresh cluster restores every rank
+        from the last snapshot — truncating each rank's log back to the
+        recorded offset — and replays.  ``fault_hook(comm, hour)`` runs at
+        the top of every rank-hour and exists for fault injection (call
+        ``comm.die()`` to simulate a hard kill); hooks must be stateful so
+        they do not re-kill after a restart.
         """
         duration = self.config.duration_hours
         n_ranks = self.config.n_ranks
@@ -147,7 +150,7 @@ class ReferenceDistributedSimulation(DistributedSimulation):
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         digest = self.checkpoint_digest(with_log=log_directory is not None)
 
-        def rank_fn(comm: Communicator, resume_state: dict | None) -> _RankOutput:
+        def rank_fn(comm: Any, resume_state: dict | None):
             rank = comm.rank
             week = cache.rows(0).grid()
             checkpoints = 0
@@ -255,7 +258,7 @@ class ReferenceDistributedSimulation(DistributedSimulation):
                         spell_start = spell_start[keep]
                         spell_act = spell_act[keep]
                         spell_place = spell_place[keep]
-                    incoming = unpack_migrants(comm.alltoall(payloads))
+                    incoming = unpack_migrants((yield ("alltoall", payloads)))
                     if len(incoming):
                         ids = np.concatenate([ids, incoming["person"]])
                         spell_start = np.concatenate(
@@ -294,13 +297,13 @@ class ReferenceDistributedSimulation(DistributedSimulation):
                                 writer.offset if writer is not None else -1
                             ),
                         }
-                        gathered = comm.gather(state, root=0)
+                        gathered = yield ("gather", state, 0)
                         if gathered is not None:
                             _save_dist_checkpoint(
                                 ckpt_dir, digest, hour + 1, gathered
                             )
                         # nobody proceeds until the snapshot is committed
-                        comm.barrier()
+                        yield ("barrier",)
                         checkpoints += 1
 
                 # close remaining spells
@@ -344,17 +347,17 @@ class ReferenceDistributedSimulation(DistributedSimulation):
                 )
                 for st in resume_states:
                     st["next_hour"] = next_hour
-            attempt_cluster = cluster
-            if attempt_cluster is None:
-                attempt_cluster = SimCluster(
-                    n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
-                )
             rank_args = [
                 (resume_states[r] if resume_states is not None else None,)
                 for r in range(n_ranks)
             ]
             try:
-                result = attempt_cluster.run(rank_fn, rank_args=rank_args)
+                if cluster is None:
+                    result = LockstepCluster(
+                        n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
+                    ).run(rank_fn, rank_args=rank_args)
+                else:
+                    result = cluster.run(spmd(rank_fn), rank_args=rank_args)
                 break
             except RankFailureError:
                 # supervised restart only with the default in-process

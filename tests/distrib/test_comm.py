@@ -1,8 +1,13 @@
-"""Tests for the BSP communicator collectives and traffic metering."""
+"""Tests for the collectives and their traffic metering.
+
+The three collectives a rank body yields — ``alltoall``, ``gather`` and
+``barrier`` — run natively on :class:`LockstepCluster` and through ``spmd``
+on :class:`ProcessBspCluster`; both must give every rank the replies and
+the :class:`TrafficStats` a sequential model works out.
+"""
 
 from __future__ import annotations
 
-import sys
 import time
 
 import numpy as np
@@ -10,80 +15,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distrib import SimCluster
+from repro.distrib import ProcessBspCluster
 from repro.distrib.comm import TrafficStats, payload_nbytes
-from repro.errors import CommError, RankFailureError
+from repro.distrib.lockstep import LockstepCluster, spmd
+from repro.errors import CommError
+
+
+def one_op(op):
+    """A body that yields ``op(comm)`` once and returns the reply."""
+
+    def body(comm):
+        got = yield op(comm)
+        return got
+
+    return body
 
 
 class TestCollectives:
-    def test_allreduce_sum_scalars(self):
-        result = SimCluster(5).run(lambda c: c.allreduce_sum(c.rank + 1))
-        assert result.returns == [15] * 5
-
-    def test_allreduce_sum_arrays(self):
-        def fn(c):
-            return c.allreduce_sum(np.full(3, c.rank, dtype=np.int64))
-
-        result = SimCluster(4).run(fn)
-        for out in result.returns:
-            assert out.tolist() == [6, 6, 6]
-
-    def test_allreduce_does_not_mutate_input(self):
-        def fn(c):
-            mine = np.full(2, c.rank, dtype=np.int64)
-            c.allreduce_sum(mine)
-            return mine.copy()
-
-        result = SimCluster(3).run(fn)
-        for rank, out in enumerate(result.returns):
-            assert out.tolist() == [rank, rank]
-
-    def test_allgather(self):
-        result = SimCluster(3).run(lambda c: c.allgather(c.rank * 2))
-        assert result.returns == [[0, 2, 4]] * 3
-
     def test_gather_root_only(self):
-        result = SimCluster(3).run(lambda c: c.gather(c.rank, root=1))
+        result = LockstepCluster(3).run(one_op(lambda c: ("gather", c.rank, 1)))
         assert result.returns[0] is None
         assert result.returns[1] == [0, 1, 2]
         assert result.returns[2] is None
 
-    def test_bcast(self):
-        def fn(c):
-            return c.bcast("hello" if c.rank == 2 else None, root=2)
-
-        assert SimCluster(4).run(fn).returns == ["hello"] * 4
-
     def test_alltoall_permutation(self):
-        def fn(c):
-            sent = [f"{c.rank}->{j}" for j in range(c.size)]
-            return c.alltoall(sent)
+        def op(c):
+            return ("alltoall", [f"{c.rank}->{j}" for j in range(c.size)])
 
-        result = SimCluster(3).run(fn)
+        result = LockstepCluster(3).run(one_op(op))
         assert result.returns[1] == ["0->1", "1->1", "2->1"]
 
     def test_alltoall_wrong_length(self):
-        def fn(c):
-            return c.alltoall([None])  # wrong size on all ranks
-
         with pytest.raises(CommError):
-            SimCluster(3).run(fn)
-
-    def test_reduce_with_custom_fold(self):
-        def fn(c):
-            return c.reduce_with({c.rank}, lambda a, b: a | b)
-
-        result = SimCluster(4).run(fn)
-        assert result.returns[0] == {0, 1, 2, 3}
+            LockstepCluster(3).run(one_op(lambda c: ("alltoall", [None])))
 
     def test_consecutive_collectives_isolated(self):
-        """Back-to-back collectives must not read stale slots."""
-        def fn(c):
-            first = c.allgather(c.rank)
-            second = c.allgather(c.rank * 10)
+        """Back-to-back collectives must not read stale replies."""
+
+        def body(c):
+            first = yield ("alltoall", [c.rank] * c.size)
+            second = yield ("alltoall", [c.rank * 10] * c.size)
             return first, second
 
-        result = SimCluster(4).run(fn)
+        result = LockstepCluster(4).run(body)
         for first, second in result.returns:
             assert first == [0, 1, 2, 3]
             assert second == [0, 10, 20, 30]
@@ -91,33 +65,52 @@ class TestCollectives:
 
 class TestTraffic:
     def test_alltoall_metering_excludes_self(self):
-        def fn(c):
-            payloads = [np.zeros(10, dtype=np.uint8) for _ in range(c.size)]
-            c.alltoall(payloads)
-            return None
+        def op(c):
+            return ("alltoall", [np.zeros(10, dtype=np.uint8)] * c.size)
 
-        result = SimCluster(4).run(fn)
+        result = LockstepCluster(4).run(one_op(op))
         for stats in result.traffic:
             assert stats.bytes_sent == 30  # 3 foreign ranks x 10 bytes
             assert stats.messages_sent == 3
 
     def test_empty_payloads_cost_nothing(self):
-        def fn(c):
-            c.alltoall([None] * c.size)
-            return None
-
-        result = SimCluster(3).run(fn)
+        result = LockstepCluster(3).run(
+            one_op(lambda c: ("alltoall", [None] * c.size))
+        )
         assert result.total_traffic.bytes_sent == 0
 
     def test_traffic_merge(self):
-        def fn(c):
-            c.allgather(np.zeros(8, dtype=np.uint8))
-            return None
-
-        result = SimCluster(3).run(fn)
+        result = LockstepCluster(3).run(
+            one_op(lambda c: ("gather", np.zeros(8, dtype=np.uint8), 0))
+        )
         total = result.total_traffic
-        assert total.bytes_sent == sum(t.bytes_sent for t in result.traffic)
-        assert "allgather" in total.by_kind
+        assert total.bytes_sent == sum(t.bytes_sent for t in result.traffic) == 16
+        assert "gather" in total.by_kind
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.binary(max_size=6),
+                st.integers(0, 9).map(lambda n: np.zeros(n, dtype=np.uint16)),
+                st.integers(),
+                st.text(max_size=4),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_metering_matches_the_two_pass_formula(self, payloads):
+        """Bytes and messages as the former two-pass metering counted them:
+        every off-diagonal payload's size once, a message per non-empty one."""
+        result = LockstepCluster(3).run(one_op(lambda c: ("alltoall", payloads)))
+        for rank, stats in enumerate(result.traffic):
+            foreign = [p for j, p in enumerate(payloads) if j != rank]
+            assert stats.bytes_sent == sum(payload_nbytes(p) for p in foreign)
+            assert stats.messages_sent == sum(1 for p in foreign if payload_nbytes(p) > 0)
+            assert stats.by_kind == {"alltoall": stats.bytes_sent}
+            assert stats.collectives == 1
 
 
 class TestPayloadSizing:
@@ -151,14 +144,14 @@ class TestPayloadSizing:
 
 # -- the collectives against a sequential model --------------------------------
 
-OPS = ("alltoall", "gather", "allgather", "barrier", "bcast")
+OPS = ("alltoall", "gather", "barrier")
 
 
 @st.composite
 def programs(draw):
     """``(size, steps)``: every rank runs ``steps`` in order; a step is
     ``(op, root, sleeps)`` with one pre-call sleep (ms) per rank."""
-    size = draw(st.integers(2, 5))
+    size = draw(st.integers(1, 5))
     steps = draw(
         st.lists(
             st.tuples(
@@ -178,22 +171,18 @@ def payload(step: int, src: int, dst: int | None = None) -> bytes:
     return f"{step}:{src}:{dst}".encode() * (1 + (step + src) % 3)
 
 
-def run_program(comm, steps):
+def run_program(comm, steps, jitter):
     seen = []
     for k, (op, root, sleeps) in enumerate(steps):
-        if sleeps[comm.rank]:
+        if jitter and sleeps[comm.rank]:
             time.sleep(sleeps[comm.rank] / 1000.0)
         if op == "alltoall":
-            seen.append(comm.alltoall([payload(k, comm.rank, j) for j in range(comm.size)]))
+            got = yield ("alltoall", [payload(k, comm.rank, j) for j in range(comm.size)])
         elif op == "gather":
-            seen.append(comm.gather(payload(k, comm.rank), root=root))
-        elif op == "allgather":
-            seen.append(comm.allgather(payload(k, comm.rank)))
-        elif op == "bcast":
-            mine = payload(k, root) if comm.rank == root else None
-            seen.append(comm.bcast(mine, root=root))
+            got = yield ("gather", payload(k, comm.rank), root)
         else:
-            seen.append(comm.barrier())
+            got = yield ("barrier",)
+        seen.append(got)
     return seen
 
 
@@ -212,109 +201,38 @@ def model(size: int, steps, rank: int):
                 stats.record("gather", 0, 0)
             else:
                 stats.record("gather", 1, len(payload(k, rank)))
-        elif op == "allgather":
-            seen.append([payload(k, src) for src in range(size)])
-            stats.record("allgather", size - 1, len(payload(k, rank)) * (size - 1))
-        elif op == "bcast":
-            seen.append(payload(k, root))
-            if rank == root:
-                stats.record("bcast", size - 1, len(payload(k, root)) * (size - 1))
-            else:
-                stats.record("bcast", 0, 0)
         else:
             seen.append(None)
             stats.record("barrier", 0, 0)
     return seen, stats
 
 
+def assert_matches_model(result, size, steps):
+    for rank in range(size):
+        seen, stats = model(size, steps, rank)
+        assert result.returns[rank] == seen
+        assert result.traffic[rank] == stats
+
+
 class TestAgainstSequentialModel:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
+    @given(programs())
+    def test_interleaved_collectives_in_lockstep(self, program):
+        size, steps = program
+        result = LockstepCluster(size).run(
+            run_program, rank_args=[(steps, False)] * size
+        )
+        assert_matches_model(result, size, steps)
+
+    @pytest.mark.timeout(120)
+    @settings(max_examples=10, deadline=None)
     @given(programs())
     def test_interleaved_collectives_with_jitter(self, program):
+        """Forked ranks, each sleeping before some calls: a rank often runs
+        whole collectives ahead of a sibling, and the sequence tags must
+        still keep every reply in its own collective."""
         size, steps = program
-        result = SimCluster(size, heartbeat_timeout=10.0).run(
-            run_program, rank_args=[(steps,)] * size
+        result = ProcessBspCluster(size).run(
+            spmd(run_program), rank_args=[(steps, True)] * size, timeout=60.0
         )
-        for rank in range(size):
-            seen, stats = model(size, steps, rank)
-            assert result.returns[rank] == seen
-            assert result.traffic[rank] == stats
-
-
-class TestOneBarrierAlltoall:
-    def test_back_to_back_calls_never_read_a_stale_matrix(self):
-        """1 000 calls, more ranks than cores, one rank that dawdles, and a
-        short switch interval: a fast rank is often a whole call ahead of the
-        slow one, and must still never overwrite what the slow one reads."""
-        size, calls = 5, 1000
-
-        def fn(comm):
-            bad = 0
-            for k in range(calls):
-                if comm.rank == 3 and k % 97 == 0:
-                    time.sleep(0.002)
-                got = comm.alltoall([(k, comm.rank, j) for j in range(comm.size)])
-                bad += got != [(k, src, comm.rank) for src in range(comm.size)]
-            return bad
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            result = SimCluster(size, heartbeat_timeout=20.0).run(fn, timeout=120.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert result.returns == [0] * size
-        for stats in result.traffic:
-            assert stats.collectives == calls
-
-    def test_one_barrier_per_call(self):
-        held = {}
-
-        def fn(comm):
-            held[comm.rank] = comm
-            for _ in range(7):
-                comm.alltoall([None] * comm.size)
-            comm.allgather(0)
-
-        SimCluster(3).run(fn)
-        assert held[0]._board.sync_counts == [7 + 2] * 3
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.none(),
-                st.binary(max_size=6),
-                st.integers(0, 9).map(lambda n: np.zeros(n, dtype=np.uint16)),
-                st.integers(),
-                st.text(max_size=4),
-            ),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    def test_metering_matches_the_two_pass_formula(self, payloads):
-        """Bytes and messages as the former two-pass metering counted them:
-        every off-diagonal payload's size once, a message per non-empty one."""
-        result = SimCluster(3).run(lambda comm: comm.alltoall(payloads))
-        for rank, stats in enumerate(result.traffic):
-            foreign = [p for j, p in enumerate(payloads) if j != rank]
-            assert stats.bytes_sent == sum(payload_nbytes(p) for p in foreign)
-            assert stats.messages_sent == sum(1 for p in foreign if payload_nbytes(p) > 0)
-            assert stats.by_kind == {"alltoall": stats.bytes_sent}
-            assert stats.collectives == 1
-
-    def test_death_between_two_calls_names_the_rank(self):
-        timeout = 1.0
-
-        def fn(comm):
-            comm.alltoall([comm.rank] * comm.size)
-            if comm.rank == 2:
-                comm.die()
-            comm.alltoall([comm.rank] * comm.size)
-
-        tic = time.monotonic()
-        with pytest.raises(RankFailureError) as exc_info:
-            SimCluster(4, heartbeat_timeout=timeout).run(fn)
-        assert exc_info.value.suspects == [2]
-        assert time.monotonic() - tic < timeout + 4.0  # the deadline, not a hang
+        assert_matches_model(result, size, steps)

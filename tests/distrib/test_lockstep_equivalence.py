@@ -1,12 +1,12 @@
-"""One rank body, three clusters: the same logs, traffic and migrations.
+"""One rank body, two clusters: the same logs, traffic and migrations.
 
 The distributed model's default cluster steps its ranks in lockstep on one
-thread; the same body runs through ``spmd`` on thread ranks
-(``SimCluster``) and on forked process ranks (``ProcessBspCluster``).
-Over drawn rank counts, durations across a week boundary, partitions and
-snapshot cadences (with a write-ahead log), every cluster must write
-byte-equal rank logs and snapshots, meter equal per-rank traffic (bytes,
-messages, collectives and bytes by kind) and count equal migrations.
+thread; the same body runs through ``spmd`` on forked process ranks
+(``ProcessBspCluster``).  Over drawn rank counts, durations across a week
+boundary, partitions and snapshot cadences (with a write-ahead log), both
+clusters must write byte-equal rank logs and snapshots, meter equal
+per-rank traffic (bytes, messages, collectives and bytes by kind) and
+count equal migrations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.config import HOURS_PER_WEEK, ScaleConfig, SimulationConfig
 from repro.distrib import (
     DistributedSimulation,
     ProcessBspCluster,
-    SimCluster,
     spatial_partition,
 )
 from repro.distrib.dmodel import DIST_STATE
@@ -77,7 +76,6 @@ def test_every_cluster_runs_the_same_model(pop, n_ranks, duration, kind, every):
     with tempfile.TemporaryDirectory() as tmp:
         for label, cluster in (
             ("lockstep", None),
-            ("threads", SimCluster(n_ranks)),
             ("processes", ProcessBspCluster(n_ranks)),
         ):
             logs, ckpt = Path(tmp) / label, Path(tmp) / f"{label}-ck"
@@ -95,12 +93,9 @@ def test_every_cluster_runs_the_same_model(pop, n_ranks, duration, kind, every):
     assert lockstep.checkpoints_written == (
         0 if every is None else (duration - 1) // every
     )
-    for label in ("threads", "processes"):
-        other, other_logs, other_snap = runs[label]
-        assert other_logs == logs, label
-        assert other.per_rank_traffic == lockstep.per_rank_traffic, label
-        assert np.array_equal(
-            other.migrations_per_hour, lockstep.migrations_per_hour
-        ), label
-        assert other.rank_events == lockstep.rank_events, label
-        assert other_snap == snap, label
+    other, other_logs, other_snap = runs["processes"]
+    assert other_logs == logs
+    assert other.per_rank_traffic == lockstep.per_rank_traffic
+    assert np.array_equal(other.migrations_per_hour, lockstep.migrations_per_hour)
+    assert other.rank_events == lockstep.rank_events
+    assert other_snap == snap

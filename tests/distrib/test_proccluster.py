@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -12,26 +16,12 @@ from repro.distrib import (
     spatial_partition,
 )
 from repro.core.kernels import compiled_impl
-from repro.errors import CommError
+from repro.errors import CommError, RankFailureError
 from repro.evlog import LogSet
 from repro.obs import configure, get_collector
 
 
 class TestCollectives:
-    def test_allreduce(self):
-        result = ProcessBspCluster(4).run(
-            lambda comm: comm.allreduce_sum(comm.rank + 1)
-        )
-        assert result.returns == [10, 10, 10, 10]
-
-    def test_allreduce_arrays(self):
-        def fn(comm):
-            return comm.allreduce_sum(np.full(2, comm.rank, dtype=np.int64))
-
-        result = ProcessBspCluster(3).run(fn)
-        for out in result.returns:
-            assert out.tolist() == [3, 3]
-
     def test_alltoall(self):
         def fn(comm):
             return comm.alltoall([f"{comm.rank}->{j}" for j in range(comm.size)])
@@ -39,32 +29,23 @@ class TestCollectives:
         result = ProcessBspCluster(3).run(fn)
         assert result.returns[1] == ["0->1", "1->1", "2->1"]
 
-    def test_gather_and_bcast(self):
-        def fn(comm):
-            g = comm.gather(comm.rank * 2, root=1)
-            b = comm.bcast("hello" if comm.rank == 0 else None, root=0)
-            return g, b
-
-        result = ProcessBspCluster(3).run(fn)
-        assert result.returns[1][0] == [0, 2, 4]
-        assert all(r[1] == "hello" for r in result.returns)
-
     def test_consecutive_collectives_sequenced(self):
         def fn(comm):
-            first = comm.allgather(comm.rank)
-            second = comm.allgather(comm.rank * 10)
-            third = comm.allreduce_sum(1)
-            return first, second, third
+            first = comm.alltoall([comm.rank] * comm.size)
+            gathered = comm.gather(comm.rank * 2, root=1)
+            comm.barrier()
+            second = comm.alltoall([comm.rank * 10] * comm.size)
+            return first, gathered, second
 
         result = ProcessBspCluster(4).run(fn)
-        for first, second, third in result.returns:
+        for rank, (first, gathered, second) in enumerate(result.returns):
             assert first == [0, 1, 2, 3]
+            assert gathered == ([0, 2, 4, 6] if rank == 1 else None)
             assert second == [0, 10, 20, 30]
-            assert third == 4
 
     def test_single_rank_fast_path(self):
-        result = ProcessBspCluster(1).run(lambda comm: comm.allreduce_sum(7))
-        assert result.returns == [7]
+        result = ProcessBspCluster(1).run(lambda comm: comm.alltoall([7]))
+        assert result.returns == [[7]]
 
     def test_traffic_metered(self):
         def fn(comm):
@@ -86,6 +67,64 @@ class TestFailure:
         with pytest.raises(CommError, match="rank 1"):
             ProcessBspCluster(3).run(fn)
 
+    def test_rank_error_fails_the_run_while_siblings_wait(self):
+        """The others block in a collective the failed rank never joins:
+        the run fails as soon as the error arrives, not at the deadline."""
+
+        def fn(comm):
+            if comm.rank == 2:
+                raise ValueError("rank 2 exploded")
+            comm.barrier()
+
+        tic = time.monotonic()
+        with pytest.raises(CommError, match="rank 2 failed"):
+            ProcessBspCluster(3).run(fn, timeout=30.0)
+        assert time.monotonic() - tic < 10.0
+
+    def test_single_rank_error_is_a_comm_error_with_its_cause(self):
+        with pytest.raises(CommError, match="rank 0 failed") as exc_info:
+            ProcessBspCluster(1).run(lambda comm: 1 / 0)
+        assert isinstance(exc_info.value.__cause__, ZeroDivisionError)
+
+    def test_timeout_is_one_shared_deadline(self):
+        """Each rank finishes within ``timeout`` of the one before it, the
+        last well past ``timeout``: the run fails at the deadline, not at
+        ~n × timeout (nor succeeds)."""
+
+        def fn(comm):
+            time.sleep(0.4 * (comm.rank + 1))
+            return comm.rank
+
+        tic = time.monotonic()
+        with pytest.raises(CommError, match="deadline"):
+            ProcessBspCluster(4).run(fn, timeout=0.5)
+        assert time.monotonic() - tic < 1.2  # rank 2 needs 1.2 s
+
+    def test_killed_rank_is_named_at_once(self):
+        """A rank SIGKILLed mid-run (as the OOM killer would) never reports;
+        its siblings wait at a barrier it never reaches.  The run names it as
+        soon as its exit code shows, well before the deadline."""
+
+        def fn(comm):
+            if comm.rank == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            comm.barrier()
+
+        tic = time.monotonic()
+        with pytest.raises(RankFailureError) as exc_info:
+            ProcessBspCluster(3).run(fn, timeout=20.0)
+        assert exc_info.value.suspects == [1]
+        assert time.monotonic() - tic < 5.0
+
+    def test_ranks_that_reported_then_exited_are_not_suspects(self):
+        def fn(comm):
+            if comm.rank == comm.size - 1:
+                time.sleep(0.5)  # the others report and exit meanwhile
+            return comm.rank
+
+        result = ProcessBspCluster(4).run(fn, timeout=20.0)
+        assert result.returns == [0, 1, 2, 3]
+
     def test_zero_ranks(self):
         with pytest.raises(CommError):
             ProcessBspCluster(0)
@@ -96,7 +135,7 @@ class TestFailure:
 
 
 class TestModelOnProcesses:
-    def test_identical_to_thread_cluster(self, tmp_path):
+    def test_identical_to_the_default_cluster(self, tmp_path):
         pop = repro.generate_population(repro.ScaleConfig(n_persons=300, seed=8))
         cfg = repro.SimulationConfig(
             scale=pop.scale, duration_hours=48, n_ranks=3
@@ -105,12 +144,12 @@ class TestModelOnProcesses:
             pop.places.coords(), pop.places.capacity.astype(float), 3
         )
         sim = DistributedSimulation(pop, cfg, part)
-        threads = sim.run()
+        lockstep = sim.run()
         procs = sim.run(
             log_dir=tmp_path, cluster=ProcessBspCluster(3)
         )
-        assert (threads.merged_records() == procs.merged_records()).all()
-        assert threads.total_migrations == procs.total_migrations
+        assert (lockstep.merged_records() == procs.merged_records()).all()
+        assert lockstep.total_migrations == procs.total_migrations
         # children wrote real per-rank log files
         logs = LogSet(tmp_path)
         assert len(logs) == 3

@@ -1,10 +1,9 @@
-"""Rank failure detection (heartbeat) and supervised recovery."""
+"""Supervised recovery: a killed rank restarted from the last snapshot."""
 
 from __future__ import annotations
 
 import hashlib
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +14,7 @@ from hypothesis import strategies as st
 from repro.config import HOURS_PER_WEEK, ScaleConfig, SimulationConfig
 from repro.distrib.dmodel import DistributedSimulation
 from repro.distrib.partition import PlacePartition
-from repro.distrib.simcluster import SimCluster
-from repro.errors import CommError, RankDeadError, RankFailureError
+from repro.errors import RankFailureError
 from repro.synthpop import generate_population
 
 SCALE = ScaleConfig(n_persons=350, seed=19)
@@ -45,86 +43,6 @@ def _config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
-
-
-class TestHeartbeat:
-    def test_dead_rank_detected_with_suspects(self):
-        cluster = SimCluster(4, heartbeat_timeout=1.0)
-
-        def rank_fn(comm):
-            for i in range(8):
-                if i == 4 and comm.rank == 2:
-                    comm.die()
-                comm.allreduce_sum(comm.rank)
-            return comm.rank
-
-        t0 = time.monotonic()
-        with pytest.raises(RankFailureError) as exc_info:
-            cluster.run(rank_fn)
-        assert time.monotonic() - t0 < 10  # deadline, not the join timeout
-        assert exc_info.value.suspects == [2]
-
-    def test_single_rank_death(self):
-        with pytest.raises(RankFailureError) as exc_info:
-            SimCluster(1).run(lambda comm: comm.die())
-        assert exc_info.value.suspects == [0]
-
-    def test_die_is_silent_no_barrier_abort(self):
-        """Siblings must NOT learn of the death via exception propagation;
-        without a heartbeat the run stalls until the shared deadline."""
-        cluster = SimCluster(2)  # no heartbeat armed
-
-        def rank_fn(comm):
-            if comm.rank == 1:
-                comm.die()
-            comm.barrier()  # rank 0 blocks here forever
-
-        t0 = time.monotonic()
-        with pytest.raises(CommError, match="deadline"):
-            cluster.run(rank_fn, timeout=1.5)
-        assert time.monotonic() - t0 >= 1.4
-
-    def test_die_marks_communicator(self):
-        held = {}
-
-        def rank_fn(comm):
-            held[comm.rank] = comm
-            if comm.rank == 0:
-                comm.die()
-
-        with pytest.raises(RankFailureError):
-            SimCluster(1).run(rank_fn)
-        assert held[0].dead
-        with pytest.raises(RankDeadError):
-            held[0].die()
-
-    def test_ordinary_error_still_propagates(self):
-        def rank_fn(comm):
-            if comm.rank == 1:
-                raise ValueError("real bug")
-            comm.barrier()
-
-        with pytest.raises(CommError, match="real bug"):
-            SimCluster(3, heartbeat_timeout=2.0).run(rank_fn)
-
-    def test_rejects_bad_heartbeat(self):
-        with pytest.raises(CommError, match="positive"):
-            SimCluster(2, heartbeat_timeout=0.0)
-
-
-class TestSharedDeadline:
-    def test_join_timeout_is_shared_not_per_thread(self):
-        """Four hung ranks must fail after ~timeout, not ~4 × timeout."""
-        cluster = SimCluster(4)
-
-        def rank_fn(comm):
-            time.sleep(30)
-
-        t0 = time.monotonic()
-        with pytest.raises(CommError, match="deadline"):
-            cluster.run(rank_fn, timeout=1.0)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 3.0  # per-thread joins would take >= 4s
 
 
 class TestSupervisedRecovery:

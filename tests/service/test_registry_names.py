@@ -18,7 +18,7 @@ from repro.config import SimulationConfig
 from repro.core import synthesize_from_logs
 from repro.core.kernels import compiled_impl
 from repro.core.tilecache import TileCache
-from repro.distrib import DistributedSimulation, SimCluster, spatial_partition
+from repro.distrib import DistributedSimulation, ProcessBspCluster, spatial_partition
 from repro.obs import MetricsRegistry, configure, set_default_registry
 from repro.service import NetworkQueryService, ServiceClient, ServiceConfig
 
@@ -57,7 +57,8 @@ HISTOGRAMS = {
 
 #: what a distributed run records once per rank (counters, the loop clock
 #: and its step / log / exchange / receive split) and once per week built
-#: (``sim.week_build_seconds``), on lockstep ranks and thread ranks alike
+#: (``sim.week_build_seconds``), on lockstep ranks and, for a run inside
+#: its first week (built before the fork), on process ranks alike
 SIM_COUNTERS = {
     f"distrib.{name}"
     for name in (
@@ -122,23 +123,24 @@ def test_simulation_name_set_is_pinned(small_pop, registry):
     assert snap["histograms"]["sim.week_build_seconds"]["count"] == 1
 
 
-def test_thread_ranks_record_the_same_names(small_pop, registry):
+def test_process_ranks_record_the_same_names(small_pop, registry):
     """The default cluster steps ranks as generators; the same body on
-    thread ranks records the same names, the same number of times."""
+    forked process ranks records the same names, the same number of
+    times."""
     config = SimulationConfig(scale=small_pop.scale, duration_hours=30, n_ranks=2)
     partition = spatial_partition(
         small_pop.places.coords(), small_pop.places.capacity.astype(float), 2
     )
     snaps = []
-    for cluster in (None, SimCluster(2)):
+    for cluster in (None, ProcessBspCluster(2)):
         registry.reset()
         DistributedSimulation(small_pop, config, partition).run(cluster=cluster)
         snaps.append(registry.snapshot())
-    lockstep, threads = snaps
-    assert lockstep["counters"] == threads["counters"]
-    assert set(lockstep["histograms"]) == set(threads["histograms"]) == SIM_HISTOGRAMS
+    lockstep, processes = snaps
+    assert lockstep["counters"] == processes["counters"]
+    assert set(lockstep["histograms"]) == set(processes["histograms"]) == SIM_HISTOGRAMS
     for name in SIM_HISTOGRAMS:
-        assert lockstep["histograms"][name]["count"] == threads["histograms"][name]["count"]
+        assert lockstep["histograms"][name]["count"] == processes["histograms"][name]["count"]
 
 
 @pytest.mark.parametrize("durability", ["none", "fsync", "wal"])
