@@ -50,7 +50,7 @@ from ..evlog.reader import LogReader, read_window_columns
 from ..evlog.schema import LOG_DTYPE, LogRecordArray
 from .adjacency import accumulate_adjacency, empty_adjacency
 from .colloc import _expand_intervals
-from .kernels.masked import build_pack_arrays, sum_shares_adjacency
+from .kernels.masked import build_pack_arrays, presence_matrix, sum_shares_adjacency
 from .kernels.workspace import count_twin, kernel_stage
 from .slicing import mask_place_columns
 
@@ -90,12 +90,15 @@ class IntervalPack:
         per matrix column: owning place id, absolute segment start hour,
         and segment length in hours.  Columns are ordered by
         ``(place, start)`` and each place's segments tile its boundary
-        span contiguously.
+        span contiguously.  int32 when the window ends and every place
+        id lies below 2**31, else int64 (:func:`_column_dtype`).
     persons:
         sorted unique global person ids with any presence (row map).
     matrix:
         binary CSR ``(len(persons), n_columns)``; entry ``(i, c)`` set
-        when ``persons[i]`` was present during segment ``c``.
+        when ``persons[i]`` was present during segment ``c``.  The
+        pattern is stored, the ones are not
+        (:func:`~repro.core.kernels.masked.presence_matrix`).
     t0, t1:
         the absolute-time slice this pack covers.
     """
@@ -160,6 +163,13 @@ def _boundary_space(
     return upl, utime, rank, keep
 
 
+def _column_dtype(t1: int, places: np.ndarray) -> type:
+    """The column arrays' dtype: int32 when the window's hours and every
+    place id fit it (what the compiled pack build requires), else int64."""
+    fits = t1 < 2**31 and (not len(places) or int(places.max()) < 2**31)
+    return np.int32 if fits else np.int64
+
+
 def _finish_pack(
     ukeys: np.ndarray,
     rows: np.ndarray,
@@ -177,11 +187,13 @@ def _finish_pack(
         (np.ones(len(rows), dtype=np.uint32), (rows, cols)),
         shape=(len(persons), n_cols),
     ).tocsr()
-    # a person logged twice for the same (place, segment) still counts once
-    x.data[:] = 1
-    col_place = upl[keep]
-    col_start = utime[keep]
-    col_weight = (utime[1:] - utime[:-1])[keep[:-1]]
+    # a person logged twice for the same (place, segment) still counts
+    # once: the summed duplicates' values are dropped with the data
+    x = presence_matrix(x.indptr, x.indices, n_cols)
+    dtype = _column_dtype(t1, place_ids)
+    col_place = upl[keep].astype(dtype)
+    col_start = utime[keep].astype(dtype)
+    col_weight = (utime[1:] - utime[:-1])[keep[:-1]].astype(dtype)
     col_pidx = rank[keep]
     counts = np.bincount(x.indices, minlength=n_cols).astype(np.int64)
     first_col = np.flatnonzero(
@@ -285,13 +297,15 @@ def select_pack_places(
     coo = pack.matrix.tocoo()
     ekeep = colmask[coo.col]
     used_rows, local = np.unique(coo.row[ekeep], return_inverse=True)
+    n_cols = int(colmask.sum())
     x = sp.coo_matrix(
         (
             np.ones(int(ekeep.sum()), dtype=np.uint32),
             (local, colmap[coo.col[ekeep]]),
         ),
-        shape=(len(used_rows), int(colmask.sum())),
+        shape=(len(used_rows), n_cols),
     ).tocsr()
+    x = presence_matrix(x.indptr, x.indices, n_cols)
     return IntervalPack(
         places=pack.places[pmask],
         place_work=pack.place_work[pmask],
@@ -484,7 +498,7 @@ def sum_pack_adjacency(
     the oracle's per-hour matrices.
 
     The product runs in the compiled masked-triangular SpGEMM (upper
-    pairs only, shared pooled output triples) when
+    pairs only, reduced in bands of person rows into the output) when
     :func:`~repro.core.kernels.masked.sum_shares_adjacency` takes the
     share; the scipy product below it is the bit-identical twin.
     """
@@ -495,15 +509,7 @@ def sum_pack_adjacency(
         if pack.persons.size and int(pack.persons.max()) >= n_persons:
             raise SynthesisError("pack references person outside population")
     out = sum_shares_adjacency(
-        [
-            (
-                p.matrix,
-                p.col_weight.astype(np.int64, copy=False),
-                p.persons.astype(np.int64, copy=False),
-            )
-            for p in live
-        ],
-        n_persons,
+        [(p.matrix, p.col_weight, p.persons) for p in live], n_persons
     )
     if out is not None:
         return out

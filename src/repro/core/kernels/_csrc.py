@@ -45,27 +45,30 @@ happen in numpy, on packed 64-bit keys, between the scans):
     int32), deriving the sorted-unique person row map and per-column
     presence counts in the same pass.
 ``rk_csr_to_csc``
-    counting transpose (rows ascending per column) that also records each
-    CSR entry's position inside its CSC column, feeding the SpGEMM.
+    counting transpose (rows ascending per column), feeding the SpGEMM.
 ``rk_masked_spgemm``
     row-wise Gustavson product restricted to the strict upper triangle of
-    ``(Y·diag(w))·Yᵀ`` in local coordinates, writing COO triples straight
-    into caller-pooled output buffers.
-``rk_pack_triples``
-    rewrite a pack's local COO triples as packed ``(global_row << 32 |
-    global_col)`` sort keys, fusing the local→global gather with the key
-    packing.
+    ``(Y·diag(w))·Yᵀ`` over one band of rows, writing each row's triples
+    as packed int32 band keys ``(global_row - band_start) << cbits |
+    global_col`` plus int64 values straight into caller-pooled buffers
+    (the local→global gather fused in), and stopping before the first row
+    that would overrun them.  Per-column cursors, advanced as rows
+    commit, find each row's later partners.
+``rk_csc_rewind``
+    take committed rows back from the SpGEMM's column cursors, when a
+    later pack cut the band short of them.
 ``rk_keys_to_csr``
-    dedup the globally sorted triple keys into the canonical CSR pattern
-    in one linear scan.
+    dedup one band's sorted keys into its rows of the canonical CSR
+    pattern in one linear scan.
 ``rk_fill_values``
-    sum duplicate triple values into the canonical value array by
+    sum one band's duplicate triple values into its canonical values by
     row-merging the runs through a dense accumulator (every pack's
     triples arrive row-ascending, so no sort-by-row pass exists
-    anywhere: the one ``np.sort`` over packed keys replaces it).
+    anywhere: the one ``np.sort`` over a band's keys replaces it).
 
 Together the last three are the compiled twin of
-``coo_matrix(...).tocsr()`` over the concatenated parts.
+``coo_matrix(...).tocsr()`` over the concatenated parts, one band of
+person rows at a time.
 
 Two kernels combine or expand partial adjacencies (entry points in
 :mod:`.masked`):
@@ -128,7 +131,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 12
+C_SOURCE_VERSION = 13
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -191,16 +194,17 @@ API int64_t rk_pack_keys(
    the number of completed places before it (each contributes exactly one
    closing boundary).
 
-   Outputs (caller allocates capacity 2n for the col_* arrays, n_rec+1
-   for place_*): lo/hi per record (column ranges), col_place/col_start/
-   col_weight per column, place_ids and place_first_col per place.
-   out_counts receives {n_cols, n_places}.  Returns 0. */
+   Outputs, int32 (the caller guarantees places, window offsets and 2n
+   fit; capacity 2n for the col_* arrays, n_rec+1 for place_*): lo/hi per
+   record (column ranges), col_place/col_start/col_weight per column,
+   place_ids and place_first_col per place.  out_counts receives
+   {n_cols, n_places}.  Returns 0. */
 API int64_t rk_boundary_scan(
     const uint64_t *keys, int64_t n2, int64_t n_rec,
     int32_t tbits, int32_t ibits,
-    int64_t *lo, int64_t *hi,
-    int64_t *col_place, int64_t *col_start, int64_t *col_weight,
-    int64_t *place_ids, int64_t *place_first_col,
+    int32_t *lo, int32_t *hi,
+    int32_t *col_place, int32_t *col_start, int32_t *col_weight,
+    int32_t *place_ids, int32_t *place_first_col,
     int64_t *out_counts) {
     const uint64_t imask = (ibits >= 64) ? ~0ULL : ((1ULL << ibits) - 1ULL);
     const uint64_t tmask = (1ULL << tbits) - 1ULL;
@@ -217,23 +221,23 @@ API int64_t rk_boundary_scan(
         if (p != prev_place || t != prev_time) {
             u++;
             if (p != prev_place) {
-                place_ids[n_places] = p;
-                place_first_col[n_places] = u - n_places;
+                place_ids[n_places] = (int32_t)p;
+                place_first_col[n_places] = (int32_t)(u - n_places);
                 n_places++;
             } else {
                 /* same place: the previous boundary opens the segment
                    [prev_time, t) whose column is (u-1) - place_ordinal */
                 int64_t c = u - n_places;
-                col_place[c] = p;
-                col_start[c] = prev_time;
-                col_weight[c] = t - prev_time;
+                col_place[c] = (int32_t)p;
+                col_start[c] = (int32_t)prev_time;
+                col_weight[c] = (int32_t)(t - prev_time);
             }
             prev_place = p;
             prev_time = t;
         }
         col = u - (n_places - 1);
-        if (idx < n_rec) lo[idx] = col;
-        else             hi[idx - n_rec] = col;
+        if (idx < n_rec) lo[idx] = (int32_t)col;
+        else             hi[idx - n_rec] = (int32_t)col;
     }
     out_counts[0] = (u + 1) - n_places;  /* columns = boundaries - closings */
     out_counts[1] = n_places;
@@ -247,11 +251,11 @@ API int64_t rk_boundary_scan(
    the ~3-4x larger per-segment entry expansion, and carrying the length
    instead of a record index spares the emit scan a random gather. */
 API int64_t rk_range_keys(
-    int64_t n, const int64_t *person, const int64_t *lo, const int64_t *hi,
+    int64_t n, const int64_t *person, const int32_t *lo, const int32_t *hi,
     int32_t lbits, int64_t *keys) {
     for (int64_t r = 0; r < n; r++)
-        keys[r] = (person[r] << (2 * lbits)) | (lo[r] << lbits)
-                | (hi[r] - lo[r]);
+        keys[r] = (person[r] << (2 * lbits)) | ((int64_t)lo[r] << lbits)
+                | (int64_t)(hi[r] - lo[r]);
     return 0;
 }
 
@@ -263,8 +267,8 @@ API int64_t rk_range_keys(
    overlapping ranges merge against that running exclusive end — each
    person's column union comes out sorted and duplicate-free with no
    per-segment entry array ever materialized.  persons receives the
-   sorted-unique person ids.  col_counts (n_cols + 1 slots, zeroed
-   here) receives per-column presence counts via range start/end deltas
+   sorted-unique person ids.  col_counts (int32, n_cols + 1 slots,
+   zeroed here) receives per-column presence counts via range start/end deltas
    — an overlap charges a compensating delta over [lo, min(h, cur_end))
    — resolved by one prefix sum, instead of an increment per emitted
    entry.  indptr needs n+1 slots, persons n, cols capacity cap.
@@ -273,9 +277,9 @@ API int64_t rk_range_keys(
    can grow the pooled buffer and retry). */
 API int64_t rk_ranges_to_csr(
     const int64_t *keys, int64_t n, int32_t lbits, int64_t n_cols,
-    int32_t *indptr, int32_t *cols, int64_t *persons, int64_t *col_counts,
+    int32_t *indptr, int32_t *cols, int64_t *persons, int32_t *col_counts,
     int64_t cap, int64_t *out_counts) {
-    memset(col_counts, 0, (size_t)(n_cols + 1) * sizeof(int64_t));
+    memset(col_counts, 0, (size_t)(n_cols + 1) * sizeof(int32_t));
     int64_t lmask = (((int64_t)1) << lbits) - 1;
     int64_t nnz = 0;
     int64_t n_rows = 0;
@@ -312,7 +316,7 @@ API int64_t rk_ranges_to_csr(
         cur_end = h;
     }
     indptr[n_rows] = (int32_t)nnz;
-    int64_t run = 0;
+    int32_t run = 0;
     for (int64_t c = 0; c < n_cols; c++) {
         run += col_counts[c];
         col_counts[c] = run;
@@ -327,7 +331,7 @@ API int64_t rk_ranges_to_csr(
    < 2^32).  Returns the total entry count, or -total when it exceeds cap
    (so the caller can grow the pooled buffer and retry). */
 API int64_t rk_expand_entries(
-    const int64_t *lo, const int64_t *hi, const int64_t *person,
+    const int32_t *lo, const int32_t *hi, const int64_t *person,
     int64_t n_rec, uint64_t *out, int64_t cap) {
     int64_t total = 0;
     for (int64_t r = 0; r < n_rec; r++) total += hi[r] - lo[r];
@@ -345,14 +349,14 @@ API int64_t rk_expand_entries(
    (indices ascending per row, int32), deriving the row space on the way:
    persons receives the sorted-unique person ids (every person covers at
    least one segment, so the keys visit each exactly where np.unique
-   would).  col_counts (n_cols slots, zeroed here) receives per-column
-   presence counts.  indptr needs n_rec+1 slots, persons n_rec, cols
+   would).  col_counts (int32, n_cols slots, zeroed here) receives
+   per-column presence counts.  indptr needs n_rec+1 slots, persons n_rec, cols
    capacity n_dup.  out_counts receives {nnz, n_rows}.  Returns 0. */
 API int64_t rk_entries_to_csr(
     const uint64_t *keys, int64_t n_dup, int64_t n_cols,
-    int32_t *indptr, int32_t *cols, int64_t *persons, int64_t *col_counts,
+    int32_t *indptr, int32_t *cols, int64_t *persons, int32_t *col_counts,
     int64_t *out_counts) {
-    memset(col_counts, 0, (size_t)n_cols * sizeof(int64_t));
+    memset(col_counts, 0, (size_t)n_cols * sizeof(int32_t));
     int64_t nnz = 0;
     int64_t n_rows = 0;
     uint64_t prev = ~0ULL;
@@ -380,64 +384,69 @@ API int64_t rk_entries_to_csr(
 }
 
 /* Counting transpose of a CSR pattern into CSC with rows ascending per
-   column, recording each CSR entry's CSC position in qp (the suffix
-   handle the SpGEMM needs).  cp has n_cols+1 slots; ri and qp capacity
-   nnz. */
+   column.  cp has n_cols+1 slots (the pattern's nnz fits int32, so do
+   its offsets); ri capacity nnz. */
 API int64_t rk_csr_to_csc(
     int64_t n_rows, int64_t n_cols,
     const int32_t *indptr, const int32_t *cols,
-    int64_t *cp, int32_t *ri, int64_t *qp) {
+    int32_t *cp, int32_t *ri) {
     int64_t nnz = indptr[n_rows];
-    memset(cp, 0, (size_t)(n_cols + 1) * sizeof(int64_t));
+    memset(cp, 0, (size_t)(n_cols + 1) * sizeof(int32_t));
     for (int64_t p = 0; p < nnz; p++) cp[cols[p] + 1]++;
     for (int64_t c = 0; c < n_cols; c++) cp[c + 1] += cp[c];
     /* walk rows in order so each column receives its row indices
        ascending; cp temporarily holds write cursors */
-    for (int64_t i = 0; i < n_rows; i++) {
-        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
-            int64_t q = cp[cols[p]]++;
-            ri[q] = (int32_t)i;
-            qp[p] = q;
-        }
-    }
+    for (int64_t i = 0; i < n_rows; i++)
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++)
+            ri[cp[cols[p]]++] = (int32_t)i;
     /* restore cp: cursors are now each column's end = next column's start */
     for (int64_t c = n_cols; c > 0; c--) cp[c] = cp[c - 1];
     cp[0] = 0;
     return nnz;
 }
 
-/* Masked upper-triangular weighted SpGEMM: the strict upper triangle of
-   (Y diag(w) Y^T), emitted as COO triples in local coordinates (unsorted
-   within a row; accumulation canonicalizes).
+/* Masked upper-triangular weighted SpGEMM over one band of rows: the
+   strict upper triangle of (Y diag(w) Y^T) for local rows [a, b), each
+   row's triples emitted as packed band keys
+       keys[t] = (pmap[i] - r0) << cbits | pmap[j]
+   (global row relative to the band start r0, global column) with their
+   summed weights in vals; unsorted within a row, rows ascending.
 
    Y comes in as its CSR pattern (indptr/cols) plus the CSC from
-   rk_csr_to_csc (cp/ri ascending rows, qp mapping CSR entry -> CSC
-   position).  Row-wise Gustavson over the upper pairs only: for each row
-   i and each column c containing i, every later row j in c gains w[c]
-   collocated hours with i — ascending rows per column make "later rows"
-   the suffix starting right after qp[p].
+   rk_csr_to_csc (cp/ri, rows ascending per column).  Row-wise Gustavson
+   over the upper pairs only: for each row i and each column c
+   containing i, every later row j in c gains w[c] collocated hours with
+   i.  cur[c] is the position of the next row to visit in column c, so
+   the later rows are the suffix past cur[c]: the caller starts it at
+   cp[c] and asks for rows in ascending order; a committed row advances
+   its columns' cursors, and rk_csc_rewind takes rows back.
 
-   Workspaces (caller-pooled): acc int64[nr], mark int32[nr], touch
-   int32[nr] (any contents).  Returns triples written, or -needed when
-   cap is too small (keeps counting without writing so the caller can
-   grow and retry). */
+   Scratch (caller-pooled): acc int64[nr] and touch int32[nr] (any
+   contents); mark int64[nr] holds stamps, row i stamping stamp + i, so
+   a caller whose stamps never repeat (a row recomputed included) fills
+   mark once per fold instead of once per call.  Rows are
+   all-or-nothing: the scan stops before the first row whose triples
+   would overrun cap, its cursors unmoved.  Returns the rows done;
+   *out_n receives the triples written. */
 API int64_t rk_masked_spgemm(
-    int64_t nr,
-    const int32_t *indptr, const int32_t *cols, const int64_t *qp,
-    const int64_t *cp, const int32_t *ri, const int64_t *w,
-    int64_t *acc, int32_t *mark, int32_t *touch,
-    int32_t *out_r, int32_t *out_c, int64_t *out_v, int64_t cap) {
-    memset(mark, 0xFF, (size_t)nr * sizeof(int32_t));
-    int64_t out_n = 0;
-    for (int64_t i = 0; i < nr; i++) {
+    int64_t a, int64_t b,
+    const int32_t *indptr, const int32_t *cols,
+    const int32_t *cp, const int32_t *ri, int32_t *cur, const int32_t *w,
+    const int64_t *pmap, int64_t r0, int32_t cbits,
+    int64_t *acc, int64_t *mark, int64_t stamp, int32_t *touch,
+    int32_t *keys, int64_t *vals, int64_t cap, int64_t *out_n) {
+    int64_t n = 0;
+    int64_t i = a;
+    for (; i < b; i++) {
+        const int64_t st = stamp + i;
         int64_t nt = 0;
         for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
-            int64_t c = cols[p];
-            int64_t wc = w[c];
-            for (int64_t q = qp[p] + 1; q < cp[c + 1]; q++) {
+            const int32_t c = cols[p];
+            const int64_t wc = w[c];
+            for (int64_t q = cur[c] + 1; q < cp[c + 1]; q++) {
                 int32_t j = ri[q];
-                if (mark[j] != (int32_t)i) {
-                    mark[j] = (int32_t)i;
+                if (mark[j] != st) {
+                    mark[j] = st;
                     acc[j] = wc;
                     touch[nt++] = j;
                 } else {
@@ -445,91 +454,91 @@ API int64_t rk_masked_spgemm(
                 }
             }
         }
-        if (out_n + nt <= cap) {
-            for (int64_t t = 0; t < nt; t++) {
-                int32_t j = touch[t];
-                out_r[out_n] = (int32_t)i;
-                out_c[out_n] = j;
-                out_v[out_n] = acc[j];
-                out_n++;
-            }
-        } else {
-            out_n += nt;  /* count on, write nothing: sizes the retry */
+        if (n + nt > cap) break;
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) cur[cols[p]]++;
+        const int32_t row = (int32_t)((pmap[i] - r0) << cbits);
+        for (int64_t t = 0; t < nt; t++) {
+            int32_t j = touch[t];
+            keys[n] = row | (int32_t)pmap[j];
+            vals[n] = acc[j];
+            n++;
         }
     }
-    return (out_n > cap) ? -out_n : out_n;
+    *out_n = n;
+    return i - a;
 }
 
-/* Rewrite one run's local COO triples as packed global sort keys:
-   keys[t] = (global_row << 32) | global_col, with local ids mapped
-   through pmap when use_map is nonzero (pmap must then cover every local
-   id).  Fuses the local→global gather with the key packing — one pass,
-   no intermediate row/col arrays. */
-API int64_t rk_pack_triples(
-    int64_t n, const int32_t *rows, const int32_t *cols,
-    const int64_t *pmap, int32_t use_map, int64_t *keys) {
-    if (use_map) {
-        for (int64_t t = 0; t < n; t++)
-            keys[t] = (pmap[rows[t]] << 32) | pmap[cols[t]];
-    } else {
-        for (int64_t t = 0; t < n; t++)
-            keys[t] = (((int64_t)rows[t]) << 32) | (int64_t)cols[t];
-    }
+/* Take the committed rows [a, b) back from rk_masked_spgemm's column
+   cursors, so the next call may start at row a again. */
+API int64_t rk_csc_rewind(
+    int64_t a, int64_t b, const int32_t *indptr, const int32_t *cols,
+    int32_t *cur) {
+    for (int64_t p = indptr[a]; p < indptr[b]; p++) cur[cols[p]]--;
     return 0;
 }
 
-/* Dedup globally sorted (row << 32 | col) triple keys into the canonical
-   CSR pattern: indptr int32[n_rows+1], cols_out int32 with capacity
-   n_tr.  One linear scan — the sort already interleaved every run's
-   triples into canonical order.  Returns the deduped nnz. */
+/* Dedup one band's sorted keys into its rows of the canonical CSR
+   pattern: cols receives the distinct columns (it may alias keys: a
+   column is written at or below the key it came from), indptr the
+   band's n_rows row ends past indptr[0], the band's offset into the
+   output, which the caller set.  One linear scan — the sort already
+   interleaved every run's triples into canonical order.  Returns the
+   band's distinct pairs. */
 API int64_t rk_keys_to_csr(
-    const int64_t *keys, int64_t n_tr, int64_t n_rows,
-    int32_t *indptr, int32_t *cols_out) {
+    const int32_t *keys, int64_t n_tr, int64_t n_rows, int32_t cbits,
+    int32_t *indptr, int32_t *cols) {
+    const int32_t cmask = (int32_t)((1LL << cbits) - 1);
+    const int32_t base = indptr[0];
     int64_t nnz = 0;
     int64_t row = 0;
     int64_t prev = -1;
-    indptr[0] = 0;
     for (int64_t i = 0; i < n_tr; i++) {
-        int64_t k = keys[i];
+        int32_t k = keys[i];
         if (k == prev) continue;
         prev = k;
-        int64_t r = k >> 32;
-        while (row < r) indptr[++row] = (int32_t)nnz;
-        cols_out[nnz++] = (int32_t)(k & 0xFFFFFFFF);
+        int64_t r = k >> cbits;
+        while (row < r) indptr[++row] = (int32_t)(base + nnz);
+        cols[nnz++] = k & cmask;
     }
-    while (row < n_rows) indptr[++row] = (int32_t)nnz;
+    while (row < n_rows) indptr[++row] = (int32_t)(base + nnz);
     return nnz;
 }
 
-/* Sum duplicate triple values into the canonical CSR's value array.
+/* Sum one band's duplicate triple values into its canonical values.
 
-   The unsorted keys come as n_runs concatenated runs (run_ptr
-   boundaries, one run per pack) with rows NON-DECREASING within each
-   run: the SpGEMM emits rows ascending and the pack map is sorted, so
-   mapping preserves the order.  Walk the global rows once, draining
-   every run's prefix for the current row into the dense accumulator
-   (all reads sequential, the accumulator cache-resident), then emit the
-   row's values in the canonical column order rk_keys_to_csr fixed.
+   The unsorted keys come as n_runs runs [run_lo[u], run_hi[u]), one per
+   unit, with rows NON-DECREASING within each run: the SpGEMM emits rows
+   ascending and the person map is sorted.  Walk the band's rows once,
+   draining every run's prefix for the current row into the dense
+   accumulator (all reads sequential, the accumulator cache-resident),
+   then emit the row's values in the canonical column order
+   rk_keys_to_csr fixed.  Keys of rows past n_rows (a run cut short by a
+   later unit's stop) are left undrained.
 
-   Scratch (caller-pooled, any contents): acc int64[n_rows], mark
-   int32[n_rows], cursor int64[n_runs]. */
+   indptr / cols are the band's (indptr[0] its output offset), vals_out
+   receives the band's values.  Scratch (caller-pooled): acc
+   int64[n_persons], cursor int64[n_runs]; mark int32[n_persons] holds
+   stamps r0 + row, distinct for every row of a fold, so the caller
+   fills it once per fold. */
 API int64_t rk_fill_values(
-    int64_t n_runs, const int64_t *run_ptr,
-    const int64_t *keys, const int64_t *vals,
-    int64_t n_rows,
-    const int32_t *indptr, const int32_t *cols_out,
+    int64_t n_runs, const int64_t *run_lo, const int64_t *run_hi,
+    const int32_t *keys, const int64_t *vals,
+    int64_t n_rows, int32_t cbits, int64_t r0,
+    const int32_t *indptr, const int32_t *cols,
     int64_t *acc, int32_t *mark, int64_t *cursor,
     int64_t *vals_out) {
-    memset(mark, 0xFF, (size_t)n_rows * sizeof(int32_t));
-    for (int64_t u = 0; u < n_runs; u++) cursor[u] = run_ptr[u];
+    const int32_t cmask = (int32_t)((1LL << cbits) - 1);
+    const int64_t base = indptr[0];
+    for (int64_t u = 0; u < n_runs; u++) cursor[u] = run_lo[u];
     for (int64_t r = 0; r < n_rows; r++) {
+        const int32_t st = (int32_t)(r0 + r);
         for (int64_t u = 0; u < n_runs; u++) {
             int64_t s = cursor[u];
-            const int64_t e = run_ptr[u + 1];
-            for (; s < e && (keys[s] >> 32) == r; s++) {
-                int64_t c = keys[s] & 0xFFFFFFFF;
-                if (mark[c] != (int32_t)r) {
-                    mark[c] = (int32_t)r;
+            const int64_t e = run_hi[u];
+            for (; s < e && (keys[s] >> cbits) == r; s++) {
+                int32_t c = keys[s] & cmask;
+                if (mark[c] != st) {
+                    mark[c] = st;
                     acc[c] = vals[s];
                 } else {
                     acc[c] += vals[s];
@@ -537,8 +546,8 @@ API int64_t rk_fill_values(
             }
             cursor[u] = s;
         }
-        for (int64_t k = indptr[r]; k < indptr[r + 1]; k++)
-            vals_out[k] = acc[cols_out[k]];
+        for (int64_t k = indptr[r] - base; k < indptr[r + 1] - base; k++)
+            vals_out[k] = acc[cols[k]];
     }
     return 0;
 }

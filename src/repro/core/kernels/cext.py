@@ -117,7 +117,7 @@ class CompiledKernels:
         lib.rk_entries_to_csr.restype = ctypes.c_int64
         lib.rk_csr_to_csc.restype = ctypes.c_int64
         lib.rk_masked_spgemm.restype = ctypes.c_int64
-        lib.rk_pack_triples.restype = ctypes.c_int64
+        lib.rk_csc_rewind.restype = ctypes.c_int64
         lib.rk_keys_to_csr.restype = ctypes.c_int64
         lib.rk_fill_values.restype = ctypes.c_int64
         lib.rk_csr_sum.restype = ctypes.c_int64
@@ -221,13 +221,13 @@ class CompiledKernels:
             ctypes.c_int64(n_rec),
             ctypes.c_int32(tbits),
             ctypes.c_int32(ibits),
-            _as_ptr(lo, _I64),
-            _as_ptr(hi, _I64),
-            _as_ptr(col_place, _I64),
-            _as_ptr(col_start, _I64),
-            _as_ptr(col_weight, _I64),
-            _as_ptr(place_ids, _I64),
-            _as_ptr(place_first_col, _I64),
+            _as_ptr(lo, _I32),
+            _as_ptr(hi, _I32),
+            _as_ptr(col_place, _I32),
+            _as_ptr(col_start, _I32),
+            _as_ptr(col_weight, _I32),
+            _as_ptr(place_ids, _I32),
+            _as_ptr(place_first_col, _I32),
             _as_ptr(counts, _I64),
         )
         return int(counts[0]), int(counts[1])
@@ -244,8 +244,8 @@ class CompiledKernels:
         self._lib.rk_range_keys(
             ctypes.c_int64(n),
             _as_ptr(person, _I64),
-            _as_ptr(lo, _I64),
-            _as_ptr(hi, _I64),
+            _as_ptr(lo, _I32),
+            _as_ptr(hi, _I32),
             ctypes.c_int32(lbits),
             _as_ptr(keys, _I64),
         )
@@ -274,7 +274,7 @@ class CompiledKernels:
                 _as_ptr(indptr, _I32),
                 _as_ptr(cols, _I32),
                 _as_ptr(persons, _I64),
-                _as_ptr(col_counts, _I64),
+                _as_ptr(col_counts, _I32),
                 ctypes.c_int64(cap),
                 _as_ptr(counts, _I64),
             )
@@ -290,8 +290,8 @@ class CompiledKernels:
     ) -> int:
         return int(
             self._lib.rk_expand_entries(
-                _as_ptr(lo, _I64),
-                _as_ptr(hi, _I64),
+                _as_ptr(lo, _I32),
+                _as_ptr(hi, _I32),
                 _as_ptr(person, _I64),
                 ctypes.c_int64(len(lo)),
                 _as_ptr(out, _U64),
@@ -317,7 +317,7 @@ class CompiledKernels:
             _as_ptr(indptr, _I32),
             _as_ptr(cols, _I32),
             _as_ptr(persons, _I64),
-            _as_ptr(col_counts, _I64),
+            _as_ptr(col_counts, _I32),
             _as_ptr(counts, _I64),
         )
         return int(counts[0]), int(counts[1])
@@ -330,7 +330,6 @@ class CompiledKernels:
         cols: np.ndarray,
         cp: np.ndarray,
         ri: np.ndarray,
-        qp: np.ndarray,
     ) -> int:
         return int(
             self._lib.rk_csr_to_csc(
@@ -338,64 +337,66 @@ class CompiledKernels:
                 ctypes.c_int64(n_cols),
                 _as_ptr(indptr, _I32),
                 _as_ptr(cols, _I32),
-                _as_ptr(cp, _I64),
+                _as_ptr(cp, _I32),
                 _as_ptr(ri, _I32),
-                _as_ptr(qp, _I64),
             )
         )
 
     def masked_spgemm(
         self,
-        n_rows: int,
+        a: int,
+        b: int,
         indptr: np.ndarray,
         cols: np.ndarray,
-        qp: np.ndarray,
         cp: np.ndarray,
         ri: np.ndarray,
+        cur: np.ndarray,
         w: np.ndarray,
+        pmap: np.ndarray,
+        r0: int,
+        cbits: int,
         acc: np.ndarray,
         mark: np.ndarray,
+        stamp: int,
         touch: np.ndarray,
-        out_r: np.ndarray,
-        out_c: np.ndarray,
-        out_v: np.ndarray,
-        cap: int,
-    ) -> int:
-        return int(
-            self._lib.rk_masked_spgemm(
-                ctypes.c_int64(n_rows),
-                _as_ptr(indptr, _I32),
-                _as_ptr(cols, _I32),
-                _as_ptr(qp, _I64),
-                _as_ptr(cp, _I64),
-                _as_ptr(ri, _I32),
-                _as_ptr(w, _I64),
-                _as_ptr(acc, _I64),
-                _as_ptr(mark, _I32),
-                _as_ptr(touch, _I32),
-                _as_ptr(out_r, _I32),
-                _as_ptr(out_c, _I32),
-                _as_ptr(out_v, _I64),
-                ctypes.c_int64(cap),
-            )
-        )
-
-    def pack_triples(
-        self,
-        n: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        pmap: np.ndarray,
-        use_map: int,
         keys: np.ndarray,
-    ) -> None:
-        self._lib.rk_pack_triples(
-            ctypes.c_int64(n),
-            _as_ptr(rows, _I32),
+        vals: np.ndarray,
+        cap: int,
+    ) -> tuple[int, int]:
+        """``(rows done, triples written)`` for local rows ``[a, b)``."""
+        out = np.zeros(1, dtype=np.int64)
+        done = self._lib.rk_masked_spgemm(
+            ctypes.c_int64(a),
+            ctypes.c_int64(b),
+            _as_ptr(indptr, _I32),
             _as_ptr(cols, _I32),
+            _as_ptr(cp, _I32),
+            _as_ptr(ri, _I32),
+            _as_ptr(cur, _I32),
+            _as_ptr(w, _I32),
             _as_ptr(pmap, _I64),
-            ctypes.c_int32(use_map),
-            _as_ptr(keys, _I64),
+            ctypes.c_int64(r0),
+            ctypes.c_int32(cbits),
+            _as_ptr(acc, _I64),
+            _as_ptr(mark, _I64),
+            ctypes.c_int64(stamp),
+            _as_ptr(touch, _I32),
+            _as_ptr(keys, _I32),
+            _as_ptr(vals, _I64),
+            ctypes.c_int64(cap),
+            _as_ptr(out, _I64),
+        )
+        return int(done), int(out[0])
+
+    def csc_rewind(
+        self, a: int, b: int, indptr: np.ndarray, cols: np.ndarray, cur: np.ndarray
+    ) -> None:
+        self._lib.rk_csc_rewind(
+            ctypes.c_int64(a),
+            ctypes.c_int64(b),
+            _as_ptr(indptr, _I32),
+            _as_ptr(cols, _I32),
+            _as_ptr(cur, _I32),
         )
 
     def keys_to_csr(
@@ -403,41 +404,48 @@ class CompiledKernels:
         keys: np.ndarray,
         n_tr: int,
         n_rows: int,
+        cbits: int,
         indptr: np.ndarray,
-        cols_out: np.ndarray,
+        cols: np.ndarray,
     ) -> int:
         return int(
             self._lib.rk_keys_to_csr(
-                _as_ptr(keys, _I64),
+                _as_ptr(keys, _I32),
                 ctypes.c_int64(n_tr),
                 ctypes.c_int64(n_rows),
+                ctypes.c_int32(cbits),
                 _as_ptr(indptr, _I32),
-                _as_ptr(cols_out, _I32),
+                _as_ptr(cols, _I32),
             )
         )
 
     def fill_values(
         self,
-        n_runs: int,
-        run_ptr: np.ndarray,
+        run_lo: np.ndarray,
+        run_hi: np.ndarray,
         keys: np.ndarray,
         vals: np.ndarray,
         n_rows: int,
+        cbits: int,
+        r0: int,
         indptr: np.ndarray,
-        cols_out: np.ndarray,
+        cols: np.ndarray,
         acc: np.ndarray,
         mark: np.ndarray,
         cursor: np.ndarray,
         vals_out: np.ndarray,
     ) -> None:
         self._lib.rk_fill_values(
-            ctypes.c_int64(n_runs),
-            _as_ptr(run_ptr, _I64),
-            _as_ptr(keys, _I64),
+            ctypes.c_int64(len(run_lo)),
+            _as_ptr(run_lo, _I64),
+            _as_ptr(run_hi, _I64),
+            _as_ptr(keys, _I32),
             _as_ptr(vals, _I64),
             ctypes.c_int64(n_rows),
+            ctypes.c_int32(cbits),
+            ctypes.c_int64(r0),
             _as_ptr(indptr, _I32),
-            _as_ptr(cols_out, _I32),
+            _as_ptr(cols, _I32),
             _as_ptr(acc, _I64),
             _as_ptr(mark, _I32),
             _as_ptr(cursor, _I64),
@@ -666,8 +674,9 @@ def _build(cc: str, target: Path) -> None:
 def _smoke_test(kernels: CompiledKernels) -> None:
     """One tiny end-to-end product checked against the closed form.
 
-    Two persons sharing one 3-hour segment must yield the single triple
-    (0, 1, 3), through the transpose and the product; a triangle with a
+    Two persons sharing one 3-hour segment must yield the single pair
+    (0, 1) of weight 3, through the transpose, the product and the band
+    reduce; a triangle with a
     pendant must yield its edge counts, its induced pair, its mirror and,
     split in two parts, one BFS step and an induced sum; three partials
     must sum with their cancelling entry dropped.  Guards against a
@@ -675,21 +684,38 @@ def _smoke_test(kernels: CompiledKernels) -> None:
     """
     indptr = np.array([0, 1, 2], dtype=np.int32)
     cols = np.array([0, 0], dtype=np.int32)
-    cp = np.empty(2, np.int64)
+    cp = np.empty(2, np.int32)
     ri = np.empty(2, np.int32)
-    qp = np.empty(2, np.int64)
-    kernels.csr_to_csc(2, 1, indptr, cols, cp, ri, qp)
-    w = np.array([3], dtype=np.int64)
+    kernels.csr_to_csc(2, 1, indptr, cols, cp, ri)
+    w = np.array([3], dtype=np.int32)
+    pmap = np.array([0, 1], dtype=np.int64)
     acc = np.empty(2, np.int64)
-    mark = np.empty(2, np.int32)
+    mark = np.full(2, -1, np.int64)
     touch = np.empty(2, np.int32)
-    out_r = np.empty(4, np.int32)
-    out_c = np.empty(4, np.int32)
-    out_v = np.empty(4, np.int64)
-    n = kernels.masked_spgemm(
-        2, indptr, cols, qp, cp, ri, w, acc, mark, touch, out_r, out_c, out_v, 4
+    keys = np.empty(4, np.int32)
+    vals = np.empty(4, np.int64)
+    cur = cp[:-1].copy()
+    done, n = kernels.masked_spgemm(
+        0, 2, indptr, cols, cp, ri, cur, w, pmap, 0, 1, acc, mark, 0, touch,
+        keys, vals, 4,
     )
-    if n != 1 or out_r[0] != 0 or out_c[0] != 1 or out_v[0] != 3:
+    kernels.csc_rewind(0, 2, indptr, cols, cur)
+    # the pair (0, 1) as band key 0 << 1 | 1, then its one-row band
+    s_indptr = np.zeros(3, np.int32)
+    nnz = kernels.keys_to_csr(keys, n, 2, 1, s_indptr, keys)
+    s_vals = np.empty(1, np.int64)
+    kernels.fill_values(
+        np.array([0], np.int64), np.array([1], np.int64), np.array([1], np.int32),
+        vals, 2, 1, 0, s_indptr, keys, np.empty(2, np.int64),
+        np.full(2, -1, np.int32), np.empty(1, np.int64), s_vals,
+    )
+    if (
+        (done, n, nnz) != (2, 1, 1)
+        or cur.tolist() != [0]
+        or s_indptr.tolist() != [0, 1, 1]
+        or keys[0] != 1
+        or s_vals[0] != 3
+    ):
         raise RuntimeError("compiled kernel smoke test failed")
     # graph kernels: a triangle 0-1-2 with a pendant 2-3 (weights 5..8)
     g_indptr = np.array([0, 2, 3, 4, 4], dtype=np.int32)

@@ -14,12 +14,13 @@ caller runs its numpy/scipy twin:
     bit-identical fields to :func:`repro.core.intervals.build_interval_pack`.
 :func:`sum_shares_adjacency`
     the masked upper-triangular weighted SpGEMM over a worker's pack
-    share.  Computes only the strict upper triangle of
-    ``(Y·diag(w))·Yᵀ`` in local coordinates and writes every unit's
-    triples straight into one shared pooled COO buffer — no per-part
-    ``tocoo``/``astype``/``concatenate`` — then accumulates them into the
-    global CSR via packed sort keys (one global value sort plus linear
-    compiled scans) instead of a scipy round trip.
+    share, reduced in bands of person rows.  Computes only the strict
+    upper triangle of ``(Y·diag(w))·Yᵀ``; per band, every unit's triples
+    land as packed int32 band keys (the local→global gather fused in) in
+    one pooled buffer, and one value sort plus linear compiled scans
+    append the band's canonical rows to the output before the next band
+    starts — no scipy round trip, and no buffer the size of the output's
+    triples.
 :func:`csr_sum`
     the k-way sum of canonical strict-upper partial adjacencies (tiles,
     fringes, batches, shards) in one row-wise merge pass, bit-identical to
@@ -28,8 +29,9 @@ caller runs its numpy/scipy twin:
     a canonical strict-upper adjacency expanded to its canonical
     symmetric form, bit-identical to scipy's ``adj + adj.T``.
 
-All scratch comes from the per-thread :class:`~.workspace.KernelWorkspace`;
-steady state performs no scratch allocations.
+Scratch a bound fixes comes from the per-thread
+:class:`~.workspace.KernelWorkspace`; scratch sized to one call's input
+is the call's own.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ...errors import SynthesisError
+from ...obs import BYTE_BUCKETS, count, observe
 from .cext import load_cext
 from .workspace import get_workspace, kernel_stage
 
@@ -46,7 +49,7 @@ __all__ = [
     "csr_mirror",
     "csr_sum",
     "in_sum_layout",
-    "masked_adjacency_triples",
+    "presence_matrix",
     "sum_shares_adjacency",
 ]
 
@@ -71,9 +74,13 @@ def build_pack_arrays(
     Returns the :class:`~repro.core.intervals.IntervalPack` field dict,
     or None when the fast path does not apply: no compiled extension,
     packed sort keys that would not fit 63 bits, person/column ids
-    outside the packed-key ranges, or zero-length records (whose persons
-    the reference keeps despite covering no segment) — the reference
-    path handles all of those.
+    outside the packed-key ranges, places or window hours past int32, or
+    zero-length records (whose persons the reference keeps despite
+    covering no segment) — the reference path handles all of those.
+
+    The scratch is this call's own, sized to its records and freed when
+    it returns, so a fold that follows never sits beside a file's
+    pack-build buffers.
     """
     k = load_cext()
     if k is None:
@@ -91,26 +98,27 @@ def build_pack_arrays(
     pbits = place_max.bit_length() if n else 0
     if place_min < 0 or pbits + tbits + ibits > 63:
         return None
+    if place_max >= _I32_MAX or t1 >= _I32_MAX or 2 * n >= _I32_MAX:
+        return None  # the column arrays are int32
     if person_min < 0 or person_max >= 2**32:
         return None  # entry keys carry the person id in the high 32 bits
     if n_zero:
         # zero-length records cover no segment but the reference keeps
         # their persons in the row map — let it handle them
         return None
-    ws = get_workspace()
 
     # boundary space: one packed-key value sort + two linear C scans
     # replace np.unique(..., return_inverse=True) + _boundary_space
-    keys = ws.take("pb_keys", 2 * n, np.int64)
+    keys = np.empty(2 * n, np.int64)
     k.pack_keys(place, start, stop, t0, tbits, ibits, keys)
     keys.sort()
-    lo = ws.take("pb_lo", n, np.int64)
-    hi = ws.take("pb_hi", n, np.int64)
-    col_place = ws.take("pb_col_place", 2 * n, np.int64)
-    col_start = ws.take("pb_col_start", 2 * n, np.int64)
-    col_weight = ws.take("pb_col_weight", 2 * n, np.int64)
-    place_ids = ws.take("pb_place_ids", n, np.int64)
-    place_first = ws.take("pb_place_first", n + 1, np.int64)
+    lo = np.empty(n, np.int32)
+    hi = np.empty(n, np.int32)
+    col_place = np.empty(2 * n, np.int32)
+    col_start = np.empty(2 * n, np.int32)
+    col_weight = np.empty(2 * n, np.int32)
+    place_ids = np.empty(n, np.int32)
+    place_first = np.empty(n + 1, np.int32)
     n_cols, n_places = k.boundary_scan(
         keys.view(np.uint64),
         n,
@@ -124,12 +132,10 @@ def build_pack_arrays(
         place_ids,
         place_first,
     )
-    if n_cols >= _I32_MAX:
-        return None
 
-    indptr_buf = ws.take("pb_indptr", n + 1, np.int32)
-    persons_buf = ws.take("pb_persons", max(n, 1), np.int64)
-    col_counts = ws.take("pb_col_counts", n_cols + 1, np.int64)
+    indptr_buf = np.empty(n + 1, np.int32)
+    persons_buf = np.empty(max(n, 1), np.int64)
+    col_counts = np.empty(n_cols + 1, np.int32)
     rbits = int(person_max).bit_length() if n else 0
     lbits = max(int(n_cols).bit_length(), 1)
     if rbits + 2 * lbits <= 63:
@@ -137,10 +143,10 @@ def build_pack_arrays(
         # (person, lo, length) key per *record*, one value sort, then a
         # merge of each person's lo-ascending intervals — never
         # materializes (or sorts) the 3-4x larger per-segment expansion
-        rkeys = keys[:n]  # boundary keys are spent; reuse their pool
+        rkeys = keys[:n]  # boundary keys are spent; reuse their memory
         k.range_keys(n, person, lo, hi, lbits, rkeys)
         rkeys.sort()
-        cols_buf = ws.take("pb_cols", max(4 * n, 1024), np.int32)
+        cols_buf = np.empty(max(4 * n, 1024), np.int32)
         nnz, n_local = k.ranges_to_csr(
             rkeys, n, lbits, n_cols,
             indptr_buf, cols_buf, persons_buf, col_counts, len(cols_buf),
@@ -149,7 +155,7 @@ def build_pack_arrays(
             nnz = -nnz
             if nnz >= _I32_MAX:
                 return None
-            cols_buf = ws.take("pb_cols", nnz, np.int32)
+            cols_buf = np.empty(nnz, np.int32)
             nnz, n_local = k.ranges_to_csr(
                 rkeys, n, lbits, n_cols,
                 indptr_buf, cols_buf, persons_buf, col_counts, len(cols_buf),
@@ -157,35 +163,29 @@ def build_pack_arrays(
     else:
         # range keys overflow 63 bits: expand packed (person, col)
         # entries, sort, and dedup-scan them into the same CSR
-        entries = ws.take("pb_entries", max(4 * n, 1024), np.uint64)
+        del keys
+        entries = np.empty(max(4 * n, 1024), np.uint64)
         total = k.expand_entries(lo, hi, person, entries)
         if total < 0:
             total = -total
             if total >= _I32_MAX:
                 return None
-            entries = ws.take("pb_entries", total, np.uint64)
+            entries = np.empty(total, np.uint64)
             k.expand_entries(lo, hi, person, entries)
         if total >= _I32_MAX:
             return None
         entries = entries[:total]
         entries.sort()
-        cols_buf = ws.take("pb_cols", max(total, 1), np.int32)
+        cols_buf = np.empty(max(total, 1), np.int32)
         nnz, n_local = k.entries_to_csr(
             entries, total, n_cols, indptr_buf, cols_buf, persons_buf,
             col_counts,
         )
     if nnz >= _I32_MAX:
         return None
-    matrix = sp.csr_matrix(
-        (
-            np.ones(nnz, dtype=np.uint32),
-            cols_buf[:nnz].copy(),
-            indptr_buf[: n_local + 1].copy(),
-        ),
-        shape=(n_local, n_cols),
+    matrix = presence_matrix(
+        indptr_buf[: n_local + 1].copy(), cols_buf[:nnz].copy(), n_cols
     )
-    # the dedup scan emits sorted, duplicate-free indices
-    matrix.has_canonical_format = True
 
     # per-place pairwise-work and person-hour stats, grouped exactly like
     # the reference: only places that own at least one column contribute
@@ -195,7 +195,7 @@ def build_pack_arrays(
     ends[:-1] = first[1:]
     ends[-1] = n_cols
     has_cols = first < ends
-    counts = col_counts[:n_cols]
+    counts = col_counts[:n_cols].astype(np.int64)
     seg_starts = first[has_cols]
     place_work = np.add.reduceat(counts * counts, seg_starts) if n_cols else (
         np.empty(0, dtype=np.int64)
@@ -206,193 +206,195 @@ def build_pack_arrays(
         else np.empty(0, dtype=np.int64)
     )
     return {
-        "places": place_ids[:n_places].copy(),
+        "places": place_ids[:n_places].astype(np.int64),
         "place_work": place_work,
         "place_hours": place_hours,
         "col_place": col_place[:n_cols].copy(),
-        "col_start": col_start[:n_cols] + t0,
+        "col_start": col_start[:n_cols] + np.int32(t0),
         "col_weight": col_weight[:n_cols].copy(),
         "persons": persons_buf[:n_local].copy(),
         "matrix": matrix,
     }
 
 
+def presence_matrix(
+    indptr: np.ndarray, indices: np.ndarray, n_cols: int
+) -> sp.csr_matrix:
+    """A pack's binary presence CSR over a canonical pattern (sorted,
+    duplicate-free indices).  Its data is one broadcast uint32 ``1``,
+    not a per-entry array: the compiled product reads only the pattern,
+    and scipy reads the ones as it would a stored array."""
+    matrix = sp.csr_matrix(
+        (np.broadcast_to(np.uint32(1), indices.shape), indices, indptr),
+        shape=(len(indptr) - 1, n_cols),
+    )
+    matrix.has_canonical_format = True
+    return matrix
+
+
 # -- adjacency product -------------------------------------------------------
 
-
-class _TripleBuffer:
-    """Shared pooled COO output (rows, cols int32; values int64) that
-    packs append to at an offset; grows by copy only on overflow."""
-
-    def __init__(self, ws, capacity: int) -> None:
-        self._ws = ws
-        self.n = 0
-        self.rows = ws.take("spg_rows", capacity, np.int32)
-        self.cols = ws.take("spg_cols", capacity, np.int32)
-        self.vals = ws.take("spg_vals", capacity, np.int64)
-
-    @property
-    def capacity(self) -> int:
-        return len(self.rows)
-
-    def grow(self, needed: int) -> None:
-        old_r, old_c, old_v, n = self.rows, self.cols, self.vals, self.n
-        cap = max(needed, 2 * self.capacity)
-        self.rows = self._ws.take("spg_rows", cap, np.int32)
-        self.cols = self._ws.take("spg_cols", cap, np.int32)
-        self.vals = self._ws.take("spg_vals", cap, np.int64)
-        if n and self.rows.base is not old_r.base:
-            self.rows[:n] = old_r[:n]
-            self.cols[:n] = old_c[:n]
-            self.vals[:n] = old_v[:n]
-
-
-def masked_adjacency_triples(
-    matrix: sp.csr_matrix,
-    weights: np.ndarray,
-    k,
-    buf: _TripleBuffer,
-) -> tuple[int, int]:
-    """Append one unit's strict-upper triples to the shared buffer.
-
-    Returns the ``(base, count)`` slice written (local coordinates).
-    """
-    ws = buf._ws
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
-    n_local, n_cols = matrix.shape
-    nnz = matrix.nnz
-    indptr = matrix.indptr
-    indices = matrix.indices
-    cp = ws.take("spg_cp", n_cols + 1, np.int64)
-    ri = ws.take("spg_ri", max(nnz, 1), np.int32)
-    qp = ws.take("spg_qp", max(nnz, 1), np.int64)
-    k.csr_to_csc(n_local, n_cols, indptr, indices, cp, ri, qp)
-    acc = ws.take("spg_acc", n_local, np.int64)
-    mark = ws.take("spg_mark", n_local, np.int32)
-    touch = ws.take("spg_touch", n_local, np.int32)
-    base = buf.n
-    while True:
-        out = k.masked_spgemm(
-            n_local,
-            indptr,
-            indices,
-            qp,
-            cp,
-            ri,
-            weights,
-            acc,
-            mark,
-            touch,
-            buf.rows[base:],
-            buf.cols[base:],
-            buf.vals[base:],
-            buf.capacity - base,
-        )
-        if out >= 0:
-            buf.n = base + out
-            return base, out
-        buf.grow(base + (-out))
+#: what one band of the reduce may hold, in bytes, beyond room for two
+#: rows of every unit: its packed keys, their sorted copy and their values
+#: (:data:`_BAND_TRIPLE_BYTES` a triple)
+_BAND_BYTES = 8 << 20
+_BAND_TRIPLE_BYTES = 4 + 4 + 8
 
 
 def sum_shares_adjacency(
     units: "list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]]",
     n_persons: int,
 ) -> sp.csr_matrix | None:
-    """Compiled worker reduction over ``(matrix, weights, persons)``
-    units — the stage-4 core.
+    """Compiled reduction over ``(matrix, weights, persons)`` units — the
+    stage-4 core — in bands of person rows.
 
-    Every unit's strict-upper product lands in one pooled triple buffer;
-    a compiled pass per unit packs its triples as global ``(row << 32 |
-    col)`` sort keys (fusing the local→global gather), one global value
-    sort plus a linear dedup scan emit the canonical CSR pattern, and a
-    run-draining merge over the unsorted keys sums the values.  Returns
-    None when the C extension is unavailable or the coordinates would
-    not fit the int32 triple layout.
+    Persons are sorted in every unit, so a band ``[r0, r1)`` of global
+    rows is a contiguous local row range of each.  Per band, every
+    unit's strict-upper rows land as packed int32 band keys plus values
+    in one pooled buffer of :data:`_BAND_BYTES`; one value sort over the
+    keys and a linear dedup scan emit the band's CSR pattern, and a
+    run-draining merge over the unsorted keys sums its values; the band
+    is appended to the output before the next starts.  The band's rows
+    come from the rate the previous band saw (the first from the
+    presence nnz); a unit whose rows would overrun the buffer stops at a
+    row, the band ends there, and the rows it cut are the next band's
+    (earlier units rewind their column cursors to it).  Each unit is
+    granted room for one more row of every later unit, so the band's
+    first row always fits.
+
+    Returns None when the C extension is unavailable or the units miss
+    the int32 layout (a pack's columns are int64 when its window or place
+    ids outgrow int32) or the output's offsets would.
+    Observes ``kernels.fold.scratch_bytes`` (what the reduce held beyond
+    its units and its output) and counts ``kernels.fold.bands``.
     """
     k = load_cext()
     if k is None:
         return None
-    if n_persons >= _I32_MAX:
+    cbits = max(int(n_persons - 1).bit_length(), 1)
+    if n_persons >= _I32_MAX or cbits > 30:
         return None
-    for matrix, _weights, _persons in units:
+    for matrix, weights, persons in units:
         if (
             matrix.indptr.dtype != np.int32
             or matrix.indices.dtype != np.int32
+            or weights.dtype != np.int32
+            or persons.dtype != np.int64
         ):
             return None
-    # output-size estimate: presence nnz tracks the upper-triple count
-    # closely on real shares; undershooting only costs one counted retry
-    # of a single unit, overshooting costs first-touch page faults on the
-    # pooled buffers
-    est = sum(m.nnz for m, _w, _p in units)
-    if est >= _I32_MAX:
-        return None
     ws = get_workspace()
     with kernel_stage("spgemm"):
-        buf = _TripleBuffer(ws, max(est, 1024))
-        slices = []
-        for matrix, weights, persons in units:
-            base, count = masked_adjacency_triples(matrix, weights, k, buf)
-            slices.append((base, count, persons))
-    with kernel_stage("accumulate"):
-        total = buf.n
-        # fuse the local→global gather with the sort-key packing: one
-        # compiled pass per run writes (global_row << 32 | global_col)
-        # straight into the pooled key buffer
-        keys = ws.take("acc_keys", max(total, 1), np.int64)
-        for base, count, persons in slices:
-            end = base + count
-            k.pack_triples(
-                count,
-                buf.rows[base:end],
-                buf.cols[base:end],
-                persons,
-                0 if len(persons) == n_persons else 1,
-                keys[base:end],
+        # per unit: the CSC, and the column cursors of its next row
+        csc = []
+        for matrix, _w, _p in units:
+            n_local, n_cols = matrix.shape
+            cp = np.empty(n_cols + 1, np.int32)
+            ri = np.empty(matrix.nnz, np.int32)
+            k.csr_to_csc(n_local, n_cols, matrix.indptr, matrix.indices, cp, ri)
+            csc.append((cp, ri, cp[:-1].copy()))
+    sizes = [m.shape[0] for m, _w, _p in units]
+    widest = max(sizes)
+    # the buffer is sized to the work — real shares have fewer upper
+    # triples than presence entries, and a smaller buffer only means more
+    # bands — plus room for one row of every unit, twice
+    presence = sum(m.nnz for m, _w, _p in units)
+    reserve = sum(sizes)
+    cap = min(_BAND_BYTES // _BAND_TRIPLE_BYTES, presence) + 2 * reserve
+    keys = ws.take("band_keys", cap, np.int32)
+    vals = ws.take("band_vals", cap, np.int64)
+    keys_sorted = ws.take("band_sorted", cap, np.int32)
+    sp_acc = ws.take("spg_acc", widest, np.int64)
+    sp_mark = ws.take("spg_mark", widest, np.int64)
+    sp_mark.fill(-1)
+    touch = ws.take("spg_touch", widest, np.int32)
+    acc = ws.take("acc_acc", n_persons, np.int64)
+    mark = ws.take("acc_mark", n_persons, np.int32)
+    mark.fill(-1)
+    cursor = ws.take("acc_cursor", len(units), np.int64)
+    run_lo = np.empty(len(units), np.int64)
+    run_hi = np.empty(len(units), np.int64)
+    scratch = sum(a.nbytes for arrays in csc for a in arrays) + sum(
+        a.nbytes
+        for a in (keys, vals, keys_sorted, sp_acc, sp_mark, touch, acc, mark)
+    )
+    # every row a call visits stamps sp_mark afresh, a row recomputed
+    # after a cut included: the stamps only ever grow
+    stamp = 0
+    row_cap = (1 << (31 - cbits)) - 1
+    rate = max(presence, 1) / n_persons
+    indptr = np.empty(n_persons + 1, np.int32)
+    indptr[0] = 0
+    indices_parts, data_parts = [], []
+    # the local row each unit's cursors stand at
+    nxt = [0] * len(units)
+    nnz, bands, r0 = 0, 0, 0
+    while r0 < n_persons:
+        r1 = min(n_persons, r0 + row_cap, r0 + max(1, int((cap - reserve) / rate)))
+        used, n_runs, left = 0, 0, reserve
+        with kernel_stage("spgemm"):
+            for u, ((matrix, weights, persons), (cp, ri, cur)) in enumerate(
+                zip(units, csc)
+            ):
+                left -= sizes[u]
+                a, b = np.searchsorted(persons, (r0, r1))
+                if a == b:
+                    continue
+                done, written = k.masked_spgemm(
+                    a, b, matrix.indptr, matrix.indices, cp, ri, cur, weights,
+                    persons, r0, cbits, sp_acc, sp_mark, stamp - a, touch,
+                    keys[used:], vals[used:], cap - used - left,
+                )
+                stamp += done + 1
+                nxt[u] = a + done
+                run_lo[n_runs], run_hi[n_runs] = used, used + written
+                used += written
+                n_runs += 1
+                if a + done < b:
+                    r1 = int(persons[a + done])
+            # a unit cut short by a later one gives back the rows past r1
+            for u, ((matrix, _w, persons), (_cp, _ri, cur)) in enumerate(
+                zip(units, csc)
+            ):
+                end = int(np.searchsorted(persons, r1))
+                if nxt[u] > end:
+                    k.csc_rewind(end, nxt[u], matrix.indptr, matrix.indices, cur)
+                    nxt[u] = end
+        with kernel_stage("accumulate"):
+            band = keys_sorted[:used]
+            np.copyto(band, keys[:used])
+            band.sort()
+            # keys past r1 belong to rows a later unit cut off: they
+            # sort last, and the next band recomputes them
+            n_tr = int(np.searchsorted(band, (r1 - r0) << cbits))
+            if nnz + n_tr >= _I32_MAX:
+                return None
+            band_nnz = k.keys_to_csr(band, n_tr, r1 - r0, cbits, indptr[r0:], band)
+            data = np.empty(band_nnz, np.int64)
+            k.fill_values(
+                run_lo[:n_runs], run_hi[:n_runs], keys, vals, r1 - r0, cbits,
+                r0, indptr[r0:], band, acc, mark, cursor, data,
             )
-        # one global value sort interleaves every run into canonical
-        # order; a linear dedup scan then emits the CSR pattern.  The
-        # unsorted keys stay behind for the values pass — persons is
-        # sorted ascending, so packing keeps each run's rows
-        # non-decreasing, which the run-draining merge depends on.
-        keys_sorted = ws.take("acc_keys_sorted", max(total, 1), np.int64)
-        np.copyto(keys_sorted[:total], keys[:total])
-        keys_sorted[:total].sort()
-        indptr_buf = ws.take("acc_indptr", n_persons + 1, np.int32)
-        cols_out = ws.take("acc_cols_out", max(total, 1), np.int32)
-        nnz = k.keys_to_csr(keys_sorted, total, n_persons, indptr_buf, cols_out)
-        run_ptr = np.empty(len(slices) + 1, dtype=np.int64)
-        run_ptr[0] = 0
-        for i, (base, count, _p) in enumerate(slices):
-            run_ptr[i + 1] = base + count
-        acc = ws.take("acc_acc", n_persons, np.int64)
-        mark = ws.take("acc_mark", n_persons, np.int32)
-        cursor = ws.take("acc_cursor", len(slices), np.int64)
-        vals_out = ws.take("acc_vals_out", max(total, 1), np.int64)
-        k.fill_values(
-            len(slices),
-            run_ptr,
-            keys,
-            buf.vals[:total],
-            n_persons,
-            indptr_buf,
-            cols_out,
-            acc,
-            mark,
-            cursor,
-            vals_out,
-        )
+            indices_parts.append(band[:band_nnz].copy())
+            data_parts.append(data)
+        nnz += band_nnz
+        rate = max(n_tr, 1) / (r1 - r0)
+        bands += 1
+        r0 = r1
+    del csc
+    with kernel_stage("accumulate"):
         out = sp.csr_matrix(
             (
-                vals_out[:nnz].copy(),
-                cols_out[:nnz].copy(),
-                indptr_buf[: n_persons + 1].copy(),
+                np.concatenate(data_parts) if bands > 1 else data_parts[0],
+                np.concatenate(indices_parts) if bands > 1 else indices_parts[0],
+                indptr,
             ),
             shape=(n_persons, n_persons),
         )
         # the accumulation emits sorted, duplicate-free indices: spare
         # scipy the scan that would find that out
         out.has_canonical_format = True
+    observe("kernels.fold.scratch_bytes", scratch, BYTE_BUCKETS)
+    count("kernels.fold.bands", bands)
     return out
 
 

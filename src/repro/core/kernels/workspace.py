@@ -1,13 +1,16 @@
 """Pooled kernel workspaces and per-stage kernel timings.
 
-The compiled kernels are deliberately allocation-free: every scratch
-array (Gustavson accumulator, marker, touched-row list, derived-CSR
-buffers, packed sort keys, output triple buffers) comes from a
-:class:`KernelWorkspace` that is reused across packs and batches instead
-of reallocated per place-group.  Workspaces are per-thread (the tile
-cache runs kernels from executor threads) and grow geometrically, so a
-steady-state synthesis run performs zero scratch allocations after the
-first batch.
+Scratch whose size a bound fixes — the band buffers of the reduce
+(packed keys, their sorted copy, values; see
+:data:`~repro.core.kernels.masked._BAND_BYTES`), the Gustavson
+accumulator, marker and touched-row list, the partial sum's row buffers
+— comes from a :class:`KernelWorkspace` that is reused across packs and
+batches instead of reallocated per call.  Scratch sized to one call's
+input (the pack build's buffers, a fold's CSC) is that call's own and
+freed when it returns: pooled, it would stay resident at the size of the
+largest input ever seen.  Workspaces are per-thread (the tile cache runs
+kernels from executor threads) and grow geometrically, so a steady-state
+synthesis run takes no pooled buffer anew after the first batch.
 
 This module also keeps the per-stage kernel clocks (``pack_build``,
 ``spgemm``, ``accumulate``) that :class:`~repro.core.pipeline.SynthesisReport`

@@ -11,8 +11,9 @@ MPI deployment:
 * each rank owns an inbox (``multiprocessing.Queue``); collectives are
   sequence-tagged messages so consecutive collectives never interleave;
 * barriers are ``multiprocessing.Barrier``;
-* return values, traffic stats and the spans a rank finished (its
-  collector dies with it) ship back over a result queue.
+* return values, traffic stats, the spans a rank finished and what it
+  wrote to its metrics registry (its collector and registry die with it)
+  ship back over a result queue; the parent absorbs both.
 
 The communicator performs the three collectives a lockstep rank body
 yields — ``alltoall``, ``gather`` and ``barrier`` — and meters them as
@@ -36,7 +37,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from ..errors import CommError, RankFailureError
-from ..obs import capture_spans, get_collector
+from ..obs import MetricsRegistry, capture_spans, default_registry, get_collector
 from .comm import ClusterRunResult, TrafficStats, payload_nbytes
 
 __all__ = ["ProcessBspCluster", "ProcessCommunicator"]
@@ -194,13 +195,21 @@ class ProcessBspCluster:
 
         def child(rank: int) -> None:
             comm = ProcessCommunicator(rank, inboxes, barrier)
+            # the forked registry starts as the parent's: ship the change
+            before = default_registry().snapshot()
             with capture_spans() as spans:
                 try:
                     value = rank_fn(comm, *args(rank))
                     status = "ok"
                 except BaseException as exc:  # noqa: BLE001 - shipped to parent
                     value, status = repr(exc), "error"
-            results.put((rank, status, value, comm.stats, spans))
+            metrics = MetricsRegistry.delta(before, default_registry().snapshot())
+            metrics["gauges"] = {
+                name: v
+                for name, v in metrics["gauges"].items()
+                if before["gauges"].get(name) != v
+            }
+            results.put((rank, status, value, comm.stats, spans, metrics))
 
         procs = [
             ctx.Process(target=child, args=(rank,), daemon=True)
@@ -214,10 +223,11 @@ class ProcessBspCluster:
         waiting = set(range(self.n_ranks))
 
         def take(report: tuple) -> None:
-            rank, status, value, stats, spans = report
+            rank, status, value, stats, spans, metrics = report
             waiting.discard(rank)
             traffic[rank] = stats
             get_collector().absorb(spans)
+            default_registry().absorb(metrics)
             if status != "ok":
                 raise CommError(f"rank {rank} failed: {value}")
             returns[rank] = value

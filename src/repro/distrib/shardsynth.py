@@ -248,8 +248,10 @@ def _shard_partial(
 ) -> tuple[sp.csr_matrix, dict, list[dict]]:
     """One shard's work: the shared window builder over its own files
     (the plan verified them whole; the window's chunks are CRC'd again as
-    they decode)."""
+    they decode).  Its kernel timings land in the shard's registry, which
+    the cluster ships back to the parent's."""
     from ..core.intervals import window_partial
+    from ..core.kernels import collect_kernel_timings
 
     files = shard_plan.shard_files[shard]
     started = time.perf_counter()
@@ -260,6 +262,7 @@ def _shard_partial(
             partial, n_records, walks = window_partial(files, t0, t1, n_persons)
             span.set_attr("records", n_records)
             span.set_attr("nnz", int(partial.nnz))
+    record_kernel_timings(collect_kernel_timings())
     stats = {
         "records": n_records,
         "nnz": int(partial.nnz),

@@ -31,6 +31,7 @@ from .export import (
     write_spans_jsonl,
 )
 from .metrics import (
+    BYTE_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
     Gauge,
@@ -63,6 +64,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "BYTE_BUCKETS",
     "LATENCY_BUCKETS",
     "MirroredStats",
     "default_registry",

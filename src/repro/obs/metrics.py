@@ -46,6 +46,7 @@ __all__ = [
     "count",
     "observe",
     "record_kernel_timings",
+    "BYTE_BUCKETS",
     "LATENCY_BUCKETS",
 ]
 
@@ -66,6 +67,9 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     30.0,
     120.0,
 )
+
+#: byte-size histogram bounds: 64 KiB .. 64 GiB, 4x apart
+BYTE_BUCKETS: tuple[float, ...] = tuple(float(4**i << 16) for i in range(11))
 
 
 class Counter:
@@ -254,6 +258,28 @@ class MetricsRegistry:
             }
         return out
 
+    def absorb(self, delta: dict) -> None:
+        """Add a :meth:`delta` recorded elsewhere — a forked rank's, say —
+        into this registry: counters add, histograms add their bucket
+        counts, count and sum (min/max widen; a histogram new here takes
+        the delta's bounds), gauges are set."""
+        for name, v in delta.get("counters", {}).items():
+            self.counter(name).inc(v)
+        for name, v in delta.get("gauges", {}).items():
+            self.gauge(name).set(v)
+        for name, d in delta.get("histograms", {}).items():
+            if not d["count"]:
+                continue
+            h = self.histogram(name, tuple(d["bounds"]))
+            if list(h.bounds) != list(d["bounds"]):
+                raise ValueError(f"histogram {name!r} has other bounds here")
+            with h._lock:
+                h.counts = [a + b for a, b in zip(h.counts, d["counts"])]
+                h.count += d["count"]
+                h.sum += d["sum"]
+                h.min = min(h.min, d["min"])
+                h.max = max(h.max, d["max"])
+
     def reset(self) -> None:
         """Drop every metric (test/benchmark isolation helper)."""
         with self._lock:
@@ -282,10 +308,13 @@ def count(name: str, n: int | float = 1) -> None:
         _default.counter(name).inc(n)
 
 
-def observe(name: str, value: float) -> None:
-    """Record ``value`` in the default registry's histogram ``name``."""
+def observe(
+    name: str, value: float, buckets: tuple[float, ...] = LATENCY_BUCKETS
+) -> None:
+    """Record ``value`` in the default registry's histogram ``name``
+    (made with *buckets* on first use)."""
     if enabled():
-        _default.histogram(name).observe(value)
+        _default.histogram(name, buckets).observe(value)
 
 
 def record_kernel_timings(times: dict | None) -> None:

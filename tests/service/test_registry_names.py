@@ -50,6 +50,10 @@ COUNTERS = {
 }
 #: what the numpy/scipy twins add when the C extension is unavailable
 TWIN_COUNTERS = {f"kernels.{s}.twin" for s in ("csr_sum", "pack_build", "spgemm")}
+#: what the compiled fold records once per fold: the bands it reduced in
+#: and the scratch it held (the twin reduces in one scipy product)
+FOLD_COUNTERS = {"kernels.fold.bands"}
+FOLD_HISTOGRAMS = {"kernels.fold.scratch_bytes"}
 HISTOGRAMS = {
     *(f"kernel.{s}.task_seconds" for s in KERNEL_STAGES),
     "service.op_seconds.window",
@@ -104,9 +108,10 @@ def exercise(service_logs, n_persons, places):
 def test_name_set_is_pinned(service_logs, small_pop, registry):
     exercise(service_logs, small_pop.n_persons, small_pop.places)
     snap = registry.snapshot()
-    twins = TWIN_COUNTERS if compiled_impl() != "cext" else set()
-    assert set(snap["counters"]) == COUNTERS | twins
-    assert set(snap["histograms"]) == HISTOGRAMS
+    cext = compiled_impl() == "cext"
+    twins = set() if cext else TWIN_COUNTERS
+    assert set(snap["counters"]) == COUNTERS | twins | (FOLD_COUNTERS if cext else set())
+    assert set(snap["histograms"]) == HISTOGRAMS | (FOLD_HISTOGRAMS if cext else set())
     assert "kernels.compiled" not in snap["counters"]
 
 
