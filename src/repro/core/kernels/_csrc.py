@@ -104,15 +104,18 @@ Three graph kernels serve the Section V analysis (entry points in
 One kernel serves the distributed model (entry point in
 :mod:`repro.distrib.rankstep`):
 
-``rk_rank_step``
-    one rank-hour over a rank's hosted table: a single scan that reads
-    the change plane row, closes the changers' spells as log records,
-    opens their next spells from the hour's rows of the week, looks the
-    new owner up,
-    compacts stayers in place and buckets leavers by destination — the
-    compiled twin of the numpy step below its call.  It takes one
-    preallocated argument block (addresses and sizes resolved when the
-    week is bound or the table grows).
+``rk_lockstep_hour``
+    one hour of every rank a process hosts: for each rank, one scan of
+    its segment of the hosted table that reads the change plane row,
+    closes the changers' spells as log records, opens their next spells
+    from the hour's rows of the week, looks the new owner up and compacts
+    stayers in place; then each rank's records appended to its log cache
+    (or left for the caller when they do not fit), the leavers grouped by
+    destination and the local ones appended to their destination's
+    segment in source-rank order, and each rank's sent messages and bytes
+    metered — the compiled twin of the numpy hour below its call.  It
+    takes one preallocated argument block (addresses and sizes resolved
+    when the week is bound or the table grows).
 
 One kernel builds the schedule those steps read (entry point in
 :mod:`repro.synthpop.schedule`):
@@ -131,7 +134,7 @@ from __future__ import annotations
 __all__ = ["C_SOURCE", "C_SOURCE_VERSION"]
 
 #: bump when C_SOURCE changes incompatibly; part of the build-cache key
-C_SOURCE_VERSION = 13
+C_SOURCE_VERSION = 14
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -902,59 +905,31 @@ typedef char rk_record_is_20_bytes[sizeof(rk_record) == 20 ? 1 : -1];
 #define RK_NO_PLACE 0xFFFFFFFFu
 #define RK_TILE 64
 
-/* The slots of rk_rank_step's argument block (int64 each; an address is
-   stored as an integer).  The caller fills the block once and rewrites
-   only COUNT and HOUR per call; OUT is the first of n_ranks + 2 output
-   slots. */
-enum {
-    RK_STEP_TABLE, RK_STEP_COUNT, RK_STEP_PLANE, RK_STEP_ACT, RK_STEP_PLACE,
-    RK_STEP_OWNER, RK_STEP_N_PERSONS, RK_STEP_N_PLACES, RK_STEP_N_RANKS,
-    RK_STEP_RANK, RK_STEP_HOUR, RK_STEP_RECORDS, RK_STEP_LEAVERS,
-    RK_STEP_MOVED, RK_STEP_DEST, RK_STEP_OUT
-};
+/* One rank-hour of the distributed model: one scan over the n hosted
+   rows of table, in hosted order, for rank `rank` of n_ranks.
 
-/* One rank-hour of the distributed model: one scan over the COUNT hosted
-   rows of TABLE, in hosted order.
+   changed, act and place are row hour % 168 of the week, hour-major:
+   the change plane (one byte a person), activity and place of every
+   person.  owner maps a place to its rank.  A row whose person did not
+   change stays.  A changer's open spell is closed into records (stop =
+   hour), its next spell is read from the week's rows, and it stays if
+   `rank` owns the new place, else leaves: its row goes to moved and its
+   destination to dest, hosted order kept.  Stayers are compacted to the
+   front of table in hosted order.
 
-   PLANE, ACT and PLACE are the week, hour-major: (168, N_PERSONS) change
-   plane (one byte a person), activity (uint8) and place (uint32); the
-   scan reads row HOUR % 168 of each.  OWNER maps a place to its rank.  A
-   row whose person did not change stays.  A changer's open spell is
-   closed into RECORDS (stop = HOUR), its next spell is read from the
-   week's rows, and it stays if rank RANK owns the new place, else
-   leaves.  Stayers are compacted to the front of TABLE in hosted order;
-   leavers are written to LEAVERS grouped by destination rank, hosted
-   order kept within a group.
-
-   Outputs: OUT[0] = rows still hosted; OUT[1 .. N_RANKS + 1] = group
-   bounds (rank r receives leavers[OUT[1 + r] : OUT[2 + r]]).  RECORDS,
-   LEAVERS, MOVED (scratch rows) and DEST (scratch int32) each hold COUNT
-   entries.  Returns the number of records written, or, writing nothing
-   out of bounds, -1 for a person >= N_PERSONS, -2 for a place >=
-   N_PLACES (hosted or in the week), -3 for an owner outside
-   [0, N_RANKS), -4 for an open spell that does not start inside
-   [0, HOUR); the table is unspecified after an error. */
-API int64_t rk_rank_step(int64_t *args) {
-    rk_spell *table = (rk_spell *)(uintptr_t)args[RK_STEP_TABLE];
-    const int64_t n = args[RK_STEP_COUNT];
-    const int64_t n_persons = args[RK_STEP_N_PERSONS];
-    const int64_t n_places = args[RK_STEP_N_PLACES];
-    const int64_t n_ranks = args[RK_STEP_N_RANKS];
-    const int64_t rank = args[RK_STEP_RANK];
-    const int64_t hour = args[RK_STEP_HOUR];
-    const int64_t row0 = (hour % RK_WEEK_HOURS) * n_persons;
-    const uint8_t *changed = (const uint8_t *)(uintptr_t)args[RK_STEP_PLANE] + row0;
-    const uint8_t *act = (const uint8_t *)(uintptr_t)args[RK_STEP_ACT] + row0;
-    const uint32_t *place = (const uint32_t *)(uintptr_t)args[RK_STEP_PLACE] + row0;
-    const int32_t *owner = (const int32_t *)(uintptr_t)args[RK_STEP_OWNER];
-    rk_record *records = (rk_record *)(uintptr_t)args[RK_STEP_RECORDS];
-    rk_spell *leavers = (rk_spell *)(uintptr_t)args[RK_STEP_LEAVERS];
-    rk_spell *moved = (rk_spell *)(uintptr_t)args[RK_STEP_MOVED];
-    int32_t *dest = (int32_t *)(uintptr_t)args[RK_STEP_DEST];
-    int64_t *out = args + RK_STEP_OUT;
-    int64_t *bounds = out + 1;
+   Sets *kept (rows still hosted) and *gone (leavers) and returns the
+   number of records written, or, writing nothing out of bounds, -1 for a
+   person >= n_persons, -2 for a place >= n_places (hosted or in the
+   week), -3 for an owner outside [0, n_ranks), -4 for an open spell that
+   does not start inside [0, hour); the table is unspecified after an
+   error. */
+static int64_t rk_scan_rank(
+    rk_spell *table, int64_t n, const uint8_t *changed, const uint8_t *act,
+    const uint32_t *place, const int32_t *owner, int64_t n_persons,
+    int64_t n_places, int64_t n_ranks, int64_t rank, int64_t hour,
+    rk_record *records, rk_spell *moved, int32_t *dest,
+    int64_t *kept_out, int64_t *gone_out) {
     int64_t kept = 0, n_rec = 0, n_gone = 0;
-    for (int64_t r = 0; r <= n_ranks; r++) bounds[r] = 0;
     for (int64_t i = 0; i < n; i++) {
         /* the hour's rows were last written when the week was built:
            fetch the cells of the person 16 rows ahead, so the reads of
@@ -988,7 +963,6 @@ API int64_t rk_rank_step(int64_t *args) {
             if (to != rank) {
                 moved[n_gone] = row;
                 dest[n_gone++] = to;
-                bounds[to + 1]++;
                 continue;
             }
         } else if (kept == i) {
@@ -997,15 +971,181 @@ API int64_t rk_rank_step(int64_t *args) {
         }
         table[kept++] = row;
     }
-    /* counting sort of the leavers by destination: bounds[r] is the
-       write cursor of group r during the scatter and ends on the
-       group's end, i.e. the next group's start, so shift back after */
-    for (int64_t r = 0; r < n_ranks; r++) bounds[r + 1] += bounds[r];
-    for (int64_t k = 0; k < n_gone; k++) leavers[bounds[dest[k]]++] = moved[k];
-    for (int64_t r = n_ranks; r > 0; r--) bounds[r] = bounds[r - 1];
-    bounds[0] = 0;
-    out[0] = kept;
+    *kept_out = kept;
+    *gone_out = n_gone;
     return n_rec;
+}
+
+/* The slots of rk_lockstep_hour's argument block (int64 each; an address
+   is stored as an integer), and the fields of each local rank's row in
+   its rank table RANKS.  The caller fills the block when the table is
+   allocated or the week turns and rewrites only HOUR per call; the
+   kernel writes the OUT_* slots, the rank rows and, when it lays the
+   table out again, swaps TABLE and SPARE. */
+enum {
+    RK_HOUR_TABLE, RK_HOUR_SPARE, RK_HOUR_CAPACITY, RK_HOUR_RANKS,
+    RK_HOUR_FIRST, RK_HOUR_N_LOCAL, RK_HOUR_PLANE, RK_HOUR_ACT,
+    RK_HOUR_PLACE, RK_HOUR_OWNER, RK_HOUR_N_PERSONS, RK_HOUR_N_PLACES,
+    RK_HOUR_N_RANKS, RK_HOUR_HOUR, RK_HOUR_RECORDS, RK_HOUR_LEAVERS,
+    RK_HOUR_MOVED, RK_HOUR_DEST, RK_HOUR_BOUNDS, RK_HOUR_MARK,
+    RK_HOUR_SPILLS, RK_HOUR_OUT_RECORDS, RK_HOUR_OUT_GONE,
+    RK_HOUR_OUT_REMOTE, RK_HOUR_OUT_RANK, RK_HOUR_SLOTS
+};
+enum {
+    RK_RANK_BASE, RK_RANK_CAP, RK_RANK_COUNT, RK_RANK_REC_LO, RK_RANK_N_REC,
+    RK_RANK_LEFT, RK_RANK_SINK, RK_RANK_SINK_CAP, RK_RANK_FILL,
+    RK_RANK_CHANGES, RK_RANK_MSGS, RK_RANK_BYTES, RK_RANK_FIELDS
+};
+
+/* One hour of every rank a process hosts: ranks FIRST .. FIRST +
+   N_LOCAL - 1 of N_RANKS, each a segment of one table.
+
+   TABLE holds CAPACITY rows; local rank i hosts the COUNT rows at BASE
+   of its row in RANKS, and may grow to CAP rows there.  Each rank is
+   scanned in turn (rk_scan_rank, over row HOUR % 168 of PLANE, ACT and
+   PLACE, the week hour-major, and OWNER), its records written to
+   RECORDS from REC_LO on (N_REC of them, rank after rank) and its LEFT
+   leavers to MOVED / DEST.  Then:
+
+   - records: a rank whose SINK (an address of (k, 5) uint32 rows; 0:
+     none) has room, FILL + N_REC < SINK_CAP, gets them appended there
+     and FILL advanced; every other rank with records is listed in
+     SPILLS, its records left in RECORDS for the caller.  The return
+     value is the number listed.
+   - leavers: counted by destination rank (BOUNDS, N_RANKS + 1 of them:
+     rank d's group is rows BOUNDS[d] .. BOUNDS[d + 1] of the hour's
+     leavers in destination order, source rank and hosted order kept
+     within a group).  A hosted destination's group is appended to its
+     segment (stayers first, then arrivals by source rank, as an alltoall
+     receive appends them); when one does not fit, every rank's stayers
+     are first copied into SPARE, the slack spread evenly again, and
+     TABLE and SPARE swap.  The other groups are written to LEAVERS at
+     their bounds for the caller (OUT_REMOTE rows in all).
+   - traffic: each rank's MSGS counts the destinations it sent to (MARK,
+     N_RANKS tags zeroed once by the caller, tells them apart: a tag is
+     unique to an hour and a rank) and BYTES the 20-byte rows it sent;
+     CHANGES sums its records.
+
+   OUT_RECORDS and OUT_GONE are the hour's records and leavers.  RECORDS,
+   LEAVERS, MOVED and DEST hold CAPACITY entries.  Returns the number of
+   ranks listed in SPILLS, or, writing nothing out of bounds, the scan's
+   refusal (-1 .. -4, OUT_RANK naming the rank) or -5 when the group's
+   agents do not fit in CAPACITY rows (or SPARE is 0 where one is
+   needed). */
+API int64_t rk_lockstep_hour(int64_t *args) {
+    const int64_t capacity = args[RK_HOUR_CAPACITY];
+    int64_t *ranks = (int64_t *)(uintptr_t)args[RK_HOUR_RANKS];
+    const int64_t first = args[RK_HOUR_FIRST];
+    const int64_t n_local = args[RK_HOUR_N_LOCAL];
+    const int64_t n_persons = args[RK_HOUR_N_PERSONS];
+    const int64_t n_ranks = args[RK_HOUR_N_RANKS];
+    const int64_t hour = args[RK_HOUR_HOUR];
+    const int64_t row0 = (hour % RK_WEEK_HOURS) * n_persons;
+    const uint8_t *changed = (const uint8_t *)(uintptr_t)args[RK_HOUR_PLANE] + row0;
+    const uint8_t *act = (const uint8_t *)(uintptr_t)args[RK_HOUR_ACT] + row0;
+    const uint32_t *place = (const uint32_t *)(uintptr_t)args[RK_HOUR_PLACE] + row0;
+    const int32_t *owner = (const int32_t *)(uintptr_t)args[RK_HOUR_OWNER];
+    rk_spell *table = (rk_spell *)(uintptr_t)args[RK_HOUR_TABLE];
+    rk_record *records = (rk_record *)(uintptr_t)args[RK_HOUR_RECORDS];
+    rk_spell *leavers = (rk_spell *)(uintptr_t)args[RK_HOUR_LEAVERS];
+    rk_spell *moved = (rk_spell *)(uintptr_t)args[RK_HOUR_MOVED];
+    int32_t *dest = (int32_t *)(uintptr_t)args[RK_HOUR_DEST];
+    int64_t *bounds = (int64_t *)(uintptr_t)args[RK_HOUR_BOUNDS];
+    int64_t *mark = (int64_t *)(uintptr_t)args[RK_HOUR_MARK];
+    int64_t *spills = (int64_t *)(uintptr_t)args[RK_HOUR_SPILLS];
+    int64_t n_rec = 0, n_gone = 0, n_spills = 0;
+    for (int64_t i = 0; i < n_local; i++) {
+        int64_t *me = ranks + i * RK_RANK_FIELDS;
+        const int64_t rank = first + i;
+        int64_t kept = 0, gone = 0;
+        const int64_t k = rk_scan_rank(
+            table + me[RK_RANK_BASE], me[RK_RANK_COUNT], changed, act, place,
+            owner, n_persons, args[RK_HOUR_N_PLACES], n_ranks, rank, hour,
+            records + n_rec, moved + n_gone, dest + n_gone, &kept, &gone);
+        if (k < 0) {
+            args[RK_HOUR_OUT_RANK] = rank;
+            return k;
+        }
+        /* one message per destination this rank sends to this hour */
+        const int64_t tag = hour * n_ranks + rank + 1;
+        for (int64_t j = n_gone; j < n_gone + gone; j++) {
+            if (mark[dest[j]] != tag) {
+                mark[dest[j]] = tag;
+                me[RK_RANK_MSGS]++;
+            }
+        }
+        me[RK_RANK_BYTES] += gone * (int64_t)sizeof(rk_spell);
+        me[RK_RANK_COUNT] = kept;
+        me[RK_RANK_REC_LO] = n_rec;
+        me[RK_RANK_N_REC] = k;
+        me[RK_RANK_LEFT] = gone;
+        me[RK_RANK_CHANGES] += k;
+        if (k) {
+            rk_record *sink = (rk_record *)(uintptr_t)me[RK_RANK_SINK];
+            if (sink && me[RK_RANK_FILL] + k < me[RK_RANK_SINK_CAP]) {
+                memcpy(sink + me[RK_RANK_FILL], records + n_rec, k * sizeof(rk_record));
+                me[RK_RANK_FILL] += k;
+            } else {
+                spills[n_spills++] = i;
+            }
+        }
+        n_rec += k;
+        n_gone += gone;
+    }
+    args[RK_HOUR_OUT_RECORDS] = n_rec;
+    args[RK_HOUR_OUT_GONE] = n_gone;
+    args[RK_HOUR_OUT_REMOTE] = 0;
+    if (!n_gone) return n_spills;
+    /* the leavers by destination: bounds[d] becomes group d's start */
+    for (int64_t d = 0; d <= n_ranks; d++) bounds[d] = 0;
+    for (int64_t j = 0; j < n_gone; j++) bounds[dest[j] + 1]++;
+    for (int64_t d = 0; d < n_ranks; d++) bounds[d + 1] += bounds[d];
+    const int64_t *arrive = bounds + first;
+    int64_t local = 0, total = 0, fits = 1;
+    for (int64_t i = 0; i < n_local; i++) {
+        const int64_t *me = ranks + i * RK_RANK_FIELDS;
+        const int64_t a = arrive[i + 1] - arrive[i];
+        local += a;
+        total += me[RK_RANK_COUNT] + a;
+        fits &= me[RK_RANK_COUNT] + a <= me[RK_RANK_CAP];
+    }
+    args[RK_HOUR_OUT_REMOTE] = n_gone - local;
+    if (!fits) {
+        /* every rank's stayers into the spare table, each segment sized
+           for its arrivals plus an even share of the slack */
+        rk_spell *spare = (rk_spell *)(uintptr_t)args[RK_HOUR_SPARE];
+        if (!spare || total > capacity) return -5;
+        const int64_t share = (capacity - total) / n_local;
+        int64_t at = 0;
+        for (int64_t i = 0; i < n_local; i++) {
+            int64_t *me = ranks + i * RK_RANK_FIELDS;
+            const int64_t need = me[RK_RANK_COUNT] + arrive[i + 1] - arrive[i];
+            memcpy(spare + at, table + me[RK_RANK_BASE], me[RK_RANK_COUNT] * sizeof(rk_spell));
+            me[RK_RANK_BASE] = at;
+            me[RK_RANK_CAP] = i + 1 < n_local ? need + share : capacity - at;
+            at += me[RK_RANK_CAP];
+        }
+        args[RK_HOUR_SPARE] = args[RK_HOUR_TABLE];
+        args[RK_HOUR_TABLE] = (int64_t)(uintptr_t)spare;
+        table = spare;
+    }
+    /* one scatter in source and hosted order: a hosted destination's
+       arrivals after its stayers, the others grouped in LEAVERS.  bounds[d]
+       is group d's cursor and ends on its end, i.e. the next group's
+       start, so shift back after */
+    for (int64_t j = 0; j < n_gone; j++) {
+        const int64_t d = dest[j], i = d - first;
+        if (i >= 0 && i < n_local) {
+            int64_t *me = ranks + i * RK_RANK_FIELDS;
+            table[me[RK_RANK_BASE] + me[RK_RANK_COUNT]++] = moved[j];
+            bounds[d]++;
+        } else {
+            leavers[bounds[d]++] = moved[j];
+        }
+    }
+    for (int64_t d = n_ranks; d > 0; d--) bounds[d] = bounds[d - 1];
+    bounds[0] = 0;
+    return n_spills;
 }
 
 /* One week of schedules, written hour-major, RK_TILE persons at a time.

@@ -38,17 +38,21 @@ import numpy as np
 from ...obs import default_registry
 from ._csrc import C_SOURCE, C_SOURCE_VERSION
 
-__all__ = ["load_cext", "cext_error", "STEP_SLOTS", "STEP_OUT"]
+__all__ = ["load_cext", "cext_error", "HOUR_SLOTS", "RANK_FIELDS"]
 
-#: ``rk_rank_step``'s argument block, slot by slot (the ``RK_STEP_*``
-#: enum of :mod:`._csrc`); ``n_ranks + 2`` output slots follow from
-#: ``STEP_OUT`` on: rows kept, then the leaver group bounds
-STEP_SLOTS = (
-    "table", "count", "plane", "act", "place", "owner", "n_persons",
-    "n_places", "n_ranks", "rank", "hour", "records", "leavers", "moved",
-    "dest",
+#: ``rk_lockstep_hour``'s argument block, slot by slot (the ``RK_HOUR_*``
+#: enum of :mod:`._csrc`; the ``out_*`` slots are written by the kernel)
+HOUR_SLOTS = (
+    "table", "spare", "capacity", "ranks", "first", "n_local", "plane", "act",
+    "place", "owner", "n_persons", "n_places", "n_ranks", "hour", "records",
+    "leavers", "moved", "dest", "bounds", "mark", "spills", "out_records",
+    "out_gone", "out_remote", "out_rank",
 )  # fmt: skip
-STEP_OUT = len(STEP_SLOTS)
+#: the fields of a local rank's row in its rank table (``RK_RANK_*``)
+RANK_FIELDS = (
+    "base", "cap", "count", "rec_lo", "n_rec", "left", "sink", "sink_cap",
+    "fill", "changes", "msgs", "bytes",
+)  # fmt: skip
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
@@ -103,8 +107,8 @@ def _part_pointers(parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 class CompiledKernels:
     """ctypes bindings over the built shared object, with array-aware
-    wrappers so callers pass numpy arrays, not pointers (``rank_step``
-    excepted)."""
+    wrappers so callers pass numpy arrays, not pointers
+    (``lockstep_hour`` excepted)."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
@@ -145,8 +149,8 @@ class CompiledKernels:
         lib.rk_edge_triangles.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _I32, _I32, _I32, _I64,
         ]
-        lib.rk_rank_step.restype = ctypes.c_int64
-        lib.rk_rank_step.argtypes = [ctypes.POINTER(ctypes.c_int64)]
+        lib.rk_lockstep_hour.restype = ctypes.c_int64
+        lib.rk_lockstep_hour.argtypes = [ctypes.c_void_p]
         lib.rk_week_fill.restype = ctypes.c_int64
         lib.rk_week_fill.argtypes = (
             [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
@@ -602,18 +606,18 @@ class CompiledKernels:
             )
         )
 
-    def rank_step(self, block: "ctypes.Array[ctypes.c_int64]") -> int:
-        """``rk_rank_step`` over its argument block (slots: ``STEP_SLOTS``;
-        semantics and return codes: the comment above it in :mod:`._csrc`),
-        a ``ctypes.c_int64`` array of ``STEP_OUT + n_ranks + 2`` slots
-        holding buffer *addresses* (``arr.ctypes.data``) and sizes.  The
-        step runs once per rank-hour and ``ndarray.ctypes`` costs
-        microseconds an access, so :class:`repro.distrib.rankstep.HostedTable`
-        fills the block once per week (week rows, plane) or per growth
-        (table, scratch), checks dtype, shape and contiguity there, keeps
-        the arrays alive, and rewrites only the ``count`` and ``hour``
-        slots per call."""
-        return self._lib.rk_rank_step(block)
+    def lockstep_hour(self, block_address: int) -> int:
+        """``rk_lockstep_hour`` over its argument block (slots:
+        ``HOUR_SLOTS``, rank rows: ``RANK_FIELDS``; semantics and return
+        codes: the comment above it in :mod:`._csrc`), given as the
+        *address* of a C-contiguous int64 array holding buffer addresses
+        (``arr.ctypes.data``) and sizes.  The hour runs once per active
+        hour and ``ndarray.ctypes`` costs microseconds an access, so
+        :class:`repro.distrib.rankstep.HostedTable` fills the block once
+        per week (week rows, plane) or per growth (table, scratch),
+        checks dtype, shape and contiguity there, keeps the arrays alive,
+        and rewrites only the ``hour`` slot per call."""
+        return self._lib.rk_lockstep_hour(block_address)
 
     def week_fill(
         self,
@@ -821,37 +825,46 @@ def _smoke_test(kernels: CompiledKernels) -> None:
         raise RuntimeError(
             "compiled mirror / frontier / induced-sum kernel smoke test failed"
         )
-    # one rank-hour (hour 1) on rank 0 of 2 over a 3-person world:
-    # person 0 moves to place 1 (rank 1's) and leaves, person 1 does not
-    # change, person 2 changes activity at place 0 and stays, now second
-    # (MIGRANT_DTYPE spelt out: core does not import distrib)
+    # one hour (hour 1) of both ranks of 2 over a 3-person world, hosted
+    # in one table: rank 0 hosts all three at place 0; person 0 moves to
+    # place 1 (rank 1's) and arrives there, person 1 does not change,
+    # person 2 changes activity at place 0 and stays, now second; rank
+    # 0's two records go to its sink (MIGRANT_DTYPE spelt out: core does
+    # not import distrib)
     spell = np.dtype(
         [("person", "<u4"), ("spell_start", "<i8"), ("activity", "<u4"), ("place", "<u4")]
     )
-    table = np.array([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)], dtype=spell)
+    table = np.array([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)], dtype=spell)
     changed = np.zeros((168, 3), dtype=np.uint8)  # the week, hour-major
     act = np.zeros((168, 3), dtype=np.uint8)
     place = np.zeros((168, 3), dtype=np.uint32)
     changed[1], act[1], place[1] = [1, 0, 1], [3, 0, 4], [1, 0, 0]
     owner = np.array([0, 1], dtype=np.int32)
-    records = np.zeros((3, 5), dtype="<u4")
-    leavers, moved = np.zeros(3, dtype=spell), np.zeros(3, dtype=spell)
-    dest = np.zeros(3, dtype=np.int32)
-    block = (ctypes.c_int64 * (STEP_OUT + 4))(
-        table.ctypes.data, 3, changed.ctypes.data, act.ctypes.data,
-        place.ctypes.data, owner.ctypes.data, 3, 2, 2, 0, 1,
-        records.ctypes.data, leavers.ctypes.data, moved.ctypes.data,
-        dest.ctypes.data,
+    records, sink = np.zeros((4, 5), dtype="<u4"), np.zeros((4, 5), dtype="<u4")
+    leavers, moved = np.zeros(4, dtype=spell), np.zeros(4, dtype=spell)
+    dest, spills = np.zeros(4, dtype=np.int32), np.zeros(2, dtype=np.int64)
+    bounds, mark = np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    ranks = np.zeros((2, len(RANK_FIELDS)), dtype=np.int64)
+    ranks[:, :3] = [[0, 3, 3], [3, 1, 0]]  # base, cap, count
+    ranks[0, 6:9] = [sink.ctypes.data, 4, 1]  # sink, sink_cap, fill
+    block = np.array(
+        [table.ctypes.data, 0, 4, ranks.ctypes.data, 0, 2, changed.ctypes.data,
+         act.ctypes.data, place.ctypes.data, owner.ctypes.data, 3, 2, 2, 1,
+         records.ctypes.data, leavers.ctypes.data, moved.ctypes.data,
+         dest.ctypes.data, bounds.ctypes.data, mark.ctypes.data,
+         spills.ctypes.data, 0, 0, 0, 0],
+        dtype=np.int64,
     )  # fmt: skip
-    n_rec = kernels.rank_step(block)
+    n_spills = kernels.lockstep_hour(block.ctypes.data)
     if (
-        n_rec != 2
-        or block[STEP_OUT : STEP_OUT + 4] != [2, 0, 0, 1]
-        or records[:2].tolist() != [[0, 1, 0, 0, 0], [0, 1, 2, 0, 0]]
-        or table[:2].tolist() != [(1, 0, 0, 0), (2, 1, 4, 0)]
-        or leavers[:1].tolist() != [(0, 1, 3, 1)]
+        n_spills != 0
+        or block[-4:].tolist() != [2, 1, 0, 0]
+        or ranks[:, [2, 4, 5, 8, 9, 10, 11]].tolist()
+        != [[2, 2, 1, 3, 2, 1, 20], [1, 0, 0, 0, 0, 0, 0]]
+        or sink[1:3].tolist() != [[0, 1, 0, 0, 0], [0, 1, 2, 0, 0]]
+        or table.tolist() != [(1, 0, 0, 0), (2, 1, 4, 0), (2, 0, 0, 0), (0, 1, 3, 1)]
     ):
-        raise RuntimeError("compiled rank-step kernel smoke test failed")
+        raise RuntimeError("compiled lockstep-hour kernel smoke test failed")
     # one week of two persons at home (places 5 and 6): person 1 is at
     # place 7 (activity 2) from 9 to 11 on Tuesday, and at place 8 from
     # 22 to midnight on Monday, cut to 22 by the home hour 23

@@ -12,17 +12,18 @@ The paper's stack uses MPI twice:
 
 MPI is unavailable here, so this subpackage provides both patterns natively:
 
-* :mod:`repro.distrib.lockstep` — the in-process cluster: ranks written
-  as generators that yield at each BSP (bulk-synchronous) collective —
-  ``alltoall``, ``gather``, ``barrier`` — stepped in lockstep by one
-  thread.  The distributed model runs on it by default.
-* :mod:`repro.distrib.proccluster` — the same collectives across forked
-  processes, for the model's body (through ``lockstep.spmd``) and for
+* :mod:`repro.distrib.rankstep` — the ranks one process hosts, as one
+  table, and the hour kernel that steps them all in one call, hands
+  migrants between them and meters what each sends.  In process the
+  distributed model hosts every rank and needs no collective.
+* :mod:`repro.distrib.proccluster` — BSP (bulk-synchronous) collectives
+  — ``alltoall``, ``gather``, ``barrier`` — across forked processes, for
+  the model run one rank a process and for
   :mod:`repro.distrib.shardsynth`.
 * :mod:`repro.distrib.comm` — what a collective costs: every payload is
   metered into per-rank :class:`TrafficStats`, so communication volume
   (the quantity the spatial partitioning minimizes) is a first-class
-  measurable.
+  measurable, in process and across processes alike.
 * :mod:`repro.distrib.taskpool` — the SNOW-style worker pool (inline for
   one worker, threads otherwise) used by the synthesis pipeline;
   :mod:`repro.distrib.shardsynth` is synthesis across real processes.

@@ -3,10 +3,14 @@
 Every collective a rank takes part in is metered into its
 :class:`TrafficStats`, because "minimizing person agent movement between
 processes" is a headline objective of the paper's partitioning and must be
-observable.  Both clusters meter alike
-(:class:`~repro.distrib.lockstep.LockstepCluster` in process,
-:class:`~repro.distrib.proccluster.ProcessBspCluster` across forked
-ranks), and both return a :class:`ClusterRunResult`.
+observable.  The distributed model meters alike wherever its ranks run:
+the hour kernel counts what the ranks of one process send each other
+(one alltoall an active hour; a snapshot's gather and barrier are
+counted beside it), and
+:class:`~repro.distrib.proccluster.ProcessCommunicator` meters each
+collective a forked rank performs, with :func:`payload_nbytes`'
+formula either way.  :class:`~repro.distrib.proccluster.ProcessBspCluster`
+returns a :class:`ClusterRunResult`.
 
 Payload size accounting favours numpy buffers (``nbytes``); arbitrary
 objects fall back to their pickled size.
@@ -56,10 +60,14 @@ class TrafficStats:
     collectives: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
 
-    def record(self, kind: str, n_messages: int, n_bytes: int) -> None:
+    def record(
+        self, kind: str, n_messages: int, n_bytes: int, collectives: int = 1
+    ) -> None:
+        """Count ``collectives`` collectives of ``kind`` that sent
+        ``n_messages`` messages of ``n_bytes`` bytes in all."""
         self.messages_sent += n_messages
         self.bytes_sent += n_bytes
-        self.collectives += 1
+        self.collectives += collectives
         self.by_kind[kind] = self.by_kind.get(kind, 0) + n_bytes
 
     def merged(self, others: Sequence["TrafficStats"]) -> "TrafficStats":

@@ -9,29 +9,27 @@ belongs to another rank, its open activity spell migrates there through a
 metered all-to-all exchange.
 
 This is the one loop that writes event logs and simulation checkpoints,
-at any rank count: a serial run is a world of one rank.  A rank's run is
-one generator that yields at each collective (the hour's ``alltoall``, a
-snapshot's ``gather`` and ``barrier``); by default every rank is stepped
-in lockstep on the calling thread (:mod:`repro.distrib.lockstep`: no
-thread, no barrier, no lock hand-off), and the same body runs on forked
-process ranks (:mod:`repro.distrib.proccluster`) through
-:func:`~repro.distrib.lockstep.spmd`, writing the same bytes.  A
-rank-hour costs its work: every rank skips, in lockstep, the hours in
-which nobody anywhere changes (no step, no exchange), the step reads the
-week hour-major as ``rk_week_fill`` wrote it, one week resident, and
-hands its closed spells to the log writer as raw rows; a run that writes
-logs keeps per-rank counts and log offsets, never the records it wrote —
-its logs hold them, and a run without logs appends the raw rows to one
-buffer per rank, made a record array once (at a snapshot, or at the
-end).  Each rank sums its step, log-append, exchange and receive clocks
-locally and records them once at the end (``distrib.step_seconds`` /
-``log_seconds`` / ``exchange_seconds`` / ``receive_seconds``), so where a
-month's time went comes from the registry.  ``exchange_seconds`` runs
-from handing the hour's payloads over to resuming with the arrivals: on
-lockstep ranks that is the other ranks' turns up to the same collective
-plus the transpose (the BSP wait, as a process rank's wait at its inbox
-is), so the step, log and receive sums over ranks are the work and a
-rank's exchange is what it waited for.
+at any rank count: a serial run is a world of one rank.  It loops over
+the ranks a process hosts — every rank in process, one rank in a forked
+:class:`~repro.distrib.proccluster.ProcessBspCluster` rank — and an
+active hour is one call of the hour kernel
+(:class:`~repro.distrib.rankstep.HostedTable`): every hosted rank
+stepped, its closed spells appended to its log cache, its migrants handed
+to hosted destinations in source-rank order and its traffic metered,
+with no Python per rank.  In process that needs no collective at all; a
+forked rank performs the hour's ``alltoall`` for its leavers, and a
+snapshot's ``gather`` and ``barrier``, on its communicator, writing the
+same bytes.  Every rank skips, together, the hours in which nobody
+anywhere changes (no step, no exchange); the step reads the week
+hour-major as ``rk_week_fill`` wrote it, one week resident; a run that
+writes logs keeps per-rank counts and log offsets, never the records it
+wrote — its logs hold them — and a run without logs appends the raw rows
+to one buffer per rank, made a record array once (at a snapshot, or at
+the end).  Each hosting loop sums its hour kernel's clock locally and
+records it once at the end (``distrib.step_seconds``, beside
+``distrib.rank_loop_seconds``), a forked rank adds its ``alltoall`` wait
+and receive (``distrib.exchange_seconds`` / ``receive_seconds``), so
+where a month's time went comes from the registry.
 
 Invariant (tested): for the same population/seed the union of all ranks'
 event records equals the serial engine's event stream exactly, and one
@@ -40,10 +38,12 @@ rank emits that stream in the serial engine's order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import time
 import zipfile
 import zlib
@@ -56,16 +56,21 @@ import numpy as np
 from .._util import atomic_write_bytes
 from ..config import HOURS_PER_WEEK, SimulationConfig
 from ..core.kernels.cext import load_cext
-from ..errors import CheckpointError, RankDeadError, RankFailureError, SimulationError
+from ..errors import (
+    CheckpointError,
+    CommError,
+    RankDeadError,
+    RankFailureError,
+    SimulationError,
+)
 from ..evlog.multifile import rank_log_path
 from ..evlog.reader import LogReader
-from ..evlog.schema import LOG_DTYPE, LogRecordArray, empty_records, records_from_bytes
+from ..evlog.schema import LOG_DTYPE, LOG_FIELDS, LogRecordArray, empty_records
 from ..evlog.writer import CachedLogWriter
 from ..obs import count, observe, start_span
 from ..synthpop.generator import SyntheticPopulation
 from ..synthpop.schedule import WeeklyScheduleGenerator
-from .comm import TrafficStats
-from .lockstep import LockstepCluster, spmd
+from .comm import TrafficStats, payload_nbytes
 from .migration import pack_migrants
 from .partition import PlacePartition
 from .rankstep import HostedTable, WeekRows
@@ -73,6 +78,7 @@ from .rankstep import HostedTable, WeekRows
 __all__ = [
     "DistributedSimulation",
     "DistributedRunResult",
+    "RankHandle",
     "DIST_MANIFEST",
     "DIST_STATE",
 ]
@@ -258,6 +264,56 @@ class _ScheduleCache:
         return self._week
 
 
+class RankHandle:
+    """A rank as a ``fault_hook`` sees it: ``rank``, ``size``, ``dead`` and
+    :meth:`die`."""
+
+    __slots__ = ("rank", "size", "dead")
+
+    def __init__(self, rank: int, size: int) -> None:
+        self.rank = rank
+        self.size = size
+        #: set by :meth:`die` — lets tests assert which rank was killed
+        self.dead = False
+
+    def die(self) -> None:
+        """Simulate this rank being hard-killed: raises
+        :class:`~repro.errors.RankDeadError`; the run skips this rank's
+        cleanup (its log is left torn) and fails naming it."""
+        self.dead = True
+        raise RankDeadError(f"rank {self.rank} killed by fault injection")
+
+
+class _HeldRecords:
+    """What a rank emitted in a run without logs: raw record rows in one
+    growing buffer, the run's only copy of them (a log sink, see
+    :class:`~repro.distrib.rankstep.HostedTable`)."""
+
+    def __init__(self, records: LogRecordArray | None) -> None:
+        rows = np.empty((0, len(LOG_FIELDS)), np.uint32)
+        if records is not None:
+            rows = np.ascontiguousarray(records).view(np.uint32).reshape(-1, len(LOG_FIELDS))
+        self.cache = np.empty((max(2 * len(rows), 1024), len(LOG_FIELDS)), np.uint32)
+        self.cache[: len(rows)] = rows
+        self.fill = len(rows)
+
+    def filled_to(self, fill: int) -> None:
+        self.fill = fill
+
+    def log_batch(self, rows: np.ndarray) -> None:
+        end = self.fill + len(rows)
+        if end >= len(self.cache):
+            grown = np.empty((max(2 * len(self.cache), end + 1), len(LOG_FIELDS)), np.uint32)
+            grown[: self.fill] = self.cache[: self.fill]
+            self.cache = grown
+        self.cache[self.fill : end] = rows
+        self.fill = end
+
+    def records(self) -> LogRecordArray:
+        """The rows held so far as records (a view of the buffer)."""
+        return self.cache[: self.fill].reshape(-1).view(LOG_DTYPE)
+
+
 @dataclass
 class _RankOutput:
     rank: int
@@ -272,30 +328,45 @@ class _RankOutput:
     # this attempt's (a resumed rank counts from its resume hour)
     changes: int = 0
     migrants: int = 0
-    loop_seconds: float = 0.0
-    #: of which the step, the log append (or record keeping), the
-    #: ``alltoall`` with its wait for the other ranks and
-    #: ``HostedTable.receive``, each summed over the rank's hours
-    step_seconds: float = 0.0
-    log_seconds: float = 0.0
-    exchange_seconds: float = 0.0
-    receive_seconds: float = 0.0
-    #: what ran the rank-hour scan, and how many steps its twin took
-    impl: str = ""
+    #: rank steps the numpy twin took
     twin_steps: int = 0
     #: hours skipped because nobody anywhere changed at them
     quiet_hours: int = 0
 
 
+@dataclass
+class _HostOutput:
+    """What the ranks of one process produced, and where its loop's time
+    went."""
+
+    ranks: list[_RankOutput]
+    #: each rank's traffic, when the process hosts every rank (a forked
+    #: rank's is its communicator's)
+    traffic: list[TrafficStats] | None
+    #: what ran the hour: ``"cext"`` or ``"twin"``
+    impl: str
+    loop_seconds: float
+    #: of which the hour kernel, its sinks' spills included
+    step_seconds: float
+    #: and, on a forked rank, the ``alltoall`` with its wait and the
+    #: receive (None in process: there is no exchange)
+    exchange_seconds: float | None
+    receive_seconds: float | None
+
+
 def _hosted_at_start(
-    week: WeekRows, assignment: np.ndarray, rank: int
-) -> np.ndarray:
-    """The agents on ``rank``'s places at hour 0, as hosted rows (a
-    function, so the rank loop holds no reference to week 0)."""
-    ids = np.flatnonzero(assignment[week.place[0]] == rank)
-    return pack_migrants(
+    week: WeekRows, assignment: np.ndarray, local: range
+) -> list[np.ndarray]:
+    """The agents on each of ``local``'s places at hour 0 by person id, as
+    hosted rows (a function, so the loop holds no reference to week 0)."""
+    owner = assignment[week.place[0]]
+    ids = np.flatnonzero((owner >= local.start) & (owner < local.stop))
+    ids = ids[np.argsort(owner[ids], kind="stable")]
+    counts = np.bincount(owner[ids] - local.start, minlength=len(local))
+    rows = pack_migrants(
         ids, np.zeros(len(ids), np.int64), week.activity[0][ids], week.place[0][ids]
     )
+    return np.split(rows, np.cumsum(counts)[:-1])
 
 
 def _read_rank_log(path: Path) -> LogRecordArray:
@@ -417,14 +488,13 @@ class DistributedSimulation:
     ) -> DistributedRunResult:
         """Execute the run on ``config.n_ranks`` ranks.
 
-        By default the ranks are generators stepped in lockstep on the
-        calling thread (:class:`~repro.distrib.lockstep.LockstepCluster`):
-        no thread, no barrier; it is the one in-process cluster.
+        By default every rank runs in this process, stepped together by
+        one loop (one hour-kernel call an active hour, no collective).
         ``cluster`` may be any object with a compatible ``run(rank_fn,
         rank_args=...)`` — i.e.
         :class:`~repro.distrib.proccluster.ProcessBspCluster` for real OS
-        processes — and runs the same rank body through
-        :func:`~repro.distrib.lockstep.spmd`.
+        processes — and runs the same loop for one rank in each, its
+        exchange and snapshots on the rank's communicator.
 
         Fault tolerance
         ---------------
@@ -438,14 +508,20 @@ class DistributedSimulation:
         (:class:`~repro.errors.RankFailureError`: a rank was killed, or
         its work between two collectives overran
         ``config.heartbeat_timeout``) triggers a supervised restart: a
-        fresh cluster restores every rank from the last snapshot —
+        fresh attempt restores every rank from the last snapshot —
         truncating each rank's log back to the recorded offset — and
         replays.  ``fault_hook(comm, hour)`` runs at the top of every
-        rank-hour, change-free ones included, and exists for fault
-        injection: ``comm`` has ``rank``, ``size``, ``dead`` and ``die()``
-        (call it to simulate a hard kill: that rank's log is left torn,
-        the others' writers close); hooks must be stateful so they do not
-        re-kill after a restart.  A ``checkpoint_dir`` holding the serial
+        rank-hour, change-free ones included, rank by rank, and exists for
+        fault injection: ``comm`` is the rank's :class:`RankHandle`
+        (``rank``, ``size``, ``dead``, ``die()``; call ``die()`` to
+        simulate a hard kill: that rank's log is left torn, the others'
+        writers close); hooks must be stateful so they do not re-kill
+        after a restart.  In process, a hook that raises fails the run
+        with :class:`~repro.errors.CommError` naming its rank, and a hook
+        (or an hour kernel call) that overruns
+        ``config.heartbeat_timeout`` with
+        :class:`~repro.errors.RankFailureError` naming its rank (every
+        hosted rank for the kernel).  A ``checkpoint_dir`` holding the serial
         engine's old snapshot format (``sim_manifest.json``) and no
         collective one is refused with
         :class:`~repro.errors.CheckpointError` before any log is opened.
@@ -481,74 +557,118 @@ class DistributedSimulation:
         every = self.config.checkpoint_every_hours
         digest = self.checkpoint_digest(with_log=log_directory is not None)
 
-        def rank_body(comm: Any, resume_state: dict | None):
-            """One rank's run, yielding at each collective (see
-            :mod:`repro.distrib.lockstep`): the hour's ``alltoall``, a
-            snapshot's ``gather`` and ``barrier``."""
-            rank = comm.rank
-            checkpoints = changes = quiet_hours = 0
-            step_seconds = log_seconds = exchange_seconds = receive_seconds = 0.0
-            if resume_state is not None:
-                rows = pack_migrants(
-                    resume_state["ids"],
-                    resume_state["spell_start"],
-                    resume_state["spell_act"],
-                    resume_state["spell_place"],
+        heartbeat = self.config.heartbeat_timeout or math.inf
+
+        def open_sink(rank: int, state: dict | None) -> Any:
+            """Rank ``rank``'s log writer (cut back to the snapshot's offset
+            on a resume), or its held records in a run without logs."""
+            if log_directory is None:
+                return _HeldRecords(None if state is None else state["records"])
+            path = rank_log_path(log_directory, rank)
+            if state is None:
+                return CachedLogWriter(
+                    path, rank=rank, cache_records=cache_records, durability=durability
                 )
-                migrations_out = (
-                    resume_state["migrations_out"].astype(np.int64).copy()
-                )
-                start_hour = int(resume_state["next_hour"])
-            else:
-                rows = _hosted_at_start(cache.rows(0), assignment, rank)
-                migrations_out = np.zeros(duration, dtype=np.int64)
-                start_hour = 1
-            hosted = HostedTable(
-                rows, rank=rank, n_ranks=comm.size, n_persons=n_persons,
-                assignment=assignment,
+            return CachedLogWriter.open_resume(
+                path, cache_records=cache_records, durability=durability, rank=rank,
+                at_offset=int(state["writer_offset"]),
             )
 
-            writer = None
-            path = None
-            # what a run without logs emitted, as raw record rows appended
-            # to one buffer; a run that logs keeps none of it, its log
-            # holds it
-            held = bytearray()
-            if log_directory is not None:
-                path = rank_log_path(log_directory, rank)
-                if resume_state is not None:
-                    writer = CachedLogWriter.open_resume(
-                        path,
-                        cache_records=cache_records,
-                        durability=durability,
-                        rank=rank,
-                        at_offset=int(resume_state["writer_offset"]),
-                    )
-                else:
-                    writer = CachedLogWriter(
-                        path,
-                        rank=rank,
-                        cache_records=cache_records,
-                        durability=durability,
-                    )
-                emit = writer.log_batch
-            else:
-                if resume_state is not None:
-                    held += resume_state["records"].tobytes()
-                # the step's rows are its scratch: this copies them
-                emit = held.extend
+        def snapshot_states(
+            table: HostedTable, sinks: list[Any], migrations: np.ndarray
+        ) -> list[dict]:
+            """Each hosted rank's part of a snapshot; a logged rank's log is
+            flushed first, so its offset is a chunk boundary."""
+            table.settle()
+            states = []
+            for i, sink in enumerate(sinks):
+                live = table.hosted(i)
+                if log_directory is not None:
+                    sink.flush()
+                states.append(
+                    {
+                        # columns that own their memory: the table is
+                        # rewritten in place from the next hour on
+                        "ids": live["person"].copy(),
+                        "spell_start": live["spell_start"].copy(),
+                        "spell_act": live["activity"].copy(),
+                        "spell_place": live["place"].copy(),
+                        "records": (
+                            sink.records().copy() if log_directory is None else None
+                        ),
+                        "migrations_out": migrations[i].copy(),
+                        "writer_offset": -1 if log_directory is None else sink.offset,
+                    }
+                )
+            table.attach(sinks)
+            return states
 
-            killed = False
+        def host(comm: Any, local: range, resume: list[dict] | None) -> _HostOutput:
+            """The hour loop over the ranks ``local`` this process hosts:
+            every rank in process (``comm`` None: no collective at all), or
+            the one rank of a forked process, which performs the hour's
+            ``alltoall`` and a snapshot's ``gather`` and ``barrier`` on
+            ``comm``."""
             clock = time.perf_counter
             tic = clock()
+            # opened and ended with an explicit parent, never made the
+            # current span: the hosted ranks interleave on one thread
+            spans = [
+                start_span(
+                    "distrib.rank", run_span.context(),
+                    {"rank": r, "hours": duration - first_hour},
+                )
+                for r in local
+            ]
+            sinks: list[Any] = []
+            table: HostedTable | None = None
+            current = local.start  # the rank whose work runs
+            killed: int | None = None
             try:
+                if resume is not None:
+                    rows = [
+                        pack_migrants(
+                            st["ids"], st["spell_start"], st["spell_act"], st["spell_place"]
+                        )
+                        for st in resume
+                    ]
+                    migrations = np.stack([st["migrations_out"] for st in resume])
+                    migrations = migrations.astype(np.int64)
+                    start_hour = first_hour
+                else:
+                    rows = _hosted_at_start(cache.rows(0), assignment, local)
+                    migrations = np.zeros((len(local), duration), dtype=np.int64)
+                    start_hour = 1
+                table = HostedTable(
+                    rows, rank=local.start, n_ranks=n_ranks, n_persons=n_persons,
+                    assignment=assignment,
+                )
+                for i, r in enumerate(local):
+                    sinks.append(open_sink(r, None if resume is None else resume[i]))
+                table.attach(sinks)
+                handles = [RankHandle(r, n_ranks) for r in local]
+                # what a snapshot's gather and barrier cost each rank in
+                # process (a forked rank's communicator meters its own)
+                collectives = [TrafficStats() for _ in local]
+                checkpoints = quiet_hours = active_hours = 0
+                step_seconds = exchange_seconds = receive_seconds = 0.0
                 for hour in range(start_hour, duration):
                     if fault_hook is not None:
-                        fault_hook(comm, hour)
+                        for handle in handles:
+                            current = handle.rank
+                            t_hook = clock()
+                            fault_hook(handle, hour)
+                            spent = clock() - t_hook
+                            if spent > heartbeat:
+                                raise RankFailureError(
+                                    f"rank {current} worked {spent:.3f}s between two "
+                                    f"collectives, past its {heartbeat}s heartbeat",
+                                    suspects=[current],
+                                )
                     week_index, hour_of_week = divmod(hour, HOURS_PER_WEEK)
                     if hour_of_week == 0 or hour == start_hour:
                         week = cache.rows(week_index)
-                        hosted.bind_week(week)
+                        table.bind_week(week)
 
                     if not week.active[hour_of_week]:
                         # nobody anywhere changes: every rank skips the
@@ -556,22 +676,24 @@ class DistributedSimulation:
                         quiet_hours += 1
                     else:
                         t_step = clock()
-                        rec, payloads, n_leavers = hosted.step(hour)
-                        t_log = clock()
-                        if rec is not None:
-                            changes += len(rec)
-                            emit(rec)
-                            if n_leavers:
-                                migrations_out[hour] = n_leavers
+                        _, payloads, n_leavers = table.step(hour)
                         t_exchange = clock()
-                        arrivals = yield ("alltoall", payloads)
-                        t_receive = clock()
-                        hosted.receive(arrivals)
-                        t_done = clock()
-                        step_seconds += t_log - t_step
-                        log_seconds += t_exchange - t_log
-                        exchange_seconds += t_receive - t_exchange
-                        receive_seconds += t_done - t_receive
+                        step_seconds += t_exchange - t_step
+                        if t_exchange - t_step > heartbeat:
+                            raise RankFailureError(
+                                f"ranks {list(local)} worked {t_exchange - t_step:.3f}s "
+                                f"in hour {hour}, past their {heartbeat}s heartbeat",
+                                suspects=list(local),
+                            )
+                        if n_leavers:
+                            migrations[:, hour] = table.left
+                        active_hours += 1
+                        if comm is not None:
+                            arrivals = comm.alltoall(payloads)
+                            t_receive = clock()
+                            table.receive(arrivals)
+                            exchange_seconds += t_receive - t_exchange
+                            receive_seconds += clock() - t_receive
 
                     if (
                         ckpt_dir is not None
@@ -579,90 +701,104 @@ class DistributedSimulation:
                         and (hour + 1) % every == 0
                         and (hour + 1) < duration
                     ):
-                        if writer is not None:
-                            # flush so the offset is a chunk boundary
-                            writer.flush()
-                        live = hosted.hosted()
-                        state = {
-                            # columns that own their memory: the table is
-                            # rewritten in place from the next hour on
-                            "ids": live["person"].copy(),
-                            "spell_start": live["spell_start"].copy(),
-                            "spell_act": live["activity"].copy(),
-                            "spell_place": live["place"].copy(),
-                            "records": (
-                                None if writer is not None
-                                else records_from_bytes(held)
-                            ),
-                            "migrations_out": migrations_out,
-                            "writer_offset": (
-                                writer.offset if writer is not None else -1
-                            ),
-                        }
-                        gathered = yield ("gather", state, 0)
-                        if gathered is not None:
-                            _save_dist_checkpoint(
-                                ckpt_dir, digest, hour + 1, gathered
-                            )
-                        # nobody proceeds until the snapshot is committed
-                        yield ("barrier",)
+                        states = snapshot_states(table, sinks, migrations)
+                        if comm is None:
+                            # as if gathered to rank 0: the others send it
+                            # their state
+                            for r, (stats, state) in enumerate(zip(collectives, states)):
+                                stats.record("gather", int(r > 0), payload_nbytes(state) if r else 0)
+                            _save_dist_checkpoint(ckpt_dir, digest, hour + 1, states)
+                            for stats in collectives:
+                                stats.record("barrier", 0, 0)
+                        else:
+                            gathered = comm.gather(states[0], 0)
+                            if gathered is not None:
+                                _save_dist_checkpoint(ckpt_dir, digest, hour + 1, gathered)
+                            # nobody proceeds until the snapshot is committed
+                            comm.barrier()
                         checkpoints += 1
 
-                if hosted.count:
-                    emit(hosted.close_all(duration))
-            except RankDeadError:
-                # simulated hard kill: skip all cleanup so the log file is
-                # left torn, exactly as a SIGKILL would
-                killed = True
-                raise
-            finally:
-                if writer is not None and not killed:
-                    writer.close()
-
-            records = None
-            if writer is not None:
-                events = writer.stats.records
-            else:
-                # the buffer's own bytes: nothing is appended any more
-                records = np.frombuffer(held, dtype=LOG_DTYPE)
-                events = len(records)
-            return _RankOutput(
-                rank=rank,
-                records=records,
-                events=events,
-                migrations_out=migrations_out,
-                hosted_final=hosted.count,
-                log_path=path,
-                checkpoints=checkpoints,
-                changes=changes,
-                migrants=int(migrations_out[start_hour:].sum()),
-                loop_seconds=time.perf_counter() - tic,
-                step_seconds=step_seconds,
-                log_seconds=log_seconds,
-                exchange_seconds=exchange_seconds,
-                receive_seconds=receive_seconds,
-                impl=hosted.impl,
-                twin_steps=hosted.twin_steps,
-                quiet_hours=quiet_hours,
-            )
-
-        def rank_steps(comm: Any, resume_state: dict | None):
-            # opened and ended with an explicit parent, never made the
-            # current span: lockstep ranks interleave on one thread
-            span = start_span(
-                "distrib.rank", run_span.context(),
-                {"rank": comm.rank, "hours": duration - first_hour},
-            )
-            try:
-                out = yield from rank_body(comm, resume_state)
-                span.set_attr("records", out.events)
-                span.set_attr("migrants", out.migrants)
-                return out
+                table.settle()
+                outputs = []
+                for i, (sink, span) in enumerate(zip(sinks, spans)):
+                    current = local[i]
+                    if table.counts[i]:
+                        sink.log_batch(table.close_all(duration, i))
+                    if log_directory is not None:
+                        sink.close()
+                    out = _RankOutput(
+                        rank=current,
+                        records=None if log_directory is not None else sink.records(),
+                        events=sink.fill if log_directory is None else sink.stats.records,
+                        migrations_out=migrations[i],
+                        hosted_final=int(table.counts[i]),
+                        log_path=None if log_directory is None else sink.path,
+                        checkpoints=checkpoints,
+                        changes=int(table.changes[i]),
+                        migrants=int(migrations[i, start_hour:].sum()),
+                        twin_steps=table.twin_steps // len(local),
+                        quiet_hours=quiet_hours,
+                    )
+                    span.set_attr("records", out.events)
+                    span.set_attr("migrants", out.migrants)
+                    outputs.append(out)
             except BaseException as exc:
-                span.set_status(f"error:{type(exc).__name__}")
-                raise
+                if table is not None:
+                    # best effort: the writers closed below flush what the
+                    # hours appended
+                    with contextlib.suppress(Exception):
+                        table.settle()
+                failure = exc
+                if isinstance(exc, RankDeadError):
+                    # a simulated hard kill: the victim's log is left torn,
+                    # as a SIGKILL would leave it
+                    killed = current
+                    if comm is None:
+                        failure = RankFailureError(
+                            f"rank {current} died during the run", suspects=[current]
+                        )
+                elif comm is None and type(exc) is not RankFailureError and isinstance(
+                    exc, Exception
+                ):
+                    current = getattr(exc, "rank", current)
+                    failure = CommError(f"rank {current} failed: {exc!r}")
+                for r, span in zip(local, spans):
+                    span.set_status(f"error:{type(exc if r == current else failure).__name__}")
+                if log_directory is not None:
+                    for r, sink in zip(local, sinks):
+                        if r != killed:
+                            sink.close()
+                if failure is exc:
+                    raise
+                raise failure from (None if killed is not None else exc)
             finally:
-                span.end()
+                for span in spans:
+                    span.end()
+
+            traffic = None
+            if comm is None:
+                # one alltoall an active hour, then the snapshots' collectives
+                traffic = []
+                for (msgs, sent), snapshots in zip(table.sent.tolist(), collectives):
+                    stats = TrafficStats()
+                    if active_hours:
+                        stats.record("alltoall", msgs, sent, collectives=active_hours)
+                    traffic.append(stats.merged([snapshots]))
+            return _HostOutput(
+                ranks=outputs,
+                traffic=traffic,
+                impl=table.impl,
+                loop_seconds=clock() - tic,
+                step_seconds=step_seconds,
+                exchange_seconds=None if comm is None else exchange_seconds,
+                receive_seconds=None if comm is None else receive_seconds,
+            )
+
+        def forked(comm: Any, resume_state: dict | None) -> _HostOutput:
+            return host(
+                comm, range(comm.rank, comm.rank + 1),
+                None if resume_state is None else [resume_state],
+            )
 
         restarts = 0
         while True:
@@ -671,30 +807,30 @@ class DistributedSimulation:
                 first_hour, resume_states = _load_dist_checkpoint(
                     ckpt_dir, digest, n_ranks, with_records=log_directory is None
                 )
-                for st in resume_states:
-                    st["next_hour"] = first_hour
             # the first week is built here, once: forked ranks inherit it
             cache.rows(first_hour // HOURS_PER_WEEK)
-            rank_args = [
-                (resume_states[r] if resume_states is not None else None,)
-                for r in range(n_ranks)
-            ]
             try:
                 with start_span("distrib.run", attrs={"ranks": n_ranks}) as run_span:
                     if cluster is None:
-                        result = LockstepCluster(
-                            n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
-                        ).run(rank_steps, rank_args=rank_args)
+                        hosts = [host(None, range(n_ranks), resume_states)]
+                        traffic = hosts[0].traffic
                     else:
-                        result = cluster.run(spmd(rank_steps), rank_args=rank_args)
+                        result = cluster.run(
+                            forked,
+                            rank_args=[
+                                (None if resume_states is None else resume_states[r],)
+                                for r in range(n_ranks)
+                            ],
+                        )
+                        hosts, traffic = result.returns, result.traffic
                 break
             except RankFailureError:
-                # supervised restart only with the default in-process
-                # cluster (a caller-provided cluster may not be reusable)
+                # supervised restart only in process (a caller-provided
+                # cluster may not be reusable)
                 if cluster is not None or restarts >= max_restarts:
                     raise
                 restarts += 1
-        outputs: list[_RankOutput] = result.returns
+        outputs = [o for h in hosts for o in h.ranks]
 
         hosted_total = sum(o.hosted_final for o in outputs)
         if hosted_total != self.population.n_persons:
@@ -703,32 +839,34 @@ class DistributedSimulation:
                 f"population is {self.population.n_persons}"
             )
         migrations = np.zeros(duration, dtype=np.int64)
-        # once per rank, after the run: nothing per hour
-        for o, traffic in zip(outputs, result.traffic):
+        # once per rank and once per hosting process, after the run:
+        # nothing per hour
+        for o, stats in zip(outputs, traffic):
             migrations += o.migrations_out
             count("distrib.rank_hours", duration - first_hour)
             count("distrib.quiet_hours", o.quiet_hours)
             count("distrib.changes", o.changes)
             count("distrib.migrants_out", o.migrants)
-            count("distrib.alltoall_bytes", traffic.by_kind.get("alltoall", 0))
-            observe("distrib.rank_loop_seconds", o.loop_seconds)
-            observe("distrib.step_seconds", o.step_seconds)
-            observe("distrib.log_seconds", o.log_seconds)
-            observe("distrib.exchange_seconds", o.exchange_seconds)
-            observe("distrib.receive_seconds", o.receive_seconds)
+            count("distrib.alltoall_bytes", stats.by_kind.get("alltoall", 0))
             if o.twin_steps:
                 count("kernels.rank_step.twin", o.twin_steps)
+        for h in hosts:
+            observe("distrib.rank_loop_seconds", h.loop_seconds)
+            observe("distrib.step_seconds", h.step_seconds)
+            if h.exchange_seconds is not None:
+                observe("distrib.exchange_seconds", h.exchange_seconds)
+                observe("distrib.receive_seconds", h.receive_seconds)
         return DistributedRunResult(
             n_ranks=n_ranks,
             duration_hours=duration,
             rank_events=[o.events for o in outputs],
             migrations_per_hour=migrations,
-            traffic=result.total_traffic,
-            per_rank_traffic=result.traffic,
+            traffic=traffic[0].merged(traffic[1:]),
+            per_rank_traffic=traffic,
             log_paths=[o.log_path for o in outputs if o.log_path is not None],
             restarts=restarts,
             checkpoints_written=outputs[0].checkpoints,
-            impl="cext" if all(o.impl == "cext" for o in outputs) else "twin",
+            impl="cext" if all(h.impl == "cext" for h in hosts) else "twin",
             held_records=(
                 [o.records for o in outputs] if log_directory is None else None
             ),

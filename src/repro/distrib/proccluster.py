@@ -1,10 +1,9 @@
 """Real-process BSP cluster (fork + queues).
 
-:class:`~repro.distrib.lockstep.LockstepCluster` steps generator ranks on
-one thread — perfect for determinism and traffic metering, irrelevant for
-wall-clock speed.  :class:`ProcessBspCluster` runs SPMD rank functions as
-genuine OS processes, the closest a pure-Python stack gets to the paper's
-MPI deployment:
+In process the distributed model steps every rank in one loop, with no
+collective at all.  :class:`ProcessBspCluster` runs SPMD rank functions
+as genuine OS processes, the closest a pure-Python stack gets to the
+paper's MPI deployment:
 
 * ranks are forked children (closures work without pickling, like an
   ``mpiexec`` launch inheriting the binary image);
@@ -15,11 +14,12 @@ MPI deployment:
   wrote to its metrics registry (its collector and registry die with it)
   ship back over a result queue; the parent absorbs both.
 
-The communicator performs the three collectives a lockstep rank body
-yields — ``alltoall``, ``gather`` and ``barrier`` — and meters them as
-the lockstep cluster does, so :func:`~repro.distrib.lockstep.spmd` runs
-the distributed model's body here unchanged (verified by comparing rank
-logs, snapshots and per-rank traffic byte-for-byte).
+The communicator performs the three collectives the distributed model
+needs — ``alltoall``, ``gather`` and ``barrier`` — and meters them as the
+in-process hour kernel meters what its ranks send each other, so the
+model's loop runs here for one rank a process and writes the same bytes
+(verified by comparing rank logs, snapshots and per-rank traffic
+byte-for-byte).
 
 Failure semantics: ``timeout`` is one deadline for the whole run; a rank
 that raises fails the run at once as a :class:`~repro.errors.CommError`

@@ -57,16 +57,16 @@ class SimulationError(ReproError):
 
 
 class CommError(ReproError):
-    """A cluster run failed: ranks at different collectives, a bad payload
-    count, a rank that raised (named, its cause chained where it ran in
-    this process) or a run past its deadline."""
+    """A cluster run failed: a bad payload count, a rank that raised
+    (named, its cause chained where it ran in this process) or a run past
+    its deadline."""
 
 
 class RankFailureError(CommError):
     """A rank stopped participating in collectives: it was killed (a
-    lockstep rank's :class:`RankDeadError`, a forked rank that exited
-    without reporting) or its work between two collectives overran the
-    heartbeat deadline.
+    :class:`RankDeadError` from its fault handle, a forked rank that
+    exited without reporting) or its work between two collectives overran
+    the heartbeat deadline.
 
     ``suspects`` lists the ranks found dead.
     """
@@ -77,11 +77,11 @@ class RankFailureError(CommError):
 
 
 class RankDeadError(ReproError):
-    """Raised by :meth:`~repro.distrib.lockstep.LockstepRank.die` to
-    simulate a hard rank kill: the rank body skips its cleanup (the
-    distributed model leaves the rank's log torn, as a SIGKILL would), and
-    the cluster closes the other ranks where they wait and raises
-    :class:`RankFailureError` naming the victim at once."""
+    """Raised by :meth:`~repro.distrib.dmodel.RankHandle.die` to simulate
+    a hard rank kill: the distributed model skips the rank's cleanup
+    (leaves its log torn, as a SIGKILL would), closes the other ranks'
+    logs and raises :class:`RankFailureError` naming the victim at
+    once."""
 
 
 class PartitionError(ReproError):

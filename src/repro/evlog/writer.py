@@ -198,6 +198,36 @@ class CachedLogWriter:
         file back to this exact commit point (``at_offset``)."""
         return self._offset
 
+    # -- appending into the cache ---------------------------------------------
+
+    @property
+    def cache(self) -> np.ndarray | None:
+        """The ``(cache_records, 5)`` uint32 record cache, for a caller that
+        appends rows to it directly (the distributed model's hour kernel),
+        then reports them with :meth:`filled_to`; None under ``WAL``
+        durability, where every batch is journaled by :meth:`log_batch`."""
+        return None if self._wal_file is not None else self._cache
+
+    @property
+    def fill(self) -> int:
+        """Cache rows in use (records logged since the last flush)."""
+        return self._fill
+
+    def filled_to(self, fill: int) -> None:
+        """Take the cache's first ``fill`` rows as logged: the rows from
+        :attr:`fill` up were appended to :attr:`cache` directly.  A caller
+        appends only while a batch fits without filling the cache — where
+        :meth:`log_batch` copies it in one slice, with no flush — so chunk
+        boundaries fall exactly where they would have."""
+        if not self._fill <= fill < self.cache_records or (
+            fill > self._fill and self._wal_file is not None
+        ):
+            raise LogFormatError(
+                f"cache fill {fill} outside [{self._fill}, {self.cache_records})"
+            )
+        self.stats.records += fill - self._fill
+        self._fill = fill
+
     # -- plumbing -----------------------------------------------------------
 
     def _write(self, *parts: bytes | memoryview) -> None:

@@ -537,7 +537,7 @@ class TestImplementationPinning:
                 return getattr(kernels, name)
 
         cext._smoke_test(kernels)
-        for name in ("edge_triangles", "induced_sum", "rank_step"):
+        for name in ("edge_triangles", "induced_sum", "lockstep_hour"):
             with pytest.raises(RuntimeError):
                 cext._smoke_test(Skewed(name))
 

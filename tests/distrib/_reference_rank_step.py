@@ -16,33 +16,102 @@ it logs (``held_records``), as the loop did before change-free hours were
 skipped and logged runs stopped holding records; only the result and
 checkpoint-loading APIs it shares with ``dmodel`` were adapted, and its
 three collectives are yielded (``alltoall``, ``gather`` to rank 0,
-``barrier``) for :class:`~repro.distrib.lockstep.LockstepCluster`, the
-one in-process cluster.
+``barrier``) to :func:`lockstep_run`, which steps the rank generators in
+lockstep on one thread as the model's in-process cluster once did.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.config import HOURS_PER_WEEK
+from repro.distrib.comm import ClusterRunResult, TrafficStats, payload_nbytes
 from repro.distrib.dmodel import (
     DIST_MANIFEST,
     DistributedRunResult,
     DistributedSimulation,
+    RankHandle,
     _load_dist_checkpoint,
     _RankOutput,
     _save_dist_checkpoint,
     _ScheduleCache,
 )
-from repro.distrib.lockstep import LockstepCluster, spmd
 from repro.distrib.migration import MIGRANT_DTYPE, pack_migrants
 from repro.errors import CommError, RankDeadError, RankFailureError, SimulationError
 from repro.evlog.multifile import rank_log_path
 from repro.evlog.schema import LogRecordArray, empty_records
 from repro.evlog.writer import CachedLogWriter
+
+
+def lockstep_run(
+    body_fn: Callable[..., Any],
+    n_ranks: int,
+    rank_args: list[tuple],
+    heartbeat_timeout: float | None = None,
+) -> ClusterRunResult:
+    """Run generator rank bodies ``body_fn(handle, *rank_args[r])`` in
+    lockstep on this thread, performing each collective they yield as a
+    list transpose and metering it per rank (every off-diagonal non-empty
+    payload one message of its size, a gather one message per non-root, a
+    barrier none).  A rank whose handle ``die()``s fails the run with
+    :class:`RankFailureError` naming it, one that overruns
+    ``heartbeat_timeout`` between two collectives too, and one that raises
+    anything else with :class:`CommError`; every other rank is closed
+    where it waits."""
+    handles = [RankHandle(r, n_ranks) for r in range(n_ranks)]
+    stats = [TrafficStats() for _ in range(n_ranks)]
+    bodies = [body_fn(handles[r], *rank_args[r]) for r in range(n_ranks)]
+    limit = heartbeat_timeout or float("inf")
+    returns: list[Any] = [None] * n_ranks
+    replies: list[Any] = [None] * n_ranks
+    try:
+        while True:
+            ops, finished = [], 0
+            for r, body in enumerate(bodies):
+                tic = time.perf_counter()
+                try:
+                    ops.append(body.send(replies[r]))
+                except StopIteration as done:
+                    returns[r] = done.value
+                    finished += 1
+                    continue
+                except RankDeadError:
+                    raise RankFailureError(
+                        f"rank {r} died during the run", suspects=[r]
+                    ) from None
+                except Exception as exc:
+                    raise CommError(f"rank {r} failed: {exc!r}") from exc
+                if time.perf_counter() - tic > limit:
+                    raise RankFailureError(
+                        f"rank {r} overran its {limit}s heartbeat", suspects=[r]
+                    )
+            if finished == n_ranks:
+                return ClusterRunResult(returns=returns, traffic=stats)
+            assert not finished and len({op[0] for op in ops}) == 1, ops
+            if ops[0][0] == "alltoall":
+                for src, op in enumerate(ops):
+                    sizes = [
+                        payload_nbytes(p) for j, p in enumerate(op[1]) if j != src
+                    ]
+                    stats[src].record(
+                        "alltoall", sum(1 for n in sizes if n), sum(sizes)
+                    )
+                replies = [list(column) for column in zip(*(op[1] for op in ops))]
+            elif ops[0][0] == "gather":
+                for r, op in enumerate(ops):
+                    stats[r].record("gather", int(r != 0), payload_nbytes(op[1]) if r else 0)
+                replies = [[op[1] for op in ops]] + [None] * (n_ranks - 1)
+            else:
+                for s in stats:
+                    s.record("barrier", 0, 0)
+                replies = [None] * n_ranks
+    finally:
+        for body in bodies:
+            body.close()
 
 
 def unpack_migrants(payloads: list[np.ndarray | None]) -> np.ndarray:
@@ -111,12 +180,8 @@ class ReferenceDistributedSimulation(DistributedSimulation):
         fault_hook: "Callable[[Any, int], None] | None" = None,
         max_restarts: int = 0,
     ) -> DistributedRunResult:
-        """Execute the run on ``config.n_ranks`` ranks.
-
-        ``cluster`` may be any object with a compatible ``run(rank_fn)``
-        (e.g. :class:`~repro.distrib.proccluster.ProcessBspCluster` for
-        real OS processes), which runs the body through ``spmd``; defaults
-        to the in-process :class:`~repro.distrib.lockstep.LockstepCluster`.
+        """Execute the run on ``config.n_ranks`` ranks, stepped in
+        lockstep by :func:`lockstep_run` (``cluster`` is not supported).
 
         Fault tolerance
         ---------------
@@ -124,11 +189,11 @@ class ReferenceDistributedSimulation(DistributedSimulation):
         configured, ranks commit a collective snapshot every N hours:
         per-rank hosted agents, open spells, emitted records, and log-file
         byte offsets are gathered to rank 0, which writes them atomically
-        (state npz first, manifest last).  With ``max_restarts > 0`` and the
-        default in-process cluster, a detected rank failure
+        (state npz first, manifest last).  With ``max_restarts > 0``, a
+        detected rank failure
         (:class:`~repro.errors.RankFailureError`, raised when a rank is
         killed or misses its ``config.heartbeat_timeout`` deadline)
-        triggers a supervised restart: a fresh cluster restores every rank
+        triggers a supervised restart: a fresh run restores every rank
         from the last snapshot — truncating each rank's log back to the
         recorded offset — and replays.  ``fault_hook(comm, hour)`` runs at
         the top of every rank-hour and exists for fault injection (call
@@ -352,17 +417,12 @@ class ReferenceDistributedSimulation(DistributedSimulation):
                 for r in range(n_ranks)
             ]
             try:
-                if cluster is None:
-                    result = LockstepCluster(
-                        n_ranks, heartbeat_timeout=self.config.heartbeat_timeout
-                    ).run(rank_fn, rank_args=rank_args)
-                else:
-                    result = cluster.run(spmd(rank_fn), rank_args=rank_args)
+                result = lockstep_run(
+                    rank_fn, n_ranks, rank_args, self.config.heartbeat_timeout
+                )
                 break
             except RankFailureError:
-                # supervised restart only with the default in-process
-                # cluster (a caller-provided cluster may not be reusable)
-                if cluster is not None or restarts >= max_restarts:
+                if restarts >= max_restarts:
                     raise
                 restarts += 1
         outputs: list[_RankOutput] = result.returns

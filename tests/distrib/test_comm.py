@@ -1,9 +1,11 @@
 """Tests for the collectives and their traffic metering.
 
-The three collectives a rank body yields — ``alltoall``, ``gather`` and
-``barrier`` — run natively on :class:`LockstepCluster` and through ``spmd``
-on :class:`ProcessBspCluster`; both must give every rank the replies and
-the :class:`TrafficStats` a sequential model works out.
+The three collectives a forked rank performs — ``alltoall``, ``gather``
+and ``barrier`` on its :class:`~repro.distrib.ProcessCommunicator` — must
+give every rank the replies and the :class:`TrafficStats` a sequential
+model works out (the distributed model's in-process ranks meter what they
+send each other with the same formula, held equal to these in
+``test_lockstep_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -17,23 +19,23 @@ from hypothesis import strategies as st
 
 from repro.distrib import ProcessBspCluster
 from repro.distrib.comm import TrafficStats, payload_nbytes
-from repro.distrib.lockstep import LockstepCluster, spmd
 from repro.errors import CommError
 
 
 def one_op(op):
-    """A body that yields ``op(comm)`` once and returns the reply."""
+    """A rank function that performs the collective ``op(comm)`` names
+    once and returns the reply."""
 
-    def body(comm):
-        got = yield op(comm)
-        return got
+    def rank_fn(comm):
+        name, *args = op(comm)
+        return getattr(comm, name)(*args)
 
-    return body
+    return rank_fn
 
 
 class TestCollectives:
     def test_gather_root_only(self):
-        result = LockstepCluster(3).run(one_op(lambda c: ("gather", c.rank, 1)))
+        result = ProcessBspCluster(3).run(one_op(lambda c: ("gather", c.rank, 1)))
         assert result.returns[0] is None
         assert result.returns[1] == [0, 1, 2]
         assert result.returns[2] is None
@@ -42,22 +44,22 @@ class TestCollectives:
         def op(c):
             return ("alltoall", [f"{c.rank}->{j}" for j in range(c.size)])
 
-        result = LockstepCluster(3).run(one_op(op))
+        result = ProcessBspCluster(3).run(one_op(op))
         assert result.returns[1] == ["0->1", "1->1", "2->1"]
 
     def test_alltoall_wrong_length(self):
         with pytest.raises(CommError):
-            LockstepCluster(3).run(one_op(lambda c: ("alltoall", [None])))
+            ProcessBspCluster(3).run(one_op(lambda c: ("alltoall", [None])))
 
     def test_consecutive_collectives_isolated(self):
         """Back-to-back collectives must not read stale replies."""
 
-        def body(c):
-            first = yield ("alltoall", [c.rank] * c.size)
-            second = yield ("alltoall", [c.rank * 10] * c.size)
+        def rank_fn(c):
+            first = c.alltoall([c.rank] * c.size)
+            second = c.alltoall([c.rank * 10] * c.size)
             return first, second
 
-        result = LockstepCluster(4).run(body)
+        result = ProcessBspCluster(4).run(rank_fn)
         for first, second in result.returns:
             assert first == [0, 1, 2, 3]
             assert second == [0, 10, 20, 30]
@@ -68,19 +70,19 @@ class TestTraffic:
         def op(c):
             return ("alltoall", [np.zeros(10, dtype=np.uint8)] * c.size)
 
-        result = LockstepCluster(4).run(one_op(op))
+        result = ProcessBspCluster(4).run(one_op(op))
         for stats in result.traffic:
             assert stats.bytes_sent == 30  # 3 foreign ranks x 10 bytes
             assert stats.messages_sent == 3
 
     def test_empty_payloads_cost_nothing(self):
-        result = LockstepCluster(3).run(
+        result = ProcessBspCluster(3).run(
             one_op(lambda c: ("alltoall", [None] * c.size))
         )
         assert result.total_traffic.bytes_sent == 0
 
     def test_traffic_merge(self):
-        result = LockstepCluster(3).run(
+        result = ProcessBspCluster(3).run(
             one_op(lambda c: ("gather", np.zeros(8, dtype=np.uint8), 0))
         )
         total = result.total_traffic
@@ -104,7 +106,7 @@ class TestTraffic:
     def test_metering_matches_the_two_pass_formula(self, payloads):
         """Bytes and messages as the former two-pass metering counted them:
         every off-diagonal payload's size once, a message per non-empty one."""
-        result = LockstepCluster(3).run(one_op(lambda c: ("alltoall", payloads)))
+        result = ProcessBspCluster(3).run(one_op(lambda c: ("alltoall", payloads)))
         for rank, stats in enumerate(result.traffic):
             foreign = [p for j, p in enumerate(payloads) if j != rank]
             assert stats.bytes_sent == sum(payload_nbytes(p) for p in foreign)
@@ -177,11 +179,11 @@ def run_program(comm, steps, jitter):
         if jitter and sleeps[comm.rank]:
             time.sleep(sleeps[comm.rank] / 1000.0)
         if op == "alltoall":
-            got = yield ("alltoall", [payload(k, comm.rank, j) for j in range(comm.size)])
+            got = comm.alltoall([payload(k, comm.rank, j) for j in range(comm.size)])
         elif op == "gather":
-            got = yield ("gather", payload(k, comm.rank), root)
+            got = comm.gather(payload(k, comm.rank), root)
         else:
-            got = yield ("barrier",)
+            got = comm.barrier()
         seen.append(got)
     return seen
 
@@ -219,7 +221,7 @@ class TestAgainstSequentialModel:
     @given(programs())
     def test_interleaved_collectives_in_lockstep(self, program):
         size, steps = program
-        result = LockstepCluster(size).run(
+        result = ProcessBspCluster(size).run(
             run_program, rank_args=[(steps, False)] * size
         )
         assert_matches_model(result, size, steps)
@@ -233,6 +235,6 @@ class TestAgainstSequentialModel:
         still keep every reply in its own collective."""
         size, steps = program
         result = ProcessBspCluster(size).run(
-            spmd(run_program), rank_args=[(steps, True)] * size, timeout=60.0
+            run_program, rank_args=[(steps, True)] * size, timeout=60.0
         )
         assert_matches_model(result, size, steps)

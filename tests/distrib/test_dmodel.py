@@ -9,6 +9,7 @@ import repro
 from repro.config import DiseaseConfig, ScaleConfig, SimulationConfig
 from repro.distrib import (
     DistributedSimulation,
+    ProcessBspCluster,
     random_partition,
     spatial_partition,
 )
@@ -269,8 +270,9 @@ class TestTelemetry:
         assert counters["distrib.changes"] == res.total_events - closing
         assert counters["distrib.migrants_out"] == res.total_migrations
         assert counters["distrib.alltoall_bytes"] == res.traffic.by_kind["alltoall"]
+        # one loop steps every rank hosted in process: one clock for it
         loops = self.registry.snapshot()["histograms"]["distrib.rank_loop_seconds"]
-        assert loops["count"] == 3
+        assert loops["count"] == 1
 
     def test_twin_steps_are_counted_once_per_rank(self, pop, monkeypatch):
         res, counters, _ = self.run_probed(pop)
@@ -285,13 +287,21 @@ class TestTelemetry:
         )
 
     def test_receive_and_week_builds_are_observed(self, pop, monkeypatch):
-        """Receive time once per rank from a local sum, one week build per
+        """The hour kernel's time once per hosting loop, the exchange and
+        receive time once per forked rank from a local sum (ranks in one
+        process exchange nothing: no such clock), and one week build per
         week the run needs (50 hours: week 0)."""
         res, counters, _ = self.run_probed(pop)
         hist = self.registry.snapshot()["histograms"]
-        assert hist["distrib.receive_seconds"]["count"] == 3
-        assert hist["distrib.receive_seconds"]["sum"] <= hist["distrib.rank_loop_seconds"]["sum"]
+        assert hist["distrib.step_seconds"]["count"] == 1
+        assert hist["distrib.step_seconds"]["sum"] <= hist["distrib.rank_loop_seconds"]["sum"]
+        assert not {"distrib.exchange_seconds", "distrib.receive_seconds"} & set(hist)
         assert hist["sim.week_build_seconds"]["count"] == 1
+        self.run_probed(pop, cluster=ProcessBspCluster(3))
+        hist = self.registry.snapshot()["histograms"]
+        for name in ("step", "exchange", "receive", "rank_loop"):
+            assert hist[f"distrib.{name}_seconds"]["count"] == 3, name
+        assert hist["distrib.receive_seconds"]["sum"] <= hist["distrib.rank_loop_seconds"]["sum"]
         if compiled_impl() == "cext":
             assert "kernels.week_fill.twin" not in counters
         monkeypatch.setattr(cext, "load_cext", lambda: None)

@@ -1,8 +1,9 @@
-"""One rank body, two clusters: the same logs, traffic and migrations.
+"""One loop, two clusters: the same logs, traffic and migrations.
 
-The distributed model's default cluster steps its ranks in lockstep on one
-thread; the same body runs through ``spmd`` on forked process ranks
-(``ProcessBspCluster``).  Over drawn rank counts, durations across a week
+By default the distributed model steps every rank in one process, in one
+loop (one hour-kernel call an active hour); the same loop runs on forked
+process ranks (``ProcessBspCluster``), one rank each, exchanging through
+its communicator.  Over drawn rank counts, durations across a week
 boundary, partitions and snapshot cadences (with a write-ahead log), both
 clusters must write byte-equal rank logs and snapshots, meter equal
 per-rank traffic (bytes, messages, collectives and bytes by kind) and

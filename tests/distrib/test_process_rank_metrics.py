@@ -3,9 +3,10 @@
 A :class:`~repro.distrib.proccluster.ProcessBspCluster` rank writes to
 its own copy of the registry; the cluster ships each rank's
 ``MetricsRegistry.delta`` back with its spans and the parent absorbs it.
-So a logged run on process ranks records what the lockstep run records —
-the writers' counters and flush clocks included — and a sharded
-synthesis records its shards' kernel timings and fold metrics.
+So a logged run on process ranks records what the in-process run records —
+the writers' counters and flush clocks included, plus each forked rank's
+exchange and receive clocks — and a sharded synthesis records its shards'
+kernel timings and fold metrics.
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ def test_logged_process_run_records_what_lockstep_records(small_pop, registry, t
         assert snap["histograms"]["sim.week_build_seconds"]["count"] == n
         assert snap["counters"].pop(twin, n) == n
     assert lockstep["counters"] == processes["counters"]
-    assert set(lockstep["histograms"]) == set(processes["histograms"])
+    # a forked rank exchanges and receives; ranks in one process do not
+    forked_only = {"distrib.exchange_seconds", "distrib.receive_seconds"}
+    assert set(processes["histograms"]) == set(lockstep["histograms"]) | forked_only
+    # one hosting loop in process, one per forked rank
+    loops = {"distrib.rank_loop_seconds", "distrib.step_seconds"}
     for name, h in lockstep["histograms"].items():
-        if name != "sim.week_build_seconds":
+        if name in loops:
+            assert (h["count"], processes["histograms"][name]["count"]) == (1, 2), name
+        elif name != "sim.week_build_seconds":
             assert h["count"] == processes["histograms"][name]["count"], name
 
 

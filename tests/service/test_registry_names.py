@@ -59,10 +59,11 @@ HISTOGRAMS = {
     "service.op_seconds.window",
 }
 
-#: what a distributed run records once per rank (counters, the loop clock
-#: and its step / log / exchange / receive split) and once per week built
-#: (``sim.week_build_seconds``), on lockstep ranks and, for a run inside
-#: its first week (built before the fork), on process ranks alike
+#: what a distributed run records once per rank (counters), once per
+#: loop over the ranks a process hosts (the loop clock and its hour
+#: kernel's) and once per week built (``sim.week_build_seconds``), in
+#: process and, for a run inside its first week (built before the fork),
+#: on process ranks alike; a forked rank adds its exchange and receive
 SIM_COUNTERS = {
     f"distrib.{name}"
     for name in (
@@ -71,10 +72,9 @@ SIM_COUNTERS = {
 }
 SIM_TWIN_COUNTERS = {"kernels.rank_step.twin", "kernels.week_fill.twin"}
 SIM_HISTOGRAMS = {
-    "distrib.rank_loop_seconds",
-    *(f"distrib.{part}_seconds" for part in ("step", "log", "exchange", "receive")),
-    "sim.week_build_seconds",
+    "distrib.rank_loop_seconds", "distrib.step_seconds", "sim.week_build_seconds"
 }
+FORKED_HISTOGRAMS = {"distrib.exchange_seconds", "distrib.receive_seconds"}
 #: what a run that writes logs adds: the writers' counts and flush clock,
 #: recorded per flush and per file write, never per batch
 LOG_COUNTERS = {"evlog.bytes_written", "evlog.records_written"}
@@ -129,9 +129,9 @@ def test_simulation_name_set_is_pinned(small_pop, registry):
 
 
 def test_process_ranks_record_the_same_names(small_pop, registry):
-    """The default cluster steps ranks as generators; the same body on
-    forked process ranks records the same names, the same number of
-    times."""
+    """In process one loop steps every rank; forked process ranks run the
+    same loop, one rank each, and record the same counters and names, plus
+    each rank's exchange and receive clocks."""
     config = SimulationConfig(scale=small_pop.scale, duration_hours=30, n_ranks=2)
     partition = spatial_partition(
         small_pop.places.coords(), small_pop.places.capacity.astype(float), 2
@@ -143,9 +143,17 @@ def test_process_ranks_record_the_same_names(small_pop, registry):
         snaps.append(registry.snapshot())
     lockstep, processes = snaps
     assert lockstep["counters"] == processes["counters"]
-    assert set(lockstep["histograms"]) == set(processes["histograms"]) == SIM_HISTOGRAMS
-    for name in SIM_HISTOGRAMS:
-        assert lockstep["histograms"][name]["count"] == processes["histograms"][name]["count"]
+    assert set(lockstep["histograms"]) == SIM_HISTOGRAMS
+    assert set(processes["histograms"]) == SIM_HISTOGRAMS | FORKED_HISTOGRAMS
+    # one hosting loop in process, one per forked rank
+    for name in SIM_HISTOGRAMS - {"sim.week_build_seconds"}:
+        assert lockstep["histograms"][name]["count"] == 1
+    for name in (SIM_HISTOGRAMS | FORKED_HISTOGRAMS) - {"sim.week_build_seconds"}:
+        assert processes["histograms"][name]["count"] == 2
+    assert (
+        lockstep["histograms"]["sim.week_build_seconds"]["count"]
+        == processes["histograms"]["sim.week_build_seconds"]["count"]
+    )
 
 
 @pytest.mark.parametrize("durability", ["none", "fsync", "wal"])
