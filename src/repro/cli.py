@@ -424,26 +424,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    from .service import FailoverClient, SyncServiceClient
+    import asyncio
 
-    if args.replicas:
-        if args.op == "shutdown":
-            print(
-                "error: 'shutdown' is not idempotent; send it to one "
-                "replica with --host/--port, not --replicas",
-                file=sys.stderr,
-            )
-            return 2
-        replicas = [r.strip() for r in args.replicas.split(",") if r.strip()]
-        client = SyncServiceClient(
-            cls=FailoverClient, replicas=replicas, tenant=args.tenant,
-            retries=args.retries, deadline=args.deadline,
-        )
-    else:
-        client = SyncServiceClient(
-            host=args.host, port=args.port, tenant=args.tenant,
-            retries=args.retries, deadline=args.deadline,
-        )
+    from .service import SyncServiceClient
+
+    client = SyncServiceClient(
+        host=args.host, port=args.port, tenant=args.tenant,
+        retries=args.retries, deadline=args.deadline,
+    )
     try:
         op = args.op
         if op == "ping":
@@ -496,6 +484,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 print(f"  {key:>12}: {summary[key]}")
         else:  # pragma: no cover - argparse restricts choices
             raise AssertionError(op)
+    except (ReproError, OSError, asyncio.IncompleteReadError) as exc:
+        # a typed service error, or a refused or reset connection
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         client.close()
     return 0
@@ -753,11 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7227)
-    p.add_argument(
-        "--replicas", default=None, metavar="HOST:PORT,HOST:PORT,...",
-        help="query a replica set with circuit-breaking failover "
-        "instead of a single server (idempotent ops only)",
-    )
     p.add_argument("--tenant", default="cli")
     p.add_argument("--t0", type=int, default=0)
     p.add_argument("--t1", type=int, default=HOURS_PER_WEEK)
@@ -775,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-request budget; the server rejects work it cannot "
-        "finish in time instead of queueing it",
+        "finish in time instead of queueing it, and the client waits "
+        "no longer than the budget plus a second for the reply",
     )
     p.add_argument("--out", default=None, help="save the fetched network")
     p.set_defaults(fn=_cmd_client)

@@ -29,7 +29,6 @@ __all__ = [
     "AdmissionError",
     "OverloadError",
     "DeadlineError",
-    "ReplicaSetError",
     "AnalysisError",
     "FitError",
     "LayoutError",
@@ -168,8 +167,7 @@ class OverloadError(ServiceError):
     Unlike :class:`AdmissionError` (one tenant over its own budget), an
     overload rejection is *server-wide*: the admission queue depth or the
     in-flight-age threshold tripped.  ``retry_after`` is the suggested
-    back-off; the request was not executed and may be retried verbatim —
-    ideally on another replica."""
+    back-off; the request was not executed and may be retried verbatim."""
 
     def __init__(self, message: str, retry_after: float) -> None:
         super().__init__(message, code="overload")
@@ -188,15 +186,6 @@ class DeadlineError(ServiceError):
 
     def __init__(self, message: str, code: str = "deadline") -> None:
         super().__init__(message, code=code)
-
-
-class ReplicaSetError(ServiceError):
-    """Every replica in a failover set is unusable (connection failures,
-    open circuit breakers, or exhausted retries).  ``__cause__`` carries
-    the last underlying failure."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, code="unavailable")
 
 
 class AnalysisError(ReproError):

@@ -7,11 +7,12 @@ and answers concurrent window / layer / ego-subgraph / degree-summary
 queries from many clients over a length-prefixed frame protocol, with
 request coalescing, per-tenant admission control, and graceful drain.
 Each cache lives exactly as long as the service.  The resilience layer
-adds deadline propagation, priority load shedding, liveness/readiness
-probes (:mod:`repro.service.resilience`, :mod:`repro.service.health`), and a
-replica-failover client with circuit breakers and request hedging
-(:mod:`repro.service.failover`).  See :mod:`repro.service.server` for
-the architecture and :mod:`repro.service.protocol` for the wire format.
+adds deadline propagation, priority load shedding and liveness/readiness
+probes (:mod:`repro.service.resilience`, :mod:`repro.service.health`);
+the one client, :class:`ServiceClient`, bounds its wait by a request's
+deadline and drops its connection after a transport fault
+(:mod:`repro.service.client`).  See :mod:`repro.service.server` for the
+architecture and :mod:`repro.service.protocol` for the wire format.
 
 Start one from the CLI with ``repro serve`` and query it with
 ``repro client`` or programmatically::
@@ -23,8 +24,7 @@ Start one from the CLI with ``repro serve`` and query it with
 """
 
 from .admission import AdmissionController, TenantUsage
-from .client import EgoResult, QueryMethods, ServiceClient, SyncServiceClient
-from .failover import FailoverClient
+from .client import EgoResult, ServiceClient, SyncServiceClient
 from .health import HealthMonitor
 from .protocol import (
     DEFAULT_PORT,
@@ -36,24 +36,16 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-from .resilience import (
-    CircuitBreaker,
-    Deadline,
-    LoadShedder,
-    jittered_backoff,
-)
+from .resilience import Deadline, LoadShedder, jittered_backoff
 from .server import NetworkQueryService, ServiceConfig, ServiceStats
 
 __all__ = [
     "AdmissionController",
     "TenantUsage",
     "EgoResult",
-    "QueryMethods",
     "ServiceClient",
     "SyncServiceClient",
-    "FailoverClient",
     "HealthMonitor",
-    "CircuitBreaker",
     "Deadline",
     "LoadShedder",
     "jittered_backoff",

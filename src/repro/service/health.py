@@ -14,8 +14,7 @@ ops (control priority: never shed, answered even mid-drain):
   flapping back into rotation immediately re-creates the overload).
 
 The monitor itself is a tiny synchronous state machine so it can be
-unit-tested without a server and reused by future shard/replica
-managers; the server owns the transitions.
+unit-tested without a server; the server owns the transitions.
 """
 
 from __future__ import annotations

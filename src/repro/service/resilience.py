@@ -1,9 +1,9 @@
 """Resilience primitives for the network-query service.
 
-Four small, composable pieces — each is plain synchronous Python so it
+Three small, composable pieces — each is plain synchronous Python so it
 can be exercised deterministically (every class takes an injectable
-``time_fn``) and shared between the asyncio server, the failover client,
-and the chaos tests:
+``time_fn``): the asyncio server uses the first two, the client's
+admission/overload retries the third:
 
 :class:`Deadline`
     A monotonic-clock absolute deadline.  Clients attach a relative
@@ -22,12 +22,6 @@ and the chaos tests:
     :class:`~repro.errors.OverloadError` carrying ``retry_after`` — the
     request is rejected immediately instead of queuing unboundedly.
 
-:class:`CircuitBreaker`
-    Per-replica health for the failover client: *closed* (healthy) →
-    *open* (recent error rate or latency over threshold; all traffic
-    skips the replica) → *half-open* (after ``reset_timeout``, one probe
-    is let through; success closes the breaker, failure re-opens it).
-
 :func:`jittered_backoff`
     Decorrelated exponential backoff: ``base·2^attempt`` capped at
     ``cap``, scaled by a uniform jitter in ``[0.5, 1.0]`` so a herd of
@@ -38,7 +32,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from typing import Callable
 
 from ..errors import OverloadError
@@ -46,7 +39,6 @@ from ..errors import OverloadError
 __all__ = [
     "Deadline",
     "LoadShedder",
-    "CircuitBreaker",
     "jittered_backoff",
     "PRIORITY_CONTROL",
     "PRIORITY_QUERY",
@@ -218,118 +210,3 @@ class LoadShedder:
             "oldest_age": round(self.oldest_age(), 3),
             "shed_inflight_age": self.shed_inflight_age,
         }
-
-
-class CircuitBreaker:
-    """Closed/open/half-open replica health on error rate and latency.
-
-    Outcomes are recorded into a bounded window; once at least
-    ``min_samples`` are present and the unhealthy fraction reaches
-    ``failure_threshold``, the breaker opens.  A success slower than
-    ``latency_threshold`` counts as unhealthy — a replica that answers
-    correctly but far too slowly is still the wrong place to send
-    traffic.  After ``reset_timeout`` an open breaker lets exactly one
-    probe through (*half-open*): probe success closes it with a clean
-    window, probe failure re-opens it and re-arms the timer.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        window: int = 16,
-        min_samples: int = 4,
-        failure_threshold: float = 0.5,
-        latency_threshold: float | None = None,
-        reset_timeout: float = 1.0,
-        time_fn: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.window = int(window)
-        self.min_samples = int(min_samples)
-        self.failure_threshold = float(failure_threshold)
-        self.latency_threshold = latency_threshold
-        self.reset_timeout = float(reset_timeout)
-        self._time = time_fn
-        self._outcomes: deque[bool] = deque(maxlen=self.window)
-        self._state = self.CLOSED
-        self._opened_at = 0.0
-        self._probing = False
-        self.opens = 0
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow(self) -> bool:
-        """May a request be sent now?  (Half-open grants one probe.)"""
-        if self._state == self.CLOSED:
-            return True
-        if self._state == self.OPEN:
-            if self._time() - self._opened_at >= self.reset_timeout:
-                self._state = self.HALF_OPEN
-                self._probing = True
-                return True
-            return False
-        # half-open: one outstanding probe at a time
-        if not self._probing:
-            self._probing = True
-            return True
-        return False
-
-    def reopen_in(self) -> float:
-        """Seconds until an open breaker will grant its next probe."""
-        if self._state != self.OPEN:
-            return 0.0
-        return max(0.0, self._opened_at + self.reset_timeout - self._time())
-
-    def record_success(self, latency: float | None = None) -> None:
-        healthy = (
-            latency is None
-            or self.latency_threshold is None
-            or latency <= self.latency_threshold
-        )
-        if self._state == self.HALF_OPEN:
-            if healthy:
-                self._reset()
-            else:
-                self._trip()
-            return
-        self._push(healthy)
-
-    def record_failure(self) -> None:
-        if self._state == self.HALF_OPEN:
-            self._trip()
-            return
-        self._push(False)
-
-    def _push(self, healthy: bool) -> None:
-        self._outcomes.append(healthy)
-        if len(self._outcomes) >= self.min_samples:
-            bad = sum(1 for ok in self._outcomes if not ok)
-            if bad / len(self._outcomes) >= self.failure_threshold:
-                self._trip()
-
-    def _trip(self) -> None:
-        self._state = self.OPEN
-        self._opened_at = self._time()
-        self._probing = False
-        self._outcomes.clear()
-        self.opens += 1
-
-    def _reset(self) -> None:
-        self._state = self.CLOSED
-        self._probing = False
-        self._outcomes.clear()
-
-    def snapshot(self) -> dict:
-        return {
-            "state": self._state,
-            "opens": self.opens,
-            "window": list(self._outcomes),
-            "reopen_in": round(self.reopen_in(), 3),
-        }
-
-    def __repr__(self) -> str:
-        return f"CircuitBreaker({self._state}, opens={self.opens})"

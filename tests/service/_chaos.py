@@ -2,14 +2,14 @@
 
 Three layers of mischief, each deterministic under a seeded RNG:
 
-* :class:`ChaosProxy` — a TCP proxy in front of one replica that rolls a
+* :class:`ChaosProxy` — a TCP proxy in front of one server that rolls a
   fate per *response frame*: deliver, delay, truncate mid-frame (then
   reset both sides), or black-hole (stop forwarding, keep the socket
   open — the nastiest failure, detectable only by timeout).  Requests
   pass through untouched so the server sees well-formed traffic; it is
   the *client's* view that gets corrupted, which is exactly what the
-  failover client must survive.
-* :func:`kill_service` — a hard replica kill: abort every connection and
+  client must survive.
+* :func:`kill_service` — a hard server kill: abort every connection and
   the listener with no drain, as if the process got SIGKILLed.
 * :func:`corrupt_tile` — flip bytes in the middle of a persisted tile
   file, as if the disk or a torn write damaged it; the cache must

@@ -3,36 +3,40 @@
 One scenario, everything at once — the acceptance bar for the
 resilience layer:
 
-* replica A sits behind a :class:`ChaosProxy` that delays ~10% of its
+* one server sits behind a :class:`ChaosProxy` that delays ~10% of its
   response frames and truncates ~5% mid-frame;
-* A's tile store has one corrupted persisted tile (CRC mismatch on
-  load) and A runs with ``budget_nnz=1`` so queries actually read disk;
-* replica B is healthy until it is hard-killed a third of the way
-  through the run;
-* a :class:`FailoverClient` with per-replica breakers drives a stream
-  of window queries across a handful of distinct windows.
+* its tile store has one corrupted persisted tile (CRC mismatch on
+  load) and it runs with ``budget_nnz=1`` so queries actually read disk;
+* a third of the way through the run it is hard-killed and restarted on
+  the same tile store and port;
+* one :class:`ServiceClient` drives a stream of window queries across a
+  handful of distinct windows, reconnecting after every transport fault.
 
-Required outcome: ≥ 99% of queries complete (the rest may exhaust the
-replica set while both replicas are simultaneously unusable — with B
-dead the bar is total), every completed answer is bit-identical to a
-direct synthesis, the corrupted tile was quarantined, injected faults
-actually fired, nothing hangs (pytest-timeout is the hang detector),
-and telemetry stays trustworthy: no span is dropped or duplicated —
-every completed attempt's trace is a whole tree with exactly one server
+Required outcome: ≥ 99% of queries complete, every completed answer is
+bit-identical to a direct synthesis, every failure is a typed error or a
+transport fault, the corrupted tile was quarantined, injected faults
+actually fired, nothing hangs (pytest-timeout is the hang detector), and
+telemetry stays trustworthy: no span is dropped or duplicated — every
+completed attempt's trace is a whole tree with exactly one server
 request span.
+
+A server that accepts requests but never answers (a black hole) costs a
+client with a ``deadline`` one bounded wait and its connection.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
 from repro.core import TileCache
-from repro.errors import ReplicaSetError
+from repro.errors import DeadlineError, FrameError, ReproError, ServiceError
 from repro.obs import get_collector
-from repro.service import FailoverClient, ServiceClient
+from repro.service import ServiceClient
+from repro.service.client import DEADLINE_GRACE
 
 from ._chaos import ChaosProxy, corrupt_tile, kill_service
 from .conftest import assert_bit_identical
@@ -44,14 +48,24 @@ pytestmark = pytest.mark.timeout(300)
 WINDOWS = [(0, 24), (24, 72), (5, 50), (0, 168), (100, 148), (160, 200)]
 N_QUERIES = 150
 KILL_AT = N_QUERIES // 3
+#: tries per query; a transport fault costs one and a reconnect
+ATTEMPTS = 5
+
+#: what a cut, reset or refused connection raises on the client
+TRANSPORT_FAULTS = (
+    ConnectionError,
+    OSError,
+    asyncio.IncompleteReadError,
+    FrameError,
+)
 
 
 class TestChaosSoak:
     def test_soak_with_proxy_faults_replica_kill_and_corrupt_tile(
         self, service_logs, small_pop, tmp_path, direct_ref
     ):
-        # pre-persist replica A's tile store, then damage one tile
-        store = tmp_path / "replica-a-tiles"
+        # pre-persist the server's tile store, then damage one tile
+        store = tmp_path / "tiles"
         with TileCache(
             service_logs, small_pop.n_persons, cache_dir=store / "full"
         ) as cache:
@@ -59,70 +73,87 @@ class TestChaosSoak:
                 cache.query_window(t0, t1)
         corrupt_tile(store / "full")
 
-        async def scenario():
-            get_collector().drain()  # span integrity is judged on this run
-            a = make_service(
+        def start_server(port: int = 0):
+            svc = make_service(
                 service_logs, small_pop,
                 cache_dir=store,
                 cache_budget_nnz=1,  # force disk reads -> hit the damage
             )
-            b = make_service(service_logs, small_pop)
-            async with a, b:
-                rng = random.Random(1234)
-                proxy = ChaosProxy(
-                    "127.0.0.1", a.port, rng,
-                    delay_p=0.10, delay_s=0.05, truncate_p=0.05,
-                )
+            svc.config.port = port
+            return svc
+
+        async def scenario():
+            get_collector().drain()  # span integrity is judged on this run
+            servers = [start_server()]
+            await servers[0].start()
+            rng = random.Random(1234)
+            proxy = ChaosProxy(
+                "127.0.0.1", servers[0].port, rng,
+                delay_p=0.10, delay_s=0.05, truncate_p=0.05,
+            )
+            completed = failed = faults = quarantined = 0
+
+            def tiles_quarantined(svc) -> int:
+                handle = svc._handles.get("full")
+                return handle.cache.stats.tiles_quarantined if handle else 0
+            try:
                 async with proxy:
-                    client = FailoverClient(
-                        [("127.0.0.1", proxy.port), ("127.0.0.1", b.port)],
-                        retries=8,
-                        attempt_timeout=15.0,
-                        deadline=60.0,
-                        backoff_base=0.02,
-                        backoff_cap=0.2,
-                        breaker_kwargs={
-                            "window": 8,
-                            "min_samples": 2,
-                            "failure_threshold": 0.5,
-                            "reset_timeout": 0.2,
-                        },
-                        rng=random.Random(99),
-                    )
-                    completed = 0
-                    failed = 0
-                    async with client:
+                    client = ServiceClient(port=proxy.port)
+                    await client.connect()
+
+                    async def query(t0: int, t1: int):
+                        nonlocal faults
+                        for attempt in range(ATTEMPTS):
+                            try:
+                                return await client.query_window(t0, t1)
+                            except TRANSPORT_FAULTS:
+                                # the client dropped its connection
+                                faults += 1
+                                if attempt + 1 == ATTEMPTS:
+                                    raise
+                                await asyncio.sleep(0.02)
+                                await client.connect()
+
+                    try:
                         for i in range(N_QUERIES):
                             if i == KILL_AT:
-                                await kill_service(b)
+                                port = servers[-1].port
+                                # read before the kill clears its caches
+                                quarantined += tiles_quarantined(servers[-1])
+                                await kill_service(servers[-1])
+                                servers.append(start_server(port))
+                                await servers[-1].start()
                             t0, t1 = WINDOWS[i % len(WINDOWS)]
                             try:
-                                net = await client.query_window(t0, t1)
-                            except ReplicaSetError:
+                                net = await query(t0, t1)
+                            except (ReproError, *TRANSPORT_FAULTS):
                                 failed += 1
                                 continue
                             completed += 1
                             assert_bit_identical(
                                 net.adjacency, direct_ref(t0, t1).adjacency
                             )
+                    finally:
+                        await client.close()
                     # -- acceptance criteria ----------------------------
                     assert completed >= 0.99 * N_QUERIES, (
                         f"only {completed}/{N_QUERIES} queries completed "
-                        f"({failed} failed); proxy={proxy.counters}, "
-                        f"client={client.counters}"
+                        f"({failed} failed, {faults} transport faults); "
+                        f"proxy={proxy.counters}"
                     )
-                    # the injected faults actually fired
+                    # the injected faults actually fired, and the kill
+                    # cut the client's connection
                     assert proxy.counters["delayed"] > 0
                     assert proxy.counters["truncated"] > 0
-                    assert client.counters["failovers"] >= 1
+                    assert faults > proxy.counters["truncated"]
+                    assert servers[1].stats.queries >= 1
                     # the corrupted tile was quarantined, never served
-                    full = a._handles["full"].cache
-                    assert full.stats.tiles_quarantined >= 1
-                    quarantined = list(
-                        (store / "full").glob("*.quarantined")
-                    )
-                    assert quarantined
+                    quarantined += tiles_quarantined(servers[-1])
+                    assert quarantined >= 1
+                    assert list((store / "full").glob("*.quarantined"))
                     return completed
+            finally:
+                await servers[-1].stop()
 
         completed = asyncio.run(scenario())
 
@@ -162,43 +193,64 @@ class TestChaosSoak:
                     f"trace {tid}: span {s['name']} dangles"
                 )
 
-    def test_blackhole_replica_is_timed_out_and_failed_over(
-        self, service_logs, small_pop, direct_ref
+    def test_blackhole_costs_one_bounded_wait_then_not_connected(
+        self, service_logs, small_pop
     ):
-        """A replica that accepts frames but never answers (100%
-        black-hole proxy) must cost one attempt_timeout, not a hang."""
+        """A server that accepts frames but never answers (100%
+        black-hole proxy) costs a client with ``deadline=0.5`` one wait
+        of the budget plus the grace, not a hang; the connection is then
+        gone, so the next request cannot read the stale reply."""
 
         async def scenario():
             a = make_service(service_logs, small_pop)
-            b = make_service(service_logs, small_pop)
-            async with a, b:
+            async with a:
                 proxy = ChaosProxy(
                     "127.0.0.1", a.port, random.Random(7), blackhole_p=1.0
                 )
                 async with proxy:
-                    client = FailoverClient(
-                        [("127.0.0.1", proxy.port), ("127.0.0.1", b.port)],
-                        retries=2,
-                        attempt_timeout=0.5,
-                        breaker_kwargs={
-                            "window": 4,
-                            "min_samples": 1,
-                            "failure_threshold": 0.5,
-                            "reset_timeout": 5.0,
-                        },
-                        rng=random.Random(21),
-                    )
-                    async with client:
-                        for t0, t1 in WINDOWS[:3]:
-                            net = await client.query_window(t0, t1)
-                            assert_bit_identical(
-                                net.adjacency, direct_ref(t0, t1).adjacency
+                    async with ServiceClient(
+                        port=proxy.port, deadline=0.5
+                    ) as client:
+                        start = time.monotonic()
+                        with pytest.raises(DeadlineError) as exc_info:
+                            # the outer bound only turns a hang into a
+                            # failure; the client must give up first
+                            await asyncio.wait_for(
+                                client.query_window(0, 24), 10.0
                             )
-                        assert proxy.counters["blackholed"] >= 1
-                        # the black hole tripped its breaker: later
-                        # queries stop paying the timeout
-                        rep = client.replicas[0]
-                        assert rep.breaker.opens >= 1
+                        elapsed = time.monotonic() - start
+                        assert exc_info.value.code == "deadline"
+                        assert 0.5 <= elapsed < 0.5 + DEADLINE_GRACE + 1.0
+                        assert proxy.counters["blackholed"] == 1
+                        with pytest.raises(ServiceError) as exc_info:
+                            await client.ping()
+                        assert exc_info.value.code == "internal"
+                        assert "not connected" in str(exc_info.value)
+
+        asyncio.run(scenario())
+
+    def test_cut_frame_drops_the_connection(self, service_logs, small_pop):
+        """A reply cut mid-frame leaves the stream out of phase: the
+        client raises the transport fault, then refuses to read on, and
+        a fresh ``connect()`` answers again."""
+
+        async def scenario():
+            a = make_service(service_logs, small_pop)
+            async with a:
+                proxy = ChaosProxy(
+                    "127.0.0.1", a.port, random.Random(3), truncate_p=1.0
+                )
+                async with proxy:
+                    async with ServiceClient(port=proxy.port) as client:
+                        with pytest.raises(TRANSPORT_FAULTS):
+                            await client.ping()
+                        assert proxy.counters["truncated"] == 1
+                        with pytest.raises(ServiceError) as exc_info:
+                            await client.ping()
+                        assert "not connected" in str(exc_info.value)
+                        proxy.truncate_p = 0.0
+                        await client.connect()
+                        assert (await client.ping())["pong"] is True
 
         asyncio.run(scenario())
 

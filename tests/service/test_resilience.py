@@ -1,7 +1,7 @@
-"""Resilience layer: deadlines, load shedding, breakers, drain edges.
+"""Resilience layer: deadlines, load shedding, drain edges.
 
-Unit tests drive :class:`Deadline`, :class:`LoadShedder`, and
-:class:`CircuitBreaker` on a fake clock — no sleeping, no server.
+Unit tests drive :class:`Deadline` and :class:`LoadShedder` on a fake
+clock — no sleeping, no server.
 Integration tests then pin the server-side behaviors the chaos soak
 relies on: dead-on-arrival rejection (never silently queued), mid-flight
 deadline timeouts that leave coalesced peers unharmed, overload shedding
@@ -22,7 +22,6 @@ from repro.service.health import HealthMonitor
 from repro.service.resilience import (
     PRIORITY_CONTROL,
     PRIORITY_QUERY,
-    CircuitBreaker,
     Deadline,
     LoadShedder,
     jittered_backoff,
@@ -128,56 +127,6 @@ class TestLoadShedder:
         shed.release(token)
         shed.release(99999)
         assert shed.depth == 0
-
-
-class TestCircuitBreaker:
-    def test_opens_on_failure_rate_then_half_open_probe_closes(self):
-        clock = FakeClock()
-        br = CircuitBreaker(
-            window=4, min_samples=4, failure_threshold=0.5,
-            reset_timeout=5.0, time_fn=clock,
-        )
-        for _ in range(2):
-            br.record_success()
-        for _ in range(2):
-            br.record_failure()
-        assert br.state == CircuitBreaker.OPEN
-        assert br.opens == 1
-        assert not br.allow()
-        assert br.reopen_in() == pytest.approx(5.0)
-        clock.now += 5.0
-        assert br.allow()  # the half-open probe
-        assert br.state == CircuitBreaker.HALF_OPEN
-        assert not br.allow()  # only one probe at a time
-        br.record_success(latency=0.01)
-        assert br.state == CircuitBreaker.CLOSED
-        assert br.allow()
-
-    def test_failed_probe_reopens(self):
-        clock = FakeClock()
-        br = CircuitBreaker(
-            window=2, min_samples=2, reset_timeout=1.0, time_fn=clock
-        )
-        br.record_failure()
-        br.record_failure()
-        assert br.state == CircuitBreaker.OPEN
-        clock.now += 1.0
-        assert br.allow()
-        br.record_failure()
-        assert br.state == CircuitBreaker.OPEN
-        assert br.opens == 2
-        assert not br.allow()
-
-    def test_slow_successes_count_as_unhealthy(self):
-        br = CircuitBreaker(
-            window=4, min_samples=4, failure_threshold=0.5,
-            latency_threshold=0.1,
-        )
-        for _ in range(2):
-            br.record_success(latency=0.01)
-        for _ in range(2):
-            br.record_success(latency=5.0)  # correct but useless
-        assert br.state == CircuitBreaker.OPEN
 
 
 class TestHealthMonitor:

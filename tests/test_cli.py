@@ -519,8 +519,23 @@ class TestServeAndClient:
         assert err.value.code == 2
         assert "invalid choice: 'reload'" in capsys.readouterr().err
 
-    def test_shutdown_is_refused_on_a_replica_set(self, served, capsys):
-        assert main(["client", "shutdown", "--replicas",
-                     f"127.0.0.1:{served}"]) == 2
-        assert "error: 'shutdown' is not idempotent" in capsys.readouterr().err
+    def test_dead_port_is_an_error_line_not_a_traceback(self, capsys):
+        import socket
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["client", "ping", "--port", str(port)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(port) in captured.err
+
+    def test_server_bad_request_is_an_error_line(self, served, capsys):
+        assert main(["client", "window", "--port", served, "--t0", "48",
+                     "--t1", "24"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty query window [48, 24)\n"
         assert main(["client", "ping", "--port", served]) == 0
